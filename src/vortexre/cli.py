@@ -64,6 +64,16 @@ def _parse_floats(text):
         raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_output(text, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -407,7 +417,7 @@ def cmd_simulate(args):
             config = newton_solve(config, tol=args.tol_newton)
     residual = float(np.abs(re_residual(config)).max())
     planar = config.to_planar()
-    t_final = 2.0 * math.pi * args.periods
+    t_final = 2.0 * math.pi * args.periods / config.omega
     times, states = integrate_vortices(planar, t_final, rtol=args.rtol,
                                        atol=args.rtol)
     h0 = hamiltonian(planar)
@@ -415,8 +425,7 @@ def cmd_simulate(args):
     g = np.asarray(planar.circulations)
     imp0 = (g[:, None] * planar.array).sum(axis=0)
     imp1 = (g[:, None] * states[-1]).sum(axis=0)
-    drift = corotating_drift(config, periods=args.periods, rtol=args.rtol,
-                             atol=args.rtol)
+    drift = corotating_drift(config, periods=args.periods, final=states[-1])
     lines = [
         f"relative-equilibrium residual: {residual:.3e}",
         f"hamiltonian drift over {args.periods:g} periods: {abs(h1-h0):.3e}",
@@ -441,7 +450,7 @@ def _common_flags(sub):
                      help="residual tolerance for the full-system solver")
     sub.add_argument("--tol-zero-eig", type=float, default=1e-8,
                      help="threshold for treating an eigenvalue as zero")
-    sub.add_argument("--seeds", type=int, default=4096,
+    sub.add_argument("--seeds", type=_positive_int, default=4096,
                      help="number of lattice seeds for the search")
     sub.add_argument("--out", default=None, help="output file path")
     sub.add_argument("--format", choices=("json", "csv", "table"),

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
@@ -95,6 +94,8 @@ def hamiltonian(positions, circulations=None):
 
 def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10, t_eval=None):
     """Integrate the full system with an adaptive embedded Runge-Kutta pair."""
+    from scipy.integrate import solve_ivp  # slow to import; only integration needs it
+
     g = np.asarray(config.circulations, dtype=float)
     n = len(g)
 
@@ -457,18 +458,22 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
                              failure=failure, start=config)
 
 
-def corotating_drift(config, periods=1.0, rtol=1e-10, atol=1e-10):
+def corotating_drift(config, periods=1.0, rtol=1e-10, atol=1e-10, final=None):
     """Drift after integrating a relative equilibrium for full periods.
 
     The exact solution rotates rigidly about the center of vorticity at
     rate omega, so after rotating back the final state should match the
     initial one; the returned number is the max position mismatch.
+    `final` is the planar state at t = 2*pi*periods/omega when the caller
+    has already integrated that span; without it the span is integrated
+    here.
     """
     planar = config.to_planar()
     t_final = 2.0 * math.pi * periods / config.omega
-    _, states = integrate_vortices(planar, t_final, rtol=rtol, atol=atol,
-                                   t_eval=[t_final])
-    final = states[-1]
+    if final is None:
+        _, states = integrate_vortices(planar, t_final, rtol=rtol, atol=atol,
+                                       t_eval=[t_final])
+        final = states[-1]
     a = -config.omega * t_final
     c, s = math.cos(a), math.sin(a)
     R = np.array([[c, -s], [s, c]])

@@ -113,51 +113,84 @@ def _weights(mu):
     return CirculationWeights(tuple(mu)).array
 
 
-def _difference_tables(theta):
-    """cos/sin/u tables of pairwise differences, with collision check."""
-    d = theta[:, None] - theta[None, :]
+def _diagonals(a):
+    """Writable view of the diagonal of each matrix in a contiguous (S, N, N) stack."""
+    n = a.shape[-1]
+    return a.reshape(len(a), n * n)[:, ::n + 1]
+
+
+def _difference_tables(config):
+    """Pairwise-difference tables of one configuration or of a batch.
+
+    Returns (single, cos, sin, u, collided): the tables have shape
+    (S, N, N) for S configurations (S = 1 for a single one), and
+    `collided` marks the rows in which two vortices coincide.  u is set
+    to 1 on the diagonal and on colliding rows, so the callers' formulas
+    stay finite.  A single colliding configuration raises CollisionError
+    instead.
+    """
+    theta = _angles(config)
+    single = theta.ndim == 1
+    theta = np.atleast_2d(theta)
+    d = theta[:, :, None] - theta[:, None, :]
     cos = np.cos(d)
     sin = np.sin(d)
     u = 2.0 - 2.0 * cos
     chord = np.sqrt(np.maximum(u, 0.0))
-    np.fill_diagonal(chord, np.inf)
-    if chord.min() < _COLLISION_CHORD:
-        i, j = divmod(int(chord.argmin()), chord.shape[0])
+    _diagonals(chord)[...] = np.inf
+    collided = chord.min(axis=(1, 2)) < _COLLISION_CHORD
+    if single and collided[0]:
+        i, j = divmod(int(chord[0].argmin()), chord.shape[1])
         raise CollisionError(f"vortices {i + 1} and {j + 1} coincide")
-    return cos, sin, u
+    _diagonals(u)[...] = 1.0
+    u[collided] = 1.0
+    return single, cos, sin, u, collided
 
 
 def potential_value(config, mu):
-    """V(theta); finite away from collisions."""
-    theta = _angles(config)
+    """V(theta); finite away from collisions.
+
+    Batches as `potential_gradient` does: one value per row of an (S, N)
+    input, NaN on colliding rows.
+    """
     w = _weights(mu)
-    cos, _, u = _difference_tables(theta)
-    pair = np.outer(w, w) * (cos + 0.5 * np.log(np.where(u > 0, u, 1.0)))
-    return -float(np.triu(pair, 1).sum())
+    single, cos, _, u, collided = _difference_tables(config)
+    pair = np.outer(w, w) * (cos + 0.5 * np.log(u))
+    v = -np.triu(pair, 1).sum(axis=(1, 2))
+    v[collided] = np.nan
+    return float(v[0]) if single else v
 
 
 def potential_gradient(config, mu):
-    """Gradient of V; its components always sum to zero."""
-    theta = _angles(config)
+    """Gradient of V; its components always sum to zero.
+
+    `config` is one configuration or an (S, N) batch of them.  A batch
+    gives one gradient per row, all NaN on rows where two vortices
+    coincide.
+    """
     w = _weights(mu)
-    _, sin, u = _difference_tables(theta)
-    np.fill_diagonal(u, 1.0)
+    single, _, sin, u, collided = _difference_tables(config)
     t = sin * (-1.0 + 1.0 / u)
-    np.fill_diagonal(t, 0.0)
-    return -(w[:, None] * w[None, :] * t).sum(axis=1)
+    _diagonals(t)[...] = 0.0
+    g = -(w[:, None] * w[None, :] * t).sum(axis=-1)
+    g[collided] = np.nan
+    return g[0] if single else g
 
 
 def potential_hessian(config, mu):
-    """Symmetric Hessian of V; rows sum to zero (rotational null vector)."""
-    theta = _angles(config)
+    """Symmetric Hessian of V; rows sum to zero (rotational null vector).
+
+    Batches as `potential_gradient` does: (S, N, N) for an (S, N) input,
+    all NaN on colliding rows.
+    """
     w = _weights(mu)
-    cos, sin, u = _difference_tables(theta)
-    np.fill_diagonal(u, 1.0)
+    single, cos, sin, u, collided = _difference_tables(config)
     gpp = -cos + (cos * u - 2.0 * sin**2) / u**2
-    np.fill_diagonal(gpp, 0.0)
+    _diagonals(gpp)[...] = 0.0
     H = np.outer(w, w) * gpp
-    np.fill_diagonal(H, -H.sum(axis=1))
-    return H
+    _diagonals(H)[...] = -H.sum(axis=-1)
+    H[collided] = np.nan
+    return H[0] if single else H
 
 
 def weighted_hessian(config, mu):

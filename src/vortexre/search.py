@@ -1,11 +1,12 @@
 """Numerical search for all critical points of the reduced potential.
 
 Multi-start Newton on the gauge-fixed torus (theta_1 = 0): polish a
-deterministic low-discrepancy lattice of seeds, deduplicate modulo
-rotation, classify each survivor, and group the survivors into families
-related by weight-preserving relabelings, reflection, and rotation.
-Completeness is certified separately by the exact root count on the
-half-angle system, not by seed density.
+deterministic low-discrepancy lattice of seeds as one batch, deduplicate
+modulo rotation through a hash of the converged points, classify each
+survivor, and group the survivors into families related by
+weight-preserving relabelings, reflection, and rotation through a
+canonical key.  Completeness is certified separately by the exact root
+count on the half-angle system, not by seed density.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vortexre.errors import CollisionError, NotACriticalPointError
+from vortexre.errors import NotACriticalPointError
 from vortexre.potential import (
     AngularConfig,
     CirculationWeights,
@@ -59,84 +60,159 @@ class CriticalPointSet:
         return [p.config for p in self.points]
 
 
+def _rotation_distances(a, bs):
+    """rotation_distance(a, b) for every row b of bs, as an array."""
+    a = np.asarray(a, dtype=float)
+    bs = np.asarray(bs, dtype=float)
+    d = ((a - bs)[:, None, :] + (bs - a)[:, :, None] + np.pi) % TWO_PI - np.pi
+    return np.abs(d).max(axis=2).min(axis=1)
+
+
 def rotation_distance(a, b):
     """min over rotations c of the infinity-norm angle distance (mod 2*pi).
 
     The minimizing rotation aligns one pair of components exactly, so it
     is enough to scan the candidate shifts b_i - a_i.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    best = np.inf
-    for c in b - a:
-        d = (a - b + c + np.pi) % TWO_PI - np.pi
-        best = min(best, float(np.abs(d).max()))
-    return best
+    return float(_rotation_distances(a, np.asarray(b, dtype=float)[None])[0])
+
+
+def _primes(count):
+    """The first `count` primes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def _lattice_seeds(dim, count):
     """Deterministic Kronecker lattice on the dim-torus, in radians."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    alpha = np.array([math.sqrt(p) % 1.0 for p in primes[:dim]])
+    alpha = np.array([math.sqrt(p) % 1.0 for p in _primes(dim)])
     k = np.arange(1, count + 1)[:, None]
     return (k * alpha % 1.0) * TWO_PI
 
 
-def _min_gap(full):
-    d = full[:, None] - full[None, :]
+def _gauged(x):
+    """Prepend the gauge-fixed theta_1 = 0 column to reduced angles."""
+    return np.concatenate((np.zeros((len(x), 1)), x), axis=1)
+
+
+def _min_gaps(full):
+    """Smallest angular separation within each row."""
+    d = full[:, :, None] - full[:, None, :]
     gap = np.abs((d + np.pi) % TWO_PI - np.pi)
-    np.fill_diagonal(gap, np.inf)
-    return gap.min()
+    diag = np.arange(full.shape[1])
+    gap[:, diag, diag] = np.inf
+    return gap.min(axis=(1, 2))
 
 
-def _newton_polish(x0, w, tol_grad, max_iter=50):
-    """Newton on the reduced gradient (theta_1 fixed); None on failure.
+def _newton_steps(H, rhs):
+    """Solve H_k s_k = rhs_k for every row; least squares where H_k is singular."""
+    try:
+        return np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass  # some H_k is singular: batched solve cannot say which
+    steps = np.empty_like(rhs)
+    for k in range(len(H)):
+        try:
+            steps[k] = np.linalg.solve(H[k], rhs[k])
+        except np.linalg.LinAlgError:
+            steps[k] = np.linalg.lstsq(H[k], rhs[k], rcond=None)[0]
+    return steps
 
-    Keeps stepping past tol_grad while steps still help, so accepted
+
+def _polish(seeds, w, tol_grad, max_iter=50):
+    """Newton on the reduced gradient (theta_1 fixed) for all seed rows at once.
+
+    Returns the polished rows and a mask of those that converged.  Each
+    row runs its own iteration and leaves the active set when it is done:
+    a collision at the iterate fails it; a zero gradient, a non-finite
+    step, or a step that 12 halvings cannot make strictly lower the
+    gradient infinity-norm ends it; otherwise it stops after max_iter
+    steps.  A row converged once its gradient norm fell below tol_grad.
+    Rows keep stepping past tol_grad while steps still help, so accepted
     points sit at the numerical floor rather than just under the
     tolerance.
     """
-    x = np.array(x0, dtype=float)
-    converged = False
+    x = np.array(seeds, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    collided = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
     for _ in range(max_iter):
-        full = np.concatenate(([0.0], x))
-        try:
-            g = potential_gradient(full, w)[1:]
-        except CollisionError:
-            return None
-        gnorm = np.abs(g).max()
-        if gnorm < tol_grad:
-            converged = True
-            if gnorm == 0.0:
-                break
-        try:
-            H = potential_hessian(full, w)[1:, 1:]
-        except CollisionError:
-            return None
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, -g, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return x % TWO_PI if converged else None
-        # Backtrack when the full step does not decrease the gradient.
-        scale = 1.0
-        for _ in range(12):
-            trial = x + scale * step
-            try:
-                trial_norm = np.abs(
-                    potential_gradient(np.concatenate(([0.0], trial)), w)[1:]
-                ).max()
-            except CollisionError:
-                trial_norm = np.inf
-            if trial_norm < gnorm:
-                break
-            scale *= 0.5
-        else:
-            # no improvement possible: either done or stuck
+        if not len(rows):
             break
-        x = trial % TWO_PI
-    return x % TWO_PI if converged else None
+        full = _gauged(x[rows])
+        g = potential_gradient(full, w)[:, 1:]
+        hit = np.isnan(g[:, 0])
+        collided[rows[hit]] = True
+        gnorm = np.abs(g).max(axis=1)
+        converged[rows[gnorm < tol_grad]] = True
+        go = ~hit & (gnorm != 0.0)
+        rows, full, g, gnorm = rows[go], full[go], g[go], gnorm[go]
+        H = potential_hessian(full, w)[:, 1:, 1:]
+        step = _newton_steps(H, -g)
+        go = np.isfinite(step).all(axis=1)
+        rows, step, gnorm = rows[go], step[go], gnorm[go]
+        # Backtrack where the full step does not decrease the gradient.
+        scale = np.ones(len(rows))
+        pending = np.ones(len(rows), dtype=bool)
+        for _ in range(12):
+            idx = np.flatnonzero(pending)
+            if not len(idx):
+                break
+            trial = x[rows[idx]] + scale[idx, None] * step[idx]
+            trial_norm = np.abs(potential_gradient(_gauged(trial), w)[:, 1:]).max(axis=1)
+            better = trial_norm < gnorm[idx]  # False on collisions (NaN)
+            x[rows[idx[better]]] = trial[better] % TWO_PI
+            pending[idx[better]] = False
+            scale[idx[~better]] *= 0.5
+        # rows no halving improved are either done or stuck
+        rows = rows[~pending]
+    return x % TWO_PI, converged & ~collided
+
+
+def _dedup(points, tol):
+    """Merge points closer than tol in rotation distance.
+
+    Points are taken in order.  Each one merges into the first kept point
+    within tol, which is replaced when the newcomer is lexicographically
+    smaller; otherwise it is kept.  Kept points sit in a hash of cells
+    on the gauge-fixed torus, and a lookup probes every cell within
+    2.5 tol of the point on each angle, wrapping modulo 2*pi: a point
+    within tol in rotation distance (theta_1 = 0 for both) is within
+    2 tol on every angle.
+    """
+    cells = max(1, int(TWO_PI / (16.0 * tol)))  # per angle
+    width = TWO_PI / cells
+    reach = 2.5 * tol
+    found, full, keys = [], [], []
+    bucket = {}
+    for x, cell, lo, hi in zip(points,
+                               (np.floor(points / width) % cells).astype(np.int64).tolist(),
+                               np.floor((points - reach) / width).astype(np.int64).tolist(),
+                               np.floor((points + reach) / width).astype(np.int64).tolist()):
+        cell = tuple(cell)
+        near = sorted({k for probe in itertools.product(*map(range, lo, [h + 1 for h in hi]))
+                       for k in bucket.get(tuple(c % cells for c in probe), ())})
+        fx = np.concatenate(([0.0], x))
+        close = np.flatnonzero(_rotation_distances(fx, [full[k] for k in near]) < tol) \
+            if near else ()
+        if len(close):
+            k = near[close[0]]
+            if tuple(x) >= tuple(found[k]):
+                continue
+            bucket[keys[k]].remove(k)
+            found[k], full[k], keys[k] = x, fx, cell
+        else:
+            k = len(found)
+            found.append(x)
+            full.append(fx)
+            keys.append(cell)
+        bucket.setdefault(cell, []).append(k)
+    return found
 
 
 def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, dedup_tol=1e-6,
@@ -149,25 +225,11 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, dedup_tol=1e-6,
     points are kept and flagged, never dropped.
     """
     w = CirculationWeights(tuple(mu)) if not isinstance(mu, CirculationWeights) else mu
-    dim = len(w) - 1
-    found = []
-    for seed in _lattice_seeds(dim, seeds):
-        full = np.concatenate(([0.0], seed))
-        if _min_gap(full) < seed_gap:
-            continue
-        x = _newton_polish(seed, w.array, tol_grad)
-        if x is None:
-            continue
-        for k, y in enumerate(found):
-            if rotation_distance(np.concatenate(([0.0], x)),
-                                 np.concatenate(([0.0], y))) < dedup_tol:
-                if tuple(x) < tuple(y):
-                    found[k] = x
-                break
-        else:
-            found.append(x)
+    start = _lattice_seeds(len(w) - 1, seeds)
+    start = start[_min_gaps(_gauged(start)) >= seed_gap]
+    polished, ok = _polish(start, w.array, tol_grad)
     points = []
-    for x in sorted(found, key=tuple):
+    for x in sorted(_dedup(polished[ok], dedup_tol), key=tuple):
         config = AngularConfig((0.0,) + tuple(x))
         try:
             report = classify(config, w, tol_grad=10.0 * tol_grad, tol_zero=tol_zero)
@@ -179,26 +241,39 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, dedup_tol=1e-6,
 
 # -- symmetry and families ---------------------------------------------------
 
-def _weight_preserving_permutations(mu):
-    """Permutations of vortex indices that fix the weight vector."""
-    mu = tuple(mu)
-    n = len(mu)
-    for perm in itertools.permutations(range(n)):
-        if all(mu[perm[i]] == mu[i] for i in range(n)):
-            yield perm
+# A gap this close to a rounding boundary, in units of the family
+# tolerance, is rounded both ways.
+_ROUNDING_MARGIN = 0.01
 
 
-def _canonical_orbit(theta, mu, include_reflection=True):
-    """All gauge-normalized images under relabeling x reflection x rotation."""
-    theta = np.asarray(theta, dtype=float)
-    images = []
-    for perm in _weight_preserving_permutations(mu):
-        relabeled = theta[list(perm)]
-        for sign in ((1.0, -1.0) if include_reflection else (1.0,)):
-            img = (sign * (relabeled - relabeled[0])) % TWO_PI
-            img[0] = 0.0
-            images.append(img)
-    return images
+def _family_keys(theta, mu, tol):
+    """Canonical keys of a weighted configuration on the circle.
+
+    The key is the cyclic sequence of (weight, gap) in circle order, with
+    gaps in whole units of tol, least over the N rotations of the
+    sequence and of its reflection (the least circular shift, Booth
+    1980).  It is the same for every image under relabeling of equal
+    weights, reflection and rotation.  A gap near a rounding boundary is
+    rounded both ways, so this returns a set of keys: configurations
+    whose sets meet are images of each other.
+    """
+    theta = np.asarray(theta, dtype=float) % TWO_PI
+    order = np.argsort(theta, kind="stable")
+    weights = [mu[i] for i in order]
+    q = np.diff(theta[order], append=theta[order[0]] + TWO_PI) / tol
+    nearest = np.rint(q)
+    off = q - nearest
+    choices = [(int(r), int(r + np.sign(o))) if abs(o) > 0.5 - _ROUNDING_MARGIN
+               else (int(r),)
+               for r, o in zip(nearest, off)]
+    n = len(weights)
+    keys = set()
+    for gaps in itertools.product(*choices):
+        seq = list(zip(weights, gaps))
+        # reflected, circle order reverses and each vortex takes the gap before it
+        mirror = [(weights[n - 1 - k], gaps[(n - 2 - k) % n]) for k in range(n)]
+        keys.add(min(tuple(s[k:] + s[:k]) for s in (seq, mirror) for k in range(n)))
+    return keys
 
 
 def group_into_families(point_set, family_tol=1e-6):
@@ -206,25 +281,24 @@ def group_into_families(point_set, family_tol=1e-6):
 
     Two points share a family when some weight-preserving relabeling,
     optionally composed with the reflection theta -> -theta, maps one to
-    the other up to rotation.
+    the other up to rotation.  Families come in order of their first
+    member, each as a sorted tuple of point indices.
     """
     mu = point_set.mu.mu
-    configs = [np.asarray(p.config.theta) for p in point_set.points]
-    n = len(configs)
-    family_of = [None] * n
+    family_of = {}
     families = []
-    for i in range(n):
-        if family_of[i] is not None:
-            continue
-        members = [i]
-        family_of[i] = len(families)
-        for img in _canonical_orbit(configs[i], mu):
-            for j in range(i + 1, n):
-                if family_of[j] is None and rotation_distance(img, configs[j]) < family_tol:
-                    family_of[j] = len(families)
-                    members.append(j)
-        families.append(tuple(sorted(set(members))))
-    return families
+    for i, p in enumerate(point_set.points):
+        keys = _family_keys(p.config.theta, mu, family_tol)
+        hits = [family_of[k] for k in keys if k in family_of]
+        if hits:
+            fid = min(hits)
+        else:
+            fid = len(families)
+            families.append([])
+        families[fid].append(i)
+        for k in keys:
+            family_of.setdefault(k, fid)
+    return [tuple(members) for members in families]
 
 
 def symmetry_axes(config, mu=None, tol=1e-8):

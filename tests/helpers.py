@@ -194,6 +194,156 @@ def to_sympy(p, symbols):
     return expr
 
 
+# -- reference search: one seed at a time, permutation-orbit families --------
+#
+# The search as it was first written: Newton polishes each lattice seed
+# alone, dedup scans every kept point in order, and families compare each
+# founder's images under all N! weight-preserving relabelings.  Quadratic
+# or factorial, but plain enough to check the batched, hashed search
+# against byte for byte.
+
+_TWO_PI = 2.0 * np.pi
+_FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def reference_lattice_seeds(dim, count):
+    alpha = np.array([np.sqrt(p) % 1.0 for p in _FIRST_PRIMES[:dim]])
+    k = np.arange(1, count + 1)[:, None]
+    return (k * alpha % 1.0) * _TWO_PI
+
+
+def reference_rotation_distances(images, b):
+    """min over rotations of the infinity-norm angle distance from each
+    row of images to b."""
+    images = np.atleast_2d(np.asarray(images, dtype=float))
+    b = np.asarray(b, dtype=float)
+    best = np.full(len(images), np.inf)
+    for i in range(images.shape[1]):
+        c = b[i] - images[:, i]
+        d = (images - b + c[:, None] + np.pi) % _TWO_PI - np.pi
+        best = np.minimum(best, np.abs(d).max(axis=1))
+    return best
+
+
+def reference_newton_polish(x0, w, tol_grad, max_iter=50):
+    """Newton on the reduced gradient of one seed; None on failure."""
+    from vortexre.errors import CollisionError
+    from vortexre.potential import potential_gradient, potential_hessian
+
+    x = np.array(x0, dtype=float)
+    converged = False
+    for _ in range(max_iter):
+        full = np.concatenate(([0.0], x))
+        try:
+            g = potential_gradient(full, w)[1:]
+            H = potential_hessian(full, w)[1:, 1:]
+        except CollisionError:
+            return None
+        gnorm = np.abs(g).max()
+        if gnorm < tol_grad:
+            converged = True
+            if gnorm == 0.0:
+                break
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(H, -g, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        scale = 1.0
+        for _ in range(12):
+            trial = x + scale * step
+            try:
+                trial_norm = np.abs(
+                    potential_gradient(np.concatenate(([0.0], trial)), w)[1:]).max()
+            except CollisionError:
+                trial_norm = np.inf
+            if trial_norm < gnorm:
+                break
+            scale *= 0.5
+        else:
+            break
+        x = trial % _TWO_PI
+    return x % _TWO_PI if converged else None
+
+
+def reference_dedup(points, tol):
+    """Merge in order into the first kept point within tol in rotation
+    distance, keeping the lexicographically smaller of the two."""
+    found = []
+    for x in points:
+        for k, y in enumerate(found):
+            d = reference_rotation_distances(np.concatenate(([0.0], x)),
+                                             np.concatenate(([0.0], y)))[0]
+            if d < tol:
+                if tuple(x) < tuple(y):
+                    found[k] = x
+                break
+        else:
+            found.append(x)
+    return found
+
+
+def reference_find_all_critical_points(mu, seeds, tol_grad=1e-10, dedup_tol=1e-6,
+                                       tol_zero=1e-8, seed_gap=0.05):
+    from vortexre.errors import NotACriticalPointError
+    from vortexre.potential import AngularConfig, CirculationWeights, classify
+    from vortexre.search import CriticalPoint, CriticalPointSet
+
+    w = CirculationWeights(tuple(mu))
+    polished = []
+    for seed in reference_lattice_seeds(len(w) - 1, seeds):
+        full = np.concatenate(([0.0], seed))
+        gaps = np.abs((full[:, None] - full[None, :] + np.pi) % _TWO_PI - np.pi)
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < seed_gap:
+            continue
+        x = reference_newton_polish(seed, w.array, tol_grad)
+        if x is not None:
+            polished.append(x)
+    points = []
+    for x in sorted(reference_dedup(polished, dedup_tol), key=tuple):
+        config = AngularConfig((0.0,) + tuple(x))
+        try:
+            report = classify(config, w, tol_grad=10.0 * tol_grad, tol_zero=tol_zero)
+        except NotACriticalPointError:
+            continue
+        points.append(CriticalPoint(config=config, report=report))
+    return CriticalPointSet(points=tuple(points), mu=w)
+
+
+def reference_group_into_families(point_set, family_tol=1e-6):
+    """Each unassigned point founds a family and takes in every later
+    unassigned point that one of its images under a weight-preserving
+    relabeling, optionally reflected, matches up to rotation."""
+    mu = point_set.mu.mu
+    n = len(mu)
+    perms = [perm for perm in itertools.permutations(range(n))
+             if all(mu[perm[i]] == mu[i] for i in range(n))]
+    configs = [np.asarray(p.config.theta) for p in point_set.points]
+    family_of = [None] * len(configs)
+    families = []
+    for i, theta in enumerate(configs):
+        if family_of[i] is not None:
+            continue
+        images = []
+        for perm in perms:
+            relabeled = theta[list(perm)]
+            for sign in (1.0, -1.0):
+                img = (sign * (relabeled - relabeled[0])) % _TWO_PI
+                img[0] = 0.0
+                images.append(img)
+        family_of[i] = len(families)
+        members = [i]
+        for j in range(i + 1, len(configs)):
+            if family_of[j] is None and \
+                    reference_rotation_distances(images, configs[j]).min() < family_tol:
+                family_of[j] = len(families)
+                members.append(j)
+        families.append(tuple(members))
+    return families
+
+
 # -- misc ---------------------------------------------------------------------
 
 def central_difference(f, x, h=1e-6):

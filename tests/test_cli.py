@@ -55,6 +55,21 @@ def test_find_csv_row_count(capsys):
     assert rows[0].startswith("index,family")
 
 
+def test_find_accepts_more_weights_than_the_first_fifteen_primes(capsys):
+    mu = ",".join(str(k) for k in range(1, 18))
+    code, out, err = run(capsys, "find", "--mu", mu, "--seeds", "64")
+    assert code == 0, err
+    assert out.rstrip().endswith("families")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-5"])
+def test_find_rejects_nonpositive_seed_count(capsys, seeds):
+    code, out, err = run(capsys, "find", "--mu", "1,1,1", "--seeds", seeds)
+    assert code == 2
+    assert "--seeds" in err
+    assert "critical points" not in out
+
+
 def test_find_rejects_bad_weights(capsys):
     code, _, err = run(capsys, "find", "--mu", "1,0,1")
     assert code == 1 or code == 2

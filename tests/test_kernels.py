@@ -1,5 +1,6 @@
 """Backend parity: the compiled kernels must match the pure-Python ones."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -120,7 +121,8 @@ def test_env_var_forces_pure_backend():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_KERNELS": "1"},
+        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_KERNELS": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "pure"

@@ -158,6 +158,27 @@ def test_collision_raises():
         potential_gradient((0.0, 1.0, 1.0 + 1e-14), (1, 1, 1))
 
 
+def test_batch_rows_match_single_calls_and_flag_collisions():
+    rng = seeded(11)
+    mu = (2.0, -1.0, 3.0, 1.5)
+    rows = [random_config(rng, 4) for _ in range(5)]
+    rows.insert(2, (0.0, 1.0, 1.0, 3.0))  # vortices 2 and 3 coincide
+    batch = np.array(rows)
+    values = potential_value(batch, mu)
+    grads = potential_gradient(batch, mu)
+    hessians = potential_hessian(batch, mu)
+    assert values.shape == (6,)
+    assert grads.shape == (6, 4) and hessians.shape == (6, 4, 4)
+    assert np.isnan(values[2])
+    assert np.isnan(grads[2]).all() and np.isnan(hessians[2]).all()
+    for k in (0, 1, 3, 4, 5):
+        assert values[k] == potential_value(rows[k], mu)
+        assert np.array_equal(grads[k], potential_gradient(rows[k], mu))
+        assert np.array_equal(hessians[k], potential_hessian(rows[k], mu))
+    assert potential_gradient(batch[:0], mu).shape == (0, 4)
+    assert potential_hessian(batch[:0], mu).shape == (0, 4, 4)
+
+
 def test_two_vortex_critical_angles():
     # the only critical separations are pi/3, pi, 5*pi/3
     for phi in (math.pi / 3, math.pi, 5 * math.pi / 3):

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic used by every algebraic module."""
 
+import os
 import subprocess
 import sys
 
@@ -60,7 +61,8 @@ def test_pure_backend_env_override():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_RATIONALS": "1"},
+        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_RATIONALS": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "fractions"

@@ -1,12 +1,26 @@
 """Seeded Newton search for critical points, dedup, families, symmetry."""
 
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from vortexre.potential import potential_gradient
+from helpers import (
+    reference_dedup,
+    reference_find_all_critical_points,
+    reference_group_into_families,
+    reference_lattice_seeds,
+    seeded,
+)
+from vortexre.potential import AngularConfig, CirculationWeights, potential_gradient
 from vortexre.search import (
+    CriticalPoint,
+    CriticalPointSet,
+    _dedup,
+    _lattice_seeds,
+    _newton_steps,
     export_critical_points,
     find_all_critical_points,
     group_into_families,
@@ -161,3 +175,89 @@ def test_export_schema(equal_weights):
     import json
 
     json.dumps(out)  # must be serializable as-is
+
+
+# -- batched search against the one-seed-at-a-time reference ------------------
+
+@pytest.mark.parametrize("mu,seeds", [
+    ((1, 1, 1), 512),
+    ((2, -1, 3), 512),
+    ((2, 1, 9), 512),
+    ((-1, -3, 10), 512),
+    ((1, 2, 3, 4), 512),
+    ((1, 1, 1, 1, 1), 512),
+    ((1, 1, 1, 1, 1, 1), 256),
+])
+def test_search_matches_reference_byte_for_byte(mu, seeds):
+    ref = reference_find_all_critical_points(mu, seeds)
+    got = find_all_critical_points(mu, seeds=seeds)
+    want = json.dumps(export_critical_points(ref, reference_group_into_families(ref)))
+    assert json.dumps(export_critical_points(got, group_into_families(got))) == want
+
+
+def test_lattice_keeps_first_fifteen_primes_and_grows_past_them():
+    assert np.array_equal(_lattice_seeds(15, 64), reference_lattice_seeds(15, 64))
+    seeds = _lattice_seeds(17, 64)
+    assert seeds.shape == (64, 17)
+    assert np.array_equal(seeds[:, :15], reference_lattice_seeds(15, 64))
+    # sqrt(53) and sqrt(59) drive the two new axes
+    assert seeds[0, 15] == pytest.approx((math.sqrt(53) % 1.0) * 2 * math.pi)
+    assert seeds[0, 16] == pytest.approx((math.sqrt(59) % 1.0) * 2 * math.pi)
+
+
+def test_singular_hessian_rows_fall_back_to_least_squares():
+    H = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    rhs = np.array([[1.0, -1.0], [4.0, 5.0]])
+    steps = _newton_steps(H, rhs)
+    assert np.array_equal(steps[0], np.linalg.solve(H[0], rhs[0]))
+    assert np.array_equal(steps[1], np.linalg.lstsq(H[1], rhs[1], rcond=None)[0])
+
+
+def test_dedup_merges_across_the_wrap():
+    points = np.array([[2 * math.pi - 1e-9, 1.0], [1e-9, 1.0]])
+    kept = _dedup(points, 1e-6)
+    assert len(kept) == 1
+    assert tuple(kept[0]) == (1e-9, 1.0)
+
+
+def test_dedup_matches_linear_scan_near_cell_edges():
+    rng = seeded(7)
+    centres = [[rng.choice((0.0, 2 * math.pi, rng.uniform(0, 2 * math.pi)))
+                for _ in range(3)] for _ in range(12)]
+    points = []
+    for _ in range(400):
+        c = rng.choice(centres)
+        points.append([(a + rng.uniform(-1.5e-6, 1.5e-6)) % (2 * math.pi) for a in c])
+    points = np.array(points)
+    got = _dedup(points, 1e-6)
+    want = reference_dedup(points, 1e-6)
+    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+
+
+def _point_set(thetas, mu):
+    points = tuple(CriticalPoint(config=AngularConfig(t), report=None) for t in thetas)
+    return CriticalPointSet(points=points, mu=CirculationWeights(mu))
+
+
+def test_family_gap_on_a_rounding_boundary_still_merges():
+    tol = 1e-6
+    gap = (1234567 + 0.5) * tol   # half-way between two rounding units
+    base = (0.0, gap, 4.0)
+    below = (0.0, gap - 1e-12, 4.0)
+    above = (0.0, gap + 1e-12, 4.0)
+    mirror = (0.0, (2 * math.pi - 4.0) % (2 * math.pi),
+              (2 * math.pi - gap - 1e-12) % (2 * math.pi))
+    other = (0.0, 1.0, 4.0)
+    point_set = _point_set([base, below, other, above, mirror], (1, 1, 1))
+    families = group_into_families(point_set, family_tol=tol)
+    assert families == [(0, 1, 3, 4), (2,)]
+    assert families == reference_group_into_families(point_set, family_tol=tol)
+
+
+def test_families_at_eight_equal_weights_are_fast():
+    found = find_all_critical_points((1,) * 8, seeds=256)
+    assert len(found) > 100
+    start = time.perf_counter()
+    families = group_into_families(found)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(i for fam in families for i in fam) == list(range(len(found)))
