@@ -44,7 +44,7 @@ from vortexre.potential import (
     potential_value,
     weighted_hessian,
 )
-from vortexre.rationals import RATIONAL_BACKEND, Rational, rational
+from vortexre.rationals import Rational, rational
 from vortexre.search import (
     CriticalPointSet,
     find_all_critical_points,
@@ -56,10 +56,9 @@ __version__ = "0.1.0"
 
 
 def backend_info():
-    """Names of the kernel and rational backends selected at import."""
-    from vortexre._kernels import BACKEND_NAME
+    """Names of the exact-arithmetic implementations (there is one of each)."""
+    return {"kernels": "pure", "rationals": "fractions"}
 
-    return {"kernels": BACKEND_NAME, "rationals": RATIONAL_BACKEND}
 
 __all__ = [
     "AngularConfig",
@@ -78,7 +77,6 @@ __all__ = [
     "NotACriticalPointError",
     "PlanarConfig",
     "PolynomialRing",
-    "RATIONAL_BACKEND",
     "Rational",
     "RootCount",
     "StabilityReport",

@@ -1,4 +1,4 @@
-"""Pure-Python polynomial kernels (reference backend).
+"""Polynomial kernels: monomials, monomial orders and term maps.
 
 A monomial is a tuple of non-negative integer exponents, one per ring
 variable.  A term map is a plain dict from monomial to nonzero
@@ -8,19 +8,20 @@ leading (eliminated) variable block for "elim", and ``priority`` either
 None (natural variable order) or a permutation of variable indices
 listing variables from highest to lowest priority.
 
-The compiled backend in ``_speedups.pyx`` implements exactly the same
-functions; parity between the two is asserted in the test suite.
+A monomial's order key never changes, so keys are computed once per
+(spec, monomial) and kept for the life of the process.  Kernels call each
+other only through private helpers, so wrapping this module's public
+names sees exactly the calls made from outside it.
 """
 
 from __future__ import annotations
 
-BACKEND_NAME = "pure"
-
+from operator import add
 
 # -- monomials ---------------------------------------------------------------
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -56,8 +57,7 @@ def _grevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def order_key(spec, e):
-    """Sort key for a monomial; key comparison realizes the order."""
+def _fresh_key(spec, e):
     kind, block, priority = spec
     if priority is not None:
         e = tuple(e[i] for i in priority)
@@ -70,27 +70,48 @@ def order_key(spec, e):
     raise ValueError(f"unknown order kind {kind!r}")
 
 
+class _KeyTable(dict):
+    """{monomial: order key} under one spec, filled on first lookup."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, e):
+        key = self[e] = _fresh_key(self.spec, e)
+        return key
+
+
+_TABLES = {}   # order spec -> _KeyTable
+
+
+def _keys(spec):
+    table = _TABLES.get(spec)
+    if table is None:
+        table = _TABLES[spec] = _KeyTable(spec)
+    return table
+
+
+def order_key(spec, e):
+    """Sort key for a monomial; key comparison realizes the order."""
+    return _keys(spec)[e]
+
+
 def compare(spec, a, b):
     """-1, 0, or 1 as a <, =, > b under the order."""
-    ka = order_key(spec, a)
-    kb = order_key(spec, b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    keys = _keys(spec)
+    ka = keys[a]
+    kb = keys[b]
+    return (ka > kb) - (ka < kb)
 
 
 def leading_monomial(terms, spec):
     """Order-maximal monomial of a term map, or None when empty."""
-    best = None
-    best_key = None
-    for m in terms:
-        k = order_key(spec, m)
-        if best is None or k > best_key:
-            best = m
-            best_key = k
-    return best
+    if not terms:
+        return None
+    return max(terms, key=_keys(spec).__getitem__)
 
 
 # -- term-map arithmetic -----------------------------------------------------
@@ -126,7 +147,7 @@ def terms_mul(t1, t2):
     acc = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            key = monomial_mul(m1, m2)
+            key = tuple(map(add, m1, m2))
             cur = acc.get(key)
             if cur is None:
                 acc[key] = c1 * c2
@@ -141,26 +162,14 @@ def terms_mul(t1, t2):
 
 def terms_iadd_scaled(acc, src, coeff, shift):
     """acc += coeff * x^shift * src, in place.  shift may be None."""
-    if shift is None:
-        for m, c in src.items():
-            cur = acc.get(m)
-            if cur is None:
-                acc[m] = coeff * c
+    for m, c in src.items():
+        key = m if shift is None else tuple(map(add, m, shift))
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = coeff * c
+        else:
+            cur = cur + coeff * c
+            if cur:
+                acc[key] = cur
             else:
-                cur = cur + coeff * c
-                if cur:
-                    acc[m] = cur
-                else:
-                    del acc[m]
-    else:
-        for m, c in src.items():
-            key = monomial_mul(m, shift)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = coeff * c
-            else:
-                cur = cur + coeff * c
-                if cur:
-                    acc[key] = cur
-                else:
-                    del acc[key]
+                del acc[key]

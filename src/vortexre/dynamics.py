@@ -53,13 +53,6 @@ class PlanarConfig:
     def array(self):
         return np.asarray(self.positions, dtype=float)
 
-    def center_of_vorticity(self):
-        g = np.asarray(self.circulations, dtype=float)
-        total = g.sum()
-        if total == 0.0:
-            raise ValueError("center of vorticity undefined for zero total circulation")
-        return (g[:, None] * self.array).sum(axis=0) / total
-
 
 def vortex_field(positions, circulations=None):
     """Velocities q_i' = sum_{j != i} Gamma_j (q_i - q_j)^perp / |q_i - q_j|^2."""
@@ -315,7 +308,9 @@ def full_system_stability(config, tol=1e-6):
     The rotation and scaling directions span an invariant subspace carrying
     a forced nilpotent block; the spectrum is taken on its skew-orthogonal
     complement and the verdict is stable exactly when that spectrum is
-    purely imaginary and semisimple.
+    purely imaginary and semisimple.  Eigenvalues within tol*scale of one
+    another form a cluster; a cluster of k is semisimple when reduced - lam*I
+    has k singular values within tol*scale, and a lone eigenvalue always is.
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
@@ -326,12 +321,25 @@ def full_system_stability(config, tol=1e-6):
     constraints = np.vstack([v_rot @ B, zvec @ B])
     Q = null_space(constraints)
     reduced = Q.T @ A @ Q
-    eigvals, eigvecs = np.linalg.eig(reduced)
+    eigvals = np.linalg.eigvals(reduced)
     scale = max(1.0, float(np.abs(eigvals).max(initial=0.0)))
-    semisimple = (np.linalg.svd(eigvecs, compute_uv=False).min() > 1e-3
-                  if len(eigvals) else True)
+    cut = tol * scale
     max_real = float(np.abs(eigvals.real).max(initial=0.0))
-    verdict = "stable" if (max_real <= tol * scale and semisimple) else "unstable"
+    semisimple = True
+    checked = np.zeros(len(eigvals), dtype=bool)
+    for i, lam in enumerate(eigvals):
+        # reduced is real, so the cluster at conj(lam) is semisimple alike
+        if checked[i] or lam.imag < -cut:
+            continue
+        cluster = np.abs(eigvals - lam) <= cut
+        checked |= cluster
+        k = int(cluster.sum())
+        if k > 1:
+            sv = np.linalg.svd(reduced - lam * np.eye(len(eigvals)), compute_uv=False)
+            if np.count_nonzero(sv <= cut) < k:
+                semisimple = False
+                break
+    verdict = "stable" if (max_real <= cut and semisimple) else "unstable"
     order = np.lexsort((eigvals.real, eigvals.imag))
     return FullStabilityReport(
         eigenvalues=tuple(complex(v) for v in eigvals[order]),

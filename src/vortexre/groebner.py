@@ -70,10 +70,6 @@ class GroebnerBasis:
     def contains(self, p):
         return self.normal_form(p).is_zero()
 
-    def primitive(self):
-        """Basis elements rescaled to primitive integer form."""
-        return [g.primitive_part()[0] for g in self.polys]
-
     def __repr__(self):
         return f"GroebnerBasis({len(self.polys)} polys, {self.order!r})"
 

@@ -85,10 +85,6 @@ class RationalFunc:
         self.num = num
         self.den = tuple(sorted(factors.values(), key=lambda fp: str(fp[0])))
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     @property
     def numerator(self):
         return self.num

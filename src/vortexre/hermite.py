@@ -37,9 +37,6 @@ class QuotientBasis:
     def __getitem__(self, i):
         return self.monomials[i]
 
-    def monomial_strings(self):
-        return [str(self.ring.monomial(m)) for m in self.monomials]
-
 
 @dataclass(frozen=True)
 class RootCount:

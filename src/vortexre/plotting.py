@@ -87,10 +87,3 @@ def render_configuration_svg(record):
             f'{idx + 1}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def write_configuration_svg(record, path):
-    svg = render_configuration_svg(record)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    return path

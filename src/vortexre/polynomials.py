@@ -3,7 +3,7 @@
 Polynomials are dicts mapping exponent tuples to nonzero ``Rational``
 coefficients, attached to a ``PolynomialRing`` that fixes the variable
 names and the monomial order.  The heavy term-map operations live in
-``vortexre._kernels`` (compiled when available, pure Python otherwise).
+``vortexre._kernels``.
 """
 
 from __future__ import annotations

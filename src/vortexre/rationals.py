@@ -1,29 +1,13 @@
 """Exact rational coefficients.
 
-``Rational`` is gmpy2's ``mpq`` when gmpy2 is installed and the stdlib
-``fractions.Fraction`` otherwise.  Both are arbitrary precision, always
-canonical (positive denominator, gcd(num, den) = 1), print as ``p/q``,
-hash and compare identically, and raise ZeroDivisionError on a zero
-denominator, so everything downstream is backend-agnostic.
+``Rational`` is the stdlib ``fractions.Fraction``: arbitrary precision,
+always canonical (positive denominator, gcd(num, den) = 1), printed as
+``p/q``, and raising ZeroDivisionError on a zero denominator.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("VORTEXRE_PURE_RATIONALS"):
-    from fractions import Fraction as Rational
-
-    RATIONAL_BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rational
-
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        from fractions import Fraction as Rational
-
-        RATIONAL_BACKEND = "fractions"
+from fractions import Fraction as Rational
 
 
 def rational(numerator, denominator=1):

@@ -280,6 +280,20 @@ def test_linear_verdict_matches_potential_classification():
         assert report.verdict == point.report.verdict
 
 
+@pytest.mark.parametrize("step", [5e-5, 1e-4, 2e-4, 5e-4])
+def test_close_imaginary_pairs_stay_stable_until_the_krein_collision(step):
+    # Two imaginary pairs of this stable saddle approach each other and
+    # collide between eps = 5e-4 and 6e-4; before that they are distinct
+    # and the spectrum is semisimple, whatever the continuation step.
+    theta = (0.0, 1.9776959562222671, 5.480254754348461)
+    trace = continue_family(theta, (-4, -7, 9), 10 * step, step=step)
+    assert trace.failure is None and len(trace.records) == 10
+    for record in trace.records:
+        # every step size lands on eps <= 5e-4 or eps >= 6e-4
+        expected = "stable" if record.epsilon <= 5e-4 + 1e-12 else "unstable"
+        assert record.verdict == expected, record.epsilon
+
+
 # -- continuation in epsilon --------------------------------------------------
 
 

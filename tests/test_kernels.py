@@ -1,17 +1,9 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones."""
+"""The monomial and term-map kernels, including the memoized order keys."""
 
-import os
-import subprocess
-import sys
+import random
 from fractions import Fraction
 
-import pytest
-
-from vortexre._kernels import BACKEND_NAME, pure
-
-speedups = pytest.importorskip(
-    "vortexre._kernels._speedups", reason="compiled kernels not built"
-)
+from vortexre import _kernels
 
 
 def random_monomial(rng, n=4, span=6):
@@ -27,111 +19,88 @@ def random_terms(rng, n=4, terms=8):
     return out
 
 
+def reference_key(spec, e):
+    """The order key written out from the definitions, never cached."""
+    kind, block, priority = spec
+    if priority is not None:
+        e = [e[i] for i in priority]
+
+    def grevlex(part):
+        return (sum(part), [-x for x in reversed(part)])
+
+    if kind == "lex":
+        return list(e)
+    if kind == "degrevlex":
+        return grevlex(e)
+    return (grevlex(e[:block]), grevlex(e[block:]))
+
+
 ORDER_SPECS = [
     ("lex", 0, None),
     ("degrevlex", 0, None),
     ("elim", 2, None),
-    ("lex", 0, (2, 0, 1, 3)),
     ("degrevlex", 0, (3, 1, 0, 2)),
 ]
 
 
-def test_monomial_ops_agree():
-    import random
-
-    rng = random.Random(20240501)
-    for _ in range(200):
-        a, b = random_monomial(rng), random_monomial(rng)
-        assert speedups.monomial_mul(a, b) == pure.monomial_mul(a, b)
-        assert speedups.monomial_divides(a, b) == pure.monomial_divides(a, b)
-        assert speedups.monomial_div(b, a) == pure.monomial_div(b, a)
-        assert speedups.monomial_lcm(a, b) == pure.monomial_lcm(a, b)
-        assert speedups.monomial_degree(a) == pure.monomial_degree(a)
-
-
-def test_order_functions_agree():
-    import random
-
-    rng = random.Random(20240502)
-    for spec in ORDER_SPECS:
-        for _ in range(100):
-            a, b = random_monomial(rng), random_monomial(rng)
-            assert speedups.order_key(spec, a) == pure.order_key(spec, a)
-            assert speedups.compare(spec, a, b) == pure.compare(spec, a, b)
-        t = random_terms(rng)
-        assert speedups.leading_monomial(t, spec) == pure.leading_monomial(t, spec)
-    assert speedups.leading_monomial({}, ORDER_SPECS[0]) is None
-
-
-def test_term_arithmetic_agrees():
-    import random
-
-    rng = random.Random(20240503)
-    for _ in range(60):
-        t1, t2 = random_terms(rng), random_terms(rng)
-        assert speedups.terms_add(t1, t2) == pure.terms_add(t1, t2)
-        assert speedups.terms_neg(t1) == pure.terms_neg(t1)
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert speedups.terms_scale(t1, c) == pure.terms_scale(t1, c)
-        assert speedups.terms_mul(t1, t2) == pure.terms_mul(t1, t2)
-
-
-def test_iadd_scaled_agrees_and_mutates_in_place():
-    import random
-
-    rng = random.Random(20240504)
-    for shift in (None, (1, 0, 2, 0)):
-        acc_a = random_terms(rng)
-        acc_b = dict(acc_a)
-        src = random_terms(rng)
-        c = Fraction(3, 2)
-        speedups.terms_iadd_scaled(acc_a, src, c, shift)
-        pure.terms_iadd_scaled(acc_b, src, c, shift)
-        assert acc_a == acc_b
-
-
 def test_cancellation_removes_zero_entries():
     t = {(1, 0, 0, 0): Fraction(2)}
-    for impl in (pure, speedups):
-        out = impl.terms_add(t, {(1, 0, 0, 0): Fraction(-2)})
-        assert out == {}
-        acc = dict(t)
-        impl.terms_iadd_scaled(acc, t, Fraction(-1), None)
-        assert acc == {}
+    assert _kernels.terms_add(t, {(1, 0, 0, 0): Fraction(-2)}) == {}
+    acc = dict(t)
+    _kernels.terms_iadd_scaled(acc, t, Fraction(-1), None)
+    assert acc == {}
 
 
 def test_coefficients_stay_exact():
     # kernels must treat coefficients as opaque objects, not floats
     big = Fraction(10**30, 7)
     t = {(0, 0, 0, 0): big}
-    for impl in (pure, speedups):
-        sq = impl.terms_mul(t, t)
-        assert sq[(0, 0, 0, 0)] == big * big
+    assert _kernels.terms_mul(t, t)[(0, 0, 0, 0)] == big * big
 
 
-def test_backend_names():
-    assert pure.BACKEND_NAME == "pure"
-    assert speedups.BACKEND_NAME == "cython"
-    assert BACKEND_NAME in ("pure", "cython")
+def test_iadd_scaled_mutates_in_place():
+    rng = random.Random(20240504)
+    for shift in (None, (1, 0, 2, 0)):
+        acc = random_terms(rng)
+        before = dict(acc)
+        src = random_terms(rng)
+        c = Fraction(3, 2)
+        moved = src if shift is None else {
+            tuple(x + s for x, s in zip(m, shift)): v for m, v in src.items()
+        }
+        expected = {}
+        for m in set(before) | set(moved):
+            v = before.get(m, 0) + c * moved.get(m, 0)
+            if v:
+                expected[m] = v
+        same = acc
+        _kernels.terms_iadd_scaled(acc, src, c, shift)
+        assert acc is same
+        assert acc == expected
 
 
-def test_env_var_forces_pure_backend():
-    code = "from vortexre._kernels import BACKEND_NAME; print(BACKEND_NAME)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_KERNELS": "1",
-             "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
+def test_leading_monomial_of_empty_map_is_none():
+    assert _kernels.leading_monomial({}, ORDER_SPECS[0]) is None
 
 
-def test_backend_info_reports_selected_names():
+def test_cached_keys_order_like_fresh_keys_under_every_spec():
+    # One monomial set sorted under several orders, in both call orders:
+    # a cache keyed by the monomial alone would reuse the first order's keys.
+    rng = random.Random(20240505)
+    monos = list({random_monomial(rng, span=9) for _ in range(120)})
+    for specs in (ORDER_SPECS, ORDER_SPECS[::-1]):
+        for spec in specs:
+            expected = sorted(monos, key=lambda m: reference_key(spec, m))
+            assert sorted(monos, key=lambda m: _kernels.order_key(spec, m)) == expected
+            terms = dict.fromkeys(monos, Fraction(1))
+            assert _kernels.leading_monomial(terms, spec) == expected[-1]
+            a, b = expected[0], expected[-1]
+            assert _kernels.compare(spec, a, b) == -1
+            assert _kernels.compare(spec, b, a) == 1
+            assert _kernels.compare(spec, a, a) == 0
+
+
+def test_backend_info_names_the_single_implementation():
     import vortexre
 
-    info = vortexre.backend_info()
-    assert set(info) == {"kernels", "rationals"}
-    assert info["kernels"] == BACKEND_NAME
-    assert info["rationals"] in ("gmpy2", "fractions")
+    assert vortexre.backend_info() == {"kernels": "pure", "rationals": "fractions"}

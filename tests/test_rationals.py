@@ -1,12 +1,8 @@
 """Exact coefficient arithmetic used by every algebraic module."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-from vortexre.rationals import RATIONAL_BACKEND, Rational, is_integer, rational
+from vortexre.rationals import Rational, is_integer, rational
 
 
 def test_basic_arithmetic_is_exact():
@@ -46,26 +42,6 @@ def test_big_values_round_trip():
 def test_is_integer():
     assert is_integer(rational(4, 2))
     assert not is_integer(rational(1, 2))
-
-
-def test_backend_is_declared():
-    assert RATIONAL_BACKEND in ("gmpy2", "fractions")
-
-
-def test_pure_backend_env_override():
-    code = (
-        "from vortexre.rationals import RATIONAL_BACKEND;"
-        "print(RATIONAL_BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "VORTEXRE_PURE_RATIONALS": "1",
-             "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "fractions"
 
 
 def test_hash_and_compare_match_ints():
