@@ -64,14 +64,25 @@ def _parse_floats(text):
         raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(kind, low, strict=False):
+    """argparse type: a `kind` value of at least `low`, or above it if strict."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_polygon_count = _bounded(int, 2)
+_positive_float = _bounded(float, 0.0, strict=True)
+_nonnegative_float = _bounded(float, 0.0)
 
 
 def _write_output(text, out):
@@ -270,8 +281,6 @@ def cmd_continue(args):
         if len(scalars) != 1:
             raise UsageError("--polygon takes a single scalar --mu")
         count = args.polygon
-        if count < 2:
-            raise UsageError("--polygon needs at least 2 vortices")
         mu = CirculationWeights((scalars[0],) * count)
         start = AngularConfig(tuple(2.0 * math.pi * k / count for k in range(count)))
         check_start = False
@@ -491,11 +500,12 @@ def build_parser():
                    help="index into the deterministic find ordering")
     p.add_argument("--select",
                    help="pick the first point matching e.g. 'stable' or 'stable saddle'")
-    p.add_argument("--polygon", type=int,
+    p.add_argument("--polygon", type=_polygon_count,
                    help="regular polygon mode with this many equal vortices")
-    p.add_argument("--eps", "--eps-max", dest="eps_max", type=float, required=True,
-                   help="target coupling strength")
-    p.add_argument("--step", type=float, default=0.005, help="continuation step")
+    p.add_argument("--eps", "--eps-max", dest="eps_max", type=_nonnegative_float,
+                   required=True, help="target coupling strength")
+    p.add_argument("--step", type=_positive_float, default=0.005,
+                   help="continuation step")
     p.add_argument("--snapshots", help="comma-separated eps values to render as SVG")
     _common_flags(p)
     p.set_defaults(func=cmd_continue)
@@ -522,11 +532,11 @@ def build_parser():
     p.add_argument("--eps", type=float, required=True, help="coupling strength")
     p.add_argument("--start-angles", help="weak-vortex angles")
     p.add_argument("--radii", help="weak-vortex radii (default all 1)")
-    p.add_argument("--polygon", type=int, help="regular polygon mode")
+    p.add_argument("--polygon", type=_polygon_count, help="regular polygon mode")
     p.add_argument("--polish", action="store_true",
                    help="Newton-polish the start before integrating")
-    p.add_argument("--periods", type=float, default=1.0)
-    p.add_argument("--rtol", type=float, default=1e-10)
+    p.add_argument("--periods", type=_positive_float, default=1.0)
+    p.add_argument("--rtol", type=_positive_float, default=1e-10)
     _common_flags(p)
     p.set_defaults(func=cmd_simulate)
     return parser

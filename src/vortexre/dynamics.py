@@ -20,17 +20,55 @@ from scipy.linalg import null_space
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
 from vortexre.potential import AngularConfig, CirculationWeights, classify
 
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _MIN_SEP = 1e-12
 
 
 def _perp(v):
     """Rotate planar vectors by +90 degrees: (x, y) -> (-y, x)."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
+    return np.asarray(v, dtype=float) @ _J2.T
+
+
+def _pairs(q):
+    """Pair table of planar positions q, shape (n, 2).
+
+    Returns diff[i, j] = q_i - q_j and dist2[i, j] = |q_i - q_j|^2 with
+    the diagonal set to 1, so quotients by it stay finite.  Raises
+    CollisionError naming the first pair closer than _MIN_SEP.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    dist2 = (diff ** 2).sum(axis=2)
+    np.fill_diagonal(dist2, 1.0)
+    close = dist2 <= _MIN_SEP ** 2
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise CollisionError(f"vortices {i} and {j} coincide")
+    return diff, dist2
+
+
+def _field(q, g):
+    """Velocities of vortices at q with circulations g (see vortex_field)."""
+    diff, dist2 = _pairs(q)
+    weights = g[None, :] / dist2
+    np.fill_diagonal(weights, 0.0)
+    return _perp((weights[:, :, None] * diff).sum(axis=1))
+
+
+def _field_jacobian(q, g):
+    """Blocks F[i, j] = d v_i / d q_j of the field, shape (n, n, 2, 2).
+
+    With K(d) = (I |d|^2 - 2 d d^T) / |d|^4, the derivative of d / |d|^2,
+    F[i, j] = -Gamma_j J K(q_i - q_j) off the diagonal, and each diagonal
+    block is minus the sum of the others in its row.
+    """
+    diff, dist2 = _pairs(q)
+    K = (np.eye(2) * dist2[..., None, None]
+         - 2.0 * diff[..., :, None] * diff[..., None, :]) / (dist2 ** 2)[..., None, None]
+    F = -g[None, :, None, None] * (_J2 @ K)
+    diag = np.arange(len(q))
+    F[diag, diag] = 0.0
+    F[diag, diag] = -F.sum(axis=1)
+    return F
 
 
 # -- the unreduced system ----------------------------------------------------
@@ -44,45 +82,30 @@ class PlanarConfig:
         q = self.array
         if len(q) != len(self.circulations):
             raise ValueError("one circulation per vortex")
-        for i in range(len(q)):
-            for j in range(i + 1, len(q)):
-                if np.hypot(*(q[i] - q[j])) <= _MIN_SEP:
-                    raise CollisionError(f"vortices {i} and {j} coincide")
+        _pairs(q)
 
     @property
     def array(self):
         return np.asarray(self.positions, dtype=float)
 
 
+def _as_arrays(positions, circulations):
+    if isinstance(positions, PlanarConfig):
+        return positions.array, np.asarray(positions.circulations, dtype=float)
+    return np.asarray(positions, dtype=float), np.asarray(circulations, dtype=float)
+
+
 def vortex_field(positions, circulations=None):
     """Velocities q_i' = sum_{j != i} Gamma_j (q_i - q_j)^perp / |q_i - q_j|^2."""
-    if isinstance(positions, PlanarConfig):
-        q, g = positions.array, np.asarray(positions.circulations, dtype=float)
-    else:
-        q = np.asarray(positions, dtype=float)
-        g = np.asarray(circulations, dtype=float)
-    diff = q[:, None, :] - q[None, :, :]
-    dist2 = (diff ** 2).sum(axis=2)
-    np.fill_diagonal(dist2, 1.0)
-    if (dist2 <= _MIN_SEP ** 2).any():
-        raise CollisionError("coincident vortices in vortex_field")
-    weights = g[None, :] / dist2
-    np.fill_diagonal(weights, 0.0)
-    return _perp((weights[:, :, None] * diff).sum(axis=1))
+    return _field(*_as_arrays(positions, circulations))
 
 
 def hamiltonian(positions, circulations=None):
     """Interaction energy -sum_{i<j} Gamma_i Gamma_j log|q_i - q_j|."""
-    if isinstance(positions, PlanarConfig):
-        q, g = positions.array, np.asarray(positions.circulations, dtype=float)
-    else:
-        q = np.asarray(positions, dtype=float)
-        g = np.asarray(circulations, dtype=float)
-    total = 0.0
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            total -= g[i] * g[j] * math.log(np.hypot(*(q[i] - q[j])))
-    return total
+    q, g = _as_arrays(positions, circulations)
+    _, dist2 = _pairs(q)
+    i, j = np.triu_indices(len(q), 1)
+    return float(-(g[i] * g[j] * np.log(dist2[i, j])).sum() / 2.0)
 
 
 def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10, t_eval=None):
@@ -117,13 +140,7 @@ class HelioConfig:
         z = self.array
         if len(z) != len(self.mu):
             raise ValueError("one weight per weak vortex")
-        r = np.hypot(z[:, 0], z[:, 1])
-        if (r <= _MIN_SEP).any():
-            raise CollisionError("weak vortex at the strong vortex")
-        for i in range(len(z)):
-            for j in range(i + 1, len(z)):
-                if np.hypot(*(z[i] - z[j])) <= _MIN_SEP:
-                    raise CollisionError(f"weak vortices {i} and {j} coincide")
+        _pairs(_full_system(self)[0])  # vortex 0 is the strong one
 
     @property
     def array(self):
@@ -196,59 +213,35 @@ def rotate_config(config, angle):
     return config.replace(Z=config.array @ R.T)
 
 
+def _full_system(config):
+    """Positions and circulations of all vortices, the strong one first at the origin."""
+    q = np.vstack([np.zeros((1, 2)), config.array])
+    g = np.concatenate([[1.0], config.epsilon * config.mu.array])
+    return q, g
+
+
 def re_residual(config):
     """Rotating-frame velocity of each weak vortex; zero at relative equilibria.
 
-    Row i is  -omega*J z_i + (1 + eps*mu_i) J z_i/|z_i|^2
-              + eps * sum_{j != i} mu_j (J z_j/|z_j|^2 + J(z_i - z_j)/|z_i - z_j|^2).
+    Row i is v_i - v_0 - omega*J z_i, with v the field of the full system
+    (0, z_1..z_N), (1, eps*mu): the velocity of weak vortex i seen from
+    the strong vortex, less the rotation of the frame.
     """
-    z = config.array
-    mu = config.mu.array
-    eps = config.epsilon
-    n = len(z)
-    r2 = (z ** 2).sum(axis=1)
-    if (r2 <= _MIN_SEP ** 2).any():
-        raise CollisionError("weak vortex at the strong vortex")
-    unit = z / r2[:, None]  # z_i / |z_i|^2
-    out = -config.omega * z + (1.0 + eps * mu)[:, None] * unit
-    for i in range(n):
-        acc = np.zeros(2)
-        for j in range(n):
-            if j == i:
-                continue
-            d = z[i] - z[j]
-            d2 = d @ d
-            if d2 <= _MIN_SEP ** 2:
-                raise CollisionError(f"weak vortices {i} and {j} coincide")
-            acc += mu[j] * (unit[j] + d / d2)
-        out[i] += eps * acc
-    return _perp(out).ravel()
-
-
-def _kernel(v):
-    """Derivative of v / |v|^2:  (I |v|^2 - 2 v v^T) / |v|^4."""
-    v = np.asarray(v, dtype=float)
-    n2 = v @ v
-    return (np.eye(2) * n2 - 2.0 * np.outer(v, v)) / n2 ** 2
+    v = _field(*_full_system(config))
+    return (v[1:] - v[0] - config.omega * _perp(config.array)).ravel()
 
 
 def re_jacobian(config):
-    """Analytic Jacobian of re_residual with respect to the flattened Z."""
-    z = config.array
-    mu = config.mu.array
-    eps = config.epsilon
-    n = len(z)
-    A = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        diag = -config.omega * np.eye(2) + (1.0 + eps * mu[i]) * _kernel(z[i])
-        for j in range(n):
-            if j == i:
-                continue
-            kd = _kernel(z[i] - z[j])
-            diag += eps * mu[j] * kd
-            A[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _J2 @ (eps * mu[j] * (_kernel(z[j]) - kd))
-        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _J2 @ diag
-    return A
+    """Analytic Jacobian of re_residual with respect to the flattened Z.
+
+    Block (i, j) is F[i, j] - F[0, j] - omega*J delta_ij, with F the
+    field Jacobian of the full system.
+    """
+    F = _field_jacobian(*_full_system(config))
+    A = F[1:, 1:] - F[0, 1:]
+    diag = np.arange(len(A))
+    A[diag, diag] -= config.omega * _J2
+    return A.transpose(0, 2, 1, 3).reshape(2 * len(A), 2 * len(A))
 
 
 def newton_solve(initial, tol=1e-12, max_iter=50, rcond=1e-10, history=None):
@@ -442,11 +435,10 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     config = theta_star if isinstance(theta_star, AngularConfig) else AngularConfig(tuple(theta_star))
     if check_start:
-        report = classify(config, weights)
-        if report.zero_count != 1:
+        if classify(config, weights).extremal_type == "degenerate":
             raise NotACriticalPointError(
-                "continuation requires a nondegenerate critical point "
-                f"(rotational zero count {report.zero_count})")
+                "continuation requires a critical point that is nondegenerate "
+                "modulo rotation (the Hessian transverse to rotation is singular)")
     current = HelioConfig.from_critical_point(config, weights, 0.0)
     records = []
     failure = None

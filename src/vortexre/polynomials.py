@@ -122,15 +122,6 @@ class PolynomialRing:
             return self.zero()
         return MultiPoly(self, {exponents: c})
 
-    def from_terms(self, terms):
-        """Wrap a {exponents: coefficient} dict; drops explicit zeros."""
-        clean = {}
-        for m, c in terms.items():
-            c = c if isinstance(c, Rational) else rational(c)
-            if c:
-                clean[tuple(m)] = c
-        return MultiPoly(self, clean)
-
     def parse(self, text):
         """Parse the text form produced by ``MultiPoly.__str__``."""
         return _Parser(self, text).parse()

@@ -233,7 +233,9 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
 
     Stable means the weighted Hessian has exactly the one rotational
     zero eigenvalue and N-1 real positive ones; more than one zero
-    eigenvalue gives the verdict (and extremal type) "degenerate".  The
+    eigenvalue gives the verdict "degenerate".  The zeros beyond the
+    rotational one are counted on the quotient by (1,...,1), so weights
+    summing to zero, whose rotational zero is defective, count two.  The
     extremal type describes V restricted transverse to rotation, so
     "minimum" means a minimum modulo the rotational symmetry.
     """
@@ -253,7 +255,11 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
 
     scale = max(1.0, float(np.abs(weighted).max()))
     zero_tol = tol_zero * scale
-    zero_count = int(np.sum(np.abs(weighted) < zero_tol))
+    # W kills (1,...,1); count the rotational zero once and the rest on the
+    # quotient by it, where a zero-sum weight vector's 2x2 Jordan block at
+    # zero leaves a single, well-conditioned zero instead of a split pair
+    quotient = np.linalg.eigvals(W[1:, 1:] - W[0:1, 1:])
+    zero_count = 1 + int(np.sum(np.abs(quotient) < zero_tol))
 
     if zero_count != 1:
         verdict = "degenerate"

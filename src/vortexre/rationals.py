@@ -18,7 +18,3 @@ def rational(numerator, denominator=1):
 def is_integer(value) -> bool:
     """True when the rational has denominator 1."""
     return value.denominator == 1
-
-
-ZERO = rational(0)
-ONE = rational(1)

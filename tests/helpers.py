@@ -344,6 +344,64 @@ def reference_group_into_families(point_set, family_tol=1e-6):
     return families
 
 
+# -- rotating-frame residual and Jacobian, one vortex pair at a time -----------
+#
+# The hand-expanded formulas the library used before it took both from the
+# field of the full (N+1)-vortex system.  Loops over pairs, 2x2 blocks
+# written out, no shared code with vortexre.dynamics.
+
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _ref_kernel(v):
+    """Derivative of v / |v|^2:  (I |v|^2 - 2 v v^T) / |v|^4."""
+    n2 = v @ v
+    return (np.eye(2) * n2 - 2.0 * np.outer(v, v)) / n2 ** 2
+
+
+def reference_re_residual(z, mu, eps, omega=1.0):
+    """Row i: -omega*J z_i + (1 + eps*mu_i) J z_i/|z_i|^2
+    + eps * sum_{j != i} mu_j (J z_j/|z_j|^2 + J(z_i - z_j)/|z_i - z_j|^2)."""
+    z = np.asarray(z, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    n = len(z)
+    unit = z / (z ** 2).sum(axis=1)[:, None]
+    out = -omega * z + (1.0 + eps * mu)[:, None] * unit
+    for i in range(n):
+        acc = np.zeros(2)
+        for j in range(n):
+            if j != i:
+                d = z[i] - z[j]
+                acc += mu[j] * (unit[j] + d / (d @ d))
+        out[i] += eps * acc
+    return (out @ _J2.T).ravel()
+
+
+def reference_re_jacobian(z, mu, eps, omega=1.0):
+    """d reference_re_residual / d z, flattened (2N, 2N)."""
+    z = np.asarray(z, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    n = len(z)
+    A = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        diag = -omega * np.eye(2) + (1.0 + eps * mu[i]) * _ref_kernel(z[i])
+        for j in range(n):
+            if j == i:
+                continue
+            kd = _ref_kernel(z[i] - z[j])
+            diag += eps * mu[j] * kd
+            A[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _J2 @ (eps * mu[j] * (_ref_kernel(z[j]) - kd))
+        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _J2 @ diag
+    return A
+
+
+# Saddles of two weight vectors that sum to zero, as `find` reports them.
+ZERO_SUM_SADDLES = [
+    ((-4, 11, -7), (0.0, 0.8405045016914133, 4.273118733325888)),
+    ((1, -12, 11), (0.0, 2.520526368993409, 1.498321957599876)),
+]
+
+
 # -- misc ---------------------------------------------------------------------
 
 def central_difference(f, x, h=1e-6):

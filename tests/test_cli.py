@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from helpers import ZERO_SUM_SADDLES
 from vortexre.cli import main
 
 
@@ -259,6 +260,19 @@ def test_continue_polygon_needs_scalar_mu(capsys):
     assert "scalar" in err
 
 
+@pytest.mark.parametrize("mu, theta", ZERO_SUM_SADDLES)
+def test_continue_from_a_zero_sum_critical_point(capsys, mu, theta):
+    # weights summing to zero make the rotational zero defective; the start
+    # is still nondegenerate modulo rotation, which is what Newton needs
+    code, out, err = run(
+        capsys, "continue", "--mu=" + ",".join(map(str, mu)),
+        "--start-angles=" + ",".join(map(repr, theta)),
+        "--eps", "0.01", "--step", "0.002", "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["failure"] is None and len(data["records"]) == 5
+
+
 # -- plot ---------------------------------------------------------------------
 
 
@@ -393,3 +407,23 @@ def test_no_arguments_exits_2(capsys):
 def test_bad_flag_value_exits_2(capsys):
     code, _, _ = run(capsys, "find", "--mu", "1,1", "--seeds", "many")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mu", "1", "--eps", "0.05", "--polygon", "1"],
+    ["continue", "--mu", "1", "--eps", "0.05", "--polygon", "1"],
+    ["continue", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--step", "0"],
+    ["continue", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--step", "-0.01"],
+    ["continue", "--polygon", "3", "--mu", "1", "--eps", "-0.1"],
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "0"],
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "-1"],
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol", "0"],
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol=-1e-9"],
+])
+def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
+    # the offending flag comes last, as --flag value or --flag=value
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert f"argument {flag}" in err and "must be" in err
+    assert out == ""

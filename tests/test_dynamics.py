@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_re_jacobian, reference_re_residual
 from vortexre.dynamics import (
     ContinuationTrace,
     HelioConfig,
@@ -84,6 +85,13 @@ def test_planar_config_rejects_collisions():
         PlanarConfig(((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0))
 
 
+def test_planar_config_rejects_vortices_closer_than_the_minimum_separation():
+    with pytest.raises(CollisionError, match="vortices 1 and 2"):
+        PlanarConfig(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-13)), (1.0, 1.0, 1.0))
+    # just outside the minimum separation is allowed
+    PlanarConfig(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-11)), (1.0, 1.0, 1.0))
+
+
 def test_integration_conserves_invariants():
     cfg = PlanarConfig(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)), (1.0, 2.0, -0.5))
     h0 = hamiltonian(cfg.positions, cfg.circulations)
@@ -132,11 +140,33 @@ def test_polygon_rejects_degenerate_count():
         polygon_family(1, 1.0, 0.1)
 
 
+def random_helio(rng, n, eps):
+    """Jittered polygon angles, radii in [0.8, 1.2] and mixed-sign weights.
+
+    Neighbours stay at least 0.4 of a polygon side apart, so the Jacobian
+    entries stay O(1) and absolute tolerances mean the same at every n.
+    """
+    theta = 2 * math.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    mu = rng.choice([-3.0, -1.5, -1.0, 1.0, 2.0, 4.0], n)
+    mu[:2] = (-1.0, 2.0)  # both signs at every n
+    return helio(theta, mu, eps, radii=rng.uniform(0.8, 1.2, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("eps", [0.0, 0.04])
+def test_residual_and_jacobian_match_the_pairwise_formulas(n, eps):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        cfg = random_helio(rng, n, eps)
+        args = (cfg.array, cfg.mu.array, cfg.epsilon, cfg.omega)
+        assert np.abs(re_residual(cfg) - reference_re_residual(*args)).max() < 1e-13
+        assert np.abs(re_jacobian(cfg) - reference_re_jacobian(*args)).max() < 1e-12
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(62)
-    for _ in range(5):
-        theta = np.sort(rng.uniform(0, 2 * math.pi, 3))
-        cfg = helio(theta, (2, -1, 3), 0.04, radii=rng.uniform(0.9, 1.1, 3))
+    for n in (2, 2, 5, 5, 12, 12):
+        cfg = random_helio(rng, n, 0.04)
         A = re_jacobian(cfg)
         x0 = cfg.as_vector()
         h = 1e-7
@@ -381,3 +411,9 @@ def test_helio_validation():
         HelioConfig(
             ((1.0, 0.0), (1.0, 0.0)), 0.05, CirculationWeights((1.0, 1.0))
         )
+
+
+def test_helio_rejects_a_weak_vortex_at_the_strong_one():
+    # vortex 0 is the strong vortex, weak vortex k is vortex k
+    with pytest.raises(CollisionError, match="vortices 0 and 2"):
+        HelioConfig(((1.0, 0.0), (0.0, 0.0)), 0.05, CirculationWeights((1.0, 1.0)))

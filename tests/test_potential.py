@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import central_difference, seeded
+from helpers import ZERO_SUM_SADDLES, central_difference, seeded
 from vortexre.errors import CollisionError, NotACriticalPointError
 from vortexre.potential import (
     AngularConfig,
@@ -211,6 +211,18 @@ def test_classify_reports_degeneracy_with_loose_tolerance():
     report = classify((0.0, math.pi), (1, 1), tol_zero=10.0)
     assert report.verdict == "degenerate"
     assert report.zero_count > 1
+
+
+@pytest.mark.parametrize("mu, theta", ZERO_SUM_SADDLES)
+def test_zero_sum_weights_count_the_defective_zero_at_every_rotation(mu, theta):
+    # With sum(mu) = 0 the rotational zero of diag(1/mu) V'' is a 2x2
+    # Jordan block; rounding splits it, so counting on W itself gives 0
+    # or 2 depending on the rotation.  On the quotient it is always 2.
+    counts = set()
+    for angle in np.linspace(0.0, 6.0, 13):
+        report = classify((np.array(theta) + angle) % (2 * math.pi), mu)
+        counts.add((report.zero_count, report.verdict, report.extremal_type))
+    assert counts == {(2, "degenerate", "saddle")}
 
 
 def test_stability_equals_minimum_for_positive_weights():
