@@ -23,7 +23,6 @@ from vortexre.halfangle import (
     back_transform,
     build_equal_weight_system,
     build_symmetry_case_system,
-    half_angle_transform,
 )
 from vortexre.hermite import (
     InfiniteVarietyError,
@@ -92,7 +91,6 @@ __all__ = [
     "find_all_critical_points",
     "full_system_stability",
     "group_into_families",
-    "half_angle_transform",
     "hermite_matrix",
     "newton_solve",
     "polygon_family",

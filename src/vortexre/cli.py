@@ -85,6 +85,13 @@ _positive_float = _bounded(float, 0.0, strict=True)
 _nonnegative_float = _bounded(float, 0.0)
 
 
+def _parse_weights(text):
+    try:
+        return CirculationWeights.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"bad weights {text!r}: {exc}") from None
+
+
 def _write_output(text, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -129,8 +136,27 @@ def _find_csv(report):
     return _csv_text(rows)
 
 
+def _morse_sum(points, mu):
+    """Sum of (-1)^index over the points, or None where no identity applies.
+
+    With every weight of one sign, V -> +inf at each collision, so V is
+    proper on each of the (N-1)! cyclic-ordering cells, and a complete
+    catalogue of nondegenerate points has sum (N-1)!.  The index counts
+    the negative Hessian eigenvalues beyond the rotational zero.
+    """
+    if not (mu.all_positive() or all(m < 0 for m in mu)):
+        return None
+    total = 0
+    for p in points.points:
+        if p.report.zero_count != 1:
+            return None
+        eigs = sorted(p.report.hessian_eigs, key=abs)[1:]
+        total += (-1) ** sum(e < 0 for e in eigs)
+    return total
+
+
 def cmd_find(args):
-    mu = CirculationWeights.parse(args.mu)
+    mu = _parse_weights(args.mu)
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
                                       tol_zero=args.tol_zero_eig)
@@ -143,12 +169,19 @@ def cmd_find(args):
     else:
         text = _find_table(report)
     _write_output(text, args.out)
+    total, want = _morse_sum(points, mu), math.factorial(len(mu) - 1)
+    if total is not None and total != want:
+        print(f"warning: incomplete catalogue: Morse sum {total} over "
+              f"{len(points)} points, but same-sign weights give (N-1)! = {want}; "
+              "raise --seeds", file=sys.stderr)
     return 0
 
 
 # -- certify -----------------------------------------------------------------
 
 def _require_integer_weights(text):
+    if not text:
+        raise UsageError("need --mu or --symmetry-case")
     parts = _parse_fractions(text)
     if len(parts) < 2:
         raise UsageError("need at least two weights")
@@ -285,7 +318,7 @@ def cmd_continue(args):
         start = AngularConfig(tuple(2.0 * math.pi * k / count for k in range(count)))
         check_start = False
     else:
-        mu = CirculationWeights.parse(args.mu)
+        mu = _parse_weights(args.mu)
         if args.normalize:
             scale = 1.0 / float(np.linalg.norm(mu.array))
             mu = CirculationWeights(tuple(m * scale for m in mu))
@@ -375,8 +408,6 @@ def cmd_build_system(args):
         system = build_symmetry_case_system(args.symmetry_case)
         title = f"symmetry case {args.symmetry_case} system"
     else:
-        if not args.mu:
-            raise UsageError("need --mu or --symmetry-case")
         mu = _require_integer_weights(args.mu)
         system = build_equal_weight_system(tuple(mu))
         title = f"critical-point system for mu = ({', '.join(map(str, mu))})"
@@ -411,7 +442,7 @@ def cmd_simulate(args):
             raise UsageError("--polygon takes a single scalar --mu")
         config = polygon_family(args.polygon, scalars[0], args.eps)
     else:
-        mu = CirculationWeights.parse(args.mu)
+        mu = _parse_weights(args.mu)
         if not args.start_angles:
             raise UsageError("need --start-angles or --polygon")
         angles = _parse_floats(args.start_angles)
@@ -452,18 +483,25 @@ def cmd_simulate(args):
 
 # -- parser ------------------------------------------------------------------
 
-def _common_flags(sub):
-    sub.add_argument("--tol-grad", type=float, default=1e-10,
-                     help="gradient tolerance for critical points")
-    sub.add_argument("--tol-newton", type=float, default=1e-12,
-                     help="residual tolerance for the full-system solver")
-    sub.add_argument("--tol-zero-eig", type=float, default=1e-8,
-                     help="threshold for treating an eigenvalue as zero")
-    sub.add_argument("--seeds", type=_positive_int, default=4096,
-                     help="number of lattice seeds for the search")
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", choices=("json", "csv", "table"),
-                     default="table", help="output format")
+_FLAGS = {
+    "--tol-grad": dict(type=_positive_float, default=1e-10,
+                       help="gradient tolerance for critical points"),
+    "--tol-newton": dict(type=_positive_float, default=1e-12,
+                         help="residual tolerance for the full-system solver"),
+    "--tol-zero-eig": dict(type=_positive_float, default=1e-8,
+                           help="threshold for treating an eigenvalue as zero"),
+    "--seeds": dict(type=_positive_int, default=4096,
+                    help="number of lattice seeds for the search"),
+    "--out": dict(default=None, help="output file path"),
+    "--format": dict(choices=("json", "csv", "table"), default="table",
+                     help="output format"),
+}
+
+
+def _flags(sub, *names):
+    """Declare the shared flags that this subcommand reads."""
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser():
@@ -474,7 +512,7 @@ def build_parser():
 
     p = subs.add_parser("find", help="find all critical points numerically")
     p.add_argument("--mu", required=True, help="comma-separated weights")
-    _common_flags(p)
+    _flags(p, "--tol-grad", "--tol-zero-eig", "--seeds", "--out", "--format")
     p.set_defaults(func=cmd_find)
 
     p = subs.add_parser("certify",
@@ -486,7 +524,7 @@ def build_parser():
                    help="print the exact trace-form matrix")
     p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                    help="eliminate r from the chosen symmetric-configuration case")
-    _common_flags(p)
+    _flags(p, "--out", "--format")
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("continue",
@@ -507,14 +545,15 @@ def build_parser():
     p.add_argument("--step", type=_positive_float, default=0.005,
                    help="continuation step")
     p.add_argument("--snapshots", help="comma-separated eps values to render as SVG")
-    _common_flags(p)
+    _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out",
+           "--format")
     p.set_defaults(func=cmd_continue)
 
     p = subs.add_parser("plot", help="render a configuration JSON as SVG")
     p.add_argument("config", help="configuration JSON file")
     p.add_argument("--index", type=int, default=0,
                    help="which record to plot when the file holds a list")
-    _common_flags(p)
+    _flags(p, "--out")
     p.set_defaults(func=cmd_plot)
 
     p = subs.add_parser("build-system",
@@ -522,7 +561,7 @@ def build_parser():
     p.add_argument("--mu", help="comma-separated integer weights")
     p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                    help="build the symmetric-configuration case system instead")
-    _common_flags(p)
+    _flags(p, "--out", "--format")
     p.set_defaults(func=cmd_build_system)
 
     p = subs.add_parser("simulate",
@@ -537,7 +576,7 @@ def build_parser():
                    help="Newton-polish the start before integrating")
     p.add_argument("--periods", type=_positive_float, default=1.0)
     p.add_argument("--rtol", type=_positive_float, default=1e-10)
-    _common_flags(p)
+    _flags(p, "--tol-newton", "--out")
     p.set_defaults(func=cmd_simulate)
     return parser
 

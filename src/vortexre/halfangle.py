@@ -1,16 +1,27 @@
 """Exact polynomial systems for the critical-point equations.
 
-The gradient of the reduced potential is built from terms
-T(phi) = -sin(phi) + sin(phi)/(2 - 2 cos(phi)) over pairwise angle
-differences.  Substituting cos(theta) = (r^2-1)/(1+r^2) and
-sin(theta) = 2r/(1+r^2) turns each component into a rational function
-of the half-angle variables r_i; the numerators, with collision factors
-stripped and recorded, are integer polynomial systems suitable for
-exact root counting.
+The gradient of the reduced potential is
 
-Under this substitution theta = pi - 2*atan(r): the collision with the
-strong-axis vortex (theta = 0) sits at r = infinity, and weak-weak
-collisions appear as polynomial factors r_i = r_j.
+    dV/dtheta_i = -mu_i sum_{j != i} mu_j T(theta_i - theta_j),
+    T(phi) = -sin(phi) + sin(phi) / (2 - 2 cos(phi)),
+
+with vortex 1 fixed at theta = 0.  Every term has a closed form in the
+cotangent coordinates r = cot(theta/2), written projectively as
+r = p/q.  With n = p^2 + q^2, c_ij = p_i p_j + q_i q_j and
+e_ij = p_j q_i - p_i q_j,
+
+    sin(theta_i - theta_j) = 2 c_ij e_ij / (n_i n_j),
+    cot((theta_i - theta_j) / 2) = c_ij / e_ij,
+
+so T(theta_i - theta_j) = c_ij (n_i n_j - 4 e_ij^2) / (2 n_i n_j e_ij).
+Vortex 1 is the point (p, q) = (1, 0), which gives
+T(theta_i) = p_i (p_i^2 - 3 q_i^2) / (2 q_i n_i).  Component i is then
+one numerator over the known denominator 2 n_i prod_{j != i} n_j g_ij,
+where g = p_a q_b - p_b q_a for the pair a < b; made primitive, the
+numerators are integer polynomial systems for exact root counting.
+
+Since theta = pi - 2*atan(r), the collision with vortex 1 sits at
+r = infinity and weak-weak collisions are the factors r_i - r_j.
 """
 
 from __future__ import annotations
@@ -19,273 +30,8 @@ import math
 from dataclasses import dataclass
 
 from vortexre.errors import CollisionError
-from vortexre.polynomials import MultiPoly, PolynomialRing, exact_divide
-from vortexre.rationals import Rational, is_integer, rational
-
-
-class RationalFunc:
-    """Quotient of a polynomial by a product of primitive factor powers.
-
-    The denominator is kept factored; construction cancels factors into
-    the numerator whenever they divide it exactly, so values like
-    sin(phi)/(2-2*cos(phi)) stay small instead of accumulating cleared
-    denominators.
-    """
-
-    __slots__ = ("ring", "num", "den")
-
-    def __init__(self, num, den=()):
-        ring = num.ring
-        scale = rational(1)
-        factors = {}
-        for f, p in den:
-            if p == 0:
-                continue
-            if p < 0:
-                raise ValueError("negative denominator power")
-            if f.is_constant():
-                c = f.constant_value()
-                if not c:
-                    raise ZeroDivisionError("zero denominator factor")
-                scale = scale * c ** p
-                continue
-            prim, unit = f.primitive_part()
-            scale = scale * unit ** p
-            if len(prim.terms) == 1:
-                # Monomial factor: split into per-variable powers.
-                (mono,) = prim.terms
-                for i, e in enumerate(mono):
-                    if e:
-                        v = ring.variable(ring.variables[i])
-                        key = str(v)
-                        poly, power = factors.get(key, (v, 0))
-                        factors[key] = (poly, power + e * p)
-            else:
-                key = str(prim)
-                poly, power = factors.get(key, (prim, 0))
-                factors[key] = (poly, power + p)
-        if scale != 1:
-            num = num * (rational(1) / scale)
-        if num.is_zero():
-            factors = {}
-        else:
-            for key in list(factors):
-                poly, power = factors[key]
-                while power > 0:
-                    q = exact_divide(num, poly)
-                    if q is None:
-                        break
-                    num = q
-                    power -= 1
-                if power:
-                    factors[key] = (poly, power)
-                else:
-                    del factors[key]
-        self.ring = ring
-        self.num = num
-        self.den = tuple(sorted(factors.values(), key=lambda fp: str(fp[0])))
-
-    @property
-    def numerator(self):
-        return self.num
-
-    @property
-    def denominator(self):
-        """The denominator expanded to a single polynomial."""
-        out = self.ring.one()
-        for f, p in self.den:
-            out = out * f ** p
-        return out
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunc):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFunc(other)
-        if isinstance(other, (int, Rational)):
-            return RationalFunc(self.ring.constant(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        common = {}
-        for f, p in self.den + other.den:
-            key = str(f)
-            poly, power = common.get(key, (f, 0))
-            common[key] = (poly, max(power, p))
-
-        def lift(rf):
-            own = {str(f): p for f, p in rf.den}
-            out = rf.num
-            for key, (f, p) in common.items():
-                deficit = p - own.get(key, 0)
-                if deficit:
-                    out = out * f ** deficit
-            return out
-
-        return RationalFunc(lift(self) + lift(other), tuple(common.values()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * other._inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self._inverse()
-
-    def _inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunc(self.denominator, ((self.num, 1),))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self._inverse() ** (-n)
-        out = RationalFunc(self.ring.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.denominator == other.num * self.denominator
-
-    def evaluate(self, values):
-        """Exact rational value; raises ZeroDivisionError on a pole."""
-        den = rational(1)
-        for f, p in self.den:
-            den = den * f.evaluate(values) ** p
-        return self.num.evaluate(values) / den
-
-    def evaluate_float(self, values):
-        den = 1.0
-        for f, p in self.den:
-            den *= f.evaluate_float(values) ** p
-        return self.num.evaluate_float(values) / den
-
-    def __str__(self):
-        if not self.den:
-            return str(self.num)
-        den = " * ".join(
-            f"({f})" + (f"^{p}" if p > 1 else "") for f, p in self.den
-        )
-        return f"({self.num}) / ({den})"
-
-    def __repr__(self):
-        return f"<RationalFunc {self}>"
-
-
-def half_angle_transform(expr, angles):
-    """Substitute half-angle forms for cosine/sine variable pairs.
-
-    `expr` is a polynomial whose ring contains, for each angle, a cosine
-    variable and a sine variable; `angles` lists (cos_name, sin_name,
-    r_name) triples.  Other variables pass through.  Returns a
-    RationalFunc over the ring with each pair replaced by one half-angle
-    variable; its denominator is a product of powers of (1 + r^2).
-    """
-    in_ring = expr.ring
-    cos_names = {c: r for c, _, r in angles}
-    sin_names = {s: r for _, s, r in angles}
-    out_vars = []
-    for name in in_ring.variables:
-        if name in cos_names:
-            out_vars.append(cos_names[name])
-        elif name in sin_names:
-            continue
-        else:
-            out_vars.append(name)
-    out_ring = PolynomialRing(out_vars, in_ring.order)
-
-    substitutions = {}
-    for cos_name, sin_name, r_name in angles:
-        r = out_ring.variable(r_name)
-        d = r * r + 1
-        substitutions[in_ring._index[cos_name]] = RationalFunc(r * r - 1, ((d, 1),))
-        substitutions[in_ring._index[sin_name]] = RationalFunc(2 * r, ((d, 1),))
-
-    total = RationalFunc(out_ring.zero())
-    for mono, coeff in expr.terms.items():
-        passthrough = [0] * out_ring.nvars
-        factor = RationalFunc(out_ring.constant(coeff))
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            rf = substitutions.get(i)
-            if rf is None:
-                passthrough[out_ring._index[in_ring.variables[i]]] = e
-            else:
-                factor = factor * rf ** e
-        term = out_ring.monomial(tuple(passthrough))
-        total = total + factor * term
-    return total
-
-
-# -- gradient assembly -------------------------------------------------------
-
-def _interaction(sin_rf, cos_rf):
-    """T(phi) = -sin(phi) + sin(phi) / (2 - 2 cos(phi))."""
-    return -sin_rf + sin_rf / (2 - 2 * cos_rf)
-
-
-def _angle_multiples(ring, kmax):
-    """(sin, cos) of k*phi for k = 1..kmax as rational functions of r."""
-    r = ring.variable(ring.variables[0])
-    d = r * r + 1
-    s1 = RationalFunc(2 * r, ((d, 1),))
-    c1 = RationalFunc(r * r - 1, ((d, 1),))
-    table = {1: (s1, c1)}
-    for k in range(2, kmax + 1):
-        s, c = table[k - 1]
-        table[k] = (s * c1 + c * s1, c * c1 - s * s1)
-    return table
-
-
-def _signed_multiple(table, k):
-    s, c = table[abs(k)]
-    return (-s, c) if k < 0 else (s, c)
+from vortexre.polynomials import PolynomialRing, exact_divide
+from vortexre.rationals import is_integer, rational
 
 
 @dataclass(frozen=True)
@@ -316,38 +62,46 @@ class HalfAngleSystem:
         return len(self.polys)
 
 
-def _normalize(components, collision_candidates):
-    polys = []
-    records = []
-    for name, rf in components:
-        if rf.is_zero():
-            raise ValueError(f"gradient component {name} vanished identically")
-        num = rf.num
-        stripped = []
-        for f in collision_candidates:
-            power = 0
-            while True:
-                q = exact_divide(num, f)
-                if q is None:
-                    break
-                num = q
-                power += 1
-            if power:
-                stripped.append((str(f), power))
-        content = num.content()
-        num = num * (rational(1) / content)
-        polys.append(num)
-        records.append(
-            NormalizationRecord(
-                component=name,
-                denominator_factors=tuple(
-                    (str(f), p) for f, p in rf.den
-                ),
-                collision_factors=tuple(stripped),
-                content=str(content),
-            )
-        )
-    return HalfAngleSystem(tuple(polys), tuple(records))
+def _numerators(points, mu):
+    """Gradient numerators over cotangent points (p_k, q_k).
+
+    `points[0]` is vortex 1, (1, 0), so n_1 = 1 and g_1i = q_i.  For each
+    later vortex i, returns the numerator N_i and the denominator factors
+    F_i (n_k for every k >= 2, then g_ij for each j != i), with
+    dV/dtheta_i = N_i / (2 prod F_i).
+    """
+    norms = [p * p + q * q for p, q in points]
+    out = []
+    for i in range(1, len(points)):
+        pi, qi = points[i]
+        others = [j for j in range(len(points)) if j != i]
+        g = {}
+        for j in others:
+            (pa, qa), (pb, qb) = points[min(i, j)], points[max(i, j)]
+            g[j] = pa * qb - pb * qa
+        h = {j: norms[j] * g[j] for j in others}
+        num = 0
+        for j in others:
+            pj, qj = points[j]
+            term = mu[j] * (pi * pj + qi * qj) * (norms[i] * norms[j] - 4 * g[j] * g[j])
+            for k in others:
+                if k != j:
+                    term = term * h[k]
+            # g_ij = e_ij when j < i and -e_ij when j > i
+            num = num + term if j < i else num - term
+        out.append((-mu[i] * num, norms[1:] + [g[j] for j in others]))
+    return out
+
+
+def _divide_out(p, f, limit=None):
+    """(p / f^k, k) for the largest k (at most `limit`) with f^k dividing p."""
+    power = 0
+    while power != limit:
+        q = exact_divide(p, f)
+        if q is None:
+            break
+        p, power = q, power + 1
+    return p, power
 
 
 def build_symmetry_case_system(case):
@@ -357,41 +111,49 @@ def build_symmetry_case_system(case):
     case 1 puts vortex 1 on the symmetry axis (theta3 = -theta2 = -phi),
     case 2 puts vortex 3 on it (theta3 = 2*theta2, phi = theta2), and
     case 3 puts vortex 2 on it (theta2 = 2*theta3, phi = theta3).  The
-    weights stay symbolic, so the system lives in (r, mu1, mu2, mu3).
+    weights stay symbolic, so the system lives in (r, mu1, mu2, mu3) with
+    r = cot(phi/2).  Every denominator factor is a power of r or r^2 + 1;
+    those the numerator shares are cancelled, and the further powers of
+    r it carries (collisions land on r = 0 or r = inf) are stripped and
+    recorded.
     """
     ring = PolynomialRing(["r", "mu1", "mu2", "mu3"])
-    mu1, mu2, mu3 = (ring.variable(n) for n in ("mu1", "mu2", "mu3"))
-    table = _angle_multiples(ring, 2)
-
-    def T(k):
-        s, c = _signed_multiple(table, k)
-        return _interaction(s, c)
-
-    if case == 1:
-        v2 = -mu1 * mu2 * T(1) - mu2 * mu3 * T(2)
-        v3 = -mu2 * mu3 * T(-2) - mu1 * mu3 * T(-1)
-    elif case == 2:
-        v2 = -mu1 * mu2 * T(1) - mu2 * mu3 * T(-1)
-        v3 = -mu2 * mu3 * T(1) - mu1 * mu3 * T(2)
-    elif case == 3:
-        v2 = -mu1 * mu2 * T(2) - mu2 * mu3 * T(1)
-        v3 = -mu2 * mu3 * T(-1) - mu1 * mu3 * T(1)
-    else:
+    r, *mu = ring.gens()
+    one = ring.one()
+    half, double = (r, one), (r * r - 1, 2 * r)  # cot(phi/2), cot(phi)
+    cases = {1: [half, (-r, one)], 2: [half, double], 3: [double, half]}
+    if case not in cases:
         raise ValueError("case must be 1, 2, or 3")
-    # Weak-weak and weak-strong collisions both land on r = 0 or r = inf
-    # in the symmetric coordinates, so r is the only collision factor.
-    return _normalize(
-        [("V_theta2", v2), ("V_theta3", v3)], [ring.variable("r")]
-    )
+    polys, records = [], []
+    numerators = _numerators([(one, ring.zero())] + cases[case], mu)
+    for i, (num, factors) in enumerate(numerators, start=2):
+        den = math.prod(factors, start=ring.constant(2))
+        kept = []
+        for f in (r, r * r + 1):
+            den, power = _divide_out(den, f)
+            num, cancelled = _divide_out(num, f, power)
+            if power > cancelled:
+                kept.append((str(f), power - cancelled))
+        num, collisions = _divide_out(num, r)
+        scale = den.constant_value()
+        content = num.content()
+        polys.append(num * (rational(1) / (content if scale > 0 else -content)))
+        records.append(NormalizationRecord(
+            component=f"V_theta{i}",
+            denominator_factors=tuple(kept),
+            collision_factors=((str(r), collisions),) if collisions else (),
+            content=str(content / abs(scale)),
+        ))
+    return HalfAngleSystem(tuple(polys), tuple(records))
 
 
 def build_equal_weight_system(mu):
     """Critical-point system for numeric integer weights (any N >= 2).
 
-    Variables are the half-angle coordinates r_2..r_N with vortex 1
-    fixed at theta = 0.  Components are the gradient numerators for
-    theta_2..theta_N made primitive, with weak-weak collision factors
-    (r_i - r_j) stripped and recorded.
+    Variables are the cotangent coordinates r_2..r_N with vortex 1 fixed
+    at theta = 0.  Component i is the gradient numerator for theta_i over
+    its reduced denominator 2 prod_k (r_k^2 + 1) prod_{j != i} (r_a - r_b),
+    made primitive; the records list those factors and the content.
     """
     mu = [rational(m) for m in mu]
     if len(mu) < 2:
@@ -404,38 +166,21 @@ def build_equal_weight_system(mu):
                 "exact certification requires integer weights; "
                 "scale the vector by a common denominator"
             )
-    n = len(mu)
-    names = [f"r{i}" for i in range(2, n + 1)]
-    ring = PolynomialRing(names)
-    rv = {i: ring.variable(f"r{i}") for i in range(2, n + 1)}
-    dv = {i: rv[i] * rv[i] + 1 for i in range(2, n + 1)}
-
-    def T_strong(i):
-        # T(theta_i) with theta_1 = 0: sin = 2r/d, 2-2cos = 4/d.
-        return RationalFunc(
-            rv[i] * (rv[i] * rv[i] - 3), ((dv[i], 1), (ring.constant(2), 1))
-        )
-
-    def T_weak(i, j):
-        ri, rj = rv[i], rv[j]
-        di, dj = dv[i], dv[j]
-        sin_ij = RationalFunc(2 * (rj - ri) * (ri * rj + 1), ((di, 1), (dj, 1)))
-        cos_ij = RationalFunc(
-            (ri * ri - 1) * (rj * rj - 1) + 4 * ri * rj, ((di, 1), (dj, 1))
-        )
-        return _interaction(sin_ij, cos_ij)
-
-    components = []
-    for i in range(2, n + 1):
-        grad = -mu[0] * mu[i - 1] * T_strong(i)
-        for j in range(2, n + 1):
-            if j != i:
-                grad = grad - mu[i - 1] * mu[j - 1] * T_weak(i, j)
-        components.append((f"V_theta{i}", grad))
-    collision = [
-        rv[i] - rv[j] for i in range(2, n + 1) for j in range(i + 1, n + 1)
-    ]
-    return _normalize(components, collision)
+    ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])
+    one = ring.one()
+    points = [(one, ring.zero())] + [(r, one) for r in ring.gens()]
+    polys, records = [], []
+    for i, (num, factors) in enumerate(_numerators(points, mu), start=2):
+        content = num.content()
+        polys.append(num * (rational(1) / content))
+        records.append(NormalizationRecord(
+            component=f"V_theta{i}",
+            denominator_factors=tuple(sorted(
+                (str(f), 1) for f in factors if not f.is_constant())),
+            collision_factors=(),
+            content=str(content / 2),
+        ))
+    return HalfAngleSystem(tuple(polys), tuple(records))
 
 
 # -- coordinate maps ---------------------------------------------------------

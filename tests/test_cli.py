@@ -339,9 +339,9 @@ def test_build_system_prints_equations_and_provenance(capsys):
     assert code == 0
     assert "variables: r2, r3" in out
     assert "equation 1:" in out and "equation 2:" in out
-    assert "collision factors (r2 - r3)^1" in out
-    assert "content 1/2" in out
-    assert "(r2^2 + 1)^1" in out
+    assert ("removed from V_theta2: denominators (r2 - r3)^1, (r2^2 + 1)^1, "
+            "(r3^2 + 1)^1; content 1/2") in out
+    assert "collision factors" not in out
 
 
 def test_build_system_symmetry_case(capsys):
@@ -427,3 +427,42 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
     assert f"argument {flag}" in err and "must be" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify"], "need --mu or --symmetry-case"),
+    (["certify", "--format", "json"], "need --mu or --symmetry-case"),
+    (["find", "--mu", "1"], "need at least two weights"),
+    (["find", "--mu", "1,0,1"], "weights must be nonzero"),
+    (["find", "--mu", "1,1", "--tol-grad", "0"], "argument --tol-grad: must be above"),
+    (["find", "--mu", "1,1", "--tol-zero-eig", "0"],
+     "argument --tol-zero-eig: must be above"),
+    (["continue", "--polygon", "3", "--mu", "1", "--eps", "0.01", "--tol-newton=-1e-9"],
+     "argument --tol-newton: must be above"),
+    # flags a subcommand never read are refused, not silently ignored
+    (["certify", "--mu", "1,1", "--seeds", "5"], "unrecognized arguments: --seeds"),
+    (["build-system", "--mu", "1,1", "--tol-grad", "7"], "unrecognized arguments"),
+    (["find", "--mu", "1,1", "--tol-newton", "1e-9"], "unrecognized arguments"),
+    (["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--format", "json"],
+     "unrecognized arguments"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_find_warns_when_the_morse_sum_shows_missing_points(capsys):
+    code, out, err = run(capsys, "find", "--mu", "1,1,1,1,1,1", "--seeds", "256")
+    assert code == 0
+    assert out.rstrip().endswith("159 critical points in 3 families")
+    assert "Morse sum 5 over 159 points" in err and "(N-1)! = 120" in err
+    assert "raise --seeds" in err
+
+
+@pytest.mark.parametrize("mu", ["1,2,3,4", "2,-1,3"])
+def test_find_is_quiet_on_a_complete_or_mixed_sign_catalogue(capsys, mu):
+    code, out, err = run(capsys, "find", "--mu", mu)
+    assert code == 0 and out
+    assert err == ""

@@ -1,5 +1,6 @@
-"""Half-angle substitution, exact system builders, and the angle round trip."""
+"""Exact system builders in cotangent coordinates, and the angle round trip."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,19 +10,14 @@ import pytest
 from helpers import grid_newton_real_roots, seeded
 from vortexre.errors import CollisionError
 from vortexre.halfangle import (
-    RationalFunc,
     back_transform,
     build_equal_weight_system,
     build_symmetry_case_system,
     half_angle_coordinates,
-    half_angle_transform,
 )
-from vortexre.polynomials import PolynomialRing
 from vortexre.potential import potential_gradient
 from vortexre.rationals import rational
 from vortexre.search import find_all_critical_points
-
-ONE_ANGLE = [("c", "s", "r")]
 
 P_111 = (
     "1 - r2^4 + 6*r2*r3 - 2*r2^3*r3 - 3*r3^2 + 12*r2^2*r3^2 - r2^4*r3^2"
@@ -39,89 +35,30 @@ CASE1_V3 = (
     "-mu2*mu3 - 6*r^2*mu1*mu3 + 15*r^2*mu2*mu3 - 4*r^4*mu1*mu3"
     " - 15*r^4*mu2*mu3 + 2*r^6*mu1*mu3 + r^6*mu2*mu3"
 )
-
-
-def trig_ring():
-    return PolynomialRing(("c", "s"))
-
-
-def test_cosine_values_at_marked_points():
-    c, _ = trig_ring().gens()
-    rf = half_angle_transform(c, ONE_ANGLE)
-    assert rf.evaluate({"r": rational(1)}) == 0  # theta = pi/2
-    assert rf.evaluate({"r": rational(0)}) == -1  # theta = pi
-
-
-def test_sine_vanishes_at_r_zero():
-    _, s = trig_ring().gens()
-    rf = half_angle_transform(s, ONE_ANGLE)
-    assert rf.evaluate({"r": rational(0)}) == 0
-    assert rf.evaluate({"r": rational(1)}) == 1
-
-
-def test_pythagorean_identity_is_exact():
-    c, s = trig_ring().gens()
-    rf = half_angle_transform(c * c + s * s, ONE_ANGLE)
-    assert rf.num == rf.ring.one()
-    assert rf.den == ()
-
-
-def test_denominators_are_powers_of_r_squared_plus_one():
-    R = PolynomialRing(("c2", "s2", "c3", "s3"))
-    c2, s2, c3, s3 = R.gens()
-    angles = [("c2", "s2", "r2"), ("c3", "s3", "r3")]
-    rng = seeded(41)
-    for _ in range(10):
-        p = R.zero()
-        for _ in range(4):
-            e = tuple(rng.randint(0, 2) for _ in range(4))
-            p = p + R.monomial(e, rng.randint(-5, 5))
-        if p.is_zero():
-            continue
-        rf = half_angle_transform(p, angles)
-        for factor, _power in rf.den:
-            assert str(factor) in ("r2^2 + 1", "r3^2 + 1")
-
-
-def test_transform_agrees_with_trigonometry():
-    R = PolynomialRing(("c2", "s2", "c3", "s3"))
-    c2, s2, c3, s3 = R.gens()
-    angles = [("c2", "s2", "r2"), ("c3", "s3", "r3")]
-    # cos(t2 + t3) expanded in products of sines and cosines
-    rf = half_angle_transform(c2 * c3 - s2 * s3, angles)
-    rng = seeded(42)
-    for _ in range(20):
-        r2 = rng.uniform(-3, 3)
-        r3 = rng.uniform(-3, 3)
-        t2 = math.pi - 2 * math.atan(r2)
-        t3 = math.pi - 2 * math.atan(r3)
-        got = rf.evaluate_float({"r2": r2, "r3": r3})
-        assert abs(got - math.cos(t2 + t3)) < 1e-12
-
-
-def test_rational_function_arithmetic_matches_fractions():
-    R = PolynomialRing(("u",))
-    (u,) = R.gens()
-    a = RationalFunc(u + R.one(), ((u * u + 1, 1),))
-    b = RationalFunc(u * u - R.constant(2), ((u + R.constant(3), 2),))
-    pts = [rational(1, 2), rational(-2), rational(5, 3)]
-    for x in pts:
-        xf = Fraction(int(x.numerator), int(x.denominator))
-        fa = (xf + 1) / (xf**2 + 1)
-        fb = (xf**2 - 2) / (xf + 3) ** 2
-        assert (a + b).evaluate({"u": x}) == fa + fb
-        assert (a * b).evaluate({"u": x}) == fa * fb
-        assert (a - b).evaluate({"u": x}) == fa - fb
-        assert (a**3).evaluate({"u": x}) == fa**3
-
-
-def test_rational_function_cancels_shared_factors():
-    R = PolynomialRing(("u",))
-    (u,) = R.gens()
-    # (u^2 - 1) / (u - 1) collapses to u + 1
-    rf = RationalFunc(u * u - R.one(), ((u - R.one(), 1),))
-    assert rf.num == u + R.one()
-    assert rf.den == ()
+CASE2_V2 = "-r^2*mu1*mu2 + r^2*mu2*mu3 + 3*mu1*mu2 - 3*mu2*mu3"
+CASE2_V3 = (
+    "-r^6*mu1*mu3 - 2*r^6*mu2*mu3 + 15*r^4*mu1*mu3 + 4*r^4*mu2*mu3"
+    " - 15*r^2*mu1*mu3 + 6*r^2*mu2*mu3 + mu1*mu3"
+)
+CASE3_V2 = (
+    "-r^6*mu1*mu2 - 2*r^6*mu2*mu3 + 15*r^4*mu1*mu2 + 4*r^4*mu2*mu3"
+    " - 15*r^2*mu1*mu2 + 6*r^2*mu2*mu3 + mu1*mu2"
+)
+CASE3_V3 = "-r^2*mu1*mu3 + r^2*mu2*mu3 + 3*mu1*mu3 - 3*mu2*mu3"
+# (denominator factors, collision factors, content) per component
+CASE_RECORDS = {
+    1: [((("r", 1), ("r^2 + 1", 2)), (), "1/4")] * 2,
+    2: [((("r^2 + 1", 1),), (("r", 1),), "1/2"),
+        ((("r", 1), ("r^2 + 1", 2)), (), "1/4")],
+    3: [((("r", 1), ("r^2 + 1", 2)), (), "1/4"),
+        ((("r^2 + 1", 1),), (("r", 1),), "1/2")],
+}
+# sha256 of the newline-joined polynomial text that `build-system` prints;
+# any change to a single byte shows
+POLY_DIGESTS = {
+    (1, 2, 3, 4): "0388e1eef96213833e0c752b18b31eab75ebbf29424843a91edaaa6e9458aa6b",
+    (3, 7, -8, -9, 1): "c6cb1f073e97c4bc239b77a323c17f6de0a092c01518827f63f81c71bb988fab",
+}
 
 
 def test_equal_weight_builder_golden_polynomials():
@@ -139,10 +76,55 @@ def test_equal_weight_builder_records_stripped_factors():
         "V_theta3",
     ]
     for rec in system.stripped_factors:
-        assert rec.collision_factors == (("r2 - r3", 1),)
+        assert rec.collision_factors == ()
         assert rec.content == "1/2"
+        assert rec.denominator_factors == (
+            ("r2 - r3", 1), ("r2^2 + 1", 1), ("r3^2 + 1", 1))
+
+
+def test_records_list_every_norm_and_the_pairs_of_the_component():
+    system = build_equal_weight_system((2, -1, 3, 5))
+    assert [rec.content for rec in system.stripped_factors] == ["1/2", "3/2", "5/2"]
+    norms = ["r2^2 + 1", "r3^2 + 1", "r4^2 + 1"]
+    pairs = {"V_theta2": ["r2 - r3", "r2 - r4"], "V_theta3": ["r2 - r3", "r3 - r4"],
+             "V_theta4": ["r2 - r4", "r3 - r4"]}
+    for rec in system.stripped_factors:
         names = [f for f, _ in rec.denominator_factors]
-        assert names == ["r2^2 + 1", "r2^2 - 2*r2*r3 + r3^2", "r3^2 + 1"]
+        assert names == sorted(norms + pairs[rec.component])
+        assert {k for _, k in rec.denominator_factors} == {1}
+
+
+@pytest.mark.parametrize("mu", sorted(POLY_DIGESTS))
+def test_polynomial_text_is_frozen(mu):
+    text = "\n".join(str(p) for p in build_equal_weight_system(mu).polys)
+    assert hashlib.sha256(text.encode()).hexdigest() == POLY_DIGESTS[mu]
+
+
+def _record_value(rec, ring, values):
+    """content * P * prod(collision) / prod(denominators) at `values`."""
+    value = float(Fraction(rec.content))
+    for text, power in rec.collision_factors:
+        value *= ring.parse(text).evaluate_float(values) ** power
+    for text, power in rec.denominator_factors:
+        value /= ring.parse(text).evaluate_float(values) ** power
+    return value
+
+
+@pytest.mark.parametrize("mu", [
+    (1, -2), (2, 1, 9), (1, -3, -3, 7), (3, 7, -8, -9, 1), (4, -1, 2, -5, 3, 1),
+])
+def test_records_reassemble_the_gradient(mu):
+    system = build_equal_weight_system(mu)
+    ring = system.ring
+    rng = seeded(47)
+    for _ in range(5):
+        roots = [rng.uniform(-3, 3) for _ in ring.variables]
+        values = dict(zip(ring.variables, roots))
+        grad = potential_gradient(back_transform(roots), mu)
+        for i, (p, rec) in enumerate(zip(system.polys, system.stripped_factors)):
+            got = p.evaluate_float(values) * _record_value(rec, ring, values)
+            want = grad[i + 1]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_builder_output_is_primitive_integer():
@@ -180,12 +162,46 @@ def test_builder_rejects_non_integer_or_zero_weights():
         build_equal_weight_system((1,))
 
 
-def test_symmetry_case_one_golden_polynomials():
-    system = build_symmetry_case_system(1)
+def _assert_case_golden(case, v2, v3):
+    system = build_symmetry_case_system(case)
     ring = system.polys[0].ring
     assert ring.variables == ("r", "mu1", "mu2", "mu3")
-    assert system.polys[0] == ring.parse(CASE1_V2)
-    assert system.polys[1] == ring.parse(CASE1_V3)
+    assert system.polys[0] == ring.parse(v2)
+    assert system.polys[1] == ring.parse(v3)
+    got = [(rec.denominator_factors, rec.collision_factors, rec.content)
+           for rec in system.stripped_factors]
+    assert got == CASE_RECORDS[case]
+
+
+def test_symmetry_case_one_golden_polynomials():
+    _assert_case_golden(1, CASE1_V2, CASE1_V3)
+
+
+@pytest.mark.parametrize("case,golden", [
+    (2, (CASE2_V2, CASE2_V3)), (3, (CASE3_V2, CASE3_V3)),
+])
+def test_symmetry_cases_two_and_three_golden_polynomials(case, golden):
+    _assert_case_golden(case, *golden)
+
+
+@pytest.mark.parametrize("case,make_angles", [
+    (1, lambda t: (0.0, t, -t)),
+    (2, lambda t: (0.0, t, 2 * t)),
+    (3, lambda t: (0.0, 2 * t, t)),
+])
+def test_symmetry_case_records_reassemble_the_gradient(case, make_angles):
+    system = build_symmetry_case_system(case)
+    ring = system.ring
+    rng = seeded(48)
+    for _ in range(10):
+        mu = [rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 5.0]) for _ in range(3)]
+        phi = rng.uniform(0.1, 2.0)
+        values = {"r": 1.0 / math.tan(phi / 2), "mu1": mu[0], "mu2": mu[1], "mu3": mu[2]}
+        grad = potential_gradient(make_angles(phi), mu)
+        for i, (p, rec) in enumerate(zip(system.polys, system.stripped_factors)):
+            got = p.evaluate_float(values) * _record_value(rec, ring, values)
+            want = grad[i + 1]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_symmetry_case_one_collapses_for_equal_pair_weights():
