@@ -493,8 +493,6 @@ _FLAGS = {
     "--seeds": dict(type=_positive_int, default=4096,
                     help="number of lattice seeds for the search"),
     "--out": dict(default=None, help="output file path"),
-    "--format": dict(choices=("json", "csv", "table"), default="table",
-                     help="output format"),
 }
 
 
@@ -502,6 +500,12 @@ def _flags(sub, *names):
     """Declare the shared flags that this subcommand reads."""
     for name in names:
         sub.add_argument(name, **_FLAGS[name])
+
+
+def _format_flag(sub, *choices):
+    """Declare --format with the formats this subcommand writes."""
+    sub.add_argument("--format", choices=choices, default="table",
+                     help="output format")
 
 
 def build_parser():
@@ -512,7 +516,8 @@ def build_parser():
 
     p = subs.add_parser("find", help="find all critical points numerically")
     p.add_argument("--mu", required=True, help="comma-separated weights")
-    _flags(p, "--tol-grad", "--tol-zero-eig", "--seeds", "--out", "--format")
+    _flags(p, "--tol-grad", "--tol-zero-eig", "--seeds", "--out")
+    _format_flag(p, "json", "csv", "table")
     p.set_defaults(func=cmd_find)
 
     p = subs.add_parser("certify",
@@ -524,7 +529,8 @@ def build_parser():
                    help="print the exact trace-form matrix")
     p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                    help="eliminate r from the chosen symmetric-configuration case")
-    _flags(p, "--out", "--format")
+    _flags(p, "--out")
+    _format_flag(p, "json", "table")
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("continue",
@@ -545,8 +551,8 @@ def build_parser():
     p.add_argument("--step", type=_positive_float, default=0.005,
                    help="continuation step")
     p.add_argument("--snapshots", help="comma-separated eps values to render as SVG")
-    _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out",
-           "--format")
+    _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out")
+    _format_flag(p, "json", "csv", "table")
     p.set_defaults(func=cmd_continue)
 
     p = subs.add_parser("plot", help="render a configuration JSON as SVG")
@@ -561,7 +567,8 @@ def build_parser():
     p.add_argument("--mu", help="comma-separated integer weights")
     p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                    help="build the symmetric-configuration case system instead")
-    _flags(p, "--out", "--format")
+    _flags(p, "--out")
+    _format_flag(p, "json", "table")
     p.set_defaults(func=cmd_build_system)
 
     p = subs.add_parser("simulate",
@@ -581,10 +588,37 @@ def build_parser():
     return parser
 
 
+# flags whose value is a comma-separated number list
+_LIST_FLAGS = ("--mu", "--start-angles", "--radii", "--snapshots")
+
+
+def _is_number_list(text):
+    try:
+        return bool(_parse_fractions(text))
+    except UsageError:
+        return False
+
+
+def _join_number_lists(argv):
+    """Write `--mu -1,-3,10` as `--mu=-1,-3,10`.
+
+    argparse reads a separate word that starts with a minus sign, such as
+    `-1,-3,10`, as an option rather than as the value of the flag before it.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and _is_number_list(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_number_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

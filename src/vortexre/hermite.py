@@ -9,6 +9,7 @@ exact: the counts are certificates, not estimates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from vortexre import _kernels
@@ -111,125 +112,123 @@ def quotient_basis(gb):
     return QuotientBasis(ring, gb.order, tuple(basis))
 
 
-class _TraceCalculator:
-    """Memoized normal forms of monomials and multiplication-map traces."""
+class _Traces:
+    """Normal forms of monomials and multiplication-map traces.
+
+    Only border monomials x_k*b (b in the basis, x_k*b outside it) are
+    reduced by `normal_form`.  Any other monomial m = x_k*m' follows
+    linearly: NF(m) = sum_b c_b NF(x_k*b), where NF(m') = sum_b c_b b.
+    Traces are linear too: Tr(M_m) = sum_b NF(m)[b] Tr(M_b), with
+    Tr(M_b) = sum_c NF(b*c)[c].
+    """
 
     def __init__(self, gb, basis):
         self.gb = gb
-        self.basis = basis
-        self.ring = basis.ring
         self._in_basis = set(basis.monomials)
-        self._nf = {}
-        self._trace = {}
+        self._nf = {b: {b: rational(1)} for b in basis.monomials}
+        self._traces = {}
+        self._basis_traces = {
+            b: sum((self.monomial_nf(_kernels.monomial_mul(b, c)).get(c, 0)
+                    for c in basis.monomials), rational(0))
+            for b in basis.monomials
+        }
 
     def monomial_nf(self, m):
         """Normal form of a monomial as {basis monomial: coefficient}."""
-        if m in self._in_basis:
-            return {m: rational(1)}
-        cached = self._nf.get(m)
-        if cached is None:
-            r = normal_form(self.ring.monomial(m), self.gb.polys, self.gb.order)
-            cached = self._nf[m] = r.terms
-        return cached
+        nf = self._nf.get(m)
+        if nf is None:
+            lower = [(k, m[:k] + (e - 1,) + m[k + 1:]) for k, e in enumerate(m) if e]
+            if not lower or any(p in self._in_basis for _, p in lower):
+                r = normal_form(self.gb.ring.monomial(m), self.gb.polys, self.gb.order)
+                nf = r.terms
+            else:
+                k, p = lower[0]
+                nf = {}
+                for b, c in self.monomial_nf(p).items():
+                    xb = b[:k] + (b[k] + 1,) + b[k + 1:]
+                    _kernels.terms_iadd_scaled(nf, self.monomial_nf(xb), c, None)
+            self._nf[m] = nf
+        return nf
 
     def trace_monomial(self, m):
         """Trace of the map g -> m*g on the quotient ring."""
-        cached = self._trace.get(m)
-        if cached is None:
-            total = rational(0)
-            for b in self.basis.monomials:
-                nf = self.monomial_nf(_kernels.monomial_mul(m, b))
-                c = nf.get(b)
-                if c is not None:
-                    total = total + c
-            cached = self._trace[m] = total
-        return cached
-
-    def trace_poly(self, f):
-        total = rational(0)
-        for m, c in f.terms.items():
-            total = total + c * self.trace_monomial(m)
-        return total
+        tr = self._traces.get(m)
+        if tr is None:
+            t = self._basis_traces
+            tr = self._traces[m] = sum(
+                (c * t[b] for b, c in self.monomial_nf(m).items()), rational(0))
+        return tr
 
 
 def multiplication_trace(f, gb, basis):
     """Trace of multiplication by f on the quotient ring (exact)."""
-    return _TraceCalculator(gb, basis).trace_poly(f)
+    traces = _Traces(gb, basis)
+    return sum((c * traces.trace_monomial(m) for m, c in f.terms.items()), rational(0))
 
 
 def hermite_matrix(gb, basis):
     """H[i][j] = trace of multiplication by b_i * b_j; symmetric by construction."""
-    calc = _TraceCalculator(gb, basis)
-    n = len(basis)
-    rows = [[rational(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t = calc.trace_monomial(
-                _kernels.monomial_mul(basis.monomials[i], basis.monomials[j])
-            )
-            rows[i][j] = t
-            rows[j][i] = t
-    return HermiteMatrix(rows)
+    traces = _Traces(gb, basis)
+    return HermiteMatrix([[traces.trace_monomial(_kernels.monomial_mul(a, b))
+                           for b in basis] for a in basis])
 
 
-# -- exact symmetric congruence reduction ------------------------------------
+# -- fraction-free symmetric elimination -------------------------------------
 
-def _swap_cr(B, i, j):
-    B[i], B[j] = B[j], B[i]
-    for row in B:
-        row[i], row[j] = row[j], row[i]
+def _congruence(A, i, j, t):
+    """Send indices i < j to t[0]*i + t[1]*j and t[2]*i + t[3]*j.
 
-
-def _sumdiff_cr(B, i, j):
-    """Congruence sending (row/col i, row/col j) to (i+j, j-i)."""
-    for row in B:
-        row[i], row[j] = row[i] + row[j], row[j] - row[i]
-    B[i], B[j] = (
-        [a + b for a, b in zip(B[i], B[j])],
-        [b - a for a, b in zip(B[i], B[j])],
-    )
-
-
-def _clear_cr(B, i):
-    n = len(B)
-    d = B[i][i]
-    for j in range(i + 1, n):
-        f = B[j][i] / d
-        if f:
-            B[j] = [a - f * b for a, b in zip(B[j], B[i])]
-    for j in range(i + 1, n):
-        f = B[i][j] / d
-        if f:
-            for k in range(n):
-                B[k][j] = B[k][j] - f * B[k][i]
+    A is symmetric and held in its upper triangle from row i on.
+    """
+    a, b, c, d = t
+    ii, ij, jj = A[i][i], A[i][j], A[j][j]
+    for s in range(i + 1, len(A)):
+        if s != j:
+            lo, hi = min(j, s), max(j, s)
+            x, y = A[i][s], A[lo][hi]
+            A[i][s], A[lo][hi] = a * x + b * y, c * x + d * y
+    A[i][i] = a * a * ii + 2 * a * b * ij + b * b * jj
+    A[i][j] = a * c * ii + (a * d + b * c) * ij + b * d * jj
+    A[j][j] = c * c * ii + 2 * c * d * ij + d * d * jj
 
 
 def signature_and_rank(H):
-    """Diagonalize by exact congruence; signature and rank from the diagonal.
+    """Diagonalize by exact congruence; signature and rank from the pivots.
 
-    Pivot strategy on a zero diagonal entry: swap in a later nonzero
-    diagonal if one exists, otherwise add row+column j into i (turning
-    the off-diagonal 2*B[i][j] onto the diagonal), then clear.
+    H is scaled by the positive lcm of its denominators, which keeps its
+    inertia.  Bareiss elimination on the upper triangle then divides each
+    update exactly by the previous pivot, so the k-th diagonal entry of
+    the congruent diagonal form has the sign of d_k * d_(k-1).  On a zero
+    diagonal entry, swap in a later nonzero diagonal if one exists,
+    otherwise send (i, j) to (i+j, j-i), which puts 2*A[i][j] on the
+    diagonal.
     """
     entries = H.entries if isinstance(H, HermiteMatrix) else H
-    B = [[rational(c) for c in row] for row in entries]
-    n = len(B)
-    for i in range(n):
-        if not B[i][i]:
-            for j in range(i + 1, n):
-                if B[j][j]:
-                    _swap_cr(B, i, j)
-                    break
-        if not B[i][i]:
-            for j in range(i + 1, n):
-                if B[i][j]:
-                    _sumdiff_cr(B, i, j)
-                    break
-        if B[i][i]:
-            _clear_cr(B, i)
-    pos = sum(1 for i in range(n) if B[i][i] > 0)
-    neg = sum(1 for i in range(n) if B[i][i] < 0)
-    return RootCount(real_distinct=pos - neg, complex_distinct=pos + neg)
+    rows = [[rational(c) for c in row] for row in entries]
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    A = [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+    n = len(A)
+    prev, signs = 1, []
+    for k in range(n):
+        if not A[k][k]:
+            j = next((j for j in range(k + 1, n) if A[j][j]), None)
+            if j is not None:
+                _congruence(A, k, j, (0, 1, 1, 0))
+        if not A[k][k]:
+            j = next((j for j in range(k + 1, n) if A[k][j]), None)
+            if j is None:
+                continue
+            _congruence(A, k, j, (1, 1, -1, 1))
+        p, pivot_row = A[k][k], A[k]
+        signs.append(1 if p * prev > 0 else -1)
+        for i in range(k + 1, n):
+            f, row = pivot_row[i], A[i]
+            for j in range(i, n):
+                row[j], r = divmod(p * row[j] - f * pivot_row[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in Bareiss elimination")
+        prev = p
+    return RootCount(real_distinct=sum(signs), complex_distinct=len(signs))
 
 
 def count_real_roots(system, order=None):

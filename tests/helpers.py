@@ -2,7 +2,9 @@
 
 Everything here is deliberately implemented from first principles —
 Sturm chains, finite differences, brute-force root searches — so the
-library is checked against code that shares none of its internals.
+library is checked against code that shares none of its internals.  The
+one exception is the reference trace form, which reduces with the
+library's `normal_form` but takes none of the trace-matrix shortcuts.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
+
+from vortexre.groebner import normal_form
 
 
 # -- univariate Sturm-chain real-root counting --------------------------------
@@ -400,6 +405,83 @@ ZERO_SUM_SADDLES = [
     ((-4, 11, -7), (0.0, 0.8405045016914133, 4.273118733325888)),
     ((1, -12, 11), (0.0, 2.520526368993409, 1.498321957599876)),
 ]
+
+
+# -- reference trace form ---------------------------------------------------
+# The straightforward trace-form engine: every trace Tr(M_m) reduces each
+# product m*b anew, and the signature comes from Fraction row and
+# column operations.  Slow, but with no shortcut to get wrong.
+
+def reference_trace_monomial(m, gb, basis, cache):
+    """Tr(M_m): the normal form of m*b, reduced anew, for every basis monomial b."""
+    total = Fraction(0)
+    for b in basis.monomials:
+        mb = tuple(map(add, m, b))
+        nf = cache.get(mb)
+        if nf is None:
+            nf = cache[mb] = normal_form(gb.ring.monomial(mb), gb.polys, gb.order).terms
+        total += nf.get(b, 0)
+    return total
+
+
+def reference_hermite_matrix(gb, basis):
+    """H[i][j] = Tr(M_{b_i b_j}) as rows of Fractions."""
+    cache = {}
+    bs = basis.monomials
+    return [[reference_trace_monomial(tuple(map(add, a, b)), gb, basis, cache)
+             for b in bs] for a in bs]
+
+
+def _swap_cr(B, i, j):
+    B[i], B[j] = B[j], B[i]
+    for row in B:
+        row[i], row[j] = row[j], row[i]
+
+
+def _sumdiff_cr(B, i, j):
+    """Congruence sending (row/col i, row/col j) to (i+j, j-i)."""
+    for row in B:
+        row[i], row[j] = row[i] + row[j], row[j] - row[i]
+    B[i], B[j] = (
+        [a + b for a, b in zip(B[i], B[j])],
+        [b - a for a, b in zip(B[i], B[j])],
+    )
+
+
+def _clear_cr(B, i):
+    n = len(B)
+    d = B[i][i]
+    for j in range(i + 1, n):
+        f = B[j][i] / d
+        if f:
+            B[j] = [a - f * b for a, b in zip(B[j], B[i])]
+    for j in range(i + 1, n):
+        f = B[i][j] / d
+        if f:
+            for k in range(n):
+                B[k][j] = B[k][j] - f * B[k][i]
+
+
+def reference_signature_and_rank(entries):
+    """(signature, rank) of a symmetric rational matrix by Fraction congruence."""
+    B = [[Fraction(c) for c in row] for row in entries]
+    n = len(B)
+    for i in range(n):
+        if not B[i][i]:
+            for j in range(i + 1, n):
+                if B[j][j]:
+                    _swap_cr(B, i, j)
+                    break
+        if not B[i][i]:
+            for j in range(i + 1, n):
+                if B[i][j]:
+                    _sumdiff_cr(B, i, j)
+                    break
+        if B[i][i]:
+            _clear_cr(B, i)
+    pos = sum(1 for i in range(n) if B[i][i] > 0)
+    neg = sum(1 for i in range(n) if B[i][i] < 0)
+    return pos - neg, pos + neg
 
 
 # -- misc ---------------------------------------------------------------------

@@ -445,6 +445,9 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     (["find", "--mu", "1,1", "--tol-newton", "1e-9"], "unrecognized arguments"),
     (["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--format", "json"],
      "unrecognized arguments"),
+    # the exact subcommands write json or a table, never csv
+    (["certify", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
+    (["build-system", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -466,3 +469,34 @@ def test_find_is_quiet_on_a_complete_or_mixed_sign_catalogue(capsys, mu):
     code, out, err = run(capsys, "find", "--mu", mu)
     assert code == 0 and out
     assert err == ""
+
+
+# -- number lists that start with a minus sign --------------------------------
+
+
+def test_find_takes_a_negative_list_as_a_separate_word(capsys):
+    joined = run(capsys, "find", "--mu=-1,-3,10", "--seeds", "64")
+    spaced = run(capsys, "find", "--mu", "-1,-3,10", "--seeds", "64")
+    assert joined[0] == 0 and joined[1]
+    assert spaced == joined
+
+
+def test_certify_takes_a_negative_list_as_a_separate_word(capsys):
+    code, out, err = run(capsys, "certify", "--mu", "-1,-3,10")
+    assert code == 0, err
+    assert "real distinct roots: 8" in out
+    assert run(capsys, "certify", "--mu=-1,-3,10") == (code, out, err)
+
+
+def test_continue_takes_negative_weights_and_angles_as_separate_words(capsys):
+    # the -4,-7,9 stable saddle, rotated by -0.5
+    argv = ["continue", "--mu", "-4,-7,9",
+            "--start-angles", "-0.5,1.4776959562222671,4.980254754348461",
+            "--eps", "1e-4", "--step", "1e-4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 2
+    joined = ["continue", "--mu=-4,-7,9",
+              "--start-angles=-0.5,1.4776959562222671,4.980254754348461",
+              "--eps", "1e-4", "--step", "1e-4"]
+    assert run(capsys, *joined) == (code, out, err)

@@ -1,5 +1,6 @@
 """Real/complex root counting through trace forms on the quotient algebra."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,17 @@ from helpers import (
     lines_to_multipoly,
     random_line_arrangement,
     random_multipoly,
+    reference_hermite_matrix,
+    reference_signature_and_rank,
+    reference_trace_monomial,
     seeded,
     squarefree_distinct_complex_roots,
     sturm_distinct_real_roots,
 )
+from vortexre import hermite
+from vortexre.cli import main
 from vortexre.groebner import buchberger
+from vortexre.halfangle import build_equal_weight_system
 from vortexre.hermite import (
     InfiniteVarietyError,
     count_real_roots,
@@ -206,3 +213,120 @@ def test_real_and_complex_counts_share_parity(xy_ring):
         assert (rc.complex_distinct - rc.real_distinct) % 2 == 0
         assert 0 <= rc.real_distinct <= rc.complex_distinct
         done += 1
+
+
+# -- the trace matrix and the signature against the reference engine ----------
+
+# sha256 of `certify --mu=<mu> --show-basis --show-matrix` stdout, recorded
+# from the engine that reduced every triple product b_i*b_j*b_c on its own.
+CERTIFY_GOLDENS = {
+    ("1,1,1", "json"): "61505924f5b4372bee43ddf76bfbcf3e5b2504e3eb1f1b5c4a60b924356e438c",
+    ("1,1,1", "table"): "c43506213a9e84b07b81bb96150b4fd7fef91dd0bac14e842d5e251fe8f96cc7",
+    ("2,1,9", "json"): "a8cf70e27753cfa89f4dbbfb35e300d957c7eff4d6b7403bc43c845579e5ce21",
+    ("2,1,9", "table"): "fc9bebc67b1e7f3d5ca9f9155059cc183593c1d94e517cf5fd91f3d8edb74ba0",
+    ("2,-1,3", "json"): "f51e16a2e65c6e7d1c6e7d99247694ac968db9c639b82e9ad3cbfc4718fd85a9",
+    ("2,-1,3", "table"): "7fb9f9b98787c3fcb2476914aaccd1077285cf295c9f7a4c4a72a17f760c2218",
+    ("-1,-3,10", "json"): "229cc06ac892fbf58ac582102e1dd0fe4124c349fa2b211fa9d4267516eb46e2",
+    ("-1,-3,10", "table"): "63e75caffef9d904e6bf50e4544c06497c4c2d7f9361abbd2d1779691e6cbd56",
+}
+
+
+@pytest.mark.parametrize("mu,fmt", sorted(CERTIFY_GOLDENS))
+def test_certify_basis_and_matrix_match_goldens(capsys, mu, fmt):
+    code = main(["certify", f"--mu={mu}", "--format", fmt, "--show-basis", "--show-matrix"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_GOLDENS[mu, fmt]
+
+
+def _small_ideals():
+    xy = PolynomialRing(("x", "y"))
+    x, y = xy.gens()
+    R1 = PolynomialRing(("x",))
+    (x1,) = R1.gens()
+    yield [x1 * x1 - R1.constant(2)]
+    yield [univariate([-6, 11, -6, 1], R1) * univariate([1, 0, 1], R1)]
+    yield [y - x * x, x * x + y * y - xy.one()]
+    yield [y - x * x, x * x + y * y - xy.constant(7)]
+    yield [x * x * x - x, y * y * x - y - x]
+    for seed in range(4):
+        rng = seeded(400 + seed)
+        f, g, _ = random_line_arrangement(rng, rng.randint(1, 3), rng.randint(1, 3))
+        yield [lines_to_multipoly(xy, f), lines_to_multipoly(xy, g)]
+    xyz = PolynomialRing(("x", "y", "z"))
+    x, y, z = xyz.gens()
+    yield [x * x - y - z, y * y - xyz.constant(2) * z, z * z * z - x - xyz.one()]
+    rng = seeded(35)
+    found = 0
+    while found < 6:
+        gens = [random_multipoly(xy, rng, max_terms=3, max_deg=3) for _ in range(2)]
+        try:
+            quotient_basis(buchberger(gens))
+        except (InfiniteVarietyError, ValueError):
+            continue
+        found += 1
+        yield gens
+
+
+@pytest.mark.parametrize("mu", [(10, -3, 2), (-4, -5, -3), (-11, 8, 6),
+                                (-9, 7, 9), (-9, -5, 11), (-4, -6, -5)])
+def test_hermite_matrix_matches_reference_on_vortex_systems(mu):
+    gb = buchberger(list(build_equal_weight_system(mu)))
+    basis = quotient_basis(gb)
+    assert hermite_matrix(gb, basis).entries == tuple(
+        map(tuple, reference_hermite_matrix(gb, basis)))
+
+
+def test_hermite_matrix_and_traces_match_reference_on_small_ideals():
+    rng = seeded(36)
+    checked = 0
+    for gens in _small_ideals():
+        gb = buchberger(gens)
+        basis = quotient_basis(gb)
+        H = hermite_matrix(gb, basis)
+        assert H.entries == tuple(map(tuple, reference_hermite_matrix(gb, basis)))
+        f = random_multipoly(gb.ring, rng, max_terms=4, max_deg=5)
+        want = sum((c * reference_trace_monomial(m, gb, basis, {})
+                    for m, c in f.terms.items()), Fraction(0))
+        assert multiplication_trace(f, gb, basis) == want
+        checked += 1
+    assert checked >= 16
+
+
+def _random_symmetric(rng, n):
+    """A symmetric rational matrix: dense, zero-diagonal, low rank or sparse."""
+    kind = rng.choice(["dense", "zero_diagonal", "low_rank", "sparse"])
+    if kind == "low_rank" and n:
+        r = rng.randint(0, n - 1)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        d = [Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5])) for _ in range(r)]
+        return [[sum((A[k][i] * d[k] * A[k][j] for k in range(r)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "zero_diagonal" and i == j:
+                continue
+            if kind == "sparse" and rng.random() < 0.7:
+                continue
+            M[i][j] = M[j][i] = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7]))
+    return M
+
+
+def test_signature_matches_fraction_reference(monkeypatch):
+    pivots = []
+    congruence = hermite._congruence
+
+    def spy(A, i, j, t):
+        pivots.append(t)
+        return congruence(A, i, j, t)
+
+    monkeypatch.setattr(hermite, "_congruence", spy)
+    rng = seeded(37)
+    for trial in range(600):
+        M = _random_symmetric(rng, trial % 9)
+        rc = signature_and_rank(M)
+        assert (rc.real_distinct, rc.complex_distinct) == reference_signature_and_rank(M)
+    # both zero-diagonal pivot rules ran: the swap and the (i+j, j-i) congruence
+    assert pivots.count((0, 1, 1, 0)) >= 50
+    assert pivots.count((1, 1, -1, 1)) >= 50
