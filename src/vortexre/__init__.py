@@ -5,17 +5,8 @@ algebraic certification of critical-point counts through polynomial
 systems, and continuation of configurations to positive coupling.
 """
 
-from vortexre.dynamics import (
-    ContinuationTrace,
-    HelioConfig,
-    PlanarConfig,
-    continue_family,
-    full_system_stability,
-    newton_solve,
-    polygon_family,
-    re_residual,
-    vortex_field,
-)
+import importlib
+
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
 from vortexre.groebner import GroebnerBasis, Ideal, buchberger, elimination_ideal
 from vortexre.halfangle import (
@@ -33,25 +24,46 @@ from vortexre.hermite import (
     signature_and_rank,
 )
 from vortexre.polynomials import MonomialOrder, MultiPoly, PolynomialRing
-from vortexre.potential import (
-    AngularConfig,
-    CirculationWeights,
-    StabilityReport,
-    classify,
-    potential_gradient,
-    potential_hessian,
-    potential_value,
-    weighted_hessian,
-)
 from vortexre.rationals import Rational, rational
-from vortexre.search import (
-    CriticalPointSet,
-    find_all_critical_points,
-    group_into_families,
-    symmetry_check,
-)
 
 __version__ = "0.1.0"
+
+# The numeric side loads numpy, so its names are imported on first use
+# (PEP 562): `certify` and `build-system` then start without it.
+_LAZY = {
+    "ContinuationTrace": "dynamics",
+    "HelioConfig": "dynamics",
+    "PlanarConfig": "dynamics",
+    "continue_family": "dynamics",
+    "full_system_stability": "dynamics",
+    "newton_solve": "dynamics",
+    "polygon_family": "dynamics",
+    "re_residual": "dynamics",
+    "vortex_field": "dynamics",
+    "AngularConfig": "potential",
+    "CirculationWeights": "potential",
+    "StabilityReport": "potential",
+    "classify": "potential",
+    "potential_gradient": "potential",
+    "potential_hessian": "potential",
+    "potential_value": "potential",
+    "weighted_hessian": "potential",
+    "CriticalPointSet": "search",
+    "find_all_critical_points": "search",
+    "group_into_families": "search",
+    "symmetry_check": "search",
+}
+
+
+def __getattr__(name):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 
 def backend_info():

@@ -14,20 +14,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from vortexre.dynamics import (
-    ContinuationTrace,
-    HelioConfig,
-    continue_family,
-    corotating_drift,
-    full_system_stability,
-    hamiltonian,
-    integrate_vortices,
-    newton_solve,
-    polygon_family,
-    re_residual,
-)
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
 from vortexre.groebner import buchberger, elimination_ideal
 from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
@@ -38,12 +24,10 @@ from vortexre.hermite import (
     signature_and_rank,
 )
 from vortexre.plotting import render_configuration_svg
-from vortexre.potential import AngularConfig, CirculationWeights
-from vortexre.search import (
-    export_critical_points,
-    find_all_critical_points,
-    group_into_families,
-)
+
+# The numeric handlers import numpy (through vortexre.potential, search and
+# dynamics) and scipy when they run, so certify, build-system and plot start
+# without either.
 
 
 class UsageError(ValueError):
@@ -86,6 +70,8 @@ _nonnegative_float = _bounded(float, 0.0)
 
 
 def _parse_weights(text):
+    from vortexre.potential import CirculationWeights
+
     try:
         return CirculationWeights.parse(text)
     except ValueError as exc:
@@ -156,6 +142,12 @@ def _morse_sum(points, mu):
 
 
 def cmd_find(args):
+    from vortexre.search import (
+        export_critical_points,
+        find_all_critical_points,
+        group_into_families,
+    )
+
     mu = _parse_weights(args.mu)
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -269,6 +261,9 @@ def cmd_certify(args):
 # -- continue ----------------------------------------------------------------
 
 def _select_start(args, mu):
+    from vortexre.potential import AngularConfig
+    from vortexre.search import find_all_critical_points
+
     if args.start_angles:
         angles = _parse_floats(args.start_angles)
         if len(angles) != len(mu):
@@ -294,6 +289,8 @@ def _select_start(args, mu):
 
 
 def _snapshot_records(trace, snapshots, start, mu):
+    from vortexre.dynamics import HelioConfig
+
     out = []
     for eps in snapshots:
         if eps == 0.0:
@@ -309,6 +306,11 @@ def _snapshot_records(trace, snapshots, start, mu):
 
 
 def cmd_continue(args):
+    import numpy as np
+
+    from vortexre.dynamics import ContinuationTrace, continue_family
+    from vortexre.potential import AngularConfig, CirculationWeights
+
     if args.polygon is not None:
         scalars = _parse_floats(args.mu)
         if len(scalars) != 1:
@@ -436,6 +438,18 @@ def cmd_build_system(args):
 # -- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args):
+    import numpy as np
+
+    from vortexre.dynamics import (
+        HelioConfig,
+        corotating_drift,
+        hamiltonian,
+        integrate_vortices,
+        newton_solve,
+        polygon_family,
+        re_residual,
+    )
+
     if args.polygon is not None:
         scalars = _parse_floats(args.mu)
         if len(scalars) != 1:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
 from vortexre.potential import AngularConfig, CirculationWeights, classify
@@ -295,6 +294,17 @@ def _symplectic_form(config):
     return np.kron(S, -_J2)
 
 
+def _null_space(M):
+    """Orthonormal basis of the null space of M, one vector per column.
+
+    The rank counts the singular values above eps * max(M.shape) * max(s),
+    the rank rule of scipy's null_space, which costs a slow import.
+    """
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    cut = np.finfo(float).eps * max(M.shape) * s.max(initial=0.0)
+    return vh[int(np.count_nonzero(s > cut)):].T
+
+
 def full_system_stability(config, tol=1e-6):
     """Spectral stability of the rotating-frame linearization.
 
@@ -312,7 +322,7 @@ def full_system_stability(config, tol=1e-6):
     v_rot = (_perp(config.array)).ravel()
     B = _symplectic_form(config)
     constraints = np.vstack([v_rot @ B, zvec @ B])
-    Q = null_space(constraints)
+    Q = _null_space(constraints)
     reduced = Q.T @ A @ Q
     eigvals = np.linalg.eigvals(reduced)
     scale = max(1.0, float(np.abs(eigvals).max(initial=0.0)))

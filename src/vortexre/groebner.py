@@ -64,8 +64,8 @@ class GroebnerBasis:
         return [g.leading_monomial() for g in self.polys]
 
     def normal_form(self, p):
-        """Unique remainder of p modulo the basis."""
-        return normal_form(p, self.polys)
+        """Unique remainder of p modulo the basis, under the basis order."""
+        return normal_form(p, self.polys, self.order)
 
     def contains(self, p):
         return self.normal_form(p).is_zero()

@@ -407,6 +407,25 @@ ZERO_SUM_SADDLES = [
 ]
 
 
+# -- scipy's null space, the oracle of the stability reduction ---------------
+
+def reference_null_space(M):
+    """scipy.linalg.null_space(M): same rank rule, independent SVD wrapper."""
+    from scipy.linalg import null_space
+
+    return null_space(M)
+
+
+def reference_full_system_stability(config, tol=1e-6):
+    """full_system_stability with scipy's null space in place of the library's."""
+    from unittest import mock
+
+    from vortexre import dynamics
+
+    with mock.patch.object(dynamics, "_null_space", reference_null_space):
+        return dynamics.full_system_stability(config, tol)
+
+
 # -- reference trace form ---------------------------------------------------
 # The straightforward trace-form engine: every trace Tr(M_m) reduces each
 # product m*b anew, and the signature comes from Fraction row and

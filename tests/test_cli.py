@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -500,3 +503,46 @@ def test_continue_takes_negative_weights_and_angles_as_separate_words(capsys):
               "--start-angles=-0.5,1.4776959562222671,4.980254754348461",
               "--eps", "1e-4", "--step", "1e-4"]
     assert run(capsys, *joined) == (code, out, err)
+
+
+# -- what a fresh interpreter loads --------------------------------------------
+
+
+def _heavy_modules_after(code):
+    """Which of numpy and scipy a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(' '.join(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def _main_code(*argv):
+    return f"from vortexre.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    assert _heavy_modules_after("import vortexre.cli") == set()
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"angles": [0.0, 2.0, 4.0], "mu": [1, 2, 3]}))
+    out = str(tmp_path / "out")
+    for argv in (["certify", "--mu=1,1,1", "--out", out],
+                 ["build-system", "--mu=2,1,9", "--out", out],
+                 ["plot", str(record), "--out", out]):
+        assert "numpy" not in _heavy_modules_after(_main_code(*argv)), argv
+
+
+def test_dynamics_and_find_run_without_scipy(tmp_path):
+    assert _heavy_modules_after("import vortexre.dynamics") == {"numpy"}
+    out = str(tmp_path / "points.json")
+    code = _main_code("find", "--mu=2,-1,3", "--seeds", "64", "--out", out)
+    assert _heavy_modules_after(code) == {"numpy"}

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_re_jacobian, reference_re_residual
+from helpers import (
+    reference_full_system_stability,
+    reference_null_space,
+    reference_re_jacobian,
+    reference_re_residual,
+)
+from vortexre import dynamics
 from vortexre.dynamics import (
     ContinuationTrace,
     HelioConfig,
@@ -322,6 +328,52 @@ def test_close_imaginary_pairs_stay_stable_until_the_krein_collision(step):
         # every step size lands on eps <= 5e-4 or eps >= 6e-4
         expected = "stable" if record.epsilon <= 5e-4 + 1e-12 else "unstable"
         assert record.verdict == expected, record.epsilon
+
+
+def stability_configs():
+    """Polygons N = 2..12 at two weights and couplings, and jittered
+    mixed-sign configurations at the same N."""
+    rng = np.random.default_rng(90)
+    configs = [polygon_family(n, mu, eps) for n in range(2, 13)
+               for mu in (1.0, -0.5) for eps in (0.01, 0.05)]
+    configs += [random_helio(rng, n, eps) for n in range(2, 13) for eps in (0.01, 0.04)]
+    return configs
+
+
+def stability_constraints(cfg):
+    """The two rows whose null space full_system_stability works in."""
+    B = dynamics._symplectic_form(cfg)
+    return np.vstack([dynamics._perp(cfg.array).ravel() @ B, cfg.as_vector() @ B])
+
+
+def test_null_space_matches_scipy():
+    rng = np.random.default_rng(91)
+    low_rank = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 9))
+    matrices = [stability_constraints(cfg) for cfg in stability_configs()]
+    matrices += [np.zeros((2, 6)), np.vstack([matrices[-1]] * 2), low_rank,
+                 low_rank.T, rng.normal(size=(3, 3))]
+    # singular values either side of the cut eps * max(M, N) * max(s)
+    eps = np.finfo(float).eps
+    matrices += [np.diag([1.0, 1.5 * eps]), np.diag([1.0, 3.0 * eps]),
+                 np.hstack([np.diag([1.0, 4.0 * eps]), np.zeros((2, 3))])]
+    for M in matrices:
+        Q = dynamics._null_space(M)
+        assert Q.shape == reference_null_space(M).shape
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) < 1e-12
+        assert np.abs(M @ Q).max(initial=0.0) < 1e-12
+
+
+def test_full_system_stability_matches_the_scipy_reduction():
+    verdicts = set()
+    for cfg in stability_configs():
+        ours, ref = full_system_stability(cfg), reference_full_system_stability(cfg)
+        assert ours.verdict == ref.verdict
+        a, b = np.array(ours.eigenvalues), np.array(ref.eigenvalues)
+        assert len(a) == len(b) == 2 * len(cfg.mu) - 2
+        gap = np.abs(a[:, None] - b[None, :])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-10
+        verdicts.add(ref.verdict)
+    assert verdicts == {"stable", "unstable"}
 
 
 # -- continuation in epsilon --------------------------------------------------

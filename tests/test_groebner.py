@@ -157,6 +157,18 @@ def test_membership(lex_ring):
     assert not gb.contains(x + lex_ring.constant(17))
 
 
+def test_basis_reduces_under_its_own_order():
+    # x from a degrevlex ring, reduced by an elimination basis: x - y^2 has
+    # leading term x there, so the remainder is y^2, not x
+    ring = PolynomialRing(("x", "y"))
+    x, y = ring.gens()
+    gb = buchberger([y**3 - ring.one(), x - y**2], MonomialOrder.elimination(1))
+    assert gb.normal_form(x) == y**2
+    assert gb.normal_form(x) == normal_form(x, gb.polys, gb.order)
+    assert gb.contains(x**3 - ring.one())
+    assert not gb.contains(x - y)
+
+
 def test_normal_form_is_linear(lex_ring):
     rng = seeded(17)
     x, y = lex_ring.gens()
