@@ -43,19 +43,25 @@ def _parse_fractions(text):
 
 def _parse_floats(text):
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"a value in number list {text!r} is not finite")
+    return values
 
 
 def _bounded(kind, low, strict=False):
-    """argparse type: a `kind` value of at least `low`, or above it if strict."""
+    """argparse type: a finite `kind` value of at least `low`, or above it
+    if strict."""
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'above' if strict else 'at least'} {low}, got {value}")
@@ -67,6 +73,7 @@ _positive_int = _bounded(int, 1)
 _polygon_count = _bounded(int, 2)
 _positive_float = _bounded(float, 0.0, strict=True)
 _nonnegative_float = _bounded(float, 0.0)
+_finite_float = _bounded(float, -math.inf, strict=True)
 
 
 def _parse_weights(text):
@@ -589,7 +596,7 @@ def build_parser():
                         help="integrate the full system and report drifts")
     p.add_argument("--mu", required=True,
                    help="weights (or a single scalar with --polygon)")
-    p.add_argument("--eps", type=float, required=True, help="coupling strength")
+    p.add_argument("--eps", type=_finite_float, required=True, help="coupling strength")
     p.add_argument("--start-angles", help="weak-vortex angles")
     p.add_argument("--radii", help="weak-vortex radii (default all 1)")
     p.add_argument("--polygon", type=_polygon_count, help="regular polygon mode")

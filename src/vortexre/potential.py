@@ -13,6 +13,8 @@ eigenvalues alongside the forced rotational zero.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,11 @@ class CirculationWeights:
             raise ValueError("need at least two weights")
         if any(m == 0.0 for m in self.mu):
             raise ValueError("weights must be nonzero")
+        if not all(map(math.isfinite, self.mu)):
+            raise ValueError("weights must be finite")
+        a, b = sorted(map(abs, self.mu))[-2:]
+        if not math.isfinite(a * b):
+            raise ValueError("products of weights must be finite")
 
     @classmethod
     def parse(cls, text):
@@ -42,8 +49,10 @@ class CirculationWeights:
         values = []
         for p in parts:
             if "/" in p:
-                num, den = p.split("/", 1)
-                values.append(float(num) / float(den))
+                num, den = map(float, p.split("/", 1))
+                if den == 0.0:
+                    raise ValueError(f"zero denominator in {p!r}")
+                values.append(num / den)
             else:
                 values.append(float(p))
         return cls(tuple(values))
@@ -119,32 +128,81 @@ def _diagonals(a):
     return a.reshape(len(a), n * n)[:, ::n + 1]
 
 
-def _difference_tables(config):
-    """Pairwise-difference tables of one configuration or of a batch.
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """The pairs i < j in row-major order, and their flat positions
+    above (i, j) and below (j, i) the diagonal of an N x N matrix."""
+    i, j = np.triu_indices(n, 1)
+    pairs = (i, j, i * n + j, j * n + i)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
-    Returns (single, cos, sin, u, collided): the tables have shape
-    (S, N, N) for S configurations (S = 1 for a single one), and
-    `collided` marks the rows in which two vortices coincide.  u is set
-    to 1 on the diagonal and on colliding rows, so the callers' formulas
-    stay finite.  A single colliding configuration raises CollisionError
-    instead.
+
+def _pair_table(theta, single=False):
+    """cos, sin and u = 2 - 2 cos of d = theta_i - theta_j on the pairs i < j.
+
+    `theta` is an (S, N) batch; the table is one (3, S, N(N-1)/2) array.
+    u is NaN on the rows in which two vortices coincide, so everything
+    computed from those rows is NaN.  With `single`, such a row raises
+    CollisionError naming its closest pair instead.
     """
+    i, j, _, _ = _pairs(theta.shape[1])
+    d = theta[:, i] - theta[:, j]
+    table = np.empty((3,) + d.shape)
+    cos, sin, u = table
+    np.cos(d, out=cos)
+    np.sin(d, out=sin)
+    np.subtract(2.0, 2.0 * cos, out=u)
+    chord = np.sqrt(np.maximum(u, 0.0))
+    collided = chord.min(axis=1) < _COLLISION_CHORD
+    if single and collided[0]:
+        k = int(chord[0].argmin())
+        raise CollisionError(f"vortices {i[k] + 1} and {j[k] + 1} coincide")
+    u[collided] = np.nan
+    return table
+
+
+def _matrices(n, above, below=None):
+    """(S, N, N) matrices holding `above` on the pairs (i, j), `below` on
+    the mirrored pairs (j, i) (zeros when None) and zeros on the diagonal.
+
+    Sums over these run in the order of the full N x N difference tables,
+    so gradients, Hessians and values keep their last bits.
+    """
+    _, _, upper, lower = _pairs(n)
+    m = np.zeros((len(above), n * n))
+    m[:, upper] = above
+    if below is not None:
+        m[:, lower] = below
+    return m.reshape(-1, n, n)
+
+
+def _gradient(table, w):
+    """Gradients of V, (S, N), from a pair table."""
+    _, sin, u = table
+    i, j, _, _ = _pairs(len(w))
+    # sin(-d) = -sin(d): the term at (j, i) is minus the one at (i, j)
+    t = w[i] * w[j] * (sin * (-1.0 + 1.0 / u))
+    return -_matrices(len(w), t, -t).sum(axis=-1)
+
+
+def _hessian(table, w):
+    """Hessians of V, (S, N, N), from a pair table."""
+    cos, sin, u = table
+    i, j, _, _ = _pairs(len(w))
+    gpp = -cos + (cos * u - 2.0 * sin**2) / u**2
+    h = w[i] * w[j] * gpp
+    H = _matrices(len(w), h, h)
+    _diagonals(H)[...] = -H.sum(axis=-1)
+    return H
+
+
+def _tables(config):
+    """(single, pair table) of one configuration or an (S, N) batch of them."""
     theta = _angles(config)
     single = theta.ndim == 1
-    theta = np.atleast_2d(theta)
-    d = theta[:, :, None] - theta[:, None, :]
-    cos = np.cos(d)
-    sin = np.sin(d)
-    u = 2.0 - 2.0 * cos
-    chord = np.sqrt(np.maximum(u, 0.0))
-    _diagonals(chord)[...] = np.inf
-    collided = chord.min(axis=(1, 2)) < _COLLISION_CHORD
-    if single and collided[0]:
-        i, j = divmod(int(chord[0].argmin()), chord.shape[1])
-        raise CollisionError(f"vortices {i + 1} and {j + 1} coincide")
-    _diagonals(u)[...] = 1.0
-    u[collided] = 1.0
-    return single, cos, sin, u, collided
+    return single, _pair_table(np.atleast_2d(theta), single)
 
 
 def potential_value(config, mu):
@@ -154,10 +212,10 @@ def potential_value(config, mu):
     input, NaN on colliding rows.
     """
     w = _weights(mu)
-    single, cos, _, u, collided = _difference_tables(config)
-    pair = np.outer(w, w) * (cos + 0.5 * np.log(u))
-    v = -np.triu(pair, 1).sum(axis=(1, 2))
-    v[collided] = np.nan
+    single, (cos, _, u) = _tables(config)
+    i, j, _, _ = _pairs(len(w))
+    pair = _matrices(len(w), w[i] * w[j] * (cos + 0.5 * np.log(u)))
+    v = -pair.sum(axis=(1, 2))
     return float(v[0]) if single else v
 
 
@@ -169,11 +227,8 @@ def potential_gradient(config, mu):
     coincide.
     """
     w = _weights(mu)
-    single, _, sin, u, collided = _difference_tables(config)
-    t = sin * (-1.0 + 1.0 / u)
-    _diagonals(t)[...] = 0.0
-    g = -(w[:, None] * w[None, :] * t).sum(axis=-1)
-    g[collided] = np.nan
+    single, table = _tables(config)
+    g = _gradient(table, w)
     return g[0] if single else g
 
 
@@ -184,12 +239,8 @@ def potential_hessian(config, mu):
     all NaN on colliding rows.
     """
     w = _weights(mu)
-    single, cos, sin, u, collided = _difference_tables(config)
-    gpp = -cos + (cos * u - 2.0 * sin**2) / u**2
-    _diagonals(gpp)[...] = 0.0
-    H = np.outer(w, w) * gpp
-    _diagonals(H)[...] = -H.sum(axis=-1)
-    H[collided] = np.nan
+    single, table = _tables(config)
+    H = _hessian(table, w)
     return H[0] if single else H
 
 
@@ -241,52 +292,69 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
     """
     theta = _angles(config)
     w = _weights(mu)
-    grad = potential_gradient(theta, w)
-    gnorm = float(np.abs(grad).max())
-    if gnorm >= tol_grad:
+    table = _pair_table(theta[None], single=True)
+    report, = _classify(table, w, tol_grad, tol_zero)
+    if report is None:
+        gnorm = float(np.abs(_gradient(table, w)).max())
         raise NotACriticalPointError(
             f"gradient infinity-norm {gnorm:.3e} exceeds tolerance {tol_grad:.1e}"
         )
-    H = potential_hessian(theta, w)
+    return report
+
+
+def _classify(table, w, tol_grad, tol_zero):
+    """`classify` for every row of a pair table at once: one report per
+    row, None where the gradient infinity-norm is not below tol_grad."""
+    gnorm = np.abs(_gradient(table, w)).max(axis=1)
+    critical = np.flatnonzero(gnorm < tol_grad)
+    reports = [None] * len(gnorm)
+    if not len(critical):
+        return reports
+    H = _hessian(table[:, critical], w)
     hessian_eigs = np.linalg.eigvalsh(H)
     W = H / w[:, None]
     weighted = np.linalg.eigvals(W)
-    weighted = weighted[np.lexsort((weighted.imag, weighted.real))]
+    order = np.lexsort((weighted.imag, weighted.real))
+    weighted = np.take_along_axis(weighted, order, axis=1)
+    size = np.abs(weighted)
 
-    scale = max(1.0, float(np.abs(weighted).max()))
-    zero_tol = tol_zero * scale
+    zero_tol = tol_zero * np.maximum(1.0, size.max(axis=1))[:, None]
     # W kills (1,...,1); count the rotational zero once and the rest on the
     # quotient by it, where a zero-sum weight vector's 2x2 Jordan block at
     # zero leaves a single, well-conditioned zero instead of a split pair
-    quotient = np.linalg.eigvals(W[1:, 1:] - W[0:1, 1:])
-    zero_count = 1 + int(np.sum(np.abs(quotient) < zero_tol))
-
-    if zero_count != 1:
-        verdict = "degenerate"
-    else:
-        nonzero = weighted[np.abs(weighted) >= zero_tol]
-        real_positive = (nonzero.real > zero_tol) & (
-            np.abs(nonzero.imag) < tol_zero * np.maximum(1.0, np.abs(nonzero))
-        )
-        verdict = "stable" if bool(real_positive.all()) else "unstable"
-
-    Q = _rotation_complement_basis(len(theta))
-    restricted = np.linalg.eigvalsh(Q.T @ H @ Q)
-    h_tol = tol_zero * max(1.0, float(np.abs(hessian_eigs).max()))
-    if np.any(np.abs(restricted) < h_tol):
-        extremal = "degenerate"
-    elif np.all(restricted > 0):
-        extremal = "minimum"
-    elif np.all(restricted < 0):
-        extremal = "maximum"
-    else:
-        extremal = "saddle"
-
-    return StabilityReport(
-        hessian_eigs=tuple(float(x) for x in hessian_eigs),
-        weighted_eigs=tuple(complex(z) for z in weighted),
-        zero_count=zero_count,
-        verdict=verdict,
-        extremal_type=extremal,
-        gradient_norm=gnorm,
+    quotient = np.linalg.eigvals(W[:, 1:, 1:] - W[:, 0:1, 1:])
+    zero_count = 1 + (np.abs(quotient) < zero_tol).sum(axis=1)
+    real_positive = (weighted.real > zero_tol) & (
+        np.abs(weighted.imag) < tol_zero * np.maximum(1.0, size)
     )
+    stable = (real_positive | (size < zero_tol)).all(axis=1)
+
+    Q = _rotation_complement_basis(len(w))
+    restricted = np.linalg.eigvalsh(Q.T @ H @ Q)
+    h_tol = tol_zero * np.maximum(1.0, np.abs(hessian_eigs).max(axis=1))[:, None]
+    flat = (np.abs(restricted) < h_tol).any(axis=1)
+    positive = (restricted > 0).all(axis=1)
+    negative = (restricted < 0).all(axis=1)
+
+    for k, row in enumerate(critical.tolist()):
+        if zero_count[k] != 1:
+            verdict = "degenerate"
+        else:
+            verdict = "stable" if stable[k] else "unstable"
+        if flat[k]:
+            extremal = "degenerate"
+        elif positive[k]:
+            extremal = "minimum"
+        elif negative[k]:
+            extremal = "maximum"
+        else:
+            extremal = "saddle"
+        reports[row] = StabilityReport(
+            hessian_eigs=tuple(hessian_eigs[k].tolist()),
+            weighted_eigs=tuple(map(complex, weighted[k].tolist())),
+            zero_count=int(zero_count[k]),
+            verdict=verdict,
+            extremal_type=extremal,
+            gradient_norm=float(gnorm[row]),
+        )
+    return reports

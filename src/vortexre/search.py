@@ -2,8 +2,8 @@
 
 Multi-start Newton on the gauge-fixed torus (theta_1 = 0): polish a
 deterministic low-discrepancy lattice of seeds as one batch, deduplicate
-modulo rotation through a hash of the converged points, classify each
-survivor, and group the survivors into families related by
+modulo rotation through a hash of the converged points, classify the
+survivors as one batch, and group them into families related by
 weight-preserving relabelings, reflection, and rotation through a
 canonical key.  Completeness is certified separately by the exact root
 count on the half-angle system, not by seed density.
@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vortexre.errors import NotACriticalPointError
 from vortexre.potential import (
     AngularConfig,
     CirculationWeights,
-    classify,
-    potential_gradient,
-    potential_hessian,
+    _classify,
+    _gradient,
+    _hessian,
+    _pair_table,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -135,49 +135,56 @@ def _polish(seeds, w, tol_grad, max_iter=50):
     steps.  A row converged once its gradient norm fell below tol_grad.
     Rows keep stepping past tol_grad while steps still help, so accepted
     points sit at the numerical floor rather than just under the
-    tolerance.
+    tolerance.  Trials are taken modulo 2*pi, so an accepted trial is the
+    next iterate, and its pair table and gradient serve that iterate.
     """
     x = np.array(seeds, dtype=float)
     converged = np.zeros(len(x), dtype=bool)
     collided = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))
+    table = _pair_table(_gauged(x))
+    g = _gradient(table, w)[:, 1:]
     for _ in range(max_iter):
         if not len(rows):
             break
-        full = _gauged(x[rows])
-        g = potential_gradient(full, w)[:, 1:]
         hit = np.isnan(g[:, 0])
         collided[rows[hit]] = True
         gnorm = np.abs(g).max(axis=1)
         converged[rows[gnorm < tol_grad]] = True
         go = ~hit & (gnorm != 0.0)
-        rows, full, g, gnorm = rows[go], full[go], g[go], gnorm[go]
-        H = potential_hessian(full, w)[:, 1:, 1:]
-        step = _newton_steps(H, -g)
+        rows, table, g, gnorm = rows[go], table[:, go], g[go], gnorm[go]
+        step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g)
         go = np.isfinite(step).all(axis=1)
         rows, step, gnorm = rows[go], step[go], gnorm[go]
         # Backtrack where the full step does not decrease the gradient.
         scale = np.ones(len(rows))
         pending = np.ones(len(rows), dtype=bool)
+        table = np.empty((3, len(rows), table.shape[2]))
+        g = np.empty_like(step)
         for _ in range(12):
             idx = np.flatnonzero(pending)
             if not len(idx):
                 break
-            trial = x[rows[idx]] + scale[idx, None] * step[idx]
-            trial_norm = np.abs(potential_gradient(_gauged(trial), w)[:, 1:]).max(axis=1)
-            better = trial_norm < gnorm[idx]  # False on collisions (NaN)
-            x[rows[idx[better]]] = trial[better] % TWO_PI
-            pending[idx[better]] = False
+            trial = (x[rows[idx]] + scale[idx, None] * step[idx]) % TWO_PI
+            trial_table = _pair_table(_gauged(trial))
+            trial_g = _gradient(trial_table, w)[:, 1:]
+            better = np.abs(trial_g).max(axis=1) < gnorm[idx]  # False on collisions (NaN)
+            done = idx[better]
+            x[rows[done]] = trial[better]
+            table[:, done] = trial_table[:, better]
+            g[done] = trial_g[better]
+            pending[done] = False
             scale[idx[~better]] *= 0.5
         # rows no halving improved are either done or stuck
-        rows = rows[~pending]
+        rows, table, g = rows[~pending], table[:, ~pending], g[~pending]
     return x % TWO_PI, converged & ~collided
 
 
 def _dedup(points, tol):
     """Merge points closer than tol in rotation distance.
 
-    Points are taken in order.  Each one merges into the first kept point
+    Bit-identical rows are collapsed to their first occurrence first; the
+    rest are taken in order.  Each one merges into the first kept point
     within tol, which is replaced when the newcomer is lexicographically
     smaller; otherwise it is kept.  Kept points sit in a hash of cells
     on the gauge-fixed torus, and a lookup probes every cell within
@@ -185,6 +192,8 @@ def _dedup(points, tol):
     within tol in rotation distance (theta_1 = 0 for both) is within
     2 tol on every angle.
     """
+    _, first = np.unique(points, axis=0, return_index=True)
+    points = points[np.sort(first)]
     cells = max(1, int(TWO_PI / (16.0 * tol)))  # per angle
     width = TWO_PI / cells
     reach = 2.5 * tol
@@ -228,15 +237,12 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, dedup_tol=1e-6,
     start = _lattice_seeds(len(w) - 1, seeds)
     start = start[_min_gaps(_gauged(start)) >= seed_gap]
     polished, ok = _polish(start, w.array, tol_grad)
-    points = []
-    for x in sorted(_dedup(polished[ok], dedup_tol), key=tuple):
-        config = AngularConfig((0.0,) + tuple(x))
-        try:
-            report = classify(config, w, tol_grad=10.0 * tol_grad, tol_zero=tol_zero)
-        except NotACriticalPointError:
-            continue
-        points.append(CriticalPoint(config=config, report=report))
-    return CriticalPointSet(points=tuple(points), mu=w)
+    found = sorted(_dedup(polished[ok], dedup_tol), key=tuple)
+    theta = _gauged(np.reshape(found, (len(found), len(w) - 1)))
+    reports = _classify(_pair_table(theta), w.array, 10.0 * tol_grad, tol_zero)
+    points = tuple(CriticalPoint(config=AngularConfig(tuple(t)), report=report)
+                   for t, report in zip(theta.tolist(), reports) if report is not None)
+    return CriticalPointSet(points=points, mu=w)
 
 
 # -- symmetry and families ---------------------------------------------------

@@ -199,6 +199,162 @@ def to_sympy(p, symbols):
     return expr
 
 
+# -- reference potential kernels: full N x N difference tables ----------------
+#
+# The kernels as they were before the pair tables: both transcendentals on
+# every entry of the (S, N, N) difference table, diagonal included.  The
+# library's pair-table kernels must agree with these bit for bit.
+
+_COLLISION_CHORD = 1e-9
+
+
+def _ref_diagonals(a):
+    n = a.shape[-1]
+    return a.reshape(len(a), n * n)[:, ::n + 1]
+
+
+def reference_difference_tables(theta):
+    """(single, cos, sin, u, collided) of one configuration or a batch; u is
+    1 on the diagonal and on colliding rows, and a single colliding
+    configuration raises CollisionError."""
+    from vortexre.errors import CollisionError
+
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim == 1
+    theta = np.atleast_2d(theta)
+    d = theta[:, :, None] - theta[:, None, :]
+    cos = np.cos(d)
+    sin = np.sin(d)
+    u = 2.0 - 2.0 * cos
+    chord = np.sqrt(np.maximum(u, 0.0))
+    _ref_diagonals(chord)[...] = np.inf
+    collided = chord.min(axis=(1, 2)) < _COLLISION_CHORD
+    if single and collided[0]:
+        i, j = divmod(int(chord[0].argmin()), chord.shape[1])
+        raise CollisionError(f"vortices {i + 1} and {j + 1} coincide")
+    _ref_diagonals(u)[...] = 1.0
+    u[collided] = 1.0
+    return single, cos, sin, u, collided
+
+
+def reference_potential_value(theta, w):
+    w = np.asarray(w, dtype=float)
+    single, cos, _, u, collided = reference_difference_tables(theta)
+    pair = np.outer(w, w) * (cos + 0.5 * np.log(u))
+    v = -np.triu(pair, 1).sum(axis=(1, 2))
+    v[collided] = np.nan
+    return float(v[0]) if single else v
+
+
+def reference_potential_gradient(theta, w):
+    w = np.asarray(w, dtype=float)
+    single, _, sin, u, collided = reference_difference_tables(theta)
+    t = sin * (-1.0 + 1.0 / u)
+    _ref_diagonals(t)[...] = 0.0
+    g = -(w[:, None] * w[None, :] * t).sum(axis=-1)
+    g[collided] = np.nan
+    return g[0] if single else g
+
+
+def reference_potential_hessian(theta, w):
+    w = np.asarray(w, dtype=float)
+    single, cos, sin, u, collided = reference_difference_tables(theta)
+    gpp = -cos + (cos * u - 2.0 * sin**2) / u**2
+    _ref_diagonals(gpp)[...] = 0.0
+    H = np.outer(w, w) * gpp
+    _ref_diagonals(H)[...] = -H.sum(axis=-1)
+    H[collided] = np.nan
+    return H[0] if single else H
+
+
+def reference_classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
+    """`classify` one point at a time on the full-table kernels."""
+    from vortexre.errors import NotACriticalPointError
+    from vortexre.potential import StabilityReport
+
+    theta = np.asarray(theta, dtype=float)
+    w = np.asarray(mu, dtype=float)
+    gnorm = float(np.abs(reference_potential_gradient(theta, w)).max())
+    if gnorm >= tol_grad:
+        raise NotACriticalPointError(f"gradient infinity-norm {gnorm:.3e}")
+    H = reference_potential_hessian(theta, w)
+    hessian_eigs = np.linalg.eigvalsh(H)
+    W = H / w[:, None]
+    weighted = np.linalg.eigvals(W)
+    weighted = weighted[np.lexsort((weighted.imag, weighted.real))]
+    zero_tol = tol_zero * max(1.0, float(np.abs(weighted).max()))
+    quotient = np.linalg.eigvals(W[1:, 1:] - W[0:1, 1:])
+    zero_count = 1 + int(np.sum(np.abs(quotient) < zero_tol))
+    if zero_count != 1:
+        verdict = "degenerate"
+    else:
+        nonzero = weighted[np.abs(weighted) >= zero_tol]
+        real_positive = (nonzero.real > zero_tol) & (
+            np.abs(nonzero.imag) < tol_zero * np.maximum(1.0, np.abs(nonzero)))
+        verdict = "stable" if bool(real_positive.all()) else "unstable"
+    n = len(theta)
+    Q, _ = np.linalg.qr(np.eye(n)[:, 1:] - np.ones((n, n - 1)) / n)
+    restricted = np.linalg.eigvalsh(Q.T @ H @ Q)
+    h_tol = tol_zero * max(1.0, float(np.abs(hessian_eigs).max()))
+    if np.any(np.abs(restricted) < h_tol):
+        extremal = "degenerate"
+    elif np.all(restricted > 0):
+        extremal = "minimum"
+    elif np.all(restricted < 0):
+        extremal = "maximum"
+    else:
+        extremal = "saddle"
+    return StabilityReport(
+        hessian_eigs=tuple(float(x) for x in hessian_eigs),
+        weighted_eigs=tuple(complex(z) for z in weighted),
+        zero_count=zero_count, verdict=verdict, extremal_type=extremal,
+        gradient_norm=gnorm)
+
+
+def reference_batched_polish(seeds, w, tol_grad, max_iter=50):
+    """The batched Newton polish with three full tables per iterate: the
+    gradient and Hessian at x, and the gradient at each unwrapped trial."""
+    from vortexre.search import _newton_steps
+
+    def gauged(x):
+        return np.concatenate((np.zeros((len(x), 1)), x), axis=1)
+
+    x = np.array(seeds, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    collided = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    for _ in range(max_iter):
+        if not len(rows):
+            break
+        full = gauged(x[rows])
+        g = reference_potential_gradient(full, w)[:, 1:]
+        hit = np.isnan(g[:, 0])
+        collided[rows[hit]] = True
+        gnorm = np.abs(g).max(axis=1)
+        converged[rows[gnorm < tol_grad]] = True
+        go = ~hit & (gnorm != 0.0)
+        rows, full, g, gnorm = rows[go], full[go], g[go], gnorm[go]
+        H = reference_potential_hessian(full, w)[:, 1:, 1:]
+        step = _newton_steps(H, -g)
+        go = np.isfinite(step).all(axis=1)
+        rows, step, gnorm = rows[go], step[go], gnorm[go]
+        scale = np.ones(len(rows))
+        pending = np.ones(len(rows), dtype=bool)
+        for _ in range(12):
+            idx = np.flatnonzero(pending)
+            if not len(idx):
+                break
+            trial = x[rows[idx]] + scale[idx, None] * step[idx]
+            trial_norm = np.abs(
+                reference_potential_gradient(gauged(trial), w)[:, 1:]).max(axis=1)
+            better = trial_norm < gnorm[idx]
+            x[rows[idx[better]]] = trial[better] % _TWO_PI
+            pending[idx[better]] = False
+            scale[idx[~better]] *= 0.5
+        rows = rows[~pending]
+    return x % _TWO_PI, converged & ~collided
+
+
 # -- reference search: one seed at a time, permutation-orbit families --------
 #
 # The search as it was first written: Newton polishes each lattice seed

@@ -422,6 +422,10 @@ def test_bad_flag_value_exits_2(capsys):
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "-1"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol", "0"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol=-1e-9"],
+    # non-finite values: scipy refused nan, and eps = inf never finished
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "nan"],
+    ["continue", "--polygon", "4", "--mu", "1", "--step", "0.0005", "--eps", "inf"],
+    ["continue", "--polygon", "4", "--mu", "1", "--eps", "0.01", "--step", "inf"],
 ])
 def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     # the offending flag comes last, as --flag value or --flag=value
@@ -451,6 +455,17 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     # the exact subcommands write json or a table, never csv
     (["certify", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
     (["build-system", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
+    # non-finite numbers, and weights whose products overflow
+    (["find", "--mu=nan,1"], "weights must be finite"),
+    (["find", "--mu=inf,1"], "weights must be finite"),
+    (["find", "--mu=1e200,1e200,1"], "products of weights must be finite"),
+    (["find", "--mu=1/0,1"], "zero denominator"),
+    (["find", "--mu", "1,1", "--tol-grad", "inf"], "argument --tol-grad: must be finite"),
+    (["continue", "--mu=nan,1,1", "--eps", "0.01"], "weights must be finite"),
+    (["continue", "--mu=1,1,1", "--start-angles=0,nan,2", "--eps", "0.01"],
+     "is not finite"),
+    (["continue", "--polygon", "4", "--mu", "inf", "--eps", "0.01"], "is not finite"),
+    (["simulate", "--polygon", "3", "--mu", "nan", "--eps", "0.05"], "is not finite"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

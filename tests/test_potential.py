@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ZERO_SUM_SADDLES, central_difference, seeded
+from helpers import (
+    ZERO_SUM_SADDLES,
+    central_difference,
+    reference_potential_gradient,
+    reference_potential_hessian,
+    reference_potential_value,
+    seeded,
+)
 from vortexre.errors import CollisionError, NotACriticalPointError
 from vortexre.potential import (
     AngularConfig,
@@ -179,6 +186,47 @@ def test_batch_rows_match_single_calls_and_flag_collisions():
     assert potential_hessian(batch[:0], mu).shape == (0, 4, 4)
 
 
+# -- pair-table kernels against the full-table reference ----------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kernels_equal_the_full_table_reference_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    mu = tuple(rng.uniform(0.5, 3.0, n) * np.where(np.arange(n) % 3 == 1, -1.0, 1.0))
+    batch = rng.uniform(0.0, 2 * math.pi, (48, n))
+    batch[5, 1] = batch[5, 0]                              # exact coincidence
+    batch[17, n - 1] = batch[17, 0] + 1e-12                # inside the collision chord
+    batch[30, :2] = (0.0, 2 * math.pi - 1e-13)             # coincide across the wrap
+    for kernel, reference in ((potential_value, reference_potential_value),
+                              (potential_gradient, reference_potential_gradient),
+                              (potential_hessian, reference_potential_hessian)):
+        got, want = kernel(batch, mu), reference(batch, mu)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+        for k in (5, 17, 30):
+            assert np.isnan(got[k]).all()
+        for k in (0, 1, 2, 47):
+            single, reference_single = kernel(batch[k], mu), reference(batch[k], mu)
+            assert np.array_equal(single, reference_single)
+
+
+@pytest.mark.parametrize("theta", [
+    (0.0, 1.0, 1.0, 2.5, 2.5),
+    (0.0, 2.5, 1.0, 1.0, 2.5),
+    (0.0, 3.0, 1.0, 3.0, 1.0),
+])
+def test_collision_names_the_same_pair_as_the_full_table(theta):
+    # two pairs coincide: the first of them in row-major order is named
+    mu = (1.0, -2.0, 1.5, 3.0, 1.0)
+    with pytest.raises(CollisionError) as want:
+        reference_potential_gradient(theta, mu)
+    for kernel in (potential_value, potential_gradient, potential_hessian, classify):
+        with pytest.raises(CollisionError) as got:
+            kernel(theta, mu)
+        assert str(got.value) == str(want.value)
+
+
 def test_two_vortex_critical_angles():
     # the only critical separations are pi/3, pi, 5*pi/3
     for phi in (math.pi / 3, math.pi, 5 * math.pi / 3):
@@ -262,6 +310,11 @@ def test_weights_parse_and_validate():
     assert not CirculationWeights.parse("1/2,3/4").is_integral()
     with pytest.raises(ValueError):
         CirculationWeights.parse("1,0,2")
+    for text in ("nan,1", "1,inf", "-inf,2", "1e200,1e200,1", "1/0,1"):
+        with pytest.raises(ValueError):
+            CirculationWeights.parse(text)
+    # one huge weight is fine while every product of two stays finite
+    assert CirculationWeights.parse("1e200,1,1").mu[0] == 1e200
 
 
 def test_angular_config_normalization():

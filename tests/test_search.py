@@ -1,5 +1,8 @@
 """Seeded Newton search for critical points, dedup, families, symmetry."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import time
@@ -8,19 +11,36 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ZERO_SUM_SADDLES,
+    reference_batched_polish,
+    reference_classify,
     reference_dedup,
     reference_find_all_critical_points,
     reference_group_into_families,
     reference_lattice_seeds,
     seeded,
 )
-from vortexre.potential import AngularConfig, CirculationWeights, potential_gradient
+from vortexre.cli import main
+from vortexre.errors import NotACriticalPointError
+from vortexre.potential import (
+    AngularConfig,
+    CirculationWeights,
+    _classify,
+    _pair_table,
+    classify,
+    potential_gradient,
+    potential_hessian,
+)
 from vortexre.search import (
+    TWO_PI,
     CriticalPoint,
     CriticalPointSet,
     _dedup,
+    _gauged,
     _lattice_seeds,
+    _min_gaps,
     _newton_steps,
+    _polish,
     export_critical_points,
     find_all_critical_points,
     group_into_families,
@@ -232,6 +252,101 @@ def test_dedup_matches_linear_scan_near_cell_edges():
     got = _dedup(points, 1e-6)
     want = reference_dedup(points, 1e-6)
     assert [tuple(x) for x in got] == [tuple(x) for x in want]
+
+
+def _search_seeds(dim, count):
+    """The lattice seeds `find` polishes: those clear of every collision."""
+    start = _lattice_seeds(dim, count)
+    return start[_min_gaps(_gauged(start)) >= 0.05]
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (2, -1, 3), (-4, 11, -7), (1, 2, 3, 4)])
+def test_polish_equals_the_full_table_reference_bit_for_bit(mu):
+    seeds = _search_seeds(len(mu) - 1, 4096)
+    w = np.array(mu, dtype=float)
+    got, want = _polish(seeds, w, 1e-10), reference_batched_polish(seeds, w, 1e-10)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_polish_equals_the_reference_when_steps_cross_the_wrap():
+    # the first angle starts within 0.4 of vortex 1, on either side of 0
+    mu = (2.0, -1.0, 3.0)
+    seeds = _lattice_seeds(2, 2048)
+    seeds[:, 0] = (seeds[:, 0] * (0.8 / TWO_PI) - 0.4) % TWO_PI
+    seeds = seeds[_min_gaps(_gauged(seeds)) >= 0.05]
+    full = _gauged(seeds)
+    step = _newton_steps(potential_hessian(full, mu)[:, 1:, 1:],
+                         -potential_gradient(full, mu)[:, 1:])
+    moved = seeds + step
+    assert ((moved < 0.0) | (moved >= TWO_PI)).any(axis=1).sum() > 100
+    w = np.array(mu)
+    got, want = _polish(seeds, w, 1e-10), reference_batched_polish(seeds, w, 1e-10)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("mu,seeds", [((2, -1, 3), 4096), ((1, 2, 3, 4), 1024),
+                                      ((1, 1, 1, 1, 1), 256)])
+def test_dedup_equals_the_linear_scan_on_converged_catalogues(mu, seeds):
+    polished, ok = _polish(_search_seeds(len(mu) - 1, seeds), np.array(mu, float), 1e-10)
+    points = polished[ok]
+    assert len(np.unique(points, axis=0)) < len(points)  # exact duplicates occur
+    got = _dedup(points, 1e-6)
+    want = reference_dedup(points, 1e-6)
+    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+
+
+def test_dedup_drops_exact_duplicates_interleaved_out_of_order():
+    rng = seeded(9)
+    centres = [[rng.choice((1e-9, 2 * math.pi - 1e-9, rng.uniform(0, 2 * math.pi)))
+                for _ in range(3)] for _ in range(12)]
+    distinct = [[(a + rng.uniform(-1e-13, 1e-13)) % (2 * math.pi) for a in c]
+                for c in centres for _ in range(4)]
+    points = [list(p) for p in distinct for _ in range(3)]
+    rng.shuffle(points)
+    points = np.array(points)
+    got = _dedup(points, 1e-6)
+    want = reference_dedup(points, 1e-6)
+    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 1), (2, 1, 9), (2, -1, 3), (-1, -3, 10),
+                                (1, 1, 1, 1, 1)] + [mu for mu, _ in ZERO_SUM_SADDLES])
+def test_batched_classify_equals_per_point_classify(mu):
+    found = find_all_critical_points(mu)
+    theta = np.array([p.config.theta for p in found])
+    off = theta[:1].copy()
+    off[0, 1] += 1e-3  # no longer critical
+    theta = np.concatenate((theta, off))
+    reports = _classify(_pair_table(theta), np.array(mu, dtype=float), 1e-9, 1e-8)
+    assert reports[-1] is None
+    with pytest.raises(NotACriticalPointError):
+        classify(theta[-1], mu, tol_grad=1e-9)
+    for row, report in zip(theta[:-1], reports):
+        assert report == classify(row, mu, tol_grad=1e-9)
+        assert report == reference_classify(row, mu, tol_grad=1e-9)
+    assert [p.report for p in found] == reports[:-1]
+
+
+# sha256 of `find --format json`, recorded before the pair-table search
+FIND_DIGESTS = {
+    ("1,1,1", 4096): "676ab5758dc810e9d952030eec430a0e7ac5673f816b46ef29410cfeba5c7a17",
+    ("2,1,9", 4096): "aec52b1b609ca2c9f4bfc2c1a05f60f892bf76193527ddc3daf4791d382b5ad8",
+    ("2,-1,3", 4096): "8d5b87b94050b0a37e8f5f9960096fdf48fb8320a17f7b5c1fa9a34947f042a4",
+    ("-1,-3,10", 4096): "afc440d27639198c9c4e18df0bbe823a9dcbbaa85b19e900a10dadbfbca629e4",
+    ("1,2,3,4", 4096): "f9ffaadbfb4ee6f7bc09419ee46d771ec10bea72603cb84f6b003acd2a2e23b0",
+    ("1,1,1,1,1", 4096): "f7433e81ebab4825c28c7f9d8b1402df09561bed70200d5db0c2b01088192c09",
+    ("1,1,1,1,1,1", 512): "4a76e2c0087cf212e1ba8167517a5222fbc1a9c7a73a8d289daa7569e64cac48",
+}
+
+
+@pytest.mark.parametrize("mu,seeds", FIND_DIGESTS)
+def test_find_output_is_frozen(mu, seeds):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["find", "--mu=" + mu, "--seeds", str(seeds), "--format", "json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIND_DIGESTS[mu, seeds]
 
 
 def _point_set(thetas, mu):
