@@ -8,7 +8,7 @@ systems, and continuation of configurations to positive coupling.
 import importlib
 
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
-from vortexre.groebner import GroebnerBasis, Ideal, buchberger, elimination_ideal
+from vortexre.groebner import GroebnerBasis, buchberger, elimination_ideal
 from vortexre.halfangle import (
     HalfAngleSystem,
     back_transform,
@@ -81,7 +81,6 @@ __all__ = [
     "GroebnerBasis",
     "HalfAngleSystem",
     "HelioConfig",
-    "Ideal",
     "InfiniteVarietyError",
     "MonomialOrder",
     "MultiPoly",

@@ -85,6 +85,19 @@ def _parse_weights(text):
         raise UsageError(f"bad weights {text!r}: {exc}") from None
 
 
+def _polygon_weights(args):
+    """The --polygon count of copies of the one scalar --mu."""
+    from vortexre.potential import CirculationWeights
+
+    scalars = _parse_floats(args.mu)
+    if len(scalars) != 1:
+        raise UsageError("--polygon takes a single scalar --mu")
+    try:
+        return CirculationWeights((scalars[0],) * args.polygon)
+    except ValueError as exc:
+        raise UsageError(f"bad weights {args.mu!r}: {exc}") from None
+
+
 def _write_output(text, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -319,11 +332,8 @@ def cmd_continue(args):
     from vortexre.potential import AngularConfig, CirculationWeights
 
     if args.polygon is not None:
-        scalars = _parse_floats(args.mu)
-        if len(scalars) != 1:
-            raise UsageError("--polygon takes a single scalar --mu")
+        mu = _polygon_weights(args)
         count = args.polygon
-        mu = CirculationWeights((scalars[0],) * count)
         start = AngularConfig(tuple(2.0 * math.pi * k / count for k in range(count)))
         check_start = False
     else:
@@ -458,10 +468,7 @@ def cmd_simulate(args):
     )
 
     if args.polygon is not None:
-        scalars = _parse_floats(args.mu)
-        if len(scalars) != 1:
-            raise UsageError("--polygon takes a single scalar --mu")
-        config = polygon_family(args.polygon, scalars[0], args.eps)
+        config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
     else:
         mu = _parse_weights(args.mu)
         if not args.start_angles:
@@ -506,11 +513,13 @@ def cmd_simulate(args):
 
 _FLAGS = {
     "--tol-grad": dict(type=_positive_float, default=1e-10,
-                       help="gradient tolerance for critical points"),
+                       help="gradient tolerance for critical points, relative "
+                            "to the product of the two largest |mu|"),
     "--tol-newton": dict(type=_positive_float, default=1e-12,
                          help="residual tolerance for the full-system solver"),
     "--tol-zero-eig": dict(type=_positive_float, default=1e-8,
-                           help="threshold for treating an eigenvalue as zero"),
+                           help="relative threshold for treating an eigenvalue "
+                                "as zero"),
     "--seeds": dict(type=_positive_int, default=4096,
                     help="number of lattice seeds for the search"),
     "--out": dict(default=None, help="output file path"),

@@ -107,7 +107,7 @@ def hamiltonian(positions, circulations=None):
     return float(-(g[i] * g[j] * np.log(dist2[i, j])).sum() / 2.0)
 
 
-def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10, t_eval=None):
+def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10):
     """Integrate the full system with an adaptive embedded Runge-Kutta pair."""
     from scipy.integrate import solve_ivp  # slow to import; only integration needs it
 
@@ -118,7 +118,7 @@ def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10, t_eval=None):
         return vortex_field(y.reshape(n, 2), g).ravel()
 
     sol = solve_ivp(rhs, (0.0, t_final), config.array.ravel(),
-                    rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False)
+                    rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
     return sol.t, sol.y.T.reshape(len(sol.t), n, 2)
@@ -468,22 +468,17 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
                              failure=failure, start=config)
 
 
-def corotating_drift(config, periods=1.0, rtol=1e-10, atol=1e-10, final=None):
-    """Drift after integrating a relative equilibrium for full periods.
+def corotating_drift(config, final, periods=1.0):
+    """Drift of a relative equilibrium after integrating it for full periods.
 
     The exact solution rotates rigidly about the center of vorticity at
     rate omega, so after rotating back the final state should match the
     initial one; the returned number is the max position mismatch.
-    `final` is the planar state at t = 2*pi*periods/omega when the caller
-    has already integrated that span; without it the span is integrated
-    here.
+    `final` is the planar state at t = 2*pi*periods/omega, as
+    `integrate_vortices` returns it for that span.
     """
     planar = config.to_planar()
     t_final = 2.0 * math.pi * periods / config.omega
-    if final is None:
-        _, states = integrate_vortices(planar, t_final, rtol=rtol, atol=atol,
-                                       t_eval=[t_final])
-        final = states[-1]
     a = -config.omega * t_final
     c, s = math.cos(a), math.sin(a)
     R = np.array([[c, -s], [s, c]])

@@ -26,7 +26,6 @@ class QuotientBasis:
     """Monomials outside the leading-term staircase, ascending in the order."""
 
     ring: object
-    order: object
     monomials: tuple
 
     def __len__(self):
@@ -89,7 +88,7 @@ def quotient_basis(gb):
     nvars = ring.nvars
     unit = (0,) * nvars
     if unit in lms:
-        return QuotientBasis(ring, gb.order, ())
+        return QuotientBasis(ring, ())
     bounds = []
     for i in range(nvars):
         pure = [
@@ -108,8 +107,8 @@ def quotient_basis(gb):
         for m in itertools.product(*(range(b) for b in bounds))
         if not any(_kernels.monomial_divides(lm, m) for lm in lms)
     ]
-    basis.sort(key=gb.order.key)
-    return QuotientBasis(ring, gb.order, tuple(basis))
+    basis.sort(key=ring.order.key)
+    return QuotientBasis(ring, tuple(basis))
 
 
 class _Traces:
@@ -139,7 +138,7 @@ class _Traces:
         if nf is None:
             lower = [(k, m[:k] + (e - 1,) + m[k + 1:]) for k, e in enumerate(m) if e]
             if not lower or any(p in self._in_basis for _, p in lower):
-                r = normal_form(self.gb.ring.monomial(m), self.gb.polys, self.gb.order)
+                r = normal_form(self.gb.ring.monomial(m), self.gb.polys)
                 nf = r.terms
             else:
                 k, p = lower[0]
@@ -231,9 +230,10 @@ def signature_and_rank(H):
     return RootCount(real_distinct=sum(signs), complex_distinct=len(signs))
 
 
-def count_real_roots(system, order=None):
-    """Distinct real/complex root counts of a zero-dimensional system."""
-    gb = buchberger(system, order)
+def count_real_roots(system):
+    """Distinct real/complex root counts of a zero-dimensional system,
+    computed under the order of the system's ring."""
+    gb = buchberger(system)
     basis = quotient_basis(gb)
     if not len(basis):
         return RootCount(real_distinct=0, complex_distinct=0)

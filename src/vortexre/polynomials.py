@@ -2,8 +2,10 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero ``Rational``
 coefficients, attached to a ``PolynomialRing`` that fixes the variable
-names and the monomial order.  The heavy term-map operations live in
-``vortexre._kernels``.
+names and the monomial order.  The ring is the only holder of the order:
+arithmetic takes operands from one ring (the same object, or equal
+variables and order) and raises ``ValueError`` otherwise.  The heavy
+term-map operations live in ``vortexre._kernels``.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ class PolynomialRing:
     def with_order(self, order):
         """Same variables, different monomial order."""
         return PolynomialRing(self.variables, order)
+
+    def check(self, polys):
+        """Raise ValueError unless every polynomial lies in this ring."""
+        for p in polys:
+            if p.ring is not self and p.ring != self:
+                raise ValueError(f"polynomials from different rings: {self!r} and {p.ring!r}")
 
     def zero(self):
         return MultiPoly(self, {})
@@ -206,8 +214,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring.variables != self.ring.variables:
-                raise ValueError("polynomials from different rings")
+            self.ring.check((other,))
             return other
         if isinstance(other, (int, Rational)):
             return self.ring.constant(other)

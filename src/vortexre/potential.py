@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +39,11 @@ class CirculationWeights:
             raise ValueError("weights must be nonzero")
         if not all(map(math.isfinite, self.mu)):
             raise ValueError("weights must be finite")
-        a, b = sorted(map(abs, self.mu))[-2:]
-        if not math.isfinite(a * b):
+        size = sorted(map(abs, self.mu))
+        if not math.isfinite(size[-2] * size[-1]):
             raise ValueError("products of weights must be finite")
+        if size[0] * size[1] < sys.float_info.min:
+            raise ValueError("products of weights must not underflow")
 
     @classmethod
     def parse(cls, text):
@@ -120,6 +123,17 @@ def _weights(mu):
     if isinstance(mu, CirculationWeights):
         return mu.array
     return CirculationWeights(tuple(mu)).array
+
+
+def _scales(w):
+    """(m, sigma): the largest |mu| and the product of the two largest.
+
+    V, its gradient and its Hessian scale with the products mu_i mu_j, so
+    their tolerances are relative to sigma; the weighted Hessian
+    diag(1/mu) V'' scales with mu, so its tolerances are relative to m.
+    """
+    a, b = np.sort(np.abs(w))[-2:]
+    return b, a * b
 
 
 def _diagonals(a):
@@ -288,7 +302,9 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
     rotational one are counted on the quotient by (1,...,1), so weights
     summing to zero, whose rotational zero is defective, count two.  The
     extremal type describes V restricted transverse to rotation, so
-    "minimum" means a minimum modulo the rotational symmetry.
+    "minimum" means a minimum modulo the rotational symmetry.  The
+    tolerances are relative to the weight scale (see `_scales`), so mu and
+    s*mu get the same report.
     """
     theta = _angles(config)
     w = _weights(mu)
@@ -297,16 +313,19 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
     if report is None:
         gnorm = float(np.abs(_gradient(table, w)).max())
         raise NotACriticalPointError(
-            f"gradient infinity-norm {gnorm:.3e} exceeds tolerance {tol_grad:.1e}"
+            f"gradient infinity-norm {gnorm:.3e} exceeds tolerance "
+            f"{tol_grad * _scales(w)[1]:.1e}"
         )
     return report
 
 
 def _classify(table, w, tol_grad, tol_zero):
     """`classify` for every row of a pair table at once: one report per
-    row, None where the gradient infinity-norm is not below tol_grad."""
+    row, None where the gradient infinity-norm is not below tol_grad
+    times sigma (see `_scales`)."""
+    m, sigma = _scales(w)
     gnorm = np.abs(_gradient(table, w)).max(axis=1)
-    critical = np.flatnonzero(gnorm < tol_grad)
+    critical = np.flatnonzero(gnorm < tol_grad * sigma)
     reports = [None] * len(gnorm)
     if not len(critical):
         return reports
@@ -318,20 +337,20 @@ def _classify(table, w, tol_grad, tol_zero):
     weighted = np.take_along_axis(weighted, order, axis=1)
     size = np.abs(weighted)
 
-    zero_tol = tol_zero * np.maximum(1.0, size.max(axis=1))[:, None]
+    zero_tol = tol_zero * np.maximum(m, size.max(axis=1))[:, None]
     # W kills (1,...,1); count the rotational zero once and the rest on the
     # quotient by it, where a zero-sum weight vector's 2x2 Jordan block at
     # zero leaves a single, well-conditioned zero instead of a split pair
     quotient = np.linalg.eigvals(W[:, 1:, 1:] - W[:, 0:1, 1:])
     zero_count = 1 + (np.abs(quotient) < zero_tol).sum(axis=1)
     real_positive = (weighted.real > zero_tol) & (
-        np.abs(weighted.imag) < tol_zero * np.maximum(1.0, size)
+        np.abs(weighted.imag) < tol_zero * np.maximum(m, size)
     )
     stable = (real_positive | (size < zero_tol)).all(axis=1)
 
     Q = _rotation_complement_basis(len(w))
     restricted = np.linalg.eigvalsh(Q.T @ H @ Q)
-    h_tol = tol_zero * np.maximum(1.0, np.abs(hessian_eigs).max(axis=1))[:, None]
+    h_tol = tol_zero * np.maximum(sigma, np.abs(hessian_eigs).max(axis=1))[:, None]
     flat = (np.abs(restricted) < h_tol).any(axis=1)
     positive = (restricted > 0).all(axis=1)
     negative = (restricted < 0).all(axis=1)

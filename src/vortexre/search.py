@@ -5,8 +5,14 @@ deterministic low-discrepancy lattice of seeds as one batch, deduplicate
 modulo rotation through a hash of the converged points, classify the
 survivors as one batch, and group them into families related by
 weight-preserving relabelings, reflection, and rotation through a
-canonical key.  Completeness is certified separately by the exact root
-count on the half-angle system, not by seed density.
+canonical key.  Tolerances are relative to the weight scale, so weights
+mu and s*mu give the same catalogue.
+
+Nothing proves a catalogue complete: seeds can miss critical points,
+and `find` is not checked against the exact count of `certify`.  What is
+checked is the Morse identity: with weights of one sign, `find` sums
+(-1)^index over the catalogue, compares the sum with (N-1)!, and warns
+on stderr when they differ.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from vortexre.potential import (
     _gradient,
     _hessian,
     _pair_table,
+    _scales,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -132,12 +139,14 @@ def _polish(seeds, w, tol_grad, max_iter=50):
     a collision at the iterate fails it; a zero gradient, a non-finite
     step, or a step that 12 halvings cannot make strictly lower the
     gradient infinity-norm ends it; otherwise it stops after max_iter
-    steps.  A row converged once its gradient norm fell below tol_grad.
-    Rows keep stepping past tol_grad while steps still help, so accepted
+    steps.  A row converged once its gradient norm fell below tol_grad
+    times the product of the two largest |mu|, the scale of the gradient.
+    Rows keep stepping past that while steps still help, so accepted
     points sit at the numerical floor rather than just under the
     tolerance.  Trials are taken modulo 2*pi, so an accepted trial is the
     next iterate, and its pair table and gradient serve that iterate.
     """
+    tol = tol_grad * _scales(w)[1]
     x = np.array(seeds, dtype=float)
     converged = np.zeros(len(x), dtype=bool)
     collided = np.zeros(len(x), dtype=bool)
@@ -150,7 +159,7 @@ def _polish(seeds, w, tol_grad, max_iter=50):
         hit = np.isnan(g[:, 0])
         collided[rows[hit]] = True
         gnorm = np.abs(g).max(axis=1)
-        converged[rows[gnorm < tol_grad]] = True
+        converged[rows[gnorm < tol]] = True
         go = ~hit & (gnorm != 0.0)
         rows, table, g, gnorm = rows[go], table[:, go], g[go], gnorm[go]
         step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g)

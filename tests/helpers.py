@@ -3,8 +3,9 @@
 Everything here is deliberately implemented from first principles —
 Sturm chains, finite differences, brute-force root searches — so the
 library is checked against code that shares none of its internals.  The
-one exception is the reference trace form, which reduces with the
-library's `normal_form` but takes none of the trace-matrix shortcuts.
+exceptions are Buchberger's criterion and the reference trace form: both
+reduce with the library's `normal_form`, and the trace form takes none of
+the trace-matrix shortcuts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import add
 
 import numpy as np
 
-from vortexre.groebner import normal_form
+from vortexre.groebner import normal_form, s_polynomial
 
 
 # -- univariate Sturm-chain real-root counting --------------------------------
@@ -582,6 +583,15 @@ def reference_full_system_stability(config, tol=1e-6):
         return dynamics.full_system_stability(config, tol)
 
 
+# -- Groebner oracle --------------------------------------------------------
+
+def is_groebner_basis(polys):
+    """Buchberger's criterion: every S-polynomial reduces to zero."""
+    polys = list(polys)
+    return all(normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero()
+               for j in range(len(polys)) for i in range(j))
+
+
 # -- reference trace form ---------------------------------------------------
 # The straightforward trace-form engine: every trace Tr(M_m) reduces each
 # product m*b anew, and the signature comes from Fraction row and
@@ -594,7 +604,7 @@ def reference_trace_monomial(m, gb, basis, cache):
         mb = tuple(map(add, m, b))
         nf = cache.get(mb)
         if nf is None:
-            nf = cache[mb] = normal_form(gb.ring.monomial(mb), gb.polys, gb.order).terms
+            nf = cache[mb] = normal_form(gb.ring.monomial(mb), gb.polys).terms
         total += nf.get(b, 0)
     return total
 

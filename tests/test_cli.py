@@ -1,5 +1,6 @@
 """End-to-end command-line interface behaviour."""
 
+import hashlib
 import json
 import math
 import os
@@ -131,6 +132,31 @@ def test_certify_symmetry_case_generators_exactly(capsys):
         assert code == 0
         tail = out.split("weight condition after eliminating r:")[1].strip()
         assert tail.splitlines()[0].strip() == generator
+
+
+# sha256 of stdout, recorded before the monomial order moved into the ring;
+# certify runs the elimination ideal, printed in its elimination ring
+SYMMETRY_CASE_DIGESTS = {
+    ("certify", "1", "json"): "bc165ba4a247c8da5d1d9de7b4adb883213f9d3b7579bb060d7f8db402f58f5f",
+    ("certify", "1", "table"): "3662153f9d53a3506533e786ea204e12d4e2b407d4570691c33c77127a232a41",
+    ("certify", "2", "json"): "0dd9d38930401577c3e4cc47a96eb597e7e28678aaeefc617545d78402fde571",
+    ("certify", "2", "table"): "b1f7b339b236b613e81a5ed22d8dc7dd25e6bc4d72ee482fa1d77cbb276b202b",
+    ("certify", "3", "json"): "146e98a99a194be71767a312b38e47b5905bd6c38402d9e5108c0f07257bc240",
+    ("certify", "3", "table"): "5ec123de6bea2db138317a06a915151b4c0223e3a85be0dae5b3e532d8521b79",
+    ("build-system", "1", "json"): "9eb80b4c924e5d7682cd373f5664fb18d5c88a9cebedb678434d2157ba4f2202",
+    ("build-system", "1", "table"): "1eb409070866dcc9bf21780f84e841fe0952dd8fd9faeeb207518a58944a9b92",
+    ("build-system", "2", "json"): "f429d1d08f842e42ea596c9cc5e8372854174968efcaad28f8b58c2252cdc9aa",
+    ("build-system", "2", "table"): "adc1967c6e09a0071998907335e6def6af366e63797a411c5a7cc34090c6d7da",
+    ("build-system", "3", "json"): "626c4cdb446bbd8559ebdc0ec305c1c264e0dc991e39d441cc7375d67ce40e7e",
+    ("build-system", "3", "table"): "42685277d62000448cd32883e075a918997bc65bd3237dbc8000adee53e8af26",
+}
+
+
+@pytest.mark.parametrize("command,case,fmt", SYMMETRY_CASE_DIGESTS)
+def test_symmetry_case_output_is_frozen(capsys, command, case, fmt):
+    code, out, err = run(capsys, command, "--symmetry-case", case, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRY_CASE_DIGESTS[command, case, fmt]
 
 
 def test_certify_json_format(capsys):
@@ -466,6 +492,14 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
      "is not finite"),
     (["continue", "--polygon", "4", "--mu", "inf", "--eps", "0.01"], "is not finite"),
     (["simulate", "--polygon", "3", "--mu", "nan", "--eps", "0.05"], "is not finite"),
+    # weights whose products underflow, and --polygon weights out of range
+    (["find", "--mu=1e-170,1e-170,1e-170"], "products of weights must not underflow"),
+    (["continue", "--polygon", "4", "--mu", "1e200", "--eps", "0.01"],
+     "products of weights must be finite"),
+    (["continue", "--polygon", "4", "--mu", "1e-170", "--eps", "0.01"],
+     "products of weights must not underflow"),
+    (["simulate", "--polygon", "3", "--mu", "1e-170", "--eps", "0.05"],
+     "products of weights must not underflow"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -441,7 +441,9 @@ def test_strong_vortex_offset_scales_with_epsilon():
 
 def test_continued_equilibrium_corotates(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.05, step=0.01)
-    assert corotating_drift(trace.final.config, periods=0.5) < 1e-6
+    config = trace.final.config
+    _, states = integrate_vortices(config.to_planar(), math.pi / config.omega)
+    assert corotating_drift(config, states[-1], periods=0.5) < 1e-6
 
 
 def test_helio_round_trips():

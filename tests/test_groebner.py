@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import (
+    is_groebner_basis,
     lines_to_multipoly,
     random_line_arrangement,
     random_multipoly,
@@ -12,9 +13,7 @@ from helpers import (
 from vortexre.groebner import (
     buchberger,
     elimination_ideal,
-    is_groebner_basis,
     normal_form,
-    reduce,
     s_polynomial,
 )
 from vortexre.polynomials import MonomialOrder, PolynomialRing
@@ -27,24 +26,7 @@ def lex_ring():
 
 def test_division_single_divisor(lex_ring):
     x, y = lex_ring.gens()
-    quotients, remainder = reduce(x * x * y, [x - y])
-    assert remainder == y**3
-    assert quotients[0] * (x - y) + remainder == x * x * y
-
-
-def test_division_identity_holds_exactly(lex_ring):
-    rng = seeded(11)
-    for _ in range(25):
-        p = random_multipoly(lex_ring, rng)
-        divisors = [random_multipoly(lex_ring, rng) for _ in range(2)]
-        divisors = [d for d in divisors if not d.is_zero()]
-        if not divisors:
-            continue
-        quotients, remainder = reduce(p, divisors)
-        recombined = remainder
-        for q, d in zip(quotients, divisors):
-            recombined = recombined + q * d
-        assert recombined == p
+    assert normal_form(x * x * y, [x - y]) == y**3
 
 
 def test_remainder_has_no_reducible_term(lex_ring):
@@ -54,7 +36,7 @@ def test_remainder_has_no_reducible_term(lex_ring):
         divisors = [d for d in (random_multipoly(lex_ring, rng),) if not d.is_zero()]
         if not divisors:
             continue
-        _, remainder = reduce(p, divisors)
+        remainder = normal_form(p, divisors)
         lead = divisors[0].leading_monomial()
         for mono in remainder.terms:
             assert any(m < lm for m, lm in zip(lead, mono)) or not all(
@@ -117,7 +99,7 @@ def test_produced_bases_pass_buchberger_criterion():
     for _ in range(8):
         gens = [random_multipoly(ring, rng, max_terms=3, max_deg=2) for _ in range(3)]
         gb = buchberger(gens)
-        assert is_groebner_basis(gb.polys, gb.order)
+        assert is_groebner_basis(gb.polys)
         # every S-polynomial reduces to zero modulo the basis
         for i in range(len(gb.polys)):
             for j in range(i + 1, len(gb.polys)):
@@ -127,7 +109,7 @@ def test_produced_bases_pass_buchberger_criterion():
 
 def test_incomplete_generating_set_detected(lex_ring):
     x, y = lex_ring.gens()
-    assert not is_groebner_basis([x * x + y * y - lex_ring.one(), x - y], lex_ring.order)
+    assert not is_groebner_basis([x * x + y * y - lex_ring.one(), x - y])
 
 
 def test_reduced_basis_is_canonical():
@@ -152,21 +134,51 @@ def test_membership(lex_ring):
     x, y = lex_ring.gens()
     gb = buchberger([x * x + y * y - lex_ring.one(), x - y])
     member = (x * x + y * y - lex_ring.one()) * (x + y) + (x - y) * y**5
-    assert gb.contains(member)
-    assert not gb.contains(lex_ring.one())
-    assert not gb.contains(x + lex_ring.constant(17))
+    assert gb.normal_form(member).is_zero()
+    assert not gb.normal_form(lex_ring.one()).is_zero()
+    assert not gb.normal_form(x + lex_ring.constant(17)).is_zero()
 
 
 def test_basis_reduces_under_its_own_order():
-    # x from a degrevlex ring, reduced by an elimination basis: x - y^2 has
-    # leading term x there, so the remainder is y^2, not x
+    # x from a degrevlex ring, reduced by a basis in an elimination ring:
+    # x - y^2 has leading term x there, so the remainder is y^2, not x
     ring = PolynomialRing(("x", "y"))
     x, y = ring.gens()
-    gb = buchberger([y**3 - ring.one(), x - y**2], MonomialOrder.elimination(1))
+    elim = ring.with_order(MonomialOrder.elimination(1))
+    gb = buchberger([elim.parse("y^3 - 1"), elim.parse("x - y^2")])
+    assert gb.ring == elim and gb.order == elim.order
     assert gb.normal_form(x) == y**2
-    assert gb.normal_form(x) == normal_form(x, gb.polys, gb.order)
-    assert gb.contains(x**3 - ring.one())
-    assert not gb.contains(x - y)
+    assert gb.normal_form(x).ring is elim
+    assert gb.normal_form(x) == normal_form(elim.parse("x"), gb.polys)
+    assert gb.normal_form(x**3 - ring.one()).is_zero()
+    assert not gb.normal_form(x - y).is_zero()
+    with pytest.raises(ValueError):
+        gb.normal_form(PolynomialRing(("x", "z")).parse("x"))
+
+
+def test_polynomials_from_two_orders_are_refused():
+    # same variables, different orders: every call that takes polynomials
+    # from both rings refuses them instead of picking one order
+    ring = PolynomialRing(("x", "y"))
+    elim = ring.with_order(MonomialOrder.elimination(1))
+    f, g = ring.parse("x - y^2"), elim.parse("y^3 - 1")
+    with pytest.raises(ValueError):
+        buchberger([f, g])
+    with pytest.raises(ValueError):
+        buchberger([g, f])
+    with pytest.raises(ValueError):
+        normal_form(f, [g])
+    with pytest.raises(ValueError):
+        s_polynomial(f, g)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(f, g)
+        with pytest.raises(ValueError):
+            op(g, f)
+    # an equal ring built anew is the same ring
+    again = PolynomialRing(("x", "y"))
+    assert str(normal_form(f, [again.parse("x - y^2")])) == "0"
+    assert f + again.parse("y^2") == ring.parse("x")
 
 
 def test_normal_form_is_linear(lex_ring):
@@ -212,6 +224,19 @@ def test_elimination_can_be_empty():
     assert not elimination_ideal([x - y], ["x"]).polys
 
 
+def test_empty_elimination_basis_keeps_its_ring():
+    ring = PolynomialRing(("x", "y"))
+    x, y = ring.gens()
+    empty = elimination_ideal([x - y], ["x"])
+    full = elimination_ideal([x - y, y * y - ring.one()], ["x"])
+    assert [str(g) for g in full] == ["y^2 - 1"]
+    assert empty.ring == full.ring
+    assert empty.ring.variables == ("x", "y")
+    assert empty.order == MonomialOrder.elimination(1, priority=(0, 1))
+    assert empty.normal_form(y * y).ring is empty.ring
+    assert str(empty.normal_form(y * y - x)) == "-x + y^2"
+
+
 def test_elimination_output_avoids_eliminated_variables():
     rng = seeded(19)
     ring = PolynomialRing(("x", "y", "z"))
@@ -232,14 +257,14 @@ def test_elimination_matches_lex_route():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        block = elimination_ideal(gens, ["x"]).polys
+        block = elimination_ideal(gens, ["x"])
         lex_gb = buchberger([lex_ring.parse(str(g)) for g in gens])
         lex_kept = [g for g in lex_gb.polys if "x" not in g.variables_used()]
         assert len(block) == len(lex_kept)
         for b in block:
             assert normal_form(lex_ring.parse(str(b)), lex_kept).is_zero()
         for k in lex_kept:
-            assert normal_form(ring.parse(str(k)), list(block)).is_zero()
+            assert normal_form(block.ring.parse(str(k)), list(block)).is_zero()
 
 
 def test_elimination_vanishes_on_projected_roots():

@@ -315,6 +315,12 @@ def test_weights_parse_and_validate():
             CirculationWeights.parse(text)
     # one huge weight is fine while every product of two stays finite
     assert CirculationWeights.parse("1e200,1,1").mu[0] == 1e200
+    # products below the smallest normal float lose the weight ratios
+    for text in ("1e-170,1e-170,1e-170", "1e-200,1e-200,1", "1e-160,1e-160", "1e-300,1e-10,1"):
+        with pytest.raises(ValueError, match="underflow"):
+            CirculationWeights.parse(text)
+    # one tiny weight is fine while every product of two stays normal
+    assert CirculationWeights.parse("1e-300,1e10,1").mu[0] == 1e-300
 
 
 def test_angular_config_normalization():

@@ -341,6 +341,21 @@ FIND_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("base", [(1, 1, 1), (2, -1, 3), (2, 1, 9), (1, 2, 3, 4)])
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e3, 1e6])
+def test_catalogue_does_not_depend_on_the_weight_scale(base, scale):
+    # V scales with mu_i mu_j, so the critical set and every verdict depend
+    # only on the weight ratios
+    unit = find_all_critical_points(base, seeds=1024)
+    scaled = find_all_critical_points(tuple(scale * m for m in base), seeds=1024)
+    assert len(scaled) == len(unit)
+    assert group_into_families(scaled) == group_into_families(unit)
+    for p, q in zip(scaled, unit):
+        assert np.abs(np.subtract(p.config.theta, q.config.theta)).max() < 1e-14
+        assert (p.report.verdict, p.report.extremal_type, p.report.zero_count) == (
+            q.report.verdict, q.report.extremal_type, q.report.zero_count)
+
+
 @pytest.mark.parametrize("mu,seeds", FIND_DIGESTS)
 def test_find_output_is_frozen(mu, seeds):
     out = io.StringIO()
