@@ -24,7 +24,6 @@ from vortexre.hermite import (
     signature_and_rank,
 )
 from vortexre.polynomials import MonomialOrder, MultiPoly, PolynomialRing
-from vortexre.rationals import Rational, rational
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "ContinuationTrace": "dynamics",
     "HelioConfig": "dynamics",
-    "PlanarConfig": "dynamics",
     "continue_family": "dynamics",
     "full_system_stability": "dynamics",
     "newton_solve": "dynamics",
@@ -71,48 +69,26 @@ def backend_info():
     return {"kernels": "pure", "rationals": "fractions"}
 
 
-__all__ = [
-    "AngularConfig",
-    "CirculationWeights",
+__all__ = sorted([
     "CollisionError",
-    "ContinuationTrace",
     "ConvergenceError",
-    "CriticalPointSet",
     "GroebnerBasis",
     "HalfAngleSystem",
-    "HelioConfig",
     "InfiniteVarietyError",
     "MonomialOrder",
     "MultiPoly",
     "NotACriticalPointError",
-    "PlanarConfig",
     "PolynomialRing",
-    "Rational",
     "RootCount",
-    "StabilityReport",
     "back_transform",
     "backend_info",
     "buchberger",
     "build_equal_weight_system",
     "build_symmetry_case_system",
-    "classify",
-    "continue_family",
     "count_real_roots",
     "elimination_ideal",
-    "find_all_critical_points",
-    "full_system_stability",
-    "group_into_families",
     "hermite_matrix",
-    "newton_solve",
-    "polygon_family",
-    "potential_gradient",
-    "potential_hessian",
-    "potential_value",
     "quotient_basis",
-    "rational",
-    "re_residual",
     "signature_and_rank",
-    "symmetry_check",
-    "vortex_field",
-    "weighted_hessian",
-]
+    *_LAZY,
+])

@@ -47,10 +47,6 @@ def monomial_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def monomial_degree(a):
-    return sum(a)
-
-
 # -- monomial orders ---------------------------------------------------------
 
 def _grevlex_key(e):
@@ -97,14 +93,6 @@ def _keys(spec):
 def order_key(spec, e):
     """Sort key for a monomial; key comparison realizes the order."""
     return _keys(spec)[e]
-
-
-def compare(spec, a, b):
-    """-1, 0, or 1 as a <, =, > b under the order."""
-    keys = _keys(spec)
-    ka = keys[a]
-    kb = keys[b]
-    return (ka > kb) - (ka < kb)
 
 
 def leading_monomial(terms, spec):

@@ -254,9 +254,7 @@ def cmd_certify(args):
         if args.show_basis:
             payload["groebner_basis"] = [str(p) for p in gb]
         if args.show_matrix:
-            payload["hermite_matrix"] = [
-                [str(H[i, j]) for j in range(H.dimension)]
-                for i in range(H.dimension)]
+            payload["hermite_matrix"] = [[str(c) for c in row] for row in H]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
@@ -270,9 +268,8 @@ def cmd_certify(args):
             lines += [f"  {i+1}: {p}" for i, p in enumerate(gb)]
             lines.append("leading terms: " + ", ".join(leading))
         if args.show_matrix:
-            lines.append(f"trace-form matrix ({H.dimension}x{H.dimension}):")
-            lines += ["  " + " ".join(str(H[i, j]) for j in range(H.dimension))
-                      for i in range(H.dimension)]
+            lines.append(f"trace-form matrix ({len(H)}x{len(H)}):")
+            lines += ["  " + " ".join(map(str, row)) for row in H]
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
     return 0
@@ -308,20 +305,37 @@ def _select_start(args, mu):
     return points[0].config
 
 
-def _snapshot_records(trace, snapshots, start, mu):
-    from vortexre.dynamics import HelioConfig
+def _snapshot_schedule(args):
+    """[(eps as given, schedule eps)] for each --snapshots value.
 
+    The schedule is eps = 0 (the start) and the steps of the walk.
+    """
+    from vortexre.dynamics import _epsilon_schedule
+
+    schedule = [0.0]
+    if args.eps_max > 0.0:
+        schedule += _epsilon_schedule(args.eps_max, args.step)
     out = []
-    for eps in snapshots:
-        if eps == 0.0:
-            cfg = HelioConfig.from_critical_point(start, mu, 0.0)
-            out.append((0.0, cfg.to_dict()))
-            continue
-        hit = [rec for rec in trace.records if abs(rec.epsilon - eps) < 1e-9]
+    for eps in _parse_floats(args.snapshots):
+        hit = [s for s in schedule if abs(s - eps) < 1e-9]
         if not hit:
             raise UsageError(
                 f"snapshot eps={eps:g} is not on the continuation schedule")
-        out.append((eps, hit[0].config.to_dict()))
+        out.append((eps, hit[0]))
+    return out
+
+
+def _snapshot_records(trace, snapshots, start, mu):
+    """(eps, configuration dict) for each snapshot the walk reached."""
+    from vortexre.dynamics import HelioConfig
+
+    reached = {rec.epsilon: rec.config for rec in trace.records}
+    out = []
+    for eps, on_schedule in snapshots:
+        if on_schedule == 0.0:
+            out.append((0.0, HelioConfig.from_critical_point(start, mu, 0.0).to_dict()))
+        elif on_schedule in reached:
+            out.append((eps, reached[on_schedule].to_dict()))
     return out
 
 
@@ -331,6 +345,7 @@ def cmd_continue(args):
     from vortexre.dynamics import ContinuationTrace, continue_family
     from vortexre.potential import AngularConfig, CirculationWeights
 
+    snapshots = _snapshot_schedule(args) if args.snapshots else []
     if args.polygon is not None:
         mu = _polygon_weights(args)
         count = args.polygon
@@ -344,7 +359,7 @@ def cmd_continue(args):
         start = _select_start(args, mu)
         check_start = True
     if args.eps_max == 0.0:
-        trace = ContinuationTrace(records=(), mu=mu, failure=None, start=start)
+        trace = ContinuationTrace(records=(), mu=mu)
     else:
         trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
                                 tol=args.tol_newton, check_start=check_start)
@@ -359,10 +374,9 @@ def cmd_continue(args):
     else:
         text = _csv_text(rows)
     _write_output(text, args.out)
-    if args.snapshots:
-        snaps = _snapshot_records(trace, _parse_floats(args.snapshots), start, mu)
+    if snapshots:
         base = args.out.rsplit(".", 1)[0] if args.out else "trace"
-        for eps, record in snaps:
+        for eps, record in _snapshot_records(trace, snapshots, start, mu):
             path = f"{base}_eps{eps:g}.svg"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(render_configuration_svg(record))
@@ -484,16 +498,14 @@ def cmd_simulate(args):
         if args.polish:
             config = newton_solve(config, tol=args.tol_newton)
     residual = float(np.abs(re_residual(config)).max())
-    planar = config.to_planar()
-    t_final = 2.0 * math.pi * args.periods / config.omega
-    times, states = integrate_vortices(planar, t_final, rtol=args.rtol,
-                                       atol=args.rtol)
-    h0 = hamiltonian(planar)
-    h1 = hamiltonian(states[-1], planar.circulations)
-    g = np.asarray(planar.circulations)
-    imp0 = (g[:, None] * planar.array).sum(axis=0)
+    q, g = config.to_planar()
+    t_final = 2.0 * math.pi * args.periods
+    times, states = integrate_vortices(q, g, t_final, args.rtol)
+    h0 = hamiltonian(q, g)
+    h1 = hamiltonian(states[-1], g)
+    imp0 = (g[:, None] * q).sum(axis=0)
     imp1 = (g[:, None] * states[-1]).sum(axis=0)
-    drift = corotating_drift(config, periods=args.periods, final=states[-1])
+    drift = corotating_drift(q, states[-1], t_final)
     lines = [
         f"relative-equilibrium residual: {residual:.3e}",
         f"hamiltonian drift over {args.periods:g} periods: {abs(h1-h0):.3e}",
@@ -552,13 +564,14 @@ def build_parser():
 
     p = subs.add_parser("certify",
                         help="exact real-root count for integer weights")
-    p.add_argument("--mu", help="comma-separated integer weights")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--mu", help="comma-separated integer weights")
+    source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
+                        help="eliminate r from the chosen symmetric-configuration case")
     p.add_argument("--show-basis", action="store_true",
                    help="print the reduced basis and leading terms")
     p.add_argument("--show-matrix", action="store_true",
                    help="print the exact trace-form matrix")
-    p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
-                   help="eliminate r from the chosen symmetric-configuration case")
     _flags(p, "--out")
     _format_flag(p, "json", "table")
     p.set_defaults(func=cmd_certify)
@@ -569,13 +582,14 @@ def build_parser():
                    help="weights (or a single scalar with --polygon)")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the weights to unit Euclidean norm")
-    p.add_argument("--start-angles", help="explicit starting angles")
-    p.add_argument("--point-index", type=int,
-                   help="index into the deterministic find ordering")
-    p.add_argument("--select",
-                   help="pick the first point matching e.g. 'stable' or 'stable saddle'")
-    p.add_argument("--polygon", type=_polygon_count,
-                   help="regular polygon mode with this many equal vortices")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--start-angles", help="explicit starting angles")
+    start.add_argument("--point-index", type=int,
+                       help="index into the deterministic find ordering")
+    start.add_argument("--select",
+                       help="pick the first point matching e.g. 'stable' or 'stable saddle'")
+    start.add_argument("--polygon", type=_polygon_count,
+                       help="regular polygon mode with this many equal vortices")
     p.add_argument("--eps", "--eps-max", dest="eps_max", type=_nonnegative_float,
                    required=True, help="target coupling strength")
     p.add_argument("--step", type=_positive_float, default=0.005,
@@ -594,9 +608,10 @@ def build_parser():
 
     p = subs.add_parser("build-system",
                         help="print the exact polynomial system for given weights")
-    p.add_argument("--mu", help="comma-separated integer weights")
-    p.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
-                   help="build the symmetric-configuration case system instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--mu", help="comma-separated integer weights")
+    source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
+                        help="build the symmetric-configuration case system instead")
     _flags(p, "--out")
     _format_flag(p, "json", "table")
     p.set_defaults(func=cmd_build_system)
@@ -606,9 +621,10 @@ def build_parser():
     p.add_argument("--mu", required=True,
                    help="weights (or a single scalar with --polygon)")
     p.add_argument("--eps", type=_finite_float, required=True, help="coupling strength")
-    p.add_argument("--start-angles", help="weak-vortex angles")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--start-angles", help="weak-vortex angles")
+    start.add_argument("--polygon", type=_polygon_count, help="regular polygon mode")
     p.add_argument("--radii", help="weak-vortex radii (default all 1)")
-    p.add_argument("--polygon", type=_polygon_count, help="regular polygon mode")
     p.add_argument("--polish", action="store_true",
                    help="Newton-polish the start before integrating")
     p.add_argument("--periods", type=_positive_float, default=1.0)

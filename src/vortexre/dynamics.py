@@ -72,53 +72,35 @@ def _field_jacobian(q, g):
 
 # -- the unreduced system ----------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanarConfig:
-    positions: tuple  # ((x, y), ...) for all vortices, strong first
-    circulations: tuple
+# A planar configuration is the pair of arrays q, shape (n, 2), of all
+# vortex positions, and g, shape (n,), of their circulations.
 
-    def __post_init__(self):
-        q = self.array
-        if len(q) != len(self.circulations):
-            raise ValueError("one circulation per vortex")
-        _pairs(q)
-
-    @property
-    def array(self):
-        return np.asarray(self.positions, dtype=float)
-
-
-def _as_arrays(positions, circulations):
-    if isinstance(positions, PlanarConfig):
-        return positions.array, np.asarray(positions.circulations, dtype=float)
-    return np.asarray(positions, dtype=float), np.asarray(circulations, dtype=float)
-
-
-def vortex_field(positions, circulations=None):
+def vortex_field(q, g):
     """Velocities q_i' = sum_{j != i} Gamma_j (q_i - q_j)^perp / |q_i - q_j|^2."""
-    return _field(*_as_arrays(positions, circulations))
+    return _field(np.asarray(q, dtype=float), np.asarray(g, dtype=float))
 
 
-def hamiltonian(positions, circulations=None):
+def hamiltonian(q, g):
     """Interaction energy -sum_{i<j} Gamma_i Gamma_j log|q_i - q_j|."""
-    q, g = _as_arrays(positions, circulations)
+    q, g = np.asarray(q, dtype=float), np.asarray(g, dtype=float)
     _, dist2 = _pairs(q)
     i, j = np.triu_indices(len(q), 1)
     return float(-(g[i] * g[j] * np.log(dist2[i, j])).sum() / 2.0)
 
 
-def integrate_vortices(config, t_final, rtol=1e-10, atol=1e-10):
-    """Integrate the full system with an adaptive embedded Runge-Kutta pair."""
+def integrate_vortices(q, g, t_final, tol):
+    """Integrate the full system with an adaptive embedded Runge-Kutta pair;
+    tol is both the relative and the absolute tolerance."""
     from scipy.integrate import solve_ivp  # slow to import; only integration needs it
 
-    g = np.asarray(config.circulations, dtype=float)
+    g = np.asarray(g, dtype=float)
     n = len(g)
 
     def rhs(_, y):
         return vortex_field(y.reshape(n, 2), g).ravel()
 
-    sol = solve_ivp(rhs, (0.0, t_final), config.array.ravel(),
-                    rtol=rtol, atol=atol, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, t_final), np.asarray(q, dtype=float).ravel(),
+                    rtol=tol, atol=tol, dense_output=False)
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
     return sol.t, sol.y.T.reshape(len(sol.t), n, 2)
@@ -131,7 +113,6 @@ class HelioConfig:
     Z: tuple  # ((x, y), ...) weak-vortex positions relative to the strong one
     epsilon: float
     mu: CirculationWeights
-    omega: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.mu, CirculationWeights):
@@ -164,12 +145,12 @@ class HelioConfig:
         return HelioConfig(
             Z=tuple(map(tuple, Z)) if Z is not None else self.Z,
             epsilon=self.epsilon if epsilon is None else float(epsilon),
-            mu=self.mu, omega=self.omega)
+            mu=self.mu)
 
     @classmethod
-    def from_vector(cls, vec, epsilon, mu, omega=1.0):
+    def from_vector(cls, vec, epsilon, mu):
         z = np.asarray(vec, dtype=float).reshape(-1, 2)
-        return cls(Z=tuple(map(tuple, z)), epsilon=float(epsilon), mu=mu, omega=omega)
+        return cls(Z=tuple(map(tuple, z)), epsilon=float(epsilon), mu=mu)
 
     @classmethod
     def from_critical_point(cls, config, mu, epsilon):
@@ -189,11 +170,10 @@ class HelioConfig:
         return -(gamma[:, None] * self.array).sum(axis=0) / total
 
     def to_planar(self):
-        """Embed with the center of vorticity at the origin."""
+        """Positions q and circulations g of all vortices, the strong one
+        first, with the center of vorticity at the origin."""
         q0 = self.strong_vortex_offset()
-        positions = [tuple(q0)] + [tuple(z + q0) for z in self.array]
-        circulations = (1.0,) + tuple(self.epsilon * np.asarray(self.mu.mu))
-        return PlanarConfig(positions=tuple(positions), circulations=circulations)
+        return np.vstack([q0, self.array + q0]), _full_system(self)[1]
 
     def to_dict(self):
         return {
@@ -201,15 +181,9 @@ class HelioConfig:
             "radii": [float(r) for r in self.radii],
             "mu": list(self.mu.mu),
             "epsilon": float(self.epsilon),
-            "omega": float(self.omega),
+            "omega": 1.0,  # the frame's rotation rate
             "z0": [float(c) for c in self.strong_vortex_offset()],
         }
-
-
-def rotate_config(config, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    R = np.array([[c, -s], [s, c]])
-    return config.replace(Z=config.array @ R.T)
 
 
 def _full_system(config):
@@ -222,28 +196,28 @@ def _full_system(config):
 def re_residual(config):
     """Rotating-frame velocity of each weak vortex; zero at relative equilibria.
 
-    Row i is v_i - v_0 - omega*J z_i, with v the field of the full system
+    Row i is v_i - v_0 - J z_i, with v the field of the full system
     (0, z_1..z_N), (1, eps*mu): the velocity of weak vortex i seen from
-    the strong vortex, less the rotation of the frame.
+    the strong vortex, less the rotation of the frame at unit rate.
     """
     v = _field(*_full_system(config))
-    return (v[1:] - v[0] - config.omega * _perp(config.array)).ravel()
+    return (v[1:] - v[0] - _perp(config.array)).ravel()
 
 
 def re_jacobian(config):
     """Analytic Jacobian of re_residual with respect to the flattened Z.
 
-    Block (i, j) is F[i, j] - F[0, j] - omega*J delta_ij, with F the
-    field Jacobian of the full system.
+    Block (i, j) is F[i, j] - F[0, j] - J delta_ij, with F the field
+    Jacobian of the full system.
     """
     F = _field_jacobian(*_full_system(config))
     A = F[1:, 1:] - F[0, 1:]
     diag = np.arange(len(A))
-    A[diag, diag] -= config.omega * _J2
+    A[diag, diag] -= _J2
     return A.transpose(0, 2, 1, 3).reshape(2 * len(A), 2 * len(A))
 
 
-def newton_solve(initial, tol=1e-12, max_iter=50, rcond=1e-10, history=None):
+def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     """Polish a relative-equilibrium guess to residual infinity-norm < tol.
 
     The rotational gauge (weak vortex 1 on the positive x-axis) is enforced
@@ -265,11 +239,11 @@ def newton_solve(initial, tol=1e-12, max_iter=50, rcond=1e-10, history=None):
         row[0, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
         aug = np.vstack([A, row])
         rhs = -np.concatenate([res, [gauge]])
-        step, *_ = np.linalg.lstsq(aug, rhs, rcond=rcond)
+        step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
         if not np.all(np.isfinite(step)):
             raise ConvergenceError("Newton step is not finite")
         config = HelioConfig.from_vector(config.as_vector() + step,
-                                         config.epsilon, config.mu, config.omega)
+                                         config.epsilon, config.mu)
     raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
 
 
@@ -354,7 +328,7 @@ def full_system_stability(config, tol=1e-6):
 def polygon_family(N, mu_scalar, epsilon):
     """Regular N-gon of equal weak vortices around the strong one.
 
-    The radius solves omega R^2 = 1 + mu*eps*(N-1)/2 with omega = 1; the
+    The radius solves R^2 = 1 + mu*eps*(N-1)/2 at unit rotation rate; the
     residual then vanishes identically, not just to leading order.
     """
     if N < 2:
@@ -378,7 +352,6 @@ class ContinuationTrace:
     records: tuple
     mu: CirculationWeights
     failure: str | None = None
-    start: AngularConfig = None
 
     def __len__(self):
         return len(self.records)
@@ -433,8 +406,7 @@ def _epsilon_schedule(eps_max, step):
     return out
 
 
-def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
-                    stability_tol=1e-6, check_start=True):
+def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=True):
     """Continue a nondegenerate critical point of V to positive coupling.
 
     Walks eps from `step` to `eps_max`, seeding each Newton solve with the
@@ -456,7 +428,7 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
         guess = current.replace(epsilon=eps)
         try:
             solved = newton_solve(guess, tol=tol)
-            verdict = full_system_stability(solved, tol=stability_tol).verdict
+            verdict = full_system_stability(solved).verdict
         except (ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
@@ -464,23 +436,17 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12,
         records.append(ContinuationRecord(epsilon=eps, config=solved,
                                           residual=residual, verdict=verdict))
         current = solved
-    return ContinuationTrace(records=tuple(records), mu=weights,
-                             failure=failure, start=config)
+    return ContinuationTrace(records=tuple(records), mu=weights, failure=failure)
 
 
-def corotating_drift(config, final, periods=1.0):
-    """Drift of a relative equilibrium after integrating it for full periods.
+def corotating_drift(initial, final, t_final):
+    """Drift of a relative equilibrium integrated from `initial` to `final`.
 
     The exact solution rotates rigidly about the center of vorticity at
-    rate omega, so after rotating back the final state should match the
-    initial one; the returned number is the max position mismatch.
-    `final` is the planar state at t = 2*pi*periods/omega, as
-    `integrate_vortices` returns it for that span.
+    unit rate, so after rotating `final`, the planar positions at time
+    t_final, back by t_final it should match `initial`; the returned
+    number is the max position mismatch.
     """
-    planar = config.to_planar()
-    t_final = 2.0 * math.pi * periods / config.omega
-    a = -config.omega * t_final
-    c, s = math.cos(a), math.sin(a)
+    c, s = math.cos(-t_final), math.sin(-t_final)
     R = np.array([[c, -s], [s, c]])
-    back = final @ R.T
-    return float(np.abs(back - planar.array).max())
+    return float(np.abs(final @ R.T - initial).max())

@@ -9,9 +9,10 @@ golden tests can compare bases verbatim.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from vortexre import _kernels
 from vortexre.polynomials import MonomialOrder, MultiPoly
-from vortexre.rationals import rational
 
 
 class GroebnerBasis:
@@ -85,10 +86,10 @@ def s_polynomial(f, g):
     lcm = _kernels.monomial_lcm(lm_f, lm_g)
     s = {}
     _kernels.terms_iadd_scaled(
-        s, f.terms, rational(1) / f.terms[lm_f], _kernels.monomial_div(lcm, lm_f)
+        s, f.terms, Fraction(1) / f.terms[lm_f], _kernels.monomial_div(lcm, lm_f)
     )
     _kernels.terms_iadd_scaled(
-        s, g.terms, rational(-1) / g.terms[lm_g], _kernels.monomial_div(lcm, lm_g)
+        s, g.terms, Fraction(-1) / g.terms[lm_g], _kernels.monomial_div(lcm, lm_g)
     )
     return MultiPoly(f.ring, s)
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from vortexre.errors import CollisionError
 from vortexre.polynomials import PolynomialRing, exact_divide
-from vortexre.rationals import is_integer, rational
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def build_symmetry_case_system(case):
         num, collisions = _divide_out(num, r)
         scale = den.constant_value()
         content = num.content()
-        polys.append(num * (rational(1) / (content if scale > 0 else -content)))
+        polys.append(num * (Fraction(1) / (content if scale > 0 else -content)))
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(kept),
@@ -155,13 +155,13 @@ def build_equal_weight_system(mu):
     its reduced denominator 2 prod_k (r_k^2 + 1) prod_{j != i} (r_a - r_b),
     made primitive; the records list those factors and the content.
     """
-    mu = [rational(m) for m in mu]
+    mu = [Fraction(m) for m in mu]
     if len(mu) < 2:
         raise ValueError("need at least two weights")
     for m in mu:
         if not m:
             raise ValueError("weights must be nonzero")
-        if not is_integer(m):
+        if m.denominator != 1:
             raise ValueError(
                 "exact certification requires integer weights; "
                 "scale the vector by a common denominator"
@@ -172,7 +172,7 @@ def build_equal_weight_system(mu):
     polys, records = [], []
     for i, (num, factors) in enumerate(_numerators(points, mu), start=2):
         content = num.content()
-        polys.append(num * (rational(1) / content))
+        polys.append(num * (Fraction(1) / content))
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(sorted(

@@ -11,31 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from vortexre import _kernels
 from vortexre.groebner import buchberger, normal_form
-from vortexre.rationals import rational
 
 
 class InfiniteVarietyError(ValueError):
     """The ideal is not zero-dimensional; trace-form counting does not apply."""
-
-
-@dataclass(frozen=True)
-class QuotientBasis:
-    """Monomials outside the leading-term staircase, ascending in the order."""
-
-    ring: object
-    monomials: tuple
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __getitem__(self, i):
-        return self.monomials[i]
 
 
 @dataclass(frozen=True)
@@ -44,51 +27,21 @@ class RootCount:
     complex_distinct: int
 
 
-class HermiteMatrix:
-    """Symmetric rational matrix of multiplication-map traces."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-
-    @property
-    def dimension(self):
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_symmetric(self):
-        n = self.dimension
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-
-    def __repr__(self):
-        return f"HermiteMatrix(dim={self.dimension})"
-
-
 def quotient_basis(gb):
     """Monomial basis of the quotient ring, or raise when it is infinite.
 
-    Zero-dimensionality is certified by the staircase: every variable
-    must show a pure power among the leading monomials, which bounds the
-    complement to a finite box.
+    The basis is the tuple of monomials outside the leading-term
+    staircase, ascending in the ring's order.  Zero-dimensionality is
+    certified by the staircase: every variable must show a pure power
+    among the leading monomials, which bounds the complement to a finite
+    box.
     """
     lms = gb.leading_monomials()
     ring = gb.ring
     nvars = ring.nvars
     unit = (0,) * nvars
     if unit in lms:
-        return QuotientBasis(ring, ())
+        return ()
     bounds = []
     for i in range(nvars):
         pure = [
@@ -108,7 +61,7 @@ def quotient_basis(gb):
         if not any(_kernels.monomial_divides(lm, m) for lm in lms)
     ]
     basis.sort(key=ring.order.key)
-    return QuotientBasis(ring, tuple(basis))
+    return tuple(basis)
 
 
 class _Traces:
@@ -123,13 +76,13 @@ class _Traces:
 
     def __init__(self, gb, basis):
         self.gb = gb
-        self._in_basis = set(basis.monomials)
-        self._nf = {b: {b: rational(1)} for b in basis.monomials}
+        self._in_basis = set(basis)
+        self._nf = {b: {b: Fraction(1)} for b in basis}
         self._traces = {}
         self._basis_traces = {
             b: sum((self.monomial_nf(_kernels.monomial_mul(b, c)).get(c, 0)
-                    for c in basis.monomials), rational(0))
-            for b in basis.monomials
+                    for c in basis), Fraction(0))
+            for b in basis
         }
 
     def monomial_nf(self, m):
@@ -155,21 +108,16 @@ class _Traces:
         if tr is None:
             t = self._basis_traces
             tr = self._traces[m] = sum(
-                (c * t[b] for b, c in self.monomial_nf(m).items()), rational(0))
+                (c * t[b] for b, c in self.monomial_nf(m).items()), Fraction(0))
         return tr
 
 
-def multiplication_trace(f, gb, basis):
-    """Trace of multiplication by f on the quotient ring (exact)."""
-    traces = _Traces(gb, basis)
-    return sum((c * traces.trace_monomial(m) for m, c in f.terms.items()), rational(0))
-
-
 def hermite_matrix(gb, basis):
-    """H[i][j] = trace of multiplication by b_i * b_j; symmetric by construction."""
+    """Rows of H[i][j] = trace of multiplication by b_i * b_j, as tuples;
+    symmetric by construction."""
     traces = _Traces(gb, basis)
-    return HermiteMatrix([[traces.trace_monomial(_kernels.monomial_mul(a, b))
-                           for b in basis] for a in basis])
+    return tuple(tuple(traces.trace_monomial(_kernels.monomial_mul(a, b))
+                       for b in basis) for a in basis)
 
 
 # -- fraction-free symmetric elimination -------------------------------------
@@ -191,19 +139,18 @@ def _congruence(A, i, j, t):
     A[j][j] = c * c * ii + 2 * c * d * ij + d * d * jj
 
 
-def signature_and_rank(H):
+def signature_and_rank(rows):
     """Diagonalize by exact congruence; signature and rank from the pivots.
 
-    H is scaled by the positive lcm of its denominators, which keeps its
-    inertia.  Bareiss elimination on the upper triangle then divides each
+    The symmetric matrix, given by its rows, is scaled by the positive lcm
+    of its denominators, which keeps its inertia.  Bareiss elimination on the upper triangle then divides each
     update exactly by the previous pivot, so the k-th diagonal entry of
     the congruent diagonal form has the sign of d_k * d_(k-1).  On a zero
     diagonal entry, swap in a later nonzero diagonal if one exists,
     otherwise send (i, j) to (i+j, j-i), which puts 2*A[i][j] on the
     diagonal.
     """
-    entries = H.entries if isinstance(H, HermiteMatrix) else H
-    rows = [[rational(c) for c in row] for row in entries]
+    rows = [[Fraction(c) for c in row] for row in rows]
     scale = math.lcm(*(c.denominator for row in rows for c in row))
     A = [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
     n = len(A)
@@ -234,7 +181,4 @@ def count_real_roots(system):
     """Distinct real/complex root counts of a zero-dimensional system,
     computed under the order of the system's ring."""
     gb = buchberger(system)
-    basis = quotient_basis(gb)
-    if not len(basis):
-        return RootCount(real_distinct=0, complex_distinct=0)
-    return signature_and_rank(hermite_matrix(gb, basis))
+    return signature_and_rank(hermite_matrix(gb, quotient_basis(gb)))

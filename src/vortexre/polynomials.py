@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over the rationals.
 
-Polynomials are dicts mapping exponent tuples to nonzero ``Rational``
+Polynomials are dicts mapping exponent tuples to nonzero ``Fraction``
 coefficients, attached to a ``PolynomialRing`` that fixes the variable
 names and the monomial order.  The ring is the only holder of the order:
 arithmetic takes operands from one ring (the same object, or equal
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 from vortexre import _kernels
-from vortexre.rationals import Rational, rational
 
 
 class MonomialOrder:
@@ -57,9 +57,6 @@ class MonomialOrder:
 
     def key(self, monomial):
         return _kernels.order_key(self.spec, monomial)
-
-    def compare(self, a, b):
-        return _kernels.compare(self.spec, a, b)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialOrder):
@@ -105,10 +102,10 @@ class PolynomialRing:
         return MultiPoly(self, {})
 
     def one(self):
-        return MultiPoly(self, {(0,) * self.nvars: rational(1)})
+        return MultiPoly(self, {(0,) * self.nvars: Fraction(1)})
 
     def constant(self, c):
-        c = c if isinstance(c, Rational) else rational(c)
+        c = c if isinstance(c, Fraction) else Fraction(c)
         if not c:
             return self.zero()
         return MultiPoly(self, {(0,) * self.nvars: c})
@@ -116,7 +113,7 @@ class PolynomialRing:
     def variable(self, name):
         e = [0] * self.nvars
         e[self._index[name]] = 1
-        return MultiPoly(self, {tuple(e): rational(1)})
+        return MultiPoly(self, {tuple(e): Fraction(1)})
 
     def gens(self):
         return tuple(self.variable(name) for name in self.variables)
@@ -125,7 +122,7 @@ class PolynomialRing:
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise ValueError("exponent tuple has wrong length")
-        c = coeff if isinstance(coeff, Rational) else rational(coeff)
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if not c:
             return self.zero()
         return MultiPoly(self, {exponents: c})
@@ -168,21 +165,10 @@ class MultiPoly:
 
     def constant_value(self):
         """Coefficient of the constant monomial (exact)."""
-        return self.terms.get((0,) * self.ring.nvars, rational(0))
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(_kernels.monomial_degree(m) for m in self.terms)
-
-    def degree_in(self, name):
-        i = self.ring._index[name]
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
+        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
     def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), rational(0))
+        return self.terms.get(tuple(exponents), Fraction(0))
 
     def monomials(self):
         """Exponent tuples in descending ring order."""
@@ -196,10 +182,6 @@ class MultiPoly:
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
-
-    def leading_term(self):
-        m = self.leading_monomial()
-        return m, self.terms[m]
 
     def variables_used(self):
         """Names of variables appearing with positive exponent."""
@@ -216,7 +198,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self.ring.check((other,))
             return other
-        if isinstance(other, (int, Rational)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
         return None
 
@@ -246,8 +228,8 @@ class MultiPoly:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rational)):
-            c = other if isinstance(other, Rational) else rational(other)
+        if isinstance(other, (int, Fraction)):
+            c = other if isinstance(other, Fraction) else Fraction(other)
             return MultiPoly(self.ring, _kernels.terms_scale(self.terms, c))
         other = self._coerce(other)
         if other is None:
@@ -257,9 +239,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Rational)):
-            c = other if isinstance(other, Rational) else rational(other)
-            return self * (rational(1) / c)
+        if isinstance(other, (int, Fraction)):
+            c = other if isinstance(other, Fraction) else Fraction(other)
+            return self * (Fraction(1) / c)
         return NotImplemented
 
     def __pow__(self, n):
@@ -275,7 +257,7 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Rational)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -293,13 +275,13 @@ class MultiPoly:
             e = m[i]
             if e:
                 key = m[:i] + (e - 1,) + m[i + 1:]
-                out[key] = out.get(key, rational(0)) + c * e
+                out[key] = out.get(key, Fraction(0)) + c * e
         return MultiPoly(self.ring, {m: c for m, c in out.items() if c})
 
     def evaluate(self, values):
-        """Exact value given a Rational (or int) for every used variable."""
-        vals = {self.ring._index[k]: rational(v) for k, v in values.items()}
-        acc = rational(0)
+        """Exact value given a Fraction (or int) for every used variable."""
+        vals = {self.ring._index[k]: Fraction(v) for k, v in values.items()}
+        acc = Fraction(0)
         for m, c in self.terms.items():
             term = c
             for i, e in enumerate(m):
@@ -353,19 +335,19 @@ class MultiPoly:
     def monic(self):
         if not self.terms:
             return self
-        return self * (rational(1) / self.leading_coefficient())
+        return self * (Fraction(1) / self.leading_coefficient())
 
     def content(self):
         """Positive rational c with self/c integral, primitive; 0 for 0."""
         if not self.terms:
-            return rational(0)
+            return Fraction(0)
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
             num_gcd = math.gcd(num_gcd, int(c.numerator))
             d = int(c.denominator)
             den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-        return rational(num_gcd, den_lcm)
+        return Fraction(num_gcd, den_lcm)
 
     def primitive_part(self):
         """(content-free polynomial with positive leading coefficient, unit).
@@ -374,11 +356,11 @@ class MultiPoly:
         rational scalar.
         """
         if not self.terms:
-            return self, rational(1)
+            return self, Fraction(1)
         unit = self.content()
         if self.leading_coefficient() < 0:
             unit = -unit
-        return self * (rational(1) / unit), unit
+        return self * (Fraction(1) / unit), unit
 
     # -- text form -----------------------------------------------------
 

@@ -76,9 +76,6 @@ class CirculationWeights:
     def all_positive(self):
         return all(m > 0 for m in self.mu)
 
-    def is_integral(self, tol=1e-12):
-        return all(abs(m - round(m)) <= tol for m in self.mu)
-
 
 @dataclass(frozen=True)
 class AngularConfig:
@@ -97,10 +94,6 @@ class AngularConfig:
 
     def __getitem__(self, i):
         return self.theta[i]
-
-    @property
-    def gauge_fixed(self):
-        return self.theta[0] == 0.0
 
     @property
     def array(self):

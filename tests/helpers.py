@@ -521,14 +521,14 @@ def _ref_kernel(v):
     return (np.eye(2) * n2 - 2.0 * np.outer(v, v)) / n2 ** 2
 
 
-def reference_re_residual(z, mu, eps, omega=1.0):
-    """Row i: -omega*J z_i + (1 + eps*mu_i) J z_i/|z_i|^2
+def reference_re_residual(z, mu, eps):
+    """Row i: -J z_i + (1 + eps*mu_i) J z_i/|z_i|^2
     + eps * sum_{j != i} mu_j (J z_j/|z_j|^2 + J(z_i - z_j)/|z_i - z_j|^2)."""
     z = np.asarray(z, dtype=float)
     mu = np.asarray(mu, dtype=float)
     n = len(z)
     unit = z / (z ** 2).sum(axis=1)[:, None]
-    out = -omega * z + (1.0 + eps * mu)[:, None] * unit
+    out = -z + (1.0 + eps * mu)[:, None] * unit
     for i in range(n):
         acc = np.zeros(2)
         for j in range(n):
@@ -539,14 +539,14 @@ def reference_re_residual(z, mu, eps, omega=1.0):
     return (out @ _J2.T).ravel()
 
 
-def reference_re_jacobian(z, mu, eps, omega=1.0):
+def reference_re_jacobian(z, mu, eps):
     """d reference_re_residual / d z, flattened (2N, 2N)."""
     z = np.asarray(z, dtype=float)
     mu = np.asarray(mu, dtype=float)
     n = len(z)
     A = np.zeros((2 * n, 2 * n))
     for i in range(n):
-        diag = -omega * np.eye(2) + (1.0 + eps * mu[i]) * _ref_kernel(z[i])
+        diag = -np.eye(2) + (1.0 + eps * mu[i]) * _ref_kernel(z[i])
         for j in range(n):
             if j == i:
                 continue
@@ -600,7 +600,7 @@ def is_groebner_basis(polys):
 def reference_trace_monomial(m, gb, basis, cache):
     """Tr(M_m): the normal form of m*b, reduced anew, for every basis monomial b."""
     total = Fraction(0)
-    for b in basis.monomials:
+    for b in basis:
         mb = tuple(map(add, m, b))
         nf = cache.get(mb)
         if nf is None:
@@ -612,9 +612,8 @@ def reference_trace_monomial(m, gb, basis, cache):
 def reference_hermite_matrix(gb, basis):
     """H[i][j] = Tr(M_{b_i b_j}) as rows of Fractions."""
     cache = {}
-    bs = basis.monomials
     return [[reference_trace_monomial(tuple(map(add, a, b)), gb, basis, cache)
-             for b in bs] for a in bs]
+             for b in basis] for a in basis]
 
 
 def _swap_cr(B, i, j):

@@ -348,7 +348,7 @@ def test_criterion_8_property_suites(capsys, certified):
             break
 
     H = certified[(1, 1, 1)].H
-    if not H.is_symmetric():
+    if H != tuple(zip(*H)):
         failures.append("trace-form matrix is not exactly symmetric")
     for rc in counts:
         if (rc.real_distinct - rc.complex_distinct) % 2 != 0:

@@ -128,7 +128,7 @@ def test_certify_symmetry_case_generators_exactly(capsys):
         "3": "mu1^2*mu2*mu3 - mu1*mu2^2*mu3",
     }
     for case, generator in wanted.items():
-        code, out, _ = run(capsys, "certify", "--symmetry-case", case, "--mu", "1,1,1")
+        code, out, _ = run(capsys, "certify", "--symmetry-case", case)
         assert code == 0
         tail = out.split("weight condition after eliminating r:")[1].strip()
         assert tail.splitlines()[0].strip() == generator
@@ -245,6 +245,49 @@ def test_continue_rejects_off_schedule_snapshot(capsys):
     )
     assert code == 2
     assert "schedule" in err
+
+
+def test_off_schedule_snapshot_writes_nothing(capsys, tmp_path):
+    # eps = 0.0075 falls between the steps 0.005 and 0.01
+    target = tmp_path / "trace.csv"
+    code, out, err = run(
+        capsys, "continue", "--polygon", "3", "--mu", "1", "--eps", "0.01",
+        "--step", "0.005", "--out", str(target), "--snapshots", "0.0075")
+    assert code == 2
+    assert "snapshot eps=0.0075 is not on the continuation schedule" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_past_a_stopped_walk_is_a_failure(capsys, tmp_path):
+    # eps = 2 is on the schedule, but the walk stops at eps = 1, where two
+    # vortices of the triangle of weights -1 meet
+    target = tmp_path / "trace.csv"
+    code, out, err = run(
+        capsys, "continue", "--polygon", "3", "--mu", "-1", "--eps", "2",
+        "--step", "0.25", "--out", str(target), "--snapshots", "0,0.5,2")
+    assert code == 1
+    assert "continuation stopped early: eps=1: vortices 0 and 1 coincide" in err
+    assert "not on the continuation schedule" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trace.csv", "trace_eps0.5.svg", "trace_eps0.svg"]
+    assert len(target.read_text().splitlines()) == 4  # header, eps 0.25..0.75
+
+
+@pytest.mark.parametrize("modes", [
+    ["--polygon", "4", "--start-angles", "0,1,2,3"],
+    ["--polygon", "4", "--select", "stable"],
+    ["--polygon", "4", "--point-index", "0"],
+    ["--start-angles", "0,1", "--select", "stable"],
+    ["--start-angles", "0,1", "--point-index", "0"],
+    ["--select", "stable", "--point-index", "0"],
+])
+def test_continue_takes_one_start_mode(capsys, modes):
+    code, out, err = run(capsys, "continue", "--mu", "1", "--eps", "0.002",
+                         "--step", "0.001", "--seeds", "5", *modes)
+    assert code == 2
+    assert f"argument {modes[2]}: not allowed with argument {modes[0]}" in err
+    assert out == ""
 
 
 def test_continue_eps_zero_gives_header_only(capsys):
@@ -414,6 +457,17 @@ def test_simulate_polygon_reports_small_drifts(capsys, tmp_path):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("modes", [
+    ["--polygon", "3", "--start-angles", "0,1,2"],
+    ["--start-angles", "0,1,2", "--polygon", "3"],
+])
+def test_simulate_takes_one_start_mode(capsys, modes):
+    code, out, err = run(capsys, "simulate", "--mu", "1", "--eps", "0.05", *modes)
+    assert code == 2
+    assert f"argument {modes[2]}: not allowed with argument {modes[0]}" in err
+    assert out == ""
+
+
 def test_simulate_polygon_needs_scalar_mu(capsys):
     code, _, err = run(
         capsys, "simulate", "--mu", "1,1,1", "--polygon", "3", "--eps", "0.05"
@@ -500,6 +554,15 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
      "products of weights must not underflow"),
     (["simulate", "--polygon", "3", "--mu", "1e-170", "--eps", "0.05"],
      "products of weights must not underflow"),
+    # weights and a symmetry case name two different systems
+    (["certify", "--symmetry-case", "1", "--mu", "1,1,1"],
+     "argument --mu: not allowed with argument --symmetry-case"),
+    (["certify", "--mu", "1,1,1", "--symmetry-case", "1"],
+     "argument --symmetry-case: not allowed with argument --mu"),
+    (["build-system", "--symmetry-case", "2", "--mu", "1,1,1"],
+     "argument --mu: not allowed with argument --symmetry-case"),
+    (["build-system", "--mu", "1,1,1", "--symmetry-case", "2"],
+     "argument --symmetry-case: not allowed with argument --mu"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Full-plane vortex dynamics, relative equilibria, and continuation in epsilon."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,10 +13,10 @@ from helpers import (
     reference_re_residual,
 )
 from vortexre import dynamics
+from vortexre.cli import main
 from vortexre.dynamics import (
     ContinuationTrace,
     HelioConfig,
-    PlanarConfig,
     continue_family,
     corotating_drift,
     full_system_stability,
@@ -25,7 +26,6 @@ from vortexre.dynamics import (
     polygon_family,
     re_jacobian,
     re_residual,
-    rotate_config,
     vortex_field,
 )
 from vortexre.errors import CollisionError, ConvergenceError
@@ -76,8 +76,10 @@ def test_field_momentum_conservation_is_exact():
 
 
 def test_field_accepts_planar_config():
-    cfg = PlanarConfig(((1.0, 0.0), (-1.0, 0.0)), (1.0, 1.0))
-    assert np.allclose(vortex_field(cfg), vortex_field(cfg.positions, cfg.circulations))
+    # a planar configuration is positions q and circulations g, as
+    # sequences or arrays alike
+    q, g = ((1.0, 0.0), (-1.0, 0.0)), (1.0, 1.0)
+    assert np.array_equal(vortex_field(q, g), vortex_field(np.array(q), np.array(g)))
 
 
 def test_hamiltonian_log_pair():
@@ -87,26 +89,28 @@ def test_hamiltonian_log_pair():
 
 
 def test_planar_config_rejects_collisions():
-    with pytest.raises(CollisionError):
-        PlanarConfig(((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0))
+    for evaluate in (vortex_field, hamiltonian):
+        with pytest.raises(CollisionError):
+            evaluate(((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0))
 
 
 def test_planar_config_rejects_vortices_closer_than_the_minimum_separation():
+    g = (1.0, 1.0, 1.0)
     with pytest.raises(CollisionError, match="vortices 1 and 2"):
-        PlanarConfig(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-13)), (1.0, 1.0, 1.0))
+        vortex_field(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-13)), g)
     # just outside the minimum separation is allowed
-    PlanarConfig(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-11)), (1.0, 1.0, 1.0))
+    assert np.isfinite(vortex_field(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-11)), g)).all()
 
 
 def test_integration_conserves_invariants():
-    cfg = PlanarConfig(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)), (1.0, 2.0, -0.5))
-    h0 = hamiltonian(cfg.positions, cfg.circulations)
-    circ = np.array(cfg.circulations)
-    p0 = (circ[:, None] * np.array(cfg.positions)).sum(axis=0)
-    times, traj = integrate_vortices(cfg, 2.0)
+    q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
+    circ = np.array((1.0, 2.0, -0.5))
+    h0 = hamiltonian(q, circ)
+    p0 = (circ[:, None] * q).sum(axis=0)
+    times, traj = integrate_vortices(q, circ, 2.0, 1e-10)
     assert times[-1] == pytest.approx(2.0)
     for snapshot in traj:
-        assert abs(hamiltonian(snapshot, cfg.circulations) - h0) < 1e-8
+        assert abs(hamiltonian(snapshot, circ) - h0) < 1e-8
         p = (circ[:, None] * snapshot).sum(axis=0)
         assert np.abs(p - p0).max() < 1e-9
 
@@ -164,7 +168,7 @@ def test_residual_and_jacobian_match_the_pairwise_formulas(n, eps):
     rng = np.random.default_rng(100 + n)
     for _ in range(4):
         cfg = random_helio(rng, n, eps)
-        args = (cfg.array, cfg.mu.array, cfg.epsilon, cfg.omega)
+        args = (cfg.array, cfg.mu.array, cfg.epsilon)
         assert np.abs(re_residual(cfg) - reference_re_residual(*args)).max() < 1e-13
         assert np.abs(re_jacobian(cfg) - reference_re_jacobian(*args)).max() < 1e-12
 
@@ -209,8 +213,8 @@ def test_equilibrium_has_rotation_and_scaling_structure(stable_saddle):
     Jz[1::2] = z[0::2]
     # rotating the whole configuration is neutral
     assert np.abs(A @ Jz).max() < 1e-9
-    # scaling couples into rotation with weight -2*omega
-    assert np.abs(A @ z + 2.0 * cfg.omega * Jz).max() < 1e-9
+    # scaling couples into rotation with weight -2 (the frame turns at unit rate)
+    assert np.abs(A @ z + 2.0 * Jz).max() < 1e-9
 
 
 def test_residual_rotation_equivariance():
@@ -221,7 +225,7 @@ def test_residual_rotation_equivariance():
     for _ in range(10):
         a = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        res_rot = re_residual(rotate_config(cfg, a)).reshape(-1, 2)
+        res_rot = re_residual(cfg.replace(Z=cfg.array @ rot.T)).reshape(-1, 2)
         assert np.abs(res_rot - base @ rot.T).max() < 1e-12
 
 
@@ -442,17 +446,17 @@ def test_strong_vortex_offset_scales_with_epsilon():
 def test_continued_equilibrium_corotates(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.05, step=0.01)
     config = trace.final.config
-    _, states = integrate_vortices(config.to_planar(), math.pi / config.omega)
-    assert corotating_drift(config, states[-1], periods=0.5) < 1e-6
+    q, g = config.to_planar()
+    _, states = integrate_vortices(q, g, math.pi, 1e-10)
+    assert corotating_drift(q, states[-1], math.pi) < 1e-6
 
 
 def test_helio_round_trips():
     cfg = helio((0.0, 1.0, 2.0), (2, -1, 3), 0.03, radii=[1.1, 0.9, 1.2])
     again = HelioConfig.from_vector(cfg.as_vector(), cfg.epsilon, cfg.mu)
     assert np.allclose(again.array, cfg.array)
-    planar = cfg.to_planar()
-    circ = np.array(planar.circulations)
-    cov = (circ[:, None] * np.array(planar.positions)).sum(axis=0) / circ.sum()
+    q, circ = cfg.to_planar()
+    cov = (circ[:, None] * q).sum(axis=0) / circ.sum()
     assert np.abs(cov).max() < 1e-14
     d = cfg.to_dict()
     assert set(d) >= {"angles", "radii", "mu", "epsilon", "omega"}
@@ -471,3 +475,50 @@ def test_helio_rejects_a_weak_vortex_at_the_strong_one():
     # vortex 0 is the strong vortex, weak vortex k is vortex k
     with pytest.raises(CollisionError, match="vortices 0 and 2"):
         HelioConfig(((1.0, 0.0), (0.0, 0.0)), 0.05, CirculationWeights((1.0, 1.0)))
+
+
+# -- frozen command-line output -----------------------------------------------
+
+_N3_STARTS = (
+    ("-3,8,-9", "0.0,0.7289956572902648,4.163205363055863"),
+    ("-9,4,-1", "0.0,2.9786083796454177,2.3895954069277354"),
+)
+
+# sha256 of stdout and of the --out file, recorded before the planar
+# configuration became a pair of arrays
+DYNAMICS_DIGESTS = {
+    ("continue", "--polygon", "4", "--mu", "1", "--eps", "0.024", "--step", "0.0008",
+     "--format", "json"):
+        ("0aa802d52e156ec11fc06ba5aa268e988d09dfc0cb1ea6db7c0e39d84192448b", None),
+    ("continue", "--polygon", "8", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
+     "--format", "json"):
+        ("419506cbc600c6781832ac0706e0524d9fc4ce533e74aa3b237f929a6d9e43b5", None),
+    ("continue", "--polygon", "12", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
+     "--format", "json"):
+        ("68c5c71acb5f3b127dd242f9caa73a8924fdffdb9e2980f89bc0a1d50a96562d", None),
+    ("continue", "--mu=" + _N3_STARTS[0][0], "--start-angles=" + _N3_STARTS[0][1],
+     "--eps", "0.024", "--step", "0.0004", "--format", "json"):
+        ("b53c37ddea7bce4f5a0cd20a82071f508fb93c4ed17a2cbccf8ac68787fa66e8", None),
+    ("continue", "--mu=" + _N3_STARTS[1][0], "--start-angles=" + _N3_STARTS[1][1],
+     "--eps", "0.024", "--step", "0.0004", "--format", "json"):
+        ("9193522d5d5412f61c16cf909d02cdb467c5ddc29f28f88944c5335396185172", None),
+    ("simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05"):
+        ("739baaa1e79a70759f47c33d3e0730d8c43aed2998eb6f14cdfd29167916f168",
+         "43d50d4a1f2c7c8a2523d32d333750db21e74bbf9a9c6e42cfc00586a9f16127"),
+    ("simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05", "--periods", "3"):
+        ("0d35e57386018f2f76dbcf20ad5ed4a775f9f3c55be1054edf0d014137fc2177",
+         "1b329f20bc6447912ddf0ac438dd5635ef851b3e005a5a5ac6190797e5e83959"),
+}
+
+
+@pytest.mark.parametrize("argv", DYNAMICS_DIGESTS)
+def test_dynamics_output_is_frozen(capsys, tmp_path, argv):
+    want_out, want_file = DYNAMICS_DIGESTS[argv]
+    target = tmp_path / "trajectory.csv"
+    extra = ["--out", str(target)] if want_file else []
+    assert main(list(argv) + extra) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == want_out
+    if want_file:
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == want_file

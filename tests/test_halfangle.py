@@ -16,7 +16,6 @@ from vortexre.halfangle import (
     half_angle_coordinates,
 )
 from vortexre.potential import potential_gradient
-from vortexre.rationals import rational
 from vortexre.search import find_all_critical_points
 
 P_111 = (
@@ -157,7 +156,7 @@ def test_builder_rejects_non_integer_or_zero_weights():
     with pytest.raises(ValueError):
         build_equal_weight_system((1, 0, 1))
     with pytest.raises(ValueError):
-        build_equal_weight_system((rational(1, 2), 1, 1))
+        build_equal_weight_system((Fraction(1, 2), 1, 1))
     with pytest.raises(ValueError):
         build_equal_weight_system((1,))
 

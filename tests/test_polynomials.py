@@ -1,10 +1,11 @@
 """Exact multivariate polynomial arithmetic and monomial orders."""
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import random_multipoly, seeded
 from vortexre.polynomials import MonomialOrder, PolynomialRing, exact_divide
-from vortexre.rationals import rational
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def test_parse_str_round_trip(ring):
 def test_parse_handles_rationals_and_powers(ring):
     p = ring.parse("3/2*x^2*y - y + 7")
     x, y = ring.gens()
-    assert p == ring.monomial((2, 1), rational(3, 2)) - y + ring.constant(7)
+    assert p == ring.monomial((2, 1), Fraction(3, 2)) - y + ring.constant(7)
 
 
 def test_difference_of_squares(ring):
@@ -88,11 +89,10 @@ def test_leading_term_is_multiplicative(ring):
         b = random_multipoly(ring, rng)
         if a.is_zero() or b.is_zero():
             continue
-        (ma, ca) = a.leading_term()
-        (mb, cb) = b.leading_term()
-        (mab, cab) = (a * b).leading_term()
+        ab = a * b
+        ma, mb, mab = a.leading_monomial(), b.leading_monomial(), ab.leading_monomial()
         assert mab == tuple(i + j for i, j in zip(ma, mb))
-        assert cab == ca * cb
+        assert ab.terms[mab] == a.terms[ma] * b.terms[mb]
 
 
 def test_derivative_product_rule(ring):
@@ -111,8 +111,8 @@ def test_substitute_then_evaluate_consistent(ring):
     for _ in range(10):
         p = random_multipoly(ring, rng)
         swapped = p.substitute({"x": y + ring.one()})
-        at = {"x": rational(4), "y": rational(3)}
-        assert swapped.evaluate(at) == p.evaluate({"x": rational(4), "y": rational(3)})
+        at = {"x": Fraction(4), "y": Fraction(3)}
+        assert swapped.evaluate(at) == p.evaluate({"x": Fraction(4), "y": Fraction(3)})
 
 
 def test_substitute_composition(ring):
@@ -123,7 +123,7 @@ def test_substitute_composition(ring):
 
 def test_evaluate_float_matches_exact(ring):
     p = ring.parse("x^3 - 2*x*y + 1/2")
-    exact = p.evaluate({"x": rational(1, 2), "y": rational(3)})
+    exact = p.evaluate({"x": Fraction(1, 2), "y": Fraction(3)})
     approx = p.evaluate_float({"x": 0.5, "y": 3.0})
     assert abs(float(exact) - approx) < 1e-14
 
@@ -176,16 +176,15 @@ def test_order_key_is_strict_total_order():
 
 def test_degree_accessors(ring):
     p = ring.parse("x^3*y + y^2")
-    assert p.total_degree() == 4
-    assert p.degree_in("x") == 3
-    assert p.degree_in("y") == 2
+    assert set(p.terms) == {(3, 1), (0, 2)}
+    assert p.leading_monomial() == (3, 1)  # total degree 4 leads under degrevlex
     assert p.variables_used() == {"x", "y"}
 
 
 def test_constant_detection(ring):
-    c = ring.constant(rational(5, 2))
+    c = ring.constant(Fraction(5, 2))
     assert c.is_constant()
-    assert c.constant_value() == rational(5, 2)
+    assert c.constant_value() == Fraction(5, 2)
     assert not ring.parse("x").is_constant()
 
 
