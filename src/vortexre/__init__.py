@@ -38,7 +38,6 @@ _LAZY = {
     "polygon_family": "dynamics",
     "re_residual": "dynamics",
     "vortex_field": "dynamics",
-    "AngularConfig": "potential",
     "CirculationWeights": "potential",
     "StabilityReport": "potential",
     "classify": "potential",

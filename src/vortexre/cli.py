@@ -153,10 +153,10 @@ def _morse_sum(points, mu):
     if not (mu.all_positive() or all(m < 0 for m in mu)):
         return None
     total = 0
-    for p in points.points:
-        if p.report.zero_count != 1:
+    for report in points.reports:
+        if report.zero_count != 1:
             return None
-        eigs = sorted(p.report.hessian_eigs, key=abs)[1:]
+        eigs = sorted(report.hessian_eigs, key=abs)[1:]
         total += (-1) ** sum(e < 0 for e in eigs)
     return total
 
@@ -278,14 +278,15 @@ def cmd_certify(args):
 # -- continue ----------------------------------------------------------------
 
 def _select_start(args, mu):
-    from vortexre.potential import AngularConfig
     from vortexre.search import find_all_critical_points
 
     if args.start_angles:
+        _start_mode(args, "--start-angles", _SEARCH_FLAGS)
         angles = _parse_floats(args.start_angles)
         if len(angles) != len(mu):
             raise UsageError("need one start angle per weight")
-        return AngularConfig(tuple(angles))
+        return angles
+    _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
                                       tol_zero=args.tol_zero_eig)
@@ -294,15 +295,14 @@ def _select_start(args, mu):
     if args.point_index is not None:
         if not 0 <= args.point_index < len(points):
             raise UsageError(f"--point-index out of range 0..{len(points)-1}")
-        return points[args.point_index].config
+        return points.theta[args.point_index]
     if args.select:
         wanted = args.select.split()
-        for p in points:
-            tags = {p.report.verdict, p.report.extremal_type}
-            if all(w in tags for w in wanted):
-                return p.config
+        for theta, report in zip(points.theta, points.reports):
+            if all(w in {report.verdict, report.extremal_type} for w in wanted):
+                return theta
         raise UsageError(f"no critical point matches selector {args.select!r}")
-    return points[0].config
+    return points.theta[0]
 
 
 def _snapshot_schedule(args):
@@ -333,7 +333,7 @@ def _snapshot_records(trace, snapshots, start, mu):
     out = []
     for eps, on_schedule in snapshots:
         if on_schedule == 0.0:
-            out.append((0.0, HelioConfig.from_critical_point(start, mu, 0.0).to_dict()))
+            out.append((0.0, HelioConfig.from_angles(start, mu, 0.0).to_dict()))
         elif on_schedule in reached:
             out.append((eps, reached[on_schedule].to_dict()))
     return out
@@ -343,13 +343,13 @@ def cmd_continue(args):
     import numpy as np
 
     from vortexre.dynamics import ContinuationTrace, continue_family
-    from vortexre.potential import AngularConfig, CirculationWeights
+    from vortexre.potential import CirculationWeights
 
     snapshots = _snapshot_schedule(args) if args.snapshots else []
     if args.polygon is not None:
+        _start_mode(args, "--polygon", ("--normalize",) + _SEARCH_FLAGS)
         mu = _polygon_weights(args)
-        count = args.polygon
-        start = AngularConfig(tuple(2.0 * math.pi * k / count for k in range(count)))
+        start = [2.0 * math.pi * k / args.polygon for k in range(args.polygon)]
         check_start = False
     else:
         mu = _parse_weights(args.mu)
@@ -388,6 +388,12 @@ def cmd_continue(args):
 
 # -- plot --------------------------------------------------------------------
 
+def _finite_numbers(value):
+    """True when value is a JSON list of finite numbers."""
+    return isinstance(value, list) and all(
+        type(v) in (int, float) and math.isfinite(v) for v in value)
+
+
 def _load_plot_record(path, index):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -404,8 +410,15 @@ def _load_plot_record(path, index):
         if not 0 <= index < len(data):
             raise UsageError(f"--index out of range 0..{len(data)-1}")
         data = data[index]
-    if not isinstance(data, dict) or "angles" not in data:
-        raise UsageError("configuration record must contain an 'angles' list")
+    if not isinstance(data, dict) or not _finite_numbers(data.get("angles")):
+        raise UsageError("configuration record must contain an 'angles' list "
+                         "of finite numbers")
+    n = len(data["angles"])
+    for key, size in (("radii", n), ("mu", n), ("z0", 2)):
+        if key in data and not (_finite_numbers(data[key]) and len(data[key]) == size):
+            raise UsageError(f"'{key}' must list {size} finite numbers")
+    if "epsilon" in data and not _finite_numbers([data["epsilon"]]):
+        raise UsageError("'epsilon' must be a finite number")
     return data
 
 
@@ -482,11 +495,17 @@ def cmd_simulate(args):
     )
 
     if args.polygon is not None:
-        config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
+        _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
+        try:
+            config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
+        except ValueError as exc:  # no polygon at these weights and coupling
+            raise UsageError(str(exc)) from None
     else:
         mu = _parse_weights(args.mu)
         if not args.start_angles:
             raise UsageError("need --start-angles or --polygon")
+        _start_mode(args, "--start-angles without --polish",
+                    () if args.polish else ("--tol-newton",))
         angles = _parse_floats(args.start_angles)
         if len(angles) != len(mu):
             raise UsageError("need one start angle per weight")
@@ -538,10 +557,30 @@ _FLAGS = {
 }
 
 
-def _flags(sub, *names):
-    """Declare the shared flags that this subcommand reads."""
+# the flags that continue reads only to find its start
+_SEARCH_FLAGS = ("--seeds", "--tol-grad", "--tol-zero-eig")
+
+
+def _flags(sub, *names, unset=()):
+    """Declare the shared flags that this subcommand reads; those in
+    `unset` default to None, for `_start_mode` to tell whether they were
+    given."""
     for name in names:
-        sub.add_argument(name, **_FLAGS[name])
+        sub.add_argument(name, **(dict(_FLAGS[name], default=None) if name in unset
+                                  else _FLAGS[name]))
+
+
+def _start_mode(args, mode, unread):
+    """Refuse the flags in `unread`, which start mode `mode` does not read:
+    the first one given is a usage error.  Then each shared flag declared
+    without a default (see `_flags`) that was not given takes its default."""
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            raise UsageError(f"{mode} does not read {flag}")
+    for flag, spec in _FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest, spec["default"]) is None:
+            setattr(args, dest, spec["default"])
 
 
 def _format_flag(sub, *choices):
@@ -595,7 +634,8 @@ def build_parser():
     p.add_argument("--step", type=_positive_float, default=0.005,
                    help="continuation step")
     p.add_argument("--snapshots", help="comma-separated eps values to render as SVG")
-    _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out")
+    _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out",
+           unset=_SEARCH_FLAGS)
     _format_flag(p, "json", "csv", "table")
     p.set_defaults(func=cmd_continue)
 
@@ -629,7 +669,7 @@ def build_parser():
                    help="Newton-polish the start before integrating")
     p.add_argument("--periods", type=_positive_float, default=1.0)
     p.add_argument("--rtol", type=_positive_float, default=1e-10)
-    _flags(p, "--tol-newton", "--out")
+    _flags(p, "--tol-newton", "--out", unset=("--tol-newton",))
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
-from vortexre.potential import AngularConfig, CirculationWeights, classify
+from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _MIN_SEP = 1e-12
@@ -108,56 +108,37 @@ def integrate_vortices(q, g, t_final, tol):
 
 # -- frame relative to the strong vortex -------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HelioConfig:
-    Z: tuple  # ((x, y), ...) weak-vortex positions relative to the strong one
+    Z: np.ndarray  # (N, 2) read-only weak-vortex positions relative to the strong one
     epsilon: float
     mu: CirculationWeights
 
     def __post_init__(self):
         if not isinstance(self.mu, CirculationWeights):
             object.__setattr__(self, "mu", CirculationWeights(tuple(self.mu)))
-        z = self.array
-        if len(z) != len(self.mu):
-            raise ValueError("one weight per weak vortex")
+        z = np.array(self.Z, dtype=float)
+        if z.shape != (len(self.mu), 2):
+            raise ValueError("need one (x, y) position per weight")
+        z.flags.writeable = False
+        object.__setattr__(self, "Z", z)
         _pairs(_full_system(self)[0])  # vortex 0 is the strong one
 
     @property
-    def array(self):
-        return np.asarray(self.Z, dtype=float)
-
-    @property
     def radii(self):
-        z = self.array
-        return np.hypot(z[:, 0], z[:, 1])
+        return np.hypot(self.Z[:, 0], self.Z[:, 1])
 
     @property
     def angles(self):
-        z = self.array
-        a = np.arctan2(z[:, 1], z[:, 0]) % (2.0 * math.pi)
+        a = np.arctan2(self.Z[:, 1], self.Z[:, 0]) % (2.0 * math.pi)
         a[a > 2.0 * math.pi - 1e-12] = 0.0
         return a
 
-    def as_vector(self):
-        return self.array.ravel().copy()
-
-    def replace(self, Z=None, epsilon=None):
-        return HelioConfig(
-            Z=tuple(map(tuple, Z)) if Z is not None else self.Z,
-            epsilon=self.epsilon if epsilon is None else float(epsilon),
-            mu=self.mu)
-
     @classmethod
-    def from_vector(cls, vec, epsilon, mu):
-        z = np.asarray(vec, dtype=float).reshape(-1, 2)
-        return cls(Z=tuple(map(tuple, z)), epsilon=float(epsilon), mu=mu)
-
-    @classmethod
-    def from_critical_point(cls, config, mu, epsilon):
-        theta = np.asarray(config.theta if isinstance(config, AngularConfig) else config,
-                           dtype=float)
-        z = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return cls.from_vector(z.ravel(), epsilon, mu)
+    def from_angles(cls, theta, mu, epsilon):
+        """Weak vortices on the unit circle at the angles theta."""
+        theta = np.asarray(theta, dtype=float)
+        return cls(np.stack([np.cos(theta), np.sin(theta)], axis=1), epsilon, mu)
 
     def strong_vortex_offset(self):
         """Strong-vortex position relative to the rotation center.
@@ -167,13 +148,13 @@ class HelioConfig:
         """
         gamma = self.epsilon * self.mu.array
         total = 1.0 + gamma.sum()
-        return -(gamma[:, None] * self.array).sum(axis=0) / total
+        return -(gamma[:, None] * self.Z).sum(axis=0) / total
 
     def to_planar(self):
         """Positions q and circulations g of all vortices, the strong one
         first, with the center of vorticity at the origin."""
         q0 = self.strong_vortex_offset()
-        return np.vstack([q0, self.array + q0]), _full_system(self)[1]
+        return np.vstack([q0, self.Z + q0]), _full_system(self)[1]
 
     def to_dict(self):
         return {
@@ -188,7 +169,7 @@ class HelioConfig:
 
 def _full_system(config):
     """Positions and circulations of all vortices, the strong one first at the origin."""
-    q = np.vstack([np.zeros((1, 2)), config.array])
+    q = np.vstack([np.zeros((1, 2)), config.Z])
     g = np.concatenate([[1.0], config.epsilon * config.mu.array])
     return q, g
 
@@ -201,7 +182,7 @@ def re_residual(config):
     the strong vortex, less the rotation of the frame at unit rate.
     """
     v = _field(*_full_system(config))
-    return (v[1:] - v[0] - _perp(config.array)).ravel()
+    return (v[1:] - v[0] - _perp(config.Z)).ravel()
 
 
 def re_jacobian(config):
@@ -228,7 +209,7 @@ def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     config = initial
     for _ in range(max_iter + 1):
         res = re_residual(config)
-        gauge = config.array[0, 1]
+        gauge = config.Z[0, 1]
         norm = max(np.abs(res).max(), abs(gauge))
         if history is not None:
             history.append(norm)
@@ -242,8 +223,7 @@ def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
         step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
         if not np.all(np.isfinite(step)):
             raise ConvergenceError("Newton step is not finite")
-        config = HelioConfig.from_vector(config.as_vector() + step,
-                                         config.epsilon, config.mu)
+        config = HelioConfig(config.Z + step.reshape(-1, 2), config.epsilon, config.mu)
     raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
 
 
@@ -292,8 +272,8 @@ def full_system_stability(config, tol=1e-6):
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
     A = re_jacobian(config)
-    zvec = config.as_vector()
-    v_rot = (_perp(config.array)).ravel()
+    zvec = config.Z.ravel()
+    v_rot = _perp(config.Z).ravel()
     B = _symplectic_form(config)
     constraints = np.vstack([v_rot @ B, zvec @ B])
     Q = _null_space(constraints)
@@ -329,14 +309,17 @@ def polygon_family(N, mu_scalar, epsilon):
     """Regular N-gon of equal weak vortices around the strong one.
 
     The radius solves R^2 = 1 + mu*eps*(N-1)/2 at unit rotation rate; the
-    residual then vanishes identically, not just to leading order.
+    residual then vanishes identically, not just to leading order.  There
+    is no such polygon when the right-hand side is not positive.
     """
     if N < 2:
         raise ValueError("polygon needs at least two weak vortices")
-    R = math.sqrt(1.0 + mu_scalar * epsilon * (N - 1) / 2.0)
+    R2 = 1.0 + mu_scalar * epsilon * (N - 1) / 2.0
+    if not R2 > 0.0:
+        raise ValueError(f"no polygon equilibrium: 1 + mu*eps*(N-1)/2 = {R2:g} is not positive")
     angles = 2.0 * math.pi * np.arange(N) / N
-    z = R * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return HelioConfig.from_vector(z.ravel(), epsilon, (mu_scalar,) * N)
+    z = math.sqrt(R2) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return HelioConfig(z, epsilon, (mu_scalar,) * N)
 
 
 @dataclass(frozen=True)
@@ -353,16 +336,8 @@ class ContinuationTrace:
     mu: CirculationWeights
     failure: str | None = None
 
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def final(self):
-        if not self.records:
-            raise ValueError("empty trace")
         return self.records[-1]
 
     def max_radial_drift(self):
@@ -415,17 +390,16 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=
     failure marker instead of raising.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
-    config = theta_star if isinstance(theta_star, AngularConfig) else AngularConfig(tuple(theta_star))
     if check_start:
-        if classify(config, weights).extremal_type == "degenerate":
+        if classify(theta_star, weights).extremal_type == "degenerate":
             raise NotACriticalPointError(
                 "continuation requires a critical point that is nondegenerate "
                 "modulo rotation (the Hessian transverse to rotation is singular)")
-    current = HelioConfig.from_critical_point(config, weights, 0.0)
+    current = HelioConfig.from_angles(theta_star, weights, 0.0)
     records = []
     failure = None
     for eps in _epsilon_schedule(eps_max, step):
-        guess = current.replace(epsilon=eps)
+        guess = HelioConfig(current.Z, eps, weights)
         try:
             solved = newton_solve(guess, tol=tol)
             verdict = full_system_stability(solved).verdict

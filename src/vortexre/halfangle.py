@@ -185,7 +185,10 @@ def build_equal_weight_system(mu):
 
 # -- coordinate maps ---------------------------------------------------------
 
-def back_transform(roots, collision_tol=1e-9):
+_COLLISION_TOL = 1e-9  # roots closer than this are one collided pair
+
+
+def back_transform(roots):
     """Angles (theta_1 = 0 first) from half-angle roots (r_2,...,r_N).
 
     Uses theta = pi - 2*atan(r), the inverse of the substitution above;
@@ -193,22 +196,18 @@ def back_transform(roots, collision_tol=1e-9):
     vortex 1 cannot occur.  Coinciding roots mean two weak vortices
     collide and raise CollisionError.
     """
-    from vortexre.potential import AngularConfig
-
     roots = [float(r) for r in roots]
     for a in range(len(roots)):
         for b in range(a + 1, len(roots)):
-            if abs(roots[a] - roots[b]) < collision_tol:
+            if abs(roots[a] - roots[b]) < _COLLISION_TOL:
                 raise CollisionError(
                     f"roots {a + 2} and {b + 2} coincide: vortices collide"
                 )
-    theta = [0.0] + [(math.pi - 2.0 * math.atan(r)) % (2.0 * math.pi) for r in roots]
-    return AngularConfig(tuple(theta))
+    return (0.0,) + tuple((math.pi - 2.0 * math.atan(r)) % (2.0 * math.pi) for r in roots)
 
 
-def half_angle_coordinates(config):
-    """Half-angle coordinates (r_2,...,r_N) of a gauge-fixed configuration."""
-    theta = config.theta if hasattr(config, "theta") else tuple(config)
+def half_angle_coordinates(theta):
+    """Half-angle coordinates (r_2,...,r_N) of gauge-fixed angles theta."""
     out = []
     for t in theta[1:]:
         t = t % (2.0 * math.pi)

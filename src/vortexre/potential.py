@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,41 +75,6 @@ class CirculationWeights:
 
     def all_positive(self):
         return all(m > 0 for m in self.mu)
-
-
-@dataclass(frozen=True)
-class AngularConfig:
-    """Vortex angles on the circle, first entry gauge-fixed to zero."""
-
-    theta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-
-    def __len__(self):
-        return len(self.theta)
-
-    def __iter__(self):
-        return iter(self.theta)
-
-    def __getitem__(self, i):
-        return self.theta[i]
-
-    @property
-    def array(self):
-        return np.asarray(self.theta)
-
-    def normalized(self):
-        """Rotate so theta_1 = 0 and reduce all angles into [0, 2*pi)."""
-        t = (self.array - self.theta[0]) % (2.0 * np.pi)
-        t[0] = 0.0
-        return AngularConfig(tuple(t))
-
-
-def _angles(config):
-    if isinstance(config, AngularConfig):
-        return config.array
-    return np.asarray(config, dtype=float)
 
 
 def _weights(mu):
@@ -205,56 +170,56 @@ def _hessian(table, w):
     return H
 
 
-def _tables(config):
-    """(single, pair table) of one configuration or an (S, N) batch of them."""
-    theta = _angles(config)
+def _tables(theta):
+    """(single, pair table) of one angle vector or an (S, N) batch of them."""
+    theta = np.asarray(theta, dtype=float)
     single = theta.ndim == 1
     return single, _pair_table(np.atleast_2d(theta), single)
 
 
-def potential_value(config, mu):
+def potential_value(theta, mu):
     """V(theta); finite away from collisions.
 
     Batches as `potential_gradient` does: one value per row of an (S, N)
     input, NaN on colliding rows.
     """
     w = _weights(mu)
-    single, (cos, _, u) = _tables(config)
+    single, (cos, _, u) = _tables(theta)
     i, j, _, _ = _pairs(len(w))
     pair = _matrices(len(w), w[i] * w[j] * (cos + 0.5 * np.log(u)))
     v = -pair.sum(axis=(1, 2))
     return float(v[0]) if single else v
 
 
-def potential_gradient(config, mu):
+def potential_gradient(theta, mu):
     """Gradient of V; its components always sum to zero.
 
-    `config` is one configuration or an (S, N) batch of them.  A batch
+    `theta` is one angle vector or an (S, N) batch of them.  A batch
     gives one gradient per row, all NaN on rows where two vortices
     coincide.
     """
     w = _weights(mu)
-    single, table = _tables(config)
+    single, table = _tables(theta)
     g = _gradient(table, w)
     return g[0] if single else g
 
 
-def potential_hessian(config, mu):
+def potential_hessian(theta, mu):
     """Symmetric Hessian of V; rows sum to zero (rotational null vector).
 
     Batches as `potential_gradient` does: (S, N, N) for an (S, N) input,
     all NaN on colliding rows.
     """
     w = _weights(mu)
-    single, table = _tables(config)
+    single, table = _tables(theta)
     H = _hessian(table, w)
     return H[0] if single else H
 
 
-def weighted_hessian(config, mu):
+def weighted_hessian(theta, mu):
     """diag(1/mu) times the Hessian; the stability operator."""
     w = _weights(mu)
-    return potential_hessian(config, mu) / w[:, None]
+    return potential_hessian(theta, mu) / w[:, None]
 
 
 @dataclass(frozen=True)
@@ -266,7 +231,7 @@ class StabilityReport:
     zero_count: int
     verdict: str        # stable | unstable | degenerate
     extremal_type: str  # minimum | maximum | saddle | degenerate
-    gradient_norm: float = field(default=0.0)
+    gradient_norm: float
 
     def to_dict(self):
         return {
@@ -286,8 +251,8 @@ def _rotation_complement_basis(n):
     return q
 
 
-def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
-    """Stability report for a critical point of V.
+def classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
+    """Stability report for a critical point of V at the angles theta.
 
     Stable means the weighted Hessian has exactly the one rotational
     zero eigenvalue and N-1 real positive ones; more than one zero
@@ -299,9 +264,8 @@ def classify(config, mu, tol_grad=1e-10, tol_zero=1e-8):
     tolerances are relative to the weight scale (see `_scales`), so mu and
     s*mu get the same report.
     """
-    theta = _angles(config)
     w = _weights(mu)
-    table = _pair_table(theta[None], single=True)
+    table = _pair_table(np.asarray(theta, dtype=float)[None], single=True)
     report, = _classify(table, w, tol_grad, tol_zero)
     if report is None:
         gnorm = float(np.abs(_gradient(table, w)).max())

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from vortexre.potential import (
-    AngularConfig,
     CirculationWeights,
     _classify,
     _gradient,
@@ -35,6 +34,9 @@ from vortexre.potential import (
 
 TWO_PI = 2.0 * math.pi
 
+_DEDUP_TOL = 1e-6   # rotation distance below which two points are one
+_SEED_GAP = 0.05    # seeds closer than this (radians) to a collision are dropped
+_FAMILY_TOL = 1e-6  # gap unit of the family keys
 _DEDUP_RULE = (
     "gauge theta_1 = 0; angles reduced mod 2*pi; points closer than the "
     "dedup tolerance in rotation distance merged, lexicographically "
@@ -42,29 +44,17 @@ _DEDUP_RULE = (
 )
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    config: AngularConfig
-    report: object  # StabilityReport
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalPointSet:
-    points: tuple
+    """A catalogue: row k of the read-only (K, N) array theta is a critical
+    point and reports[k] its StabilityReport."""
+
+    theta: np.ndarray
+    reports: tuple
     mu: CirculationWeights
-    dedup_rule: str = _DEDUP_RULE
 
     def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def configs(self):
-        return [p.config for p in self.points]
+        return len(self.reports)
 
 
 def _rotation_distances(a, bs):
@@ -233,25 +223,25 @@ def _dedup(points, tol):
     return found
 
 
-def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, dedup_tol=1e-6,
-                             tol_zero=1e-8, seed_gap=0.05):
+def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
     """All critical points of V for the given weights, modulo rotation.
 
     Polishes `seeds` lattice points with Newton's method, drops seeds
-    that start within `seed_gap` radians of a collision, deduplicates
+    that start within _SEED_GAP radians of a collision, deduplicates
     modulo rotation, and classifies every survivor.  Degenerate critical
     points are kept and flagged, never dropped.
     """
     w = CirculationWeights(tuple(mu)) if not isinstance(mu, CirculationWeights) else mu
     start = _lattice_seeds(len(w) - 1, seeds)
-    start = start[_min_gaps(_gauged(start)) >= seed_gap]
+    start = start[_min_gaps(_gauged(start)) >= _SEED_GAP]
     polished, ok = _polish(start, w.array, tol_grad)
-    found = sorted(_dedup(polished[ok], dedup_tol), key=tuple)
+    found = sorted(_dedup(polished[ok], _DEDUP_TOL), key=tuple)
     theta = _gauged(np.reshape(found, (len(found), len(w) - 1)))
     reports = _classify(_pair_table(theta), w.array, 10.0 * tol_grad, tol_zero)
-    points = tuple(CriticalPoint(config=AngularConfig(tuple(t)), report=report)
-                   for t, report in zip(theta.tolist(), reports) if report is not None)
-    return CriticalPointSet(points=points, mu=w)
+    keep = [k for k, report in enumerate(reports) if report is not None]
+    theta = theta[keep]
+    theta.flags.writeable = False
+    return CriticalPointSet(theta=theta, reports=tuple(reports[k] for k in keep), mu=w)
 
 
 # -- symmetry and families ---------------------------------------------------
@@ -291,7 +281,7 @@ def _family_keys(theta, mu, tol):
     return keys
 
 
-def group_into_families(point_set, family_tol=1e-6):
+def group_into_families(point_set):
     """Partition critical points into symmetry families.
 
     Two points share a family when some weight-preserving relabeling,
@@ -302,8 +292,8 @@ def group_into_families(point_set, family_tol=1e-6):
     mu = point_set.mu.mu
     family_of = {}
     families = []
-    for i, p in enumerate(point_set.points):
-        keys = _family_keys(p.config.theta, mu, family_tol)
+    for i, theta in enumerate(point_set.theta):
+        keys = _family_keys(theta, mu, _FAMILY_TOL)
         hits = [family_of[k] for k in keys if k in family_of]
         if hits:
             fid = min(hits)
@@ -316,62 +306,51 @@ def group_into_families(point_set, family_tol=1e-6):
     return [tuple(members) for members in families]
 
 
-def symmetry_axes(config, mu=None, tol=1e-8):
+def symmetry_axes(theta, mu=None, tol=1e-8):
     """Vortices (0-based) whose axis through the center reflects the
-    configuration onto itself with weights preserved."""
-    theta = np.asarray(config.theta if isinstance(config, AngularConfig) else config)
+    configuration at the angles theta onto itself with weights preserved."""
+    theta = np.asarray(theta, dtype=float)
     n = len(theta)
     mu = tuple(mu) if mu is not None else (1.0,) * n
     axes = []
     for i in range(n):
         reflected = (2.0 * theta[i] - theta) % TWO_PI
-        used = [False] * n
-        ok = True
+        used = set()
         for j in range(n):
-            match = None
-            for k in range(n):
-                if used[k] or mu[k] != mu[j]:
-                    continue
-                d = abs((reflected[j] - theta[k] + np.pi) % TWO_PI - np.pi)
-                if d < tol:
-                    match = k
-                    break
+            # the first unused vortex of equal weight at the image of vortex j
+            match = next((k for k in range(n) if k not in used and mu[k] == mu[j]
+                          and abs((reflected[j] - theta[k] + np.pi) % TWO_PI - np.pi) < tol),
+                         None)
             if match is None:
-                ok = False
                 break
-            used[match] = True
-        if ok:
+            used.add(match)
+        else:
             axes.append(i)
     return tuple(axes)
 
 
-def symmetry_check(config, mu=None, tol=1e-8):
+def symmetry_check(theta, mu=None, tol=1e-8):
     """True when some axis through the center and one vortex is a
     reflection symmetry of the weighted configuration."""
-    return bool(symmetry_axes(config, mu, tol))
+    return bool(symmetry_axes(theta, mu, tol))
 
 
-def export_critical_points(point_set, families=None):
+def export_critical_points(point_set, families):
     """JSON-ready record of a critical point set with family labels."""
-    if families is None:
-        families = group_into_families(point_set)
-    family_of = {}
-    for fid, members in enumerate(families):
-        for m in members:
-            family_of[m] = fid
+    family_of = {m: fid for fid, members in enumerate(families) for m in members}
     records = []
-    for idx, p in enumerate(point_set.points):
+    for idx, (theta, report) in enumerate(zip(point_set.theta.tolist(), point_set.reports)):
         rec = {
-            "angles": list(p.config.theta),
+            "angles": theta,
             "mu": list(point_set.mu.mu),
             "family": family_of.get(idx),
-            "symmetric": symmetry_check(p.config, tol=1e-6),
+            "symmetric": symmetry_check(theta, tol=1e-6),
         }
-        rec.update(p.report.to_dict())
+        rec.update(report.to_dict())
         records.append(rec)
     return {
         "count": len(point_set),
         "family_count": len(families),
-        "dedup_rule": point_set.dedup_rule,
+        "dedup_rule": _DEDUP_RULE,
         "points": records,
     }

@@ -449,8 +449,8 @@ def reference_dedup(points, tol):
 def reference_find_all_critical_points(mu, seeds, tol_grad=1e-10, dedup_tol=1e-6,
                                        tol_zero=1e-8, seed_gap=0.05):
     from vortexre.errors import NotACriticalPointError
-    from vortexre.potential import AngularConfig, CirculationWeights, classify
-    from vortexre.search import CriticalPoint, CriticalPointSet
+    from vortexre.potential import CirculationWeights, classify
+    from vortexre.search import CriticalPointSet
 
     w = CirculationWeights(tuple(mu))
     polished = []
@@ -463,15 +463,16 @@ def reference_find_all_critical_points(mu, seeds, tol_grad=1e-10, dedup_tol=1e-6
         x = reference_newton_polish(seed, w.array, tol_grad)
         if x is not None:
             polished.append(x)
-    points = []
+    rows, reports = [], []
     for x in sorted(reference_dedup(polished, dedup_tol), key=tuple):
-        config = AngularConfig((0.0,) + tuple(x))
+        theta = (0.0,) + tuple(map(float, x))
         try:
-            report = classify(config, w, tol_grad=10.0 * tol_grad, tol_zero=tol_zero)
+            reports.append(classify(theta, w, tol_grad=10.0 * tol_grad, tol_zero=tol_zero))
         except NotACriticalPointError:
             continue
-        points.append(CriticalPoint(config=config, report=report))
-    return CriticalPointSet(points=tuple(points), mu=w)
+        rows.append(theta)
+    return CriticalPointSet(theta=np.array(rows).reshape(len(rows), len(w)),
+                            reports=tuple(reports), mu=w)
 
 
 def reference_group_into_families(point_set, family_tol=1e-6):
@@ -482,7 +483,7 @@ def reference_group_into_families(point_set, family_tol=1e-6):
     n = len(mu)
     perms = [perm for perm in itertools.permutations(range(n))
              if all(mu[perm[i]] == mu[i] for i in range(n))]
-    configs = [np.asarray(p.config.theta) for p in point_set.points]
+    configs = list(point_set.theta)
     family_of = [None] * len(configs)
     families = []
     for i, theta in enumerate(configs):

@@ -36,7 +36,6 @@ from vortexre.hermite import (
 )
 from vortexre.polynomials import PolynomialRing
 from vortexre.potential import (
-    AngularConfig,
     CirculationWeights,
     potential_gradient,
     potential_value,
@@ -117,22 +116,22 @@ def test_criterion_2_equal_weight_families(capsys, found):
     for fam in fams:
         fam_targets = set()
         for idx in fam:
-            p = pts[idx]
-            axes = symmetry_axes(p.config, mu)
+            theta, report = pts.theta[idx], pts.reports[idx]
+            axes = symmetry_axes(theta, mu)
             if not axes:
                 failures.append(f"point {idx} has no symmetry axis")
                 continue
             k = axes[0]
-            seps = [circle_gap(p.config.theta[i], p.config.theta[k])
+            seps = [circle_gap(theta[i], theta[k])
                     for i in range(3) if i != k]
             target = min(targets, key=lambda t: abs(seps[0] - t))
             if max(abs(s - target) for s in seps) > 1e-8:
                 failures.append(f"point {idx} separations {seps} off target {target}")
             fam_targets.add(target)
             verdict, kind, _ = targets[target]
-            if (p.report.verdict, p.report.extremal_type) != (verdict, kind):
+            if (report.verdict, report.extremal_type) != (verdict, kind):
                 failures.append(
-                    f"point {idx} is {p.report.verdict}/{p.report.extremal_type}, "
+                    f"point {idx} is {report.verdict}/{report.extremal_type}, "
                     f"expected {verdict}/{kind}")
         if len(fam_targets) != 1:
             failures.append(f"family {fam} mixes separations {fam_targets}")
@@ -159,7 +158,7 @@ def test_criterion_3_asymmetric_counts(capsys, certified, found):
         if len(pts) != want:
             failures.append(f"found {mu}: {len(pts)} != {want}")
         weights = CirculationWeights(mu)
-        bad = [i for i, p in enumerate(pts) if symmetry_axes(p.config, weights)]
+        bad = [i for i, theta in enumerate(pts.theta) if symmetry_axes(theta, weights)]
         if bad:
             failures.append(f"{mu}: points {bad} flagged symmetric")
     _emit(capsys, 3, "asymmetric weight-vector counts", failures)
@@ -190,17 +189,17 @@ def test_criterion_4_symmetry_weight_conditions(capsys):
 
 def test_criterion_5_mixed_sign_counterexamples(capsys, found):
     failures = []
-    kinds_213 = {(p.report.verdict, p.report.extremal_type) for p in found[(2, -1, 3)]}
+    kinds_213 = {(r.verdict, r.extremal_type) for r in found[(2, -1, 3)].reports}
     if ("stable", "saddle") not in kinds_213:
         failures.append(f"(2,-1,3) kinds {sorted(kinds_213)} lack a stable saddle")
-    pts = found[(-1, -3, 10)]
-    kinds = {(p.report.verdict, p.report.extremal_type) for p in pts}
+    reports = found[(-1, -3, 10)].reports
+    kinds = {(r.verdict, r.extremal_type) for r in reports}
     if ("stable", "maximum") not in kinds:
         failures.append(f"(-1,-3,10) kinds {sorted(kinds)} lack a stable maximum")
-    minima = [p for p in pts if p.report.extremal_type == "minimum"]
+    minima = [r for r in reports if r.extremal_type == "minimum"]
     if not minima:
         failures.append("(-1,-3,10) has no minimum family")
-    elif any(p.report.verdict != "unstable" for p in minima):
+    elif any(r.verdict != "unstable" for r in minima):
         failures.append("(-1,-3,10) minimum family is not unstable")
     _emit(capsys, 5, "stability without extremality for mixed signs", failures)
 
@@ -209,8 +208,9 @@ def test_criterion_6_continuation_of_stable_saddle(capsys, found):
     raw = (2.0, -1.0, 3.0)
     scale = 1.0 / math.sqrt(sum(m * m for m in raw))
     mu = CirculationWeights(tuple(m * scale for m in raw))
-    start = next(p.config for p in found[(2, -1, 3)]
-                 if (p.report.verdict, p.report.extremal_type) == ("stable", "saddle"))
+    points = found[(2, -1, 3)]
+    start = next(theta for theta, r in zip(points.theta, points.reports)
+                 if (r.verdict, r.extremal_type) == ("stable", "saddle"))
     failures = []
     trace = continue_family(start, mu, eps_max=0.1, step=0.005)
     if trace.failure:
@@ -228,8 +228,7 @@ def test_criterion_6_continuation_of_stable_saddle(capsys, found):
         if report.verdict != "stable":
             failures.append(f"eps={eps}: spectrum verdict {report.verdict}")
         angles = rec.config.angles
-        angular = AngularConfig(tuple(a - angles[0] for a in angles))
-        if symmetry_axes(angular, mu):
+        if symmetry_axes(angles - angles[0], mu):
             failures.append(f"eps={eps}: configuration is symmetric")
     drift = trace.max_radial_drift()
     halved = continue_family(start, mu, eps_max=0.1, step=0.0025).max_radial_drift()

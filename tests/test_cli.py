@@ -384,6 +384,29 @@ def test_plot_missing_and_malformed_files(capsys, tmp_path):
     assert "angles" in err
 
 
+@pytest.mark.parametrize("record,key", [
+    ('{"angles": 5}', "angles"),
+    ('{"angles": [0.0, "1.0"]}', "angles"),
+    ('{"angles": [0.0, true]}', "angles"),
+    ('{"angles": [0.0, Infinity]}', "angles"),
+    ('{"angles": [0.0, 1.0], "radii": [1.0]}', "radii"),
+    ('{"angles": [0.0, 1.0], "radii": [1.0, NaN]}', "radii"),
+    ('{"angles": [0.0, 1.0], "mu": [1.0, 1.0, 1.0]}', "mu"),
+    ('{"angles": [0.0, 1.0], "mu": 1.0}', "mu"),
+    ('{"angles": [0.0, 1.0], "epsilon": "0.1"}', "epsilon"),
+    ('{"angles": [0.0, 1.0], "epsilon": -Infinity}', "epsilon"),
+    ('{"angles": [0.0, 1.0], "z0": [0.1]}', "z0"),
+    ('{"angles": [0.0, 1.0], "z0": [0.1, null]}', "z0"),
+])
+def test_plot_rejects_a_malformed_record(capsys, tmp_path, record, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(record)
+    code, out, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "bad.svg"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_plot_index_out_of_range(capsys, tmp_path):
     points = tmp_path / "points.json"
     run(
@@ -473,6 +496,46 @@ def test_simulate_polygon_needs_scalar_mu(capsys):
         capsys, "simulate", "--mu", "1,1,1", "--polygon", "3", "--eps", "0.05"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("mu", ["-100", "-20"])
+def test_simulate_polygon_without_an_equilibrium_is_a_usage_error(capsys, mu):
+    # 1 + mu*eps*(N-1)/2 is -4 and 0: no radius solves the polygon equation
+    code, out, err = run(capsys, "simulate", "--polygon", "3", "--mu", mu, "--eps", "0.05")
+    assert (code, out) == (2, "")
+    assert "no polygon equilibrium" in err
+
+
+_CONTINUE_POLYGON = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01")
+_CONTINUE_ANGLES = ("continue", "--mu", "1,1", "--start-angles", "0,1.0471975511965976",
+                    "--eps", "0.01")
+_SIMULATE_POLYGON = ("simulate", "--polygon", "3", "--mu", "1", "--eps", "0.01")
+_SIMULATE_ANGLES = ("simulate", "--mu", "1,1,1", "--start-angles", "0,2,4", "--eps", "0.01")
+_SEARCH_FLAGS = (("--seeds", "64"), ("--tol-grad", "1e-9"), ("--tol-zero-eig", "1e-7"))
+
+
+@pytest.mark.parametrize("start,flag", [
+    *[(_CONTINUE_POLYGON, f) for f in (("--normalize",),) + _SEARCH_FLAGS],
+    *[(_CONTINUE_ANGLES, f) for f in _SEARCH_FLAGS],
+    *[(_SIMULATE_POLYGON, f) for f in (("--radii", "1,1,1"), ("--polish",),
+                                      ("--tol-newton", "1e-11"))],
+    (_SIMULATE_ANGLES, ("--tol-newton", "1e-11")),
+])
+def test_a_start_mode_rejects_the_flags_it_does_not_read(capsys, start, flag):
+    code, out, err = run(capsys, *start, *flag)
+    assert (code, out) == (2, "")
+    assert f"does not read {flag[0]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("continue", "--mu", "1,1", "--eps", "0.01", *sum(_SEARCH_FLAGS, ())),
+    (*_CONTINUE_ANGLES, "--normalize", "--tol-newton", "1e-11"),
+    (*_SIMULATE_ANGLES, "--polish", "--tol-newton", "1e-11", "--radii", "1,1,1"),
+])
+def test_a_start_mode_accepts_the_flags_it_reads(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 # -- parser-level errors ------------------------------------------------------

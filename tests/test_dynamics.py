@@ -44,9 +44,9 @@ def stable_saddle():
     from vortexre.search import find_all_critical_points
 
     found = find_all_critical_points((2, -1, 3), seeds=1024)
-    for p in found.points:
-        if (p.report.verdict, p.report.extremal_type) == ("stable", "saddle"):
-            return p.config.theta
+    for theta, report in zip(found.theta, found.reports):
+        if (report.verdict, report.extremal_type) == ("stable", "saddle"):
+            return theta
     raise AssertionError("expected a stable saddle for these weights")
 
 
@@ -127,7 +127,7 @@ def test_zero_epsilon_radial_residual_vanishes_off_circle():
     # off the unit circle only the angular component survives
     cfg = helio((0.0, 2.0), (1, 1), 0.0, radii=[1.3, 0.7])
     res = re_residual(cfg).reshape(-1, 2)
-    z = np.array(cfg.Z)
+    z = cfg.Z
     radial = (res * z).sum(axis=1) / np.linalg.norm(z, axis=1)
     assert np.abs(radial).max() < 1e-14
 
@@ -150,6 +150,12 @@ def test_polygon_rejects_degenerate_count():
         polygon_family(1, 1.0, 0.1)
 
 
+def test_polygon_without_an_equilibrium_names_the_condition():
+    for mu in (-20.0, -100.0):
+        with pytest.raises(ValueError, match="no polygon equilibrium"):
+            polygon_family(3, mu, 0.05)
+
+
 def random_helio(rng, n, eps):
     """Jittered polygon angles, radii in [0.8, 1.2] and mixed-sign weights.
 
@@ -168,7 +174,7 @@ def test_residual_and_jacobian_match_the_pairwise_formulas(n, eps):
     rng = np.random.default_rng(100 + n)
     for _ in range(4):
         cfg = random_helio(rng, n, eps)
-        args = (cfg.array, cfg.mu.array, cfg.epsilon)
+        args = (cfg.Z, cfg.mu.array, cfg.epsilon)
         assert np.abs(re_residual(cfg) - reference_re_residual(*args)).max() < 1e-13
         assert np.abs(re_jacobian(cfg) - reference_re_jacobian(*args)).max() < 1e-12
 
@@ -178,15 +184,15 @@ def test_jacobian_matches_finite_differences():
     for n in (2, 2, 5, 5, 12, 12):
         cfg = random_helio(rng, n, 0.04)
         A = re_jacobian(cfg)
-        x0 = cfg.as_vector()
+        x0 = cfg.Z.ravel()
         h = 1e-7
         fd = np.zeros_like(A)
         for k in range(len(x0)):
             xp, xm = x0.copy(), x0.copy()
             xp[k] += h
             xm[k] -= h
-            fp = re_residual(HelioConfig.from_vector(xp, cfg.epsilon, cfg.mu))
-            fm = re_residual(HelioConfig.from_vector(xm, cfg.epsilon, cfg.mu))
+            fp = re_residual(HelioConfig(xp.reshape(-1, 2), cfg.epsilon, cfg.mu))
+            fm = re_residual(HelioConfig(xm.reshape(-1, 2), cfg.epsilon, cfg.mu))
             fd[:, k] = (fp - fm) / (2 * h)
         assert np.abs(A - fd).max() < 1e-6
 
@@ -207,7 +213,7 @@ def test_equilibrium_has_rotation_and_scaling_structure(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.02, check_start=True)
     cfg = trace.final.config
     A = re_jacobian(cfg)
-    z = cfg.as_vector()
+    z = cfg.Z.ravel()
     Jz = np.empty_like(z)
     Jz[0::2] = -z[1::2]
     Jz[1::2] = z[0::2]
@@ -225,7 +231,7 @@ def test_residual_rotation_equivariance():
     for _ in range(10):
         a = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        res_rot = re_residual(cfg.replace(Z=cfg.array @ rot.T)).reshape(-1, 2)
+        res_rot = re_residual(HelioConfig(cfg.Z @ rot.T, cfg.epsilon, cfg.mu)).reshape(-1, 2)
         assert np.abs(res_rot - base @ rot.T).max() < 1e-12
 
 
@@ -237,7 +243,7 @@ def test_newton_accepts_exact_solution_immediately():
     history = []
     out = newton_solve(cfg, history=history)
     assert len(history) <= 1
-    assert np.abs(np.array(out.Z) - np.array(cfg.Z)).max() < 1e-12
+    assert np.abs(out.Z - cfg.Z).max() < 1e-12
 
 
 def test_newton_restores_unit_circle_at_zero_epsilon():
@@ -251,9 +257,8 @@ def test_newton_restores_unit_circle_at_zero_epsilon():
 
 def test_newton_converges_quadratically():
     cfg = polygon_family(3, 1.0, 0.05)
-    Z = np.array(cfg.Z) + 0.01
     history = []
-    out = newton_solve(cfg.replace(Z=tuple(map(tuple, Z))), history=history)
+    out = newton_solve(HelioConfig(cfg.Z + 0.01, cfg.epsilon, cfg.mu), history=history)
     assert np.abs(re_residual(out)).max() < 1e-12
     assert len(history) <= 7
     # successive residuals drop faster than a fixed linear rate
@@ -312,12 +317,11 @@ def test_linear_verdict_matches_potential_classification():
     found = find_all_critical_points((1, 1, 1), seeds=512)
     families = group_into_families(found)
     for fam in families:
-        point = found.points[fam[0]]
         trace = continue_family(
-            point.config.theta, CirculationWeights((1.0, 1.0, 1.0)), 0.02, step=0.01
+            found.theta[fam[0]], CirculationWeights((1.0, 1.0, 1.0)), 0.02, step=0.01
         )
         report = full_system_stability(trace.final.config)
-        assert report.verdict == point.report.verdict
+        assert report.verdict == found.reports[fam[0]].verdict
 
 
 @pytest.mark.parametrize("step", [5e-5, 1e-4, 2e-4, 5e-4])
@@ -347,7 +351,7 @@ def stability_configs():
 def stability_constraints(cfg):
     """The two rows whose null space full_system_stability works in."""
     B = dynamics._symplectic_form(cfg)
-    return np.vstack([dynamics._perp(cfg.array).ravel() @ B, cfg.as_vector() @ B])
+    return np.vstack([dynamics._perp(cfg.Z).ravel() @ B, cfg.Z.ravel() @ B])
 
 
 def test_null_space_matches_scipy():
@@ -403,9 +407,7 @@ def test_continuation_requires_a_critical_start():
 def test_continuation_is_step_size_robust(stable_saddle):
     coarse = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.01)
     fine = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.005)
-    zc = np.array(coarse.final.config.Z)
-    zf = np.array(fine.final.config.Z)
-    assert np.abs(zc - zf).max() < 1e-8
+    assert np.abs(coarse.final.config.Z - fine.final.config.Z).max() < 1e-8
     assert coarse.max_radial_drift() == pytest.approx(fine.max_radial_drift(), rel=1e-6)
 
 
@@ -453,8 +455,9 @@ def test_continued_equilibrium_corotates(stable_saddle):
 
 def test_helio_round_trips():
     cfg = helio((0.0, 1.0, 2.0), (2, -1, 3), 0.03, radii=[1.1, 0.9, 1.2])
-    again = HelioConfig.from_vector(cfg.as_vector(), cfg.epsilon, cfg.mu)
-    assert np.allclose(again.array, cfg.array)
+    again = HelioConfig.from_angles(cfg.angles, cfg.mu, cfg.epsilon)
+    assert np.allclose(again.Z * cfg.radii[:, None], cfg.Z)
+    assert not cfg.Z.flags.writeable
     q, circ = cfg.to_planar()
     cov = (circ[:, None] * q).sum(axis=0) / circ.sum()
     assert np.abs(cov).max() < 1e-14
@@ -508,6 +511,22 @@ DYNAMICS_DIGESTS = {
     ("simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05", "--periods", "3"):
         ("0d35e57386018f2f76dbcf20ad5ed4a775f9f3c55be1054edf0d014137fc2177",
          "1b329f20bc6447912ddf0ac438dd5635ef851b3e005a5a5ac6190797e5e83959"),
+    # recorded before the angles and positions became plain arrays
+    ("continue", "--mu=2,-1,3", "--select", "stable saddle", "--eps", "0.02",
+     "--step", "0.005"):
+        ("69843a32e80801b8056ebea823b7ebee9e5ad09754e4c807ed8f6ae9c42fb4c6", None),
+    ("continue", "--mu=2,-1,3", "--point-index", "3", "--eps", "0.02", "--step", "0.005",
+     "--format", "table"):
+        ("2fd3ca5105d59416704d2a04d9a2e1fdbdd2f54b4e66b844586cc2423b5c0916", None),
+    ("continue", "--mu=1,1,1", "--normalize", "--eps", "0.02", "--step", "0.005",
+     "--format", "json"):
+        ("2f287ad2847e474886b0bc75dcfcdd2802d6dc5487d2b070cb02540cd6f7764e", None),
+    ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01", "--polish"):
+        ("beedc1907818db98cd47e589cfd052489651f9db0b744b4ed66aa55183d36f87", None),
+    ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01",
+     "--radii=1,1.01,0.99"):
+        ("86308d470db1d31e0ef68bdb25859580d0bffa1b2677304c2fc5467d52388647",
+         "d6d16e83306ddf725881dcfbf83325dac2a20f326ab6809844981346f7f0b723"),
 }
 
 

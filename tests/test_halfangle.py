@@ -264,9 +264,9 @@ def test_system_vanishes_at_search_critical_points():
     for mu in ((1, 1, 1), (2, 1, 9)):
         system = build_equal_weight_system(mu)
         found = find_all_critical_points(mu, seeds=512)
-        assert found.points
-        for point in found.points:
-            coords = half_angle_coordinates(point.config)
+        assert len(found)
+        for theta in found.theta:
+            coords = half_angle_coordinates(theta)
             values = {"r2": coords[0], "r3": coords[1]}
             for p in system.polys:
                 assert abs(p.evaluate_float(values)) < 1e-7
@@ -295,15 +295,15 @@ def test_numeric_roots_map_back_to_critical_points():
     roots = grid_newton_real_roots(fns, jac, box=4.0, grid=24)
     assert roots
     for root in roots:
-        config = back_transform(tuple(root))
-        grad = potential_gradient(config, mu)
+        theta = back_transform(tuple(root))
+        grad = potential_gradient(theta, mu)
         assert np.abs(grad).max() < 1e-8
 
 
 def test_back_transform_marked_values():
-    assert back_transform((1.0,)).theta[1] == pytest.approx(math.pi / 2)
-    assert back_transform((0.0,)).theta[1] == pytest.approx(math.pi)
-    assert back_transform((0.5, -2.0)).theta[0] == 0.0
+    assert back_transform((1.0,))[1] == pytest.approx(math.pi / 2)
+    assert back_transform((0.0,))[1] == pytest.approx(math.pi)
+    assert back_transform((0.5, -2.0))[0] == 0.0
 
 
 def test_back_transform_rejects_coinciding_roots():
@@ -325,8 +325,8 @@ def test_round_trip_angles_to_roots_and_back():
             continue
         coords = half_angle_coordinates((0.0, t2, t3))
         back = back_transform(coords)
-        assert back.theta[1] == pytest.approx(t2, abs=1e-12)
-        assert back.theta[2] == pytest.approx(t3, abs=1e-12)
+        assert back[1] == pytest.approx(t2, abs=1e-12)
+        assert back[2] == pytest.approx(t3, abs=1e-12)
 
 
 def test_round_trip_roots_to_angles_and_back():
@@ -336,7 +336,6 @@ def test_round_trip_roots_to_angles_and_back():
         r3 = rng.uniform(-8, 8)
         if abs(r2 - r3) < 1e-3:
             continue
-        config = back_transform((r2, r3))
-        again = half_angle_coordinates(config)
+        again = half_angle_coordinates(back_transform((r2, r3)))
         assert again[0] == pytest.approx(r2, abs=1e-9)
         assert again[1] == pytest.approx(r3, abs=1e-9)

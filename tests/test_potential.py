@@ -15,7 +15,6 @@ from helpers import (
 )
 from vortexre.errors import CollisionError, NotACriticalPointError
 from vortexre.potential import (
-    AngularConfig,
     CirculationWeights,
     classify,
     potential_gradient,
@@ -279,9 +278,9 @@ def test_stability_equals_minimum_for_positive_weights():
 
     for mu in ((1, 1, 1), (2, 1, 9)):
         found = find_all_critical_points(mu, seeds=512)
-        assert found.points
-        for p in found.points:
-            assert (p.report.verdict == "stable") == (p.report.extremal_type == "minimum")
+        assert len(found)
+        for report in found.reports:
+            assert (report.verdict == "stable") == (report.extremal_type == "minimum")
 
 
 def test_mixed_signs_break_the_minimum_rule():
@@ -289,7 +288,7 @@ def test_mixed_signs_break_the_minimum_rule():
     from vortexre.search import find_all_critical_points
 
     found = find_all_critical_points((2, -1, 3), seeds=1024)
-    kinds = {(p.report.verdict, p.report.extremal_type) for p in found.points}
+    kinds = {(r.verdict, r.extremal_type) for r in found.reports}
     assert ("stable", "saddle") in kinds
 
 
@@ -321,12 +320,3 @@ def test_weights_parse_and_validate():
     # one tiny weight is fine while every product of two stays normal
     assert CirculationWeights.parse("1e-300,1e10,1").mu[0] == 1e-300
 
-
-def test_angular_config_normalization():
-    cfg = AngularConfig((0.3, 1.0, 2.0))
-    assert cfg.theta[0] != 0.0
-    norm = cfg.normalized()
-    assert norm.theta[0] == 0.0
-    assert norm.theta == pytest.approx((0.0, 0.7, 1.7))
-    wrapped = AngularConfig((-0.5, 7.0, 2.0)).normalized()
-    assert wrapped.theta[1] == pytest.approx(7.5 % (2 * math.pi))

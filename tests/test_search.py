@@ -23,7 +23,6 @@ from helpers import (
 from vortexre.cli import main
 from vortexre.errors import NotACriticalPointError
 from vortexre.potential import (
-    AngularConfig,
     CirculationWeights,
     _classify,
     _pair_table,
@@ -32,8 +31,8 @@ from vortexre.potential import (
     potential_hessian,
 )
 from vortexre.search import (
+    _FAMILY_TOL,
     TWO_PI,
-    CriticalPoint,
     CriticalPointSet,
     _dedup,
     _gauged,
@@ -59,7 +58,7 @@ def equal_weights():
 
 def test_two_vortex_catalog_is_exact():
     found = find_all_critical_points((1, 1), seeds=256)
-    angles = sorted(p.config.theta[1] for p in found.points)
+    angles = sorted(found.theta[:, 1])
     expected = [math.pi / 3, math.pi, 5 * math.pi / 3]
     assert len(angles) == 3
     for got, want in zip(angles, expected):
@@ -68,7 +67,7 @@ def test_two_vortex_catalog_is_exact():
 
 
 def test_equal_weights_point_count(equal_weights):
-    assert len(equal_weights.points) == 14
+    assert len(equal_weights) == len(equal_weights.theta) == 14
 
 
 def test_equal_weights_family_structure(equal_weights):
@@ -77,10 +76,7 @@ def test_equal_weights_family_structure(equal_weights):
     # each family is homogeneous in classification
     for fam in families:
         verdicts = {
-            (
-                equal_weights.points[i].report.verdict,
-                equal_weights.points[i].report.extremal_type,
-            )
+            (equal_weights.reports[i].verdict, equal_weights.reports[i].extremal_type)
             for i in fam
         }
         assert len(verdicts) == 1
@@ -88,8 +84,8 @@ def test_equal_weights_family_structure(equal_weights):
 
 def test_equal_weights_verdict_census(equal_weights):
     census = {}
-    for p in equal_weights.points:
-        key = (p.report.verdict, p.report.extremal_type)
+    for report in equal_weights.reports:
+        key = (report.verdict, report.extremal_type)
         census[key] = census.get(key, 0) + 1
     assert census == {
         ("stable", "minimum"): 6,
@@ -99,8 +95,8 @@ def test_equal_weights_verdict_census(equal_weights):
 
 
 def test_every_point_is_actually_critical(equal_weights):
-    for p in equal_weights.points:
-        g = potential_gradient(p.config, equal_weights.mu)
+    for theta in equal_weights.theta:
+        g = potential_gradient(theta, equal_weights.mu)
         # the polisher drives the reduced gradient below tol; the gauge
         # component is minus their sum
         assert np.abs(g[1:]).max() < 1e-10
@@ -108,14 +104,14 @@ def test_every_point_is_actually_critical(equal_weights):
 
 
 def test_points_are_pairwise_distinct(equal_weights):
-    pts = equal_weights.points
+    pts = equal_weights.theta
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert rotation_distance(pts[i].config.theta, pts[j].config.theta) > 1e-6
+            assert rotation_distance(pts[i], pts[j]) > 1e-6
 
 
 def test_catalog_is_sorted_and_gauge_fixed(equal_weights):
-    thetas = [p.config.theta for p in equal_weights.points]
+    thetas = equal_weights.theta.tolist()
     assert thetas == sorted(thetas)
     for t in thetas:
         assert t[0] == 0.0
@@ -124,14 +120,14 @@ def test_catalog_is_sorted_and_gauge_fixed(equal_weights):
 def test_seed_count_already_saturated():
     a = find_all_critical_points((1, 1, 1), seeds=512)
     b = find_all_critical_points((1, 1, 1), seeds=1024)
-    assert len(a.points) == len(b.points) == 14
+    assert len(a) == len(b) == 14
 
 
 def test_mixed_sign_weights_find_stable_saddle():
     found = find_all_critical_points((2, -1, 3), seeds=1024)
-    assert len(found.points) == 10
+    assert len(found) == 10
     assert len(group_into_families(found)) == 5
-    kinds = {(p.report.verdict, p.report.extremal_type) for p in found.points}
+    kinds = {(r.verdict, r.extremal_type) for r in found.reports}
     assert ("stable", "saddle") in kinds
 
 
@@ -161,19 +157,19 @@ def test_symmetry_respects_weights():
 
 
 def test_equal_weight_points_all_symmetric(equal_weights):
-    for p in equal_weights.points:
-        assert symmetry_check(p.config, tol=1e-6)
+    for theta in equal_weights.theta:
+        assert symmetry_check(theta, tol=1e-6)
 
 
 def test_unequal_weight_points_all_asymmetric():
     found = find_all_critical_points((2, 1, 9), seeds=1024)
-    assert len(found.points) == 10
-    for p in found.points:
-        assert not symmetry_check(p.config, tol=1e-6)
+    assert len(found) == 10
+    for theta in found.theta:
+        assert not symmetry_check(theta, tol=1e-6)
 
 
 def test_export_schema(equal_weights):
-    out = export_critical_points(equal_weights)
+    out = export_critical_points(equal_weights, group_into_families(equal_weights))
     assert out["count"] == 14
     assert out["family_count"] == 3
     assert isinstance(out["dedup_rule"], str)
@@ -315,7 +311,7 @@ def test_dedup_drops_exact_duplicates_interleaved_out_of_order():
                                 (1, 1, 1, 1, 1)] + [mu for mu, _ in ZERO_SUM_SADDLES])
 def test_batched_classify_equals_per_point_classify(mu):
     found = find_all_critical_points(mu)
-    theta = np.array([p.config.theta for p in found])
+    theta = np.array(found.theta)
     off = theta[:1].copy()
     off[0, 1] += 1e-3  # no longer critical
     theta = np.concatenate((theta, off))
@@ -326,7 +322,7 @@ def test_batched_classify_equals_per_point_classify(mu):
     for row, report in zip(theta[:-1], reports):
         assert report == classify(row, mu, tol_grad=1e-9)
         assert report == reference_classify(row, mu, tol_grad=1e-9)
-    assert [p.report for p in found] == reports[:-1]
+    assert list(found.reports) == reports[:-1]
 
 
 # sha256 of `find --format json`, recorded before the pair-table search
@@ -341,6 +337,16 @@ FIND_DIGESTS = {
 }
 
 
+# sha256 of `find --format csv` and `--format table` at 4096 seeds,
+# recorded before the catalogue became one angle array
+FIND_FORMAT_DIGESTS = {
+    ("2,-1,3", "csv"): "e8fc883f0dc569f737b8540e90f1274c40d17a8f9f41a2e9322450f4e12eb7bf",
+    ("2,-1,3", "table"): "de5fb4c496cffd853eb518f5002440f1b695aa6309019521420afd87372fda2d",
+    ("1,2,3,4", "csv"): "958eb1ed34ba9bf97194c5088e1e2a5eb5d490e8b7d80216f405e9cd0a52ccc2",
+    ("1,2,3,4", "table"): "77f77f3279bebd4339ceb2227690dc18e2b602104193d0c915a50d57fd7e9ebc",
+}
+
+
 @pytest.mark.parametrize("base", [(1, 1, 1), (2, -1, 3), (2, 1, 9), (1, 2, 3, 4)])
 @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e3, 1e6])
 def test_catalogue_does_not_depend_on_the_weight_scale(base, scale):
@@ -350,10 +356,10 @@ def test_catalogue_does_not_depend_on_the_weight_scale(base, scale):
     scaled = find_all_critical_points(tuple(scale * m for m in base), seeds=1024)
     assert len(scaled) == len(unit)
     assert group_into_families(scaled) == group_into_families(unit)
-    for p, q in zip(scaled, unit):
-        assert np.abs(np.subtract(p.config.theta, q.config.theta)).max() < 1e-14
-        assert (p.report.verdict, p.report.extremal_type, p.report.zero_count) == (
-            q.report.verdict, q.report.extremal_type, q.report.zero_count)
+    assert np.abs(scaled.theta - unit.theta).max(initial=0.0) < 1e-14
+    for p, q in zip(scaled.reports, unit.reports):
+        assert (p.verdict, p.extremal_type, p.zero_count) == (
+            q.verdict, q.extremal_type, q.zero_count)
 
 
 @pytest.mark.parametrize("mu,seeds", FIND_DIGESTS)
@@ -364,13 +370,21 @@ def test_find_output_is_frozen(mu, seeds):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIND_DIGESTS[mu, seeds]
 
 
+@pytest.mark.parametrize("mu,fmt", FIND_FORMAT_DIGESTS)
+def test_find_csv_and_table_output_is_frozen(mu, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["find", "--mu=" + mu, "--format", fmt]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIND_FORMAT_DIGESTS[mu, fmt]
+
+
 def _point_set(thetas, mu):
-    points = tuple(CriticalPoint(config=AngularConfig(t), report=None) for t in thetas)
-    return CriticalPointSet(points=points, mu=CirculationWeights(mu))
+    return CriticalPointSet(theta=np.array(thetas), reports=(None,) * len(thetas),
+                            mu=CirculationWeights(mu))
 
 
 def test_family_gap_on_a_rounding_boundary_still_merges():
-    tol = 1e-6
+    tol = _FAMILY_TOL
     gap = (1234567 + 0.5) * tol   # half-way between two rounding units
     base = (0.0, gap, 4.0)
     below = (0.0, gap - 1e-12, 4.0)
@@ -379,7 +393,7 @@ def test_family_gap_on_a_rounding_boundary_still_merges():
               (2 * math.pi - gap - 1e-12) % (2 * math.pi))
     other = (0.0, 1.0, 4.0)
     point_set = _point_set([base, below, other, above, mirror], (1, 1, 1))
-    families = group_into_families(point_set, family_tol=tol)
+    families = group_into_families(point_set)
     assert families == [(0, 1, 3, 4), (2,)]
     assert families == reference_group_into_families(point_set, family_tol=tol)
 
