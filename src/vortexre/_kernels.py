@@ -2,7 +2,8 @@
 
 A monomial is a tuple of non-negative integer exponents, one per ring
 variable.  A term map is a plain dict from monomial to nonzero
-coefficient.  An order spec is a tuple ``(kind, block, priority)`` with
+coefficient: ``Fraction`` at the polynomial API, ``int`` inside the
+exact engine, which divides integer term maps fraction-free.  An order spec is a tuple ``(kind, block, priority)`` with
 ``kind`` in {"lex", "degrevlex", "elim"}, ``block`` the size of the
 leading (eliminated) variable block for "elim", and ``priority`` either
 None (natural variable order) or a permutation of variable indices
@@ -16,7 +17,9 @@ names sees exactly the calls made from outside it.
 
 from __future__ import annotations
 
-from operator import add
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add, ge, sub
 
 # -- monomials ---------------------------------------------------------------
 
@@ -150,6 +153,10 @@ def terms_mul(t1, t2):
 
 def terms_iadd_scaled(acc, src, coeff, shift):
     """acc += coeff * x^shift * src, in place.  shift may be None."""
+    _iadd_scaled(acc, src, coeff, shift)
+
+
+def _iadd_scaled(acc, src, coeff, shift):
     for m, c in src.items():
         key = m if shift is None else tuple(map(add, m, shift))
         cur = acc.get(key)
@@ -161,3 +168,59 @@ def terms_iadd_scaled(acc, src, coeff, shift):
                 acc[key] = cur
             else:
                 del acc[key]
+
+
+# -- fraction-free division --------------------------------------------------
+
+def primitive(terms, spec):
+    """(lm, t, unit) for a nonzero term map of ints or Fractions.
+
+    t is the primitive integer term map with terms == unit * t and a
+    positive coefficient at the leading monomial lm; unit is rational.
+    """
+    keys = _keys(spec)
+    lm = max(terms, key=keys.__getitem__)
+    values = terms.values()
+    den = lcm(*(c.denominator for c in values))
+    num = gcd(*(c.numerator for c in values))
+    if terms[lm] < 0:
+        num = -num
+    t = {m: c.numerator * (den // c.denominator) // num for m, c in terms.items()}
+    return lm, t, Fraction(num, den)
+
+
+def reduce_integer(terms, divisors, spec):
+    """Divide an integer term map by integer divisors without fractions.
+
+    `divisors` lists (leading monomial, term map) pairs whose leading
+    coefficients are positive; the first divisor whose leading monomial
+    divides the work's leading monomial is used, as in division over Q.
+    Returns (remainder, k) with k a positive integer and remainder equal
+    to k times the remainder over Q.  Each step scales the work by
+    lc/gcd(c, lc) and subtracts (c/gcd)*x^shift*divisor, so it never
+    leaves the integers; a remainder term is scaled once at the end by
+    the factors that came after it.
+    """
+    keys = _keys(spec).__getitem__
+    divs = [(lm, d[lm], d) for lm, d in divisors]
+    work = dict(terms)
+    k = 1
+    kept = []   # (monomial, coefficient, k when it was kept)
+    while work:
+        m = max(work, key=keys)
+        c = work[m]
+        for lm, lc, d in divs:
+            if all(map(ge, m, lm)):
+                shift = tuple(map(sub, m, lm))
+                g = gcd(c, lc)
+                a, b = lc // g, c // g
+                if a != 1:
+                    k *= a
+                    for t in work:
+                        work[t] *= a
+                _iadd_scaled(work, d, -b, shift)
+                break
+        else:
+            kept.append((m, c, k))
+            del work[m]
+    return {m: c * (k // k_at) for m, c, k_at in kept}, k

@@ -312,9 +312,7 @@ def _snapshot_schedule(args):
     """
     from vortexre.dynamics import _epsilon_schedule
 
-    schedule = [0.0]
-    if args.eps_max > 0.0:
-        schedule += _epsilon_schedule(args.eps_max, args.step)
+    schedule = [0.0] + _epsilon_schedule(args.eps_max, args.step)
     out = []
     for eps in _parse_floats(args.snapshots):
         hit = [s for s in schedule if abs(s - eps) < 1e-9]
@@ -342,7 +340,7 @@ def _snapshot_records(trace, snapshots, start, mu):
 def cmd_continue(args):
     import numpy as np
 
-    from vortexre.dynamics import ContinuationTrace, continue_family
+    from vortexre.dynamics import continue_family
     from vortexre.potential import CirculationWeights
 
     snapshots = _snapshot_schedule(args) if args.snapshots else []
@@ -358,11 +356,8 @@ def cmd_continue(args):
             mu = CirculationWeights(tuple(m * scale for m in mu))
         start = _select_start(args, mu)
         check_start = True
-    if args.eps_max == 0.0:
-        trace = ContinuationTrace(records=(), mu=mu)
-    else:
-        trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
-                                tol=args.tol_newton, check_start=check_start)
+    trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
+                            tol=args.tol_newton, check_start=check_start)
     rows = trace.csv_rows()
     if args.format == "json":
         text = json.dumps(trace.to_dict(), indent=2) + "\n"

@@ -370,8 +370,10 @@ class ContinuationTrace:
 
 
 def _epsilon_schedule(eps_max, step):
-    if eps_max <= 0.0 or step <= 0.0:
-        raise ValueError("eps_max and step must be positive")
+    if eps_max < 0.0 or step <= 0.0:
+        raise ValueError("eps_max must be non-negative and step positive")
+    if eps_max == 0.0:
+        return []
     out = []
     k = 1
     while step * k < eps_max - 1e-12:
@@ -385,9 +387,10 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=
     """Continue a nondegenerate critical point of V to positive coupling.
 
     Walks eps from `step` to `eps_max`, seeding each Newton solve with the
-    previous solution and recording the full-system stability verdict.  A
-    failed solve ends the walk and returns the partial trace with a
-    failure marker instead of raising.
+    previous solution and recording the full-system stability verdict;
+    eps_max = 0 checks the start and returns an empty trace.  A failed
+    solve ends the walk and returns the partial trace with a failure
+    marker instead of raising.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     if check_start:

@@ -1,7 +1,10 @@
 """Buchberger's algorithm, polynomial reduction, and elimination ideals.
 
-All arithmetic is exact over the rationals.  A polynomial's ring holds
-its monomial order, and every function here works under that order:
+All arithmetic is exact over the rationals.  Polynomials come in and go
+out with ``Fraction`` coefficients, but reduction and Buchberger run on
+primitive integer term maps (``_kernels.reduce_integer``) and turn back
+into ``Fraction`` only at the end.  A polynomial's ring holds its
+monomial order, and every function here works under that order:
 polynomials passed to one call must share one ring.  ``buchberger``
 returns the unique reduced Groebner basis for the ring's order, so
 golden tests can compare bases verbatim.
@@ -10,6 +13,7 @@ golden tests can compare bases verbatim.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from vortexre import _kernels
 from vortexre.polynomials import MonomialOrder, MultiPoly
@@ -56,42 +60,41 @@ def normal_form(p, divisors):
     """Remainder of p on division by the divisors, tried in list order."""
     ring = p.ring
     ring.check(divisors)
+    if not p.terms:
+        return p
     spec = ring.order.spec
-    divs = []
-    for d in divisors:
-        lm = _kernels.leading_monomial(d.terms, spec)
-        divs.append((lm, d.terms[lm], d.terms))
-    work = dict(p.terms)
-    remainder = {}
-    while work:
-        m = _kernels.leading_monomial(work, spec)
-        c = work[m]
-        for lm, lc, terms in divs:
-            shift = _kernels.monomial_div(m, lm)
-            if shift is not None:
-                _kernels.terms_iadd_scaled(work, terms, -(c / lc), shift)
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return MultiPoly(ring, remainder)
+    _, t, unit = _kernels.primitive(p.terms, spec)
+    remainder, k = _kernels.reduce_integer(t, _divisors(divisors, spec), spec)
+    num, den = unit.numerator, unit.denominator * k
+    return MultiPoly(ring, {m: Fraction(c * num, den) for m, c in remainder.items()})
 
 
 def s_polynomial(f, g):
     """S-polynomial: the leading terms of f and g cancelled against each other."""
     f.ring.check((g,))
     spec = f.ring.order.spec
-    lm_f = _kernels.leading_monomial(f.terms, spec)
-    lm_g = _kernels.leading_monomial(g.terms, spec)
-    lcm = _kernels.monomial_lcm(lm_f, lm_g)
+    (lm_f, tf), (lm_g, tg) = _divisors((f, g), spec)
+    scale = lcm(tf[lm_f], tg[lm_g])
+    return MultiPoly(f.ring, {m: Fraction(c, scale)
+                              for m, c in _s_terms((lm_f, tf), (lm_g, tg)).items()})
+
+
+def _divisors(polys, spec):
+    """(leading monomial, primitive integer term map) of each polynomial."""
+    return [_kernels.primitive(p.terms, spec)[:2] for p in polys]
+
+
+def _s_terms(f, g):
+    """The S-polynomial of two integer divisors, scaled by the lcm of
+    their leading coefficients so that it stays integral."""
+    (lm_f, tf), (lm_g, tg) = f, g
+    lc_f, lc_g = tf[lm_f], tg[lm_g]
+    h = gcd(lc_f, lc_g)
+    lcm_fg = _kernels.monomial_lcm(lm_f, lm_g)
     s = {}
-    _kernels.terms_iadd_scaled(
-        s, f.terms, Fraction(1) / f.terms[lm_f], _kernels.monomial_div(lcm, lm_f)
-    )
-    _kernels.terms_iadd_scaled(
-        s, g.terms, Fraction(-1) / g.terms[lm_g], _kernels.monomial_div(lcm, lm_g)
-    )
-    return MultiPoly(f.ring, s)
+    _kernels.terms_iadd_scaled(s, tf, lc_g // h, _kernels.monomial_div(lcm_fg, lm_f))
+    _kernels.terms_iadd_scaled(s, tg, -(lc_f // h), _kernels.monomial_div(lcm_fg, lm_g))
+    return s
 
 
 def buchberger(generators):
@@ -99,7 +102,10 @@ def buchberger(generators):
 
     Classic Buchberger with normal pair selection (smallest lcm in the
     monomial order first) and the coprime-leading-monomial criterion,
-    followed by auto-reduction to the unique reduced basis.
+    followed by auto-reduction to the unique reduced basis.  The basis
+    is held as primitive integer term maps with positive leading
+    coefficients; each is a positive multiple of the monic element that
+    division over Q would give, so only the result is made monic.
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
@@ -107,28 +113,26 @@ def buchberger(generators):
     ring = generators[0].ring
     ring.check(generators)
     spec = ring.order.spec
-    basis = [g.monic() for g in generators]
-
-    def lm(i):
-        return _kernels.leading_monomial(basis[i].terms, spec)
+    basis = _divisors(generators, spec)
 
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
         best = None
         best_key = None
         for i, j in pairs:
-            key = (_kernels.order_key(spec, _kernels.monomial_lcm(lm(i), lm(j))), i, j)
+            lcm_ij = _kernels.monomial_lcm(basis[i][0], basis[j][0])
+            key = (_kernels.order_key(spec, lcm_ij), i, j)
             if best is None or key < best_key:
                 best = (i, j)
                 best_key = key
         pairs.discard(best)
         i, j = best
-        mi, mj = lm(i), lm(j)
+        mi, mj = basis[i][0], basis[j][0]
         if _kernels.monomial_lcm(mi, mj) == _kernels.monomial_mul(mi, mj):
             continue  # coprime leading monomials: S-poly reduces to zero
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
+        r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j]), basis, spec)
+        if r:
+            basis.append(_kernels.primitive(r, spec)[:2])
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
     return _reduced_basis(basis, ring)
@@ -137,11 +141,10 @@ def buchberger(generators):
 def _reduced_basis(basis, ring):
     spec = ring.order.spec
     # Minimalize: drop any element whose leading monomial another divides.
-    by_lm = sorted(basis, key=lambda g: _kernels.order_key(spec, g.leading_monomial()))
+    by_lm = sorted(basis, key=lambda g: _kernels.order_key(spec, g[0]))
     minimal = []
     for g in by_lm:
-        glm = g.leading_monomial()
-        if not any(_kernels.monomial_divides(h.leading_monomial(), glm) for h in minimal):
+        if not any(_kernels.monomial_divides(h[0], g[0]) for h in minimal):
             minimal.append(g)
     # Tail-reduce each element against the others until stable.
     changed = True
@@ -149,12 +152,14 @@ def _reduced_basis(basis, ring):
         changed = False
         for idx, g in enumerate(minimal):
             others = minimal[:idx] + minimal[idx + 1:]
-            r = normal_form(g, others).monic()
-            if r != g:
-                minimal[idx] = r
+            remainder, _ = _kernels.reduce_integer(g[1], others, spec)
+            lm, t, _ = _kernels.primitive(remainder, spec)
+            if t != g[1]:
+                minimal[idx] = (lm, t)
                 changed = True
-    minimal.sort(key=lambda g: _kernels.order_key(spec, g.leading_monomial()))
-    return GroebnerBasis(minimal, ring)
+    minimal.sort(key=lambda g: _kernels.order_key(spec, g[0]))
+    return GroebnerBasis([MultiPoly(ring, {m: Fraction(c, t[lm]) for m, c in t.items()})
+                          for lm, t in minimal], ring)
 
 
 def elimination_ideal(generators, eliminate):

@@ -3,7 +3,9 @@
 The trace form on the quotient ring Q[x]/I is a symmetric rational
 matrix whose rank is the number of distinct complex roots and whose
 signature is the number of distinct real roots.  Everything here is
-exact: the counts are certificates, not estimates.
+exact: the counts are certificates, not estimates.  Normal forms and
+traces are computed on integer term maps over explicit denominators;
+the matrix is returned with ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexre import _kernels
-from vortexre.groebner import buchberger, normal_form
+from vortexre.groebner import buchberger
 
 
 class InfiniteVarietyError(ValueError):
@@ -67,38 +69,47 @@ def quotient_basis(gb):
 class _Traces:
     """Normal forms of monomials and multiplication-map traces.
 
-    Only border monomials x_k*b (b in the basis, x_k*b outside it) are
-    reduced by `normal_form`.  Any other monomial m = x_k*m' follows
-    linearly: NF(m) = sum_b c_b NF(x_k*b), where NF(m') = sum_b c_b b.
-    Traces are linear too: Tr(M_m) = sum_b NF(m)[b] Tr(M_b), with
-    Tr(M_b) = sum_c NF(b*c)[c].
+    A normal form is held as (integer term map, positive denominator) in
+    lowest terms.  Only border monomials x_k*b (b in the basis, x_k*b
+    outside it) are divided by the basis, fraction-free.  Any other
+    monomial m = x_k*m' follows linearly: NF(m) = sum_b c_b NF(x_k*b),
+    where NF(m') = sum_b c_b b, summed over a common denominator.  Traces
+    are linear too: Tr(M_m) = sum_b NF(m)[b] Tr(M_b), with
+    Tr(M_b) = sum_c NF(b*c)[c] kept over one denominator for all b, so
+    a Fraction is built only for each trace asked for.
     """
 
     def __init__(self, gb, basis):
-        self.gb = gb
+        self._spec = gb.ring.order.spec
+        self._divisors = [_kernels.primitive(g.terms, self._spec)[:2] for g in gb.polys]
         self._in_basis = set(basis)
-        self._nf = {b: {b: Fraction(1)} for b in basis}
+        self._nf = {b: ({b: 1}, 1) for b in basis}
         self._traces = {}
+        diagonal = {b: [(c, self.monomial_nf(_kernels.monomial_mul(b, c))) for c in basis]
+                    for b in basis}
+        self._den = math.lcm(*(den for row in diagonal.values() for _, (_, den) in row))
         self._basis_traces = {
-            b: sum((self.monomial_nf(_kernels.monomial_mul(b, c)).get(c, 0)
-                    for c in basis), Fraction(0))
-            for b in basis
+            b: sum(t.get(c, 0) * (self._den // den) for c, (t, den) in row)
+            for b, row in diagonal.items()
         }
 
     def monomial_nf(self, m):
-        """Normal form of a monomial as {basis monomial: coefficient}."""
+        """Normal form of a monomial as ({basis monomial: integer}, denominator)."""
         nf = self._nf.get(m)
         if nf is None:
             lower = [(k, m[:k] + (e - 1,) + m[k + 1:]) for k, e in enumerate(m) if e]
             if not lower or any(p in self._in_basis for _, p in lower):
-                r = normal_form(self.gb.ring.monomial(m), self.gb.polys)
-                nf = r.terms
+                nf = _lowest(*_kernels.reduce_integer({m: 1}, self._divisors, self._spec))
             else:
                 k, p = lower[0]
-                nf = {}
-                for b, c in self.monomial_nf(p).items():
-                    xb = b[:k] + (b[k] + 1,) + b[k + 1:]
-                    _kernels.terms_iadd_scaled(nf, self.monomial_nf(xb), c, None)
+                terms, den = self.monomial_nf(p)
+                parts = [(c, self.monomial_nf(b[:k] + (b[k] + 1,) + b[k + 1:]))
+                         for b, c in terms.items()]
+                common = math.lcm(*(d for _, (_, d) in parts))
+                acc = {}
+                for c, (t, d) in parts:
+                    _kernels.terms_iadd_scaled(acc, t, c * (common // d), None)
+                nf = _lowest(acc, den * common)
             self._nf[m] = nf
         return nf
 
@@ -107,9 +118,18 @@ class _Traces:
         tr = self._traces.get(m)
         if tr is None:
             t = self._basis_traces
-            tr = self._traces[m] = sum(
-                (c * t[b] for b, c in self.monomial_nf(m).items()), Fraction(0))
+            terms, den = self.monomial_nf(m)
+            tr = self._traces[m] = Fraction(
+                sum(c * t[b] for b, c in terms.items()), den * self._den)
         return tr
+
+
+def _lowest(terms, den):
+    """(terms, den) with their common factor divided out."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {m: c // g for m, c in terms.items()}, den // g
 
 
 def hermite_matrix(gb, basis):

@@ -357,10 +357,8 @@ class MultiPoly:
         """
         if not self.terms:
             return self, Fraction(1)
-        unit = self.content()
-        if self.leading_coefficient() < 0:
-            unit = -unit
-        return self * (Fraction(1) / unit), unit
+        _, t, unit = _kernels.primitive(self.terms, self.ring.order.spec)
+        return MultiPoly(self.ring, {m: Fraction(c) for m, c in t.items()}), unit
 
     # -- text form -----------------------------------------------------
 

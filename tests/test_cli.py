@@ -307,6 +307,26 @@ def test_continue_eps_zero_gives_header_only(capsys):
     assert out.strip() == "eps,r1,r2,theta1,theta2,residual,verdict"
 
 
+@pytest.mark.parametrize("eps", ["0", "0.01"])
+def test_continue_checks_its_start_at_every_eps(capsys, eps):
+    code, out, err = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,1,2",
+                         "--eps", eps)
+    assert code == 1
+    assert out == ""
+    assert "failure: gradient infinity-norm 5.145e-01 exceeds tolerance" in err
+
+
+@pytest.mark.parametrize("eps", ["0", "0.01"])
+def test_continue_from_a_colliding_start_writes_nothing(capsys, tmp_path, eps):
+    target = tmp_path / "z.csv"
+    code, out, err = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,0,2",
+                         "--eps", eps, "--snapshots", "0", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert "failure: vortices 1 and 2 coincide" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_continue_validates_point_index(capsys):
     code, _, err = run(
         capsys,

@@ -1,5 +1,8 @@
 """Buchberger completion, division, and elimination ideals."""
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from helpers import (
@@ -16,6 +19,7 @@ from vortexre.groebner import (
     normal_form,
     s_polynomial,
 )
+from vortexre.halfangle import build_equal_weight_system
 from vortexre.polynomials import MonomialOrder, PolynomialRing
 
 
@@ -209,6 +213,70 @@ def test_agrees_with_independent_cas():
                 [to_sympy(g, xs) for g in gens], *xs, order=order_name, domain="QQ"
             )
             assert ours == {sympy.Poly(e, *xs, domain="QQ") for e in theirs.exprs}
+
+
+# -- scale bookkeeping: integer division must give the remainder over Q -----
+
+def _random_fraction_poly(ring, rng, max_terms=5, max_deg=3):
+    p = ring.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in ring.variables)
+        p = p + ring.monomial(e, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+    return p
+
+
+def test_normal_form_with_fraction_divisors_matches_cas():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x y z")
+    rng = seeded(23)
+    checked = non_monic = 0
+    for order_name, order in (("grevlex", MonomialOrder.degrevlex()), ("lex", MonomialOrder.lex())):
+        ring = PolynomialRing(("x", "y", "z"), order)
+        for _ in range(15):
+            p = _random_fraction_poly(ring, rng, max_terms=6, max_deg=4)
+            divisors = [_random_fraction_poly(ring, rng, max_terms=3, max_deg=2)
+                        for _ in range(rng.randint(1, 3))]
+            divisors = [d for d in divisors if not d.is_zero()]
+            if p.is_zero() or not divisors:
+                continue
+            non_monic += any(d.leading_coefficient() not in (1, -1) for d in divisors)
+            _, theirs = sympy.reduced(to_sympy(p, xs), [to_sympy(d, xs) for d in divisors],
+                                      *xs, order=order_name, domain="QQ")
+            ours = normal_form(p, divisors)
+            assert sympy.Poly(to_sympy(ours, xs), *xs, domain="QQ") == \
+                sympy.Poly(theirs, *xs, domain="QQ")
+            checked += 1
+    assert checked >= 20 and non_monic >= 15
+
+
+@pytest.mark.parametrize("scale", [Fraction(7, 3), -10**40])
+def test_buchberger_ignores_the_scale_of_the_generators(scale):
+    rng = seeded(24)
+    ring = PolynomialRing(("x", "y", "z"))
+    cases = [list(build_equal_weight_system((2, -1, 3)))]
+    cases += [[_random_fraction_poly(ring, rng, max_terms=3, max_deg=2) for _ in range(3)]
+              for _ in range(4)]
+    for gens in cases:
+        want = [str(g) for g in buchberger(gens)]
+        assert [str(g) for g in buchberger([g * scale for g in gens])] == want
+
+
+# sha256 of the newline-joined remainders of 20 Fraction-coefficient
+# polynomials modulo elimination-order bases, recorded from the engine that
+# reduced over Fraction coefficients
+ELIMINATION_NF_DIGEST = "42b5c74cf97b58a5c1a76a8c78feaa681c2459a2277975b17e941b9098f97c2e"
+
+
+def test_basis_normal_form_under_elimination_order_is_frozen():
+    rng = seeded(22)
+    elim = PolynomialRing(("x", "y", "z"), MonomialOrder.elimination(1))
+    lines = []
+    for _ in range(4):
+        gb = buchberger([_random_fraction_poly(elim, rng, max_terms=3, max_deg=2)
+                         for _ in range(3)])
+        for _ in range(5):
+            lines.append(str(gb.normal_form(_random_fraction_poly(elim, rng))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ELIMINATION_NF_DIGEST
 
 
 def test_elimination_of_circle_line_system():

@@ -230,12 +230,34 @@ CERTIFY_GOLDENS = {
 }
 
 
+# The same, in json, for mixed-sign benchmark-pool vectors with the largest
+# |mu|, recorded from the engine that reduced over Fraction coefficients.
+CERTIFY_POOL_GOLDENS = {
+    "-5,2,12": "c50ea8d32f5ecd1a40feb4289f704ca788b3119c353971213395d4d836f3c335",
+    "11,5,-12": "a982c6e03b9399bb13e80953b18d6a564777b480a9a574e591dbb179aa5cf79e",
+    "12,-10,-7": "0263861a9f6e1fc59fa27183cb625d710b83e2f31b283d0cfab6b886ce687c1d",
+    "-5,-12,2": "d20c40333cf5efcdf9eb55d3b3a18689b3ff04f47775c773dc68f799183ec7f5",
+    "2,-12,-9": "58d76bb7303b14b937898fd5b08b6ac00ace8bed8dbf93cbe2abe4bf824c3f5d",
+    "3,-11,12": "8ff0592b62de9a95657dda409b69ba6e6cba11539a871bbc4f4d5660e9593fd3",
+    "-7,12,-12": "5ddbb1744bc21a487bccf0350a4a313d0673e8d14a71bef0abc41f0b05a412a7",
+    "-12,-11,9": "c4e3d639bdf90db1bf68bc2590081b9e4d854bd5cc631218eb6a026ac47810fe",
+}
+
+
 @pytest.mark.parametrize("mu,fmt", sorted(CERTIFY_GOLDENS))
 def test_certify_basis_and_matrix_match_goldens(capsys, mu, fmt):
     code = main(["certify", f"--mu={mu}", "--format", fmt, "--show-basis", "--show-matrix"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_GOLDENS[mu, fmt]
+
+
+@pytest.mark.parametrize("mu", sorted(CERTIFY_POOL_GOLDENS))
+def test_certify_pool_vectors_match_goldens(capsys, mu):
+    code = main(["certify", f"--mu={mu}", "--format", "json", "--show-basis", "--show-matrix"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_POOL_GOLDENS[mu]
 
 
 def _small_ideals():
