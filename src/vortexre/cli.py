@@ -115,8 +115,7 @@ def _csv_text(rows):
 
 # -- find --------------------------------------------------------------------
 
-def _find_table(report):
-    mu = report["points"][0]["mu"] if report["points"] else []
+def _find_table(report, mu):
     lines = [f"critical points for mu = ({', '.join(str(m) for m in mu)})"]
     header = (f"{'#':>3} {'family':>6} {'sym':>4} {'verdict':<10} {'type':<10} "
               "theta (rad) | theta (deg)")
@@ -132,10 +131,9 @@ def _find_table(report):
     return "\n".join(lines) + "\n"
 
 
-def _find_csv(report):
-    n = len(report["points"][0]["angles"]) if report["points"] else 0
+def _find_csv(report, mu):
     rows = [["index", "family", "symmetric", "verdict", "extremal_type"]
-            + [f"theta{i+1}" for i in range(n)]]
+            + [f"theta{i+1}" for i in range(len(mu))]]
     for idx, rec in enumerate(report["points"]):
         rows.append([idx, rec["family"], int(rec["symmetric"]), rec["verdict"],
                      rec["extremal_type"]] + [f"{a:.12f}" for a in rec["angles"]])
@@ -177,9 +175,9 @@ def cmd_find(args):
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
-        text = _find_csv(report)
+        text = _find_csv(report, points.mu.mu)
     else:
-        text = _find_table(report)
+        text = _find_table(report, points.mu.mu)
     _write_output(text, args.out)
     total, want = _morse_sum(points, mu), math.factorial(len(mu) - 1)
     if total is not None and total != want:

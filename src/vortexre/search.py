@@ -126,73 +126,111 @@ def _polish(seeds, w, tol_grad, max_iter=50):
 
     Returns the polished rows and a mask of those that converged.  Each
     row runs its own iteration and leaves the active set when it is done:
-    a collision at the iterate fails it; a zero gradient, a non-finite
-    step, or a step that 12 halvings cannot make strictly lower the
-    gradient infinity-norm ends it; otherwise it stops after max_iter
-    steps.  A row converged once its gradient norm fell below tol_grad
-    times the product of the two largest |mu|, the scale of the gradient.
-    Rows keep stepping past that while steps still help, so accepted
-    points sit at the numerical floor rather than just under the
+    a collision at the seed fails it; a zero gradient, a non-finite step,
+    or a step that neither the full Newton step nor 11 halvings of it make
+    strictly lower the gradient infinity-norm ends it; otherwise it stops
+    after max_iter steps.  A row converged once its gradient norm fell
+    below tol_grad times the product of the two largest |mu|, the scale of
+    the gradient.  Rows keep stepping past that while steps still help, so
+    accepted points sit at the numerical floor rather than just under the
     tolerance.  Trials are taken modulo 2*pi, so an accepted trial is the
     next iterate, and its pair table and gradient serve that iterate.
+
+    Only trials that can change the result are evaluated.  The full step
+    is tried for every active row at once, and its table and gradient
+    become the next state of each row it improves; only the rows it fails
+    backtrack, and their accepted trials are patched in.  A trial whose
+    raw value x + s*step and whose wrapped value both equal the iterate
+    bit for bit is the iterate itself: it cannot be better, and neither
+    can any smaller power-of-two scale, which rounds to x as well, so the
+    row fails without evaluating them.  The active rows' angles, tables
+    and gradients are kept compact; a row's angles are written back when
+    it leaves.
     """
     tol = tol_grad * _scales(w)[1]
-    x = np.array(seeds, dtype=float)
-    converged = np.zeros(len(x), dtype=bool)
-    collided = np.zeros(len(x), dtype=bool)
-    rows = np.arange(len(x))
-    table = _pair_table(_gauged(x))
-    g = _gradient(table, w)[:, 1:]
+
+    def evaluate(theta):
+        table = _pair_table(_gauged(theta))
+        g = _gradient(table, w)[:, 1:]
+        return table, g, np.abs(g).max(axis=1)  # NaN on collisions
+
+    out = np.array(seeds, dtype=float)
+    converged = np.zeros(len(out), dtype=bool)
+    rows = np.arange(len(out))
+    x = out
+    table, g, gnorm = evaluate(x)
+    collided = np.isnan(g[:, 0])
     for _ in range(max_iter):
         if not len(rows):
             break
-        hit = np.isnan(g[:, 0])
-        collided[rows[hit]] = True
-        gnorm = np.abs(g).max(axis=1)
         converged[rows[gnorm < tol]] = True
-        go = ~hit & (gnorm != 0.0)
-        rows, table, g, gnorm = rows[go], table[:, go], g[go], gnorm[go]
+        go = ~np.isnan(g[:, 0]) & (gnorm != 0.0)
+        if not go.all():
+            out[rows[~go]] = x[~go]
+            rows, x, table, g, gnorm = rows[go], x[go], table[:, go], g[go], gnorm[go]
         step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g)
-        go = np.isfinite(step).all(axis=1)
-        rows, step, gnorm = rows[go], step[go], gnorm[go]
-        # Backtrack where the full step does not decrease the gradient.
-        scale = np.ones(len(rows))
-        pending = np.ones(len(rows), dtype=bool)
-        table = np.empty((3, len(rows), table.shape[2]))
-        g = np.empty_like(step)
-        for _ in range(12):
-            idx = np.flatnonzero(pending)
-            if not len(idx):
+        raw = x + step
+        trial = raw % TWO_PI
+        go = np.isfinite(step).all(axis=1) & _moves(x, raw, trial)
+        if not go.all():
+            out[rows[~go]] = x[~go]
+            rows, x, step, trial, gnorm = rows[go], x[go], step[go], trial[go], gnorm[go]
+        table, g, tnorm = evaluate(trial)
+        # Backtrack the rows the full step fails, until a trial is the iterate.
+        fail = np.flatnonzero(~(tnorm < gnorm))
+        scale = 1.0
+        for _ in range(11):
+            scale *= 0.5
+            raw = x[fail] + scale * step[fail]
+            t = raw % TWO_PI
+            moves = _moves(x[fail], raw, t)
+            fail, t = fail[moves], t[moves]
+            if not len(fail):
                 break
-            trial = (x[rows[idx]] + scale[idx, None] * step[idx]) % TWO_PI
-            trial_table = _pair_table(_gauged(trial))
-            trial_g = _gradient(trial_table, w)[:, 1:]
-            better = np.abs(trial_g).max(axis=1) < gnorm[idx]  # False on collisions (NaN)
-            done = idx[better]
-            x[rows[done]] = trial[better]
-            table[:, done] = trial_table[:, better]
-            g[done] = trial_g[better]
-            pending[done] = False
-            scale[idx[~better]] *= 0.5
-        # rows no halving improved are either done or stuck
-        rows, table, g = rows[~pending], table[:, ~pending], g[~pending]
-    return x % TWO_PI, converged & ~collided
+            t_table, t_g, t_norm = evaluate(t)
+            ok = t_norm < gnorm[fail]
+            done = fail[ok]
+            trial[done], table[:, done], g[done], tnorm[done] = (
+                t[ok], t_table[:, ok], t_g[ok], t_norm[ok])
+            fail = fail[~ok]
+        go = tnorm < gnorm
+        if not go.all():
+            out[rows[~go]] = x[~go]
+            rows, trial, table, g, tnorm = (
+                rows[go], trial[go], table[:, go], g[go], tnorm[go])
+        x, gnorm = trial, tnorm
+    out[rows] = x
+    return out % TWO_PI, converged & ~collided
+
+
+def _moves(x, raw, wrapped):
+    """Rows where the trial x + s*step, raw or wrapped modulo 2*pi, differs
+    from x in some bit (so -0.0 and 0.0 differ)."""
+    bits = x.view(np.int64)
+    return ((raw.view(np.int64) != bits) | (wrapped.view(np.int64) != bits)).any(axis=1)
 
 
 def _dedup(points, tol):
     """Merge points closer than tol in rotation distance.
 
-    Bit-identical rows are collapsed to their first occurrence first; the
-    rest are taken in order.  Each one merges into the first kept point
-    within tol, which is replaced when the newcomer is lexicographically
-    smaller; otherwise it is kept.  Kept points sit in a hash of cells
-    on the gauge-fixed torus, and a lookup probes every cell within
-    2.5 tol of the point on each angle, wrapping modulo 2*pi: a point
-    within tol in rotation distance (theta_1 = 0 for both) is within
-    2 tol on every angle.
+    Equal rows are collapsed to their first occurrence first: a stable
+    lexsort on the angle columns makes equal rows neighbours, and a row
+    that differs from the one before it in some angle starts a new group
+    (float equality, as np.unique(axis=0) has it: -0.0 equals 0.0 and a
+    row holding NaN is never equal).  The first rows of the groups are
+    taken in their original order.  Each one merges into the first kept
+    point within tol, which is replaced when the newcomer is
+    lexicographically smaller; otherwise it is kept.  Kept points sit in
+    a hash of cells on the gauge-fixed torus, and a lookup probes every
+    cell within 2.5 tol of the point on each angle, wrapping modulo 2*pi:
+    a point within tol in rotation distance (theta_1 = 0 for both) is
+    within 2 tol on every angle.
     """
-    _, first = np.unique(points, axis=0, return_index=True)
-    points = points[np.sort(first)]
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    points = points[np.sort(order[first])]
     cells = max(1, int(TWO_PI / (16.0 * tol)))  # per angle
     width = TWO_PI / cells
     reach = 2.5 * tol

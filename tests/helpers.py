@@ -356,6 +356,44 @@ def reference_batched_polish(seeds, w, tol_grad, max_iter=50):
     return x % _TWO_PI, converged & ~collided
 
 
+def reference_wrapped_polish(seeds, w, tol_grad, max_iter=50):
+    """The batched Newton polish one row at a time, evaluating every trial:
+    the full step and then each of up to 11 halvings, each trial wrapped
+    modulo 2*pi before its gradient is taken, as the search takes them."""
+    from vortexre.potential import _gradient, _hessian, _pair_table
+    from vortexre.search import _newton_steps
+
+    def gradient(x):
+        table = _pair_table(np.concatenate(([0.0], x))[None])
+        return table, _gradient(table, w)[0, 1:]
+
+    out = np.array(seeds, dtype=float)
+    ok = np.zeros(len(out), dtype=bool)
+    for k, x in enumerate(out):
+        table, g = gradient(x)
+        if np.isnan(g[0]):
+            continue
+        converged = False
+        for _ in range(max_iter):
+            gnorm = np.abs(g).max()
+            converged |= bool(gnorm < tol_grad)
+            if gnorm == 0.0:
+                break
+            step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g[None])[0]
+            if not np.isfinite(step).all():
+                break
+            for scale in 0.5 ** np.arange(12):
+                trial = (x + scale * step) % _TWO_PI
+                trial_table, trial_g = gradient(trial)
+                if np.abs(trial_g).max() < gnorm:
+                    x, table, g = trial, trial_table, trial_g
+                    break
+            else:
+                break
+        out[k], ok[k] = x, converged
+    return out % _TWO_PI, ok
+
+
 # -- reference search: one seed at a time, permutation-orbit families --------
 #
 # The search as it was first written: Newton polishes each lattice seed

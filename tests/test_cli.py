@@ -60,6 +60,19 @@ def test_find_csv_row_count(capsys):
     assert rows[0].startswith("index,family")
 
 
+def test_find_names_the_weights_of_an_empty_catalogue(capsys):
+    # every seed starts within the seed gap of a collision, so none is polished
+    mu = ",".join(["1"] * 20)
+    code, out, _ = run(capsys, "find", "--mu", mu, "--seeds", "1")
+    assert code == 0
+    assert out.splitlines()[0] == f"critical points for mu = ({', '.join(['1.0'] * 20)})"
+    assert out.rstrip().endswith("0 critical points in 0 families")
+    code, out, _ = run(capsys, "find", "--mu", mu, "--seeds", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["index,family,symmetric,verdict,extremal_type,"
+                                + ",".join(f"theta{i}" for i in range(1, 21))]
+
+
 def test_find_accepts_more_weights_than_the_first_fifteen_primes(capsys):
     mu = ",".join(str(k) for k in range(1, 18))
     code, out, err = run(capsys, "find", "--mu", mu, "--seeds", "64")

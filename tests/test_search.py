@@ -18,14 +18,17 @@ from helpers import (
     reference_find_all_critical_points,
     reference_group_into_families,
     reference_lattice_seeds,
+    reference_wrapped_polish,
     seeded,
 )
+from vortexre import search
 from vortexre.cli import main
 from vortexre.errors import NotACriticalPointError
 from vortexre.potential import (
     CirculationWeights,
     _classify,
     _pair_table,
+    _scales,
     classify,
     potential_gradient,
     potential_hessian,
@@ -256,11 +259,14 @@ def _search_seeds(dim, count):
     return start[_min_gaps(_gauged(start)) >= 0.05]
 
 
-@pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (2, -1, 3), (-4, 11, -7), (1, 2, 3, 4)])
+@pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (2, -1, 3), (-4, 11, -7), (1, 2, 3, 4),
+                                (1,) * 6, (2e-8, -1e-8, 3e-8)])
 def test_polish_equals_the_full_table_reference_bit_for_bit(mu):
     seeds = _search_seeds(len(mu) - 1, 4096)
     w = np.array(mu, dtype=float)
-    got, want = _polish(seeds, w, 1e-10), reference_batched_polish(seeds, w, 1e-10)
+    # the reference's tolerance is absolute; the polish scales its own
+    got = _polish(seeds, w, 1e-10)
+    want = reference_batched_polish(seeds, w, 1e-10 * _scales(w)[1])
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -281,6 +287,61 @@ def test_polish_equals_the_reference_when_steps_cross_the_wrap():
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
+
+def _full_step_is_the_iterate(x, mu):
+    full = _gauged(x)
+    step = _newton_steps(potential_hessian(full, mu)[:, 1:, 1:],
+                         -potential_gradient(full, mu)[:, 1:])
+    return ((x + step).view(np.int64) == x.view(np.int64)).all(axis=1)
+
+
+@pytest.mark.parametrize("mu", [(2, -1, 3), (1, 2, 3, 4)])
+def test_polish_skips_only_trials_that_are_the_iterate(mu):
+    # Polished seeds sit at the float floor, where the full step or one of
+    # its halvings rounds to the iterate itself.  Shifted by a full turn,
+    # the same rounding leaves the raw trial at the seed but wraps it to
+    # other bits, so that trial must still be evaluated.  A component at
+    # exactly 2*pi is a collision with vortex 1.
+    w = np.array(mu, dtype=float)
+    seeds = _search_seeds(len(mu) - 1, 256)
+    polished, ok = _polish(seeds, w, 1e-10)
+    at_floor = polished[ok][:40]
+    assert _full_step_is_the_iterate(at_floor, mu).any()
+    turned = at_floor + TWO_PI * np.eye(len(mu) - 1)[0]
+    assert _full_step_is_the_iterate(turned, mu).any()
+    edge = np.concatenate((at_floor, turned, seeds[:40] + TWO_PI, seeds[:40]))
+    edge[-1, 0] = TWO_PI
+    got = _polish(edge, w, 1e-10)
+    want = reference_wrapped_polish(edge, w, 1e-10)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert not got[1][-1]
+    inside = np.concatenate((at_floor, seeds[:40]))
+    got = _polish(inside, w, 1e-10)
+    want = reference_batched_polish(inside, w, 1e-10)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_polish_evaluates_few_trials_and_the_same_iterates(monkeypatch):
+    # counts rows, not seconds: 80,181 pair-table rows when every
+    # backtracking trial was evaluated
+    rows = {"pair": 0, "hessian": 0}
+    pair_table, hessian = search._pair_table, search._hessian
+
+    def counted_pair_table(theta, *args):
+        rows["pair"] += len(theta)
+        return pair_table(theta, *args)
+
+    def counted_hessian(table, w):
+        rows["hessian"] += table.shape[1]
+        return hessian(table, w)
+
+    monkeypatch.setattr(search, "_pair_table", counted_pair_table)
+    monkeypatch.setattr(search, "_hessian", counted_hessian)
+    _polish(_search_seeds(2, 4096), np.array([2.0, -1.0, 3.0]), 1e-10)
+    assert rows["pair"] <= 40_000
+    assert rows["hessian"] == 30_091
 
 @pytest.mark.parametrize("mu,seeds", [((2, -1, 3), 4096), ((1, 2, 3, 4), 1024),
                                       ((1, 1, 1, 1, 1), 256)])
