@@ -98,10 +98,18 @@ def _polygon_weights(args):
         raise UsageError(f"bad weights {args.mu!r}: {exc}") from None
 
 
+def _write_file(path, text):
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_output(text, out):
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -370,9 +378,7 @@ def cmd_continue(args):
     if snapshots:
         base = args.out.rsplit(".", 1)[0] if args.out else "trace"
         for eps, record in _snapshot_records(trace, snapshots, start, mu):
-            path = f"{base}_eps{eps:g}.svg"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_configuration_svg(record))
+            _write_file(f"{base}_eps{eps:g}.svg", render_configuration_svg(record))
     if trace.failure:
         print(f"continuation stopped early: {trace.failure}", file=sys.stderr)
         return 1
@@ -418,9 +424,7 @@ def _load_plot_record(path, index):
 def cmd_plot(args):
     record = _load_plot_record(args.config, args.index)
     svg = render_configuration_svg(record)
-    out = args.out or (args.config.rsplit(".", 1)[0] + ".svg")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    _write_file(args.out or (args.config.rsplit(".", 1)[0] + ".svg"), svg)
     return 0
 
 

@@ -20,6 +20,12 @@ one numerator over the known denominator 2 n_i prod_{j != i} n_j g_ij,
 where g = p_a q_b - p_b q_a for the pair a < b; made primitive, the
 numerators are integer polynomial systems for exact root counting.
 
+For integer weights every coefficient on the way is an integer, and so it
+is for the symmetry cases, whose weights are ring variables.  The
+numerators are therefore multiplied as integer term maps (monomial ->
+int, see `vortexre._kernels`); ``Fraction`` coefficients appear only in
+the polynomials the builders return.
+
 Since theta = pi - 2*atan(r), the collision with vortex 1 sits at
 r = infinity and weak-weak collisions are the factors r_i - r_j.
 """
@@ -30,8 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from vortexre import _kernels
 from vortexre.errors import CollisionError
-from vortexre.polynomials import PolynomialRing, exact_divide
+from vortexre.polynomials import MultiPoly, PolynomialRing, exact_divide
 
 
 @dataclass(frozen=True)
@@ -65,12 +72,15 @@ class HalfAngleSystem:
 def _numerators(points, mu):
     """Gradient numerators over cotangent points (p_k, q_k).
 
-    `points[0]` is vortex 1, (1, 0), so n_1 = 1 and g_1i = q_i.  For each
-    later vortex i, returns the numerator N_i and the denominator factors
-    F_i (n_k for every k >= 2, then g_ij for each j != i), with
+    Points and weights are integer term maps.  `points[0]` is vortex 1,
+    (1, 0), so n_1 = 1 and g_1i = q_i.  For each later vortex i, returns
+    the numerator N_i and the denominator factors F_i (n_k for every
+    k >= 2, then g_ij for each j != i), all integer term maps, with
     dV/dtheta_i = N_i / (2 prod F_i).
     """
-    norms = [p * p + q * q for p, q in points]
+    mul, add = _kernels.terms_mul, _kernels.terms_add
+    neg, scale = _kernels.terms_neg, _kernels.terms_scale
+    norms = [add(mul(p, p), mul(q, q)) for p, q in points]
     out = []
     for i in range(1, len(points)):
         pi, qi = points[i]
@@ -78,19 +88,31 @@ def _numerators(points, mu):
         g = {}
         for j in others:
             (pa, qa), (pb, qb) = points[min(i, j)], points[max(i, j)]
-            g[j] = pa * qb - pb * qa
-        h = {j: norms[j] * g[j] for j in others}
-        num = 0
+            g[j] = add(mul(pa, qb), neg(mul(pb, qa)))
+        h = {j: mul(norms[j], g[j]) for j in others}
+        num = {}
         for j in others:
             pj, qj = points[j]
-            term = mu[j] * (pi * pj + qi * qj) * (norms[i] * norms[j] - 4 * g[j] * g[j])
+            cos = add(mul(pi, pj), mul(qi, qj))
+            ratio = add(mul(norms[i], norms[j]), scale(mul(g[j], g[j]), -4))
+            term = mul(mul(mu[j], cos), ratio)
             for k in others:
                 if k != j:
-                    term = term * h[k]
+                    term = mul(term, h[k])
             # g_ij = e_ij when j < i and -e_ij when j > i
-            num = num + term if j < i else num - term
-        out.append((-mu[i] * num, norms[1:] + [g[j] for j in others]))
+            num = add(num, term if j < i else neg(term))
+        out.append((mul(neg(mu[i]), num), norms[1:] + [g[j] for j in others]))
     return out
+
+
+def _integer_terms(poly):
+    """Integer term map of a polynomial with integral coefficients."""
+    return {m: int(c) for m, c in poly.terms.items()}
+
+
+def _poly(ring, terms):
+    """Polynomial with Fraction coefficients from an integer term map."""
+    return MultiPoly(ring, {m: Fraction(c) for m, c in terms.items()})
 
 
 def _divide_out(p, f, limit=None):
@@ -124,10 +146,14 @@ def build_symmetry_case_system(case):
     cases = {1: [half, (-r, one)], 2: [half, double], 3: [double, half]}
     if case not in cases:
         raise ValueError("case must be 1, 2, or 3")
+    points = [(one, ring.zero())] + cases[case]
     polys, records = [], []
-    numerators = _numerators([(one, ring.zero())] + cases[case], mu)
+    numerators = _numerators(
+        [tuple(map(_integer_terms, point)) for point in points],
+        [_integer_terms(m) for m in mu])
     for i, (num, factors) in enumerate(numerators, start=2):
-        den = math.prod(factors, start=ring.constant(2))
+        num = _poly(ring, num)
+        den = math.prod((_poly(ring, f) for f in factors), start=ring.constant(2))
         kept = []
         for f in (r, r * r + 1):
             den, power = _divide_out(den, f)
@@ -167,18 +193,21 @@ def build_equal_weight_system(mu):
                 "scale the vector by a common denominator"
             )
     ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])
-    one = ring.one()
-    points = [(one, ring.zero())] + [(r, one) for r in ring.gens()]
+    unit = (0,) * ring.nvars
+    one = {unit: 1}
+    points = [(one, {})] + [(_integer_terms(r), one) for r in ring.gens()]
+    weights = [{unit: int(m)} for m in mu]
     polys, records = [], []
-    for i, (num, factors) in enumerate(_numerators(points, mu), start=2):
-        content = num.content()
-        polys.append(num * (Fraction(1) / content))
+    for i, (num, factors) in enumerate(_numerators(points, weights), start=2):
+        content = math.gcd(*num.values())
+        polys.append(_poly(ring, {m: c // content for m, c in num.items()}))
+        factors = (_poly(ring, f) for f in factors)
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(sorted(
                 (str(f), 1) for f in factors if not f.is_constant())),
             collision_factors=(),
-            content=str(content / 2),
+            content=str(Fraction(content, 2)),
         ))
     return HalfAngleSystem(tuple(polys), tuple(records))
 

@@ -162,15 +162,15 @@ def _congruence(A, i, j, t):
 def signature_and_rank(rows):
     """Diagonalize by exact congruence; signature and rank from the pivots.
 
-    The symmetric matrix, given by its rows, is scaled by the positive lcm
-    of its denominators, which keeps its inertia.  Bareiss elimination on the upper triangle then divides each
+    The symmetric matrix, given by its rows of ints or Fractions, is
+    scaled by the positive lcm of its denominators, which keeps its
+    inertia.  Bareiss elimination on the upper triangle then divides each
     update exactly by the previous pivot, so the k-th diagonal entry of
     the congruent diagonal form has the sign of d_k * d_(k-1).  On a zero
     diagonal entry, swap in a later nonzero diagonal if one exists,
     otherwise send (i, j) to (i+j, j-i), which puts 2*A[i][j] on the
     diagonal.
     """
-    rows = [[Fraction(c) for c in row] for row in rows]
     scale = math.lcm(*(c.denominator for row in rows for c in row))
     A = [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
     n = len(A)

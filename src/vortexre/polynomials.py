@@ -363,28 +363,34 @@ class MultiPoly:
     # -- text form -----------------------------------------------------
 
     def __str__(self):
+        """Text form that ``PolynomialRing.parse`` reads back.
+
+        Terms run in descending ring order, joined by " + " and " - ", with
+        a leading "-" on a negative first term.  A monomial is its factors
+        "x" or "x^e" joined by "*", after its coefficient's magnitude
+        ("3", "3/2") unless that is 1; a constant term is its coefficient.
+        Only each coefficient's numerator and denominator are read.
+        """
         if not self.terms:
             return "0"
+        names = self.ring.variables
         parts = []
         for m in self.monomials():
             c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(self.ring.variables[i])
-                elif e > 1:
-                    factors.append(f"{self.ring.variables[i]}^{e}")
-            mag = c if c > 0 else -c
+            num, den = c.numerator, c.denominator
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(names, m) if e]
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif den == 1 and num in (1, -1):
                 body = "*".join(factors)
             else:
-                body = str(mag) + "*" + "*".join(factors)
+                body = mag + "*" + "*".join(factors)
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if num > 0 else "-" + body)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if num > 0 else "- ") + body)
         return " ".join(parts)
 
     def __repr__(self):

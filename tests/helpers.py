@@ -185,6 +185,35 @@ def lines_to_multipoly(ring, lines):
     return p
 
 
+# -- polynomial text form -------------------------------------------------------
+
+def reference_poly_str(p):
+    """`MultiPoly.__str__` as it was when it compared and printed Fractions."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for m in p.monomials():
+        c = p.terms[m]
+        factors = []
+        for i, e in enumerate(m):
+            if e == 1:
+                factors.append(p.ring.variables[i])
+            elif e > 1:
+                factors.append(f"{p.ring.variables[i]}^{e}")
+        mag = c if c > 0 else -c
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
 # -- sympy bridge (for cross-checking against an independent CAS) -------------
 
 def to_sympy(p, symbols):

@@ -479,6 +479,27 @@ def test_build_system_symmetry_case(capsys):
     assert "r^6" in out
 
 
+# sha256 of `build-system --mu` stdout, recorded while the builder still
+# multiplied Fraction polynomials
+BUILD_SYSTEM_DIGESTS = {
+    ("1,1", "json"): "d7e637193637152f8add16f0f24617da40ca8d4f99ad0c049a6717668652cee8",
+    ("1,1", "table"): "c103d4a61fe41ddcb8722cce6df8462a62efbbc146f32cf52799c09c8334af20",
+    ("1,-1", "json"): "a08890e3e5c3cbe15f000560355b8b5b5701d24c190a1043d8387d1eb60eafa7",
+    ("1,-1", "table"): "7de787beb648d40bd42c1d9d0538ec9c78791a8c88ad476c06c96f8bab52f27e",
+    ("12,-10,-7,5", "json"): "8734de1fdb9d91191adbdbda9545ae209cbcd78ba01e529400fc3a4846d2525e",
+    ("12,-10,-7,5", "table"): "2f0753b445a04942efd7eff4a46a0594cd6f14076bf77775a7a299bcbc54a2ab",
+    ("1,2,3,4,5,6", "json"): "5da597733ceb94110133b5a4a6f223426d97089d45a6495d23bff3b11dfde402",
+    ("1,2,3,4,5,6", "table"): "08e74354167f7e75e6474830a9207c24fe89c4d44e553b8f5cce0142402cb8c7",
+}
+
+
+@pytest.mark.parametrize("mu,fmt", BUILD_SYSTEM_DIGESTS)
+def test_build_system_output_is_frozen(capsys, mu, fmt):
+    code, out, err = run(capsys, "build-system", "--mu", mu, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_SYSTEM_DIGESTS[mu, fmt]
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -569,6 +590,59 @@ def test_a_start_mode_accepts_the_flags_it_reads(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out
+
+
+# -- output files that cannot be written --------------------------------------
+
+UNWRITABLE_OUT = {
+    "find": ["find", "--mu", "2,-1,3", "--seeds", "16"],
+    "certify": ["certify", "--mu", "1,1"],
+    "build-system": ["build-system", "--mu", "1,2"],
+    "simulate": ["simulate", "--mu", "1", "--polygon", "3", "--eps", "0.05",
+                 "--periods", "0.05"],
+    "continue": ["continue", "--mu", "1", "--polygon", "3", "--eps", "0.01",
+                 "--step", "0.01", "--snapshots", "0,0.01"],
+    "plot": ["plot", "CONFIG"],
+}
+
+
+def _unwritable_run(capsys, tmp_path, command, out):
+    config = tmp_path / "in" / "config.json"
+    config.parent.mkdir()
+    config.write_text(json.dumps({"angles": [0.0, 2.0, 4.0]}))
+    argv = [str(config) if a == "CONFIG" else a for a in UNWRITABLE_OUT[command]]
+    return run(capsys, *argv, "--out", str(out))
+
+
+@pytest.mark.parametrize("command", UNWRITABLE_OUT)
+def test_out_in_a_missing_directory_is_a_usage_error(capsys, tmp_path, command):
+    out = tmp_path / "missing" / "result.txt"
+    code, _, err = _unwritable_run(capsys, tmp_path, command, out)
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot write {out}: No such file or directory"]
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", UNWRITABLE_OUT)
+def test_out_naming_a_directory_is_a_usage_error(capsys, tmp_path, command):
+    out = tmp_path / "taken"
+    out.mkdir()
+    code, _, err = _unwritable_run(capsys, tmp_path, command, out)
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot write {out}: Is a directory"]
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "taken"]
+
+
+def test_unwritable_snapshot_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # without --out the trace goes to stdout and snapshots to trace_eps*.svg
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace_eps0.01.svg").mkdir()
+    code, _, err = run(capsys, *UNWRITABLE_OUT["continue"])
+    assert code == 2
+    assert err.splitlines() == ["error: cannot write trace_eps0.01.svg: Is a directory"]
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace_eps0.01.svg", "trace_eps0.svg"]
 
 
 # -- parser-level errors ------------------------------------------------------

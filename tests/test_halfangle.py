@@ -137,6 +137,19 @@ def test_builder_output_is_primitive_integer():
                 assert coeff.denominator == 1
 
 
+@pytest.mark.parametrize("build,arg", [
+    (build_equal_weight_system, (1, -1)),
+    (build_equal_weight_system, (2, -1, 3)),
+    (build_equal_weight_system, (12, -10, -7, 5)),
+    *((build_symmetry_case_system, case) for case in (1, 2, 3)),
+])
+def test_builders_return_fraction_coefficients(build, arg):
+    # an int coefficient would make exact_divide divide with `/` into floats
+    for p in build(arg).polys:
+        assert p.terms
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
 def test_builder_stripped_factors_only_vanish_at_collisions():
     rng = seeded(44)
     mu = (2, -1, 3)

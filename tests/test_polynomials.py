@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_multipoly, seeded
+from helpers import random_multipoly, reference_poly_str, seeded
 from vortexre.polynomials import MonomialOrder, PolynomialRing, exact_divide
 
 
@@ -18,6 +18,30 @@ def test_parse_str_round_trip(ring):
     for _ in range(40):
         p = random_multipoly(ring, rng)
         assert ring.parse(str(p)) == p
+
+
+def test_text_form_matches_the_fraction_reference():
+    rng = seeded(11)
+    rings = [PolynomialRing(("x", "y")), PolynomialRing(("a", "b", "c"), MonomialOrder.lex()),
+             PolynomialRing(("t",))]
+    coeffs = [1, -1, 2, -7, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(22, 7),
+              Fraction(-1, 9), Fraction(5, 1)]
+    for trial in range(300):
+        ring = rings[trial % len(rings)]
+        p = ring.zero()
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, 3) for _ in ring.variables)
+            if rng.random() < 0.2:
+                e = (0,) * ring.nvars  # constant term
+            p = p + ring.monomial(e, rng.choice(coeffs))
+        text = str(p)
+        assert text == reference_poly_str(p)
+        assert ring.parse(text) == p
+    # one-term edge cases: bare constants and unit coefficients
+    x, y = rings[0].gens()
+    for p in (rings[0].constant(1), rings[0].constant(-1), rings[0].constant(Fraction(-2, 3)),
+              -x, x * y, -x * y + 1, x / 3 - Fraction(1, 3)):
+        assert str(p) == reference_poly_str(p)
 
 
 def test_parse_handles_rationals_and_powers(ring):
