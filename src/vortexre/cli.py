@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -586,7 +587,10 @@ def _format_flag(sub, *choices):
                      help="output format")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then kept: not at
+    import, so handlers replaced after import are the ones dispatched."""
     parser = argparse.ArgumentParser(
         prog="vortexre",
         description="Relative equilibria of one strong and N weak point vortices")

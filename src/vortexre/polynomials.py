@@ -6,11 +6,16 @@ names and the monomial order.  The ring is the only holder of the order:
 arithmetic takes operands from one ring (the same object, or equal
 variables and order) and raises ``ValueError`` otherwise.  The heavy
 term-map operations live in ``vortexre._kernels``.
+
+``MultiPoly.__str__`` writes one text form and ``PolynomialRing.parse``
+reads back exactly that form: "0", or terms joined by " + " and " - "
+with an optional "-" before the first, where a term is a magnitude
+("3", "3/2"), or factors "x" and "x^e" joined by "*" with an optional
+magnitude and "*" in front.  Any other text is a ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -128,8 +133,35 @@ class PolynomialRing:
         return MultiPoly(self, {exponents: c})
 
     def parse(self, text):
-        """Parse the text form produced by ``MultiPoly.__str__``."""
-        return _Parser(self, text).parse()
+        """Read back the text form that ``MultiPoly.__str__`` writes.
+
+        The form is "0", or terms joined by " + " and " - " with an
+        optional "-" before the first.  A term is a magnitude ("3",
+        "3/2"), or factors "x" and "x^e" joined by "*" with an optional
+        magnitude and "*" in front.  Equal monomials add up.  Any other
+        text, an unknown variable included, raises ValueError.
+        """
+        if text == "0":
+            return self.zero()
+        error = ValueError(f"not a polynomial in {self.variables}: {text!r}")
+        words = ("- " + text[1:] if text.startswith("-") else "+ " + text).split(" ")
+        if len(words) % 2 or set(words[::2]) - {"+", "-"}:
+            raise error
+        terms = {}
+        for sign, term in zip(words[::2], words[1::2]):
+            coeff, e = Fraction(1), [0] * self.nvars
+            for k, factor in enumerate(term.split("*")):
+                m = re.fullmatch(r"([1-9][0-9]*)(?:/([1-9][0-9]*))?"
+                                 r"|([A-Za-z_]\w*)(?:\^([1-9][0-9]*))?", factor)
+                if m is None or (m[1] and k) or (m[3] and m[3] not in self._index):
+                    raise error
+                if m[1]:
+                    coeff = Fraction(int(m[1]), int(m[2] or 1))
+                else:
+                    e[self._index[m[3]]] += int(m[4] or 1)
+            key = tuple(e)
+            terms[key] = terms.get(key, 0) + (coeff if sign == "+" else -coeff)
+        return MultiPoly(self, {m: c for m, c in terms.items() if c})
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialRing):
@@ -341,13 +373,7 @@ class MultiPoly:
         """Positive rational c with self/c integral, primitive; 0 for 0."""
         if not self.terms:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, int(c.numerator))
-            d = int(c.denominator)
-            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-        return Fraction(num_gcd, den_lcm)
+        return abs(_kernels.primitive(self.terms, self.ring.order.spec)[2])
 
     def primitive_part(self):
         """(content-free polynomial with positive leading coefficient, unit).
@@ -416,108 +442,3 @@ def exact_divide(p, f):
         _kernels.terms_iadd_scaled(work, f.terms, -c, shift)
     return MultiPoly(p.ring, quotient)
 
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
-
-
-class _Parser:
-    """Recursive-descent parser for the polynomial text form.
-
-    Grammar: expr := term (('+'|'-') term)*; term := factor (('*'|'/')
-    factor)*; factor := ('-'|'+')* base ('^' int)?; base := int | name |
-    '(' expr ')'.  Division requires a constant divisor.
-    """
-
-    def __init__(self, ring, text):
-        self.ring = ring
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ValueError(f"bad character in polynomial: {text[pos:]!r}")
-                break
-            if m.group("int") is not None:
-                tokens.append(("int", int(m.group("int"))))
-            elif m.group("name") is not None:
-                tokens.append(("name", m.group("name")))
-            else:
-                op = m.group("op")
-                tokens.append(("op", "^" if op == "**" else op))
-            pos = m.end()
-        tokens.append(("end", None))
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos]
-
-    def _next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        poly = self._expr()
-        if self._peek()[0] != "end":
-            raise ValueError(f"trailing input after polynomial: {self._peek()!r}")
-        return poly
-
-    def _expr(self):
-        acc = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, op = self._next()
-            rhs = self._term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def _term(self):
-        acc = self._factor()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            _, op = self._next()
-            rhs = self._factor()
-            if op == "*":
-                acc = acc * rhs
-            else:
-                if not rhs.is_constant():
-                    raise ValueError("division by a non-constant polynomial")
-                acc = acc / rhs.constant_value()
-        return acc
-
-    def _factor(self):
-        sign = 1
-        while self._peek() == ("op", "-") or self._peek() == ("op", "+"):
-            _, op = self._next()
-            if op == "-":
-                sign = -sign
-        base = self._base()
-        if self._peek() == ("op", "^"):
-            self._next()
-            kind, value = self._next()
-            if kind != "int":
-                raise ValueError("exponent must be a non-negative integer")
-            base = base ** value
-        return base if sign > 0 else -base
-
-    def _base(self):
-        kind, value = self._next()
-        if kind == "int":
-            return self.ring.constant(value)
-        if kind == "name":
-            if value not in self.ring._index:
-                raise ValueError(f"unknown variable {value!r}")
-            return self.ring.variable(value)
-        if (kind, value) == ("op", "("):
-            inner = self._expr()
-            if self._next() != ("op", ")"):
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        raise ValueError(f"unexpected token {value!r}")

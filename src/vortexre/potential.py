@@ -244,13 +244,6 @@ class StabilityReport:
         }
 
 
-def _rotation_complement_basis(n):
-    """Orthonormal basis of the subspace orthogonal to (1,...,1)."""
-    basis = np.eye(n)[:, 1:] - np.ones((n, n - 1)) / n
-    q, _ = np.linalg.qr(basis)
-    return q
-
-
 def classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
     """Stability report for a critical point of V at the angles theta.
 
@@ -305,8 +298,10 @@ def _classify(table, w, tol_grad, tol_zero):
     )
     stable = (real_positive | (size < zero_tol)).all(axis=1)
 
-    Q = _rotation_complement_basis(len(w))
-    restricted = np.linalg.eigvalsh(Q.T @ H @ Q)
+    # H kills (1,...,1): the transverse spectrum is H's less the eigenvalue
+    # nearest zero
+    by_size = np.argsort(np.abs(hessian_eigs), axis=1)
+    restricted = np.take_along_axis(hessian_eigs, by_size[:, 1:], axis=1)
     h_tol = tol_zero * np.maximum(sigma, np.abs(hessian_eigs).max(axis=1))[:, None]
     flat = (np.abs(restricted) < h_tol).any(axis=1)
     positive = (restricted > 0).all(axis=1)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from helpers import ZERO_SUM_SADDLES
-from vortexre.cli import main
+from vortexre.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -660,6 +660,23 @@ def test_no_arguments_exits_2(capsys):
 def test_bad_flag_value_exits_2(capsys):
     code, _, _ = run(capsys, "find", "--mu", "1,1", "--seeds", "many")
     assert code == 2
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_after_a_bad_flag_print_what_a_fresh_interpreter_prints(capsys):
+    # every call shares one parser; a call that it refuses leaves nothing
+    # behind for the calls after it
+    for argv, code in ((["find", "--mu", "1,1", "--seeds", "many"], 2),
+                       (["certify", "--mu=2,-1,3", "--format", "json"], 0),
+                       (["find", "--mu=2,-1,3", "--seeds", "64"], 0)):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "vortexre.cli", *argv], capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert fresh.returncode == code
+        assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,18 @@
 """Exact multivariate polynomial arithmetic and monomial orders."""
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import random_multipoly, reference_poly_str, seeded
+from vortexre.groebner import buchberger, elimination_ideal
+from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
 from vortexre.polynomials import MonomialOrder, PolynomialRing, exact_divide
+
+POOLS = Path(__file__).resolve().parents[1] / "vortexbench" / "pools.json"
 
 
 @pytest.fixture
@@ -48,6 +55,56 @@ def test_parse_handles_rationals_and_powers(ring):
     p = ring.parse("3/2*x^2*y - y + 7")
     x, y = ring.gens()
     assert p == ring.monomial((2, 1), Fraction(3, 2)) - y + ring.constant(7)
+
+
+def test_parse_reads_back_every_exact_output():
+    # the systems `build-system` prints for the benchmark's N=4 and N=5
+    # vectors, the reduced bases `certify --show-basis` prints for ten N=3
+    # vectors, and the symmetry-case systems with their elimination ideals
+    # (the stripped factors `build-system` prints read back to their text)
+    pools = json.loads(POOLS.read_text())
+    polys = []
+    for entry in pools["build_n4"] + pools["build_n5"]:
+        system = build_equal_weight_system(entry["mu"])
+        polys += system.polys
+        ring = system.polys[0].ring
+        for rec in system.stripped_factors:
+            for text, _ in rec.denominator_factors + rec.collision_factors:
+                assert str(ring.parse(text)) == text
+    for entry in pools["certify_n3"][:10]:
+        polys += buchberger(list(build_equal_weight_system(entry["mu"]).polys)).polys
+    for case in (1, 2, 3):
+        system = build_symmetry_case_system(case)
+        polys += list(system) + list(elimination_ideal(list(system), [system.ring.variables[0]]))
+    for p in polys:
+        assert p.ring.parse(str(p)) == p
+
+
+@pytest.mark.parametrize("text", ["", "x +", "(x)", "x^", "x**2", "2x", "+ x", "x - - y",
+                                  "x*", "2*", "1/0", "2*z"])
+def test_parse_rejects_any_other_text(ring, text):
+    with pytest.raises(ValueError):
+        ring.parse(text)
+
+
+def test_parse_adds_equal_monomials(ring):
+    x, y = ring.gens()
+    assert ring.parse("x*y - 2*y + 1/2*x*y + y*x") == Fraction(5, 2) * x * y - 2 * y
+    assert ring.parse("x - x").is_zero()
+
+
+def test_content_is_gcd_of_numerators_over_lcm_of_denominators(ring):
+    rng = seeded(12)
+    for _ in range(100):
+        p = ring.zero()
+        for _ in range(rng.randint(1, 6)):
+            e = (rng.randint(0, 3), rng.randint(0, 3))
+            p = p + ring.monomial(e, Fraction(rng.randint(-40, 40), rng.randint(1, 30)))
+        coeffs = p.terms.values()
+        want = Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                        math.lcm(*(c.denominator for c in coeffs)))
+        assert p.content() == want
+    assert ring.zero().content() == 0
 
 
 def test_difference_of_squares(ring):
