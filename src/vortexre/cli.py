@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -108,6 +109,28 @@ def _write_file(path, text):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(*paths):
+    """Raise the usage error that writing any of the paths would raise.
+
+    Called before a subcommand does its work, so an output that cannot
+    be written costs no computation and leaves no other file behind.
+    A path that is None (standard output) is skipped; every path is
+    left as it was.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY))
+            else:
+                os.unlink(path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_output(text, out):
     if out:
         _write_file(out, text)
@@ -176,6 +199,7 @@ def cmd_find(args):
     )
 
     mu = _parse_weights(args.mu)
+    _check_writable(args.out)
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
                                       tol_zero=args.tol_zero_eig)
@@ -226,6 +250,7 @@ def _symmetry_case_report(case):
 
 
 def cmd_certify(args):
+    _check_writable(args.out)
     if args.symmetry_case is not None:
         system, generators = _symmetry_case_report(args.symmetry_case)
         if args.format == "json":
@@ -312,10 +337,11 @@ def _select_start(args, mu):
     return points.theta[0]
 
 
-def _snapshot_schedule(args):
-    """[(eps as given, schedule eps)] for each --snapshots value.
+def _snapshot_schedule(args, base):
+    """[(SVG path, schedule eps)] for each --snapshots value.
 
-    The schedule is eps = 0 (the start) and the steps of the walk.
+    The schedule is eps = 0 (the start) and the steps of the walk.  The
+    path is base_eps<eps as given>.svg, and base_eps0.svg for the start.
     """
     from vortexre.dynamics import _epsilon_schedule
 
@@ -326,21 +352,21 @@ def _snapshot_schedule(args):
         if not hit:
             raise UsageError(
                 f"snapshot eps={eps:g} is not on the continuation schedule")
-        out.append((eps, hit[0]))
+        out.append((f"{base}_eps{eps if hit[0] else 0.0:g}.svg", hit[0]))
     return out
 
 
 def _snapshot_records(trace, snapshots, start, mu):
-    """(eps, configuration dict) for each snapshot the walk reached."""
+    """(SVG path, configuration dict) for each snapshot the walk reached."""
     from vortexre.dynamics import HelioConfig
 
     reached = {rec.epsilon: rec.config for rec in trace.records}
     out = []
-    for eps, on_schedule in snapshots:
+    for path, on_schedule in snapshots:
         if on_schedule == 0.0:
-            out.append((0.0, HelioConfig.from_angles(start, mu, 0.0).to_dict()))
+            out.append((path, HelioConfig.from_angles(start, mu, 0.0).to_dict()))
         elif on_schedule in reached:
-            out.append((eps, reached[on_schedule].to_dict()))
+            out.append((path, reached[on_schedule].to_dict()))
     return out
 
 
@@ -350,7 +376,9 @@ def cmd_continue(args):
     from vortexre.dynamics import continue_family
     from vortexre.potential import CirculationWeights
 
-    snapshots = _snapshot_schedule(args) if args.snapshots else []
+    base = args.out.rsplit(".", 1)[0] if args.out else "trace"
+    snapshots = _snapshot_schedule(args, base) if args.snapshots else []
+    _check_writable(args.out, *(path for path, _ in snapshots))
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--normalize",) + _SEARCH_FLAGS)
         mu = _polygon_weights(args)
@@ -376,10 +404,8 @@ def cmd_continue(args):
     else:
         text = _csv_text(rows)
     _write_output(text, args.out)
-    if snapshots:
-        base = args.out.rsplit(".", 1)[0] if args.out else "trace"
-        for eps, record in _snapshot_records(trace, snapshots, start, mu):
-            _write_file(f"{base}_eps{eps:g}.svg", render_configuration_svg(record))
+    for path, record in _snapshot_records(trace, snapshots, start, mu):
+        _write_file(path, render_configuration_svg(record))
     if trace.failure:
         print(f"continuation stopped early: {trace.failure}", file=sys.stderr)
         return 1
@@ -448,6 +474,7 @@ def _system_payload(system):
 
 
 def cmd_build_system(args):
+    _check_writable(args.out)
     if args.symmetry_case is not None:
         system = build_symmetry_case_system(args.symmetry_case)
         title = f"symmetry case {args.symmetry_case} system"
@@ -492,6 +519,7 @@ def cmd_simulate(args):
         re_residual,
     )
 
+    _check_writable(args.out)
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
         try:

@@ -101,11 +101,15 @@ def buchberger(generators):
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     Classic Buchberger with normal pair selection (smallest lcm in the
-    monomial order first) and the coprime-leading-monomial criterion,
-    followed by auto-reduction to the unique reduced basis.  The basis
-    is held as primitive integer term maps with positive leading
-    coefficients; each is a positive multiple of the monic element that
-    division over Q would give, so only the result is made monic.
+    monomial order first) and Buchberger's two criteria, followed by
+    auto-reduction to the unique reduced basis.  A pair (i, j) is
+    skipped without reduction when its leading monomials are coprime,
+    or by the chain criterion: some other element k has lm_k dividing
+    lcm(lm_i, lm_j), and neither (i, k) nor (j, k) is still pending
+    (Cox, Little and O'Shea, ch. 2 section 10).  The basis is held as
+    primitive integer term maps with positive leading coefficients;
+    each is a positive multiple of the monic element that division
+    over Q would give, so only the result is made monic.
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
@@ -128,8 +132,14 @@ def buchberger(generators):
         pairs.discard(best)
         i, j = best
         mi, mj = basis[i][0], basis[j][0]
-        if _kernels.monomial_lcm(mi, mj) == _kernels.monomial_mul(mi, mj):
+        lcm_ij = _kernels.monomial_lcm(mi, mj)
+        if lcm_ij == _kernels.monomial_mul(mi, mj):
             continue  # coprime leading monomials: S-poly reduces to zero
+        if any(k != i and k != j and _kernels.monomial_divides(lm_k, lcm_ij)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (lm_k, _) in enumerate(basis)):
+            continue  # chain criterion: S(i, j) follows from S(i, k) and S(j, k)
         r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j]), basis, spec)
         if r:
             basis.append(_kernels.primitive(r, spec)[:2])

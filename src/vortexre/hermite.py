@@ -160,19 +160,55 @@ def _congruence(A, i, j, t):
 
 
 def signature_and_rank(rows):
-    """Diagonalize by exact congruence; signature and rank from the pivots.
+    """Signature and rank of a symmetric matrix, by exact congruence.
 
-    The symmetric matrix, given by its rows of ints or Fractions, is
-    scaled by the positive lcm of its denominators, which keeps its
-    inertia.  Bareiss elimination on the upper triangle then divides each
-    update exactly by the previous pivot, so the k-th diagonal entry of
-    the congruent diagonal form has the sign of d_k * d_(k-1).  On a zero
+    The matrix is given by its rows of ints or Fractions.  Its indices
+    split into the connected components of the nonzero off-diagonal
+    pattern; permuting them into blocks is a congruence, so the
+    signature and rank are the sums over the diagonal blocks.  Each
+    block is scaled by the positive lcm of its denominators, which keeps
+    its inertia, and diagonalized by `_bareiss`.
+    """
+    real = rank = 0
+    for block in _components(rows):
+        scale = math.lcm(*(rows[i][j].denominator for i in block for j in block))
+        signs = _bareiss([[rows[i][j].numerator * (scale // rows[i][j].denominator)
+                           for j in block] for i in block])
+        real += sum(signs)
+        rank += len(signs)
+    return RootCount(real_distinct=real, complex_distinct=rank)
+
+
+def _components(rows):
+    """Sorted index lists of the connected components of the graph whose
+    edges are the nonzero off-diagonal entries."""
+    seen = [False] * len(rows)
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j, c in enumerate(rows[i]):
+                if c and not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        yield sorted(block)
+
+
+def _bareiss(A):
+    """Signs of the diagonal of a form congruent to the symmetric integer
+    matrix A, one per nonzero pivot; A is overwritten.
+
+    Bareiss elimination on the upper triangle divides each update
+    exactly by the previous pivot, so the k-th diagonal entry of the
+    congruent diagonal form has the sign of d_k * d_(k-1).  On a zero
     diagonal entry, swap in a later nonzero diagonal if one exists,
     otherwise send (i, j) to (i+j, j-i), which puts 2*A[i][j] on the
     diagonal.
     """
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
-    A = [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
     n = len(A)
     prev, signs = 1, []
     for k in range(n):
@@ -194,7 +230,7 @@ def signature_and_rank(rows):
                 if r:
                     raise ArithmeticError("inexact division in Bareiss elimination")
         prev = p
-    return RootCount(real_distinct=sum(signs), complex_distinct=len(signs))
+    return signs
 
 
 def count_real_roots(system):

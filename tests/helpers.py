@@ -5,7 +5,8 @@ Sturm chains, finite differences, brute-force root searches — so the
 library is checked against code that shares none of its internals.  The
 exceptions are Buchberger's criterion and the reference trace form: both
 reduce with the library's `normal_form`, and the trace form takes none of
-the trace-matrix shortcuts.
+the trace-matrix shortcuts.  The reference Buchberger shares the library's
+integer division and auto-reduction, but skips no S-pair.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from operator import add
 
 import numpy as np
 
+from vortexre import _kernels, groebner
 from vortexre.groebner import normal_form, s_polynomial
 
 
@@ -658,6 +660,25 @@ def is_groebner_basis(polys):
     polys = list(polys)
     return all(normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero()
                for j in range(len(polys)) for i in range(j))
+
+
+def reference_buchberger(generators):
+    """Reduced Groebner basis by Buchberger's algorithm with no pair
+    criterion: every S-pair is reduced, in normal selection order."""
+    generators = [g for g in generators if not g.is_zero()]
+    ring = generators[0].ring
+    spec = ring.order.spec
+    basis = groebner._divisors(generators, spec)
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (_kernels.order_key(
+            spec, _kernels.monomial_lcm(basis[ij[0]][0], basis[ij[1]][0])), ij))
+        pairs.discard((i, j))
+        r, _ = _kernels.reduce_integer(groebner._s_terms(basis[i], basis[j]), basis, spec)
+        if r:
+            basis.append(_kernels.primitive(r, spec)[:2])
+            pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
+    return groebner._reduced_basis(basis, ring)
 
 
 # -- reference trace form ---------------------------------------------------

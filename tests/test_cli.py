@@ -638,11 +638,39 @@ def test_unwritable_snapshot_is_a_usage_error(capsys, tmp_path, monkeypatch):
     # without --out the trace goes to stdout and snapshots to trace_eps*.svg
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trace_eps0.01.svg").mkdir()
-    code, _, err = run(capsys, *UNWRITABLE_OUT["continue"])
-    assert code == 2
+    code, out, err = run(capsys, *UNWRITABLE_OUT["continue"])
+    assert (code, out) == (2, "")
     assert err.splitlines() == ["error: cannot write trace_eps0.01.svg: Is a directory"]
     assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace_eps0.01.svg", "trace_eps0.svg"]
+    # every path is checked before the walk: no trace, no trace_eps0.svg
+    assert [p.name for p in tmp_path.iterdir()] == ["trace_eps0.01.svg"]
+    assert list((tmp_path / "trace_eps0.01.svg").iterdir()) == []
+
+
+def test_unwritable_out_stops_find_before_the_search(capsys, tmp_path, monkeypatch):
+    from vortexre import search
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "find_all_critical_points", no_search)
+    out = tmp_path / "missing" / "points.txt"
+    code, stdout, err = run(capsys, *UNWRITABLE_OUT["find"], "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: cannot write {out}: No such file or directory"]
+
+
+def test_a_writable_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
+    # the check opens without truncating and removes only what it created
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    fresh = tmp_path / "fresh.csv"
+    for out in (kept, fresh):
+        code, _, _ = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,0,2",
+                         "--eps", "0.01", "--step", "0.01", "--out", str(out))
+        assert code == 1
+    assert kept.read_text() == "old\n"
+    assert not fresh.exists()
 
 
 # -- parser-level errors ------------------------------------------------------

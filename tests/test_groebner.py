@@ -10,16 +10,18 @@ from helpers import (
     lines_to_multipoly,
     random_line_arrangement,
     random_multipoly,
+    reference_buchberger,
     seeded,
     to_sympy,
 )
+from vortexre import _kernels, groebner
 from vortexre.groebner import (
     buchberger,
     elimination_ideal,
     normal_form,
     s_polynomial,
 )
-from vortexre.halfangle import build_equal_weight_system
+from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
 from vortexre.polynomials import MonomialOrder, PolynomialRing
 
 
@@ -352,3 +354,61 @@ def test_elimination_vanishes_on_projected_roots():
         y_val = (-a1 * c2 + a2 * c1) / det
         for e in elim.polys:
             assert abs(e.evaluate_float({"y": float(y_val)})) < 1e-9
+
+
+# -- the pair criteria against a Buchberger that reduces every S-pair --------
+
+def _reductions(monkeypatch):
+    """A list that grows by one for every integer division from now on."""
+    calls = []
+    reduce_integer = _kernels.reduce_integer
+
+    def counting(*args):
+        calls.append(None)
+        return reduce_integer(*args)
+
+    monkeypatch.setattr(_kernels, "reduce_integer", counting)
+    return calls
+
+
+RELEASE_VECTORS = [(1, 1, 1), (2, 1, 9), (2, -1, 3), (-1, -3, 10)]
+MIXED_SIGN_VECTORS = [(10, -3, 2), (-4, -5, -3), (-11, 8, 6), (-9, 7, 9), (-9, -5, 11),
+                      (-4, -7, 9), (3, -5, 4), (12, -10, -7), (-5, 2, 12), (11, 5, -12),
+                      (2, -12, -9), (-7, 12, -12)]
+
+
+@pytest.mark.parametrize("mu", RELEASE_VECTORS + MIXED_SIGN_VECTORS)
+def test_pair_criteria_keep_the_reduced_basis_of_vortex_systems(monkeypatch, mu):
+    system = list(build_equal_weight_system(mu))
+    calls = _reductions(monkeypatch)
+    gb = buchberger(system)
+    skipping = len(calls)
+    want = reference_buchberger(system)
+    assert [g.terms for g in gb] == [g.terms for g in want]
+    # the chain criterion spares reductions that the reference does
+    assert skipping < len(calls) - skipping
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_pair_criteria_keep_the_symmetry_case_elimination_ideals(monkeypatch, case):
+    system = build_symmetry_case_system(case)
+    eliminate = [system.ring.variables[0]]
+    got = elimination_ideal(list(system), eliminate)
+    monkeypatch.setattr(groebner, "buchberger", reference_buchberger)
+    want = elimination_ideal(list(system), eliminate)
+    assert got.ring == want.ring
+    assert [g.terms for g in got] == [g.terms for g in want]
+
+
+@pytest.mark.parametrize("order", [MonomialOrder.lex(), MonomialOrder.degrevlex(),
+                                   MonomialOrder.elimination(1),
+                                   MonomialOrder.elimination(2, priority=(2, 0, 1))])
+def test_pair_criteria_keep_the_reduced_basis_of_random_ideals(order):
+    rng = seeded(25)
+    ring = PolynomialRing(("x", "y", "z"), order)
+    for _ in range(10):
+        gens = [random_multipoly(ring, rng, max_terms=3, max_deg=3) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            assert [g.terms for g in buchberger(gens)] == \
+                [g.terms for g in reference_buchberger(gens)]

@@ -350,3 +350,68 @@ def test_signature_matches_fraction_reference(monkeypatch):
     # both zero-diagonal pivot rules ran: the swap and the (i+j, j-i) congruence
     assert pivots.count((0, 1, 1, 0)) >= 50
     assert pivots.count((1, 1, -1, 1)) >= 50
+
+
+# -- the signature block by block ---------------------------------------------
+
+def _direct_sum(blocks, order):
+    """The direct sum of the blocks, its indices placed by the permutation
+    `order`: index k of the sum goes to position order[k]."""
+    n = len(order)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            for j, c in enumerate(row):
+                M[order[offset + i]][order[offset + j]] = c
+        offset += len(B)
+    return M
+
+
+def test_signature_of_interleaved_direct_sums_adds_over_the_blocks():
+    rng = seeded(38)
+    for _ in range(120):
+        blocks = [_random_symmetric(rng, rng.randint(1, 5)) for _ in range(rng.randint(2, 4))]
+        order = list(range(sum(map(len, blocks))))
+        rng.shuffle(order)
+        M = _direct_sum(blocks, order)
+        rc = signature_and_rank(M)
+        want = [reference_signature_and_rank(B) for B in blocks]
+        assert (rc.real_distinct, rc.complex_distinct) == reference_signature_and_rank(M) == (
+            sum(s for s, _ in want), sum(r for _, r in want))
+        # no component reaches across two blocks
+        block_of = [k for k, B in enumerate(blocks) for _ in B]
+        position = {p: k for k, p in enumerate(order)}
+        for component in hermite._components(M):
+            assert len({block_of[position[p]] for p in component}) == 1
+
+
+def test_signature_with_a_zero_row_and_column():
+    M = [[Fraction(2), Fraction(0), Fraction(1, 3)],
+         [Fraction(0), Fraction(0), Fraction(0)],
+         [Fraction(1, 3), Fraction(0), Fraction(-1)]]
+    assert list(hermite._components(M)) == [[0, 2], [1]]
+    rc = signature_and_rank(M)
+    assert (rc.real_distinct, rc.complex_distinct) == reference_signature_and_rank(M) == (0, 2)
+
+
+def test_signature_of_zero_and_empty_matrices():
+    zero = [[Fraction(0)] * 4 for _ in range(4)]
+    assert list(hermite._components(zero)) == [[0], [1], [2], [3]]
+    assert signature_and_rank(zero) == hermite.RootCount(0, 0)
+    assert list(hermite._components([])) == []
+    assert signature_and_rank([]) == hermite.RootCount(0, 0)
+
+
+def test_equal_weight_trace_form_splits_into_two_parity_blocks():
+    gb = buchberger(list(build_equal_weight_system((1, 1, 1))))
+    basis = quotient_basis(gb)
+    H = hermite_matrix(gb, basis)
+    components = list(hermite._components(H))
+    assert sorted(map(len, components)) == [12, 12]
+    # the blocks are the even and the odd basis monomials
+    assert sorted({sum(basis[i]) % 2 for i in c} for c in components) == [{0}, {1}]
+    counts = [signature_and_rank([[H[i][j] for j in c] for i in c]) for c in components]
+    assert sum(c.real_distinct for c in counts) == 14
+    assert sum(c.complex_distinct for c in counts) == 16
+    assert signature_and_rank(H) == hermite.RootCount(14, 16)
