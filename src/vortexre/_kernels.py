@@ -3,14 +3,16 @@
 A monomial is a tuple of non-negative integer exponents, one per ring
 variable.  A term map is a plain dict from monomial to nonzero
 coefficient: ``Fraction`` at the polynomial API, ``int`` inside the
-exact engine, which divides integer term maps fraction-free.  An order spec is a tuple ``(kind, block, priority)`` with
-``kind`` in {"lex", "degrevlex", "elim"}, ``block`` the size of the
-leading (eliminated) variable block for "elim", and ``priority`` either
-None (natural variable order) or a permutation of variable indices
-listing variables from highest to lowest priority.
+exact engine, which divides integer term maps fraction-free.  An order
+is a tuple ``(kind, block, priority)``, in practice a
+``polynomials.MonomialOrder``, with ``kind`` in {"lex", "degrevlex",
+"elim"}, ``block`` the size of the leading (eliminated) variable block
+for "elim", and ``priority`` either None (natural variable order) or a
+permutation of variable indices listing variables from highest to
+lowest priority.
 
 A monomial's order key never changes, so keys are computed once per
-(spec, monomial) and kept for the life of the process.  Kernels call each
+(order, monomial) and kept for the life of the process.  Kernels call each
 other only through private helpers, so wrapping this module's public
 names sees exactly the calls made from outside it.
 """
@@ -56,8 +58,8 @@ def _grevlex_key(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _fresh_key(spec, e):
-    kind, block, priority = spec
+def _fresh_key(order, e):
+    kind, block, priority = order
     if priority is not None:
         e = tuple(e[i] for i in priority)
     if kind == "degrevlex":
@@ -70,39 +72,39 @@ def _fresh_key(spec, e):
 
 
 class _KeyTable(dict):
-    """{monomial: order key} under one spec, filled on first lookup."""
+    """{monomial: order key} under one order, filled on first lookup."""
 
-    __slots__ = ("spec",)
+    __slots__ = ("order",)
 
-    def __init__(self, spec):
+    def __init__(self, order):
         super().__init__()
-        self.spec = spec
+        self.order = order
 
     def __missing__(self, e):
-        key = self[e] = _fresh_key(self.spec, e)
+        key = self[e] = _fresh_key(self.order, e)
         return key
 
 
-_TABLES = {}   # order spec -> _KeyTable
+_TABLES = {}   # order -> _KeyTable
 
 
-def _keys(spec):
-    table = _TABLES.get(spec)
+def _keys(order):
+    table = _TABLES.get(order)
     if table is None:
-        table = _TABLES[spec] = _KeyTable(spec)
+        table = _TABLES[order] = _KeyTable(order)
     return table
 
 
-def order_key(spec, e):
+def order_key(order, e):
     """Sort key for a monomial; key comparison realizes the order."""
-    return _keys(spec)[e]
+    return _keys(order)[e]
 
 
-def leading_monomial(terms, spec):
+def leading_monomial(terms, order):
     """Order-maximal monomial of a term map, or None when empty."""
     if not terms:
         return None
-    return max(terms, key=_keys(spec).__getitem__)
+    return max(terms, key=_keys(order).__getitem__)
 
 
 # -- term-map arithmetic -----------------------------------------------------
@@ -172,13 +174,13 @@ def _iadd_scaled(acc, src, coeff, shift):
 
 # -- fraction-free division --------------------------------------------------
 
-def primitive(terms, spec):
+def primitive(terms, order):
     """(lm, t, unit) for a nonzero term map of ints or Fractions.
 
     t is the primitive integer term map with terms == unit * t and a
     positive coefficient at the leading monomial lm; unit is rational.
     """
-    keys = _keys(spec)
+    keys = _keys(order)
     lm = max(terms, key=keys.__getitem__)
     values = terms.values()
     den = lcm(*(c.denominator for c in values))
@@ -189,7 +191,7 @@ def primitive(terms, spec):
     return lm, t, Fraction(num, den)
 
 
-def reduce_integer(terms, divisors, spec):
+def reduce_integer(terms, divisors, order):
     """Divide an integer term map by integer divisors without fractions.
 
     `divisors` lists (leading monomial, term map) pairs whose leading
@@ -201,7 +203,7 @@ def reduce_integer(terms, divisors, spec):
     leaves the integers; a remainder term is scaled once at the end by
     the factors that came after it.
     """
-    keys = _keys(spec).__getitem__
+    keys = _keys(order).__getitem__
     divs = [(lm, d[lm], d) for lm, d in divisors]
     work = dict(terms)
     k = 1

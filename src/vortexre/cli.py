@@ -26,6 +26,7 @@ from vortexre.hermite import (
     signature_and_rank,
 )
 from vortexre.plotting import render_configuration_svg
+from vortexre.polynomials import MultiPoly
 
 # The numeric handlers import numpy (through vortexre.potential, search and
 # dynamics) and scipy when they run, so certify, build-system and plot start
@@ -242,16 +243,17 @@ def _require_integer_weights(text):
 
 
 def _symmetry_case_report(case):
+    """The case's system, and its elimination ideal as primitive polynomials."""
     system = build_symmetry_case_system(case)
-    polys = list(system)
-    ring = system.ring
-    eliminated = elimination_ideal(polys, [ring.variables[0]])
-    return system, [p.primitive_part()[0] for p in eliminated]
+    eliminated = elimination_ideal(list(system), [system.ring.variables[0]])
+    return system, [MultiPoly(eliminated.ring, {m: Fraction(c) for m, c in t.items()})
+                    for _, t in eliminated.elements]
 
 
 def cmd_certify(args):
     _check_writable(args.out)
     if args.symmetry_case is not None:
+        _start_mode(args, "--symmetry-case", ("--show-basis", "--show-matrix"))
         system, generators = _symmetry_case_report(args.symmetry_case)
         if args.format == "json":
             text = json.dumps({
@@ -273,7 +275,7 @@ def cmd_certify(args):
     basis = quotient_basis(gb)
     H = hermite_matrix(gb, basis)
     count = signature_and_rank(H)
-    leading = [str(g.ring.monomial(g.leading_monomial(), 1)) for g in gb]
+    leading = [str(gb.ring.monomial(lm)) for lm in gb.leading_monomials()]
     if args.format == "json":
         payload = {
             "mu": mu,
@@ -457,6 +459,11 @@ def cmd_plot(args):
 
 # -- build-system ------------------------------------------------------------
 
+def _factor_text(factors):
+    """(polynomial, power) pairs as [text, power] lists, sorted by text."""
+    return sorted([str(f), k] for f, k in factors)
+
+
 def _system_payload(system):
     return {
         "variables": [v for v in system.ring.variables],
@@ -464,8 +471,8 @@ def _system_payload(system):
         "stripped_factors": [
             {
                 "component": rec.component,
-                "denominator_factors": [list(f) for f in rec.denominator_factors],
-                "collision_factors": [list(f) for f in rec.collision_factors],
+                "denominator_factors": _factor_text(rec.denominator_factors),
+                "collision_factors": _factor_text(rec.collision_factors),
                 "content": str(rec.content),
             }
             for rec in system.stripped_factors
@@ -493,10 +500,10 @@ def cmd_build_system(args):
             bits = []
             if rec.denominator_factors:
                 bits.append("denominators " + ", ".join(
-                    f"({f})^{k}" for f, k in rec.denominator_factors))
+                    f"({f})^{k}" for f, k in _factor_text(rec.denominator_factors)))
             if rec.collision_factors:
                 bits.append("collision factors " + ", ".join(
-                    f"({f})^{k}" for f, k in rec.collision_factors))
+                    f"({f})^{k}" for f, k in _factor_text(rec.collision_factors)))
             bits.append(f"content {rec.content}")
             lines.append(f"  removed from {rec.component}: " + "; ".join(bits))
         text = "\n".join(lines) + "\n"
@@ -597,9 +604,10 @@ def _flags(sub, *names, unset=()):
 
 
 def _start_mode(args, mode, unread):
-    """Refuse the flags in `unread`, which start mode `mode` does not read:
-    the first one given is a usage error.  Then each shared flag declared
-    without a default (see `_flags`) that was not given takes its default."""
+    """Refuse the flags in `unread`, which mode `mode` (a start mode, or
+    certify's --symmetry-case) does not read: the first one given is a
+    usage error.  Then each shared flag declared without a default (see
+    `_flags`) that was not given takes its default."""
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
             raise UsageError(f"{mode} does not read {flag}")

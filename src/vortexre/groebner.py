@@ -1,33 +1,44 @@
-"""Buchberger's algorithm, polynomial reduction, and elimination ideals.
+"""Buchberger's algorithm and elimination ideals.
 
-All arithmetic is exact over the rationals.  Polynomials come in and go
-out with ``Fraction`` coefficients, but reduction and Buchberger run on
-primitive integer term maps (``_kernels.reduce_integer``) and turn back
-into ``Fraction`` only at the end.  A polynomial's ring holds its
-monomial order, and every function here works under that order:
-polynomials passed to one call must share one ring.  ``buchberger``
-returns the unique reduced Groebner basis for the ring's order, so
-golden tests can compare bases verbatim.
+All arithmetic is exact.  Polynomials come in with ``Fraction``
+coefficients, but Buchberger runs on primitive integer term maps
+(``_kernels.reduce_integer`` is the one division routine), and the
+basis it returns keeps them: each element is a (leading monomial,
+primitive integer term map) pair, and the monic ``Fraction`` polynomials
+are built only when asked for.  A polynomial's ring holds its monomial
+order, and every function here works under that order: polynomials
+passed to one call must share one ring.  ``buchberger`` returns the
+unique reduced Groebner basis for the ring's order, so golden tests can
+compare bases verbatim.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 
 from vortexre import _kernels
 from vortexre.polynomials import MonomialOrder, MultiPoly
 
 
 class GroebnerBasis:
-    """The reduced Groebner basis of an ideal, in one ring."""
+    """The reduced Groebner basis of an ideal, in one ring.
 
-    __slots__ = ("polys", "ring")
+    `elements` holds one (leading monomial, term map) pair per basis
+    element, ascending in the ring's order; the term map is primitive
+    over the integers with a positive leading coefficient.
+    """
 
-    def __init__(self, polys, ring):
-        self.polys = tuple(polys)
+    def __init__(self, elements, ring):
+        self.elements = tuple(elements)
         self.ring = ring
-        ring.check(self.polys)
+
+    @cached_property
+    def polys(self):
+        """The elements made monic, as ``Fraction`` polynomials."""
+        return tuple(MultiPoly(self.ring, {m: Fraction(c, t[lm]) for m, c in t.items()})
+                     for lm, t in self.elements)
 
     @property
     def order(self):
@@ -37,51 +48,21 @@ class GroebnerBasis:
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.elements)
 
     def __getitem__(self, i):
         return self.polys[i]
 
     def leading_monomials(self):
-        return [g.leading_monomial() for g in self.polys]
-
-    def normal_form(self, p):
-        """Unique remainder of p modulo the basis, with p moved into the
-        basis ring (same variables, the basis order)."""
-        if p.ring.variables != self.ring.variables:
-            raise ValueError("polynomial and basis have different variables")
-        return normal_form(MultiPoly(self.ring, p.terms), self.polys)
+        return [lm for lm, _ in self.elements]
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.polys)} polys, {self.order!r})"
+        return f"GroebnerBasis({len(self.elements)} polys, {self.order!r})"
 
 
-def normal_form(p, divisors):
-    """Remainder of p on division by the divisors, tried in list order."""
-    ring = p.ring
-    ring.check(divisors)
-    if not p.terms:
-        return p
-    spec = ring.order.spec
-    _, t, unit = _kernels.primitive(p.terms, spec)
-    remainder, k = _kernels.reduce_integer(t, _divisors(divisors, spec), spec)
-    num, den = unit.numerator, unit.denominator * k
-    return MultiPoly(ring, {m: Fraction(c * num, den) for m, c in remainder.items()})
-
-
-def s_polynomial(f, g):
-    """S-polynomial: the leading terms of f and g cancelled against each other."""
-    f.ring.check((g,))
-    spec = f.ring.order.spec
-    (lm_f, tf), (lm_g, tg) = _divisors((f, g), spec)
-    scale = lcm(tf[lm_f], tg[lm_g])
-    return MultiPoly(f.ring, {m: Fraction(c, scale)
-                              for m, c in _s_terms((lm_f, tf), (lm_g, tg)).items()})
-
-
-def _divisors(polys, spec):
+def _divisors(polys, order):
     """(leading monomial, primitive integer term map) of each polynomial."""
-    return [_kernels.primitive(p.terms, spec)[:2] for p in polys]
+    return [_kernels.primitive(p.terms, order)[:2] for p in polys]
 
 
 def _s_terms(f, g):
@@ -109,15 +90,15 @@ def buchberger(generators):
     (Cox, Little and O'Shea, ch. 2 section 10).  The basis is held as
     primitive integer term maps with positive leading coefficients;
     each is a positive multiple of the monic element that division
-    over Q would give, so only the result is made monic.
+    over Q would give.
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
         raise ValueError("no nonzero generators")
     ring = generators[0].ring
     ring.check(generators)
-    spec = ring.order.spec
-    basis = _divisors(generators, spec)
+    order = ring.order
+    basis = _divisors(generators, order)
 
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
@@ -125,7 +106,7 @@ def buchberger(generators):
         best_key = None
         for i, j in pairs:
             lcm_ij = _kernels.monomial_lcm(basis[i][0], basis[j][0])
-            key = (_kernels.order_key(spec, lcm_ij), i, j)
+            key = (_kernels.order_key(order, lcm_ij), i, j)
             if best is None or key < best_key:
                 best = (i, j)
                 best_key = key
@@ -140,18 +121,18 @@ def buchberger(generators):
                and (min(j, k), max(j, k)) not in pairs
                for k, (lm_k, _) in enumerate(basis)):
             continue  # chain criterion: S(i, j) follows from S(i, k) and S(j, k)
-        r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j]), basis, spec)
+        r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j]), basis, order)
         if r:
-            basis.append(_kernels.primitive(r, spec)[:2])
+            basis.append(_kernels.primitive(r, order)[:2])
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
     return _reduced_basis(basis, ring)
 
 
 def _reduced_basis(basis, ring):
-    spec = ring.order.spec
+    order = ring.order
     # Minimalize: drop any element whose leading monomial another divides.
-    by_lm = sorted(basis, key=lambda g: _kernels.order_key(spec, g[0]))
+    by_lm = sorted(basis, key=lambda g: _kernels.order_key(order, g[0]))
     minimal = []
     for g in by_lm:
         if not any(_kernels.monomial_divides(h[0], g[0]) for h in minimal):
@@ -162,14 +143,13 @@ def _reduced_basis(basis, ring):
         changed = False
         for idx, g in enumerate(minimal):
             others = minimal[:idx] + minimal[idx + 1:]
-            remainder, _ = _kernels.reduce_integer(g[1], others, spec)
-            lm, t, _ = _kernels.primitive(remainder, spec)
+            remainder, _ = _kernels.reduce_integer(g[1], others, order)
+            lm, t, _ = _kernels.primitive(remainder, order)
             if t != g[1]:
                 minimal[idx] = (lm, t)
                 changed = True
-    minimal.sort(key=lambda g: _kernels.order_key(spec, g[0]))
-    return GroebnerBasis([MultiPoly(ring, {m: Fraction(c, t[lm]) for m, c in t.items()})
-                          for lm, t in minimal], ring)
+    minimal.sort(key=lambda g: _kernels.order_key(order, g[0]))
+    return GroebnerBasis(minimal, ring)
 
 
 def elimination_ideal(generators, eliminate):
@@ -180,17 +160,25 @@ def elimination_ideal(generators, eliminate):
     and keeps the elements free of eliminated variables.  The result
     lies in that elimination ring, even when it is empty.
     """
-    generators = list(generators)
+    generators, eliminate = list(generators), list(eliminate)
+    if not generators:
+        raise ValueError("no generators to eliminate from")
     ring = generators[0].ring
     ring.check(generators)
-    eliminate = list(eliminate)
+    for name in eliminate:
+        if name not in ring._index:
+            raise ValueError(f"cannot eliminate {name!r}: not a variable of {ring.variables}")
+    if len(set(eliminate)) < len(eliminate):
+        raise ValueError(f"a variable is named twice in {eliminate}")
+    if not 0 < len(eliminate) < ring.nvars:
+        raise ValueError(f"cannot eliminate {len(eliminate)} of {ring.nvars} variables: "
+                         "eliminate at least one and keep at least one")
     elim_idx = [ring._index[name] for name in eliminate]
-    if len(elim_idx) >= ring.nvars:
-        raise ValueError("cannot eliminate every variable")
     keep_idx = [i for i in range(ring.nvars) if i not in set(elim_idx)]
     elim_ring = ring.with_order(
         MonomialOrder.elimination(len(elim_idx), priority=elim_idx + keep_idx))
     gb = buchberger([MultiPoly(elim_ring, g.terms) for g in generators])
-    eliminated = set(eliminate)
-    return GroebnerBasis([g for g in gb if not (g.variables_used() & eliminated)],
-                         elim_ring)
+    # Under the elimination order an element is free of the eliminated
+    # variables exactly when its leading monomial is.
+    return GroebnerBasis([(lm, t) for lm, t in gb.elements
+                          if not any(lm[i] for i in elim_idx)], elim_ring)

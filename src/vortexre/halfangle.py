@@ -43,12 +43,17 @@ from vortexre.polynomials import MultiPoly, PolynomialRing, exact_divide
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """How one gradient numerator was normalized to a primitive polynomial."""
+    """How one gradient numerator was normalized to a primitive polynomial.
+
+    The factor tuples hold (polynomial, power) pairs; `content` is the
+    positive ``Fraction`` divided out of the numerator over its
+    denominator.
+    """
 
     component: str
     denominator_factors: tuple
     collision_factors: tuple
-    content: str
+    content: Fraction
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def build_symmetry_case_system(case):
             den, power = _divide_out(den, f)
             num, cancelled = _divide_out(num, f, power)
             if power > cancelled:
-                kept.append((str(f), power - cancelled))
+                kept.append((f, power - cancelled))
         num, collisions = _divide_out(num, r)
         scale = den.constant_value()
         content = num.content()
@@ -167,8 +172,8 @@ def build_symmetry_case_system(case):
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(kept),
-            collision_factors=((str(r), collisions),) if collisions else (),
-            content=str(content / abs(scale)),
+            collision_factors=((r, collisions),) if collisions else (),
+            content=content / abs(scale),
         ))
     return HalfAngleSystem(tuple(polys), tuple(records))
 
@@ -204,10 +209,9 @@ def build_equal_weight_system(mu):
         factors = (_poly(ring, f) for f in factors)
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
-            denominator_factors=tuple(sorted(
-                (str(f), 1) for f in factors if not f.is_constant())),
+            denominator_factors=tuple((f, 1) for f in factors if not f.is_constant()),
             collision_factors=(),
-            content=str(Fraction(content, 2)),
+            content=Fraction(content, 2),
         ))
     return HalfAngleSystem(tuple(polys), tuple(records))
 

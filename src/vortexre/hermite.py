@@ -71,17 +71,18 @@ class _Traces:
 
     A normal form is held as (integer term map, positive denominator) in
     lowest terms.  Only border monomials x_k*b (b in the basis, x_k*b
-    outside it) are divided by the basis, fraction-free.  Any other
-    monomial m = x_k*m' follows linearly: NF(m) = sum_b c_b NF(x_k*b),
-    where NF(m') = sum_b c_b b, summed over a common denominator.  Traces
-    are linear too: Tr(M_m) = sum_b NF(m)[b] Tr(M_b), with
-    Tr(M_b) = sum_c NF(b*c)[c] kept over one denominator for all b, so
-    a Fraction is built only for each trace asked for.
+    outside it) are divided, fraction-free, by the basis's primitive
+    integer elements.  Any other monomial m = x_k*m' follows linearly:
+    NF(m) = sum_b c_b NF(x_k*b), where NF(m') = sum_b c_b b, summed over
+    a common denominator.  Traces are linear too: Tr(M_m) =
+    sum_b NF(m)[b] Tr(M_b), with Tr(M_b) = sum_c NF(b*c)[c] kept over one
+    denominator for all b, so a Fraction is built only for each trace
+    asked for.
     """
 
     def __init__(self, gb, basis):
-        self._spec = gb.ring.order.spec
-        self._divisors = [_kernels.primitive(g.terms, self._spec)[:2] for g in gb.polys]
+        self._order = gb.ring.order
+        self._divisors = gb.elements
         self._in_basis = set(basis)
         self._nf = {b: ({b: 1}, 1) for b in basis}
         self._traces = {}
@@ -99,7 +100,7 @@ class _Traces:
         if nf is None:
             lower = [(k, m[:k] + (e - 1,) + m[k + 1:]) for k, e in enumerate(m) if e]
             if not lower or any(p in self._in_basis for _, p in lower):
-                nf = _lowest(*_kernels.reduce_integer({m: 1}, self._divisors, self._spec))
+                nf = _lowest(*_kernels.reduce_integer({m: 1}, self._divisors, self._order))
             else:
                 k, p = lower[0]
                 terms, den = self.monomial_nf(p)

@@ -17,29 +17,30 @@ magnitude and "*" in front.  Any other text is a ``ValueError``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from vortexre import _kernels
 
 
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", "kind block priority")):
     """A monomial order: lex, degrevlex, or a block elimination order.
 
     The elimination order compares the leading block of variables by
     degrevlex first and breaks ties by degrevlex on the remaining
     block, so the first `block` variables are eliminated.  `priority`
     optionally permutes variables (indices listed from most to least
-    significant) before the comparison.
+    significant) before the comparison.  The tuple itself is the order
+    spec that ``vortexre._kernels`` keys on.
     """
 
-    __slots__ = ("kind", "block", "priority")
+    __slots__ = ()
 
-    def __init__(self, kind, block=0, priority=None):
+    def __new__(cls, kind, block=0, priority=None):
         if kind not in ("lex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.block = block
-        self.priority = tuple(priority) if priority is not None else None
+        return super().__new__(cls, kind, block,
+                               tuple(priority) if priority is not None else None)
 
     @classmethod
     def lex(cls, priority=None):
@@ -56,25 +57,15 @@ class MonomialOrder:
             raise ValueError("elimination block must be >= 1")
         return cls("elim", block=block, priority=priority)
 
-    @property
-    def spec(self):
-        return (self.kind, self.block, self.priority)
-
     def key(self, monomial):
-        return _kernels.order_key(self.spec, monomial)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
+        return _kernels.order_key(self, monomial)
 
     def __repr__(self):
-        if self.kind == "elim":
-            return f"MonomialOrder.elimination({self.block})"
-        return f"MonomialOrder.{self.kind}()"
+        args = [str(self.block)] if self.kind == "elim" else []
+        if self.priority is not None:
+            args.append(f"priority={self.priority}")
+        name = "elimination" if self.kind == "elim" else self.kind
+        return f"MonomialOrder.{name}({', '.join(args)})"
 
 
 class PolynomialRing:
@@ -87,6 +78,10 @@ class PolynomialRing:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         self.order = order if order is not None else MonomialOrder.degrevlex()
+        priority = self.order.priority
+        if priority is not None and sorted(priority) != list(range(len(self.variables))):
+            raise ValueError(f"order priority {priority} is not a permutation of the "
+                             f"variable indices 0..{len(self.variables) - 1}")
         self._index = {name: i for i, name in enumerate(self.variables)}
 
     @property
@@ -210,7 +205,7 @@ class MultiPoly:
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return _kernels.leading_monomial(self.terms, self.ring.order.spec)
+        return _kernels.leading_monomial(self.terms, self.ring.order)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -373,7 +368,7 @@ class MultiPoly:
         """Positive rational c with self/c integral, primitive; 0 for 0."""
         if not self.terms:
             return Fraction(0)
-        return abs(_kernels.primitive(self.terms, self.ring.order.spec)[2])
+        return abs(_kernels.primitive(self.terms, self.ring.order)[2])
 
     def primitive_part(self):
         """(content-free polynomial with positive leading coefficient, unit).
@@ -383,7 +378,7 @@ class MultiPoly:
         """
         if not self.terms:
             return self, Fraction(1)
-        _, t, unit = _kernels.primitive(self.terms, self.ring.order.spec)
+        _, t, unit = _kernels.primitive(self.terms, self.ring.order)
         return MultiPoly(self.ring, {m: Fraction(c) for m, c in t.items()}), unit
 
     # -- text form -----------------------------------------------------
@@ -427,13 +422,13 @@ def exact_divide(p, f):
     """p / f when f divides p exactly, else None."""
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    spec = p.ring.order.spec
-    flm = _kernels.leading_monomial(f.terms, spec)
+    order = p.ring.order
+    flm = _kernels.leading_monomial(f.terms, order)
     flc = f.terms[flm]
     work = dict(p.terms)
     quotient = {}
     while work:
-        m = _kernels.leading_monomial(work, spec)
+        m = _kernels.leading_monomial(work, order)
         shift = _kernels.monomial_div(m, flm)
         if shift is None:
             return None

@@ -1,12 +1,14 @@
 """Independent oracles and small utilities shared by the test suite.
 
 Everything here is deliberately implemented from first principles —
-Sturm chains, finite differences, brute-force root searches — so the
-library is checked against code that shares none of its internals.  The
-exceptions are Buchberger's criterion and the reference trace form: both
-reduce with the library's `normal_form`, and the trace form takes none of
-the trace-matrix shortcuts.  The reference Buchberger shares the library's
-integer division and auto-reduction, but skips no S-pair.
+Sturm chains, finite differences, brute-force root searches, monomial
+orders from their definitions and polynomial division over Q with
+`Fraction` coefficients — so the library is checked against code that
+shares none of its internals.  Buchberger's criterion and the reference
+trace form reduce by that division, and the trace form takes none of the
+trace-matrix shortcuts.  The one exception is the reference Buchberger:
+it shares the library's integer division and auto-reduction, but skips
+no S-pair.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import add
 import numpy as np
 
 from vortexre import _kernels, groebner
-from vortexre.groebner import normal_form, s_polynomial
+from vortexre.polynomials import MultiPoly
 
 
 # -- univariate Sturm-chain real-root counting --------------------------------
@@ -655,10 +657,66 @@ def reference_full_system_stability(config, tol=1e-6):
 
 # -- Groebner oracle --------------------------------------------------------
 
+def reference_key(order, e):
+    """The order key written out from the definitions, never cached."""
+    kind, block, priority = order
+    if priority is not None:
+        e = [e[i] for i in priority]
+
+    def grevlex(part):
+        return (sum(part), [-x for x in reversed(part)])
+
+    if kind == "lex":
+        return list(e)
+    if kind == "degrevlex":
+        return grevlex(e)
+    return (grevlex(e[:block]), grevlex(e[block:]))
+
+
+def reference_leading_monomial(terms, order):
+    return max(terms, key=lambda m: reference_key(order, m))
+
+
+def reference_normal_form(p, divisors):
+    """Remainder of p on division by the divisors over Q, the textbook way:
+    the leading term of what is left is cancelled by the first divisor
+    whose leading monomial divides it, or else moved to the remainder."""
+    order = p.ring.order
+    leads = [(reference_leading_monomial(d.terms, order), d.terms) for d in divisors]
+    work, remainder = dict(p.terms), {}
+    while work:
+        m = reference_leading_monomial(work, order)
+        for lm, d in leads:
+            if all(a >= b for a, b in zip(m, lm)):
+                q = work[m] / d[lm]
+                for dm, c in d.items():
+                    key = tuple(a + b - x for a, b, x in zip(dm, m, lm))
+                    value = work.get(key, 0) - q * c
+                    if value:
+                        work[key] = value
+                    else:
+                        del work[key]
+                break
+        else:
+            remainder[m] = work.pop(m)
+    return MultiPoly(p.ring, remainder)
+
+
+def reference_s_polynomial(f, g):
+    """lcm/LT(f) * f - lcm/LT(g) * g, the leading terms cancelled over Q."""
+    ring = f.ring
+    lf = reference_leading_monomial(f.terms, ring.order)
+    lg = reference_leading_monomial(g.terms, ring.order)
+    lcm = tuple(map(max, lf, lg))
+    return (ring.monomial([a - b for a, b in zip(lcm, lf)], 1 / f.terms[lf]) * f
+            - ring.monomial([a - b for a, b in zip(lcm, lg)], 1 / g.terms[lg]) * g)
+
+
 def is_groebner_basis(polys):
     """Buchberger's criterion: every S-polynomial reduces to zero."""
     polys = list(polys)
-    return all(normal_form(s_polynomial(polys[i], polys[j]), polys).is_zero()
+    return all(reference_normal_form(reference_s_polynomial(polys[i], polys[j]),
+                                     polys).is_zero()
                for j in range(len(polys)) for i in range(j))
 
 
@@ -667,16 +725,16 @@ def reference_buchberger(generators):
     criterion: every S-pair is reduced, in normal selection order."""
     generators = [g for g in generators if not g.is_zero()]
     ring = generators[0].ring
-    spec = ring.order.spec
-    basis = groebner._divisors(generators, spec)
+    order = ring.order
+    basis = groebner._divisors(generators, order)
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
         i, j = min(pairs, key=lambda ij: (_kernels.order_key(
-            spec, _kernels.monomial_lcm(basis[ij[0]][0], basis[ij[1]][0])), ij))
+            order, _kernels.monomial_lcm(basis[ij[0]][0], basis[ij[1]][0])), ij))
         pairs.discard((i, j))
-        r, _ = _kernels.reduce_integer(groebner._s_terms(basis[i], basis[j]), basis, spec)
+        r, _ = _kernels.reduce_integer(groebner._s_terms(basis[i], basis[j]), basis, order)
         if r:
-            basis.append(_kernels.primitive(r, spec)[:2])
+            basis.append(_kernels.primitive(r, order)[:2])
             pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
     return groebner._reduced_basis(basis, ring)
 
@@ -693,7 +751,7 @@ def reference_trace_monomial(m, gb, basis, cache):
         mb = tuple(map(add, m, b))
         nf = cache.get(mb)
         if nf is None:
-            nf = cache[mb] = normal_form(gb.ring.monomial(mb), gb.polys).terms
+            nf = cache[mb] = reference_normal_form(gb.ring.monomial(mb), gb.polys).terms
         total += nf.get(b, 0)
     return total
 

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import ZERO_SUM_SADDLES
 from vortexre.cli import build_parser, main
+from vortexre.groebner import GroebnerBasis
 
 
 def run(capsys, *argv):
@@ -145,6 +146,22 @@ def test_certify_symmetry_case_generators_exactly(capsys):
         assert code == 0
         tail = out.split("weight condition after eliminating r:")[1].strip()
         assert tail.splitlines()[0].strip() == generator
+
+
+def test_certify_reads_the_basis_as_integer_elements(capsys, monkeypatch):
+    # the Fraction polynomials of a reduced basis are built only for
+    # --show-basis: the counts, the leading terms and the weight condition
+    # read the primitive integer elements
+    def refuse(basis):
+        raise AssertionError("GroebnerBasis.polys was read")
+
+    monkeypatch.setattr(GroebnerBasis, "polys", property(refuse))
+    for argv in (["--mu", "2,-1,3", "--format", "json"], ["--mu", "1,1,1"],
+                 ["--symmetry-case", "2", "--format", "json"]):
+        code, out, err = run(capsys, "certify", *argv)
+        assert (code, err) == (0, "") and out
+    with pytest.raises(AssertionError, match="polys was read"):
+        run(capsys, "certify", "--mu", "2,-1,3", "--show-basis")
 
 
 # sha256 of stdout, recorded before the monomial order moved into the ring;
@@ -565,6 +582,7 @@ _CONTINUE_ANGLES = ("continue", "--mu", "1,1", "--start-angles", "0,1.0471975511
                     "--eps", "0.01")
 _SIMULATE_POLYGON = ("simulate", "--polygon", "3", "--mu", "1", "--eps", "0.01")
 _SIMULATE_ANGLES = ("simulate", "--mu", "1,1,1", "--start-angles", "0,2,4", "--eps", "0.01")
+_CERTIFY_CASE = ("certify", "--symmetry-case", "1")
 _SEARCH_FLAGS = (("--seeds", "64"), ("--tol-grad", "1e-9"), ("--tol-zero-eig", "1e-7"))
 
 
@@ -574,6 +592,7 @@ _SEARCH_FLAGS = (("--seeds", "64"), ("--tol-grad", "1e-9"), ("--tol-zero-eig", "
     *[(_SIMULATE_POLYGON, f) for f in (("--radii", "1,1,1"), ("--polish",),
                                       ("--tol-newton", "1e-11"))],
     (_SIMULATE_ANGLES, ("--tol-newton", "1e-11")),
+    *[(_CERTIFY_CASE, f) for f in (("--show-basis",), ("--show-matrix",))],
 ])
 def test_a_start_mode_rejects_the_flags_it_does_not_read(capsys, start, flag):
     code, out, err = run(capsys, *start, *flag)

@@ -74,22 +74,26 @@ def test_equal_weight_builder_records_stripped_factors():
         "V_theta2",
         "V_theta3",
     ]
+    ring = system.ring
     for rec in system.stripped_factors:
         assert rec.collision_factors == ()
-        assert rec.content == "1/2"
+        assert type(rec.content) is Fraction and rec.content == Fraction(1, 2)
         assert rec.denominator_factors == (
-            ("r2 - r3", 1), ("r2^2 + 1", 1), ("r3^2 + 1", 1))
+            (ring.parse("r2^2 + 1"), 1), (ring.parse("r3^2 + 1"), 1),
+            (ring.parse("r2 - r3"), 1))
+        assert all(f.ring is ring for f, _ in rec.denominator_factors)
 
 
 def test_records_list_every_norm_and_the_pairs_of_the_component():
     system = build_equal_weight_system((2, -1, 3, 5))
-    assert [rec.content for rec in system.stripped_factors] == ["1/2", "3/2", "5/2"]
+    assert [rec.content for rec in system.stripped_factors] == [
+        Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
     norms = ["r2^2 + 1", "r3^2 + 1", "r4^2 + 1"]
     pairs = {"V_theta2": ["r2 - r3", "r2 - r4"], "V_theta3": ["r2 - r3", "r3 - r4"],
              "V_theta4": ["r2 - r4", "r3 - r4"]}
     for rec in system.stripped_factors:
-        names = [f for f, _ in rec.denominator_factors]
-        assert names == sorted(norms + pairs[rec.component])
+        names = [str(f) for f, _ in rec.denominator_factors]
+        assert names == norms + pairs[rec.component]
         assert {k for _, k in rec.denominator_factors} == {1}
 
 
@@ -99,13 +103,13 @@ def test_polynomial_text_is_frozen(mu):
     assert hashlib.sha256(text.encode()).hexdigest() == POLY_DIGESTS[mu]
 
 
-def _record_value(rec, ring, values):
-    """content * P * prod(collision) / prod(denominators) at `values`."""
-    value = float(Fraction(rec.content))
-    for text, power in rec.collision_factors:
-        value *= ring.parse(text).evaluate_float(values) ** power
-    for text, power in rec.denominator_factors:
-        value /= ring.parse(text).evaluate_float(values) ** power
+def _record_value(rec, values):
+    """content * prod(collision) / prod(denominators) at `values`."""
+    value = float(rec.content)
+    for f, power in rec.collision_factors:
+        value *= f.evaluate_float(values) ** power
+    for f, power in rec.denominator_factors:
+        value /= f.evaluate_float(values) ** power
     return value
 
 
@@ -121,7 +125,7 @@ def test_records_reassemble_the_gradient(mu):
         values = dict(zip(ring.variables, roots))
         grad = potential_gradient(back_transform(roots), mu)
         for i, (p, rec) in enumerate(zip(system.polys, system.stripped_factors)):
-            got = p.evaluate_float(values) * _record_value(rec, ring, values)
+            got = p.evaluate_float(values) * _record_value(rec, values)
             want = grad[i + 1]
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -155,9 +159,7 @@ def test_builder_stripped_factors_only_vanish_at_collisions():
     mu = (2, -1, 3)
     system = build_equal_weight_system(mu)
     for rec in system.stripped_factors:
-        ring = system.polys[0].ring
-        for text, _power in rec.denominator_factors + rec.collision_factors:
-            f = ring.parse(text)
+        for f, _power in rec.denominator_factors + rec.collision_factors:
             for _ in range(50):
                 r2, r3 = rng.uniform(-4, 4), rng.uniform(-4, 4)
                 if abs(f.evaluate_float({"r2": r2, "r3": r3})) < 1e-9:
@@ -180,7 +182,8 @@ def _assert_case_golden(case, v2, v3):
     assert ring.variables == ("r", "mu1", "mu2", "mu3")
     assert system.polys[0] == ring.parse(v2)
     assert system.polys[1] == ring.parse(v3)
-    got = [(rec.denominator_factors, rec.collision_factors, rec.content)
+    got = [(tuple((str(f), k) for f, k in rec.denominator_factors),
+            tuple((str(f), k) for f, k in rec.collision_factors), str(rec.content))
            for rec in system.stripped_factors]
     assert got == CASE_RECORDS[case]
 
@@ -203,7 +206,6 @@ def test_symmetry_cases_two_and_three_golden_polynomials(case, golden):
 ])
 def test_symmetry_case_records_reassemble_the_gradient(case, make_angles):
     system = build_symmetry_case_system(case)
-    ring = system.ring
     rng = seeded(48)
     for _ in range(10):
         mu = [rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 5.0]) for _ in range(3)]
@@ -211,7 +213,7 @@ def test_symmetry_case_records_reassemble_the_gradient(case, make_angles):
         values = {"r": 1.0 / math.tan(phi / 2), "mu1": mu[0], "mu2": mu[1], "mu3": mu[2]}
         grad = potential_gradient(make_angles(phi), mu)
         for i, (p, rec) in enumerate(zip(system.polys, system.stripped_factors)):
-            got = p.evaluate_float(values) * _record_value(rec, ring, values)
+            got = p.evaluate_float(values) * _record_value(rec, values)
             want = grad[i + 1]
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 

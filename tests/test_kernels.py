@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from helpers import reference_key
 from vortexre import _kernels
 
 
@@ -17,22 +18,6 @@ def random_terms(rng, n=4, terms=8):
         if c:
             out[random_monomial(rng, n)] = Fraction(c, rng.randint(1, 5))
     return out
-
-
-def reference_key(spec, e):
-    """The order key written out from the definitions, never cached."""
-    kind, block, priority = spec
-    if priority is not None:
-        e = [e[i] for i in priority]
-
-    def grevlex(part):
-        return (sum(part), [-x for x in reversed(part)])
-
-    if kind == "lex":
-        return list(e)
-    if kind == "degrevlex":
-        return grevlex(e)
-    return (grevlex(e[:block]), grevlex(e[block:]))
 
 
 ORDER_SPECS = [

@@ -61,16 +61,14 @@ def test_parse_reads_back_every_exact_output():
     # the systems `build-system` prints for the benchmark's N=4 and N=5
     # vectors, the reduced bases `certify --show-basis` prints for ten N=3
     # vectors, and the symmetry-case systems with their elimination ideals
-    # (the stripped factors `build-system` prints read back to their text)
+    # (the stripped factors `build-system` prints read back to themselves)
     pools = json.loads(POOLS.read_text())
     polys = []
     for entry in pools["build_n4"] + pools["build_n5"]:
         system = build_equal_weight_system(entry["mu"])
         polys += system.polys
-        ring = system.polys[0].ring
         for rec in system.stripped_factors:
-            for text, _ in rec.denominator_factors + rec.collision_factors:
-                assert str(ring.parse(text)) == text
+            polys += [f for f, _ in rec.denominator_factors + rec.collision_factors]
     for entry in pools["certify_n3"][:10]:
         polys += buchberger(list(build_equal_weight_system(entry["mu"]).polys)).polys
     for case in (1, 2, 3):
