@@ -395,16 +395,16 @@ def cmd_continue(args):
         check_start = True
     trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
                             tol=args.tol_newton, check_start=check_start)
-    rows = trace.csv_rows()
     if args.format == "json":
         text = json.dumps(trace.to_dict(), indent=2) + "\n"
     elif args.format == "table":
+        rows = trace.csv_rows()
         widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
         text = "\n".join(
             "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
             for row in rows) + "\n"
     else:
-        text = _csv_text(rows)
+        text = _csv_text(trace.csv_rows())
     _write_output(text, args.out)
     for path, record in _snapshot_records(trace, snapshots, start, mu):
         _write_file(path, render_configuration_svg(record))

@@ -6,7 +6,9 @@ fixed-point equation whose eps -> 0 limit is the critical-point equation of
 the reduced potential on the circle; this module provides the residual, its
 analytic Jacobian, gauge-fixed Newton polishing, continuation in eps, the
 regular-polygon family, and a full-system spectral stability check that is
-independent of the reduced-potential classification.
+independent of the reduced-potential classification.  Continuation takes
+one table per iterate, one stability batch per walk: an iterate's pair table
+gives its residual and Jacobian, and one stacked reduction checks every step.
 """
 
 from __future__ import annotations
@@ -45,26 +47,24 @@ def _pairs(q):
     return diff, dist2
 
 
-def _field(q, g):
-    """Velocities of vortices at q with circulations g (see vortex_field)."""
-    diff, dist2 = _pairs(q)
+def _field(diff, dist2, g):
+    """Velocities from a pair table and circulations g (see vortex_field)."""
     weights = g[None, :] / dist2
     np.fill_diagonal(weights, 0.0)
     return _perp((weights[:, :, None] * diff).sum(axis=1))
 
 
-def _field_jacobian(q, g):
+def _field_jacobian(diff, dist2, g):
     """Blocks F[i, j] = d v_i / d q_j of the field, shape (n, n, 2, 2).
 
     With K(d) = (I |d|^2 - 2 d d^T) / |d|^4, the derivative of d / |d|^2,
     F[i, j] = -Gamma_j J K(q_i - q_j) off the diagonal, and each diagonal
     block is minus the sum of the others in its row.
     """
-    diff, dist2 = _pairs(q)
     K = (np.eye(2) * dist2[..., None, None]
          - 2.0 * diff[..., :, None] * diff[..., None, :]) / (dist2 ** 2)[..., None, None]
     F = -g[None, :, None, None] * (_J2 @ K)
-    diag = np.arange(len(q))
+    diag = np.arange(len(g))
     F[diag, diag] = 0.0
     F[diag, diag] = -F.sum(axis=1)
     return F
@@ -77,7 +77,7 @@ def _field_jacobian(q, g):
 
 def vortex_field(q, g):
     """Velocities q_i' = sum_{j != i} Gamma_j (q_i - q_j)^perp / |q_i - q_j|^2."""
-    return _field(np.asarray(q, dtype=float), np.asarray(g, dtype=float))
+    return _field(*_pairs(np.asarray(q, dtype=float)), np.asarray(g, dtype=float))
 
 
 def hamiltonian(q, g):
@@ -122,7 +122,7 @@ class HelioConfig:
             raise ValueError("need one (x, y) position per weight")
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
-        _pairs(_full_system(self)[0])  # vortex 0 is the strong one
+        _pairs(_full_system(z, self.epsilon, self.mu)[0])  # vortex 0 is the strong one
 
     @property
     def radii(self):
@@ -154,7 +154,8 @@ class HelioConfig:
         """Positions q and circulations g of all vortices, the strong one
         first, with the center of vorticity at the origin."""
         q0 = self.strong_vortex_offset()
-        return np.vstack([q0, self.Z + q0]), _full_system(self)[1]
+        _, g = _full_system(self.Z, self.epsilon, self.mu)
+        return np.vstack([q0, self.Z + q0]), g
 
     def to_dict(self):
         return {
@@ -167,11 +168,24 @@ class HelioConfig:
         }
 
 
-def _full_system(config):
+def _full_system(Z, epsilon, mu):
     """Positions and circulations of all vortices, the strong one first at the origin."""
-    q = np.vstack([np.zeros((1, 2)), config.Z])
-    g = np.concatenate([[1.0], config.epsilon * config.mu.array])
+    q = np.vstack([np.zeros((1, 2)), Z])
+    g = np.concatenate([[1.0], epsilon * mu.array])
     return q, g
+
+
+def _re_residual(table, g, z):
+    v = _field(*table, g)
+    return (v[1:] - v[0] - _perp(z)).ravel()
+
+
+def _re_jacobian(table, g):
+    F = _field_jacobian(*table, g)
+    A = F[1:, 1:] - F[0, 1:]
+    diag = np.arange(len(A))
+    A[diag, diag] -= _J2
+    return A.transpose(0, 2, 1, 3).reshape(2 * len(A), 2 * len(A))
 
 
 def re_residual(config):
@@ -181,8 +195,8 @@ def re_residual(config):
     (0, z_1..z_N), (1, eps*mu): the velocity of weak vortex i seen from
     the strong vortex, less the rotation of the frame at unit rate.
     """
-    v = _field(*_full_system(config))
-    return (v[1:] - v[0] - _perp(config.Z)).ravel()
+    q, g = _full_system(config.Z, config.epsilon, config.mu)
+    return _re_residual(_pairs(q), g, config.Z)
 
 
 def re_jacobian(config):
@@ -191,11 +205,34 @@ def re_jacobian(config):
     Block (i, j) is F[i, j] - F[0, j] - J delta_ij, with F the field
     Jacobian of the full system.
     """
-    F = _field_jacobian(*_full_system(config))
-    A = F[1:, 1:] - F[0, 1:]
-    diag = np.arange(len(A))
-    A[diag, diag] -= _J2
-    return A.transpose(0, 2, 1, 3).reshape(2 * len(A), 2 * len(A))
+    q, g = _full_system(config.Z, config.epsilon, config.mu)
+    return _re_jacobian(_pairs(q), g)
+
+
+def _newton(Z, epsilon, mu, tol, max_iter=50, history=None):
+    """newton_solve on bare positions, one pair table per iterate.  Returns the
+    solution's Z, its residual, and the (table, g) that _re_jacobian takes."""
+    q, g = _full_system(Z, epsilon, mu)
+    row = np.zeros((1, q.size - 2))
+    row[0, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
+    for _ in range(max_iter + 1):
+        table = _pairs(q)
+        z = q[1:]
+        res = _re_residual(table, g, z)
+        gauge = z[0, 1]
+        norm = max(np.abs(res).max(), abs(gauge))
+        if history is not None:
+            history.append(norm)
+        if norm < tol:
+            return z, res, (table, g)
+        aug = np.vstack([_re_jacobian(table, g), row])
+        rhs = -np.concatenate([res, [gauge]])
+        step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
+        if not np.all(np.isfinite(step)):
+            raise ConvergenceError("Newton step is not finite")
+        q = np.vstack([q[:1], z + step.reshape(-1, 2)])
+    _pairs(q)  # a last iterate on a collision reports the collision
+    raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
 
 
 def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
@@ -206,25 +243,8 @@ def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     (2N+1)-row system in the least-squares sense because the rotational
     null direction makes the square Jacobian singular.
     """
-    config = initial
-    for _ in range(max_iter + 1):
-        res = re_residual(config)
-        gauge = config.Z[0, 1]
-        norm = max(np.abs(res).max(), abs(gauge))
-        if history is not None:
-            history.append(norm)
-        if norm < tol:
-            return config
-        A = re_jacobian(config)
-        row = np.zeros((1, A.shape[1]))
-        row[0, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
-        aug = np.vstack([A, row])
-        rhs = -np.concatenate([res, [gauge]])
-        step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError("Newton step is not finite")
-        config = HelioConfig(config.Z + step.reshape(-1, 2), config.epsilon, config.mu)
-    raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
+    z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, tol, max_iter, history)
+    return HelioConfig(z, initial.epsilon, initial.mu)
 
 
 # -- full-system linear stability --------------------------------------------
@@ -236,27 +256,76 @@ class FullStabilityReport:
     max_real_part: float
 
 
-def _symplectic_form(config):
-    """Matrix of the symplectic form in strong-vortex-relative coordinates.
+def _symplectic_form(epsilon, mu):
+    """Matrix of the symplectic form in strong-vortex-relative coordinates,
+    one per coupling when epsilon is an array.
 
     The reduction of the weighted form sum Gamma_i dx_i ^ dy_i gives the
     block structure kron(S, -J) with S = diag(Gamma) - Gamma Gamma^T / Gamma_total.
     """
-    gamma = config.epsilon * config.mu.array
-    total = 1.0 + gamma.sum()
-    S = np.diag(gamma) - np.outer(gamma, gamma) / total
+    gamma = np.multiply.outer(epsilon, mu.array)
+    total = 1.0 + gamma.sum(axis=-1)
+    S = np.zeros(gamma.shape + gamma.shape[-1:])
+    diag = np.arange(len(mu))
+    S[..., diag, diag] = gamma
+    S -= gamma[..., :, None] * gamma[..., None, :] / np.expand_dims(total, (-1, -2))
     return np.kron(S, -_J2)
 
 
 def _null_space(M):
-    """Orthonormal basis of the null space of M, one vector per column.
+    """Orthonormal null-space bases of the matrices stacked in M, shape (k, m, n).
 
-    The rank counts the singular values above eps * max(M.shape) * max(s),
-    the rank rule of scipy's null_space, which costs a slow import.
+    Returns (records, Q) for each rank r found: the indices of the matrices
+    of rank r and their bases, one vector per column, shape (len(records),
+    n, n - r).  The rank counts the singular values above eps * max(m, n) *
+    max(s), the rank rule of scipy's null_space, which costs a slow import.
     """
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    cut = np.finfo(float).eps * max(M.shape) * s.max(initial=0.0)
-    return vh[int(np.count_nonzero(s > cut)):].T
+    cut = np.finfo(float).eps * max(M.shape[1:]) * s.max(axis=-1, initial=0.0)
+    rank = np.count_nonzero(s > cut[:, None], axis=-1)
+    return [(np.flatnonzero(rank == r), vh[rank == r, r:].transpose(0, 2, 1))
+            for r in np.unique(rank)]
+
+
+def _semisimple(reduced, eigvals, cut):
+    """Whether each cluster of k eigenvalues within cut of one another has k
+    singular values of reduced - lam*I within cut."""
+    checked = np.zeros(len(eigvals), dtype=bool)
+    for i, lam in enumerate(eigvals):
+        # reduced is real, so the cluster at conj(lam) is semisimple alike
+        if checked[i] or lam.imag < -cut:
+            continue
+        cluster = np.abs(eigvals - lam) <= cut
+        checked |= cluster
+        k = int(cluster.sum())
+        if k > 1:
+            sv = np.linalg.svd(reduced - lam * np.eye(len(eigvals)), compute_uv=False)
+            if np.count_nonzero(sv <= cut) < k:
+                return False
+    return True
+
+
+def _stability(configs, jacobians, tol=1e-6):
+    """full_system_stability of configurations sharing their weights, given
+    their Jacobians: one null-space SVD, reduction and eigvals call per
+    constraint rank, and the cluster check per configuration."""
+    Z = np.stack([config.Z for config in configs])
+    B = _symplectic_form(np.array([config.epsilon for config in configs]), configs[0].mu)
+    rows = [v.reshape(len(Z), 1, -1) @ B for v in (_perp(Z), Z)]
+    reports = [None] * len(Z)
+    for records, Q in _null_space(np.concatenate(rows, axis=1)):
+        reduced = Q.transpose(0, 2, 1) @ np.stack(jacobians)[records] @ Q
+        for k, A, eigvals in zip(records, reduced, np.linalg.eigvals(reduced)):
+            if not eigvals.imag.any():  # eigvals of A alone would be real
+                eigvals = eigvals.real
+            cut = tol * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
+            max_real = float(np.abs(eigvals.real).max(initial=0.0))
+            stable = max_real <= cut and _semisimple(A, eigvals, cut)
+            order = np.lexsort((eigvals.real, eigvals.imag))
+            reports[k] = FullStabilityReport(
+                eigenvalues=tuple(complex(v) for v in eigvals[order]),
+                verdict="stable" if stable else "unstable", max_real_part=max_real)
+    return reports
 
 
 def full_system_stability(config, tol=1e-6):
@@ -271,36 +340,7 @@ def full_system_stability(config, tol=1e-6):
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
-    A = re_jacobian(config)
-    zvec = config.Z.ravel()
-    v_rot = _perp(config.Z).ravel()
-    B = _symplectic_form(config)
-    constraints = np.vstack([v_rot @ B, zvec @ B])
-    Q = _null_space(constraints)
-    reduced = Q.T @ A @ Q
-    eigvals = np.linalg.eigvals(reduced)
-    scale = max(1.0, float(np.abs(eigvals).max(initial=0.0)))
-    cut = tol * scale
-    max_real = float(np.abs(eigvals.real).max(initial=0.0))
-    semisimple = True
-    checked = np.zeros(len(eigvals), dtype=bool)
-    for i, lam in enumerate(eigvals):
-        # reduced is real, so the cluster at conj(lam) is semisimple alike
-        if checked[i] or lam.imag < -cut:
-            continue
-        cluster = np.abs(eigvals - lam) <= cut
-        checked |= cluster
-        k = int(cluster.sum())
-        if k > 1:
-            sv = np.linalg.svd(reduced - lam * np.eye(len(eigvals)), compute_uv=False)
-            if np.count_nonzero(sv <= cut) < k:
-                semisimple = False
-                break
-    verdict = "stable" if (max_real <= cut and semisimple) else "unstable"
-    order = np.lexsort((eigvals.real, eigvals.imag))
-    return FullStabilityReport(
-        eigenvalues=tuple(complex(v) for v in eigvals[order]),
-        verdict=verdict, max_real_part=max_real)
+    return _stability([config], [re_jacobian(config)], tol)[0]
 
 
 # -- known families and continuation -----------------------------------------
@@ -390,7 +430,8 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=
     previous solution and recording the full-system stability verdict;
     eps_max = 0 checks the start and returns an empty trace.  A failed
     solve ends the walk and returns the partial trace with a failure
-    marker instead of raising.
+    marker instead of raising.  One table per iterate, one stability batch
+    per walk: each solve's converged residual and Jacobian are kept for it.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     if check_start:
@@ -399,21 +440,23 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=
                 "continuation requires a critical point that is nondegenerate "
                 "modulo rotation (the Hessian transverse to rotation is singular)")
     current = HelioConfig.from_angles(theta_star, weights, 0.0)
-    records = []
+    solved, residuals, jacobians = [], [], []
     failure = None
     for eps in _epsilon_schedule(eps_max, step):
-        guess = HelioConfig(current.Z, eps, weights)
         try:
-            solved = newton_solve(guess, tol=tol)
-            verdict = full_system_stability(solved).verdict
+            z, res, evaluation = _newton(current.Z, eps, weights, tol)
         except (ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
-        residual = float(np.abs(re_residual(solved)).max())
-        records.append(ContinuationRecord(epsilon=eps, config=solved,
-                                          residual=residual, verdict=verdict))
-        current = solved
-    return ContinuationTrace(records=tuple(records), mu=weights, failure=failure)
+        current = HelioConfig(z, eps, weights)
+        solved.append(current)
+        residuals.append(float(np.abs(res).max()))
+        jacobians.append(_re_jacobian(*evaluation))
+    reports = _stability(solved, jacobians) if solved else []
+    records = tuple(ContinuationRecord(epsilon=config.epsilon, config=config,
+                                       residual=residual, verdict=report.verdict)
+                    for config, residual, report in zip(solved, residuals, reports))
+    return ContinuationTrace(records=records, mu=weights, failure=failure)
 
 
 def corotating_drift(initial, final, t_final):

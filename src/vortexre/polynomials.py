@@ -39,6 +39,10 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block priority")):
     def __new__(cls, kind, block=0, priority=None):
         if kind not in ("lex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {kind!r}")
+        if kind == "elim" and block < 1:
+            raise ValueError("elimination block must be >= 1")
+        if kind != "elim" and block != 0:
+            raise ValueError(f"a {kind} order has no elimination block")
         return super().__new__(cls, kind, block,
                                tuple(priority) if priority is not None else None)
 
@@ -53,8 +57,6 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block priority")):
     @classmethod
     def elimination(cls, block, priority=None):
         """Order that eliminates the first `block` variables."""
-        if block < 1:
-            raise ValueError("elimination block must be >= 1")
         return cls("elim", block=block, priority=priority)
 
     def key(self, monomial):
@@ -82,6 +84,9 @@ class PolynomialRing:
         if priority is not None and sorted(priority) != list(range(len(self.variables))):
             raise ValueError(f"order priority {priority} is not a permutation of the "
                              f"variable indices 0..{len(self.variables) - 1}")
+        if self.order.kind == "elim" and self.order.block >= len(self.variables):
+            raise ValueError(f"elimination block {self.order.block} leaves none of the "
+                             f"{len(self.variables)} variables")
         self._index = {name: i for i, name in enumerate(self.variables)}
 
     @property
@@ -209,15 +214,6 @@ class MultiPoly:
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
-
-    def variables_used(self):
-        """Names of variables appearing with positive exponent."""
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.ring.variables[i])
-        return used
 
     # -- arithmetic ----------------------------------------------------
 
@@ -369,17 +365,6 @@ class MultiPoly:
         if not self.terms:
             return Fraction(0)
         return abs(_kernels.primitive(self.terms, self.ring.order)[2])
-
-    def primitive_part(self):
-        """(content-free polynomial with positive leading coefficient, unit).
-
-        Returns (primitive, unit) with self == unit * primitive and unit a
-        rational scalar.
-        """
-        if not self.terms:
-            return self, Fraction(1)
-        _, t, unit = _kernels.primitive(self.terms, self.ring.order)
-        return MultiPoly(self.ring, {m: Fraction(c) for m, c in t.items()}), unit
 
     # -- text form -----------------------------------------------------
 

@@ -14,6 +14,7 @@ no S-pair.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -219,6 +220,24 @@ def reference_poly_str(p):
 
 
 # -- sympy bridge (for cross-checking against an independent CAS) -------------
+
+def reference_variables_used(p):
+    """Names of the variables that appear in p with a positive exponent."""
+    return {p.ring.variables[i] for m in p.terms for i, e in enumerate(m) if e}
+
+
+def reference_primitive_part(p):
+    """(primitive, unit) with p == unit * primitive, the coefficients of
+    primitive coprime integers and its leading one positive; (0, 1) for 0."""
+    if p.is_zero():
+        return p, Fraction(1)
+    coeffs = [Fraction(c) for c in p.terms.values()]
+    unit = Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                    math.lcm(*(c.denominator for c in coeffs)))
+    if p.leading_coefficient() < 0:
+        unit = -unit
+    return MultiPoly(p.ring, {m: Fraction(c) / unit for m, c in p.terms.items()}), unit
+
 
 def to_sympy(p, symbols):
     import sympy
@@ -646,13 +665,40 @@ def reference_null_space(M):
 
 
 def reference_full_system_stability(config, tol=1e-6):
-    """full_system_stability with scipy's null space in place of the library's."""
-    from unittest import mock
+    """Verdict and sorted spectrum of the rotating-frame linearization, one
+    configuration at a time: scipy's null space of the two constraint rows
+    (rotation and scaling, through the symplectic form kron(S, -J)), the
+    spectrum of Q^T A Q, and the cluster semisimplicity check by SVD."""
+    from vortexre.dynamics import re_jacobian
 
-    from vortexre import dynamics
-
-    with mock.patch.object(dynamics, "_null_space", reference_null_space):
-        return dynamics.full_system_stability(config, tol)
+    if config.epsilon == 0.0:
+        raise ValueError("full-system stability needs epsilon > 0")
+    A = re_jacobian(config)
+    gamma = config.epsilon * config.mu.array
+    S = np.diag(gamma) - np.outer(gamma, gamma) / (1.0 + gamma.sum())
+    B = np.kron(S, -_J2)
+    constraints = np.vstack([(config.Z @ _J2.T).ravel() @ B, config.Z.ravel() @ B])
+    Q = reference_null_space(constraints)
+    reduced = Q.T @ A @ Q
+    eigvals = np.linalg.eigvals(reduced)
+    cut = tol * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
+    max_real = float(np.abs(eigvals.real).max(initial=0.0))
+    semisimple = True
+    checked = np.zeros(len(eigvals), dtype=bool)
+    for i, lam in enumerate(eigvals):
+        if checked[i] or lam.imag < -cut:
+            continue
+        cluster = np.abs(eigvals - lam) <= cut
+        checked |= cluster
+        k = int(cluster.sum())
+        if k > 1:
+            sv = np.linalg.svd(reduced - lam * np.eye(len(eigvals)), compute_uv=False)
+            if np.count_nonzero(sv <= cut) < k:
+                semisimple = False
+                break
+    verdict = "stable" if (max_real <= cut and semisimple) else "unstable"
+    order = np.lexsort((eigvals.real, eigvals.imag))
+    return verdict, tuple(complex(v) for v in eigvals[order])
 
 
 # -- Groebner oracle --------------------------------------------------------

@@ -337,6 +337,21 @@ def test_continue_eps_zero_gives_header_only(capsys):
     assert out.strip() == "eps,r1,r2,theta1,theta2,residual,verdict"
 
 
+def test_continue_json_builds_no_rows(capsys, monkeypatch):
+    from vortexre.dynamics import ContinuationTrace
+
+    calls = []
+    monkeypatch.setattr(ContinuationTrace, "csv_rows",
+                        lambda self, rows=ContinuationTrace.csv_rows: calls.append(1)
+                        or rows(self))
+    argv = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01", "--format")
+    assert run(capsys, *argv, "json")[0] == 0
+    assert calls == []
+    for fmt in ("csv", "table"):
+        assert run(capsys, *argv, fmt)[0] == 0
+    assert calls == [1, 1]
+
+
 @pytest.mark.parametrize("eps", ["0", "0.01"])
 def test_continue_checks_its_start_at_every_eps(capsys, eps):
     code, out, err = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,1,2",

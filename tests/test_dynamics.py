@@ -1,7 +1,9 @@
 """Full-plane vortex dynamics, relative equilibria, and continuation in epsilon."""
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from vortexre.dynamics import (
 )
 from vortexre.errors import CollisionError, ConvergenceError
 from vortexre.potential import CirculationWeights
+
+POOLS = Path(__file__).resolve().parents[1] / "vortexbench" / "pools.json"
+
 
 def mixed_mu():
     # (2, -1, 3) scaled to unit length so epsilon alone sets the
@@ -205,7 +210,7 @@ def test_linearization_is_infinitesimally_symplectic():
         theta = np.sort(rng.uniform(0.2, 2 * math.pi - 0.2, 3))
         cfg = helio(theta, (2, -1, 3), 0.05, radii=rng.uniform(0.9, 1.1, 3))
         A = re_jacobian(cfg)
-        B = _symplectic_form(cfg)
+        B = _symplectic_form(cfg.epsilon, cfg.mu)
         assert np.abs(A.T @ B + B @ A).max() < 1e-12
 
 
@@ -287,6 +292,44 @@ def test_newton_raises_when_it_cannot_converge(stable_saddle):
         newton_solve(cfg, tol=1e-30, max_iter=5)
 
 
+_LSTSQ = np.linalg.lstsq
+
+
+def _steps_into_a_collision(monkeypatch, guess, harmless, target):
+    """Make lstsq return `harmless` zero steps, then the step that puts weak
+    vortex 2 at `target` (weak vortex 1's position, or the strong vortex's)."""
+    calls = []
+
+    def lstsq(a, b, rcond=None):
+        step, *rest = _LSTSQ(a, b, rcond=rcond)
+        calls.append(None)
+        step = np.zeros_like(step)
+        if len(calls) > harmless:
+            step[2:4] = target - guess.Z[1]
+        return (step, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+
+
+@pytest.mark.parametrize("harmless", [0, 3])
+@pytest.mark.parametrize("onto, message", [
+    ("weak", "vortices 1 and 2 coincide"), ("strong", "vortices 0 and 2 coincide")])
+def test_newton_iterate_on_a_collision_raises_collision_error(
+        monkeypatch, stable_saddle, harmless, onto, message):
+    guess = helio(stable_saddle, (2, -1, 3), 0.02)
+    target = guess.Z[0] if onto == "weak" else np.zeros(2)
+    # max_iter=harmless makes the colliding iterate the last one allowed
+    for max_iter in (harmless, 50):
+        _steps_into_a_collision(monkeypatch, guess, harmless, target)
+        with pytest.raises(CollisionError) as info:
+            newton_solve(guess, max_iter=max_iter)
+        assert type(info.value) is CollisionError
+        assert str(info.value) == message
+    _steps_into_a_collision(monkeypatch, guess, harmless, target)
+    trace = continue_family(stable_saddle, (2, -1, 3), 0.02, step=0.005)
+    assert trace.records == () and trace.failure == f"eps=0.005: {message}"
+
+
 # -- spectral stability of the full linearization -----------------------------
 
 
@@ -350,7 +393,7 @@ def stability_configs():
 
 def stability_constraints(cfg):
     """The two rows whose null space full_system_stability works in."""
-    B = dynamics._symplectic_form(cfg)
+    B = dynamics._symplectic_form(cfg.epsilon, cfg.mu)
     return np.vstack([dynamics._perp(cfg.Z).ravel() @ B, cfg.Z.ravel() @ B])
 
 
@@ -365,22 +408,53 @@ def test_null_space_matches_scipy():
     matrices += [np.diag([1.0, 1.5 * eps]), np.diag([1.0, 3.0 * eps]),
                  np.hstack([np.diag([1.0, 4.0 * eps]), np.zeros((2, 3))])]
     for M in matrices:
-        Q = dynamics._null_space(M)
-        assert Q.shape == reference_null_space(M).shape
-        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) < 1e-12
-        assert np.abs(M @ Q).max(initial=0.0) < 1e-12
+        [(records, Q)] = dynamics._null_space(M[None])
+        assert list(records) == [0]
+        assert_null_space(M, Q[0])
+    # one stack holding ranks 0, 1 and 2
+    M = np.stack([matrices[0], np.zeros_like(matrices[0]), matrices[0],
+                  np.vstack([matrices[0][0]] * 2)])
+    found = dynamics._null_space(M)
+    assert [list(records) for records, _ in found] == [[1], [3], [0, 2]]
+    for records, Q in found:
+        for k, basis in zip(records, Q):
+            assert_null_space(M[k], basis)
+
+
+def assert_null_space(M, Q):
+    assert Q.shape == reference_null_space(M).shape
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) < 1e-12
+    assert np.abs(M @ Q).max(initial=0.0) < 1e-12
 
 
 def test_full_system_stability_matches_the_scipy_reduction():
     verdicts = set()
     for cfg in stability_configs():
-        ours, ref = full_system_stability(cfg), reference_full_system_stability(cfg)
-        assert ours.verdict == ref.verdict
-        a, b = np.array(ours.eigenvalues), np.array(ref.eigenvalues)
+        ours = full_system_stability(cfg)
+        verdict, spectrum = reference_full_system_stability(cfg)
+        assert ours.verdict == verdict
+        a, b = np.array(ours.eigenvalues), np.array(spectrum)
         assert len(a) == len(b) == 2 * len(cfg.mu) - 2
         gap = np.abs(a[:, None] - b[None, :])
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-10
-        verdicts.add(ref.verdict)
+        verdicts.add(verdict)
+    assert verdicts == {"stable", "unstable"}
+
+
+def test_every_walk_verdict_matches_the_single_config_reference():
+    pools = json.loads(POOLS.read_text())
+    walks = [continue_family(e["angles"], e["mu"], 0.024, step=0.0008)
+             for e in pools["continue_n3"]]
+    walks += [continue_family(2 * math.pi * np.arange(n) / n, (mu,) * n, 0.024,
+                              step=0.0008, check_start=False)
+              for n in range(2, 13) for mu in (1.37, -0.7)]
+    verdicts = set()
+    for trace in walks:
+        assert trace.failure is None and len(trace.records) == 30
+        for record in trace.records:
+            verdict, _ = reference_full_system_stability(record.config)
+            assert record.verdict == verdict
+            verdicts.add(verdict)
     assert verdicts == {"stable", "unstable"}
 
 
@@ -541,3 +615,106 @@ def test_dynamics_output_is_frozen(capsys, tmp_path, argv):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == want_out
     if want_file:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == want_file
+
+
+_STOPPED = "continuation stopped early: eps=0.035: no convergence to 1e-12 within 50 iterations\n"
+
+_MORE_N3_STARTS = (
+    ("-6,1,6", "0.0,2.4749717773203512,0.9997356620363427"),
+    ("11,10,-4", "0.0,0.5332211806611394,0.27752875809408895"),
+    ("9,-10,-1", "0.0,3.064690936068877,0.7549150063936538"),
+    ("-4,9,8", "0.0,0.1379911028452664,6.1600045052851495"),
+    ("-5,5,-2", "0.0,2.8237303101832367,2.070787946149662"),
+    ("-10,1,10", "0.0,2.48557728530453,1.018597061443834"),
+    ("10,-9,-2", "0.0,2.993552975982674,0.7866845214936735"),
+    ("7,-2,12", "0.0,0.3260712503008662,0.8051612988088178"),
+)
+
+_MORE_WALKS = tuple(
+    ("--mu=" + mu, "--start-angles=" + angles, "--eps", "0.024", "--step", "0.0004")
+    for mu, angles in _MORE_N3_STARTS) + (
+    ("--polygon", "6", "--mu", "-0.7", "--eps", "0.024", "--step", "0.0008"),
+    ("--polygon", "2", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008"),
+    ("--polygon", "2", "--mu", "-60", "--eps", "0.05", "--step", "0.005"),
+)
+
+# (exit code, sha256 of stdout, stderr) of `continue WALK --format FORMAT`,
+# recorded before each Newton iterate built a single pair table; the last
+# walk has no polygon equilibrium past eps = 1/30 and stops early
+CONTINUE_DIGESTS = {
+    (_MORE_WALKS[0], "json"):
+        (0, "e646f3ce9c4a91a82c43a9ee7633fab45cdbf75cd02c1bff9e843e7294f6c94a", ""),
+    (_MORE_WALKS[0], "csv"):
+        (0, "09c11d07216173eab16150465e992127ac57c0a24d25123a1264c423b44c5f20", ""),
+    (_MORE_WALKS[0], "table"):
+        (0, "2626122b461416b297a7b685948842959de556999afdeb79f7755f4dc67b022d", ""),
+    (_MORE_WALKS[1], "json"):
+        (0, "cd6e3b8ac76743b995ce5f92827596b27397c78a04cf6fde2a53cebf4052540d", ""),
+    (_MORE_WALKS[1], "csv"):
+        (0, "a502946a71e805de20c31bc5cc202be4eeed746e8e5f503ab46c87b891d7855b", ""),
+    (_MORE_WALKS[1], "table"):
+        (0, "0884a3f84211218a29c8e79c217962fcd6f142f1021d98552d3f8a95bfeccc22", ""),
+    (_MORE_WALKS[2], "json"):
+        (0, "dd8b5d195b8cf7ed6c58ecd3b1a0b7d712dce1ff3cd4569654acbf90fce24fdb", ""),
+    (_MORE_WALKS[2], "csv"):
+        (0, "1fbfc4ab2bb116f0e123e56eb40d597bae8868ef68960cecb5c2551f6ad42153", ""),
+    (_MORE_WALKS[2], "table"):
+        (0, "548f0c0aa4c5bb956dfd8cab1cf93ca3b858c64bd0d3c817f9fbe497f83776df", ""),
+    (_MORE_WALKS[3], "json"):
+        (0, "5e55849f866a983f42c91fef204a0d9cf211bac7181e06524ffdf9c959d1b225", ""),
+    (_MORE_WALKS[3], "csv"):
+        (0, "50afab1a27130c4a4436ba4bbcf8decd19e72f271184d999d5d2d52403c7806c", ""),
+    (_MORE_WALKS[3], "table"):
+        (0, "b7a5352082d470ae3f7ef25ec81e789b4bf717bba448f4420e3e7ab9505ca9e1", ""),
+    (_MORE_WALKS[4], "json"):
+        (0, "3166ba69d0f37529c9d4291f120703c78b5c39b03fe9725728632dcaf8737fb8", ""),
+    (_MORE_WALKS[4], "csv"):
+        (0, "d3229b9cf82c5b055293fc4e6ba1851b49494175a37ff076a6f50d81bd7eed79", ""),
+    (_MORE_WALKS[4], "table"):
+        (0, "f51e675e23af92d2323362fd67345acdeb04233710bd00c00c163403e2fb0681", ""),
+    (_MORE_WALKS[5], "json"):
+        (0, "bccd15db55127759f041426dd9544423be2a96aa7dd5a65bb5ad321fc1a19782", ""),
+    (_MORE_WALKS[5], "csv"):
+        (0, "f25bfb2cf8acba44c48df858d17ef4cbad34da6e2613281de6a1674ba80e62eb", ""),
+    (_MORE_WALKS[5], "table"):
+        (0, "a08a303550f5615f5ebfd8cacf25ba616bb96b9c27393e0d24c23fd711c04d11", ""),
+    (_MORE_WALKS[6], "json"):
+        (0, "13d5df7ae6ed4a62a9259459f67bca9c3c88dc138a04eae9dd39064162367b56", ""),
+    (_MORE_WALKS[6], "csv"):
+        (0, "a90cd0ccf3c3b81a82529cff1b5b47c1d29378023d1ea553e47cf717d48d7c6c", ""),
+    (_MORE_WALKS[6], "table"):
+        (0, "93f3ea72ba6fdd205f31083c989a07ee66cc716130ca91ee566c2b53dcc158fd", ""),
+    (_MORE_WALKS[7], "json"):
+        (0, "3c1dd3fdd3c95cffa20bc5b52cd6a50fd3c9f388fe97d2078e88017a14a57769", ""),
+    (_MORE_WALKS[7], "csv"):
+        (0, "eda26669f4616c5bb5bc0a12f7a6ff089163b4f8dcdb23701f925a1874db0a67", ""),
+    (_MORE_WALKS[7], "table"):
+        (0, "0fc2a2ad6714450a099641175ceaa25d5f6df4c531e6decb7b1a3ec2547aa786", ""),
+    (_MORE_WALKS[8], "json"):
+        (0, "8c3c864c8dcba59ef1a894d68c868e6fa72ef055f0bcfe72923fe6b58a5939f0", ""),
+    (_MORE_WALKS[8], "csv"):
+        (0, "83a67464b1c2130706506ef353273eac7c6837e99bd0503c1b4dfc15e2704a02", ""),
+    (_MORE_WALKS[8], "table"):
+        (0, "d808fe9eab797fe36ed5131b93d7e9e671d169654ddef68f010684e77c7b639b", ""),
+    (_MORE_WALKS[9], "json"):
+        (0, "fea7b957f98eb9489c2342c6a177f6f8d7be8d6bf635cffee1783eca6cf83338", ""),
+    (_MORE_WALKS[9], "csv"):
+        (0, "b4b260138c72d2b711db5d4dfc20011a3a84062fc116baf1a1abe6c784378e44", ""),
+    (_MORE_WALKS[9], "table"):
+        (0, "33c64cf0cf9e2624f952637d92cf92d311be694cf7db9acc10d51219b16c6bfa", ""),
+    (_MORE_WALKS[10], "json"):
+        (1, "56aef64ff6d58ee21e5172030f3d4753cd08b8db19d8d86f3b6acedbf405613d", _STOPPED),
+    (_MORE_WALKS[10], "csv"):
+        (1, "cb54391bb75e72922444278ba2ef3b804bfd4cb55c89f30255a618f54ea6a79e", _STOPPED),
+    (_MORE_WALKS[10], "table"):
+        (1, "ea9ca525f9186ebceb3cd677d56e88db30b2041acbb8a7413e8904bf4bee0bd2", _STOPPED),
+}
+
+
+@pytest.mark.parametrize("walk, fmt", CONTINUE_DIGESTS)
+def test_continue_output_is_frozen(capsys, walk, fmt):
+    want_code, want_out, want_err = CONTINUE_DIGESTS[walk, fmt]
+    assert main(["continue", *walk, "--format", fmt]) == want_code
+    captured = capsys.readouterr()
+    assert captured.err == want_err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == want_out

@@ -14,6 +14,7 @@ from helpers import (
     reference_buchberger,
     reference_normal_form,
     reference_s_polynomial,
+    reference_variables_used,
     seeded,
     to_sympy,
 )
@@ -330,7 +331,7 @@ def test_elimination_output_avoids_eliminated_variables():
         gens = [random_multipoly(ring, rng, max_terms=3, max_deg=2) for _ in range(3)]
         elim = elimination_ideal(gens, ["x"])
         for g in elim.polys:
-            assert "x" not in g.variables_used()
+            assert "x" not in reference_variables_used(g)
 
 
 def test_elimination_matches_lex_route():
@@ -345,7 +346,7 @@ def test_elimination_matches_lex_route():
             continue
         block = elimination_ideal(gens, ["x"])
         lex_gb = buchberger([lex_ring.parse(str(g)) for g in gens])
-        lex_kept = [g for g in lex_gb.polys if "x" not in g.variables_used()]
+        lex_kept = [g for g in lex_gb.polys if "x" not in reference_variables_used(g)]
         assert len(block) == len(lex_kept)
         for b in block:
             assert reference_normal_form(lex_ring.parse(str(b)), lex_kept).is_zero()
@@ -463,6 +464,31 @@ def test_order_priority_must_permute_the_variables():
         PolynomialRing(("x", "y"), MonomialOrder.degrevlex(priority=[0, 0]))
     # with a priority that permutes them, lex on (x, y) gives the true basis
     ring = PolynomialRing(("x", "y"), MonomialOrder.lex(priority=[0, 1]))
+    gb = buchberger([ring.parse("x*y - 1"), ring.parse("y^2 - x")])
+    assert [str(g) for g in gb] == ["y^3 - 1", "x - y^2"]
+
+
+def test_an_elimination_order_needs_a_block():
+    for make in (lambda: MonomialOrder("elim"), lambda: MonomialOrder("elim", 0),
+                 lambda: MonomialOrder.elimination(0)):
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            make()
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+def test_lex_and_degrevlex_take_no_block(kind):
+    for block in (1, 2, -1):
+        with pytest.raises(ValueError, match=f"a {kind} order has no elimination block"):
+            MonomialOrder(kind, block)
+    assert MonomialOrder(kind, 0) == getattr(MonomialOrder, kind)()
+
+
+def test_an_elimination_block_must_leave_a_variable():
+    for block in (2, 5):
+        with pytest.raises(ValueError, match=f"block {block} leaves none of the 2"):
+            PolynomialRing(("x", "y"), MonomialOrder.elimination(block))
+    # block 1 of 2 eliminates x: the basis of <xy - 1, y^2 - x> holds y^3 - 1
+    ring = PolynomialRing(("x", "y"), MonomialOrder.elimination(1))
     gb = buchberger([ring.parse("x*y - 1"), ring.parse("y^2 - x")])
     assert [str(g) for g in gb] == ["y^3 - 1", "x - y^2"]
 
