@@ -33,6 +33,7 @@ _LAZY = {
     "ContinuationTrace": "dynamics",
     "HelioConfig": "dynamics",
     "continue_family": "dynamics",
+    "continue_polygon": "dynamics",
     "full_system_stability": "dynamics",
     "newton_solve": "dynamics",
     "polygon_family": "dynamics",

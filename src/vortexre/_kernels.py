@@ -4,12 +4,10 @@ A monomial is a tuple of non-negative integer exponents, one per ring
 variable.  A term map is a plain dict from monomial to nonzero
 coefficient: ``Fraction`` at the polynomial API, ``int`` inside the
 exact engine, which divides integer term maps fraction-free.  An order
-is a tuple ``(kind, block, priority)``, in practice a
-``polynomials.MonomialOrder``, with ``kind`` in {"lex", "degrevlex",
-"elim"}, ``block`` the size of the leading (eliminated) variable block
-for "elim", and ``priority`` either None (natural variable order) or a
-permutation of variable indices listing variables from highest to
-lowest priority.
+is a tuple ``(kind, block)``, in practice a ``polynomials.MonomialOrder``,
+with ``kind`` in {"lex", "degrevlex", "elim"} and ``block`` the size of
+the leading (eliminated) variable block for "elim", 0 otherwise.
+Variables are compared in ring order, first variable most significant.
 
 A monomial's order key never changes, so keys are computed once per
 (order, monomial) and kept for the life of the process.  Kernels call each
@@ -59,9 +57,7 @@ def _grevlex_key(e):
 
 
 def _fresh_key(order, e):
-    kind, block, priority = order
-    if priority is not None:
-        e = tuple(e[i] for i in priority)
+    kind, block = order
     if kind == "degrevlex":
         return _grevlex_key(e)
     if kind == "lex":

@@ -223,23 +223,17 @@ def cmd_find(args):
 
 # -- certify -----------------------------------------------------------------
 
-def _require_integer_weights(text):
+def _weight_system(text):
+    """The --mu weights and their system; the builder's refusal of the
+    weights is a usage error."""
     if not text:
         raise UsageError("need --mu or --symmetry-case")
-    parts = _parse_fractions(text)
-    if len(parts) < 2:
-        raise UsageError("need at least two weights")
-    if any(p == 0 for p in parts):
-        raise UsageError("weights must be nonzero")
-    if any(p.denominator != 1 for p in parts):
-        lcm = 1
-        for p in parts:
-            lcm = lcm * p.denominator // math.gcd(lcm, p.denominator)
-        scaled = ",".join(str(p.numerator * (lcm // p.denominator)) for p in parts)
-        raise UsageError(
-            "exact certification requires integer weights; the counts depend "
-            f"only on the weight ratio, so rescale, e.g. --mu {scaled}")
-    return [int(p) for p in parts]
+    mu = _parse_fractions(text)
+    try:
+        system = build_equal_weight_system(mu)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return [int(m) for m in mu], system
 
 
 def _symmetry_case_report(case):
@@ -269,8 +263,7 @@ def cmd_certify(args):
             text = "\n".join(lines) + "\n"
         _write_output(text, args.out)
         return 0
-    mu = _require_integer_weights(args.mu)
-    system = build_equal_weight_system(tuple(mu))
+    mu, system = _weight_system(args.mu)
     gb = buchberger(list(system))
     basis = quotient_basis(gb)
     H = hermite_matrix(gb, basis)
@@ -375,7 +368,7 @@ def _snapshot_records(trace, snapshots, start, mu):
 def cmd_continue(args):
     import numpy as np
 
-    from vortexre.dynamics import continue_family
+    from vortexre.dynamics import continue_family, continue_polygon
     from vortexre.potential import CirculationWeights
 
     base = args.out.rsplit(".", 1)[0] if args.out else "trace"
@@ -385,16 +378,16 @@ def cmd_continue(args):
         _start_mode(args, "--polygon", ("--normalize",) + _SEARCH_FLAGS)
         mu = _polygon_weights(args)
         start = [2.0 * math.pi * k / args.polygon for k in range(args.polygon)]
-        check_start = False
+        trace = continue_polygon(args.polygon, mu[0], eps_max=args.eps_max,
+                                 step=args.step, tol=args.tol_newton)
     else:
         mu = _parse_weights(args.mu)
         if args.normalize:
             scale = 1.0 / float(np.linalg.norm(mu.array))
             mu = CirculationWeights(tuple(m * scale for m in mu))
         start = _select_start(args, mu)
-        check_start = True
-    trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
-                            tol=args.tol_newton, check_start=check_start)
+        trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
+                                tol=args.tol_newton)
     if args.format == "json":
         text = json.dumps(trace.to_dict(), indent=2) + "\n"
     elif args.format == "table":
@@ -486,8 +479,7 @@ def cmd_build_system(args):
         system = build_symmetry_case_system(args.symmetry_case)
         title = f"symmetry case {args.symmetry_case} system"
     else:
-        mu = _require_integer_weights(args.mu)
-        system = build_equal_weight_system(tuple(mu))
+        mu, system = _weight_system(args.mu)
         title = f"critical-point system for mu = ({', '.join(map(str, mu))})"
     if args.format == "json":
         text = json.dumps(_system_payload(system), indent=2) + "\n"
@@ -590,6 +582,10 @@ _FLAGS = {
 }
 
 
+# which vortex each --symmetry-case puts on the axis of reflection
+_SYMMETRY_AXES = ("case 1 puts vortex 1 on the symmetry axis, "
+                  "case 2 vortex 2, case 3 vortex 3")
+
 # the flags that continue reads only to find its start
 _SEARCH_FLAGS = ("--seeds", "--tol-grad", "--tol-zero-eig")
 
@@ -643,7 +639,8 @@ def build_parser():
     source = p.add_mutually_exclusive_group()
     source.add_argument("--mu", help="comma-separated integer weights")
     source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
-                        help="eliminate r from the chosen symmetric-configuration case")
+                        help="eliminate r from a reflection-symmetric case; "
+                             + _SYMMETRY_AXES)
     p.add_argument("--show-basis", action="store_true",
                    help="print the reduced basis and leading terms")
     p.add_argument("--show-matrix", action="store_true",
@@ -688,7 +685,8 @@ def build_parser():
     source = p.add_mutually_exclusive_group()
     source.add_argument("--mu", help="comma-separated integer weights")
     source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
-                        help="build the symmetric-configuration case system instead")
+                        help="build a reflection-symmetric case system instead; "
+                             + _SYMMETRY_AXES)
     _flags(p, "--out")
     _format_flag(p, "json", "table")
     p.set_defaults(func=cmd_build_system)

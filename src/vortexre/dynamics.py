@@ -14,7 +14,7 @@ gives its residual and Jacobian, and one stacked reduction checks every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -345,6 +345,13 @@ def full_system_stability(config, tol=1e-6):
 
 # -- known families and continuation -----------------------------------------
 
+def _polygon_radius2(N, mu_scalar, epsilon):
+    """R^2 = 1 + mu*eps*(N-1)/2 of the regular N-gon, and the message for
+    when it is not positive."""
+    R2 = 1.0 + mu_scalar * epsilon * (N - 1) / 2.0
+    return R2, f"no polygon equilibrium: 1 + mu*eps*(N-1)/2 = {R2:g} is not positive"
+
+
 def polygon_family(N, mu_scalar, epsilon):
     """Regular N-gon of equal weak vortices around the strong one.
 
@@ -354,9 +361,9 @@ def polygon_family(N, mu_scalar, epsilon):
     """
     if N < 2:
         raise ValueError("polygon needs at least two weak vortices")
-    R2 = 1.0 + mu_scalar * epsilon * (N - 1) / 2.0
+    R2, missing = _polygon_radius2(N, mu_scalar, epsilon)
     if not R2 > 0.0:
-        raise ValueError(f"no polygon equilibrium: 1 + mu*eps*(N-1)/2 = {R2:g} is not positive")
+        raise ValueError(missing)
     angles = 2.0 * math.pi * np.arange(N) / N
     z = math.sqrt(R2) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return HelioConfig(z, epsilon, (mu_scalar,) * N)
@@ -423,7 +430,7 @@ def _epsilon_schedule(eps_max, step):
     return out
 
 
-def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=True):
+def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):
     """Continue a nondegenerate critical point of V to positive coupling.
 
     Walks eps from `step` to `eps_max`, seeding each Newton solve with the
@@ -434,15 +441,40 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12, check_start=
     per walk: each solve's converged residual and Jacobian are kept for it.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
-    if check_start:
-        if classify(theta_star, weights).extremal_type == "degenerate":
-            raise NotACriticalPointError(
-                "continuation requires a critical point that is nondegenerate "
-                "modulo rotation (the Hessian transverse to rotation is singular)")
-    current = HelioConfig.from_angles(theta_star, weights, 0.0)
+    if classify(theta_star, weights).extremal_type == "degenerate":
+        raise NotACriticalPointError(
+            "continuation requires a critical point that is nondegenerate "
+            "modulo rotation (the Hessian transverse to rotation is singular)")
+    start = HelioConfig.from_angles(theta_star, weights, 0.0)
+    return _walk(start, _epsilon_schedule(eps_max, step), tol)
+
+
+def continue_polygon(N, mu_scalar, eps_max, step=0.005, tol=1e-12):
+    """`continue_family` from the regular N-gon of equal weights mu_scalar.
+
+    The walk ends at the first scheduled eps where the polygon family
+    ends, 1 + mu*eps*(N-1)/2 < 0: it runs no solve there, and its failure
+    is `polygon_family`'s message.  Where that value is 0 the vortices
+    meet at the strong one, and the solve reports the collision.
+    """
+    schedule = _epsilon_schedule(eps_max, step)
+    # R^2 is linear in eps, so the steps it allows are a prefix
+    reached = [eps for eps in schedule if _polygon_radius2(N, mu_scalar, eps)[0] >= 0.0]
+    trace = _walk(polygon_family(N, mu_scalar, 0.0), reached, tol)
+    if len(reached) < len(schedule) and trace.failure is None:
+        eps = schedule[len(reached)]
+        missing = _polygon_radius2(N, mu_scalar, eps)[1]
+        trace = replace(trace, failure=f"eps={eps:.6g}: {missing}")
+    return trace
+
+
+def _walk(current, schedule, tol):
+    """The continuation trace from the eps = 0 configuration `current`
+    through the couplings of `schedule`."""
+    weights = current.mu
     solved, residuals, jacobians = [], [], []
     failure = None
-    for eps in _epsilon_schedule(eps_max, step):
+    for eps in schedule:
         try:
             z, res, evaluation = _newton(current.Z, eps, weights, tol)
         except (ConvergenceError, CollisionError) as exc:

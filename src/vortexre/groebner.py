@@ -2,14 +2,14 @@
 
 All arithmetic is exact.  Polynomials come in with ``Fraction``
 coefficients, but Buchberger runs on primitive integer term maps
-(``_kernels.reduce_integer`` is the one division routine), and the
-basis it returns keeps them: each element is a (leading monomial,
-primitive integer term map) pair, and the monic ``Fraction`` polynomials
-are built only when asked for.  A polynomial's ring holds its monomial
-order, and every function here works under that order: polynomials
-passed to one call must share one ring.  ``buchberger`` returns the
-unique reduced Groebner basis for the ring's order, so golden tests can
-compare bases verbatim.
+(``_kernels.reduce_integer`` is the one reduction routine of Buchberger
+and the trace form), and the basis it returns keeps them: each element
+is a (leading monomial, primitive integer term map) pair, and the monic
+``Fraction`` polynomials are built only when asked for.  A polynomial's
+ring holds its monomial order, and every function here works under that
+order: polynomials passed to one call must share one ring.
+``buchberger`` returns the unique reduced Groebner basis for the ring's
+order, so golden tests can compare bases verbatim.
 """
 
 from __future__ import annotations
@@ -155,10 +155,11 @@ def _reduced_basis(basis, ring):
 def elimination_ideal(generators, eliminate):
     """Groebner basis of the ideal's intersection with k[kept variables].
 
-    Moves the generators into the ring's variables under a block
-    elimination order with `eliminate` leading, computes a basis there,
-    and keeps the elements free of eliminated variables.  The result
-    lies in that elimination ring, even when it is empty.
+    `eliminate` names a leading block of the ring's variables, in any
+    order.  Moves the generators into the ring's variables under the
+    block elimination order for it, computes a basis there, and keeps
+    the elements free of eliminated variables.  The result lies in that
+    elimination ring, even when it is empty.
     """
     generators, eliminate = list(generators), list(eliminate)
     if not generators:
@@ -170,15 +171,16 @@ def elimination_ideal(generators, eliminate):
             raise ValueError(f"cannot eliminate {name!r}: not a variable of {ring.variables}")
     if len(set(eliminate)) < len(eliminate):
         raise ValueError(f"a variable is named twice in {eliminate}")
-    if not 0 < len(eliminate) < ring.nvars:
-        raise ValueError(f"cannot eliminate {len(eliminate)} of {ring.nvars} variables: "
+    block = len(eliminate)
+    if not 0 < block < ring.nvars:
+        raise ValueError(f"cannot eliminate {block} of {ring.nvars} variables: "
                          "eliminate at least one and keep at least one")
-    elim_idx = [ring._index[name] for name in eliminate]
-    keep_idx = [i for i in range(ring.nvars) if i not in set(elim_idx)]
-    elim_ring = ring.with_order(
-        MonomialOrder.elimination(len(elim_idx), priority=elim_idx + keep_idx))
+    if set(eliminate) != set(ring.variables[:block]):
+        raise ValueError(f"cannot eliminate {eliminate}: only the leading variables "
+                         f"{ring.variables[:block]} of {ring.variables} can be eliminated")
+    elim_ring = ring.with_order(MonomialOrder.elimination(block))
     gb = buchberger([MultiPoly(elim_ring, g.terms) for g in generators])
     # Under the elimination order an element is free of the eliminated
     # variables exactly when its leading monomial is.
-    return GroebnerBasis([(lm, t) for lm, t in gb.elements
-                          if not any(lm[i] for i in elim_idx)], elim_ring)
+    return GroebnerBasis([(lm, t) for lm, t in gb.elements if not any(lm[:block])],
+                         elim_ring)

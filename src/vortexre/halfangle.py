@@ -136,8 +136,10 @@ def build_symmetry_case_system(case):
 
     The three types for three weak vortices, with the free angle phi:
     case 1 puts vortex 1 on the symmetry axis (theta3 = -theta2 = -phi),
-    case 2 puts vortex 3 on it (theta3 = 2*theta2, phi = theta2), and
-    case 3 puts vortex 2 on it (theta2 = 2*theta3, phi = theta3).  The
+    case 2 puts vortex 2 on it (theta3 = 2*theta2, phi = theta2), and
+    case 3 puts vortex 3 on it (theta2 = 2*theta3, phi = theta3).  The
+    reflection swaps the other two, whose weights the elimination of r
+    equates: mu2 = mu3, mu1 = mu3 and mu1 = mu2 respectively.  The
     weights stay symbolic, so the system lives in (r, mu1, mu2, mu3) with
     r = cot(phi/2).  Every denominator factor is a power of r or r^2 + 1;
     those the numerator shares are cancelled, and the further powers of
@@ -189,14 +191,13 @@ def build_equal_weight_system(mu):
     mu = [Fraction(m) for m in mu]
     if len(mu) < 2:
         raise ValueError("need at least two weights")
-    for m in mu:
-        if not m:
-            raise ValueError("weights must be nonzero")
-        if m.denominator != 1:
-            raise ValueError(
-                "exact certification requires integer weights; "
-                "scale the vector by a common denominator"
-            )
+    if not all(mu):
+        raise ValueError("weights must be nonzero")
+    if any(m.denominator != 1 for m in mu):
+        scale = math.lcm(*(m.denominator for m in mu))
+        raise ValueError(
+            "exact certification requires integer weights; the counts depend only "
+            "on the weight ratio, so rescale, e.g. " + ",".join(str(m * scale) for m in mu))
     ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])
     unit = (0,) * ring.nvars
     one = {unit: 1}

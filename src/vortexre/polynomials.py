@@ -23,51 +23,46 @@ from fractions import Fraction
 from vortexre import _kernels
 
 
-class MonomialOrder(namedtuple("MonomialOrder", "kind block priority")):
+class MonomialOrder(namedtuple("MonomialOrder", "kind block")):
     """A monomial order: lex, degrevlex, or a block elimination order.
 
     The elimination order compares the leading block of variables by
     degrevlex first and breaks ties by degrevlex on the remaining
-    block, so the first `block` variables are eliminated.  `priority`
-    optionally permutes variables (indices listed from most to least
-    significant) before the comparison.  The tuple itself is the order
-    spec that ``vortexre._kernels`` keys on.
+    block, so the first `block` variables are eliminated.  The tuple
+    itself is the order spec that ``vortexre._kernels`` keys on.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind, block=0, priority=None):
+    def __new__(cls, kind, block=0):
         if kind not in ("lex", "degrevlex", "elim"):
             raise ValueError(f"unknown monomial order {kind!r}")
         if kind == "elim" and block < 1:
             raise ValueError("elimination block must be >= 1")
         if kind != "elim" and block != 0:
             raise ValueError(f"a {kind} order has no elimination block")
-        return super().__new__(cls, kind, block,
-                               tuple(priority) if priority is not None else None)
+        return super().__new__(cls, kind, block)
 
     @classmethod
-    def lex(cls, priority=None):
-        return cls("lex", priority=priority)
+    def lex(cls):
+        return cls("lex")
 
     @classmethod
-    def degrevlex(cls, priority=None):
-        return cls("degrevlex", priority=priority)
+    def degrevlex(cls):
+        return cls("degrevlex")
 
     @classmethod
-    def elimination(cls, block, priority=None):
+    def elimination(cls, block):
         """Order that eliminates the first `block` variables."""
-        return cls("elim", block=block, priority=priority)
+        return cls("elim", block)
 
     def key(self, monomial):
         return _kernels.order_key(self, monomial)
 
     def __repr__(self):
-        args = [str(self.block)] if self.kind == "elim" else []
-        if self.priority is not None:
-            args.append(f"priority={self.priority}")
-        name = "elimination" if self.kind == "elim" else self.kind
-        return f"MonomialOrder.{name}({', '.join(args)})"
+        if self.kind == "elim":
+            return f"MonomialOrder.elimination({self.block})"
+        return f"MonomialOrder.{self.kind}()"
 
 
 class PolynomialRing:
@@ -80,10 +75,6 @@ class PolynomialRing:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         self.order = order if order is not None else MonomialOrder.degrevlex()
-        priority = self.order.priority
-        if priority is not None and sorted(priority) != list(range(len(self.variables))):
-            raise ValueError(f"order priority {priority} is not a permutation of the "
-                             f"variable indices 0..{len(self.variables) - 1}")
         if self.order.kind == "elim" and self.order.block >= len(self.variables):
             raise ValueError(f"elimination block {self.order.block} leaves none of the "
                              f"{len(self.variables)} variables")
@@ -322,35 +313,6 @@ class MultiPoly:
                 if e:
                     term *= vals[i] ** e
             acc += term
-        return acc
-
-    def substitute(self, mapping):
-        """Substitute polynomials (or constants) for variables by name."""
-        ring = self.ring
-        subs = {}
-        for name, val in mapping.items():
-            i = ring._index[name]
-            subs[i] = val if isinstance(val, MultiPoly) else ring.constant(val)
-        power_cache = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = subs[i] ** e
-            return power_cache[key]
-
-        acc = ring.zero()
-        for m, c in self.terms.items():
-            rest = list(m)
-            factor = None
-            for i in subs:
-                e = m[i]
-                if e:
-                    rest[i] = 0
-                    p = power(i, e)
-                    factor = p if factor is None else factor * p
-            term = ring.monomial(tuple(rest), c)
-            acc = acc + (term if factor is None else term * factor)
         return acc
 
     # -- normalization -------------------------------------------------

@@ -226,6 +226,17 @@ def reference_variables_used(p):
     return {p.ring.variables[i] for m in p.terms for i, e in enumerate(m) if e}
 
 
+def reference_identify(p, source, target):
+    """p with the variable named `source` replaced by the one named `target`."""
+    i, j = p.ring._index[source], p.ring._index[target]
+    out = p.ring.zero()
+    for m, c in p.terms.items():
+        e = list(m)
+        e[j], e[i] = e[j] + e[i], 0
+        out = out + p.ring.monomial(e, c)
+    return out
+
+
 def reference_primitive_part(p):
     """(primitive, unit) with p == unit * primitive, the coefficients of
     primitive coprime integers and its leading one positive; (0, 1) for 0."""
@@ -705,9 +716,7 @@ def reference_full_system_stability(config, tol=1e-6):
 
 def reference_key(order, e):
     """The order key written out from the definitions, never cached."""
-    kind, block, priority = order
-    if priority is not None:
-        e = [e[i] for i in priority]
+    kind, block = order
 
     def grevlex(part):
         return (sum(part), [-x for x in reversed(part)])

@@ -12,6 +12,8 @@ import pytest
 from helpers import ZERO_SUM_SADDLES
 from vortexre.cli import build_parser, main
 from vortexre.groebner import GroebnerBasis
+from vortexre.polynomials import MonomialOrder, PolynomialRing
+from vortexre.search import symmetry_axes
 
 
 def run(capsys, *argv):
@@ -133,6 +135,23 @@ def test_certify_requires_integer_weights(capsys):
     assert code == 2
     assert "integer weights" in err
     assert "1,2,6" in err  # suggests the equivalent integer rescaling
+
+
+# per case: the free angle's multiples giving (theta1, theta2, theta3), and
+# the vortex the case's docstring puts on the symmetry axis
+_SYMMETRY_CASE_AXES = {"1": ((0, 1, -1), 1), "2": ((0, 1, 2), 2), "3": ((0, 2, 1), 3)}
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASE_AXES)
+def test_symmetry_case_condition_equates_the_reflected_pair(capsys, case):
+    multiples, axis = _SYMMETRY_CASE_AXES[case]
+    assert symmetry_axes([0.7 * k for k in multiples]) == (axis - 1,)
+    a, b = sorted({1, 2, 3} - {axis})
+    ring = PolynomialRing(("r", "mu1", "mu2", "mu3"), MonomialOrder.elimination(1))
+    want = ring.parse("mu1*mu2*mu3") * (ring.parse(f"mu{a}") - ring.parse(f"mu{b}"))
+    code, out, err = run(capsys, "certify", "--symmetry-case", case)
+    assert (code, err) == (0, "")
+    assert out.split("weight condition after eliminating r:\n")[1] == f"  {want}\n"
 
 
 def test_certify_symmetry_case_generators_exactly(capsys):
@@ -812,6 +831,19 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
      "argument --mu: not allowed with argument --symmetry-case"),
     (["build-system", "--mu", "1,1,1", "--symmetry-case", "2"],
      "argument --symmetry-case: not allowed with argument --mu"),
+    # the system builder's weight checks, as usage errors of both exact commands
+    *[([command, "--mu", weights], message)
+      for command in ("certify", "build-system")
+      for weights, message in [
+          ("1", "need at least two weights"),
+          (",", "need at least two weights"),
+          ("1,0,1", "weights must be nonzero"),
+          ("1/2,0,3", "weights must be nonzero"),
+          ("1/2,1,3", "integer weights; the counts depend only on the weight ratio, "
+                      "so rescale, e.g. 1,2,6"),
+          ("2/3,-1/6", "integer weights; the counts depend only on the weight ratio, "
+                       "so rescale, e.g. 4,-1"),
+      ]],
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -20,6 +20,7 @@ from vortexre.dynamics import (
     ContinuationTrace,
     HelioConfig,
     continue_family,
+    continue_polygon,
     corotating_drift,
     full_system_stability,
     hamiltonian,
@@ -215,7 +216,7 @@ def test_linearization_is_infinitesimally_symplectic():
 
 
 def test_equilibrium_has_rotation_and_scaling_structure(stable_saddle):
-    trace = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.02, check_start=True)
+    trace = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.02)
     cfg = trace.final.config
     A = re_jacobian(cfg)
     z = cfg.Z.ravel()
@@ -445,8 +446,7 @@ def test_every_walk_verdict_matches_the_single_config_reference():
     pools = json.loads(POOLS.read_text())
     walks = [continue_family(e["angles"], e["mu"], 0.024, step=0.0008)
              for e in pools["continue_n3"]]
-    walks += [continue_family(2 * math.pi * np.arange(n) / n, (mu,) * n, 0.024,
-                              step=0.0008, check_start=False)
+    walks += [continue_polygon(n, mu, 0.024, step=0.0008)
               for n in range(2, 13) for mu in (1.37, -0.7)]
     verdicts = set()
     for trace in walks:
@@ -617,7 +617,8 @@ def test_dynamics_output_is_frozen(capsys, tmp_path, argv):
         assert hashlib.sha256(target.read_bytes()).hexdigest() == want_file
 
 
-_STOPPED = "continuation stopped early: eps=0.035: no convergence to 1e-12 within 50 iterations\n"
+_NO_POLYGON = "eps=0.035: no polygon equilibrium: 1 + mu*eps*(N-1)/2 = -0.05 is not positive"
+_STOPPED = f"continuation stopped early: {_NO_POLYGON}\n"
 
 _MORE_N3_STARTS = (
     ("-6,1,6", "0.0,2.4749717773203512,0.9997356620363427"),
@@ -640,7 +641,8 @@ _MORE_WALKS = tuple(
 
 # (exit code, sha256 of stdout, stderr) of `continue WALK --format FORMAT`,
 # recorded before each Newton iterate built a single pair table; the last
-# walk has no polygon equilibrium past eps = 1/30 and stops early
+# walk has no polygon equilibrium past eps = 1/30 and stops early, and its
+# json digest was recorded again when that stop began to name the cause
 CONTINUE_DIGESTS = {
     (_MORE_WALKS[0], "json"):
         (0, "e646f3ce9c4a91a82c43a9ee7633fab45cdbf75cd02c1bff9e843e7294f6c94a", ""),
@@ -703,7 +705,7 @@ CONTINUE_DIGESTS = {
     (_MORE_WALKS[9], "table"):
         (0, "33c64cf0cf9e2624f952637d92cf92d311be694cf7db9acc10d51219b16c6bfa", ""),
     (_MORE_WALKS[10], "json"):
-        (1, "56aef64ff6d58ee21e5172030f3d4753cd08b8db19d8d86f3b6acedbf405613d", _STOPPED),
+        (1, "e9014ad68e9a308f138bec6261515b280a39145f171460ed526dece0f57692f1", _STOPPED),
     (_MORE_WALKS[10], "csv"):
         (1, "cb54391bb75e72922444278ba2ef3b804bfd4cb55c89f30255a618f54ea6a79e", _STOPPED),
     (_MORE_WALKS[10], "table"):
@@ -718,3 +720,23 @@ def test_continue_output_is_frozen(capsys, walk, fmt):
     captured = capsys.readouterr()
     assert captured.err == want_err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == want_out
+
+
+def test_a_polygon_walk_stops_where_the_family_ends(capsys, monkeypatch):
+    # 1 + mu*eps*(N-1)/2 = 1 - 30*eps is first negative at eps = 0.035:
+    # the walk runs no Newton solve there and names the cause
+    solved = []
+    newton = dynamics._newton
+
+    def recording(z, eps, *args):
+        solved.append(eps)
+        return newton(z, eps, *args)
+
+    monkeypatch.setattr(dynamics, "_newton", recording)
+    assert main(["continue", *_MORE_WALKS[10], "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == _STOPPED
+    data = json.loads(captured.out)
+    assert data["failure"] == _NO_POLYGON
+    assert solved == [rec["epsilon"] for rec in data["records"]]
+    assert solved == pytest.approx([0.005 * k for k in range(1, 7)])

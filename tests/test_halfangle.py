@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import grid_newton_real_roots, reference_primitive_part, seeded
+from helpers import grid_newton_real_roots, reference_identify, reference_primitive_part, seeded
 from vortexre.errors import CollisionError
 from vortexre.halfangle import (
     back_transform,
@@ -168,12 +168,17 @@ def test_builder_stripped_factors_only_vanish_at_collisions():
 
 
 def test_builder_rejects_non_integer_or_zero_weights():
-    with pytest.raises(ValueError):
+    # count, then zero, then integers: 1/2,0,3 is refused for its zero
+    with pytest.raises(ValueError, match="^weights must be nonzero$"):
         build_equal_weight_system((1, 0, 1))
-    with pytest.raises(ValueError):
-        build_equal_weight_system((Fraction(1, 2), 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights must be nonzero$"):
+        build_equal_weight_system((Fraction(1, 2), 0, 3))
+    with pytest.raises(ValueError, match="integer weights.*rescale, e.g. 1,2,6$"):
+        build_equal_weight_system((Fraction(1, 2), 1, 3))
+    with pytest.raises(ValueError, match="^need at least two weights$"):
         build_equal_weight_system((1,))
+    with pytest.raises(ValueError, match="^need at least two weights$"):
+        build_equal_weight_system((Fraction(1, 2),))
 
 
 def _assert_case_golden(case, v2, v3):
@@ -220,9 +225,7 @@ def test_symmetry_case_records_reassemble_the_gradient(case, make_angles):
 
 def test_symmetry_case_one_collapses_for_equal_pair_weights():
     system = build_symmetry_case_system(1)
-    ring = system.polys[0].ring
-    mu2 = ring.variable("mu2")
-    subbed = [p.substitute({"mu3": mu2}) for p in system.polys]
+    subbed = [reference_identify(p, "mu3", "mu2") for p in system.polys]
     prim0, _ = reference_primitive_part(subbed[0])
     prim1, _ = reference_primitive_part(subbed[1])
     assert prim0 == prim1 or prim0 == -prim1
