@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
+from vortexre.errors import (CirculationError, CollisionError, ConvergenceError,
+                             NotACriticalPointError)
 from vortexre.groebner import buchberger, elimination_ideal
 from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
 from vortexre.hermite import (
@@ -38,8 +40,21 @@ class UsageError(ValueError):
 
 
 def _parse_fractions(text):
+    """Comma-separated numbers as Fractions.  Each number written (a ratio has
+    two) must have a float value that neither overflows nor, being nonzero,
+    underflows to 0.  A Decimal checks that first: it keeps the exponent of
+    1e10000000 as a number, where Fraction would expand it into its digits."""
+    items = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        for item in items:
+            for number in item.split("/", 1):
+                try:
+                    value = Decimal(number)
+                except InvalidOperation:
+                    continue  # not a decimal: Fraction refuses the item
+                if value.is_finite() and (math.isinf(float(value)) or value and not float(value)):
+                    raise ValueError(f"{item!r} is outside the float range")
+        return [Fraction(item) for item in items]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse weights {text!r}: {exc}") from None
 
@@ -539,10 +554,14 @@ def cmd_simulate(args):
             raise UsageError("need one radius per weight")
         z = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
         config = HelioConfig(Z=tuple(z), epsilon=args.eps, mu=mu)
-        if args.polish:
-            config = newton_solve(config, tol=args.tol_newton)
+    try:
+        q, g = config.to_planar()
+    except CirculationError as exc:
+        raise UsageError(str(exc)) from None
+    if args.polish:  # --polygon refuses --polish
+        config = newton_solve(config, tol=args.tol_newton)
+        q, g = config.to_planar()
     residual = float(np.abs(re_residual(config)).max())
-    q, g = config.to_planar()
     t_final = 2.0 * math.pi * args.periods
     times, states = integrate_vortices(q, g, t_final, args.rtol)
     h0 = hamiltonian(q, g)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
+from vortexre.errors import (CirculationError, CollisionError, ConvergenceError,
+                             NotACriticalPointError)
 from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
@@ -147,8 +148,7 @@ class HelioConfig:
         origin puts the strong vortex at -sum Gamma_i Z_i / Gamma_total.
         """
         gamma = self.epsilon * self.mu.array
-        total = 1.0 + gamma.sum()
-        return -(gamma[:, None] * self.Z).sum(axis=0) / total
+        return -(gamma[:, None] * self.Z).sum(axis=0) / _total_circulation(gamma)
 
     def to_planar(self):
         """Positions q and circulations g of all vortices, the strong one
@@ -166,6 +166,16 @@ class HelioConfig:
             "omega": 1.0,  # the frame's rotation rate
             "z0": [float(c) for c in self.strong_vortex_offset()],
         }
+
+
+def _total_circulation(gamma):
+    """1 + sum(gamma) over the last axis of the weak circulations gamma,
+    which the center of vorticity and the reduced symplectic form divide by."""
+    total = 1.0 + gamma.sum(axis=-1)
+    if not total.all():
+        raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
+                               "there is no center of vorticity")
+    return total
 
 
 def _full_system(Z, epsilon, mu):
@@ -264,7 +274,7 @@ def _symplectic_form(epsilon, mu):
     block structure kron(S, -J) with S = diag(Gamma) - Gamma Gamma^T / Gamma_total.
     """
     gamma = np.multiply.outer(epsilon, mu.array)
-    total = 1.0 + gamma.sum(axis=-1)
+    total = _total_circulation(gamma)
     S = np.zeros(gamma.shape + gamma.shape[-1:])
     diag = np.arange(len(mu))
     S[..., diag, diag] = gamma
@@ -337,6 +347,7 @@ def full_system_stability(config, tol=1e-6):
     purely imaginary and semisimple.  Eigenvalues within tol*scale of one
     another form a cluster; a cluster of k is semisimple when reduced - lam*I
     has k singular values within tol*scale, and a lone eigenvalue always is.
+    Zero total circulation raises CirculationError, a ValueError.
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
@@ -437,8 +448,9 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):
     previous solution and recording the full-system stability verdict;
     eps_max = 0 checks the start and returns an empty trace.  A failed
     solve ends the walk and returns the partial trace with a failure
-    marker instead of raising.  One table per iterate, one stability batch
-    per walk: each solve's converged residual and Jacobian are kept for it.
+    marker instead of raising, as does zero total circulation, before its
+    solve.  One table per iterate, one stability batch per walk: each
+    solve's converged residual and Jacobian are kept for it.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     if classify(theta_star, weights).extremal_type == "degenerate":
@@ -471,13 +483,14 @@ def continue_polygon(N, mu_scalar, eps_max, step=0.005, tol=1e-12):
 def _walk(current, schedule, tol):
     """The continuation trace from the eps = 0 configuration `current`
     through the couplings of `schedule`."""
-    weights = current.mu
+    weights, mu = current.mu, current.mu.array
     solved, residuals, jacobians = [], [], []
     failure = None
     for eps in schedule:
         try:
+            _total_circulation(eps * mu)  # the stability batch divides by it
             z, res, evaluation = _newton(current.Z, eps, weights, tol)
-        except (ConvergenceError, CollisionError) as exc:
+        except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
         current = HelioConfig(z, eps, weights)

@@ -11,3 +11,7 @@ class NotACriticalPointError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its tolerance."""
+
+
+class CirculationError(ValueError):
+    """The total circulation is zero, so there is no center of vorticity."""

@@ -83,14 +83,14 @@ def buchberger(generators):
 
     Classic Buchberger with normal pair selection (smallest lcm in the
     monomial order first) and Buchberger's two criteria, followed by
-    auto-reduction to the unique reduced basis.  A pair (i, j) is
-    skipped without reduction when its leading monomials are coprime,
-    or by the chain criterion: some other element k has lm_k dividing
-    lcm(lm_i, lm_j), and neither (i, k) nor (j, k) is still pending
-    (Cox, Little and O'Shea, ch. 2 section 10).  The basis is held as
-    primitive integer term maps with positive leading coefficients;
-    each is a positive multiple of the monic element that division
-    over Q would give.
+    auto-reduction to the unique reduced basis: minimalization, then one
+    tail-reduction pass.  A pair (i, j) is skipped without reduction when
+    its leading monomials are coprime, or by the chain criterion: some
+    other element k has lm_k dividing lcm(lm_i, lm_j), and neither (i, k)
+    nor (j, k) is still pending (Cox, Little and O'Shea, ch. 2 section
+    10).  The basis is held as primitive integer term maps with positive
+    leading coefficients; each is a positive multiple of the monic
+    element that division over Q would give.
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
@@ -102,16 +102,9 @@ def buchberger(generators):
 
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
-        best = None
-        best_key = None
-        for i, j in pairs:
-            lcm_ij = _kernels.monomial_lcm(basis[i][0], basis[j][0])
-            key = (_kernels.order_key(order, lcm_ij), i, j)
-            if best is None or key < best_key:
-                best = (i, j)
-                best_key = key
-        pairs.discard(best)
-        i, j = best
+        i, j = min(pairs, key=lambda p: (_kernels.order_key(
+            order, _kernels.monomial_lcm(basis[p[0]][0], basis[p[1]][0])), p))
+        pairs.discard((i, j))
         mi, mj = basis[i][0], basis[j][0]
         lcm_ij = _kernels.monomial_lcm(mi, mj)
         if lcm_ij == _kernels.monomial_mul(mi, mj):
@@ -137,18 +130,11 @@ def _reduced_basis(basis, ring):
     for g in by_lm:
         if not any(_kernels.monomial_divides(h[0], g[0]) for h in minimal):
             minimal.append(g)
-    # Tail-reduce each element against the others until stable.
-    changed = True
-    while changed:
-        changed = False
-        for idx, g in enumerate(minimal):
-            others = minimal[:idx] + minimal[idx + 1:]
-            remainder, _ = _kernels.reduce_integer(g[1], others, order)
-            lm, t, _ = _kernels.primitive(remainder, order)
-            if t != g[1]:
-                minimal[idx] = (lm, t)
-                changed = True
-    minimal.sort(key=lambda g: _kernels.order_key(order, g[0]))
+    # Tail-reduce each element once by the others: the leading monomials stay
+    # (and ascending), so every remainder stays reduced (CLO ch. 2 section 7).
+    for idx, g in enumerate(minimal):
+        remainder, _ = _kernels.reduce_integer(g[1], minimal[:idx] + minimal[idx + 1:], order)
+        minimal[idx] = _kernels.primitive(remainder, order)[:2]
     return GroebnerBasis(minimal, ring)
 
 

@@ -23,8 +23,9 @@ numerators are integer polynomial systems for exact root counting.
 For integer weights every coefficient on the way is an integer, and so it
 is for the symmetry cases, whose weights are ring variables.  The
 numerators are therefore multiplied as integer term maps (monomial ->
-int, see `vortexre._kernels`); ``Fraction`` coefficients appear only in
-the polynomials the builders return.
+int, see `vortexre._kernels`), and the symmetry cases strip their monic
+denominator factors r and r^2 + 1 from those maps as well; ``Fraction``
+appears only in the polynomials, factors and contents the builders return.
 
 Since theta = pi - 2*atan(r), the collision with vortex 1 sits at
 r = infinity and weak-weak collisions are the factors r_i - r_j.
@@ -32,13 +33,14 @@ r = infinity and weak-weak collisions are the factors r_i - r_j.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexre import _kernels
 from vortexre.errors import CollisionError
-from vortexre.polynomials import MultiPoly, PolynomialRing, exact_divide
+from vortexre.polynomials import MultiPoly, PolynomialRing
 
 
 @dataclass(frozen=True)
@@ -110,24 +112,25 @@ def _numerators(points, mu):
     return out
 
 
-def _integer_terms(poly):
-    """Integer term map of a polynomial with integral coefficients."""
-    return {m: int(c) for m, c in poly.terms.items()}
-
-
 def _poly(ring, terms):
     """Polynomial with Fraction coefficients from an integer term map."""
     return MultiPoly(ring, {m: Fraction(c) for m, c in terms.items()})
 
 
-def _divide_out(p, f, limit=None):
-    """(p / f^k, k) for the largest k (at most `limit`) with f^k dividing p."""
-    power = 0
+def _divide_out(p, f, order, limit=None):
+    """(p / f^k, k) for the largest k (at most `limit`) with f^k dividing the
+    integer term map p; f is monic, so every quotient is integral."""
+    lm, power = _kernels.leading_monomial(f, order), 0
     while power != limit:
-        q = exact_divide(p, f)
-        if q is None:
-            break
-        p, power = q, power + 1
+        work, quotient = dict(p), {}
+        while work:
+            m = _kernels.leading_monomial(work, order)
+            shift = _kernels.monomial_div(m, lm)
+            if shift is None:
+                return p, power
+            quotient[shift] = c = work[m]
+            _kernels.terms_iadd_scaled(work, f, -c, shift)
+        p, power = quotient, power + 1
     return p, power
 
 
@@ -144,38 +147,35 @@ def build_symmetry_case_system(case):
     r = cot(phi/2).  Every denominator factor is a power of r or r^2 + 1;
     those the numerator shares are cancelled, and the further powers of
     r it carries (collisions land on r = 0 or r = inf) are stripped and
-    recorded.
+    recorded.  The sign comes from the constant left of the denominator.
     """
     ring = PolynomialRing(["r", "mu1", "mu2", "mu3"])
-    r, *mu = ring.gens()
-    one = ring.one()
-    half, double = (r, one), (r * r - 1, 2 * r)  # cot(phi/2), cot(phi)
-    cases = {1: [half, (-r, one)], 2: [half, double], 3: [double, half]}
+    unit, lin, sq = (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)  # the monomials 1, r, r^2
+    one, r = {unit: 1}, {lin: 1}
+    half, double = (r, one), ({sq: 1, unit: -1}, {lin: 2})  # cot(phi/2), cot(phi)
+    cases = {1: [half, ({lin: -1}, one)], 2: [half, double], 3: [double, half]}
     if case not in cases:
         raise ValueError("case must be 1, 2, or 3")
-    points = [(one, ring.zero())] + cases[case]
+    mu = [{(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1}]
     polys, records = [], []
-    numerators = _numerators(
-        [tuple(map(_integer_terms, point)) for point in points],
-        [_integer_terms(m) for m in mu])
-    for i, (num, factors) in enumerate(numerators, start=2):
-        num = _poly(ring, num)
-        den = math.prod((_poly(ring, f) for f in factors), start=ring.constant(2))
+    for i, (num, factors) in enumerate(_numerators([(one, {})] + cases[case], mu), start=2):
+        den = functools.reduce(_kernels.terms_mul, factors, {unit: 2})
         kept = []
-        for f in (r, r * r + 1):
-            den, power = _divide_out(den, f)
-            num, cancelled = _divide_out(num, f, power)
+        for f in (r, {sq: 1, unit: 1}):
+            den, power = _divide_out(den, f, ring.order)
+            num, cancelled = _divide_out(num, f, ring.order, power)
             if power > cancelled:
-                kept.append((f, power - cancelled))
-        num, collisions = _divide_out(num, r)
-        scale = den.constant_value()
-        content = num.content()
-        polys.append(num * (Fraction(1) / (content if scale > 0 else -content)))
+                kept.append((_poly(ring, f), power - cancelled))
+        num, collisions = _divide_out(num, r, ring.order)
+        (scale,) = den.values()  # what is left of the denominator is a constant
+        content = math.gcd(*num.values())
+        sign = content if scale > 0 else -content
+        polys.append(_poly(ring, {m: c // sign for m, c in num.items()}))
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(kept),
-            collision_factors=((r, collisions),) if collisions else (),
-            content=content / abs(scale),
+            collision_factors=((_poly(ring, r), collisions),) if collisions else (),
+            content=Fraction(content, abs(scale)),
         ))
     return HalfAngleSystem(tuple(polys), tuple(records))
 
@@ -201,7 +201,8 @@ def build_equal_weight_system(mu):
     ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])
     unit = (0,) * ring.nvars
     one = {unit: 1}
-    points = [(one, {})] + [(_integer_terms(r), one) for r in ring.gens()]
+    points = [(one, {})] + [({unit[:k] + (1,) + unit[k + 1:]: 1}, one)
+                            for k in range(ring.nvars)]
     weights = [{unit: int(m)} for m in mu]
     polys, records = [], []
     for i, (num, factors) in enumerate(_numerators(points, weights), start=2):

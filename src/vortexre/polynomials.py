@@ -186,10 +186,6 @@ class MultiPoly:
         zero = (0,) * self.ring.nvars
         return len(self.terms) == 1 and zero in self.terms
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (exact)."""
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), Fraction(0))
 
@@ -363,24 +359,4 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<MultiPoly {self}>"
-
-
-def exact_divide(p, f):
-    """p / f when f divides p exactly, else None."""
-    if f.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    order = p.ring.order
-    flm = _kernels.leading_monomial(f.terms, order)
-    flc = f.terms[flm]
-    work = dict(p.terms)
-    quotient = {}
-    while work:
-        m = _kernels.leading_monomial(work, order)
-        shift = _kernels.monomial_div(m, flm)
-        if shift is None:
-            return None
-        c = work[m] / flc
-        quotient[shift] = c
-        _kernels.terms_iadd_scaled(work, f.terms, -c, shift)
-    return MultiPoly(p.ring, quotient)
 

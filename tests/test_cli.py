@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import ZERO_SUM_SADDLES
+from vortexre import cli
 from vortexre.cli import build_parser, main
 from vortexre.groebner import GroebnerBasis
 from vortexre.polynomials import MonomialOrder, PolynomialRing
@@ -611,6 +613,19 @@ def test_simulate_polygon_without_an_equilibrium_is_a_usage_error(capsys, mu):
     assert "no polygon equilibrium" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--polygon", "8", "--mu", "-0.5", "--eps", "0.25"],
+    ["--mu=-0.5,-0.5", "--start-angles", "0,3", "--polish", "--eps", "1"],
+])
+def test_simulate_at_zero_total_circulation_is_a_usage_error(capsys, argv):
+    # 1 + eps*sum(mu) is 0: the strong vortex has no center of vorticity to
+    # rotate about, and the start is refused before any polish
+    code, out, err = run(capsys, "simulate", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: total circulation 1 + eps*sum(mu) is 0: "
+                   "there is no center of vorticity\n")
+
+
 _CONTINUE_POLYGON = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01")
 _CONTINUE_ANGLES = ("continue", "--mu", "1,1", "--start-angles", "0,1.0471975511965976",
                     "--eps", "0.01")
@@ -850,6 +865,48 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("weights", ["1e10000000,1", "1e-10000000,1", "1/1" + "0" * 400 + ",1"])
+def test_weights_outside_the_float_range_are_refused_before_fraction_reads_them(
+        capsys, monkeypatch, weights):
+    # Fraction would expand 1e10000000 into ten million digits
+    def refusing(text):
+        raise AssertionError(f"Fraction({text!r})")
+
+    monkeypatch.setattr(cli, "Fraction", refusing)
+    for argv in (["certify", "--mu", weights], ["certify", f"--mu={weights}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        item = weights.split(",")[0]
+        assert err == (f"error: cannot parse weights {weights!r}: "
+                       f"{item!r} is outside the float range\n")
+    # find reads its weights as floats, but joining a list to its flag parses it too
+    code, out, _ = run(capsys, "find", "--mu", weights)
+    assert (code, out) == (2, "")
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--mu", "2,-1,3", "--show-basis", "--show-matrix"],
+    ["build-system", "--mu", "1,2,3,4"],
+    *([command, "--symmetry-case", case]
+      for command in ("certify", "build-system") for case in "123"),
+])
+def test_the_exact_path_does_no_fraction_arithmetic(capsys, monkeypatch, argv, fmt):
+    # integer term maps all the way: Fractions are only built, and printed
+    def refusing(*_):
+        raise AssertionError("Fraction arithmetic on the exact path")
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refusing)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_find_warns_when_the_morse_sum_shows_missing_points(capsys):

@@ -740,3 +740,30 @@ def test_a_polygon_walk_stops_where_the_family_ends(capsys, monkeypatch):
     assert data["failure"] == _NO_POLYGON
     assert solved == [rec["epsilon"] for rec in data["records"]]
     assert solved == pytest.approx([0.005 * k for k in range(1, 7)])
+
+
+def test_a_walk_stops_where_the_total_circulation_is_zero(capsys, monkeypatch):
+    # 1 + eps*sum(mu) = 1 - 4*eps is 0 at eps = 0.25: the walk keeps the 24
+    # records before it, runs no Newton solve there and warns of nothing
+    solved = []
+    newton = dynamics._newton
+
+    def recording(z, eps, *args):
+        solved.append(eps)
+        return newton(z, eps, *args)
+
+    monkeypatch.setattr(dynamics, "_newton", recording)
+    argv = ["continue", "--polygon", "8", "--mu", "-0.5", "--eps", "0.3", "--step", "0.01"]
+    assert main([*argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("continuation stopped early: eps=0.25: total circulation "
+                            "1 + eps*sum(mu) is 0: there is no center of vorticity\n")
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [f"{0.01 * k:.10g}" for k in range(1, 25)]
+    assert solved == pytest.approx([0.01 * k for k in range(1, 25)])
+
+
+def test_full_system_stability_refuses_zero_total_circulation():
+    config = polygon_family(8, -0.5, 0.25)
+    with pytest.raises(ValueError, match=r"total circulation 1 \+ eps\*sum\(mu\) is 0"):
+        full_system_stability(config)

@@ -406,6 +406,27 @@ def test_pair_criteria_keep_the_reduced_basis_of_vortex_systems(monkeypatch, mu)
     assert skipping < len(calls) - skipping
 
 
+@pytest.mark.parametrize("mu", RELEASE_VECTORS)
+def test_tail_reduction_divides_each_minimal_element_once(monkeypatch, mu):
+    # the leading monomials of a minimal basis never change, so one pass
+    # of reductions leaves the basis reduced
+    system = list(build_equal_weight_system(mu))
+    calls = _reductions(monkeypatch)
+    reduced_basis = groebner._reduced_basis
+    passes = []
+
+    def counting(basis, ring):
+        before = len(calls)
+        gb = reduced_basis(basis, ring)
+        passes.append((len(calls) - before, len(gb)))
+        return gb
+
+    monkeypatch.setattr(groebner, "_reduced_basis", counting)
+    gb = buchberger(system)
+    assert passes == [(len(gb), len(gb))]
+    assert [g.terms for g in gb] == [g.terms for g in reference_buchberger(system)]
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_pair_criteria_keep_the_symmetry_case_elimination_ideals(monkeypatch, case):
     system = build_symmetry_case_system(case)

@@ -148,7 +148,8 @@ def test_builder_output_is_primitive_integer():
     *((build_symmetry_case_system, case) for case in (1, 2, 3)),
 ])
 def test_builders_return_fraction_coefficients(build, arg):
-    # an int coefficient would make exact_divide divide with `/` into floats
+    # the builders multiply int term maps but return Fraction polynomials:
+    # an int coefficient left in would make a caller's `/` divide into floats
     for p in build(arg).polys:
         assert p.terms
         assert all(type(c) is Fraction for c in p.terms.values())
