@@ -31,8 +31,9 @@ from vortexre.plotting import render_configuration_svg
 from vortexre.polynomials import MultiPoly
 
 # The numeric handlers import numpy (through vortexre.potential, search and
-# dynamics) and scipy when they run, so certify, build-system and plot start
-# without either.
+# dynamics) when they run, so certify, build-system and plot start without
+# it.  numpy is the only runtime dependency: simulate's integrator is the
+# library's own Dormand-Prince loop.
 
 
 class UsageError(ValueError):
@@ -92,6 +93,8 @@ _polygon_count = _bounded(int, 2)
 _positive_float = _bounded(float, 0.0, strict=True)
 _nonnegative_float = _bounded(float, 0.0)
 _finite_float = _bounded(float, -math.inf, strict=True)
+# the integrator's relative tolerance is at least 100 machine epsilons
+_rtol = _bounded(float, 100 * sys.float_info.epsilon)
 
 
 def _parse_weights(text):
@@ -722,7 +725,9 @@ def build_parser():
     p.add_argument("--polish", action="store_true",
                    help="Newton-polish the start before integrating")
     p.add_argument("--periods", type=_positive_float, default=1.0)
-    p.add_argument("--rtol", type=_positive_float, default=1e-10)
+    p.add_argument("--rtol", type=_rtol, default=1e-10,
+                   help="relative and absolute tolerance of the integrator, "
+                        "at least 100 machine epsilons")
     _flags(p, "--tol-newton", "--out", unset=("--tol-newton",))
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -8,7 +8,8 @@ shares none of its internals.  Buchberger's criterion and the reference
 trace form reduce by that division, and the trace form takes none of the
 trace-matrix shortcuts.  The one exception is the reference Buchberger:
 it shares the library's integer division and auto-reduction, but skips
-no S-pair.
+no S-pair.  scipy, a test-only dependency, supplies the oracles of the
+stability reduction (its null space) and of the integrator (its RK45).
 """
 
 from __future__ import annotations
@@ -710,6 +711,29 @@ def reference_full_system_stability(config, tol=1e-6):
     verdict = "stable" if (max_real <= cut and semisimple) else "unstable"
     order = np.lexsort((eigvals.real, eigvals.imag))
     return verdict, tuple(complex(v) for v in eigvals[order])
+
+
+# -- scipy's RK45, the oracle of the integrator -------------------------------
+
+def reference_integrate(q, g, t_final, tol):
+    """integrate_vortices through scipy's solve_ivp(method="RK45"), as the
+    library integrated before it had its own Dormand-Prince loop."""
+    from scipy.integrate import solve_ivp
+
+    from vortexre.dynamics import vortex_field
+    from vortexre.errors import ConvergenceError
+
+    g = np.asarray(g, dtype=float)
+    n = len(g)
+
+    def rhs(_, y):
+        return vortex_field(y.reshape(n, 2), g).ravel()
+
+    sol = solve_ivp(rhs, (0.0, t_final), np.asarray(q, dtype=float).ravel(),
+                    method="RK45", rtol=tol, atol=tol)
+    if not sol.success:
+        raise ConvergenceError(f"integration failed: {sol.message}")
+    return sol.t, sol.y.T.reshape(len(sol.t), n, 2)
 
 
 # -- Groebner oracle --------------------------------------------------------

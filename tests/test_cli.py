@@ -626,6 +626,32 @@ def test_simulate_at_zero_total_circulation_is_a_usage_error(capsys, argv):
                    "there is no center of vorticity\n")
 
 
+def test_simulate_names_the_rtol_floor(capsys):
+    code, out, err = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
+                         "--periods", "0.01", "--rtol", "2.2e-14")
+    assert (code, out) == (2, "")
+    assert "argument --rtol: must be at least 2.220446049250313e-14, got 2.2e-14" in err
+    code, _, _ = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
+                     "--periods", "0.01", "--rtol", "2.220446049250313e-14")
+    assert code == 0
+
+
+_NO_CENTER = "total circulation 1 + eps*sum(mu) is 0: there is no center of vorticity"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("mu", [-0.1, -0.3, -0.7])
+def test_a_total_circulation_of_zero_up_to_rounding_is_refused(capsys, n, mu):
+    # 1 + eps*N*mu computes to 0 or to a rounding residue of 1e-16 or 2e-16
+    eps = repr(-1.0 / (n * mu))
+    code, out, err = run(capsys, "simulate", "--polygon", str(n), "--mu", repr(mu),
+                         "--eps", eps, "--periods", "0.01")
+    assert (code, out, err) == (2, "", f"error: {_NO_CENTER}\n")
+    code, _, err = run(capsys, "continue", "--polygon", str(n), "--mu", repr(mu),
+                       "--eps", eps, "--step", eps)
+    assert (code, err) == (1, f"continuation stopped early: eps={float(eps):.6g}: {_NO_CENTER}\n")
+
+
 _CONTINUE_POLYGON = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01")
 _CONTINUE_ANGLES = ("continue", "--mu", "1,1", "--start-angles", "0,1.0471975511965976",
                     "--eps", "0.01")
@@ -785,6 +811,8 @@ def test_calls_after_a_bad_flag_print_what_a_fresh_interpreter_prints(capsys):
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "-1"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol", "0"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol=-1e-9"],
+    # below 100 machine epsilons the integrator would raise rtol itself
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol", "1e-15"],
     # non-finite values: scipy refused nan, and eps = inf never finished
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "nan"],
     ["continue", "--polygon", "4", "--mu", "1", "--step", "0.0005", "--eps", "inf"],
@@ -959,7 +987,8 @@ def test_continue_takes_negative_weights_and_angles_as_separate_words(capsys):
 
 
 def _heavy_modules_after(code):
-    """Which of numpy and scipy a fresh interpreter holds after running code."""
+    """Which of numpy and scipy a fresh interpreter holds after running code,
+    read from the last line it prints."""
     probe = code + (
         "\nimport sys\n"
         "print(' '.join(m for m in ('numpy', 'scipy') if m in sys.modules))")
@@ -970,7 +999,7 @@ def _heavy_modules_after(code):
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.split())
+    return set(out.stdout.splitlines()[-1].split())
 
 
 def _main_code(*argv):
@@ -995,4 +1024,8 @@ def test_dynamics_and_find_run_without_scipy(tmp_path):
     assert _heavy_modules_after("import vortexre.dynamics") == {"numpy"}
     out = str(tmp_path / "points.json")
     code = _main_code("find", "--mu=2,-1,3", "--seeds", "64", "--out", out)
+    assert _heavy_modules_after(code) == {"numpy"}
+    out = str(tmp_path / "trajectory.csv")
+    code = _main_code("simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05",
+                      "--periods", "1", "--out", out)
     assert _heavy_modules_after(code) == {"numpy"}

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     reference_full_system_stability,
+    reference_integrate,
     reference_null_space,
     reference_re_jacobian,
     reference_re_residual,
@@ -119,6 +120,66 @@ def test_integration_conserves_invariants():
         assert abs(hamiltonian(snapshot, circ) - h0) < 1e-8
         p = (circ[:, None] * snapshot).sum(axis=0)
         assert np.abs(p - p0).max() < 1e-9
+
+
+def assert_integrates_as_scipy(q, g, t_final, tol):
+    times, states = integrate_vortices(q, g, t_final, tol)
+    want_times, want_states = reference_integrate(q, g, t_final, tol)
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(states, want_states)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10, 1e-12])
+def test_integration_takes_the_steps_of_scipys_rk45(tol):
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        q, g = polygon_family(n, 1.3, 0.05).to_planar()
+        assert_integrates_as_scipy(q, g, 2.0 * math.pi, tol)
+        assert_integrates_as_scipy(q + 1e-3 * rng.standard_normal(q.shape), g, 1.37, tol)
+    # mixed signs, forward, backward, and an empty span
+    q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
+    g = np.array((1.0, 2.0, -0.5))
+    for t_final in (2.0, -0.9, 0.0):
+        assert_integrates_as_scipy(q, g, t_final, tol)
+
+
+def test_integration_refuses_a_negative_tolerance_or_a_non_finite_start():
+    q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
+    g = np.array((1.0, 2.0, -0.5))
+    with pytest.raises(ValueError, match="tolerance of at least 0"):
+        integrate_vortices(q, g, 1.0, -1e-9)
+    q[1, 0] = math.nan
+    with pytest.raises(ValueError, match="finite initial state"):
+        integrate_vortices(q, g, 1.0, 1e-9)
+
+
+def test_integration_ends_mid_step_on_the_span():
+    q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
+    g = np.array((1.0, 2.0, -0.5))
+    # a longer run steps over t = 1.37, so the shorter one cuts a step there
+    longer, _ = integrate_vortices(q, g, 3.0, 1e-9)
+    assert 1.37 not in longer
+    times, _ = integrate_vortices(q, g, 1.37, 1e-9)
+    assert times[-1] == 1.37 and np.array_equal(times[:-1], longer[:len(times) - 1])
+    assert_integrates_as_scipy(q, g, 1.37, 1e-9)
+
+
+@pytest.mark.parametrize("scale, t_final, tol, error", [
+    (1e-6, 1e-11, 1e-13, CollisionError),
+    (1.0, 3.0, 1e-9, ConvergenceError),
+])
+def test_a_collapsing_start_fails_as_scipys_rk45_does(scale, t_final, tol, error):
+    # circulations 2, 2, -1 at zero angular impulse collapse self-similarly
+    # at t = 2.29 * scale^2: at scale 1e-6 a stage brings two vortices within
+    # the minimum separation, at scale 1 the step size runs out first
+    third = math.sqrt(3.0) * np.array([math.cos(1.0), math.sin(1.0)])
+    q = scale * np.array([(-1.0, 0.0), (1.0, 0.0), third])
+    g = (2.0, 2.0, -1.0)
+    with pytest.raises(error) as ours:
+        integrate_vortices(q, g, t_final, tol)
+    with pytest.raises(error) as scipys:
+        reference_integrate(q, g, t_final, tol)
+    assert str(ours.value) == str(scipys.value)
 
 
 # -- relative-equilibrium residual and Jacobian -------------------------------
@@ -767,3 +828,13 @@ def test_full_system_stability_refuses_zero_total_circulation():
     config = polygon_family(8, -0.5, 0.25)
     with pytest.raises(ValueError, match=r"total circulation 1 \+ eps\*sum\(mu\) is 0"):
         full_system_stability(config)
+
+
+def test_a_total_circulation_of_zero_up_to_rounding_is_zero():
+    # 1 + eps*sum(mu) computes to 1.1e-16 here, where it is 0
+    config = polygon_family(5, -0.3, 0.6666666666666666)
+    assert 1.0 + (config.epsilon * config.mu.array).sum() == 1.1102230246251565e-16
+    with pytest.raises(ValueError, match=r"total circulation 1 \+ eps\*sum\(mu\) is 0"):
+        full_system_stability(config)
+    with pytest.raises(ValueError, match=r"total circulation 1 \+ eps\*sum\(mu\) is 0"):
+        config.to_planar()
