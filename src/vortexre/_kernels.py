@@ -11,8 +11,9 @@ Variables are compared in ring order, first variable most significant.
 
 A monomial's order key never changes, so keys are computed once per
 (order, monomial) and kept for the life of the process.  Kernels call each
-other only through private helpers, so wrapping this module's public
-names sees exactly the calls made from outside it.
+other through private helpers, with one exception: ``reduce_integer``
+calls ``terms_iadd_scaled``.  Wrapping this module's public names
+therefore sees the calls made from outside it plus the reduction's own.
 """
 
 from __future__ import annotations
@@ -151,10 +152,6 @@ def terms_mul(t1, t2):
 
 def terms_iadd_scaled(acc, src, coeff, shift):
     """acc += coeff * x^shift * src, in place.  shift may be None."""
-    _iadd_scaled(acc, src, coeff, shift)
-
-
-def _iadd_scaled(acc, src, coeff, shift):
     for m, c in src.items():
         key = m if shift is None else tuple(map(add, m, shift))
         cur = acc.get(key)
@@ -216,7 +213,7 @@ def reduce_integer(terms, divisors, order):
                     k *= a
                     for t in work:
                         work[t] *= a
-                _iadd_scaled(work, d, -b, shift)
+                terms_iadd_scaled(work, d, -b, shift)
                 break
         else:
             kept.append((m, c, k))

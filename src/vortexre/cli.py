@@ -28,7 +28,7 @@ from vortexre.hermite import (
     signature_and_rank,
 )
 from vortexre.plotting import render_configuration_svg
-from vortexre.polynomials import MultiPoly
+from vortexre.polynomials import from_integer_terms
 
 # The numeric handlers import numpy (through vortexre.potential, search and
 # dynamics) when they run, so certify, build-system and plot start without
@@ -40,12 +40,22 @@ class UsageError(ValueError):
     """Bad arguments detected after parsing; maps to exit code 2."""
 
 
-def _parse_fractions(text):
+def _list_items(text, flag):
+    """The stripped entries of the comma-separated list given to flag.  An
+    empty entry (1,,1 or 1,1,) is a usage error: dropping it would run
+    another problem."""
+    items = [part.strip() for part in text.split(",")]
+    if not all(items):
+        raise UsageError(f"empty entry in {flag} list {text!r}")
+    return items
+
+
+def _parse_fractions(text, flag):
     """Comma-separated numbers as Fractions.  Each number written (a ratio has
     two) must have a float value that neither overflows nor, being nonzero,
     underflows to 0.  A Decimal checks that first: it keeps the exponent of
     1e10000000 as a number, where Fraction would expand it into its digits."""
-    items = [part.strip() for part in text.split(",") if part.strip()]
+    items = _list_items(text, flag)
     try:
         for item in items:
             for number in item.split("/", 1):
@@ -60,9 +70,10 @@ def _parse_fractions(text):
         raise UsageError(f"cannot parse weights {text!r}: {exc}") from None
 
 
-def _parse_floats(text):
+def _parse_floats(text, flag):
+    items = _list_items(text, flag)
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [float(item) for item in items]
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
     if not all(map(math.isfinite, values)):
@@ -100,6 +111,7 @@ _rtol = _bounded(float, 100 * sys.float_info.epsilon)
 def _parse_weights(text):
     from vortexre.potential import CirculationWeights
 
+    _list_items(text, "--mu")
     try:
         return CirculationWeights.parse(text)
     except ValueError as exc:
@@ -110,7 +122,7 @@ def _polygon_weights(args):
     """The --polygon count of copies of the one scalar --mu."""
     from vortexre.potential import CirculationWeights
 
-    scalars = _parse_floats(args.mu)
+    scalars = _parse_floats(args.mu, "--mu")
     if len(scalars) != 1:
         raise UsageError("--polygon takes a single scalar --mu")
     try:
@@ -246,7 +258,7 @@ def _weight_system(text):
     weights is a usage error."""
     if not text:
         raise UsageError("need --mu or --symmetry-case")
-    mu = _parse_fractions(text)
+    mu = _parse_fractions(text, "--mu")
     try:
         system = build_equal_weight_system(mu)
     except ValueError as exc:
@@ -258,8 +270,7 @@ def _symmetry_case_report(case):
     """The case's system, and its elimination ideal as primitive polynomials."""
     system = build_symmetry_case_system(case)
     eliminated = elimination_ideal(list(system), [system.ring.variables[0]])
-    return system, [MultiPoly(eliminated.ring, {m: Fraction(c) for m, c in t.items()})
-                    for _, t in eliminated.elements]
+    return system, [from_integer_terms(eliminated.ring, t) for _, t in eliminated.elements]
 
 
 def cmd_certify(args):
@@ -327,7 +338,7 @@ def _select_start(args, mu):
 
     if args.start_angles:
         _start_mode(args, "--start-angles", _SEARCH_FLAGS)
-        angles = _parse_floats(args.start_angles)
+        angles = _parse_floats(args.start_angles, "--start-angles")
         if len(angles) != len(mu):
             raise UsageError("need one start angle per weight")
         return angles
@@ -360,7 +371,7 @@ def _snapshot_schedule(args, base):
 
     schedule = [0.0] + _epsilon_schedule(args.eps_max, args.step)
     out = []
-    for eps in _parse_floats(args.snapshots):
+    for eps in _parse_floats(args.snapshots, "--snapshots"):
         hit = [s for s in schedule if abs(s - eps) < 1e-9]
         if not hit:
             raise UsageError(
@@ -549,10 +560,10 @@ def cmd_simulate(args):
             raise UsageError("need --start-angles or --polygon")
         _start_mode(args, "--start-angles without --polish",
                     () if args.polish else ("--tol-newton",))
-        angles = _parse_floats(args.start_angles)
+        angles = _parse_floats(args.start_angles, "--start-angles")
         if len(angles) != len(mu):
             raise UsageError("need one start angle per weight")
-        radii = _parse_floats(args.radii) if args.radii else [1.0] * len(mu)
+        radii = _parse_floats(args.radii, "--radii") if args.radii else [1.0] * len(mu)
         if len(radii) != len(mu):
             raise UsageError("need one radius per weight")
         z = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
@@ -737,11 +748,12 @@ def build_parser():
 _LIST_FLAGS = ("--mu", "--start-angles", "--radii", "--snapshots")
 
 
-def _is_number_list(text):
+def _is_number_list(text, flag):
     try:
-        return bool(_parse_fractions(text))
+        _parse_fractions(text, flag)
     except UsageError:
         return False
+    return True
 
 
 def _join_number_lists(argv):
@@ -752,7 +764,7 @@ def _join_number_lists(argv):
     """
     out = []
     for token in argv:
-        if out and out[-1] in _LIST_FLAGS and _is_number_list(token):
+        if out and out[-1] in _LIST_FLAGS and _is_number_list(token, out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from vortexre import _kernels
 from vortexre.errors import CollisionError
-from vortexre.polynomials import MultiPoly, PolynomialRing
+from vortexre.polynomials import PolynomialRing, from_integer_terms
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,6 @@ def _numerators(points, mu):
     return out
 
 
-def _poly(ring, terms):
-    """Polynomial with Fraction coefficients from an integer term map."""
-    return MultiPoly(ring, {m: Fraction(c) for m, c in terms.items()})
-
-
 def _divide_out(p, f, order, limit=None):
     """(p / f^k, k) for the largest k (at most `limit`) with f^k dividing the
     integer term map p; f is monic, so every quotient is integral."""
@@ -165,16 +160,16 @@ def build_symmetry_case_system(case):
             den, power = _divide_out(den, f, ring.order)
             num, cancelled = _divide_out(num, f, ring.order, power)
             if power > cancelled:
-                kept.append((_poly(ring, f), power - cancelled))
+                kept.append((from_integer_terms(ring, f), power - cancelled))
         num, collisions = _divide_out(num, r, ring.order)
         (scale,) = den.values()  # what is left of the denominator is a constant
         content = math.gcd(*num.values())
         sign = content if scale > 0 else -content
-        polys.append(_poly(ring, {m: c // sign for m, c in num.items()}))
+        polys.append(from_integer_terms(ring, {m: c // sign for m, c in num.items()}))
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple(kept),
-            collision_factors=((_poly(ring, r), collisions),) if collisions else (),
+            collision_factors=((from_integer_terms(ring, r), collisions),) if collisions else (),
             content=Fraction(content, abs(scale)),
         ))
     return HalfAngleSystem(tuple(polys), tuple(records))
@@ -207,8 +202,8 @@ def build_equal_weight_system(mu):
     polys, records = [], []
     for i, (num, factors) in enumerate(_numerators(points, weights), start=2):
         content = math.gcd(*num.values())
-        polys.append(_poly(ring, {m: c // content for m, c in num.items()}))
-        factors = (_poly(ring, f) for f in factors)
+        polys.append(from_integer_terms(ring, {m: c // content for m, c in num.items()}))
+        factors = (from_integer_terms(ring, f) for f in factors)
         records.append(NormalizationRecord(
             component=f"V_theta{i}",
             denominator_factors=tuple((f, 1) for f in factors if not f.is_constant()),

@@ -2,10 +2,11 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero ``Fraction``
 coefficients, attached to a ``PolynomialRing`` that fixes the variable
-names and the monomial order.  The ring is the only holder of the order:
-arithmetic takes operands from one ring (the same object, or equal
-variables and order) and raises ``ValueError`` otherwise.  The heavy
-term-map operations live in ``vortexre._kernels``.
+names and the monomial order.  The ring is the only holder of the order,
+and ``PolynomialRing.check`` is the rule that polynomials passed to one
+call share one ring.  A ``MultiPoly`` is the value the API returns,
+prints and reads back; all arithmetic runs on the term maps of
+``vortexre._kernels``.
 
 ``MultiPoly.__str__`` writes one text form and ``PolynomialRing.parse``
 reads back exactly that form: "0", or terms joined by " + " and " - "
@@ -94,34 +95,12 @@ class PolynomialRing:
             if p.ring is not self and p.ring != self:
                 raise ValueError(f"polynomials from different rings: {self!r} and {p.ring!r}")
 
-    def zero(self):
-        return MultiPoly(self, {})
-
-    def one(self):
-        return MultiPoly(self, {(0,) * self.nvars: Fraction(1)})
-
-    def constant(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return self.zero()
-        return MultiPoly(self, {(0,) * self.nvars: c})
-
-    def variable(self, name):
-        e = [0] * self.nvars
-        e[self._index[name]] = 1
-        return MultiPoly(self, {tuple(e): Fraction(1)})
-
-    def gens(self):
-        return tuple(self.variable(name) for name in self.variables)
-
     def monomial(self, exponents, coeff=1):
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise ValueError("exponent tuple has wrong length")
         c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        if not c:
-            return self.zero()
-        return MultiPoly(self, {exponents: c})
+        return MultiPoly(self, {exponents: c} if c else {})
 
     def parse(self, text):
         """Read back the text form that ``MultiPoly.__str__`` writes.
@@ -133,7 +112,7 @@ class PolynomialRing:
         text, an unknown variable included, raises ValueError.
         """
         if text == "0":
-            return self.zero()
+            return MultiPoly(self, {})
         error = ValueError(f"not a polynomial in {self.variables}: {text!r}")
         words = ("- " + text[1:] if text.startswith("-") else "+ " + text).split(" ")
         if len(words) % 2 or set(words[::2]) - {"+", "-"}:
@@ -175,8 +154,6 @@ class MultiPoly:
         self.ring = ring
         self.terms = terms
 
-    # -- basic queries -------------------------------------------------
-
     def is_zero(self):
         return not self.terms
 
@@ -185,9 +162,6 @@ class MultiPoly:
             return True
         zero = (0,) * self.ring.nvars
         return len(self.terms) == 1 and zero in self.terms
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), Fraction(0))
 
     def monomials(self):
         """Exponent tuples in descending ring order."""
@@ -199,130 +173,10 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return _kernels.leading_monomial(self.terms, self.ring.order)
 
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            self.ring.check((other,))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MultiPoly(self.ring, _kernels.terms_add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.ring, _kernels.terms_neg(self.terms))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MultiPoly(
-            self.ring, _kernels.terms_add(self.terms, _kernels.terms_neg(other.terms))
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = other if isinstance(other, Fraction) else Fraction(other)
-            return MultiPoly(self.ring, _kernels.terms_scale(self.terms, c))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MultiPoly(self.ring, _kernels.terms_mul(self.terms, other.terms))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = other if isinstance(other, Fraction) else Fraction(other)
-            return self * (Fraction(1) / c)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.ring.variables == other.ring.variables and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- calculus and evaluation ---------------------------------------
-
-    def derivative(self, name):
-        i = self.ring._index[name]
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return MultiPoly(self.ring, {m: c for m, c in out.items() if c})
-
-    def evaluate(self, values):
-        """Exact value given a Fraction (or int) for every used variable."""
-        vals = {self.ring._index[k]: Fraction(v) for k, v in values.items()}
-        acc = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    term = term * vals[i] ** e
-            acc = acc + term
-        return acc
-
-    def evaluate_float(self, values):
-        vals = {self.ring._index[k]: float(v) for k, v in values.items()}
-        acc = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for i, e in enumerate(m):
-                if e:
-                    term *= vals[i] ** e
-            acc += term
-        return acc
-
-    # -- normalization -------------------------------------------------
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self * (Fraction(1) / self.leading_coefficient())
-
-    def content(self):
-        """Positive rational c with self/c integral, primitive; 0 for 0."""
-        if not self.terms:
-            return Fraction(0)
-        return abs(_kernels.primitive(self.terms, self.ring.order)[2])
 
     # -- text form -----------------------------------------------------
 
@@ -360,3 +214,7 @@ class MultiPoly:
     def __repr__(self):
         return f"<MultiPoly {self}>"
 
+
+def from_integer_terms(ring, terms):
+    """The polynomial with ``Fraction`` coefficients of an integer term map."""
+    return MultiPoly(ring, {m: Fraction(c) for m, c in terms.items()})

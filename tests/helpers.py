@@ -184,11 +184,12 @@ def random_line_arrangement(rng, lines_f, lines_g):
 
 
 def lines_to_multipoly(ring, lines):
-    p = ring.one()
+    """The product of the linear forms a*x + b*y + c, as a polynomial in ring."""
+    p = {(0, 0): Fraction(1)}
     for a, b, c in lines:
-        form = ring.monomial((1, 0), a) + ring.monomial((0, 1), b) + ring.constant(c)
-        p = p * form
-    return p
+        form = {m: Fraction(v) for m, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+        p = _kernels.terms_mul(p, form)
+    return MultiPoly(ring, p)
 
 
 # -- polynomial text form -------------------------------------------------------
@@ -229,13 +230,36 @@ def reference_variables_used(p):
 
 def reference_identify(p, source, target):
     """p with the variable named `source` replaced by the one named `target`."""
-    i, j = p.ring._index[source], p.ring._index[target]
-    out = p.ring.zero()
+    i, j = p.ring.variables.index(source), p.ring.variables.index(target)
+    out = {}
     for m, c in p.terms.items():
         e = list(m)
         e[j], e[i] = e[j] + e[i], 0
-        out = out + p.ring.monomial(e, c)
-    return out
+        out = _kernels.terms_add(out, {tuple(e): Fraction(c)})
+    return MultiPoly(p.ring, out)
+
+
+def reference_evaluate_float(p, values):
+    """p at float values, given by name for every variable that p uses."""
+    names = p.ring.variables
+    acc = 0.0
+    for m, c in p.terms.items():
+        term = float(c)
+        for name, e in zip(names, m):
+            if e:
+                term *= float(values[name]) ** e
+        acc += term
+    return acc
+
+
+def reference_derivative(p, name):
+    """The partial derivative of p by the variable called name."""
+    i = p.ring.variables.index(name)
+    out = {}
+    for m, c in p.terms.items():
+        if m[i]:
+            out = _kernels.terms_add(out, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]})
+    return MultiPoly(p.ring, out)
 
 
 def reference_primitive_part(p):
@@ -246,7 +270,7 @@ def reference_primitive_part(p):
     coeffs = [Fraction(c) for c in p.terms.values()]
     unit = Fraction(math.gcd(*(c.numerator for c in coeffs)),
                     math.lcm(*(c.denominator for c in coeffs)))
-    if p.leading_coefficient() < 0:
+    if p.terms[p.leading_monomial()] < 0:
         unit = -unit
     return MultiPoly(p.ring, {m: Fraction(c) / unit for m, c in p.terms.items()}), unit
 
@@ -787,8 +811,9 @@ def reference_s_polynomial(f, g):
     lf = reference_leading_monomial(f.terms, ring.order)
     lg = reference_leading_monomial(g.terms, ring.order)
     lcm = tuple(map(max, lf, lg))
-    return (ring.monomial([a - b for a, b in zip(lcm, lf)], 1 / f.terms[lf]) * f
-            - ring.monomial([a - b for a, b in zip(lcm, lg)], 1 / g.terms[lg]) * g)
+    left = _kernels.terms_mul({_kernels.monomial_div(lcm, lf): 1 / f.terms[lf]}, f.terms)
+    right = _kernels.terms_mul({_kernels.monomial_div(lcm, lg): 1 / g.terms[lg]}, g.terms)
+    return MultiPoly(ring, _kernels.terms_add(left, _kernels.terms_neg(right)))
 
 
 def is_groebner_basis(polys):
@@ -909,13 +934,13 @@ def central_difference(f, x, h=1e-6):
 
 def random_multipoly(ring, rng, max_terms=6, max_deg=4, coeff_span=9):
     n = len(ring.variables)
-    p = ring.zero()
+    p = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in range(n))
         c = rng.randint(-coeff_span, coeff_span)
         if c:
-            p = p + ring.monomial(e, c)
-    return p
+            p = _kernels.terms_add(p, {e: Fraction(c)})
+    return MultiPoly(ring, p)
 
 
 def seeded(seed):

@@ -150,7 +150,7 @@ def test_symmetry_case_condition_equates_the_reflected_pair(capsys, case):
     assert symmetry_axes([0.7 * k for k in multiples]) == (axis - 1,)
     a, b = sorted({1, 2, 3} - {axis})
     ring = PolynomialRing(("r", "mu1", "mu2", "mu3"), MonomialOrder.elimination(1))
-    want = ring.parse("mu1*mu2*mu3") * (ring.parse(f"mu{a}") - ring.parse(f"mu{b}"))
+    want = ring.parse(f"mu1*mu2*mu3*mu{a} - mu1*mu2*mu3*mu{b}")
     code, out, err = run(capsys, "certify", "--symmetry-case", case)
     assert (code, err) == (0, "")
     assert out.split("weight condition after eliminating r:\n")[1] == f"  {want}\n"
@@ -879,7 +879,7 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
       for command in ("certify", "build-system")
       for weights, message in [
           ("1", "need at least two weights"),
-          (",", "need at least two weights"),
+          (",", "empty entry in --mu list ','"),
           ("1,0,1", "weights must be nonzero"),
           ("1/2,0,3", "weights must be nonzero"),
           ("1/2,1,3", "integer weights; the counts depend only on the weight ratio, "
@@ -887,6 +887,19 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
           ("2/3,-1/6", "integer weights; the counts depend only on the weight ratio, "
                        "so rescale, e.g. 4,-1"),
       ]],
+    # an empty entry in a number list is refused, not dropped
+    (["certify", "--mu", "1,,1"], "empty entry in --mu list '1,,1'"),
+    (["certify", "--mu", "1,1,"], "empty entry in --mu list '1,1,'"),
+    (["build-system", "--mu=-1,,3"], "empty entry in --mu list '-1,,3'"),
+    (["find", "--mu", "1,,1"], "empty entry in --mu list '1,,1'"),
+    (["continue", "--polygon", "3", "--mu", "1,", "--eps", "0.01"],
+     "empty entry in --mu list '1,'"),
+    (["continue", "--mu", "1,1,1", "--start-angles", "0,,2.0,4.0", "--eps", "0.01"],
+     "empty entry in --start-angles list '0,,2.0,4.0'"),
+    (["simulate", "--mu", "1,1,1", "--start-angles", "0,2,4", "--eps", "0.01",
+      "--radii", "1,,1,1"], "empty entry in --radii list '1,,1,1'"),
+    # a negative list with an empty entry is not joined to its flag
+    (["certify", "--mu", "-1,,3"], "argument --mu: expected one argument"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

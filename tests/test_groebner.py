@@ -12,6 +12,7 @@ from helpers import (
     random_line_arrangement,
     random_multipoly,
     reference_buchberger,
+    reference_evaluate_float,
     reference_normal_form,
     reference_s_polynomial,
     reference_variables_used,
@@ -39,10 +40,10 @@ def _reduce(p, divisors):
 
 
 def test_division_single_divisor(lex_ring):
-    x, y = lex_ring.gens()
     assert _kernels.reduce_integer({(2, 1): 1}, [((1, 0), {(1, 0): 1, (0, 1): -1})],
                                    lex_ring.order) == ({(0, 3): 1}, 1)
-    assert reference_normal_form(x * x * y, [x - y]) == y**3
+    assert reference_normal_form(lex_ring.parse("x^2*y"), [lex_ring.parse("x - y")]) == \
+        lex_ring.parse("y^3")
 
 
 def test_remainder_has_no_reducible_term(lex_ring):
@@ -93,26 +94,22 @@ def test_s_polynomial_cancels_leading_terms(lex_ring):
 
 
 def test_circle_meets_line(lex_ring):
-    x, y = lex_ring.gens()
-    gb = buchberger([x * x + y * y - lex_ring.one(), x - y])
+    gb = buchberger([lex_ring.parse("x^2 + y^2 - 1"), lex_ring.parse("x - y")])
     assert sorted(str(g) for g in gb.polys) == ["x - y", "y^2 - 1/2"]
 
 
 def test_principal_ideal(lex_ring):
-    x, _ = lex_ring.gens()
-    gb = buchberger([x * 2])
+    gb = buchberger([lex_ring.parse("2*x")])
     assert [str(g) for g in gb.polys] == ["x"]
 
 
 def test_unit_ideal_collapses_to_one(lex_ring):
-    x, _ = lex_ring.gens()
-    gb = buchberger([x, x + lex_ring.one()])
+    gb = buchberger([lex_ring.parse("x"), lex_ring.parse("x + 1")])
     assert [str(g) for g in gb.polys] == ["1"]
 
 
 def test_zero_generators_dropped(lex_ring):
-    x, _ = lex_ring.gens()
-    gb = buchberger([lex_ring.zero(), x])
+    gb = buchberger([lex_ring.parse("0"), lex_ring.parse("x")])
     assert [str(g) for g in gb.polys] == ["x"]
 
 
@@ -127,8 +124,7 @@ def test_produced_bases_pass_buchberger_criterion():
 
 
 def test_incomplete_generating_set_detected(lex_ring):
-    x, y = lex_ring.gens()
-    assert not is_groebner_basis([x * x + y * y - lex_ring.one(), x - y])
+    assert not is_groebner_basis([lex_ring.parse("x^2 + y^2 - 1"), lex_ring.parse("x - y")])
 
 
 def test_reduced_basis_is_canonical():
@@ -145,16 +141,18 @@ def test_reduced_basis_is_canonical():
         rng.shuffle(shuffled)
         assert sorted(map(str, buchberger(shuffled).polys)) == sorted(map(str, gb.polys))
         # neither must constant rescaling
-        scaled = [g * ring.constant(3) for g in gens]
+        scaled = [MultiPoly(ring, _kernels.terms_scale(g.terms, Fraction(3))) for g in gens]
         assert sorted(map(str, buchberger(scaled).polys)) == sorted(map(str, gb.polys))
 
 
 def test_membership(lex_ring):
-    x, y = lex_ring.gens()
-    gb = buchberger([x * x + y * y - lex_ring.one(), x - y])
-    member = (x * x + y * y - lex_ring.one()) * (x + y) + (x - y) * y**5
-    for p, zero in ((member, True), (lex_ring.one(), False),
-                    (x + lex_ring.constant(17), False)):
+    circle, line = lex_ring.parse("x^2 + y^2 - 1"), lex_ring.parse("x - y")
+    gb = buchberger([circle, line])
+    member = MultiPoly(lex_ring, _kernels.terms_add(
+        _kernels.terms_mul(circle.terms, lex_ring.parse("x + y").terms),
+        _kernels.terms_mul(line.terms, lex_ring.parse("y^5").terms)))
+    for p, zero in ((member, True), (lex_ring.parse("1"), False),
+                    (lex_ring.parse("x + 17"), False)):
         assert reference_normal_form(p, gb.polys).is_zero() == zero
         assert _reduce(p, gb.polys).is_zero() == zero
 
@@ -164,15 +162,15 @@ def test_basis_reduces_under_its_own_order():
     # of x is y^2; under degrevlex the leading term is y^2 and x is reduced
     ring = PolynomialRing(("x", "y"))
     elim = ring.with_order(MonomialOrder.elimination(1))
-    x, y = elim.gens()
+    x = elim.parse("x")
     gb = buchberger([elim.parse("y^3 - 1"), elim.parse("x - y^2")])
     assert gb.ring == elim and gb.order == elim.order
     assert gb.leading_monomials() == [(0, 3), (1, 0)]
     for nf in (reference_normal_form, _reduce):
-        assert nf(x, gb.polys) == y**2
+        assert nf(x, gb.polys) == elim.parse("y^2")
         assert nf(x, gb.polys).ring is elim
-        assert nf(x**3 - 1, gb.polys).is_zero()
-        assert not nf(x - y, gb.polys).is_zero()
+        assert nf(elim.parse("x^3 - 1"), gb.polys).is_zero()
+        assert not nf(elim.parse("x - y"), gb.polys).is_zero()
     plain = buchberger([ring.parse("y^3 - 1"), ring.parse("x - y^2")])
     assert (1, 0) not in plain.leading_monomials()
 
@@ -189,26 +187,23 @@ def test_polynomials_from_two_orders_are_refused():
         buchberger([g, f])
     with pytest.raises(ValueError):
         elimination_ideal([f, g], ["x"])
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        with pytest.raises(ValueError):
-            op(f, g)
-        with pytest.raises(ValueError):
-            op(g, f)
+    with pytest.raises(ValueError):
+        ring.check([f, g])
     # an equal ring built anew is the same ring
     again = PolynomialRing(("x", "y"))
     assert [str(g) for g in buchberger([f, again.parse("x - y^2")])] == ["y^2 - x"]
-    assert f + again.parse("y^2") == ring.parse("x")
+    ring.check([f, again.parse("y^2")])
 
 
 def test_normal_form_is_linear(lex_ring):
     rng = seeded(17)
-    x, y = lex_ring.gens()
-    gb = buchberger([x * x * x - y, y * y - x])
+    gb = buchberger([lex_ring.parse("x^3 - y"), lex_ring.parse("y^2 - x")])
     for _ in range(10):
         a = random_multipoly(lex_ring, rng)
         b = random_multipoly(lex_ring, rng)
         nf = lambda p: _reduce(p, gb.polys)
-        assert nf(a + b) == nf(a) + nf(b)
+        a_plus_b = MultiPoly(lex_ring, _kernels.terms_add(a.terms, b.terms))
+        assert nf(a_plus_b).terms == _kernels.terms_add(nf(a).terms, nf(b).terms)
         assert nf(nf(a)) == nf(a)
         assert nf(a) == reference_normal_form(a, gb.polys)
 
@@ -234,11 +229,13 @@ def test_agrees_with_independent_cas():
 # -- scale bookkeeping: integer division must give the remainder over Q -----
 
 def _random_fraction_poly(ring, rng, max_terms=5, max_deg=3):
-    p = ring.zero()
+    p = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in ring.variables)
-        p = p + ring.monomial(e, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
-    return p
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        if c:
+            p = _kernels.terms_add(p, {e: c})
+    return MultiPoly(ring, p)
 
 
 def test_normal_form_with_fraction_divisors_matches_cas():
@@ -255,7 +252,7 @@ def test_normal_form_with_fraction_divisors_matches_cas():
             divisors = [d for d in divisors if not d.is_zero()]
             if p.is_zero() or not divisors:
                 continue
-            non_monic += any(d.leading_coefficient() not in (1, -1) for d in divisors)
+            non_monic += any(d.terms[d.leading_monomial()] not in (1, -1) for d in divisors)
             _, theirs = sympy.reduced(to_sympy(p, xs), [to_sympy(d, xs) for d in divisors],
                                       *xs, order=order_name, domain="QQ")
             for ours in (_reduce(p, divisors), reference_normal_form(p, divisors)):
@@ -274,7 +271,8 @@ def test_buchberger_ignores_the_scale_of_the_generators(scale):
               for _ in range(4)]
     for gens in cases:
         want = [str(g) for g in buchberger(gens)]
-        assert [str(g) for g in buchberger([g * scale for g in gens])] == want
+        scaled = [MultiPoly(g.ring, _kernels.terms_scale(g.terms, Fraction(scale))) for g in gens]
+        assert [str(g) for g in buchberger(scaled)] == want
 
 
 # sha256 of the newline-joined remainders of 20 Fraction-coefficient
@@ -299,29 +297,26 @@ def test_basis_normal_form_under_elimination_order_is_frozen():
 
 def test_elimination_of_circle_line_system():
     ring = PolynomialRing(("x", "y"))
-    x, y = ring.gens()
-    elim = elimination_ideal([x * x + y * y - ring.constant(5), x - y - ring.one()], ["x"])
+    elim = elimination_ideal([ring.parse("x^2 + y^2 - 5"), ring.parse("x - y - 1")], ["x"])
     assert [str(g) for g in elim.polys] == ["y^2 + y - 2"]
 
 
 def test_elimination_can_be_empty():
     ring = PolynomialRing(("x", "y"))
-    x, y = ring.gens()
-    assert not elimination_ideal([x - y], ["x"]).polys
+    assert not elimination_ideal([ring.parse("x - y")], ["x"]).polys
 
 
 def test_empty_elimination_basis_keeps_its_ring():
     ring = PolynomialRing(("x", "y"))
-    x, y = ring.gens()
-    empty = elimination_ideal([x - y], ["x"])
-    full = elimination_ideal([x - y, y * y - ring.one()], ["x"])
+    empty = elimination_ideal([ring.parse("x - y")], ["x"])
+    full = elimination_ideal([ring.parse("x - y"), ring.parse("y^2 - 1")], ["x"])
     assert [str(g) for g in full] == ["y^2 - 1"]
     assert empty.ring == full.ring
     assert empty.ring.variables == ("x", "y")
     assert empty.order == MonomialOrder.elimination(1)
     assert not empty.elements and not empty.polys
     # the elimination ring prints x first
-    assert str(empty.ring.parse(str(y * y - x))) == "-x + y^2"
+    assert str(empty.ring.parse("y^2 - x")) == "-x + y^2"
 
 
 def test_elimination_output_avoids_eliminated_variables():
@@ -370,7 +365,7 @@ def test_elimination_vanishes_on_projected_roots():
             continue
         y_val = (-a1 * c2 + a2 * c1) / det
         for e in elim.polys:
-            assert abs(e.evaluate_float({"y": float(y_val)})) < 1e-9
+            assert abs(reference_evaluate_float(e, {"y": float(y_val)})) < 1e-9
 
 
 # -- the pair criteria against a Buchberger that reduces every S-pair --------
@@ -465,8 +460,9 @@ def test_basis_elements_are_primitive_and_polys_are_them_made_monic(order, varia
     checked = 0
     for _ in range(8):
         gens = [random_multipoly(ring, rng, max_terms=3, max_deg=2) for _ in range(3)]
-        gens = [g * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for g in gens
-                if not g.is_zero()]
+        gens = [MultiPoly(ring, _kernels.terms_scale(
+                    g.terms, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
+                for g in gens if not g.is_zero()]
         if not gens:
             continue
         gb = buchberger(gens)
@@ -474,7 +470,7 @@ def test_basis_elements_are_primitive_and_polys_are_them_made_monic(order, varia
         for (lm, t), p in zip(gb.elements, gb.polys):
             assert all(type(c) is int for c in t.values())
             assert math.gcd(*t.values()) == 1 and t[lm] > 0
-            assert p.leading_monomial() == lm and p.leading_coefficient() == 1
+            assert p.leading_monomial() == lm and p.terms[lm] == 1
             assert p.terms == {m: Fraction(c, t[lm]) for m, c in t.items()}
         assert gb.leading_monomials() == [p.leading_monomial() for p in gb.polys]
         checked += len(gb)

@@ -17,7 +17,7 @@ from helpers import (
     squarefree_distinct_complex_roots,
     sturm_distinct_real_roots,
 )
-from vortexre import hermite
+from vortexre import _kernels, hermite
 from vortexre.cli import main
 from vortexre.groebner import buchberger
 from vortexre.halfangle import build_equal_weight_system
@@ -28,15 +28,16 @@ from vortexre.hermite import (
     quotient_basis,
     signature_and_rank,
 )
-from vortexre.polynomials import PolynomialRing
+from vortexre.polynomials import MultiPoly, PolynomialRing
 
 
 def univariate(coeffs, ring):
-    p = ring.zero()
+    """The polynomial sum_k coeffs[k] * x^k in a one-variable ring."""
+    p = {}
     for k, c in enumerate(coeffs):
         if c:
-            p = p + ring.monomial((k,), c)
-    return p
+            p = _kernels.terms_add(p, {(k,): Fraction(c)})
+    return MultiPoly(ring, p)
 
 
 @pytest.fixture
@@ -45,30 +46,25 @@ def xy_ring():
 
 
 def test_quotient_basis_staircases(xy_ring):
-    x, y = xy_ring.gens()
-    assert quotient_basis(buchberger([x, y])) == ((0, 0),)
-    assert quotient_basis(buchberger([xy_ring.one()])) == ()
+    assert quotient_basis(buchberger([xy_ring.parse("x"), xy_ring.parse("y")])) == ((0, 0),)
+    assert quotient_basis(buchberger([xy_ring.parse("1")])) == ()
     R1 = PolynomialRing(("x",))
-    (x1,) = R1.gens()
-    assert quotient_basis(buchberger([x1 * x1 - R1.constant(2)])) == ((0,), (1,))
+    assert quotient_basis(buchberger([R1.parse("x^2 - 2")])) == ((0,), (1,))
 
 
 def test_quotient_basis_matches_bezout_bound(xy_ring):
-    x, y = xy_ring.gens()
-    gb = buchberger([y - x * x, x * x + y * y - xy_ring.one()])
+    gb = buchberger([xy_ring.parse("y - x^2"), xy_ring.parse("x^2 + y^2 - 1")])
     assert len(quotient_basis(gb)) == 4
 
 
 def test_positive_dimensional_ideal_rejected(xy_ring):
-    x, y = xy_ring.gens()
     with pytest.raises(InfiniteVarietyError):
-        quotient_basis(buchberger([x - y]))
+        quotient_basis(buchberger([xy_ring.parse("x - y")]))
 
 
 def test_multiplication_traces_on_sqrt_two():
     R = PolynomialRing(("x",))
-    (x,) = R.gens()
-    gb = buchberger([x * x - R.constant(2)])
+    gb = buchberger([R.parse("x^2 - 2")])
     traces = hermite._Traces(gb, quotient_basis(gb))
     assert traces.trace_monomial((0,)) == 2  # identity trace = dimension
     assert traces.trace_monomial((1,)) == 0  # roots +-sqrt(2) sum to zero
@@ -77,8 +73,7 @@ def test_multiplication_traces_on_sqrt_two():
 
 def test_hermite_matrix_of_sqrt_two():
     R = PolynomialRing(("x",))
-    (x,) = R.gens()
-    gb = buchberger([x * x - R.constant(2)])
+    gb = buchberger([R.parse("x^2 - 2")])
     H = hermite_matrix(gb, quotient_basis(gb))
     assert H == ((2, 0), (0, 4))
     rc = signature_and_rank(H)
@@ -140,8 +135,7 @@ def test_signature_matches_float_eigenvalues():
 
 
 def test_hermite_matrix_is_exactly_symmetric(xy_ring):
-    x, y = xy_ring.gens()
-    gb = buchberger([y - x * x, x * x + y * y - xy_ring.constant(7)])
+    gb = buchberger([xy_ring.parse("y - x^2"), xy_ring.parse("x^2 + y^2 - 7")])
     H = hermite_matrix(gb, quotient_basis(gb))
     assert H == tuple(zip(*H))
     assert H[0][0] == len(H)
@@ -189,13 +183,12 @@ def test_separated_product_systems_multiply_counts(xy_ring):
 
 
 def test_parabola_circle_intersection(xy_ring):
-    x, y = xy_ring.gens()
-    rc = count_real_roots([y - x * x, x * x + y * y - xy_ring.one()])
+    rc = count_real_roots([xy_ring.parse("y - x^2"), xy_ring.parse("x^2 + y^2 - 1")])
     assert (rc.real_distinct, rc.complex_distinct) == (2, 4)
 
 
 def test_inconsistent_system_counts_zero(xy_ring):
-    rc = count_real_roots([xy_ring.one()])
+    rc = count_real_roots([xy_ring.parse("1")])
     assert (rc.real_distinct, rc.complex_distinct) == (0, 0)
 
 
@@ -262,21 +255,19 @@ def test_certify_pool_vectors_match_goldens(capsys, mu):
 
 def _small_ideals():
     xy = PolynomialRing(("x", "y"))
-    x, y = xy.gens()
     R1 = PolynomialRing(("x",))
-    (x1,) = R1.gens()
-    yield [x1 * x1 - R1.constant(2)]
-    yield [univariate([-6, 11, -6, 1], R1) * univariate([1, 0, 1], R1)]
-    yield [y - x * x, x * x + y * y - xy.one()]
-    yield [y - x * x, x * x + y * y - xy.constant(7)]
-    yield [x * x * x - x, y * y * x - y - x]
+    yield [R1.parse("x^2 - 2")]
+    # (x - 1)(x - 2)(x - 3)(x^2 + 1)
+    yield [R1.parse("x^5 - 6*x^4 + 12*x^3 - 12*x^2 + 11*x - 6")]
+    yield [xy.parse("y - x^2"), xy.parse("x^2 + y^2 - 1")]
+    yield [xy.parse("y - x^2"), xy.parse("x^2 + y^2 - 7")]
+    yield [xy.parse("x^3 - x"), xy.parse("x*y^2 - y - x")]
     for seed in range(4):
         rng = seeded(400 + seed)
         f, g, _ = random_line_arrangement(rng, rng.randint(1, 3), rng.randint(1, 3))
         yield [lines_to_multipoly(xy, f), lines_to_multipoly(xy, g)]
     xyz = PolynomialRing(("x", "y", "z"))
-    x, y, z = xyz.gens()
-    yield [x * x - y - z, y * y - xyz.constant(2) * z, z * z * z - x - xyz.one()]
+    yield [xyz.parse(g) for g in ("x^2 - y - z", "y^2 - 2*z", "z^3 - x - 1")]
     rng = seeded(35)
     found = 0
     while found < 6:

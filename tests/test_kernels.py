@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
-from helpers import reference_key
+from helpers import random_multipoly, reference_key, seeded
 from vortexre import _kernels
+from vortexre.polynomials import MonomialOrder, PolynomialRing
 
 
 def random_monomial(rng, n=4, span=6):
@@ -43,7 +44,7 @@ def test_coefficients_stay_exact():
     assert _kernels.terms_mul(t, t)[(0, 0, 0, 0)] == big * big
 
 
-def test_iadd_scaled_mutates_in_place():
+def test_iadd_scaled_mutates_in_place(monkeypatch):
     rng = random.Random(20240504)
     for shift in (None, (1, 0, 2, 0)):
         acc = random_terms(rng)
@@ -62,6 +63,64 @@ def test_iadd_scaled_mutates_in_place():
         _kernels.terms_iadd_scaled(acc, src, c, shift)
         assert acc is same
         assert acc == expected
+    # the fraction-free reduction subtracts through this same function
+    calls = []
+    iadd_scaled = _kernels.terms_iadd_scaled
+    monkeypatch.setattr(_kernels, "terms_iadd_scaled",
+                        lambda *args: calls.append(args) or iadd_scaled(*args))
+    lex = ("lex", 0)
+    assert _kernels.reduce_integer({(2, 1): 1}, [((1, 0), {(1, 0): 1, (0, 1): -1})],
+                                   lex) == ({(0, 3): 1}, 1)
+    assert len(calls) == 2  # x^2*y -> x*y^2 -> y^3
+
+
+def _random_xy_terms(rng):
+    return random_multipoly(PolynomialRing(("x", "y")), rng).terms
+
+
+def test_ring_axioms_on_random_elements():
+    add, mul = _kernels.terms_add, _kernels.terms_mul
+    rng = seeded(3)
+    for _ in range(15):
+        a, b, c = (_random_xy_terms(rng) for _ in range(3))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+def test_difference_of_squares():
+    add, mul, neg = _kernels.terms_add, _kernels.terms_mul, _kernels.terms_neg
+    x, y = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    assert mul(add(x, y), add(x, neg(y))) == add(mul(x, x), neg(mul(y, y)))
+
+
+def test_binomial_cube_coefficients():
+    x_plus_1 = {(1, 0): Fraction(1), (0, 0): Fraction(1)}
+    cube = _kernels.terms_mul(_kernels.terms_mul(x_plus_1, x_plus_1), x_plus_1)
+    assert [cube.get((k, 0), 0) for k in range(4)] == [1, 3, 3, 1]
+    assert len(cube) == 4
+
+
+def test_additive_inverse_gives_zero():
+    rng = seeded(2)
+    for _ in range(20):
+        p = _random_xy_terms(rng)
+        assert _kernels.terms_add(p, _kernels.terms_neg(p)) == {}
+
+
+def test_leading_term_is_multiplicative():
+    order = MonomialOrder.degrevlex()
+    rng = seeded(4)
+    for _ in range(25):
+        a, b = _random_xy_terms(rng), _random_xy_terms(rng)
+        if not a or not b:
+            continue
+        ab = _kernels.terms_mul(a, b)
+        ma, mb, mab = (_kernels.leading_monomial(t, order) for t in (a, b, ab))
+        assert mab == tuple(i + j for i, j in zip(ma, mb))
+        assert ab[mab] == a[ma] * b[mb]
 
 
 def test_leading_monomial_of_empty_map_is_none():
