@@ -7,29 +7,31 @@ systems, and continuation of configurations to positive coupling.
 
 import importlib
 
-from vortexre.errors import CollisionError, ConvergenceError, NotACriticalPointError
-from vortexre.groebner import GroebnerBasis, buchberger, elimination_ideal
-from vortexre.halfangle import (
-    HalfAngleSystem,
-    back_transform,
-    build_equal_weight_system,
-    build_symmetry_case_system,
-)
-from vortexre.hermite import (
-    InfiniteVarietyError,
-    RootCount,
-    count_real_roots,
-    hermite_matrix,
-    quotient_basis,
-    signature_and_rank,
-)
-from vortexre.polynomials import MonomialOrder, MultiPoly, PolynomialRing
-
 __version__ = "0.1.0"
 
-# The numeric side loads numpy, so its names are imported on first use
-# (PEP 562): `certify` and `build-system` then start without it.
+# Every public name and the module it lives in, imported on first use
+# (PEP 562): `import vortexre` loads no layer, so a process pays for numpy
+# or the exact stack only when it uses a name from that side.
 _LAZY = {
+    "CollisionError": "errors",
+    "ConvergenceError": "errors",
+    "NotACriticalPointError": "errors",
+    "GroebnerBasis": "groebner",
+    "buchberger": "groebner",
+    "elimination_ideal": "groebner",
+    "HalfAngleSystem": "halfangle",
+    "back_transform": "halfangle",
+    "build_equal_weight_system": "halfangle",
+    "build_symmetry_case_system": "halfangle",
+    "InfiniteVarietyError": "hermite",
+    "RootCount": "hermite",
+    "count_real_roots": "hermite",
+    "hermite_matrix": "hermite",
+    "quotient_basis": "hermite",
+    "signature_and_rank": "hermite",
+    "MonomialOrder": "polynomials",
+    "MultiPoly": "polynomials",
+    "PolynomialRing": "polynomials",
     "ContinuationTrace": "dynamics",
     "HelioConfig": "dynamics",
     "continue_family": "dynamics",
@@ -69,26 +71,4 @@ def backend_info():
     return {"kernels": "pure", "rationals": "fractions"}
 
 
-__all__ = sorted([
-    "CollisionError",
-    "ConvergenceError",
-    "GroebnerBasis",
-    "HalfAngleSystem",
-    "InfiniteVarietyError",
-    "MonomialOrder",
-    "MultiPoly",
-    "NotACriticalPointError",
-    "PolynomialRing",
-    "RootCount",
-    "back_transform",
-    "backend_info",
-    "buchberger",
-    "build_equal_weight_system",
-    "build_symmetry_case_system",
-    "count_real_roots",
-    "elimination_ideal",
-    "hermite_matrix",
-    "quotient_basis",
-    "signature_and_rank",
-    *_LAZY,
-])
+__all__ = sorted([*_LAZY, "backend_info"])

@@ -17,23 +17,14 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from vortexre.errors import (CirculationError, CollisionError, ConvergenceError,
-                             NotACriticalPointError)
-from vortexre.groebner import buchberger, elimination_ideal
-from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
-from vortexre.hermite import (
-    InfiniteVarietyError,
-    hermite_matrix,
-    quotient_basis,
-    signature_and_rank,
-)
-from vortexre.plotting import render_configuration_svg
-from vortexre.polynomials import from_integer_terms
+from vortexre.errors import CirculationError, ConvergenceError
 
-# The numeric handlers import numpy (through vortexre.potential, search and
-# dynamics) when they run, so certify, build-system and plot start without
-# it.  numpy is the only runtime dependency: simulate's integrator is the
-# library's own Dormand-Prince loop.
+# Each handler imports the layers it runs when it runs: numpy through
+# vortexre.potential, search and dynamics, and the exact stack (groebner,
+# halfangle, hermite, polynomials).  Importing this module loads neither,
+# so every subcommand starts with only what the parser needs.  numpy is the
+# only runtime dependency: simulate's integrator is the library's own
+# Dormand-Prince loop.
 
 
 class UsageError(ValueError):
@@ -256,6 +247,8 @@ def cmd_find(args):
 def _weight_system(text):
     """The --mu weights and their system; the builder's refusal of the
     weights is a usage error."""
+    from vortexre.halfangle import build_equal_weight_system
+
     if not text:
         raise UsageError("need --mu or --symmetry-case")
     mu = _parse_fractions(text, "--mu")
@@ -268,12 +261,19 @@ def _weight_system(text):
 
 def _symmetry_case_report(case):
     """The case's system, and its elimination ideal as primitive polynomials."""
+    from vortexre.groebner import elimination_ideal
+    from vortexre.halfangle import build_symmetry_case_system
+    from vortexre.polynomials import from_integer_terms
+
     system = build_symmetry_case_system(case)
     eliminated = elimination_ideal(list(system), [system.ring.variables[0]])
     return system, [from_integer_terms(eliminated.ring, t) for _, t in eliminated.elements]
 
 
 def cmd_certify(args):
+    from vortexre.groebner import buchberger
+    from vortexre.hermite import hermite_matrix, quotient_basis, signature_and_rank
+
     _check_writable(args.out)
     if args.symmetry_case is not None:
         _start_mode(args, "--symmetry-case", ("--show-basis", "--show-matrix"))
@@ -398,6 +398,7 @@ def cmd_continue(args):
     import numpy as np
 
     from vortexre.dynamics import continue_family, continue_polygon
+    from vortexre.plotting import render_configuration_svg
     from vortexre.potential import CirculationWeights
 
     base = args.out.rsplit(".", 1)[0] if args.out else "trace"
@@ -473,6 +474,8 @@ def _load_plot_record(path, index):
 
 
 def cmd_plot(args):
+    from vortexre.plotting import render_configuration_svg
+
     record = _load_plot_record(args.config, args.index)
     svg = render_configuration_svg(record)
     _write_file(args.out or (args.config.rsplit(".", 1)[0] + ".svg"), svg)
@@ -503,6 +506,8 @@ def _system_payload(system):
 
 
 def cmd_build_system(args):
+    from vortexre.halfangle import build_symmetry_case_system
+
     _check_writable(args.out)
     if args.symmetry_case is not None:
         system = build_symmetry_case_system(args.symmetry_case)
@@ -783,8 +788,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CollisionError, ConvergenceError, NotACriticalPointError,
-            InfiniteVarietyError, ValueError) as exc:
+    # every other library error (collision, not a critical point, an ideal
+    # that is not zero-dimensional) is a ValueError
+    except (ConvergenceError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -47,8 +47,12 @@ class CirculationWeights:
 
     @classmethod
     def parse(cls, text):
-        """Parse a comma-separated weight vector like '2,-1,3' or '1/2,1,1'."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
+        """Parse a comma-separated weight vector like '2,-1,3' or '1/2,1,1'.
+        An empty entry (1,,1 or 1,1,) is refused: dropping it would give
+        other weights."""
+        parts = [p.strip() for p in text.split(",")]
+        if not all(parts):
+            raise ValueError(f"empty entry in weight list {text!r}")
         values = []
         for p in parts:
             if "/" in p:

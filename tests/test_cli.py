@@ -999,12 +999,17 @@ def test_continue_takes_negative_weights_and_angles_as_separate_words(capsys):
 # -- what a fresh interpreter loads --------------------------------------------
 
 
-def _heavy_modules_after(code):
-    """Which of numpy and scipy a fresh interpreter holds after running code,
-    read from the last line it prints."""
+# the modules of the exact stack, which only certify and build-system run
+_EXACT_LAYERS = ("vortexre.groebner", "vortexre.halfangle", "vortexre.hermite",
+                 "vortexre.polynomials", "vortexre._kernels")
+
+
+def _heavy_modules_after(code, names=("numpy", "scipy")):
+    """Which of the modules `names` a fresh interpreter holds after running
+    code, read from the last line it prints."""
     probe = code + (
         "\nimport sys\n"
-        "print(' '.join(m for m in ('numpy', 'scipy') if m in sys.modules))")
+        f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules))")
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -1020,7 +1025,8 @@ def _main_code(*argv):
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
-    assert _heavy_modules_after("import vortexre.cli") == set()
+    names = ("numpy", "scipy") + _EXACT_LAYERS
+    assert _heavy_modules_after("import vortexre.cli", names) == set()
 
 
 def test_exact_subcommands_run_without_numpy(tmp_path):
@@ -1034,11 +1040,14 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
 
 
 def test_dynamics_and_find_run_without_scipy(tmp_path):
-    assert _heavy_modules_after("import vortexre.dynamics") == {"numpy"}
-    out = str(tmp_path / "points.json")
-    code = _main_code("find", "--mu=2,-1,3", "--seeds", "64", "--out", out)
-    assert _heavy_modules_after(code) == {"numpy"}
-    out = str(tmp_path / "trajectory.csv")
-    code = _main_code("simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05",
-                      "--periods", "1", "--out", out)
-    assert _heavy_modules_after(code) == {"numpy"}
+    """find, continue and simulate load numpy, and neither scipy nor the
+    exact stack."""
+    names = ("numpy", "scipy") + _EXACT_LAYERS
+    assert _heavy_modules_after("import vortexre.dynamics", names) == {"numpy"}
+    for argv in (["find", "--mu=2,-1,3", "--seeds", "64",
+                  "--out", str(tmp_path / "points.json")],
+                 ["continue", "--polygon", "5", "--mu", "1", "--eps", "0.01",
+                  "--step", "0.005", "--out", str(tmp_path / "trace.csv")],
+                 ["simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05",
+                  "--periods", "1", "--out", str(tmp_path / "trajectory.csv")]):
+        assert _heavy_modules_after(_main_code(*argv), names) == {"numpy"}, argv

@@ -311,6 +311,10 @@ def test_weights_parse_and_validate():
     for text in ("nan,1", "1,inf", "-inf,2", "1e200,1e200,1", "1/0,1"):
         with pytest.raises(ValueError):
             CirculationWeights.parse(text)
+    # an empty entry is refused rather than dropped
+    for text in ("1,,1", "1,1,", ",", ""):
+        with pytest.raises(ValueError, match="empty entry in weight list"):
+            CirculationWeights.parse(text)
     # one huge weight is fine while every product of two stays finite
     assert CirculationWeights.parse("1e200,1,1").mu[0] == 1e200
     # products below the smallest normal float lose the weight ratios
