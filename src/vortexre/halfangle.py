@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from vortexre import _kernels
@@ -43,8 +43,9 @@ from vortexre.errors import CollisionError
 from vortexre.polynomials import PolynomialRing, from_integer_terms
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
+class NormalizationRecord(namedtuple(
+        "NormalizationRecord",
+        "component denominator_factors collision_factors content")):
     """How one gradient numerator was normalized to a primitive polynomial.
 
     The factor tuples hold (polynomial, power) pairs; `content` is the
@@ -52,18 +53,32 @@ class NormalizationRecord:
     denominator.
     """
 
-    component: str
-    denominator_factors: tuple
-    collision_factors: tuple
-    content: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class HalfAngleSystem:
-    """Primitive integer polynomial system with its normalization records."""
+    """Primitive integer polynomial system with its normalization records.
 
-    polys: tuple
-    stripped_factors: tuple
+    Immutable; iterating it gives the polynomials.
+    """
+
+    __slots__ = ("polys", "stripped_factors")
+
+    def __init__(self, polys, stripped_factors):
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "stripped_factors", stripped_factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not HalfAngleSystem:
+            return NotImplemented
+        return (self.polys, self.stripped_factors) == (other.polys, other.stripped_factors)
+
+    def __repr__(self):
+        return (f"HalfAngleSystem(polys={self.polys!r}, "
+                f"stripped_factors={self.stripped_factors!r})")
 
     @property
     def ring(self):

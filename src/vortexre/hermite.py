@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from vortexre import _kernels
@@ -23,10 +23,10 @@ class InfiniteVarietyError(ValueError):
     """The ideal is not zero-dimensional; trace-form counting does not apply."""
 
 
-@dataclass(frozen=True)
-class RootCount:
-    real_distinct: int
-    complex_distinct: int
+class RootCount(namedtuple("RootCount", "real_distinct complex_distinct")):
+    """Distinct real and complex roots of a zero-dimensional ideal."""
+
+    __slots__ = ()
 
 
 def quotient_basis(gb):

@@ -98,12 +98,6 @@ def _scales(w):
     return b, a * b
 
 
-def _diagonals(a):
-    """Writable view of the diagonal of each matrix in a contiguous (S, N, N) stack."""
-    n = a.shape[-1]
-    return a.reshape(len(a), n * n)[:, ::n + 1]
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
     """The pairs i < j in row-major order, and their flat positions
@@ -115,62 +109,112 @@ def _pairs(n):
     return pairs
 
 
+def _row_sums(a):
+    """a[0] + a[1] + ... + a[n-1] for a stack of n equal-shaped arrays,
+    added in the order ndarray.sum(axis=-1) adds a row of n entries.
+
+    That order is numpy's pairwise summation: left to right below 8
+    entries; from 8 to 128, eight running sums over the entries k mod 8,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    the entries past the last multiple of 8 left to right; above 128,
+    the sums of two halves split at a multiple of 8.  numpy starts from
+    0.0, which only turns a sum of -0.0s into 0.0.  Each addition runs
+    elementwise across the stacked arrays, so a batch on their last axis
+    costs one pass per entry.
+    """
+    n = len(a)
+    if n < 8:
+        total = a[0] + 0.0
+        for k in range(1, n):
+            total += a[k]
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(a[:half]) + _row_sums(a[half:])
+    r = a[:8].copy()
+    for k in range(8, n - n % 8, 8):
+        r += a[k:k + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(n - n % 8, n):
+        total += a[k]
+    total += 0.0
+    return total
+
+
 def _pair_table(theta, single=False):
     """cos, sin and u = 2 - 2 cos of d = theta_i - theta_j on the pairs i < j.
 
-    `theta` is an (S, N) batch; the table is one (3, S, N(N-1)/2) array.
-    u is NaN on the rows in which two vortices coincide, so everything
-    computed from those rows is NaN.  With `single`, such a row raises
+    The layout is pair-major with the batch on the last axis: `theta` is
+    (N, S), one row per vortex and one column per configuration, and the
+    table is one (3, N(N-1)/2, S) array, so a reduction over the pairs of
+    each configuration runs elementwise across the batch.  u is NaN on
+    the columns in which two vortices coincide, so everything computed
+    from those columns is NaN.  With `single`, such a column raises
     CollisionError naming its closest pair instead.
     """
-    i, j, _, _ = _pairs(theta.shape[1])
-    d = theta[:, i] - theta[:, j]
-    table = np.empty((3,) + d.shape)
+    i, j, _, _ = _pairs(len(theta))
+    table = np.empty((3, len(i)) + theta.shape[1:])
     cos, sin, u = table
+    d = np.subtract(theta[i], theta[j], out=u)
     np.cos(d, out=cos)
     np.sin(d, out=sin)
-    np.subtract(2.0, 2.0 * cos, out=u)
-    chord = np.sqrt(np.maximum(u, 0.0))
-    collided = chord.min(axis=1) < _COLLISION_CHORD
+    np.subtract(2.0, np.multiply(2.0, cos, out=u), out=u)
+    # the chord sqrt(max(u, 0)) is monotone in u: its least value over the
+    # pairs is that of the least u
+    chord = np.sqrt(np.maximum(u.min(axis=0), 0.0))
+    collided = chord < _COLLISION_CHORD
     if single and collided[0]:
-        k = int(chord[0].argmin())
+        k = int(np.sqrt(np.maximum(u[:, 0], 0.0)).argmin())
         raise CollisionError(f"vortices {i[k] + 1} and {j[k] + 1} coincide")
-    u[collided] = np.nan
+    u[:, collided] = np.nan
     return table
 
 
 def _matrices(n, above, below=None):
-    """(S, N, N) matrices holding `above` on the pairs (i, j), `below` on
-    the mirrored pairs (j, i) (zeros when None) and zeros on the diagonal.
+    """(N, N, S) matrices, pair-major: [i, j] holds `above` on the pairs
+    i < j, [j, i] holds `below` (zeros when None), and the diagonal is
+    zero; `above` and `below` are (N(N-1)/2, S) pair rows.
 
-    Sums over these run in the order of the full N x N difference tables,
-    so gradients, Hessians and values keep their last bits.
+    `_row_sums` of the stack adds m[0] + ... + m[N-1] elementwise, so it
+    sums each column over its N entries in the order ndarray.sum(axis=-1)
+    sums a row of the full N x N difference tables: for symmetric
+    matrices that is the row sum, and a gradient stacks its transpose.
+    Gradients, Hessians and values keep those tables' last bits.
     """
     _, _, upper, lower = _pairs(n)
-    m = np.zeros((len(above), n * n))
-    m[:, upper] = above
+    m = np.zeros((n * n,) + above.shape[1:])
+    m[upper] = above
     if below is not None:
-        m[:, lower] = below
-    return m.reshape(-1, n, n)
+        m[lower] = below
+    return m.reshape((n, n) + above.shape[1:])
 
 
 def _gradient(table, w):
-    """Gradients of V, (S, N), from a pair table."""
+    """Gradients of V, (N, S), from a pair table."""
     _, sin, u = table
     i, j, _, _ = _pairs(len(w))
-    # sin(-d) = -sin(d): the term at (j, i) is minus the one at (i, j)
-    t = w[i] * w[j] * (sin * (-1.0 + 1.0 / u))
-    return -_matrices(len(w), t, -t).sum(axis=-1)
+    # w_i w_j sin(d) (-1 + 1/u), operation for operation, in place
+    t = np.divide(1.0, u)
+    t += -1.0
+    t *= sin
+    t *= (w[i] * w[j])[:, None]
+    # Component i sums row i of the pair terms, so the stack holds their
+    # transpose; sin(-d) = -sin(d) makes the term at (j, i) minus the one
+    # at (i, j).
+    g = _row_sums(_matrices(len(w), -t, t))
+    return np.negative(g, out=g)
 
 
 def _hessian(table, w):
-    """Hessians of V, (S, N, N), from a pair table."""
+    """Hessians of V, (N, N, S), from a pair table."""
     cos, sin, u = table
     i, j, _, _ = _pairs(len(w))
     gpp = -cos + (cos * u - 2.0 * sin**2) / u**2
-    h = w[i] * w[j] * gpp
-    H = _matrices(len(w), h, h)
-    _diagonals(H)[...] = -H.sum(axis=-1)
+    h = (w[i] * w[j])[:, None] * gpp
+    n = len(w)
+    H = _matrices(n, h, h)
+    # H is symmetric, so its row sums are the sums of its columns
+    H.reshape((n * n,) + h.shape[1:])[::n + 1] = -_row_sums(H)
     return H
 
 
@@ -178,7 +222,7 @@ def _tables(theta):
     """(single, pair table) of one angle vector or an (S, N) batch of them."""
     theta = np.asarray(theta, dtype=float)
     single = theta.ndim == 1
-    return single, _pair_table(np.atleast_2d(theta), single)
+    return single, _pair_table(np.atleast_2d(theta).T, single)
 
 
 def potential_value(theta, mu):
@@ -190,8 +234,9 @@ def potential_value(theta, mu):
     w = _weights(mu)
     single, (cos, _, u) = _tables(theta)
     i, j, _, _ = _pairs(len(w))
-    pair = _matrices(len(w), w[i] * w[j] * (cos + 0.5 * np.log(u)))
-    v = -pair.sum(axis=(1, 2))
+    pair = _matrices(len(w), (w[i] * w[j])[:, None] * (cos + 0.5 * np.log(u)))
+    # numpy sums the N x N entries of each matrix as one row
+    v = -_row_sums(pair.reshape((len(w) ** 2,) + u.shape[1:]))
     return float(v[0]) if single else v
 
 
@@ -204,7 +249,7 @@ def potential_gradient(theta, mu):
     """
     w = _weights(mu)
     single, table = _tables(theta)
-    g = _gradient(table, w)
+    g = np.ascontiguousarray(_gradient(table, w).T)
     return g[0] if single else g
 
 
@@ -216,7 +261,7 @@ def potential_hessian(theta, mu):
     """
     w = _weights(mu)
     single, table = _tables(theta)
-    H = _hessian(table, w)
+    H = np.ascontiguousarray(np.moveaxis(_hessian(table, w), -1, 0))
     return H[0] if single else H
 
 
@@ -262,7 +307,7 @@ def classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
     s*mu get the same report.
     """
     w = _weights(mu)
-    table = _pair_table(np.asarray(theta, dtype=float)[None], single=True)
+    table = _pair_table(np.asarray(theta, dtype=float)[:, None], single=True)
     report, = _classify(table, w, tol_grad, tol_zero)
     if report is None:
         gnorm = float(np.abs(_gradient(table, w)).max())
@@ -274,16 +319,16 @@ def classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
 
 
 def _classify(table, w, tol_grad, tol_zero):
-    """`classify` for every row of a pair table at once: one report per
-    row, None where the gradient infinity-norm is not below tol_grad
-    times sigma (see `_scales`)."""
+    """`classify` for every configuration of a pair table at once: one
+    report per column, None where the gradient infinity-norm is not below
+    tol_grad times sigma (see `_scales`)."""
     m, sigma = _scales(w)
-    gnorm = np.abs(_gradient(table, w)).max(axis=1)
+    gnorm = np.abs(_gradient(table, w)).max(axis=0)
     critical = np.flatnonzero(gnorm < tol_grad * sigma)
     reports = [None] * len(gnorm)
     if not len(critical):
         return reports
-    H = _hessian(table[:, critical], w)
+    H = np.moveaxis(_hessian(table[:, :, critical], w), -1, 0)
     hessian_eigs = np.linalg.eigvalsh(H)
     W = H / w[:, None]
     weighted = np.linalg.eigvals(W)

@@ -8,6 +8,12 @@ weight-preserving relabelings, reflection, and rotation through a
 canonical key.  Tolerances are relative to the weight scale, so weights
 mu and s*mu give the same catalogue.
 
+The batch runs pair-major, as `vortexre.potential`'s pair tables do: the
+seed filter, the polish and the classification hold one row per vortex
+or pair and one column per seed, so each seed's minimum, norm or test
+over its N angles or N(N-1)/2 pairs is an elementwise pass across the
+batch.  The polish backtracks through its step halvings four at a time.
+
 Nothing proves a catalogue complete: seeds can miss critical points,
 and `find` is not checked against the exact count of `certify`.  What is
 checked is the Morse identity: with weights of one sign, `find` sums
@@ -29,6 +35,7 @@ from vortexre.potential import (
     _gradient,
     _hessian,
     _pair_table,
+    _pairs,
     _scales,
 )
 
@@ -98,12 +105,13 @@ def _gauged(x):
 
 
 def _min_gaps(full):
-    """Smallest angular separation within each row."""
-    d = full[:, :, None] - full[:, None, :]
-    gap = np.abs((d + np.pi) % TWO_PI - np.pi)
-    diag = np.arange(full.shape[1])
-    gap[:, diag, diag] = np.inf
-    return gap.min(axis=(1, 2))
+    """Smallest angular separation within each row of an (S, N) batch."""
+    i, j, _, _ = _pairs(full.shape[1])
+    d = full.T[i] - full.T[j]
+    # theta_j - theta_i is exactly -d, but the two can wrap to gaps that
+    # differ in the last bit, so both count
+    gap = np.abs((np.concatenate((d, -d)) + np.pi) % TWO_PI - np.pi)
+    return gap.min(axis=0)
 
 
 def _newton_steps(H, rhs):
@@ -121,93 +129,122 @@ def _newton_steps(H, rhs):
     return steps
 
 
+# the backtracking scales 2**-1 .. 2**-11, in blocks of four, four and three
+_HALVING_BLOCKS = np.split(np.ldexp(1.0, -np.arange(1, 12)), (4, 8))
+
+
 def _polish(seeds, w, tol_grad, max_iter=50):
     """Newton on the reduced gradient (theta_1 fixed) for all seed rows at once.
 
     Returns the polished rows and a mask of those that converged.  Each
-    row runs its own iteration and leaves the active set when it is done:
-    a collision at the seed fails it; a zero gradient, a non-finite step,
-    or a step that neither the full Newton step nor 11 halvings of it make
-    strictly lower the gradient infinity-norm ends it; otherwise it stops
-    after max_iter steps.  A row converged once its gradient norm fell
-    below tol_grad times the product of the two largest |mu|, the scale of
-    the gradient.  Rows keep stepping past that while steps still help, so
-    accepted points sit at the numerical floor rather than just under the
-    tolerance.  Trials are taken modulo 2*pi, so an accepted trial is the
-    next iterate, and its pair table and gradient serve that iterate.
+    seed runs its own iteration and leaves the active set when it is
+    done: a collision at the seed fails it; a zero gradient, a non-finite
+    step, or a step that neither the full Newton step nor 11 halvings of
+    it make strictly lower the gradient infinity-norm ends it; otherwise
+    it stops after max_iter steps.  A seed converged once its gradient
+    norm fell below tol_grad times the product of the two largest |mu|,
+    the scale of the gradient.  Seeds keep stepping past that while steps
+    still help, so accepted points sit at the numerical floor rather than
+    just under the tolerance.  Trials are taken modulo 2*pi, so an
+    accepted trial is the next iterate, and its pair table and gradient
+    serve that iterate.
 
-    Only trials that can change the result are evaluated.  The full step
-    is tried for every active row at once, and its table and gradient
-    become the next state of each row it improves; only the rows it fails
-    backtrack, and their accepted trials are patched in.  A trial whose
-    raw value x + s*step and whose wrapped value both equal the iterate
-    bit for bit is the iterate itself: it cannot be better, and neither
-    can any smaller power-of-two scale, which rounds to x as well, so the
-    row fails without evaluating them.  The active rows' angles, tables
-    and gradients are kept compact; a row's angles are written back when
-    it leaves.
+    The iteration runs pair-major, as the pair tables do: angles,
+    gradients and steps are (N-1, S), one column per active seed, so
+    every per-seed test is elementwise across the batch.  The full step
+    is tried for every active seed at once, and its table and gradient
+    become the next state of each seed it improves.  The seeds it fails
+    backtrack through the halvings in blocks, 2**-1..2**-4, 2**-5..2**-8
+    and 2**-9..2**-11, with one evaluation per block, and each takes the
+    first halving that improves it.  A trial whose raw value x + s*step
+    and whose wrapped value both equal the iterate bit for bit is the
+    iterate itself: it cannot be better, and neither can any smaller
+    power-of-two scale, which rounds to x as well, so the seed fails
+    there, and neither that trial nor the smaller ones are evaluated.
+    The accepted iterate is the one that halvings tried one at a time
+    would accept, but a block may evaluate, and discard, the halvings
+    after the one a seed accepts: three evaluations at most, where one
+    per halving took up to 11.  The active seeds' angles, tables and
+    gradients are kept compact; a seed's angles are written back when it
+    leaves.
     """
     tol = tol_grad * _scales(w)[1]
 
     def evaluate(theta):
-        table = _pair_table(_gauged(theta))
-        g = _gradient(table, w)[:, 1:]
-        return table, g, np.abs(g).max(axis=1)  # NaN on collisions
+        table = _pair_table(np.concatenate((np.zeros((1, theta.shape[1])), theta)))
+        g = _gradient(table, w)[1:]
+        return table, g, np.abs(g).max(axis=0)  # NaN on collisions
 
     out = np.array(seeds, dtype=float)
     converged = np.zeros(len(out), dtype=bool)
     rows = np.arange(len(out))
-    x = out
+    x = out.T.copy()
     table, g, gnorm = evaluate(x)
-    collided = np.isnan(g[:, 0])
+    collided = np.isnan(g[0])
     for _ in range(max_iter):
         if not len(rows):
             break
         converged[rows[gnorm < tol]] = True
-        go = ~np.isnan(g[:, 0]) & (gnorm != 0.0)
+        go = ~np.isnan(g[0]) & (gnorm != 0.0)
         if not go.all():
-            out[rows[~go]] = x[~go]
-            rows, x, table, g, gnorm = rows[go], x[go], table[:, go], g[go], gnorm[go]
-        step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g)
+            out[rows[~go]] = x[:, ~go].T
+            rows, x, table, g, gnorm = (
+                rows[go], x[:, go], table[:, :, go], g[:, go], gnorm[go])
+        step = _newton_steps(np.moveaxis(_hessian(table, w)[1:, 1:], -1, 0), -g.T).T
         raw = x + step
         trial = raw % TWO_PI
-        go = np.isfinite(step).all(axis=1) & _moves(x, raw, trial)
+        go = np.isfinite(step).all(axis=0) & _moves(x, raw, trial)
         if not go.all():
-            out[rows[~go]] = x[~go]
-            rows, x, step, trial, gnorm = rows[go], x[go], step[go], trial[go], gnorm[go]
+            out[rows[~go]] = x[:, ~go].T
+            rows, x, step, trial, gnorm = (
+                rows[go], x[:, go], step[:, go], trial[:, go], gnorm[go])
         table, g, tnorm = evaluate(trial)
-        # Backtrack the rows the full step fails, until a trial is the iterate.
+        # Backtrack the seeds the full step fails, a block of halvings at a
+        # time, until a trial improves or is the iterate.
         fail = np.flatnonzero(~(tnorm < gnorm))
-        scale = 1.0
-        for _ in range(11):
-            scale *= 0.5
-            raw = x[fail] + scale * step[fail]
-            t = raw % TWO_PI
-            moves = _moves(x[fail], raw, t)
-            fail, t = fail[moves], t[moves]
+        for scales in _HALVING_BLOCKS:
             if not len(fail):
                 break
+            live, t = _halvings(x[:, fail], step[:, fail], scales)
             t_table, t_g, t_norm = evaluate(t)
-            ok = t_norm < gnorm[fail]
-            done = fail[ok]
-            trial[done], table[:, done], g[done], tnorm[done] = (
-                t[ok], t_table[:, ok], t_g[ok], t_norm[ok])
-            fail = fail[~ok]
+            better = np.zeros_like(live)
+            better[live] = t_norm < np.broadcast_to(gnorm[fail], live.shape)[live]
+            hit = better.any(axis=0)
+            # each seed's first improving trial, as a column of t
+            col = (np.cumsum(live).reshape(live.shape) - 1)[
+                better.argmax(axis=0)[hit], np.flatnonzero(hit)]
+            done = fail[hit]
+            trial[:, done], table[:, :, done], g[:, done], tnorm[done] = (
+                t[:, col], t_table[:, :, col], t_g[:, col], t_norm[col])
+            # a seed whose every trial moved and none improved goes on
+            fail = fail[~hit & live[-1]]
         go = tnorm < gnorm
         if not go.all():
-            out[rows[~go]] = x[~go]
+            out[rows[~go]] = x[:, ~go].T
             rows, trial, table, g, tnorm = (
-                rows[go], trial[go], table[:, go], g[go], tnorm[go])
+                rows[go], trial[:, go], table[:, :, go], g[:, go], tnorm[go])
         x, gnorm = trial, tnorm
-    out[rows] = x
+    out[rows] = x.T
     return out % TWO_PI, converged & ~collided
 
 
+def _halvings(x, step, scales):
+    """The trials x + s*step modulo 2*pi at the given scales s: a
+    (scale, seed) mask of each seed's trials before its first that is
+    the iterate (see `_moves`), and those trials as the columns of one
+    (N-1, M) block, in the order of the mask."""
+    raw = x + scales[:, None, None] * step
+    wrapped = raw % TWO_PI
+    live = np.logical_and.accumulate(_moves(x, raw, wrapped), axis=0)
+    return live, np.moveaxis(wrapped, 1, 0)[:, live]
+
+
 def _moves(x, raw, wrapped):
-    """Rows where the trial x + s*step, raw or wrapped modulo 2*pi, differs
-    from x in some bit (so -0.0 and 0.0 differ)."""
+    """Seeds where the trial x + s*step, raw or wrapped modulo 2*pi,
+    differs from x in some bit (so -0.0 and 0.0 differ); the angles run
+    along the second-to-last axis and the seeds along the last."""
     bits = x.view(np.int64)
-    return ((raw.view(np.int64) != bits) | (wrapped.view(np.int64) != bits)).any(axis=1)
+    return ((raw.view(np.int64) != bits) | (wrapped.view(np.int64) != bits)).any(axis=-2)
 
 
 def _dedup(points, tol):
@@ -275,7 +312,7 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
     polished, ok = _polish(start, w.array, tol_grad)
     found = sorted(_dedup(polished[ok], _DEDUP_TOL), key=tuple)
     theta = _gauged(np.reshape(found, (len(found), len(w) - 1)))
-    reports = _classify(_pair_table(theta), w.array, 10.0 * tol_grad, tol_zero)
+    reports = _classify(_pair_table(theta.T), w.array, 10.0 * tol_grad, tol_zero)
     keep = [k for k, report in enumerate(reports) if report is not None]
     theta = theta[keep]
     theta.flags.writeable = False

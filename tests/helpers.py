@@ -447,18 +447,21 @@ def reference_batched_polish(seeds, w, tol_grad, max_iter=50):
 def reference_wrapped_polish(seeds, w, tol_grad, max_iter=50):
     """The batched Newton polish one row at a time, evaluating every trial:
     the full step and then each of up to 11 halvings, each trial wrapped
-    modulo 2*pi before its gradient is taken, as the search takes them."""
-    from vortexre.potential import _gradient, _hessian, _pair_table
+    modulo 2*pi before its gradient is taken, as the search takes them.
+    Built on the public kernels, one configuration per call."""
+    from vortexre.potential import potential_gradient, potential_hessian
     from vortexre.search import _newton_steps
 
+    def full(x):  # a batch of one, so a collision gives NaN, not an error
+        return np.concatenate(([0.0], x))[None]
+
     def gradient(x):
-        table = _pair_table(np.concatenate(([0.0], x))[None])
-        return table, _gradient(table, w)[0, 1:]
+        return potential_gradient(full(x), w)[0, 1:]
 
     out = np.array(seeds, dtype=float)
     ok = np.zeros(len(out), dtype=bool)
     for k, x in enumerate(out):
-        table, g = gradient(x)
+        g = gradient(x)
         if np.isnan(g[0]):
             continue
         converged = False
@@ -467,14 +470,15 @@ def reference_wrapped_polish(seeds, w, tol_grad, max_iter=50):
             converged |= bool(gnorm < tol_grad)
             if gnorm == 0.0:
                 break
-            step = _newton_steps(_hessian(table, w)[:, 1:, 1:], -g[None])[0]
+            H = potential_hessian(full(x), w)[:, 1:, 1:]
+            step = _newton_steps(H, -g[None])[0]
             if not np.isfinite(step).all():
                 break
             for scale in 0.5 ** np.arange(12):
                 trial = (x + scale * step) % _TWO_PI
-                trial_table, trial_g = gradient(trial)
+                trial_g = gradient(trial)
                 if np.abs(trial_g).max() < gnorm:
-                    x, table, g = trial, trial_table, trial_g
+                    x, g = trial, trial_g
                     break
             else:
                 break

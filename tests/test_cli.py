@@ -788,6 +788,16 @@ def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def _child_env():
+    """A fresh interpreter's environment: this one's import path, and its
+    PYTHONDONTWRITEBYTECODE, so a run that writes no bytecode keeps its
+    child interpreters from writing any either."""
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def test_calls_after_a_bad_flag_print_what_a_fresh_interpreter_prints(capsys):
     # every call shares one parser; a call that it refuses leaves nothing
     # behind for the calls after it
@@ -796,7 +806,7 @@ def test_calls_after_a_bad_flag_print_what_a_fresh_interpreter_prints(capsys):
                        (["find", "--mu=2,-1,3", "--seeds", "64"], 0)):
         fresh = subprocess.run(
             [sys.executable, "-m", "vortexre.cli", *argv], capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)})
+            env=_child_env())
         assert fresh.returncode == code
         assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr)
 
@@ -1010,12 +1020,8 @@ def _heavy_modules_after(code, names=("numpy", "scipy")):
     probe = code + (
         "\nimport sys\n"
         f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules))")
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=_child_env())
     assert out.returncode == 0, out.stderr
     return set(out.stdout.splitlines()[-1].split())
 
@@ -1037,6 +1043,16 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
                  ["build-system", "--mu=2,1,9", "--out", out],
                  ["plot", str(record), "--out", out]):
         assert "numpy" not in _heavy_modules_after(_main_code(*argv)), argv
+
+
+def test_exact_subcommands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # the exact stack's records are named tuples and a slotted class, so
+    # certify does not pay for importing dataclasses and, through it, inspect
+    out = str(tmp_path / "out")
+    for argv in (["certify", "--mu=2,-1,3", "--out", out],
+                 ["build-system", "--mu=2,1,9", "--out", out],
+                 ["certify", "--symmetry-case", "1", "--out", out]):
+        assert _heavy_modules_after(_main_code(*argv), ("dataclasses", "inspect")) == set(), argv
 
 
 def test_dynamics_and_find_run_without_scipy(tmp_path):

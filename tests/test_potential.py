@@ -16,6 +16,7 @@ from helpers import (
 from vortexre.errors import CollisionError, NotACriticalPointError
 from vortexre.potential import (
     CirculationWeights,
+    _row_sums,
     classify,
     potential_gradient,
     potential_hessian,
@@ -208,6 +209,25 @@ def test_kernels_equal_the_full_table_reference_bit_for_bit(n):
         for k in (0, 1, 2, 47):
             single, reference_single = kernel(batch[k], mu), reference(batch[k], mu)
             assert np.array_equal(single, reference_single)
+
+
+def test_row_sums_add_in_the_order_of_ndarray_sum_bit_for_bit():
+    # Terms spread over 60 orders of magnitude, so that a different order
+    # of addition shows in the last bits; N = 2..300 takes in the left to
+    # right sums below 8 terms, the eight running sums up to 128 and the
+    # halving above it.  Rows of -0.0 and of mixed zeros check the sign.
+    rng = np.random.default_rng(29)
+    wrong = []
+    for n in range(2, 301):
+        rows = rng.standard_normal((40, n)) * np.exp(rng.uniform(-70.0, 70.0, (40, n)))
+        rows[0] = -0.0
+        rows[1, ::2] = 0.0
+        rows[1, 1::2] = -0.0
+        want = rows.sum(axis=-1)
+        got = _row_sums(np.ascontiguousarray(rows.T))
+        if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+            wrong.append(n)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("theta", [
