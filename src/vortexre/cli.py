@@ -72,9 +72,9 @@ def _parse_floats(text, flag):
     return values
 
 
-def _bounded(kind, low, strict=False):
+def _bounded(kind, low, strict=False, below=None):
     """argparse type: a finite `kind` value of at least `low`, or above it
-    if strict."""
+    if strict, and below `below` when that is given."""
     def parse(text):
         try:
             value = kind(text)
@@ -86,6 +86,8 @@ def _bounded(kind, low, strict=False):
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'above' if strict else 'at least'} {low}, got {value}")
+        if below is not None and not value < below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
     return parse
 
@@ -94,6 +96,9 @@ _positive_int = _bounded(int, 1)
 _polygon_count = _bounded(int, 2)
 _positive_float = _bounded(float, 0.0, strict=True)
 _nonnegative_float = _bounded(float, 0.0)
+# a tolerance relative to the weight scale: 1 or more accepts points that
+# are not critical, or calls every eigenvalue zero
+_relative_tol = _bounded(float, 0.0, strict=True, below=1)
 _finite_float = _bounded(float, -math.inf, strict=True)
 # the integrator's relative tolerance is at least 100 machine epsilons
 _rtol = _bounded(float, 100 * sys.float_info.epsilon)
@@ -606,12 +611,12 @@ def cmd_simulate(args):
 # -- parser ------------------------------------------------------------------
 
 _FLAGS = {
-    "--tol-grad": dict(type=_positive_float, default=1e-10,
+    "--tol-grad": dict(type=_relative_tol, default=1e-10,
                        help="gradient tolerance for critical points, relative "
                             "to the product of the two largest |mu|"),
     "--tol-newton": dict(type=_positive_float, default=1e-12,
                          help="residual tolerance for the full-system solver"),
-    "--tol-zero-eig": dict(type=_positive_float, default=1e-8,
+    "--tol-zero-eig": dict(type=_relative_tol, default=1e-8,
                            help="relative threshold for treating an eigenvalue "
                                 "as zero"),
     "--seeds": dict(type=_positive_int, default=4096,

@@ -14,6 +14,13 @@ or pair and one column per seed, so each seed's minimum, norm or test
 over its N angles or N(N-1)/2 pairs is an elementwise pass across the
 batch.  The polish backtracks through its step halvings four at a time.
 
+The catalogue stages after the polish make no numpy call per point.
+Dedup takes its hash cells from one array pass and scans on Python
+floats, with the arithmetic of `rotation_distance`.  The family keys
+take the circle order and the rounded gaps of every point from one
+array pass and build each key from Python lists.  The symmetry axes of
+a whole catalogue come from one pass per axis over (K, N, N) arrays.
+
 Nothing proves a catalogue complete: seeds can miss critical points,
 and `find` is not checked against the exact count of `certify`.  What is
 checked is the Morse identity: with weights of one sign, `find` sums
@@ -64,21 +71,31 @@ class CriticalPointSet:
         return len(self.reports)
 
 
-def _rotation_distances(a, bs):
-    """rotation_distance(a, b) for every row b of bs, as an array."""
-    a = np.asarray(a, dtype=float)
-    bs = np.asarray(bs, dtype=float)
-    d = ((a - bs)[:, None, :] + (bs - a)[:, :, None] + np.pi) % TWO_PI - np.pi
-    return np.abs(d).max(axis=2).min(axis=1)
+def _aligned_gaps(a, b):
+    """For each candidate rotation c = b_i - a_i, which aligns vortex i,
+    the angle differences a_j - b_j + c of every vortex j wrapped into
+    [-pi, pi), lazily; a and b are sequences of Python floats."""
+    for ai, bi in zip(a, b):
+        c = bi - ai
+        yield ((aj - bj + c + math.pi) % TWO_PI - math.pi for aj, bj in zip(a, b))
 
 
 def rotation_distance(a, b):
     """min over rotations c of the infinity-norm angle distance (mod 2*pi).
 
     The minimizing rotation aligns one pair of components exactly, so it
-    is enough to scan the candidate shifts b_i - a_i.
+    is enough to scan the candidate shifts b_i - a_i.  Angles are finite.
     """
-    return float(_rotation_distances(a, np.asarray(b, dtype=float)[None])[0])
+    a = [float(t) for t in a]
+    b = [float(t) for t in b]
+    return min(max(map(abs, gaps)) for gaps in _aligned_gaps(a, b))
+
+
+def _within(a, b, tol):
+    """rotation_distance(a, b) < tol, for lists of finite Python floats, by
+    the same arithmetic; it stops at the first rotation that brings every
+    angle within tol."""
+    return any(all(abs(d) < tol for d in gaps) for gaps in _aligned_gaps(a, b))
 
 
 def _primes(count):
@@ -248,7 +265,8 @@ def _moves(x, raw, wrapped):
 
 
 def _dedup(points, tol):
-    """Merge points closer than tol in rotation distance.
+    """Merge points closer than tol in rotation distance; the kept points
+    as lists of Python floats.
 
     Equal rows are collapsed to their first occurrence first: a stable
     lexsort on the angle columns makes equal rows neighbours, and a row
@@ -261,7 +279,8 @@ def _dedup(points, tol):
     a hash of cells on the gauge-fixed torus, and a lookup probes every
     cell within 2.5 tol of the point on each angle, wrapping modulo 2*pi:
     a point within tol in rotation distance (theta_1 = 0 for both) is
-    within 2 tol on every angle.
+    within 2 tol on every angle.  The cells are computed for the whole
+    batch; the scan runs on Python floats (see `_within`).
     """
     order = np.lexsort(points.T[::-1])
     ranked = points[order]
@@ -271,31 +290,28 @@ def _dedup(points, tol):
     cells = max(1, int(TWO_PI / (16.0 * tol)))  # per angle
     width = TWO_PI / cells
     reach = 2.5 * tol
-    found, full, keys = [], [], []
+    full, keys = [], []  # kept points with theta_1 = 0 prepended, their cells
     bucket = {}
-    for x, cell, lo, hi in zip(points,
+    for x, cell, lo, hi in zip(points.tolist(),
                                (np.floor(points / width) % cells).astype(np.int64).tolist(),
                                np.floor((points - reach) / width).astype(np.int64).tolist(),
                                np.floor((points + reach) / width).astype(np.int64).tolist()):
         cell = tuple(cell)
         near = sorted({k for probe in itertools.product(*map(range, lo, [h + 1 for h in hi]))
                        for k in bucket.get(tuple(c % cells for c in probe), ())})
-        fx = np.concatenate(([0.0], x))
-        close = np.flatnonzero(_rotation_distances(fx, [full[k] for k in near]) < tol) \
-            if near else ()
-        if len(close):
-            k = near[close[0]]
-            if tuple(x) >= tuple(found[k]):
+        fx = [0.0] + x
+        k = next((k for k in near if _within(fx, full[k], tol)), None)
+        if k is not None:
+            if fx >= full[k]:
                 continue
             bucket[keys[k]].remove(k)
-            found[k], full[k], keys[k] = x, fx, cell
+            full[k], keys[k] = fx, cell
         else:
-            k = len(found)
-            found.append(x)
+            k = len(full)
             full.append(fx)
             keys.append(cell)
         bucket.setdefault(cell, []).append(k)
-    return found
+    return [fx[1:] for fx in full]
 
 
 def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
@@ -310,7 +326,7 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
     start = _lattice_seeds(len(w) - 1, seeds)
     start = start[_min_gaps(_gauged(start)) >= _SEED_GAP]
     polished, ok = _polish(start, w.array, tol_grad)
-    found = sorted(_dedup(polished[ok], _DEDUP_TOL), key=tuple)
+    found = sorted(_dedup(polished[ok], _DEDUP_TOL))
     theta = _gauged(np.reshape(found, (len(found), len(w) - 1)))
     reports = _classify(_pair_table(theta.T), w.array, 10.0 * tol_grad, tol_zero)
     keep = [k for k, report in enumerate(reports) if report is not None]
@@ -327,33 +343,42 @@ _ROUNDING_MARGIN = 0.01
 
 
 def _family_keys(theta, mu, tol):
-    """Canonical keys of a weighted configuration on the circle.
+    """Canonical keys of weighted configurations on the circle, one set
+    per row of the (K, N) angle array theta.
 
     The key is the cyclic sequence of (weight, gap) in circle order, with
     gaps in whole units of tol, least over the N rotations of the
     sequence and of its reflection (the least circular shift, Booth
     1980).  It is the same for every image under relabeling of equal
     weights, reflection and rotation.  A gap near a rounding boundary is
-    rounded both ways, so this returns a set of keys: configurations
-    whose sets meet are images of each other.
+    rounded both ways, so each row gets a set of keys: configurations
+    whose sets meet are images of each other.  The circle order, the gaps
+    and their rounding are computed for the whole batch; each row's keys
+    are built from Python lists.
     """
     theta = np.asarray(theta, dtype=float) % TWO_PI
-    order = np.argsort(theta, kind="stable")
-    weights = [mu[i] for i in order]
-    q = np.diff(theta[order], append=theta[order[0]] + TWO_PI) / tol
+    order = np.argsort(theta, axis=1, kind="stable")
+    ranked = np.take_along_axis(theta, order, axis=1)
+    q = np.diff(ranked, axis=1, append=ranked[:, :1] + TWO_PI) / tol
     nearest = np.rint(q)
     off = q - nearest
-    choices = [(int(r), int(r + np.sign(o))) if abs(o) > 0.5 - _ROUNDING_MARGIN
-               else (int(r),)
-               for r, o in zip(nearest, off)]
-    n = len(weights)
-    keys = set()
-    for gaps in itertools.product(*choices):
-        seq = list(zip(weights, gaps))
-        # reflected, circle order reverses and each vortex takes the gap before it
-        mirror = [(weights[n - 1 - k], gaps[(n - 2 - k) % n]) for k in range(n)]
-        keys.add(min(tuple(s[k:] + s[:k]) for s in (seq, mirror) for k in range(n)))
-    return keys
+    twice = np.abs(off) > 0.5 - _ROUNDING_MARGIN
+    n = theta.shape[1]
+    out = []
+    for row, near, other, both in zip(order.tolist(),
+                                      nearest.astype(np.int64).tolist(),
+                                      (nearest + np.sign(off)).astype(np.int64).tolist(),
+                                      twice.tolist()):
+        weights = [mu[i] for i in row]
+        choices = [(r, o) if b else (r,) for r, o, b in zip(near, other, both)]
+        keys = set()
+        for gaps in itertools.product(*choices):
+            seq = list(zip(weights, gaps))
+            # reflected, circle order reverses and each vortex takes the gap before it
+            mirror = [(weights[n - 1 - k], gaps[(n - 2 - k) % n]) for k in range(n)]
+            keys.add(min(tuple(s[k:] + s[:k]) for s in (seq, mirror) for k in range(n)))
+        out.append(keys)
+    return out
 
 
 def group_into_families(point_set):
@@ -364,11 +389,9 @@ def group_into_families(point_set):
     the other up to rotation.  Families come in order of their first
     member, each as a sorted tuple of point indices.
     """
-    mu = point_set.mu.mu
     family_of = {}
     families = []
-    for i, theta in enumerate(point_set.theta):
-        keys = _family_keys(theta, mu, _FAMILY_TOL)
+    for i, keys in enumerate(_family_keys(point_set.theta, point_set.mu.mu, _FAMILY_TOL)):
         hits = [family_of[k] for k in keys if k in family_of]
         if hits:
             fid = min(hits)
@@ -381,27 +404,55 @@ def group_into_families(point_set):
     return [tuple(members) for members in families]
 
 
+def _symmetry_mask(theta, mu, tol):
+    """(K, N) mask of the symmetry axes of the rows of the (K, N) angle
+    array theta: entry (r, i) is set when the axis through the center and
+    vortex i reflects configuration r onto itself, with the weights mu
+    (all equal if None) preserved.
+
+    Axis i maps vortex j to 2 theta_i - theta_j.  One pass per axis marks
+    the candidates of each j: every k of equal weight whose angle is
+    within tol of the image of j.  A row where each j has exactly one
+    candidate is symmetric when the candidates are distinct.  A row where
+    some j has two or more gives each j in turn its first unused
+    candidate, and is symmetric when every j gets one.  The temporaries
+    are (K, N, N).
+    """
+    theta = np.asarray(theta, dtype=float)
+    count, n = theta.shape
+    same = None if mu is None else np.array([[a == b for b in mu] for a in mu], dtype=bool)
+    mask = np.zeros((count, n), dtype=bool)
+    for i in range(n):
+        reflected = (2.0 * theta[:, i:i + 1] - theta) % TWO_PI
+        d = reflected[:, :, None] - theta[:, None, :]  # image of j minus vortex k
+        d += np.pi
+        d %= TWO_PI
+        d -= np.pi
+        np.abs(d, out=d)
+        cand = d < tol
+        del d
+        if same is not None:
+            cand &= same
+        per_image = cand.sum(axis=2)
+        single = (per_image == 1).all(axis=1)
+        mask[single, i] = (cand[single].sum(axis=1) == 1).all(axis=1)
+        for r in np.flatnonzero(~single & (per_image > 0).all(axis=1)).tolist():
+            used = set()
+            for row in cand[r].tolist():
+                k = next((k for k, c in enumerate(row) if c and k not in used), None)
+                if k is None:
+                    break
+                used.add(k)
+            else:
+                mask[r, i] = True
+    return mask
+
+
 def symmetry_axes(theta, mu=None, tol=1e-8):
     """Vortices (0-based) whose axis through the center reflects the
     configuration at the angles theta onto itself with weights preserved."""
-    theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    mu = tuple(mu) if mu is not None else (1.0,) * n
-    axes = []
-    for i in range(n):
-        reflected = (2.0 * theta[i] - theta) % TWO_PI
-        used = set()
-        for j in range(n):
-            # the first unused vortex of equal weight at the image of vortex j
-            match = next((k for k in range(n) if k not in used and mu[k] == mu[j]
-                          and abs((reflected[j] - theta[k] + np.pi) % TWO_PI - np.pi) < tol),
-                         None)
-            if match is None:
-                break
-            used.add(match)
-        else:
-            axes.append(i)
-    return tuple(axes)
+    axes = _symmetry_mask(np.asarray(theta, dtype=float)[None], mu, tol)[0]
+    return tuple(i for i, axis in enumerate(axes.tolist()) if axis)
 
 
 def symmetry_check(theta, mu=None, tol=1e-8):
@@ -411,15 +462,20 @@ def symmetry_check(theta, mu=None, tol=1e-8):
 
 
 def export_critical_points(point_set, families):
-    """JSON-ready record of a critical point set with family labels."""
+    """JSON-ready record of a critical point set with family labels.
+
+    A point is "symmetric" when an axis through the center and one of its
+    vortices reflects its angles onto themselves within 1e-6 radians,
+    weights ignored."""
     family_of = {m: fid for fid, members in enumerate(families) for m in members}
+    symmetric = _symmetry_mask(point_set.theta, None, 1e-6).any(axis=1).tolist()
     records = []
     for idx, (theta, report) in enumerate(zip(point_set.theta.tolist(), point_set.reports)):
         rec = {
             "angles": theta,
             "mu": list(point_set.mu.mu),
             "family": family_of.get(idx),
-            "symmetric": symmetry_check(theta, tol=1e-6),
+            "symmetric": symmetric[idx],
         }
         rec.update(report.to_dict())
         records.append(rec)

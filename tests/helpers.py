@@ -637,6 +637,29 @@ def reference_group_into_families(point_set, family_tol=1e-6):
     return families
 
 
+def reference_symmetry_axes(theta, mu=None, tol=1e-8):
+    """Axes i whose reflection theta_j -> 2 theta_i - theta_j gives each
+    vortex j in turn the first unused vortex of equal weight within tol
+    of its image, one point at a time."""
+    theta = np.asarray(theta, dtype=float)
+    n = len(theta)
+    mu = tuple(mu) if mu is not None else (1.0,) * n
+    axes = []
+    for i in range(n):
+        reflected = (2.0 * theta[i] - theta) % _TWO_PI
+        used = set()
+        for j in range(n):
+            match = next((k for k in range(n) if k not in used and mu[k] == mu[j]
+                          and abs((reflected[j] - theta[k] + np.pi) % _TWO_PI - np.pi) < tol),
+                         None)
+            if match is None:
+                break
+            used.add(match)
+        else:
+            axes.append(i)
+    return tuple(axes)
+
+
 # -- rotating-frame residual and Jacobian, one vortex pair at a time -----------
 #
 # The hand-expanded formulas the library used before it took both from the

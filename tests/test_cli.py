@@ -910,6 +910,17 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
       "--radii", "1,,1,1"], "empty entry in --radii list '1,,1,1'"),
     # a negative list with an empty entry is not joined to its flag
     (["certify", "--mu", "-1,,3"], "argument --mu: expected one argument"),
+    # the search tolerances are relative to the weight scale: at 1 or more
+    # --tol-grad took non-critical points and --tol-zero-eig called every
+    # point degenerate
+    (["find", "--mu=1,2,3", "--tol-grad", "1"], "argument --tol-grad: must be below 1"),
+    (["find", "--mu=1,2,3", "--tol-grad=1e3"], "argument --tol-grad: must be below 1"),
+    (["find", "--mu=1,2,3", "--tol-zero-eig", "1"],
+     "argument --tol-zero-eig: must be below 1"),
+    (["continue", "--mu=1,2,3", "--select", "stable", "--eps", "0.01", "--tol-grad", "1"],
+     "argument --tol-grad: must be below 1"),
+    (["continue", "--mu=1,2,3", "--point-index", "0", "--eps", "0.01",
+      "--tol-zero-eig", "2"], "argument --tol-zero-eig: must be below 1"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import time
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from helpers import (
     reference_find_all_critical_points,
     reference_group_into_families,
     reference_lattice_seeds,
+    reference_rotation_distances,
+    reference_symmetry_axes,
     reference_wrapped_polish,
     seeded,
 )
@@ -43,6 +47,8 @@ from vortexre.search import (
     _min_gaps,
     _newton_steps,
     _polish,
+    _symmetry_mask,
+    _within,
     export_critical_points,
     find_all_critical_points,
     group_into_families,
@@ -143,6 +149,12 @@ def test_rotation_distance_behaviour():
     # symmetric in its arguments
     other = (0.1, 1.4, 3.0)
     assert rotation_distance(base, other) == pytest.approx(rotation_distance(other, base))
+    # a power of two keeps every step exact: a distance of exactly tol is
+    # not within tol
+    tol = 2.0 ** -20
+    assert rotation_distance([0.0, 0.0], [0.0, tol]) == tol
+    assert not _within([0.0, 0.0], [0.0, tol], tol)
+    assert _within([0.0, 0.0], [0.0, tol], 2 * tol)
 
 
 def test_symmetry_detection():
@@ -157,6 +169,113 @@ def test_symmetry_respects_weights():
     # geometrically symmetric, but the reflection must also preserve weights
     assert symmetry_check(iso, mu=(5, 1, 1))
     assert not symmetry_check(iso, mu=(5, 1, 2))
+
+
+def _rotated_pair(rng, n, distance):
+    """Angles a and an image b of a under a random rotation, with one
+    vortex of b moved by `distance`; about half of them straddle 0."""
+    if rng.random() < 0.5:
+        a = [rng.uniform(0.0, 2 * math.pi) for _ in range(n)]
+    else:
+        a = [rng.choice((1, -1)) * rng.uniform(0.0, 3e-6) % (2 * math.pi)
+             for _ in range(n)]
+    c = rng.choice((rng.uniform(0.0, 2 * math.pi), 2 * math.pi - 1e-7, 1e-7))
+    b = [(t + c) % (2 * math.pi) for t in a]
+    k = rng.randrange(n)
+    b[k] = (b[k] + rng.choice((1, -1)) * distance) % (2 * math.pi)
+    return a, b
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scalar_rotation_distance_equals_the_array_reference(n):
+    # pairs on either side of tol by 1e-12 of it, so the comparison turns
+    # on the last bits of the wrapped differences, and pairs that cross
+    # the wrap at 0 = 2*pi
+    rng = seeded(40 + n)
+    tol = 1e-6
+    hits = 0
+    for _ in range(400):
+        distance = tol * (1.0 + rng.choice((1, -1)) * 1e-12 * rng.random())
+        a, b = _rotated_pair(rng, n, distance)
+        want = reference_rotation_distances(a, b)[0]
+        assert _within(a, b, tol) == (want < tol)
+        assert rotation_distance(a, b) == want
+        hits += want < tol
+    assert 0 < hits < 400
+
+
+@pytest.mark.parametrize("mu,seeds", [((1, 1, 1), 256), ((2, -1, 3), 256),
+                                      ((1, 2, 3, 4), 256), ((1,) * 5, 256),
+                                      ((1,) * 6, 256)])
+def test_symmetry_mask_equals_the_per_point_reference_on_catalogues(mu, seeds):
+    found = find_all_critical_points(mu, seeds=seeds)
+    symmetric = 0
+    for weights, tol in ((mu, 1e-8), (None, 1e-6), (mu, 1e-6)):
+        mask = _symmetry_mask(found.theta, weights, tol)
+        assert mask.shape == found.theta.shape
+        for row, theta in zip(mask.tolist(), found.theta):
+            axes = reference_symmetry_axes(theta, weights, tol)
+            assert tuple(i for i, axis in enumerate(row) if axis) == axes
+            assert symmetry_axes(theta, weights, tol) == axes
+            symmetric += bool(axes)
+    assert symmetric or len(set(mu)) == len(mu)  # equal weights give symmetric points
+
+
+def test_symmetry_mask_equals_the_per_point_reference_on_built_cases():
+    tol = 1e-6
+    t = 2 * math.pi
+    rows = [
+        # vortices 1 and 2 closer than 2 tol: some images have two
+        # candidates, and the first unused one is taken
+        (0.0, 1.0, 1.0 + 0.6 * tol, t - 1.0 - 0.3 * tol, t - 1.0 + 0.6 * tol),
+        (0.0, 1.0, 1.0 + 0.5 * tol, t - 1.0, t - 1.0 - 0.5 * tol),
+        (0.0, 2.0, 2.0 + 1.5 * tol, 4.0, 4.0 - 0.2 * tol),
+        # the images of vortices 1 and 2 each have the one candidate 3, and
+        # 3's image only 1: rounding makes "within tol" one-sided here
+        (4.891099201051372, 0.9186617148314635, 0.9186626171700718, 2.580351477753086),
+        # at the wrap, and outside [0, 2*pi)
+        (t - 1e-9, 1.0, t - 1.0 - 2e-9),
+        (-1.0, 1.0, 0.0),
+        (1e-9, t - 1e-9, math.pi),
+        (0.0, 2 * t + 1.0, -1.0 - 3 * t),
+    ]
+    rng = seeded(11)
+    for _ in range(200):
+        # mirror pairs about a random axis, jittered by about tol
+        axis = rng.uniform(0.0, t)
+        half = [rng.uniform(0.0, math.pi) for _ in range(2)]
+        angles = [axis] + [axis + s * h for h in half for s in (1, -1)]
+        angles += [angles[1] + rng.uniform(-2 * tol, 2 * tol)]
+        rows.append(tuple((a + rng.uniform(-tol, tol)) % t for a in angles[:5])
+                    + (angles[5],))
+    lengths = {len(row) for row in rows}
+    for n in lengths:
+        theta = np.array([row for row in rows if len(row) == n])
+        for weights in (None, (1,) * n, (2,) + (1,) * (n - 1), tuple(range(n))):
+            mask = _symmetry_mask(theta, weights, tol)
+            for got, row in zip(mask.tolist(), theta):
+                assert tuple(i for i, axis in enumerate(got) if axis) == \
+                    reference_symmetry_axes(row, weights, tol)
+    # the greedy rule is what it was: taking vortex 3 first for vortex 1
+    # leaves vortex 2 no partner, though 4 would have served vortex 1
+    assert symmetry_axes(rows[0], tol=tol) == ()
+    assert symmetry_axes(rows[1], tol=tol) == (0,)
+    assert symmetry_axes(rows[3], tol=tol) == ()
+    # equal geometry, unequal weights: only the weight-preserving axis
+    iso = np.array([(0.0, 1.0, t - 1.0), (1.0, 0.0, 2.0)])
+    assert _symmetry_mask(iso, None, tol).tolist() == [[True, False, False],
+                                                       [True, False, False]]
+    assert not _symmetry_mask(iso, (5, 1, 2), tol).any()
+    assert symmetry_axes((t - 1e-9, 1.0, t - 1.0 - 2e-9)) == (0,)
+
+
+def test_symmetry_mask_and_export_of_an_empty_catalogue():
+    assert _symmetry_mask(np.zeros((0, 5)), None, 1e-6).shape == (0, 5)
+    assert _symmetry_mask(np.zeros((0, 3)), (1, 2, 3), 1e-6).shape == (0, 3)
+    empty = CriticalPointSet(theta=np.zeros((0, 4)), reports=(),
+                             mu=CirculationWeights((1, 1, 1, 1)))
+    out = export_critical_points(empty, group_into_families(empty))
+    assert (out["count"], out["family_count"], out["points"]) == (0, 0, [])
 
 
 def test_equal_weight_points_all_symmetric(equal_weights):
@@ -474,3 +593,29 @@ def test_families_at_eight_equal_weights_are_fast():
     families = group_into_families(found)
     assert time.perf_counter() - start < 1.0
     assert sorted(i for fam in families for i in fam) == list(range(len(found)))
+    start = time.perf_counter()
+    export_critical_points(found, families)
+    assert time.perf_counter() - start < 1.0
+    polished, ok = _polish(_search_seeds(7, 256), np.ones(8), 1e-10)
+    start = time.perf_counter()
+    assert len(_dedup(polished[ok], 1e-6)) >= len(found)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_export_of_a_large_catalogue_builds_no_cubic_temporary():
+    # the symmetry flags hold (K, N, N) arrays; one (K, N, N, N) float
+    # array alone would take 82 MB here
+    count, n = 20_000, 8
+    theta = np.random.default_rng(3).uniform(0.0, TWO_PI, (count, n))
+    theta[:, 0] = 0.0
+    report = types.SimpleNamespace(to_dict=dict)
+    point_set = CriticalPointSet(theta=theta, reports=(report,) * count,
+                                 mu=CirculationWeights((1,) * n))
+    tracemalloc.start()
+    try:
+        out = export_critical_points(point_set, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["count"] == count
+    assert peak < count * n ** 3 * 8 / 2
