@@ -47,11 +47,9 @@ _LAZY = {
     "potential_gradient": "potential",
     "potential_hessian": "potential",
     "potential_value": "potential",
-    "weighted_hessian": "potential",
     "CriticalPointSet": "search",
     "find_all_critical_points": "search",
     "group_into_families": "search",
-    "symmetry_check": "search",
 }
 
 

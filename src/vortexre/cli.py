@@ -102,6 +102,8 @@ _relative_tol = _bounded(float, 0.0, strict=True, below=1)
 _finite_float = _bounded(float, -math.inf, strict=True)
 # the integrator's relative tolerance is at least 100 machine epsilons
 _rtol = _bounded(float, 100 * sys.float_info.epsilon)
+# simulate integrates to 2*pi*periods, which must be finite
+_periods = _bounded(float, 0.0, strict=True, below=sys.float_info.max / (2.0 * math.pi))
 
 
 def _parse_weights(text):
@@ -482,7 +484,10 @@ def cmd_plot(args):
     from vortexre.plotting import render_configuration_svg
 
     record = _load_plot_record(args.config, args.index)
-    svg = render_configuration_svg(record)
+    try:
+        svg = render_configuration_svg(record)
+    except CirculationError as exc:
+        raise UsageError(str(exc)) from None
     _write_file(args.out or (args.config.rsplit(".", 1)[0] + ".svg"), svg)
     return 0
 
@@ -745,7 +750,7 @@ def build_parser():
     p.add_argument("--radii", help="weak-vortex radii (default all 1)")
     p.add_argument("--polish", action="store_true",
                    help="Newton-polish the start before integrating")
-    p.add_argument("--periods", type=_positive_float, default=1.0)
+    p.add_argument("--periods", type=_periods, default=1.0)
     p.add_argument("--rtol", type=_rtol, default=1e-10,
                    help="relative and absolute tolerance of the integrator, "
                         "at least 100 machine epsilons")

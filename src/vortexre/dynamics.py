@@ -18,16 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexre.errors import (CirculationError, CollisionError, ConvergenceError,
-                             NotACriticalPointError)
+from vortexre.errors import (CIRCULATION_NOISE, CirculationError, CollisionError,
+                             ConvergenceError, NotACriticalPointError)
 from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _MIN_SEP = 1e-12
-# Where 1 + eps*sum(mu) is 0, its computed value is within a few units of
-# roundoff u of 1 + |eps|*sum|mu| (2.5 u at worst at eps = -1/sum(mu), over
-# equal weights of up to 39 entries and random mixed ones); up to 4 u it is 0.
-_CIRCULATION_NOISE = 4.0 * np.finfo(float).eps / 2.0
 
 
 def _perp(v):
@@ -146,6 +142,8 @@ def integrate_vortices(q, g, t_final, tol):
     y = np.asarray(q, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("integration needs a finite initial state")
+    if not math.isfinite(t_final):
+        raise ValueError(f"integration needs a finite end time, got {t_final}")
     if not tol >= 0.0:
         raise ValueError(f"integration needs a tolerance of at least 0, got {tol}")
 
@@ -258,7 +256,7 @@ def _total_circulation(gamma):
     which the center of vorticity and the reduced symplectic form divide by.
     A total that is 0 up to rounding raises CirculationError."""
     total = 1.0 + gamma.sum(axis=-1)
-    if (np.abs(total) <= _CIRCULATION_NOISE * (1.0 + np.abs(gamma).sum(axis=-1))).any():
+    if (np.abs(total) <= CIRCULATION_NOISE * (1.0 + np.abs(gamma).sum(axis=-1))).any():
         raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
                                "there is no center of vorticity")
     return total

@@ -249,14 +249,3 @@ def back_transform(roots):
                     f"roots {a + 2} and {b + 2} coincide: vortices collide"
                 )
     return (0.0,) + tuple((math.pi - 2.0 * math.atan(r)) % (2.0 * math.pi) for r in roots)
-
-
-def half_angle_coordinates(theta):
-    """Half-angle coordinates (r_2,...,r_N) of gauge-fixed angles theta."""
-    out = []
-    for t in theta[1:]:
-        t = t % (2.0 * math.pi)
-        if t == 0.0:
-            raise CollisionError("vortex coincides with vortex 1 (theta = 0)")
-        out.append(math.cos(t / 2.0) / math.sin(t / 2.0))
-    return tuple(out)

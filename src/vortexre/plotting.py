@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from vortexre.errors import CIRCULATION_NOISE, CirculationError
+
 CANVAS = 420
 CENTER = CANVAS / 2.0
 UNIT_RADIUS = 150.0
@@ -43,6 +45,10 @@ def _strong_offset(record, positions):
     mu = [float(m) for m in record.get("mu", [1.0] * len(positions))]
     gamma = [eps * m for m in mu]
     total = 1.0 + sum(gamma)
+    # the zero rule of vortexre.dynamics._total_circulation, without numpy
+    if abs(total) <= CIRCULATION_NOISE * (1.0 + sum(map(abs, gamma))):
+        raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
+                               "there is no center of vorticity")
     x0 = -sum(g * p[0] for g, p in zip(gamma, positions)) / total
     y0 = -sum(g * p[1] for g, p in zip(gamma, positions)) / total
     return x0, y0

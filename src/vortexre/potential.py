@@ -265,12 +265,6 @@ def potential_hessian(theta, mu):
     return H[0] if single else H
 
 
-def weighted_hessian(theta, mu):
-    """diag(1/mu) times the Hessian; the stability operator."""
-    w = _weights(mu)
-    return potential_hessian(theta, mu) / w[:, None]
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Spectral data and verdict for one critical point."""

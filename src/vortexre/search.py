@@ -16,7 +16,7 @@ batch.  The polish backtracks through its step halvings four at a time.
 
 The catalogue stages after the polish make no numpy call per point.
 Dedup takes its hash cells from one array pass and scans on Python
-floats, with the arithmetic of `rotation_distance`.  The family keys
+floats, testing rotation distance with `_within`.  The family keys
 take the circle order and the rounded gaps of every point from one
 array pass and build each key from Python lists.  The symmetry axes of
 a whole catalogue come from one pass per axis over (K, N, N) arrays.
@@ -71,31 +71,14 @@ class CriticalPointSet:
         return len(self.reports)
 
 
-def _aligned_gaps(a, b):
-    """For each candidate rotation c = b_i - a_i, which aligns vortex i,
-    the angle differences a_j - b_j + c of every vortex j wrapped into
-    [-pi, pi), lazily; a and b are sequences of Python floats."""
-    for ai, bi in zip(a, b):
-        c = bi - ai
-        yield ((aj - bj + c + math.pi) % TWO_PI - math.pi for aj, bj in zip(a, b))
-
-
-def rotation_distance(a, b):
-    """min over rotations c of the infinity-norm angle distance (mod 2*pi).
-
-    The minimizing rotation aligns one pair of components exactly, so it
-    is enough to scan the candidate shifts b_i - a_i.  Angles are finite.
-    """
-    a = [float(t) for t in a]
-    b = [float(t) for t in b]
-    return min(max(map(abs, gaps)) for gaps in _aligned_gaps(a, b))
-
-
 def _within(a, b, tol):
-    """rotation_distance(a, b) < tol, for lists of finite Python floats, by
-    the same arithmetic; it stops at the first rotation that brings every
-    angle within tol."""
-    return any(all(abs(d) < tol for d in gaps) for gaps in _aligned_gaps(a, b))
+    """True when the rotation distance of the angle lists a and b is below
+    tol: for some rotation c = b_i - a_i, which aligns vortex i, every
+    difference a_j - b_j + c wrapped into [-pi, pi) is within tol.  The
+    angles are finite Python floats; the scan stops at the first such c."""
+    return any(all(abs((aj - bj + c + math.pi) % TWO_PI - math.pi) < tol
+                   for aj, bj in zip(a, b))
+               for c in (bi - ai for ai, bi in zip(a, b)))
 
 
 def _primes(count):
@@ -404,23 +387,20 @@ def group_into_families(point_set):
     return [tuple(members) for members in families]
 
 
-def _symmetry_mask(theta, mu, tol):
+def _symmetry_mask(theta, tol):
     """(K, N) mask of the symmetry axes of the rows of the (K, N) angle
     array theta: entry (r, i) is set when the axis through the center and
-    vortex i reflects configuration r onto itself, with the weights mu
-    (all equal if None) preserved.
+    vortex i reflects configuration r onto itself, weights ignored.
 
     Axis i maps vortex j to 2 theta_i - theta_j.  One pass per axis marks
-    the candidates of each j: every k of equal weight whose angle is
-    within tol of the image of j.  A row where each j has exactly one
-    candidate is symmetric when the candidates are distinct.  A row where
-    some j has two or more gives each j in turn its first unused
-    candidate, and is symmetric when every j gets one.  The temporaries
-    are (K, N, N).
+    the candidates of each j: every k whose angle is within tol of the
+    image of j.  A row where each j has exactly one candidate is
+    symmetric when the candidates are distinct.  A row where some j has
+    two or more gives each j in turn its first unused candidate, and is
+    symmetric when every j gets one.  The temporaries are (K, N, N).
     """
     theta = np.asarray(theta, dtype=float)
     count, n = theta.shape
-    same = None if mu is None else np.array([[a == b for b in mu] for a in mu], dtype=bool)
     mask = np.zeros((count, n), dtype=bool)
     for i in range(n):
         reflected = (2.0 * theta[:, i:i + 1] - theta) % TWO_PI
@@ -431,8 +411,6 @@ def _symmetry_mask(theta, mu, tol):
         np.abs(d, out=d)
         cand = d < tol
         del d
-        if same is not None:
-            cand &= same
         per_image = cand.sum(axis=2)
         single = (per_image == 1).all(axis=1)
         mask[single, i] = (cand[single].sum(axis=1) == 1).all(axis=1)
@@ -448,19 +426,6 @@ def _symmetry_mask(theta, mu, tol):
     return mask
 
 
-def symmetry_axes(theta, mu=None, tol=1e-8):
-    """Vortices (0-based) whose axis through the center reflects the
-    configuration at the angles theta onto itself with weights preserved."""
-    axes = _symmetry_mask(np.asarray(theta, dtype=float)[None], mu, tol)[0]
-    return tuple(i for i, axis in enumerate(axes.tolist()) if axis)
-
-
-def symmetry_check(theta, mu=None, tol=1e-8):
-    """True when some axis through the center and one vortex is a
-    reflection symmetry of the weighted configuration."""
-    return bool(symmetry_axes(theta, mu, tol))
-
-
 def export_critical_points(point_set, families):
     """JSON-ready record of a critical point set with family labels.
 
@@ -468,7 +433,7 @@ def export_critical_points(point_set, families):
     vortices reflects its angles onto themselves within 1e-6 radians,
     weights ignored."""
     family_of = {m: fid for fid, members in enumerate(families) for m in members}
-    symmetric = _symmetry_mask(point_set.theta, None, 1e-6).any(axis=1).tolist()
+    symmetric = _symmetry_mask(point_set.theta, 1e-6).any(axis=1).tolist()
     records = []
     for idx, (theta, report) in enumerate(zip(point_set.theta.tolist(), point_set.reports)):
         rec = {

@@ -660,6 +660,12 @@ def reference_symmetry_axes(theta, mu=None, tol=1e-8):
     return tuple(axes)
 
 
+def reference_half_angle_coordinates(theta):
+    """Cotangent coordinates r_i = cot(theta_i / 2), i = 2..N, of angles
+    with theta_1 = 0: the inverse of vortexre.halfangle.back_transform."""
+    return tuple(math.cos(t / 2.0) / math.sin(t / 2.0) for t in theta[1:])
+
+
 # -- rotating-frame residual and Jacobian, one vortex pair at a time -----------
 #
 # The hand-expanded formulas the library used before it took both from the

@@ -13,6 +13,7 @@ from helpers import (
     is_groebner_basis,
     random_multipoly,
     reference_primitive_part,
+    reference_symmetry_axes,
     seeded,
     squarefree_distinct_complex_roots,
     sturm_distinct_real_roots,
@@ -39,7 +40,7 @@ from vortexre.potential import (
     potential_value,
     potential_hessian,
 )
-from vortexre.search import find_all_critical_points, group_into_families, symmetry_axes
+from vortexre.search import find_all_critical_points, group_into_families
 
 WEIGHTS = ((1, 1, 1), (2, 1, 9), (2, -1, 3), (-1, -3, 10))
 
@@ -115,7 +116,7 @@ def test_criterion_2_equal_weight_families(capsys, found):
         fam_targets = set()
         for idx in fam:
             theta, report = pts.theta[idx], pts.reports[idx]
-            axes = symmetry_axes(theta, mu)
+            axes = reference_symmetry_axes(theta, mu)
             if not axes:
                 failures.append(f"point {idx} has no symmetry axis")
                 continue
@@ -155,8 +156,7 @@ def test_criterion_3_asymmetric_counts(capsys, certified, found):
         pts = found[mu]
         if len(pts) != want:
             failures.append(f"found {mu}: {len(pts)} != {want}")
-        weights = CirculationWeights(mu)
-        bad = [i for i, theta in enumerate(pts.theta) if symmetry_axes(theta, weights)]
+        bad = [i for i, theta in enumerate(pts.theta) if reference_symmetry_axes(theta, mu)]
         if bad:
             failures.append(f"{mu}: points {bad} flagged symmetric")
     _emit(capsys, 3, "asymmetric weight-vector counts", failures)
@@ -225,7 +225,7 @@ def test_criterion_6_continuation_of_stable_saddle(capsys, found):
         if report.verdict != "stable":
             failures.append(f"eps={eps}: spectrum verdict {report.verdict}")
         angles = rec.config.angles
-        if symmetry_axes(angles - angles[0], mu):
+        if reference_symmetry_axes(angles - angles[0], mu):
             failures.append(f"eps={eps}: configuration is symmetric")
     drift = trace.max_radial_drift()
     halved = continue_family(start, mu, eps_max=0.1, step=0.0025).max_radial_drift()

@@ -10,12 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ZERO_SUM_SADDLES
+from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes
 from vortexre import cli
 from vortexre.cli import build_parser, main
 from vortexre.groebner import GroebnerBasis
 from vortexre.polynomials import MonomialOrder, PolynomialRing
-from vortexre.search import symmetry_axes
 
 
 def run(capsys, *argv):
@@ -147,7 +146,7 @@ _SYMMETRY_CASE_AXES = {"1": ((0, 1, -1), 1), "2": ((0, 1, 2), 2), "3": ((0, 2, 1
 @pytest.mark.parametrize("case", _SYMMETRY_CASE_AXES)
 def test_symmetry_case_condition_equates_the_reflected_pair(capsys, case):
     multiples, axis = _SYMMETRY_CASE_AXES[case]
-    assert symmetry_axes([0.7 * k for k in multiples]) == (axis - 1,)
+    assert reference_symmetry_axes([0.7 * k for k in multiples]) == (axis - 1,)
     a, b = sorted({1, 2, 3} - {axis})
     ring = PolynomialRing(("r", "mu1", "mu2", "mu3"), MonomialOrder.elimination(1))
     want = ring.parse(f"mu1*mu2*mu3*mu{a} - mu1*mu2*mu3*mu{b}")
@@ -493,6 +492,23 @@ def test_plot_rejects_a_malformed_record(capsys, tmp_path, record, key):
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize("mu,eps", [
+    ([-0.5, -0.5], 1),
+    # 1 + eps*sum(mu) comes out about 1e-16 here, 0 up to rounding
+    ([-0.3] * 5, 0.6666666666666666),
+])
+def test_plot_refuses_a_zero_total_circulation(capsys, tmp_path, mu, eps):
+    # without z0 the strong vortex sits at the center of vorticity, which
+    # divides by the total circulation
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"angles": [float(k) for k in range(len(mu))],
+                               "mu": mu, "epsilon": eps}))
+    code, out, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "bad.svg"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: total circulation 1 + eps*sum(mu) is 0")
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_plot_index_out_of_range(capsys, tmp_path):
     points = tmp_path / "points.json"
     run(
@@ -819,6 +835,8 @@ def test_calls_after_a_bad_flag_print_what_a_fresh_interpreter_prints(capsys):
     ["continue", "--polygon", "3", "--mu", "1", "--eps", "-0.1"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "0"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "-1"],
+    # 2*pi*periods overflowed to inf, and the integration never ended
+    ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--periods", "1e308"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol", "0"],
     ["simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05", "--rtol=-1e-9"],
     # below 100 machine epsilons the integrator would raise rtol itself

@@ -153,6 +153,16 @@ def test_integration_refuses_a_negative_tolerance_or_a_non_finite_start():
         integrate_vortices(q, g, 1.0, 1e-9)
 
 
+@pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
+def test_integration_refuses_a_non_finite_end_time(t_final):
+    # toward an infinite end the loop's "not there yet" test held at every
+    # finite time, so the run never ended
+    q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
+    g = np.array((1.0, 2.0, -0.5))
+    with pytest.raises(ValueError, match="finite end time"):
+        integrate_vortices(q, g, t_final, 1e-9)
+
+
 def test_integration_ends_mid_step_on_the_span():
     q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
     g = np.array((1.0, 2.0, -0.5))

@@ -21,7 +21,6 @@ from vortexre.potential import (
     potential_gradient,
     potential_hessian,
     potential_value,
-    weighted_hessian,
 )
 
 EQUILATERAL = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
@@ -131,16 +130,6 @@ def test_hessian_pair_values():
         H = potential_hessian((0.0, phi), (1, 1))
         assert H[0, 1] == pytest.approx(expected, abs=1e-12)
         assert H[0, 0] == pytest.approx(-expected, abs=1e-12)
-
-
-def test_weighted_hessian_divides_rows_by_weights():
-    rng = seeded(58)
-    theta = random_config(rng, 3)
-    mu = (2.0, -1.0, 3.0)
-    H = potential_hessian(theta, mu)
-    W = weighted_hessian(theta, mu)
-    for i in range(3):
-        assert np.abs(W[i] - H[i] / mu[i]).max() < 1e-12
 
 
 def test_relabeling_equivariance():
