@@ -368,15 +368,13 @@ def _select_start(args, mu):
     return points.theta[0]
 
 
-def _snapshot_schedule(args, base):
+def _snapshot_schedule(args, base, walk):
     """[(SVG path, schedule eps)] for each --snapshots value.
 
-    The schedule is eps = 0 (the start) and the steps of the walk.  The
+    The schedule is eps = 0 (the start) and the couplings of the walk.  The
     path is base_eps<eps as given>.svg, and base_eps0.svg for the start.
     """
-    from vortexre.dynamics import _epsilon_schedule
-
-    schedule = [0.0] + _epsilon_schedule(args.eps_max, args.step)
+    schedule = [0.0] + walk
     out = []
     for eps in _parse_floats(args.snapshots, "--snapshots"):
         hit = [s for s in schedule if abs(s - eps) < 1e-9]
@@ -404,12 +402,16 @@ def _snapshot_records(trace, snapshots, start, mu):
 def cmd_continue(args):
     import numpy as np
 
-    from vortexre.dynamics import continue_family, continue_polygon
+    from vortexre.dynamics import _epsilon_schedule, continue_family, continue_polygon
     from vortexre.plotting import render_configuration_svg
     from vortexre.potential import CirculationWeights
 
+    try:  # a walk too long to keep is refused before anything is built
+        walk = _epsilon_schedule(args.eps_max, args.step)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     base = args.out.rsplit(".", 1)[0] if args.out else "trace"
-    snapshots = _snapshot_schedule(args, base) if args.snapshots else []
+    snapshots = _snapshot_schedule(args, base, walk) if args.snapshots else []
     _check_writable(args.out, *(path for path, _ in snapshots))
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--normalize",) + _SEARCH_FLAGS)
@@ -549,6 +551,26 @@ def cmd_build_system(args):
 
 # -- simulate ----------------------------------------------------------------
 
+def _planar_start(config):
+    """config.to_planar(), refusing a start that overflows: one whose
+    circulations eps*mu or squared pair distances are not finite."""
+    import numpy as np
+
+    from vortexre.dynamics import _pairs
+
+    overflow = UsageError("the start overflows: its circulations eps*mu or "
+                          "squared pair distances are not finite")
+    if not np.isfinite(config.epsilon * config.mu.array).all():
+        raise overflow
+    try:
+        q, g = config.to_planar()
+    except CirculationError as exc:
+        raise UsageError(str(exc)) from None
+    if not np.isfinite(_pairs(q)[1]).all():
+        raise overflow
+    return q, g
+
+
 def cmd_simulate(args):
     import numpy as np
 
@@ -563,30 +585,29 @@ def cmd_simulate(args):
     )
 
     _check_writable(args.out)
-    if args.polygon is not None:
-        _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
-        try:
-            config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
-        except ValueError as exc:  # no polygon at these weights and coupling
-            raise UsageError(str(exc)) from None
-    else:
-        mu = _parse_weights(args.mu)
-        if not args.start_angles:
-            raise UsageError("need --start-angles or --polygon")
-        _start_mode(args, "--start-angles without --polish",
-                    () if args.polish else ("--tol-newton",))
-        angles = _parse_floats(args.start_angles, "--start-angles")
-        if len(angles) != len(mu):
-            raise UsageError("need one start angle per weight")
-        radii = _parse_floats(args.radii, "--radii") if args.radii else [1.0] * len(mu)
-        if len(radii) != len(mu):
-            raise UsageError("need one radius per weight")
-        z = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
-        config = HelioConfig(Z=tuple(z), epsilon=args.eps, mu=mu)
-    try:
-        q, g = config.to_planar()
-    except CirculationError as exc:
-        raise UsageError(str(exc)) from None
+    # an overflow while building the start is refused by _planar_start
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.polygon is not None:
+            _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
+            try:
+                config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
+            except ValueError as exc:  # no polygon at these weights and coupling
+                raise UsageError(str(exc)) from None
+        else:
+            mu = _parse_weights(args.mu)
+            if not args.start_angles:
+                raise UsageError("need --start-angles or --polygon")
+            _start_mode(args, "--start-angles without --polish",
+                        () if args.polish else ("--tol-newton",))
+            angles = _parse_floats(args.start_angles, "--start-angles")
+            if len(angles) != len(mu):
+                raise UsageError("need one start angle per weight")
+            radii = _parse_floats(args.radii, "--radii") if args.radii else [1.0] * len(mu)
+            if len(radii) != len(mu):
+                raise UsageError("need one radius per weight")
+            z = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+            config = HelioConfig(Z=tuple(z), epsilon=args.eps, mu=mu)
+        q, g = _planar_start(config)
     if args.polish:  # --polygon refuses --polish
         config = newton_solve(config, tol=args.tol_newton)
         q, g = config.to_planar()
@@ -606,10 +627,10 @@ def cmd_simulate(args):
     ]
     print("\n".join(lines))
     if args.out:
-        rows = [["t"] + [f"{axis}{i}" for i in range(len(g)) for axis in ("x", "y")]]
-        for t, state in zip(times, states):
-            rows.append([f"{t:.9f}"] + [f"{c:.12f}" for c in state.ravel()])
-        _write_output(_csv_text(rows), args.out)
+        header = ",".join(["t"] + [f"{axis}{i}" for i in range(len(g)) for axis in ("x", "y")])
+        row = "%.9f" + ",%.12f" * (2 * len(g)) + "\n"
+        values = np.column_stack([times, states.reshape(len(times), -1)]).tolist()
+        _write_output(header + "\n" + "".join(row % tuple(v) for v in values), args.out)
     return 0
 
 

@@ -49,11 +49,48 @@ def _pairs(q):
     return diff, dist2
 
 
-def _field(diff, dist2, g):
-    """Velocities from a pair table and circulations g (see vortex_field)."""
-    weights = g[None, :] / dist2
-    weights.flat[::len(g) + 1] = 0.0
-    return _perp((weights[:, :, None] * diff).sum(axis=1))
+def _field(diff, dist2, g, out=None):
+    """Velocities from a pair table and circulations g (see vortex_field),
+    written into out, shape (n, 2), when it is given."""
+    # The weights g_j / dist2[i, j] are g_i on the diagonal, not 0, but diff
+    # is 0 there.
+    total = np.add.reduce((g / dist2)[:, :, None] * diff, axis=1)
+    if out is None:
+        out = np.empty_like(total)
+    # (x, y) -> (-y, x), a zero component +0 whatever its sign, as _perp gives it
+    np.subtract(0.0, total[:, 1], out=out[:, 0])
+    np.add(total[:, 0], 0.0, out=out[:, 1])
+    return out
+
+
+class _FieldKernel:
+    """vortex_field of the circulations g, shape (n,), with the pair table's
+    buffers kept between calls.  A call writes the velocities at the flat
+    positions y, shape (2n,), into out, shape (2n,), and returns out; diff
+    and dist2 then hold the pair table of y, as _pairs gives it.
+    """
+
+    def __init__(self, g):
+        n = len(g)
+        self.g, self.n = g, n
+        self.diff, self.dist2 = np.empty((n, n, 2)), np.empty((n, n))
+        squares = np.empty((n, n, 2))
+        self._squares = squares, squares[..., 0], squares[..., 1]
+        self._diagonal = self.dist2.reshape(-1)[::n + 1]
+
+    def __call__(self, y, out):
+        """_field(*_pairs(q), g) at q = y.reshape(n, 2), into out."""
+        n, diff, dist2 = self.n, self.diff, self.dist2
+        squares, x2, y2 = self._squares
+        np.subtract(y.reshape(n, 1, 2), y.reshape(1, n, 2), out=diff)
+        np.multiply(diff, diff, out=squares)
+        np.add(x2, y2, out=dist2)
+        self._diagonal.fill(1.0)
+        # a collision, or a NaN: _pairs names the pair
+        if not np.minimum.reduce(dist2, axis=None, initial=math.inf) > _MIN_SEP ** 2:
+            _pairs(y.reshape(n, 2))
+        _field(diff, dist2, self.g, out.reshape(n, 2))
+        return out
 
 
 def _field_jacobian(diff, dist2, g):
@@ -107,7 +144,8 @@ _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS of the flat array x, the bits of np.linalg.norm(x) / x.size ** 0.5."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(field, y, f, span, direction, rtol, atol):
@@ -118,7 +156,7 @@ def _initial_step(field, y, f, span, direction, rtol, atol):
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((field(y + h0 * direction * f) - f) / scale) / h0
+    d2 = _rms((field(y + h0 * direction * f, np.empty_like(y)) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -134,8 +172,10 @@ def integrate_vortices(q, g, t_final, tol):
     extrapolation, an RMS error norm, safety factor 0.9 and step changes
     within 0.2 to 10, the operations and steps of scipy's RK45.  tol is the
     absolute tolerance and, raised to 100 machine epsilons, the relative one.
-    Returns the accepted times and the positions at each, shape
-    (len(times), n, 2); an empty span returns its start twice, as RK45 does.
+    One field kernel serves the run, and each stage writes its field into
+    its row of the stage table.  Returns the accepted times and the
+    positions at each, shape (len(times), n, 2); an empty span returns its
+    start twice, as RK45 does.
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -147,19 +187,21 @@ def integrate_vortices(q, g, t_final, tol):
     if not tol >= 0.0:
         raise ValueError(f"integration needs a tolerance of at least 0, got {tol}")
 
-    def field(y):
-        return vortex_field(y.reshape(n, 2), g).ravel()
-
+    field = _FieldKernel(g)
     rtol, atol = max(tol, 100 * np.finfo(float).eps), tol
     direction = -1.0 if t_final < 0.0 else 1.0
-    f = field(y)
-    h_abs = _initial_step(field, y, f, abs(t_final), direction, rtol, atol)
-    K = np.empty((7, y.size))
+    K = np.empty((7, y.size))  # the stages; row 0 is the field at y
+    field(y, K[0])
+    h_abs = _initial_step(field, y, K[0], abs(t_final), direction, rtol, atol)
+    # each stage's row, the rows before it and their weights
+    stages = [(K[s], K[:s].T, a) for s, a in enumerate(_DP_A, start=1)]
+    steps, errors = K[:-1].T, K.T  # the rows the step and the error estimate take
+    abs_y = np.abs(y)
     t, times, states = 0.0, [0.0], [y]
     if t_final == 0.0:
         times, states = [0.0, 0.0], [y, y]
     while direction * (t - t_final) < 0:
-        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -171,20 +213,21 @@ def integrate_vortices(q, g, t_final, tol):
                 t_new = t_final
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, a in enumerate(_DP_A, start=1):
-                K[s] = field(y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            K[-1] = f_new = field(y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            for row, previous, a in stages:
+                field(y + np.dot(previous, a) * h, row)
+            y_new = y + h * np.dot(steps, _DP_B)
+            field(y_new, K[-1])
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            error = _rms(np.dot(errors, _DP_E) * h / scale)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.2)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t, y, abs_y = t_new, y_new, abs_new
+        K[0] = K[-1]
         times.append(t)
         states.append(y)
     return np.array(times), np.vstack(states).reshape(len(times), n, 2)
@@ -511,18 +554,42 @@ class ContinuationTrace:
         }
 
 
+# The longest walk a schedule may ask for.  At N = 12 each kept step costs
+# about 5 KB (its record and its Jacobian), so this cap is about 0.5 GB.
+_MAX_SCHEDULE = 100_000
+
+
+def _schedule_length(eps_max, step):
+    """len(_epsilon_schedule(eps_max, step)), counted without building it.
+    A count far over _MAX_SCHEDULE is only estimated, as a float (inf when
+    the quotient overflows)."""
+    if eps_max == 0.0:
+        return 0
+    bound = eps_max - 1e-12
+    estimate = bound / step
+    if not estimate < 2 * _MAX_SCHEDULE:
+        return estimate
+    # step * k grows with k, so the k below eps_max are 1..k
+    k = max(math.ceil(estimate) - 1, 0)
+    while step * (k + 1) < bound:
+        k += 1
+    while k and not step * k < bound:
+        k -= 1
+    return k + 1
+
+
 def _epsilon_schedule(eps_max, step):
+    """The couplings step, 2*step, ... below eps_max, then eps_max itself.
+    A schedule of more than _MAX_SCHEDULE couplings raises ValueError."""
     if eps_max < 0.0 or step <= 0.0:
         raise ValueError("eps_max must be non-negative and step positive")
+    count = _schedule_length(eps_max, step)
+    if count > _MAX_SCHEDULE:
+        raise ValueError(f"continuing to eps={eps_max:g} in steps of {step:g} takes "
+                         f"{count:.6g} steps, more than {_MAX_SCHEDULE}")
     if eps_max == 0.0:
         return []
-    out = []
-    k = 1
-    while step * k < eps_max - 1e-12:
-        out.append(step * k)
-        k += 1
-    out.append(eps_max)
-    return out
+    return [step * k for k in range(1, count)] + [eps_max]
 
 
 def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):

@@ -770,21 +770,41 @@ def reference_full_system_stability(config, tol=1e-6):
     return verdict, tuple(complex(v) for v in eigvals[order])
 
 
-# -- scipy's RK45, the oracle of the integrator -------------------------------
+# -- the field formula, and scipy's RK45, the oracles of the integrator -----
+
+def reference_vortex_field(q, g):
+    """vortex_field as the library computed it before it kept one buffered
+    field kernel per run: a fresh pair table, weights with a zeroed
+    diagonal, and the +90 degree rotation as a product with _J2.T."""
+    from vortexre.errors import CollisionError
+
+    q, g = np.asarray(q, dtype=float), np.asarray(g, dtype=float)
+    diff = q[:, None, :] - q[None, :, :]
+    dist2 = (diff ** 2).sum(axis=2)
+    dist2.flat[::len(q) + 1] = 1.0
+    if not dist2.min(initial=math.inf) > 1e-12 ** 2:  # a collision, or a NaN
+        close = np.argwhere(dist2 <= 1e-12 ** 2)
+        if len(close):
+            i, j = close[0]
+            raise CollisionError(f"vortices {i} and {j} coincide")
+    weights = g[None, :] / dist2
+    weights.flat[::len(g) + 1] = 0.0
+    return np.asarray((weights[:, :, None] * diff).sum(axis=1), dtype=float) @ _J2.T
+
 
 def reference_integrate(q, g, t_final, tol):
-    """integrate_vortices through scipy's solve_ivp(method="RK45"), as the
-    library integrated before it had its own Dormand-Prince loop."""
+    """integrate_vortices through scipy's solve_ivp(method="RK45") and
+    reference_vortex_field, as the library integrated before it had its own
+    Dormand-Prince loop."""
     from scipy.integrate import solve_ivp
 
-    from vortexre.dynamics import vortex_field
     from vortexre.errors import ConvergenceError
 
     g = np.asarray(g, dtype=float)
     n = len(g)
 
     def rhs(_, y):
-        return vortex_field(y.reshape(n, 2), g).ravel()
+        return reference_vortex_field(y.reshape(n, 2), g).ravel()
 
     sol = solve_ivp(rhs, (0.0, t_final), np.asarray(q, dtype=float).ravel(),
                     method="RK45", rtol=tol, atol=tol)

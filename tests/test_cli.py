@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -650,6 +651,40 @@ def test_simulate_names_the_rtol_floor(capsys):
     code, _, _ = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
                      "--periods", "0.01", "--rtol", "2.220446049250313e-14")
     assert code == 0
+
+
+_OVERFLOW = ("error: the start overflows: its circulations eps*mu or "
+             "squared pair distances are not finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # eps*mu*Z overflowed in the strong vortex's offset: exit 1, numpy warnings
+    ["--polygon", "3", "--mu", "1", "--eps", "1e300", "--periods", "0.1"],
+    # a squared distance overflowed: exit 0, a hamiltonian drift of nan
+    ["--mu", "1,1,1", "--start-angles", "0,1,2", "--radii", "1e200,1,1", "--eps", "0.05",
+     "--periods", "0.1"],
+    # eps*mu itself overflows
+    ["--mu=1e200,1", "--start-angles", "0,1", "--eps", "1e200", "--periods", "0.1"],
+])
+def test_simulate_refuses_a_start_that_overflows(capsys, tmp_path, argv):
+    target = tmp_path / "trajectory.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code, out, err = run(capsys, "simulate", *argv, "--out", str(target))
+    assert (code, out, err) == (2, "", _OVERFLOW)
+    assert not target.exists()
+
+
+def test_continue_refuses_a_walk_over_the_step_cap(capsys, tmp_path):
+    # one step past the cap; a wrong cap would be a slow test, not a lost
+    # process, as --step 1e-300 was
+    target = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "continue", "--polygon", "3", "--mu", "1", "--eps", "1",
+                         "--step", "9.99e-6", "--snapshots", "0.5", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: continuing to eps=1 in steps of 9.99e-06 takes 100101 steps, "
+                   "more than 100000\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 _NO_CENTER = "total circulation 1 + eps*sum(mu) is 0: there is no center of vorticity"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     reference_null_space,
     reference_re_jacobian,
     reference_re_residual,
+    reference_vortex_field,
 )
 from vortexre import dynamics
 from vortexre.cli import main
@@ -107,6 +109,51 @@ def test_planar_config_rejects_vortices_closer_than_the_minimum_separation():
         vortex_field(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-13)), g)
     # just outside the minimum separation is allowed
     assert np.isfinite(vortex_field(((0.0, 0.0), (1.0, 0.5), (1.0, 0.5 + 1e-11)), g)).all()
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _field_starts():
+    """Random mixed-sign configurations of 2 to 13 vortices, polygon starts
+    (exact zeros among their coordinates and velocities), and collinear
+    ones (zero velocity components of either sign before the rotation)."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 14):
+        for _ in range(20):
+            g = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
+            yield rng.uniform(-2.0, 2.0, (n, 2)), g
+    for n in range(2, 13):
+        for mu in (1.3, -0.7, 1.0):
+            for eps in (0.0, 0.01, 0.05):
+                yield polygon_family(n, mu, eps).to_planar()
+    for g in ((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (1.0, -2.0, 3.0), (-1.0, 0.0, -2.0)):
+        for q in (((0.0, 0.0), (1.0, 0.0), (3.0, 0.0)), ((0.0, 0.0), (0.0, 1.0), (0.0, 3.0)),
+                  ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))):
+            yield np.array(q), np.array(g)
+
+
+def test_the_field_kernel_keeps_the_bits_of_the_reference_field():
+    # one kernel per circulation vector, reused across positions, as a run
+    # reuses it across stages
+    kernels = {}
+    for q, g in _field_starts():
+        want = reference_vortex_field(q, g)
+        assert _same_bits(vortex_field(q, g), want)
+        field = kernels.setdefault(tuple(g), dynamics._FieldKernel(g))
+        out = np.full(q.size, np.nan)
+        assert field(q.ravel(), out) is out
+        assert _same_bits(out.reshape(q.shape), want)
+        # the pair table left in the kernel is the one _pairs builds
+        diff, dist2 = dynamics._pairs(q)
+        assert _same_bits(field.diff, diff) and _same_bits(field.dist2, dist2)
+
+
+def test_the_field_kernel_names_a_colliding_pair():
+    field = dynamics._FieldKernel(np.ones(3))
+    with pytest.raises(CollisionError, match="vortices 1 and 2"):
+        field(np.array([0.0, 0.0, 1.0, 0.5, 1.0, 0.5 + 1e-13]), np.empty(6))
 
 
 def test_integration_conserves_invariants():
@@ -544,6 +591,47 @@ def test_continuation_records_schedule_and_residuals(stable_saddle):
         assert record.verdict == "stable"
 
 
+def _appended_schedule(eps_max, step):
+    """The schedule of a loop that appends one coupling per step."""
+    out, k = [], 1
+    while step * k < eps_max - 1e-12:
+        out.append(step * k)
+        k += 1
+    return out + [eps_max]
+
+
+def test_the_schedule_is_counted_before_it_is_built():
+    rng = np.random.default_rng(43)
+    cases = [(0.024, 0.0008), (0.024, 0.0004), (0.02, 0.005), (0.3, 0.01), (0.1, 0.1),
+             (0.7, 0.1), (1e-12, 0.1), (2e-12, 1e-12), (1.0, 1e-5)]
+    for _ in range(500):
+        step = round(rng.uniform(1e-5, 0.05), int(rng.integers(3, 10)))
+        near = float(rng.choice([1.0, 1.0 + 1e-7, 1.0 - 1e-7, 1.5]))
+        cases.append((round(step * int(rng.integers(1, 3000)) * near, 10), step))
+    for eps, step in cases:
+        schedule = dynamics._epsilon_schedule(eps, step)
+        assert schedule == _appended_schedule(eps, step)
+        assert dynamics._schedule_length(eps, step) == len(schedule)
+    assert dynamics._epsilon_schedule(0.0, 0.01) == []
+    assert dynamics._schedule_length(0.0, 0.01) == 0
+
+
+def test_a_schedule_over_the_cap_is_refused_before_it_is_built():
+    # a step of 1e-300 once appended one float per step until the process
+    # was killed; the count is arithmetic, so these cost nothing
+    assert dynamics._schedule_length(1.0, 1e-5) == dynamics._MAX_SCHEDULE == 100_000
+    assert dynamics._schedule_length(1.0, 9.99e-6) == 100_101
+    assert dynamics._schedule_length(0.01, 1e-300) == pytest.approx(1e298)
+    assert dynamics._schedule_length(1.0, 5e-324) == math.inf
+    for eps, step, count in ((1.0, 9.99e-6, "100101"), (0.01, 1e-300, "1e+298"),
+                             (1.0, 5e-324, "inf")):
+        message = re.escape(f"takes {count} steps, more than 100000")
+        with pytest.raises(ValueError, match=message):
+            dynamics._epsilon_schedule(eps, step)
+        with pytest.raises(ValueError, match=message):
+            continue_polygon(3, 1.0, eps, step)
+
+
 def test_continuation_requires_a_critical_start():
     with pytest.raises(Exception):
         continue_family((0.0, 0.3, 0.7), mixed_mu(), 0.02, step=0.01)
@@ -672,6 +760,15 @@ DYNAMICS_DIGESTS = {
      "--radii=1,1.01,0.99"):
         ("86308d470db1d31e0ef68bdb25859580d0bffa1b2677304c2fc5467d52388647",
          "d6d16e83306ddf725881dcfbf83325dac2a20f326ab6809844981346f7f0b723"),
+    # the benchmark's simulate shape and a mixed-sign start, recorded before
+    # the integrator evaluated the field through one buffered kernel per run
+    ("simulate", "--polygon", "6", "--mu", "1.3", "--eps", "0.05", "--periods", "3"):
+        ("6751c17baff5d1b5f9028cb1464ce944499c35ddea43179f0035f33270cf67b6",
+         "aa322cc3ff71b474d5173e5621768435a61acb6fb35200a06a66bc0634bc3993"),
+    ("simulate", "--mu=1.5,-0.7,2,-1.2", "--start-angles=0,1.3,2.9,4.4", "--eps", "0.03",
+     "--periods", "2"):
+        ("d52238a1036c896fa124c8bcd2493f81471fd1548019685754d78b6164bd4002",
+         "b6a40039986201d6c54054e6403a1a78a4e23daba872d282f01abddb5fd0838f"),
 }
 
 
