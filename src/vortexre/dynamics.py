@@ -31,17 +31,29 @@ def _perp(v):
     return np.asarray(v, dtype=float) @ _J2.T
 
 
-def _pairs(q):
+def _pair_buffers(n):
+    """The arrays _pairs fills for n positions: diff, dist2, the squares of
+    diff, their two components and dist2's diagonal, views made once."""
+    diff, dist2, squares = np.empty((n, n, 2)), np.empty((n, n)), np.empty((n, n, 2))
+    return diff, dist2, squares, squares[..., 0], squares[..., 1], dist2.reshape(-1)[::n + 1]
+
+
+def _pairs(q, buffers=None):
     """Pair table of planar positions q, shape (n, 2).
 
     Returns diff[i, j] = q_i - q_j and dist2[i, j] = |q_i - q_j|^2 with
     the diagonal set to 1, so quotients by it stay finite.  Raises
-    CollisionError naming the first pair closer than _MIN_SEP.
+    CollisionError naming the first pair closer than _MIN_SEP.  The table
+    is written into buffers from _pair_buffers when they are given.
     """
-    diff = q[:, None, :] - q[None, :, :]
-    dist2 = (diff ** 2).sum(axis=2)
-    dist2.flat[::len(q) + 1] = 1.0
-    if not dist2.min(initial=math.inf) > _MIN_SEP ** 2:  # a collision, or a NaN
+    n = len(q)
+    diff, dist2, squares, x2, y2, diagonal = buffers or _pair_buffers(n)
+    np.subtract(q.reshape(n, 1, 2), q.reshape(1, n, 2), out=diff)
+    np.multiply(diff, diff, out=squares)
+    np.add(x2, y2, out=dist2)
+    diagonal.fill(1.0)
+    # a collision, or a NaN
+    if not np.minimum.reduce(dist2, axis=None, initial=math.inf) > _MIN_SEP ** 2:
         close = np.argwhere(dist2 <= _MIN_SEP ** 2)
         if len(close):
             i, j = close[0]
@@ -63,34 +75,19 @@ def _field(diff, dist2, g, out=None):
     return out
 
 
-class _FieldKernel:
-    """vortex_field of the circulations g, shape (n,), with the pair table's
-    buffers kept between calls.  A call writes the velocities at the flat
-    positions y, shape (2n,), into out, shape (2n,), and returns out; diff
-    and dist2 then hold the pair table of y, as _pairs gives it.
-    """
+def _field_kernel(g):
+    """vortex_field of the circulations g, shape (n,), as a function of the
+    flat positions y, shape (2n,), that writes the velocities into out,
+    shape (2n,), and returns out.  The pair table's buffers are kept
+    between calls."""
+    n = len(g)
+    buffers = _pair_buffers(n)
 
-    def __init__(self, g):
-        n = len(g)
-        self.g, self.n = g, n
-        self.diff, self.dist2 = np.empty((n, n, 2)), np.empty((n, n))
-        squares = np.empty((n, n, 2))
-        self._squares = squares, squares[..., 0], squares[..., 1]
-        self._diagonal = self.dist2.reshape(-1)[::n + 1]
-
-    def __call__(self, y, out):
-        """_field(*_pairs(q), g) at q = y.reshape(n, 2), into out."""
-        n, diff, dist2 = self.n, self.diff, self.dist2
-        squares, x2, y2 = self._squares
-        np.subtract(y.reshape(n, 1, 2), y.reshape(1, n, 2), out=diff)
-        np.multiply(diff, diff, out=squares)
-        np.add(x2, y2, out=dist2)
-        self._diagonal.fill(1.0)
-        # a collision, or a NaN: _pairs names the pair
-        if not np.minimum.reduce(dist2, axis=None, initial=math.inf) > _MIN_SEP ** 2:
-            _pairs(y.reshape(n, 2))
-        _field(diff, dist2, self.g, out.reshape(n, 2))
+    def field(y, out):
+        _field(*_pairs(y.reshape(n, 2), buffers), g, out.reshape(n, 2))
         return out
+
+    return field
 
 
 def _field_jacobian(diff, dist2, g):
@@ -187,7 +184,7 @@ def integrate_vortices(q, g, t_final, tol):
     if not tol >= 0.0:
         raise ValueError(f"integration needs a tolerance of at least 0, got {tol}")
 
-    field = _FieldKernel(g)
+    field = _field_kernel(g)
     rtol, atol = max(tol, 100 * np.finfo(float).eps), tol
     direction = -1.0 if t_final < 0.0 else 1.0
     K = np.empty((7, y.size))  # the stages; row 0 is the field at y
@@ -559,37 +556,26 @@ class ContinuationTrace:
 _MAX_SCHEDULE = 100_000
 
 
-def _schedule_length(eps_max, step):
-    """len(_epsilon_schedule(eps_max, step)), counted without building it.
-    A count far over _MAX_SCHEDULE is only estimated, as a float (inf when
-    the quotient overflows)."""
-    if eps_max == 0.0:
-        return 0
-    bound = eps_max - 1e-12
-    estimate = bound / step
-    if not estimate < 2 * _MAX_SCHEDULE:
-        return estimate
-    # step * k grows with k, so the k below eps_max are 1..k
-    k = max(math.ceil(estimate) - 1, 0)
-    while step * (k + 1) < bound:
-        k += 1
-    while k and not step * k < bound:
-        k -= 1
-    return k + 1
-
-
 def _epsilon_schedule(eps_max, step):
     """The couplings step, 2*step, ... below eps_max, then eps_max itself.
-    A schedule of more than _MAX_SCHEDULE couplings raises ValueError."""
-    if eps_max < 0.0 or step <= 0.0:
+    A schedule of more than about _MAX_SCHEDULE couplings raises ValueError
+    before any of it is built."""
+    if not (eps_max >= 0.0 and step > 0.0):  # NaN fails too
         raise ValueError("eps_max must be non-negative and step positive")
-    count = _schedule_length(eps_max, step)
-    if count > _MAX_SCHEDULE:
+    estimate = (eps_max - 1e-12) / step
+    if estimate > _MAX_SCHEDULE:
+        count = math.ceil(estimate) if math.isfinite(estimate) else estimate
         raise ValueError(f"continuing to eps={eps_max:g} in steps of {step:g} takes "
                          f"{count:.6g} steps, more than {_MAX_SCHEDULE}")
     if eps_max == 0.0:
         return []
-    return [step * k for k in range(1, count)] + [eps_max]
+    out = []
+    k = 1
+    while step * k < eps_max - 1e-12:
+        out.append(step * k)
+        k += 1
+    out.append(eps_max)
+    return out
 
 
 def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):

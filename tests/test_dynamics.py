@@ -141,17 +141,14 @@ def test_the_field_kernel_keeps_the_bits_of_the_reference_field():
     for q, g in _field_starts():
         want = reference_vortex_field(q, g)
         assert _same_bits(vortex_field(q, g), want)
-        field = kernels.setdefault(tuple(g), dynamics._FieldKernel(g))
+        field = kernels.setdefault(tuple(g), dynamics._field_kernel(g))
         out = np.full(q.size, np.nan)
         assert field(q.ravel(), out) is out
         assert _same_bits(out.reshape(q.shape), want)
-        # the pair table left in the kernel is the one _pairs builds
-        diff, dist2 = dynamics._pairs(q)
-        assert _same_bits(field.diff, diff) and _same_bits(field.dist2, dist2)
 
 
 def test_the_field_kernel_names_a_colliding_pair():
-    field = dynamics._FieldKernel(np.ones(3))
+    field = dynamics._field_kernel(np.ones(3))
     with pytest.raises(CollisionError, match="vortices 1 and 2"):
         field(np.array([0.0, 0.0, 1.0, 0.5, 1.0, 0.5 + 1e-13]), np.empty(6))
 
@@ -591,38 +588,10 @@ def test_continuation_records_schedule_and_residuals(stable_saddle):
         assert record.verdict == "stable"
 
 
-def _appended_schedule(eps_max, step):
-    """The schedule of a loop that appends one coupling per step."""
-    out, k = [], 1
-    while step * k < eps_max - 1e-12:
-        out.append(step * k)
-        k += 1
-    return out + [eps_max]
-
-
-def test_the_schedule_is_counted_before_it_is_built():
-    rng = np.random.default_rng(43)
-    cases = [(0.024, 0.0008), (0.024, 0.0004), (0.02, 0.005), (0.3, 0.01), (0.1, 0.1),
-             (0.7, 0.1), (1e-12, 0.1), (2e-12, 1e-12), (1.0, 1e-5)]
-    for _ in range(500):
-        step = round(rng.uniform(1e-5, 0.05), int(rng.integers(3, 10)))
-        near = float(rng.choice([1.0, 1.0 + 1e-7, 1.0 - 1e-7, 1.5]))
-        cases.append((round(step * int(rng.integers(1, 3000)) * near, 10), step))
-    for eps, step in cases:
-        schedule = dynamics._epsilon_schedule(eps, step)
-        assert schedule == _appended_schedule(eps, step)
-        assert dynamics._schedule_length(eps, step) == len(schedule)
-    assert dynamics._epsilon_schedule(0.0, 0.01) == []
-    assert dynamics._schedule_length(0.0, 0.01) == 0
-
-
 def test_a_schedule_over_the_cap_is_refused_before_it_is_built():
     # a step of 1e-300 once appended one float per step until the process
     # was killed; the count is arithmetic, so these cost nothing
-    assert dynamics._schedule_length(1.0, 1e-5) == dynamics._MAX_SCHEDULE == 100_000
-    assert dynamics._schedule_length(1.0, 9.99e-6) == 100_101
-    assert dynamics._schedule_length(0.01, 1e-300) == pytest.approx(1e298)
-    assert dynamics._schedule_length(1.0, 5e-324) == math.inf
+    assert len(dynamics._epsilon_schedule(1.0, 1e-5)) == dynamics._MAX_SCHEDULE == 100_000
     for eps, step, count in ((1.0, 9.99e-6, "100101"), (0.01, 1e-300, "1e+298"),
                              (1.0, 5e-324, "inf")):
         message = re.escape(f"takes {count} steps, more than 100000")
@@ -630,6 +599,11 @@ def test_a_schedule_over_the_cap_is_refused_before_it_is_built():
             dynamics._epsilon_schedule(eps, step)
         with pytest.raises(ValueError, match=message):
             continue_polygon(3, 1.0, eps, step)
+    for eps, step in ((math.nan, 0.01), (0.1, math.nan), (-0.1, 0.01), (0.1, 0.0)):
+        with pytest.raises(ValueError, match="non-negative and step positive"):
+            dynamics._epsilon_schedule(eps, step)
+    with pytest.raises(ValueError, match="non-negative and step positive"):
+        continue_polygon(3, 1.0, math.nan)
 
 
 def test_continuation_requires_a_critical_start():
