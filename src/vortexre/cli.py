@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -31,51 +32,57 @@ class UsageError(ValueError):
     """Bad arguments detected after parsing; maps to exit code 2."""
 
 
-def _list_items(text, flag):
-    """The stripped entries of the comma-separated list given to flag.  An
-    empty entry (1,,1 or 1,1,) is a usage error: dropping it would run
-    another problem."""
-    items = [part.strip() for part in text.split(",")]
-    if not all(items):
-        raise UsageError(f"empty entry in {flag} list {text!r}")
-    return items
+# one entry of a number list: a decimal, or a ratio of two integers, in
+# ASCII digits.  What float() and Fraction() accept besides (underscores,
+# spaces around '/', other scripts' digits) varies with the Python version.
+_NUMBER = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+_NON_FINITE = re.compile(r"[-+]?(?:inf|infinity|nan)", re.IGNORECASE)
 
 
-def _parse_fractions(text, flag):
-    """Comma-separated numbers as Fractions.  Each number written (a ratio has
-    two) must have a float value that neither overflows nor, being nonzero,
-    underflows to 0.  A Decimal checks that first: it keeps the exponent of
-    1e10000000 as a number, where Fraction would expand it into its digits."""
-    items = _list_items(text, flag)
+def _exact_number(item):
+    """One entry of a number list as a Fraction; a ValueError says why it is
+    refused.  Each number written (a ratio has two) must have a float value
+    that neither overflows nor, being nonzero, underflows to 0.  A Decimal
+    checks that first: it keeps the exponent of 1e10000000 as a number,
+    where Fraction would expand it into its digits, and refuses an exponent
+    beyond its own range."""
+    if _NON_FINITE.fullmatch(item):
+        raise ValueError(f"{item!r} is not finite")
+    if not _NUMBER.fullmatch(item):
+        raise ValueError(f"{item!r} is not a decimal or a ratio of integers")
     try:
-        for item in items:
-            for number in item.split("/", 1):
-                try:
-                    value = Decimal(number)
-                except InvalidOperation:
-                    continue  # not a decimal: Fraction refuses the item
-                if value.is_finite() and (math.isinf(float(value)) or value and not float(value)):
-                    raise ValueError(f"{item!r} is outside the float range")
-        return [Fraction(item) for item in items]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse weights {text!r}: {exc}") from None
+        numbers = [Decimal(number) for number in item.split("/")]
+    except InvalidOperation:
+        numbers = None
+    if numbers is None or any(math.isinf(float(d)) or d and not float(d) for d in numbers):
+        raise ValueError(f"{item!r} is outside the float range")
+    if len(numbers) == 1:
+        return Fraction(numbers[0])
+    if not numbers[1]:
+        raise ValueError(f"zero denominator in {item!r}")
+    return Fraction(int(numbers[0]), int(numbers[1]))
 
 
-def _parse_floats(text, flag):
-    items = _list_items(text, flag)
-    try:
-        values = [float(item) for item in items]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"a value in number list {text!r} is not finite")
-    return values
+def _numbers(flag):
+    """argparse type: the comma-separated number list given to flag, as
+    exact Fractions.  An empty entry (1,,1 or 1,1,) is refused: dropping it
+    would run another problem."""
+    def read(text):
+        items = [part.strip() for part in text.split(",")]
+        if not all(items):
+            raise argparse.ArgumentTypeError(f"empty entry in {flag} list {text!r}")
+        try:
+            return [_exact_number(item) for item in items]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse {flag} list {text!r}: {exc}") from None
+    return read
 
 
 def _bounded(kind, low, strict=False, below=None):
     """argparse type: a finite `kind` value of at least `low`, or above it
     if strict, and below `below` when that is given."""
-    def parse(text):
+    def read(text):
         try:
             value = kind(text)
         except ValueError:
@@ -89,7 +96,7 @@ def _bounded(kind, low, strict=False, below=None):
         if below is not None and not value < below:
             raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
-    return parse
+    return read
 
 
 _positive_int = _bounded(int, 1)
@@ -106,27 +113,21 @@ _rtol = _bounded(float, 100 * sys.float_info.epsilon)
 _periods = _bounded(float, 0.0, strict=True, below=sys.float_info.max / (2.0 * math.pi))
 
 
-def _parse_weights(text):
+def _weights(numbers):
+    """The --mu numbers as weights; their refusal is a usage error."""
     from vortexre.potential import CirculationWeights
 
-    _list_items(text, "--mu")
     try:
-        return CirculationWeights.parse(text)
+        return CirculationWeights(tuple(numbers))
     except ValueError as exc:
-        raise UsageError(f"bad weights {text!r}: {exc}") from None
+        raise UsageError(str(exc)) from None
 
 
 def _polygon_weights(args):
     """The --polygon count of copies of the one scalar --mu."""
-    from vortexre.potential import CirculationWeights
-
-    scalars = _parse_floats(args.mu, "--mu")
-    if len(scalars) != 1:
+    if len(args.mu) != 1:
         raise UsageError("--polygon takes a single scalar --mu")
-    try:
-        return CirculationWeights((scalars[0],) * args.polygon)
-    except ValueError as exc:
-        raise UsageError(f"bad weights {args.mu!r}: {exc}") from None
+    return _weights(args.mu * args.polygon)
 
 
 def _write_file(path, text):
@@ -227,7 +228,7 @@ def cmd_find(args):
         group_into_families,
     )
 
-    mu = _parse_weights(args.mu)
+    mu = _weights(args.mu)
     _check_writable(args.out)
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -251,14 +252,13 @@ def cmd_find(args):
 
 # -- certify -----------------------------------------------------------------
 
-def _weight_system(text):
+def _weight_system(mu):
     """The --mu weights and their system; the builder's refusal of the
     weights is a usage error."""
     from vortexre.halfangle import build_equal_weight_system
 
-    if not text:
+    if mu is None:
         raise UsageError("need --mu or --symmetry-case")
-    mu = _parse_fractions(text, "--mu")
     try:
         system = build_equal_weight_system(mu)
     except ValueError as exc:
@@ -345,10 +345,9 @@ def _select_start(args, mu):
 
     if args.start_angles:
         _start_mode(args, "--start-angles", _SEARCH_FLAGS)
-        angles = _parse_floats(args.start_angles, "--start-angles")
-        if len(angles) != len(mu):
+        if len(args.start_angles) != len(mu):
             raise UsageError("need one start angle per weight")
-        return angles
+        return [float(a) for a in args.start_angles]
     _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -376,7 +375,7 @@ def _snapshot_schedule(args, base, walk):
     """
     schedule = [0.0] + walk
     out = []
-    for eps in _parse_floats(args.snapshots, "--snapshots"):
+    for eps in map(float, args.snapshots):
         hit = [s for s in schedule if abs(s - eps) < 1e-9]
         if not hit:
             raise UsageError(
@@ -420,7 +419,7 @@ def cmd_continue(args):
         trace = continue_polygon(args.polygon, mu[0], eps_max=args.eps_max,
                                  step=args.step, tol=args.tol_newton)
     else:
-        mu = _parse_weights(args.mu)
+        mu = _weights(args.mu)
         if args.normalize:
             scale = 1.0 / float(np.linalg.norm(mu.array))
             mu = CirculationWeights(tuple(m * scale for m in mu))
@@ -594,18 +593,18 @@ def cmd_simulate(args):
             except ValueError as exc:  # no polygon at these weights and coupling
                 raise UsageError(str(exc)) from None
         else:
-            mu = _parse_weights(args.mu)
+            mu = _weights(args.mu)
             if not args.start_angles:
                 raise UsageError("need --start-angles or --polygon")
             _start_mode(args, "--start-angles without --polish",
                         () if args.polish else ("--tol-newton",))
-            angles = _parse_floats(args.start_angles, "--start-angles")
-            if len(angles) != len(mu):
+            if len(args.start_angles) != len(mu):
                 raise UsageError("need one start angle per weight")
-            radii = _parse_floats(args.radii, "--radii") if args.radii else [1.0] * len(mu)
+            radii = args.radii or [1] * len(mu)
             if len(radii) != len(mu):
                 raise UsageError("need one radius per weight")
-            z = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+            z = [(r * math.cos(a), r * math.sin(a))
+                 for a, r in zip(map(float, args.start_angles), map(float, radii))]
             config = HelioConfig(Z=tuple(z), epsilon=args.eps, mu=mu)
         q, g = _planar_start(config)
     if args.polish:  # --polygon refuses --polish
@@ -698,7 +697,8 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("find", help="find all critical points numerically")
-    p.add_argument("--mu", required=True, help="comma-separated weights")
+    p.add_argument("--mu", type=_numbers("--mu"), required=True,
+                   help="comma-separated weights")
     _flags(p, "--tol-grad", "--tol-zero-eig", "--seeds", "--out")
     _format_flag(p, "json", "csv", "table")
     p.set_defaults(func=cmd_find)
@@ -706,7 +706,8 @@ def build_parser():
     p = subs.add_parser("certify",
                         help="exact real-root count for integer weights")
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--mu", help="comma-separated integer weights")
+    source.add_argument("--mu", type=_numbers("--mu"),
+                        help="comma-separated integer weights")
     source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                         help="eliminate r from a reflection-symmetric case; "
                              + _SYMMETRY_AXES)
@@ -720,12 +721,13 @@ def build_parser():
 
     p = subs.add_parser("continue",
                         help="continue a critical point to positive coupling")
-    p.add_argument("--mu", required=True,
+    p.add_argument("--mu", type=_numbers("--mu"), required=True,
                    help="weights (or a single scalar with --polygon)")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the weights to unit Euclidean norm")
     start = p.add_mutually_exclusive_group()
-    start.add_argument("--start-angles", help="explicit starting angles")
+    start.add_argument("--start-angles", type=_numbers("--start-angles"),
+                       help="explicit starting angles")
     start.add_argument("--point-index", type=int,
                        help="index into the deterministic find ordering")
     start.add_argument("--select",
@@ -736,7 +738,8 @@ def build_parser():
                    required=True, help="target coupling strength")
     p.add_argument("--step", type=_positive_float, default=0.005,
                    help="continuation step")
-    p.add_argument("--snapshots", help="comma-separated eps values to render as SVG")
+    p.add_argument("--snapshots", type=_numbers("--snapshots"),
+                   help="comma-separated eps values to render as SVG")
     _flags(p, "--tol-grad", "--tol-newton", "--tol-zero-eig", "--seeds", "--out",
            unset=_SEARCH_FLAGS)
     _format_flag(p, "json", "csv", "table")
@@ -752,7 +755,8 @@ def build_parser():
     p = subs.add_parser("build-system",
                         help="print the exact polynomial system for given weights")
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--mu", help="comma-separated integer weights")
+    source.add_argument("--mu", type=_numbers("--mu"),
+                        help="comma-separated integer weights")
     source.add_argument("--symmetry-case", type=int, choices=(1, 2, 3),
                         help="build a reflection-symmetric case system instead; "
                              + _SYMMETRY_AXES)
@@ -762,13 +766,15 @@ def build_parser():
 
     p = subs.add_parser("simulate",
                         help="integrate the full system and report drifts")
-    p.add_argument("--mu", required=True,
+    p.add_argument("--mu", type=_numbers("--mu"), required=True,
                    help="weights (or a single scalar with --polygon)")
     p.add_argument("--eps", type=_finite_float, required=True, help="coupling strength")
     start = p.add_mutually_exclusive_group()
-    start.add_argument("--start-angles", help="weak-vortex angles")
+    start.add_argument("--start-angles", type=_numbers("--start-angles"),
+                       help="weak-vortex angles")
     start.add_argument("--polygon", type=_polygon_count, help="regular polygon mode")
-    p.add_argument("--radii", help="weak-vortex radii (default all 1)")
+    p.add_argument("--radii", type=_numbers("--radii"),
+                   help="weak-vortex radii (default all 1)")
     p.add_argument("--polish", action="store_true",
                    help="Newton-polish the start before integrating")
     p.add_argument("--periods", type=_periods, default=1.0)
@@ -783,13 +789,8 @@ def build_parser():
 # flags whose value is a comma-separated number list
 _LIST_FLAGS = ("--mu", "--start-angles", "--radii", "--snapshots")
 
-
-def _is_number_list(text, flag):
-    try:
-        _parse_fractions(text, flag)
-    except UsageError:
-        return False
-    return True
+# a word that starts as a negative number does, which no option name does
+_NEGATIVE = re.compile(r"-\.?[0-9]")
 
 
 def _join_number_lists(argv):
@@ -797,10 +798,12 @@ def _join_number_lists(argv):
 
     argparse reads a separate word that starts with a minus sign, such as
     `-1,-3,10`, as an option rather than as the value of the flag before it.
+    Every such word after a list flag is joined to it, so the flag's type
+    reads the list in both spellings and gives the same answer.
     """
     out = []
     for token in argv:
-        if out and out[-1] in _LIST_FLAGS and _is_number_list(token, out[-1]):
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -176,6 +176,8 @@ def integrate_vortices(q, g, t_final, tol):
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
+    if not n:  # the RMS error norm of no coordinates is 0/0
+        raise ValueError("integration needs at least one vortex")
     y = np.asarray(q, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("integration needs a finite initial state")

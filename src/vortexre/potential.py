@@ -45,25 +45,6 @@ class CirculationWeights:
         if size[0] * size[1] < sys.float_info.min:
             raise ValueError("products of weights must not underflow")
 
-    @classmethod
-    def parse(cls, text):
-        """Parse a comma-separated weight vector like '2,-1,3' or '1/2,1,1'.
-        An empty entry (1,,1 or 1,1,) is refused: dropping it would give
-        other weights."""
-        parts = [p.strip() for p in text.split(",")]
-        if not all(parts):
-            raise ValueError(f"empty entry in weight list {text!r}")
-        values = []
-        for p in parts:
-            if "/" in p:
-                num, den = map(float, p.split("/", 1))
-                if den == 0.0:
-                    raise ValueError(f"zero denominator in {p!r}")
-                values.append(num / den)
-            else:
-                values.append(float(p))
-        return cls(tuple(values))
-
     def __len__(self):
         return len(self.mu)
 

@@ -16,7 +16,8 @@ batch.  The polish backtracks through its step halvings four at a time.
 
 The catalogue stages after the polish make no numpy call per point.
 Dedup takes its hash cells from one array pass and scans on Python
-floats, testing rotation distance with `_within`.  The family keys
+floats, testing with `_within` an upper bound of the rotation distance,
+at most twice it.  The family keys
 take the circle order and the rounded gaps of every point from one
 array pass and build each key from Python lists.  The symmetry axes of
 a whole catalogue come from one pass per axis over (K, N, N) arrays.
@@ -48,7 +49,7 @@ from vortexre.potential import (
 
 TWO_PI = 2.0 * math.pi
 
-_DEDUP_TOL = 1e-6   # rotation distance below which two points are one
+_DEDUP_TOL = 1e-6   # the tol of `_within` below which two points are one
 _SEED_GAP = 0.05    # seeds closer than this (radians) to a collision are dropped
 _FAMILY_TOL = 1e-6  # gap unit of the family keys
 _DEDUP_RULE = (
@@ -72,10 +73,13 @@ class CriticalPointSet:
 
 
 def _within(a, b, tol):
-    """True when the rotation distance of the angle lists a and b is below
-    tol: for some rotation c = b_i - a_i, which aligns vortex i, every
-    difference a_j - b_j + c wrapped into [-pi, pi) is within tol.  The
-    angles are finite Python floats; the scan stops at the first such c."""
+    """True when, for some rotation c = b_i - a_i, which aligns vortex i,
+    every difference a_j - b_j + c wrapped into [-pi, pi) is within tol.
+    Trying only the aligning rotations tests an upper bound of the
+    rotation distance d, at most 2d, as the best rotation is within d of
+    each aligning one: points with d < tol/2 always pass, but (0, 1, 2)
+    and (0, 1, 2.5), with d = 0.25, fail at tol 0.4999.  The angles are
+    finite Python floats; the scan stops at the first such c."""
     return any(all(abs((aj - bj + c + math.pi) % TWO_PI - math.pi) < tol
                    for aj, bj in zip(a, b))
                for c in (bi - ai for ai, bi in zip(a, b)))
@@ -248,8 +252,8 @@ def _moves(x, raw, wrapped):
 
 
 def _dedup(points, tol):
-    """Merge points closer than tol in rotation distance; the kept points
-    as lists of Python floats.
+    """Merge points that `_within` finds within tol of each other up to
+    rotation; the kept points as lists of Python floats.
 
     Equal rows are collapsed to their first occurrence first: a stable
     lexsort on the angle columns makes equal rows neighbours, and a row
@@ -260,10 +264,12 @@ def _dedup(points, tol):
     point within tol, which is replaced when the newcomer is
     lexicographically smaller; otherwise it is kept.  Kept points sit in
     a hash of cells on the gauge-fixed torus, and a lookup probes every
-    cell within 2.5 tol of the point on each angle, wrapping modulo 2*pi:
-    a point within tol in rotation distance (theta_1 = 0 for both) is
-    within 2 tol on every angle.  The cells are computed for the whole
-    batch; the scan runs on Python floats (see `_within`).
+    cell within 2.5 tol of the point on each angle, wrapping modulo 2*pi,
+    so it finds every point `_within` would merge: with theta_1 = 0 for
+    both, the aligning rotation c that passes has |c| < tol (vortex 1's
+    difference), so every angle differs by less than |c| + tol < 2 tol,
+    and the other tol/2 is a margin for rounding.  The cells are computed
+    for the whole batch; the scan runs on Python floats (see `_within`).
     """
     order = np.lexsort(points.T[::-1])
     ranked = points[order]

@@ -998,3 +998,24 @@ def random_multipoly(ring, rng, max_terms=6, max_deg=4, coeff_span=9):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- the float reading of a weight list, the oracle of the CLI's exact reader --
+
+def reference_weights_parse(text):
+    """The weights `CirculationWeights.parse` read from a comma-separated
+    list like '2,-1,3' or '1/2,1,1', before the CLI read every number list
+    exactly; the body is that method's, returning the floats it validated."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ValueError(f"empty entry in weight list {text!r}")
+    values = []
+    for p in parts:
+        if "/" in p:
+            num, den = map(float, p.split("/", 1))
+            if den == 0.0:
+                raise ValueError(f"zero denominator in {p!r}")
+            values.append(num / den)
+        else:
+            values.append(float(p))
+    return tuple(values)

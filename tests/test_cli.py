@@ -1,9 +1,12 @@
 """End-to-end command-line interface behaviour."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes
+from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes, reference_weights_parse
 from vortexre import cli
 from vortexre.cli import build_parser, main
 from vortexre.groebner import GroebnerBasis
@@ -910,12 +913,12 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     (["certify", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
     (["build-system", "--mu", "1,1", "--format", "csv"], "invalid choice: 'csv'"),
     # non-finite numbers, and weights whose products overflow
-    (["find", "--mu=nan,1"], "weights must be finite"),
-    (["find", "--mu=inf,1"], "weights must be finite"),
+    (["find", "--mu=nan,1"], "is not finite"),
+    (["find", "--mu=inf,1"], "is not finite"),
     (["find", "--mu=1e200,1e200,1"], "products of weights must be finite"),
     (["find", "--mu=1/0,1"], "zero denominator"),
     (["find", "--mu", "1,1", "--tol-grad", "inf"], "argument --tol-grad: must be finite"),
-    (["continue", "--mu=nan,1,1", "--eps", "0.01"], "weights must be finite"),
+    (["continue", "--mu=nan,1,1", "--eps", "0.01"], "is not finite"),
     (["continue", "--mu=1,1,1", "--start-angles=0,nan,2", "--eps", "0.01"],
      "is not finite"),
     (["continue", "--polygon", "4", "--mu", "inf", "--eps", "0.01"], "is not finite"),
@@ -961,8 +964,8 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
      "empty entry in --start-angles list '0,,2.0,4.0'"),
     (["simulate", "--mu", "1,1,1", "--start-angles", "0,2,4", "--eps", "0.01",
       "--radii", "1,,1,1"], "empty entry in --radii list '1,,1,1'"),
-    # a negative list with an empty entry is not joined to its flag
-    (["certify", "--mu", "-1,,3"], "argument --mu: expected one argument"),
+    # a negative list with an empty entry is joined to its flag, and refused
+    (["certify", "--mu", "-1,,3"], "empty entry in --mu list '-1,,3'"),
     # the search tolerances are relative to the weight scale: at 1 or more
     # --tol-grad took non-critical points and --tol-zero-eig called every
     # point degenerate
@@ -982,23 +985,23 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert out == ""
 
 
-@pytest.mark.parametrize("weights", ["1e10000000,1", "1e-10000000,1", "1/1" + "0" * 400 + ",1"])
+@pytest.mark.parametrize("weights", ["1e10000000,1", "1e-10000000,1", "1/1" + "0" * 400 + ",1",
+                                     "1e999999999999999999999,1"])
 def test_weights_outside_the_float_range_are_refused_before_fraction_reads_them(
         capsys, monkeypatch, weights):
-    # Fraction would expand 1e10000000 into ten million digits
+    # Fraction would expand 1e10000000 into ten million digits; an exponent
+    # beyond Decimal's own range reached Fraction, which ran on past 20 s
     def refusing(text):
         raise AssertionError(f"Fraction({text!r})")
 
     monkeypatch.setattr(cli, "Fraction", refusing)
-    for argv in (["certify", "--mu", weights], ["certify", f"--mu={weights}"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        item = weights.split(",")[0]
-        assert err == (f"error: cannot parse weights {weights!r}: "
-                       f"{item!r} is outside the float range\n")
-    # find reads its weights as floats, but joining a list to its flag parses it too
-    code, out, _ = run(capsys, "find", "--mu", weights)
-    assert (code, out) == (2, "")
+    item = weights.split(",")[0]
+    for command in ("certify", "find"):
+        for argv in ([command, "--mu", weights], [command, f"--mu={weights}"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"error: argument --mu: cannot parse --mu list {weights!r}: "
+                                f"{item!r} is outside the float range\n")
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -1068,6 +1071,120 @@ def test_continue_takes_negative_weights_and_angles_as_separate_words(capsys):
               "--start-angles=-0.5,1.4776959562222671,4.980254754348461",
               "--eps", "1e-4", "--step", "1e-4"]
     assert run(capsys, *joined) == (code, out, err)
+
+
+# -- the one reader of number lists --------------------------------------------
+
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+_LIST_TEXT = re.compile(r'"--(?:mu|start-angles|radii|snapshots)(?:=|", ")([^"{}]*)"')
+
+
+def _list_texts_in_tests():
+    """Every literal number list these tests give a list flag."""
+    texts = set()
+    for name in sorted(os.listdir(_TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(_TESTS, name), encoding="utf-8") as fh:
+                texts.update(_LIST_TEXT.findall(fh.read()))
+    return sorted(texts)
+
+
+def _pool_vectors(node):
+    """Every list of numbers in a parsed JSON document."""
+    if isinstance(node, list) and node and all(type(v) in (int, float) for v in node):
+        yield node
+    elif isinstance(node, (list, dict)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _pool_vectors(child)
+
+
+def _benchmark_texts():
+    """Every vector of the benchmark's pools, written as its jobs write it."""
+    with open(os.path.join(_TESTS, os.pardir, "vortexbench", "pools.json"),
+              encoding="utf-8") as fh:
+        return [",".join(repr(v) for v in vector) for vector in _pool_vectors(json.load(fh))]
+
+
+def _random_texts(count=4000):
+    """Decimals of every form and magnitude, and ratios of integers below 2**53."""
+    rng = random.Random(33)
+    texts = []
+    for _ in range(count):
+        sign = rng.choice(["", "-", "+"])
+        digits = str(rng.getrandbits(rng.randint(1, 80)))
+        point = rng.randint(0, len(digits))
+        exponent = rng.choice(["", f"e{rng.randint(-300, 300)}", f"E+{rng.randint(0, 290)}"])
+        texts += [sign + digits[:point] + "." + digits[point:] + exponent,
+                  repr(rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-300, 300)),
+                  f"{sign}{rng.getrandbits(53)}/{rng.getrandbits(53) or 1}"]
+    return texts
+
+
+def test_the_reader_gives_every_float_the_bits_of_the_float_reading():
+    # float(Fraction(s)) and float(s) are both correctly rounded, and so is
+    # a/b for integers below 2**53, so the exact reader keeps every bit
+    read = cli._numbers("--mu")
+    tests, pools = _list_texts_in_tests(), _benchmark_texts()
+    assert len(tests) > 30 and len(pools) > 500
+    compared = 0
+    for text in tests + pools + _random_texts():
+        try:
+            want = reference_weights_parse(text)
+        except ValueError:
+            want = None
+        try:
+            got = [float(x) for x in read(text)]
+        except argparse.ArgumentTypeError:
+            # refused only where the float reading fails or is not finite
+            assert want is None or not all(map(math.isfinite, want)), text
+            continue
+        # but for the sign of zero: -0 is the Fraction 0, whose float is +0.0
+        assert [x.hex() for x in got] == [(x + 0.0).hex() for x in want], text
+        compared += 1
+    assert compared > 12000
+
+
+_LIST_ARGV = {
+    "--mu": ["find", "--seeds", "64"],
+    "--start-angles": ["simulate", "--mu=1,1,1", "--eps", "0.01", "--periods", "0.01"],
+    "--radii": ["simulate", "--mu=1,1,1", "--start-angles=0,2,4", "--eps", "0.01",
+                "--periods", "0.01"],
+    "--snapshots": ["continue", "--polygon", "3", "--mu", "1", "--eps", "0.01"],
+}
+
+
+@pytest.mark.parametrize("text", ["-1e-400,2,4", "-1/3,1,1", "-1.5/2,1"])
+@pytest.mark.parametrize("flag", sorted(_LIST_ARGV))
+def test_a_negative_list_reads_the_same_as_a_word_and_after_equals(
+        capsys, monkeypatch, tmp_path, flag, text):
+    monkeypatch.chdir(tmp_path)  # where --snapshots would write its SVGs
+    spaced = run(capsys, *_LIST_ARGV[flag], flag, text)
+    assert run(capsys, *_LIST_ARGV[flag], f"{flag}={text}") == spaced
+    # the flag's type read the list: it was not left to argparse as an option
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("item", ["1_000", "1 / 3", "\u0663", "1.5/2", "0x10", "1/-3"])
+def test_number_syntax_beyond_decimals_and_integer_ratios_is_refused(capsys, item):
+    # float() and Fraction() read some of these, depending on the Python version
+    for flag in _LIST_ARGV:
+        with pytest.raises(argparse.ArgumentTypeError, match="not a decimal or a ratio"):
+            cli._numbers(flag)(f"{item},1,1")
+    code, out, err = run(capsys, "find", f"--mu={item},1,1")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{item!r} is not a decimal or a ratio of integers\n")
+
+
+def test_ratios_are_weights_and_angles_in_every_subcommand(capsys):
+    code, out, err = run(capsys, "continue", "--polygon", "3", "--mu", "1/3", "--eps", "0.01")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "continue", "--polygon", "3", "--mu",
+                      repr(1 / 3), "--eps", "0.01")[1]
+    code, out, err = run(capsys, "simulate", "--mu=1,1,1", "--start-angles=0,21/10,41/10",
+                         "--eps", "0.01", "--periods", "0.01")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "simulate", "--mu=1,1,1", "--start-angles=0,2.1,4.1",
+                      "--eps", "0.01", "--periods", "0.01")[1]
 
 
 # -- what a fresh interpreter loads --------------------------------------------

@@ -197,6 +197,12 @@ def test_integration_refuses_a_negative_tolerance_or_a_non_finite_start():
         integrate_vortices(q, g, 1.0, 1e-9)
 
 
+def test_integration_refuses_a_system_of_no_vortices():
+    # the first step size came from the RMS of no coordinates, 0/0
+    with pytest.raises(ValueError, match="at least one vortex"):
+        integrate_vortices(np.zeros((0, 2)), np.zeros(0), 1.0, 1e-9)
+
+
 @pytest.mark.parametrize("t_final", [math.inf, -math.inf, math.nan])
 def test_integration_refuses_a_non_finite_end_time(t_final):
     # toward an infinite end the loop's "not there yet" test held at every

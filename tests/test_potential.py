@@ -1,6 +1,7 @@
 """Reduced interaction potential: values, derivatives, classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,27 +310,26 @@ def test_report_round_trips_to_dict():
     assert len(d["hessian_eigenvalues"]) == 2
 
 
-def test_weights_parse_and_validate():
-    cw = CirculationWeights.parse("2,-1,3")
+def test_weights_validate():
+    cw = CirculationWeights((2, -1, 3))
     assert cw.mu == (2.0, -1.0, 3.0)
     assert not cw.all_positive()
-    assert CirculationWeights.parse("1,1").all_positive()
-    assert CirculationWeights.parse("1/2,3/4").mu == (0.5, 0.75)
-    with pytest.raises(ValueError):
-        CirculationWeights.parse("1,0,2")
-    for text in ("nan,1", "1,inf", "-inf,2", "1e200,1e200,1", "1/0,1"):
-        with pytest.raises(ValueError):
-            CirculationWeights.parse(text)
-    # an empty entry is refused rather than dropped
-    for text in ("1,,1", "1,1,", ",", ""):
-        with pytest.raises(ValueError, match="empty entry in weight list"):
-            CirculationWeights.parse(text)
+    assert CirculationWeights((1, 1)).all_positive()
+    assert CirculationWeights((Fraction(1, 2), Fraction(3, 4))).mu == (0.5, 0.75)
+    with pytest.raises(ValueError, match="nonzero"):
+        CirculationWeights((1, 0, 2))
+    for mu in ((math.nan, 1), (1, math.inf), (-math.inf, 2), (1e200, 1e200, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            CirculationWeights(mu)
+    for mu in ((1,), ()):
+        with pytest.raises(ValueError, match="at least two weights"):
+            CirculationWeights(mu)
     # one huge weight is fine while every product of two stays finite
-    assert CirculationWeights.parse("1e200,1,1").mu[0] == 1e200
+    assert CirculationWeights((1e200, 1, 1)).mu[0] == 1e200
     # products below the smallest normal float lose the weight ratios
-    for text in ("1e-170,1e-170,1e-170", "1e-200,1e-200,1", "1e-160,1e-160", "1e-300,1e-10,1"):
+    for mu in ((1e-170, 1e-170, 1e-170), (1e-200, 1e-200, 1), (1e-160, 1e-160),
+               (1e-300, 1e-10, 1)):
         with pytest.raises(ValueError, match="underflow"):
-            CirculationWeights.parse(text)
+            CirculationWeights(mu)
     # one tiny weight is fine while every product of two stays normal
-    assert CirculationWeights.parse("1e-300,1e10,1").mu[0] == 1e-300
-
+    assert CirculationWeights((1e-300, 1e10, 1)).mu[0] == 1e-300
