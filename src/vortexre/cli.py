@@ -18,7 +18,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from vortexre.errors import CirculationError, ConvergenceError
+from vortexre.errors import CirculationError, CollisionError, ConvergenceError
 
 # Each handler imports the layers it runs when it runs: numpy through
 # vortexre.potential, search and dynamics, and the exact stack (groebner,
@@ -340,14 +340,26 @@ def cmd_certify(args):
 
 # -- continue ----------------------------------------------------------------
 
+def _start_config(make, *args):
+    """The start configuration make(*args), refusing one in which two
+    vortices, the strong one included, coincide."""
+    try:
+        return make(*args)
+    except CollisionError as exc:
+        raise UsageError(f"the start is a collision: {exc}") from None
+
+
 def _select_start(args, mu):
+    from vortexre.dynamics import HelioConfig
     from vortexre.search import find_all_critical_points
 
     if args.start_angles:
         _start_mode(args, "--start-angles", _SEARCH_FLAGS)
         if len(args.start_angles) != len(mu):
             raise UsageError("need one start angle per weight")
-        return [float(a) for a in args.start_angles]
+        angles = [float(a) for a in args.start_angles]
+        _start_config(HelioConfig.from_angles, angles, mu, 0.0)
+        return angles
     _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -605,7 +617,7 @@ def cmd_simulate(args):
                 raise UsageError("need one radius per weight")
             z = [(r * math.cos(a), r * math.sin(a))
                  for a, r in zip(map(float, args.start_angles), map(float, radii))]
-            config = HelioConfig(Z=tuple(z), epsilon=args.eps, mu=mu)
+            config = _start_config(HelioConfig, tuple(z), args.eps, mu)
         q, g = _planar_start(config)
     if args.polish:  # --polygon refuses --polish
         config = newton_solve(config, tol=args.tol_newton)

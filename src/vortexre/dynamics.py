@@ -6,9 +6,16 @@ fixed-point equation whose eps -> 0 limit is the critical-point equation of
 the reduced potential on the circle; this module provides the residual, its
 analytic Jacobian, gauge-fixed Newton polishing, continuation in eps, the
 regular-polygon family, and a full-system spectral stability check that is
-independent of the reduced-potential classification.  Continuation takes
-one table per iterate, one stability batch per walk: an iterate's pair table
-gives its residual and Jacobian, and one stacked reduction checks every step.
+independent of the reduced-potential classification.
+
+A continuation walk makes one set of Newton buffers and one stability
+batch.  Each iterate writes its pair table, residual, Jacobian and
+augmented system into the buffers, and the converged iterate's Jacobian is
+copied out for the batch, one stacked reduction that checks every step.
+The buffered iterate runs the helpers that vortex_field, re_residual and
+re_jacobian run (_pairs, _field, _field_jacobian, _re_residual and
+_re_jacobian, each with optional buffers), so there is one copy of each
+formula.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from vortexre.errors import (CIRCULATION_NOISE, CirculationError, CollisionError
 from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
+_I2 = np.eye(2)
 _MIN_SEP = 1e-12
 
 
@@ -90,19 +98,31 @@ def _field_kernel(g):
     return field
 
 
-def _field_jacobian(diff, dist2, g):
+def _field_jacobian_buffers(n):
+    """The arrays _field_jacobian fills for n positions: the blocks F, the
+    view of their diagonal blocks made once, and scratch."""
+    F = np.empty((n, n, 2, 2))
+    return (F, np.einsum("iiab->iab", F), np.empty((n, n, 2, 2)), np.empty((n, n, 2, 1)),
+            np.empty((n, n)), np.empty((n, 2, 2)), np.empty(n))
+
+
+def _field_jacobian(diff, dist2, g, buffers=None):
     """Blocks F[i, j] = d v_i / d q_j of the field, shape (n, n, 2, 2).
 
     With K(d) = (I |d|^2 - 2 d d^T) / |d|^4, the derivative of d / |d|^2,
     F[i, j] = -Gamma_j J K(q_i - q_j) off the diagonal, and each diagonal
-    block is minus the sum of the others in its row.
+    block is minus the sum of the others in its row.  The blocks are
+    written into buffers from _field_jacobian_buffers when they are given.
     """
-    K = (np.eye(2) * dist2[..., None, None]
-         - 2.0 * diff[..., :, None] * diff[..., None, :]) / (dist2 ** 2)[..., None, None]
-    F = -g[None, :, None, None] * (_J2 @ K)
-    diag = np.arange(len(g))
-    F[diag, diag] = 0.0
-    F[diag, diag] = -F.sum(axis=1)
+    F, diagonal, K, twice, dist4, row_sums, minus_g = (
+        buffers or _field_jacobian_buffers(len(g)))
+    np.multiply(_I2, dist2[..., None, None], out=K)
+    np.multiply(2.0, diff[..., :, None], out=twice)
+    np.subtract(K, np.multiply(twice, diff[..., None, :], out=F), out=K)
+    np.divide(K, np.square(dist2, out=dist4)[..., None, None], out=K)
+    np.multiply(np.negative(g, out=minus_g)[:, None, None], np.matmul(_J2, K, out=F), out=F)
+    diagonal.fill(0.0)
+    np.negative(np.add.reduce(F, axis=1, out=row_sums), out=diagonal)
     return F
 
 
@@ -252,13 +272,11 @@ class HelioConfig:
 
     @property
     def radii(self):
-        return np.hypot(self.Z[:, 0], self.Z[:, 1])
+        return _radii(self.Z)
 
     @property
     def angles(self):
-        a = np.arctan2(self.Z[:, 1], self.Z[:, 0]) % (2.0 * math.pi)
-        a[a > 2.0 * math.pi - 1e-12] = 0.0
-        return a
+        return _angles(self.Z)
 
     @classmethod
     def from_angles(cls, theta, mu, epsilon):
@@ -272,8 +290,7 @@ class HelioConfig:
         The rotation center is the center of vorticity; placing it at the
         origin puts the strong vortex at -sum Gamma_i Z_i / Gamma_total.
         """
-        gamma = self.epsilon * self.mu.array
-        return -(gamma[:, None] * self.Z).sum(axis=0) / _total_circulation(gamma)
+        return _strong_vortex_offset(self.Z, self.epsilon, self.mu)
 
     def to_planar(self):
         """Positions q and circulations g of all vortices, the strong one
@@ -283,14 +300,39 @@ class HelioConfig:
         return np.vstack([q0, self.Z + q0]), g
 
     def to_dict(self):
-        return {
-            "angles": [float(a) for a in self.angles],
-            "radii": [float(r) for r in self.radii],
-            "mu": list(self.mu.mu),
-            "epsilon": float(self.epsilon),
-            "omega": 1.0,  # the frame's rotation rate
-            "z0": [float(c) for c in self.strong_vortex_offset()],
-        }
+        return _configuration_dict(self.angles.tolist(), self.radii.tolist(), self.mu,
+                                   self.epsilon, self.strong_vortex_offset().tolist())
+
+
+# The geometry of configurations stacked over the leading axes of Z, shape
+# (..., N, 2), one coupling per configuration: a whole trace is exported at once.
+
+def _radii(Z):
+    return np.hypot(Z[..., 0], Z[..., 1])
+
+
+def _angles(Z):
+    a = np.arctan2(Z[..., 1], Z[..., 0]) % (2.0 * math.pi)
+    a[a > 2.0 * math.pi - 1e-12] = 0.0
+    return a
+
+
+def _strong_vortex_offset(Z, epsilon, mu):
+    gamma = np.multiply.outer(epsilon, mu.array)
+    total = np.expand_dims(_total_circulation(gamma), -1)
+    return -(gamma[..., None] * Z).sum(axis=-2) / total
+
+
+def _configuration_dict(angles, radii, mu, epsilon, z0):
+    """The JSON record of one configuration, its angles, radii and z0 given as lists."""
+    return {
+        "angles": angles,
+        "radii": radii,
+        "mu": list(mu.mu),
+        "epsilon": float(epsilon),
+        "omega": 1.0,  # the frame's rotation rate
+        "z0": z0,
+    }
 
 
 def _total_circulation(gamma):
@@ -311,17 +353,39 @@ def _full_system(Z, epsilon, mu):
     return q, g
 
 
-def _re_residual(table, g, z):
+def _re_residual(table, g, z, out=None):
+    """re_residual from a pair table of the full system, flattened, shape
+    (2N,), and written into out when it is given."""
     v = _field(*table, g)
-    return (v[1:] - v[0] - _perp(z)).ravel()
+    if out is None:
+        out = np.empty(z.size)
+    rows = out.reshape(z.shape)
+    np.subtract(v[1:], v[0], out=rows)
+    np.subtract(rows, _perp(z), out=rows)
+    return out
 
 
-def _re_jacobian(table, g):
-    F = _field_jacobian(*table, g)
-    A = F[1:, 1:] - F[0, 1:]
-    diag = np.arange(len(A))
-    A[diag, diag] -= _J2
-    return A.transpose(0, 2, 1, 3).reshape(2 * len(A), 2 * len(A))
+def _jacobian_buffers(N, out=None):
+    """The arrays _re_jacobian fills for N weak vortices: out, the C-contiguous
+    (2N, 2N) matrix it returns (a new one when not given), the views of its
+    2x2 blocks and of their diagonal, the views of the field Jacobian's blocks
+    it takes, and the buffers of that Jacobian.  Every view is made once."""
+    field = _field_jacobian_buffers(N + 1)
+    F = field[0]
+    if out is None:
+        out = np.empty((2 * N, 2 * N))
+    blocks = out.reshape(N, 2, N, 2).transpose(0, 2, 1, 3)  # blocks[i, j] is block (i, j)
+    return out, blocks, np.einsum("iiab->iab", blocks), F[1:, 1:], F[0, 1:], field
+
+
+def _re_jacobian(table, g, buffers=None):
+    """re_jacobian from a pair table of the full system, written into
+    buffers from _jacobian_buffers when they are given."""
+    out, blocks, diagonal, F_weak, F_strong, field = buffers or _jacobian_buffers(len(g) - 1)
+    _field_jacobian(*table, g, field)
+    np.subtract(F_weak, F_strong, out=blocks)
+    np.subtract(diagonal, _J2, out=diagonal)
+    return out
 
 
 def re_residual(config):
@@ -345,29 +409,43 @@ def re_jacobian(config):
     return _re_jacobian(_pairs(q), g)
 
 
-def _newton(Z, epsilon, mu, tol, max_iter=50, history=None):
-    """newton_solve on bare positions, one pair table per iterate.  Returns the
-    solution's Z, its residual, and the (table, g) that _re_jacobian takes."""
-    q, g = _full_system(Z, epsilon, mu)
-    row = np.zeros((1, q.size - 2))
-    row[0, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
+def _newton_buffers(N):
+    """The arrays _newton fills for N weak vortices: the positions q of the
+    full system, whose row 0, the strong vortex, stays 0; the buffers of its
+    pair table and field Jacobian; and the augmented system aug, rhs of a
+    step, whose last row, the gauge's, is set here."""
+    aug = np.zeros((2 * N + 1, 2 * N))
+    aug[-1, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
+    return (np.zeros((N + 1, 2)), _pair_buffers(N + 1), _jacobian_buffers(N, aug[:-1]),
+            aug, np.empty(2 * N + 1))
+
+
+def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
+    """newton_solve on bare positions, written into buffers from
+    _newton_buffers.  Each iterate writes its pair table, residual and
+    Jacobian into them.  Returns the solution's Z, its residual and its
+    Jacobian, views into the buffers that the next call overwrites."""
+    q, pairs, jacobian_buffers, aug, rhs = buffers
+    _, g = _full_system(Z, epsilon, mu)
+    z, res = q[1:], rhs[:-1]
+    z[...] = Z
     for _ in range(max_iter + 1):
-        table = _pairs(q)
-        z = q[1:]
-        res = _re_residual(table, g, z)
+        table = _pairs(q, pairs)
+        _re_residual(table, g, z, out=res)
+        jacobian = _re_jacobian(table, g, jacobian_buffers)
         gauge = z[0, 1]
         norm = max(np.abs(res).max(), abs(gauge))
         if history is not None:
             history.append(norm)
         if norm < tol:
-            return z, res, (table, g)
-        aug = np.vstack([_re_jacobian(table, g), row])
-        rhs = -np.concatenate([res, [gauge]])
+            return z, res, jacobian
+        rhs[-1] = gauge
+        np.negative(rhs, out=rhs)
         step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise ConvergenceError("Newton step is not finite")
-        q = np.vstack([q[:1], z + step.reshape(-1, 2)])
-    _pairs(q)  # a last iterate on a collision reports the collision
+        z += step.reshape(-1, 2)
+    _pairs(q, pairs)  # a last iterate on a collision reports the collision
     raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
 
 
@@ -379,7 +457,8 @@ def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     (2N+1)-row system in the least-squares sense because the rotational
     null direction makes the square Jacobian singular.
     """
-    z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, tol, max_iter, history)
+    buffers = _newton_buffers(len(initial.mu))
+    z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, buffers, tol, max_iter, history)
     return HelioConfig(z, initial.epsilon, initial.mu)
 
 
@@ -529,26 +608,35 @@ class ContinuationTrace:
         return max(np.abs(rec.config.radii - 1.0).max() / rec.epsilon
                    for rec in self.records)
 
+    def _positions(self):
+        """The records' positions stacked, shape (len(records), N, 2)."""
+        return np.array([rec.config.Z for rec in self.records]).reshape(-1, len(self.mu), 2)
+
     def csv_rows(self):
         n = len(self.mu)
         header = (["eps"] + [f"r{i+1}" for i in range(n)]
                   + [f"theta{i+1}" for i in range(n)] + ["residual", "verdict"])
         rows = [header]
-        for rec in self.records:
+        Z = self._positions()
+        for rec, radii, angles in zip(self.records, _radii(Z).tolist(), _angles(Z).tolist()):
             rows.append([f"{rec.epsilon:.10g}"]
-                        + [f"{r:.12f}" for r in rec.config.radii]
-                        + [f"{t:.12f}" for t in rec.config.angles]
+                        + [f"{r:.12f}" for r in radii]
+                        + [f"{t:.12f}" for t in angles]
                         + [f"{rec.residual:.3e}", rec.verdict])
         return rows
 
     def to_dict(self):
+        Z = self._positions()
+        epsilon = np.array([rec.config.epsilon for rec in self.records])
+        columns = (_angles(Z).tolist(), _radii(Z).tolist(),
+                   _strong_vortex_offset(Z, epsilon, self.mu).tolist())
         return {
             "mu": list(self.mu.mu),
             "failure": self.failure,
             "records": [
-                {"epsilon": rec.epsilon, "residual": rec.residual,
-                 "verdict": rec.verdict, **rec.config.to_dict()}
-                for rec in self.records
+                {"epsilon": rec.epsilon, "residual": rec.residual, "verdict": rec.verdict,
+                 **_configuration_dict(angles, radii, self.mu, rec.config.epsilon, z0)}
+                for rec, angles, radii, z0 in zip(self.records, *columns)
             ],
         }
 
@@ -588,8 +676,8 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):
     eps_max = 0 checks the start and returns an empty trace.  A failed
     solve ends the walk and returns the partial trace with a failure
     marker instead of raising, as does zero total circulation, before its
-    solve.  One table per iterate, one stability batch per walk: each
-    solve's converged residual and Jacobian are kept for it.
+    solve.  One set of Newton buffers and one stability batch per walk:
+    each solve's converged residual and Jacobian are kept for the batch.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     if classify(theta_star, weights).extremal_type == "degenerate":
@@ -623,19 +711,20 @@ def _walk(current, schedule, tol):
     """The continuation trace from the eps = 0 configuration `current`
     through the couplings of `schedule`."""
     weights, mu = current.mu, current.mu.array
+    buffers = _newton_buffers(len(mu))
     solved, residuals, jacobians = [], [], []
     failure = None
     for eps in schedule:
         try:
             _total_circulation(eps * mu)  # the stability batch divides by it
-            z, res, evaluation = _newton(current.Z, eps, weights, tol)
+            z, res, jacobian = _newton(current.Z, eps, weights, buffers, tol)
         except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
         current = HelioConfig(z, eps, weights)
         solved.append(current)
         residuals.append(float(np.abs(res).max()))
-        jacobians.append(_re_jacobian(*evaluation))
+        jacobians.append(jacobian.copy())
     reports = _stability(solved, jacobians) if solved else []
     records = tuple(ContinuationRecord(epsilon=config.epsilon, config=config,
                                        residual=residual, verdict=report.verdict)

@@ -770,6 +770,52 @@ def reference_full_system_stability(config, tol=1e-6):
     return verdict, tuple(complex(v) for v in eigvals[order])
 
 
+
+# -- the per-record trace export, the oracle of the batched one -------------
+
+def _reference_configuration_dict(config):
+    """HelioConfig.to_dict as the library wrote it before a trace exported
+    the angles, radii and z0 of all its records at once."""
+    Z, gamma = config.Z, config.epsilon * config.mu.array
+    angles = np.arctan2(Z[:, 1], Z[:, 0]) % (2.0 * math.pi)
+    angles[angles > 2.0 * math.pi - 1e-12] = 0.0
+    z0 = -(gamma[:, None] * Z).sum(axis=0) / (1.0 + gamma.sum(axis=-1))
+    return {
+        "angles": [float(a) for a in angles],
+        "radii": [float(r) for r in np.hypot(Z[:, 0], Z[:, 1])],
+        "mu": list(config.mu.mu),
+        "epsilon": float(config.epsilon),
+        "omega": 1.0,
+        "z0": [float(c) for c in z0],
+    }
+
+
+def reference_trace_dict(trace):
+    """ContinuationTrace.to_dict, one record's configuration at a time."""
+    return {
+        "mu": list(trace.mu.mu),
+        "failure": trace.failure,
+        "records": [
+            {"epsilon": rec.epsilon, "residual": rec.residual,
+             "verdict": rec.verdict, **_reference_configuration_dict(rec.config)}
+            for rec in trace.records
+        ],
+    }
+
+
+def reference_csv_rows(trace):
+    """ContinuationTrace.csv_rows, one record's configuration at a time."""
+    n = len(trace.mu)
+    rows = [["eps"] + [f"r{i+1}" for i in range(n)]
+            + [f"theta{i+1}" for i in range(n)] + ["residual", "verdict"]]
+    for rec in trace.records:
+        record = _reference_configuration_dict(rec.config)
+        rows.append([f"{rec.epsilon:.10g}"]
+                    + [f"{r:.12f}" for r in record["radii"]]
+                    + [f"{t:.12f}" for t in record["angles"]]
+                    + [f"{rec.residual:.3e}", rec.verdict])
+    return rows
+
 # -- the field formula, and scipy's RK45, the oracles of the integrator -----
 
 def reference_vortex_field(q, g):

@@ -390,9 +390,9 @@ def test_continue_from_a_colliding_start_writes_nothing(capsys, tmp_path, eps):
     target = tmp_path / "z.csv"
     code, out, err = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,0,2",
                          "--eps", eps, "--snapshots", "0", "--out", str(target))
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert "failure: vortices 1 and 2 coincide" in err
+    assert "error: the start is a collision: vortices 1 and 2 coincide" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -814,9 +814,10 @@ def test_a_writable_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
     kept.write_text("old\n")
     fresh = tmp_path / "fresh.csv"
     for out in (kept, fresh):
-        code, _, _ = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,0,2",
-                         "--eps", "0.01", "--step", "0.01", "--out", str(out))
-        assert code == 1
+        # the start is not a critical point: the run fails after the check
+        code, _, err = run(capsys, "continue", "--mu", "1,1,1", "--start-angles", "0,1,2",
+                           "--eps", "0.01", "--step", "0.01", "--out", str(out))
+        assert code == 1 and "failure: gradient infinity-norm" in err
     assert kept.read_text() == "old\n"
     assert not fresh.exists()
 
@@ -977,6 +978,17 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
      "argument --tol-grad: must be below 1"),
     (["continue", "--mu=1,2,3", "--point-index", "0", "--eps", "0.01",
       "--tol-zero-eig", "2"], "argument --tol-zero-eig: must be below 1"),
+    # a start whose vortices coincide is bad input, not a failed computation:
+    # equal angles, angles a turn apart, and a weak vortex on the strong one
+    (["continue", "--mu=1,1,1", "--eps", "0.01", "--start-angles=-1/3,1,1"],
+     "the start is a collision: vortices 2 and 3 coincide"),
+    (["continue", "--mu=1,1,1", "--eps", "0.01", "--start-angles=0,6.283185307179586,2"],
+     "the start is a collision: vortices 1 and 2 coincide"),
+    (["simulate", "--mu=1,1,1", "--eps", "0.01", "--periods", "0.01", "--start-angles=0,1,1"],
+     "the start is a collision: vortices 2 and 3 coincide"),
+    (["simulate", "--mu=1,1,1", "--eps", "0.01", "--periods", "0.01",
+      "--start-angles=0,1,2", "--radii=0,1,1"],
+     "the start is a collision: vortices 0 and 1 coincide"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

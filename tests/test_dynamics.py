@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    reference_csv_rows,
     reference_full_system_stability,
     reference_integrate,
     reference_null_space,
     reference_re_jacobian,
     reference_re_residual,
+    reference_trace_dict,
     reference_vortex_field,
 )
 from vortexre import dynamics
@@ -563,20 +565,82 @@ def test_full_system_stability_matches_the_scipy_reduction():
     assert verdicts == {"stable", "unstable"}
 
 
-def test_every_walk_verdict_matches_the_single_config_reference():
+@pytest.fixture(scope="module")
+def pool_walks():
+    """(eps = 0 start, trace) of a 30-step walk from every continue_n3 pool
+    start and from the polygons 2..12 at two weights."""
     pools = json.loads(POOLS.read_text())
-    walks = [continue_family(e["angles"], e["mu"], 0.024, step=0.0008)
-             for e in pools["continue_n3"]]
-    walks += [continue_polygon(n, mu, 0.024, step=0.0008)
+    starts = [HelioConfig.from_angles(e["angles"], e["mu"], 0.0) for e in pools["continue_n3"]]
+    walks = [(start, continue_family(e["angles"], e["mu"], 0.024, step=0.0008))
+             for start, e in zip(starts, pools["continue_n3"])]
+    walks += [(polygon_family(n, mu, 0.0), continue_polygon(n, mu, 0.024, step=0.0008))
               for n in range(2, 13) for mu in (1.37, -0.7)]
+    return walks
+
+
+def test_every_walk_verdict_matches_the_single_config_reference(pool_walks):
     verdicts = set()
-    for trace in walks:
+    for _, trace in pool_walks:
         assert trace.failure is None and len(trace.records) == 30
         for record in trace.records:
             verdict, _ = reference_full_system_stability(record.config)
             assert record.verdict == verdict
             verdicts.add(verdict)
     assert verdicts == {"stable", "unstable"}
+
+
+def test_each_walk_step_is_a_fresh_newton_solve_from_the_step_before(pool_walks):
+    # the walk's buffers carry nothing from one solve to the next
+    for previous, trace in pool_walks:
+        for record in trace.records:
+            guess = HelioConfig(previous.Z, record.epsilon, previous.mu)
+            solved = newton_solve(guess)
+            assert solved.Z.tobytes() == record.config.Z.tobytes()
+            previous = record.config
+
+
+def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
+    # every record's Z and kept Jacobian is a copy: none shares memory with
+    # another's or with the buffers the next solve overwrites
+    made, kept = [], []
+    newton_buffers, stability = dynamics._newton_buffers, dynamics._stability
+
+    def recording_buffers(N):
+        made.append(newton_buffers(N))
+        return made[-1]
+
+    def recording_stability(configs, jacobians):
+        kept.append(jacobians)
+        return stability(configs, jacobians)
+
+    monkeypatch.setattr(dynamics, "_newton_buffers", recording_buffers)
+    monkeypatch.setattr(dynamics, "_stability", recording_stability)
+    trace = continue_family(stable_saddle, (2, -1, 3), 0.02, step=0.005)
+    (buffers,), (jacobians,) = made, kept
+    assert trace.failure is None and len(trace.records) == len(jacobians) == 4
+
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            return [item]
+        return [a for part in item for a in arrays(part)]
+
+    buffers = arrays(buffers)
+    owned = [record.config.Z for record in trace.records] + list(jacobians)
+    for i, a in enumerate(owned):
+        assert not any(np.shares_memory(a, b) for b in owned[i + 1:] + buffers)
+    for record, jacobian in zip(trace.records, jacobians):
+        # the Jacobian kept is the one at the converged iterate
+        assert jacobian.tobytes() == re_jacobian(record.config).tobytes()
+
+
+def test_the_trace_export_is_the_per_record_export(pool_walks):
+    for _, trace in pool_walks:
+        assert json.dumps(trace.to_dict()) == json.dumps(reference_trace_dict(trace))
+        assert trace.csv_rows() == reference_csv_rows(trace)
+    empty = continue_polygon(3, 1.0, 0.0)
+    assert empty.to_dict() == reference_trace_dict(empty) == {
+        "mu": [1.0, 1.0, 1.0], "failure": None, "records": []}
+    assert empty.csv_rows() == reference_csv_rows(empty)
 
 
 # -- continuation in epsilon --------------------------------------------------
