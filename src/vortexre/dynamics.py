@@ -9,9 +9,10 @@ regular-polygon family, and a full-system spectral stability check that is
 independent of the reduced-potential classification.
 
 A continuation walk makes one set of Newton buffers and one stability
-batch.  Each iterate writes its pair table, residual, Jacobian and
-augmented system into the buffers, and the converged iterate's Jacobian is
-copied out for the batch, one stacked reduction that checks every step.
+batch.  Each iterate writes its pair table, residual and Jacobian into the
+buffers, the Jacobian into the top left of a square bordered matrix that
+one solve takes, and the converged iterate's Jacobian is copied out for
+the batch, one stacked reduction that checks every step.
 The buffered iterate runs the helpers that vortex_field, re_residual and
 re_jacobian run (_pairs, _field, _field_jacobian, _re_residual and
 _re_jacobian, each with optional buffers), so there is one copy of each
@@ -366,10 +367,12 @@ def _re_residual(table, g, z, out=None):
 
 
 def _jacobian_buffers(N, out=None):
-    """The arrays _re_jacobian fills for N weak vortices: out, the C-contiguous
-    (2N, 2N) matrix it returns (a new one when not given), the views of its
-    2x2 blocks and of their diagonal, the views of the field Jacobian's blocks
-    it takes, and the buffers of that Jacobian.  Every view is made once."""
+    """The arrays _re_jacobian fills for N weak vortices: out, the (2N, 2N)
+    matrix it returns (a new one when not given, else any 2-D view, such as
+    the top left of _newton's bordered matrix, since its 2x2 blocks are taken
+    by splitting each axis), the views of those blocks and of their diagonal,
+    the views of the field Jacobian's blocks it takes, and the buffers of
+    that Jacobian.  Every view is made once."""
     field = _field_jacobian_buffers(N + 1)
     F = field[0]
     if out is None:
@@ -409,15 +412,38 @@ def re_jacobian(config):
     return _re_jacobian(_pairs(q), g)
 
 
+# Above this infinity-norm of M^-1 applied to the probe, _newton calls the
+# bordered matrix M singular and takes the least-squares step instead.
+_SINGULAR = 1e6
+
+
 def _newton_buffers(N):
     """The arrays _newton fills for N weak vortices: the positions q of the
     full system, whose row 0, the strong vortex, stays 0; the buffers of its
-    pair table and field Jacobian; and the augmented system aug, rhs of a
-    step, whose last row, the gauge's, is set here."""
-    aug = np.zeros((2 * N + 1, 2 * N))
-    aug[-1, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
-    return (np.zeros((N + 1, 2)), _pair_buffers(N + 1), _jacobian_buffers(N, aug[:-1]),
-            aug, np.empty(2 * N + 1))
+    pair table and field Jacobian, which write the Jacobian into the top left
+    of the bordered matrix M of a step; M, whose gauge row is set here and
+    whose unfolding column each solve sets; and the two right sides of a
+    step, one row each: the step's, and a fixed probe with no structure,
+    sqrt(k) mod 1 - 1/2, whose solution's size tells a singular M."""
+    M = np.zeros((2 * N + 1, 2 * N + 1))
+    M[-1, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
+    sides = np.empty((2, 2 * N + 1))
+    sides[1] = np.sqrt(np.arange(2.0, 2 * N + 3)) % 1.0 - 0.5
+    return (np.zeros((N + 1, 2)), _pair_buffers(N + 1), _jacobian_buffers(N, M[:-1, :-1]),
+            M, sides)
+
+
+def _into_gauge(Z, out):
+    """Z rotated about the strong vortex so that weak vortex 1 lies on the
+    x-axis, on the side of it where it was, written into out."""
+    x, y = Z[0]
+    if y == 0.0:
+        out[...] = Z
+        return
+    r = math.hypot(x, y)
+    c, s = abs(x) / r, -math.copysign(1.0, x) * y / r
+    np.matmul(Z, np.array([[c, s], [-s, c]]), out=out)
+    out[0] = math.copysign(r, x), 0.0
 
 
 def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
@@ -425,10 +451,16 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
     _newton_buffers.  Each iterate writes its pair table, residual and
     Jacobian into them.  Returns the solution's Z, its residual and its
     Jacobian, views into the buffers that the next call overwrites."""
-    q, pairs, jacobian_buffers, aug, rhs = buffers
+    q, pairs, jacobian_buffers, M, sides = buffers
     _, g = _full_system(Z, epsilon, mu)
-    z, res = q[1:], rhs[:-1]
-    z[...] = Z
+    z, rhs = q[1:], sides[0]
+    res = rhs[:-1]
+    _into_gauge(Z, z)
+    # the unfolding column w_i = mu_i (z_i - c), c the center of vorticity,
+    # or the strong vortex at a total circulation of 0, which has none
+    total = 1.0 + g[1:].sum()
+    center = g[1:] @ z / total if total else 0.0
+    np.multiply(mu.array[:, None], z - center, out=M[:-1, -1].reshape(z.shape))
     for _ in range(max_iter + 1):
         table = _pairs(q, pairs)
         _re_residual(table, g, z, out=res)
@@ -441,7 +473,15 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
             return z, res, jacobian
         rhs[-1] = gauge
         np.negative(rhs, out=rhs)
-        step, *_ = np.linalg.lstsq(aug, rhs, rcond=1e-10)
+        try:
+            solved = np.linalg.solve(M, sides.T)
+            singular = not np.abs(solved[:, 1]).max() <= _SINGULAR  # NaN is singular
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:  # least squares, whose rank rule drops a second null direction
+            step, *_ = np.linalg.lstsq(M[:, :-1], rhs, rcond=1e-10)
+        else:  # drop the multiplier: sum_i Gamma_i <r_i, z_i - c> = 0 makes it O(|r|^2)
+            step = solved[:-1, 0]
         if not np.isfinite(step).all():
             raise ConvergenceError("Newton step is not finite")
         z += step.reshape(-1, 2)
@@ -452,10 +492,13 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
 def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     """Polish a relative-equilibrium guess to residual infinity-norm < tol.
 
-    The rotational gauge (weak vortex 1 on the positive x-axis) is enforced
-    as an appended constraint row, and each step solves the augmented
-    (2N+1)-row system in the least-squares sense because the rotational
-    null direction makes the square Jacobian singular.
+    The guess is first rotated about the strong vortex so that weak vortex 1
+    lies on the x-axis, the rotational gauge, which an appended row keeps.
+    The rotation makes the Jacobian singular, so it is bordered by that row
+    and by the unfolding column w_i = mu_i (z_i - c), c the center of
+    vorticity, and each step solves the square (2N+1)-row system.  Where
+    that system is singular too, at a bifurcation, the step is the least-
+    squares one of the Jacobian and the gauge row, at rcond 1e-10.
     """
     buffers = _newton_buffers(len(initial.mu))
     z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, buffers, tol, max_iter, history)

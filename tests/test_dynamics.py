@@ -13,6 +13,7 @@ from helpers import (
     reference_csv_rows,
     reference_full_system_stability,
     reference_integrate,
+    reference_lstsq_newton,
     reference_null_space,
     reference_re_jacobian,
     reference_re_residual,
@@ -402,6 +403,34 @@ def test_newton_keeps_first_vortex_on_the_axis(stable_saddle):
     assert np.abs(re_residual(out)).max() < 1e-12
 
 
+def test_newton_starts_by_rotating_the_guess_into_the_gauge():
+    # the -4,-7,9 stable saddle turned by -0.5 is rotated back before the
+    # first iterate, so it takes the steps of the unturned start
+    theta = np.array((0.0, 1.9776959562222671, 5.480254754348461))
+    mu = CirculationWeights((-4.0, -7.0, 9.0))
+    histories = []
+    for turn in (0.0, -0.5):
+        histories.append([])
+        out = newton_solve(HelioConfig.from_angles(theta + turn, mu, 1e-4),
+                           history=histories[-1])
+        assert out.Z[0, 0] > 0.0 and abs(out.Z[0, 1]) < 1e-12
+    unturned, turned = histories
+    assert len(turned) <= 5
+    assert len(turned) == len(unturned)
+    assert np.abs(np.subtract(turned, unturned)).max() < 1e-12
+
+
+def test_newton_keeps_the_side_of_the_axis_weak_vortex_1_is_on():
+    cfg = polygon_family(4, 1.0, 0.06)
+    for turn in (2.5, -2.5, math.pi / 2):
+        c, s = math.cos(turn), math.sin(turn)
+        guess = HelioConfig(cfg.Z @ np.array([[c, s], [-s, c]]), cfg.epsilon, cfg.mu)
+        out = newton_solve(guess)
+        assert out.Z[0, 1] == 0.0
+        assert out.Z[0, 0] == math.copysign(out.Z[0, 0], guess.Z[0, 0])
+        assert np.abs(out.radii - cfg.radii).max() < 1e-12
+
+
 def test_newton_displacement_scales_linearly_in_epsilon(stable_saddle):
     mu = mixed_mu()
     for eps in (0.005, 0.01):
@@ -416,23 +445,24 @@ def test_newton_raises_when_it_cannot_converge(stable_saddle):
         newton_solve(cfg, tol=1e-30, max_iter=5)
 
 
-_LSTSQ = np.linalg.lstsq
+_SOLVE = np.linalg.solve
 
 
 def _steps_into_a_collision(monkeypatch, guess, harmless, target):
-    """Make lstsq return `harmless` zero steps, then the step that puts weak
-    vortex 2 at `target` (weak vortex 1's position, or the strong vortex's)."""
+    """Make solve return `harmless` zero steps, then the step that puts weak
+    vortex 2 at `target` (weak vortex 1's position, or the strong vortex's).
+    The step is the first 2N entries of the solution's column 0."""
     calls = []
 
-    def lstsq(a, b, rcond=None):
-        step, *rest = _LSTSQ(a, b, rcond=rcond)
+    def solve(a, b):
+        solved = _SOLVE(a, b)
         calls.append(None)
-        step = np.zeros_like(step)
+        solved = np.zeros_like(solved)
         if len(calls) > harmless:
-            step[2:4] = target - guess.Z[1]
-        return (step, *rest)
+            solved[2:4, 0] = target - guess.Z[1]
+        return solved
 
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(np.linalg, "solve", solve)
 
 
 @pytest.mark.parametrize("harmless", [0, 3])
@@ -765,23 +795,26 @@ _N3_STARTS = (
 )
 
 # sha256 of stdout and of the --out file, recorded before the planar
-# configuration became a pair of arrays
+# configuration became a pair of arrays; every entry that runs a Newton
+# solve (each continue, and simulate --polish) was recorded again when each
+# Newton step became one square bordered solve, after
+# test_the_bordered_newton_walks_where_the_least_squares_one_walked held
 DYNAMICS_DIGESTS = {
     ("continue", "--polygon", "4", "--mu", "1", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("0aa802d52e156ec11fc06ba5aa268e988d09dfc0cb1ea6db7c0e39d84192448b", None),
+        ("cf097d76c64a4a22a0c48c6c8cc5ab1529ad7d4faabd1b0bd7d371ee939ff87b", None),
     ("continue", "--polygon", "8", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("419506cbc600c6781832ac0706e0524d9fc4ce533e74aa3b237f929a6d9e43b5", None),
+        ("5372e18f9742c8f2ad57aadd1d0cea74fc8b09124fa5bbadf9f5a94ec8b37ca5", None),
     ("continue", "--polygon", "12", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("68c5c71acb5f3b127dd242f9caa73a8924fdffdb9e2980f89bc0a1d50a96562d", None),
+        ("fcbf4cd89efa5896a420f4cd95210f1e52ebd5762322e59ac841bbd7797a63eb", None),
     ("continue", "--mu=" + _N3_STARTS[0][0], "--start-angles=" + _N3_STARTS[0][1],
      "--eps", "0.024", "--step", "0.0004", "--format", "json"):
-        ("b53c37ddea7bce4f5a0cd20a82071f508fb93c4ed17a2cbccf8ac68787fa66e8", None),
+        ("7ae2998def12896f9fee00f742105bfd2d99afde738bc4bed03ca137e4506521", None),
     ("continue", "--mu=" + _N3_STARTS[1][0], "--start-angles=" + _N3_STARTS[1][1],
      "--eps", "0.024", "--step", "0.0004", "--format", "json"):
-        ("9193522d5d5412f61c16cf909d02cdb467c5ddc29f28f88944c5335396185172", None),
+        ("fdcdcb92a6629ef9bec9a3c03a63f349051df3f1222c6b18149e707ca76c5e14", None),
     ("simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05"):
         ("739baaa1e79a70759f47c33d3e0730d8c43aed2998eb6f14cdfd29167916f168",
          "43d50d4a1f2c7c8a2523d32d333750db21e74bbf9a9c6e42cfc00586a9f16127"),
@@ -791,15 +824,15 @@ DYNAMICS_DIGESTS = {
     # recorded before the angles and positions became plain arrays
     ("continue", "--mu=2,-1,3", "--select", "stable saddle", "--eps", "0.02",
      "--step", "0.005"):
-        ("69843a32e80801b8056ebea823b7ebee9e5ad09754e4c807ed8f6ae9c42fb4c6", None),
+        ("63e91878041eabda25a5b207c008c8564f472af2cf44791b1cfd992df1d662ef", None),
     ("continue", "--mu=2,-1,3", "--point-index", "3", "--eps", "0.02", "--step", "0.005",
      "--format", "table"):
-        ("2fd3ca5105d59416704d2a04d9a2e1fdbdd2f54b4e66b844586cc2423b5c0916", None),
+        ("c36db531e6579a8983625725e930bd8bcd08abf4697a269d6a03b63e381bc061", None),
     ("continue", "--mu=1,1,1", "--normalize", "--eps", "0.02", "--step", "0.005",
      "--format", "json"):
-        ("2f287ad2847e474886b0bc75dcfcdd2802d6dc5487d2b070cb02540cd6f7764e", None),
+        ("31b8363f16287b1cf16cc5044778fd151fba442b5ce118212bb3f3c5f7af4340", None),
     ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01", "--polish"):
-        ("beedc1907818db98cd47e589cfd052489651f9db0b744b4ed66aa55183d36f87", None),
+        ("004733ec2e12f6a055f8093637c641602559d49a216b181eaee94fceaa07fbfb", None),
     ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01",
      "--radii=1,1.01,0.99"):
         ("86308d470db1d31e0ef68bdb25859580d0bffa1b2677304c2fc5467d52388647",
@@ -854,74 +887,76 @@ _MORE_WALKS = tuple(
 # (exit code, sha256 of stdout, stderr) of `continue WALK --format FORMAT`,
 # recorded before each Newton iterate built a single pair table; the last
 # walk has no polygon equilibrium past eps = 1/30 and stops early, and its
-# json digest was recorded again when that stop began to name the cause
+# json digest was recorded again when that stop began to name the cause.
+# Every entry but the csv and table of the N = 2, mu = 1.37 walk was recorded
+# again when each Newton step became one square bordered solve
 CONTINUE_DIGESTS = {
     (_MORE_WALKS[0], "json"):
-        (0, "e646f3ce9c4a91a82c43a9ee7633fab45cdbf75cd02c1bff9e843e7294f6c94a", ""),
+        (0, "fe6845398e0b20f218a7dbf555284110540b1fd79a896a408d560feb49efaf57", ""),
     (_MORE_WALKS[0], "csv"):
-        (0, "09c11d07216173eab16150465e992127ac57c0a24d25123a1264c423b44c5f20", ""),
+        (0, "75bc8cd23eaf49194121d73fc962fd226650b66b4cd69de0f6cbc307959b848c", ""),
     (_MORE_WALKS[0], "table"):
-        (0, "2626122b461416b297a7b685948842959de556999afdeb79f7755f4dc67b022d", ""),
+        (0, "02f57887f620e8f1fc78213ac89365f768a5a923d403c2464221b6737fab243e", ""),
     (_MORE_WALKS[1], "json"):
-        (0, "cd6e3b8ac76743b995ce5f92827596b27397c78a04cf6fde2a53cebf4052540d", ""),
+        (0, "88e70786a1d90c90a75f8d50265b520748854219c69aea3387d2da3f0874240d", ""),
     (_MORE_WALKS[1], "csv"):
-        (0, "a502946a71e805de20c31bc5cc202be4eeed746e8e5f503ab46c87b891d7855b", ""),
+        (0, "080d9dd691c094dc961a331b39b2fd89edaa5e7e88b37229e8fe4587756bc2e8", ""),
     (_MORE_WALKS[1], "table"):
-        (0, "0884a3f84211218a29c8e79c217962fcd6f142f1021d98552d3f8a95bfeccc22", ""),
+        (0, "1ee09913204da5dd3cf4277af1e1286095c3512ccd785d53c5ed9f946329917c", ""),
     (_MORE_WALKS[2], "json"):
-        (0, "dd8b5d195b8cf7ed6c58ecd3b1a0b7d712dce1ff3cd4569654acbf90fce24fdb", ""),
+        (0, "10a803063c89b1109edbf69e50f90178224d02257b9aac8eb1463f837806720c", ""),
     (_MORE_WALKS[2], "csv"):
-        (0, "1fbfc4ab2bb116f0e123e56eb40d597bae8868ef68960cecb5c2551f6ad42153", ""),
+        (0, "fdf0c1e54a3b24f173b212a74f9222068bff919e2b2bb4fccf9ab2db4a583dd1", ""),
     (_MORE_WALKS[2], "table"):
-        (0, "548f0c0aa4c5bb956dfd8cab1cf93ca3b858c64bd0d3c817f9fbe497f83776df", ""),
+        (0, "53f9832a94fb0911b6be6ecc26f77264336205982636a63a53eb0ed4fec102e2", ""),
     (_MORE_WALKS[3], "json"):
-        (0, "5e55849f866a983f42c91fef204a0d9cf211bac7181e06524ffdf9c959d1b225", ""),
+        (0, "9560415ce20e5bc1dea316e1c88bcb93d0edbc676d65dcd144604d5716957198", ""),
     (_MORE_WALKS[3], "csv"):
-        (0, "50afab1a27130c4a4436ba4bbcf8decd19e72f271184d999d5d2d52403c7806c", ""),
+        (0, "14a1ca317e62cbe43aed2c382167cf185d6eed4618aad37fdc37d2376b67f610", ""),
     (_MORE_WALKS[3], "table"):
-        (0, "b7a5352082d470ae3f7ef25ec81e789b4bf717bba448f4420e3e7ab9505ca9e1", ""),
+        (0, "abf7cc05a99a8807d1cd87139c52044feb3f7aea44455b20b5cb37eb52b0439a", ""),
     (_MORE_WALKS[4], "json"):
-        (0, "3166ba69d0f37529c9d4291f120703c78b5c39b03fe9725728632dcaf8737fb8", ""),
+        (0, "583d6ae20a9e78fe566fc688024c56da959924f4790cd5b263c547cb87374bd3", ""),
     (_MORE_WALKS[4], "csv"):
-        (0, "d3229b9cf82c5b055293fc4e6ba1851b49494175a37ff076a6f50d81bd7eed79", ""),
+        (0, "537caa6ce9f8840c805b642234a4ecb436309ec540d0001705a4d72d12cc9335", ""),
     (_MORE_WALKS[4], "table"):
-        (0, "f51e675e23af92d2323362fd67345acdeb04233710bd00c00c163403e2fb0681", ""),
+        (0, "88b90512b182367af236dc7881872f9de92bf33dd3aef499ede2a79f1c1bc4f7", ""),
     (_MORE_WALKS[5], "json"):
-        (0, "bccd15db55127759f041426dd9544423be2a96aa7dd5a65bb5ad321fc1a19782", ""),
+        (0, "b5e7b425d5914f430389bc6620bc1ddc0bebd1f64aa2d4f1d25114e328f6d888", ""),
     (_MORE_WALKS[5], "csv"):
-        (0, "f25bfb2cf8acba44c48df858d17ef4cbad34da6e2613281de6a1674ba80e62eb", ""),
+        (0, "560c3a588135689ac7ef07acb4b65b7d5b0f388e5e0b1e12915f07e4de58477e", ""),
     (_MORE_WALKS[5], "table"):
-        (0, "a08a303550f5615f5ebfd8cacf25ba616bb96b9c27393e0d24c23fd711c04d11", ""),
+        (0, "77101d574e30dcbc40eb3d5151f55b4786a91298e842e63eb9b9cd9cec5dee69", ""),
     (_MORE_WALKS[6], "json"):
-        (0, "13d5df7ae6ed4a62a9259459f67bca9c3c88dc138a04eae9dd39064162367b56", ""),
+        (0, "92b5de0f8299bd55b1eecb9584dc59ae6babd672a9c3b9d9e9d501afc40ec2ec", ""),
     (_MORE_WALKS[6], "csv"):
-        (0, "a90cd0ccf3c3b81a82529cff1b5b47c1d29378023d1ea553e47cf717d48d7c6c", ""),
+        (0, "1a6ba7cd299cf77607217021a4b3a3474311bd80d48ab31de1d4be002ef163ab", ""),
     (_MORE_WALKS[6], "table"):
-        (0, "93f3ea72ba6fdd205f31083c989a07ee66cc716130ca91ee566c2b53dcc158fd", ""),
+        (0, "d74abbe501c9ad6806812e5d18a435edfda2253125535768890c2f29eabb5328", ""),
     (_MORE_WALKS[7], "json"):
-        (0, "3c1dd3fdd3c95cffa20bc5b52cd6a50fd3c9f388fe97d2078e88017a14a57769", ""),
+        (0, "652f12f2a19093e3e424ef9c44be920d7897d3e760af68a8fdaa53eac85bfbed", ""),
     (_MORE_WALKS[7], "csv"):
-        (0, "eda26669f4616c5bb5bc0a12f7a6ff089163b4f8dcdb23701f925a1874db0a67", ""),
+        (0, "7c57463eaf1da5db9cd66b80f7b150ba6c94608532caf99ad4cbba69f7293deb", ""),
     (_MORE_WALKS[7], "table"):
-        (0, "0fc2a2ad6714450a099641175ceaa25d5f6df4c531e6decb7b1a3ec2547aa786", ""),
+        (0, "68a9024372daafb827fe4ab73949373a0f39126924a8f4d4d9f26bf4b529ffd2", ""),
     (_MORE_WALKS[8], "json"):
-        (0, "8c3c864c8dcba59ef1a894d68c868e6fa72ef055f0bcfe72923fe6b58a5939f0", ""),
+        (0, "eb033ccbff70c8f2299b4c9c7484e29eadcbc521c55cf014ba0af13e7b18bcec", ""),
     (_MORE_WALKS[8], "csv"):
-        (0, "83a67464b1c2130706506ef353273eac7c6837e99bd0503c1b4dfc15e2704a02", ""),
+        (0, "7c2d1ca07ecb3908f8f748e58817b33131e92fe54a992e7217626b44f41eba8a", ""),
     (_MORE_WALKS[8], "table"):
-        (0, "d808fe9eab797fe36ed5131b93d7e9e671d169654ddef68f010684e77c7b639b", ""),
+        (0, "f9f02f2b514702dd08980750fddd317d5917e2fa5dcaf8ab4df2a8abc5a8fddb", ""),
     (_MORE_WALKS[9], "json"):
-        (0, "fea7b957f98eb9489c2342c6a177f6f8d7be8d6bf635cffee1783eca6cf83338", ""),
+        (0, "42ea728113564a6d7870b5b0466d0a2f5667c9be509cc20393a23e8c338a1a5c", ""),
     (_MORE_WALKS[9], "csv"):
         (0, "b4b260138c72d2b711db5d4dfc20011a3a84062fc116baf1a1abe6c784378e44", ""),
     (_MORE_WALKS[9], "table"):
         (0, "33c64cf0cf9e2624f952637d92cf92d311be694cf7db9acc10d51219b16c6bfa", ""),
     (_MORE_WALKS[10], "json"):
-        (1, "e9014ad68e9a308f138bec6261515b280a39145f171460ed526dece0f57692f1", _STOPPED),
+        (1, "8748046c4b0badad8168ba8c8554ad9d038060b0add9b1f638d77f15ff6a5e90", _STOPPED),
     (_MORE_WALKS[10], "csv"):
-        (1, "cb54391bb75e72922444278ba2ef3b804bfd4cb55c89f30255a618f54ea6a79e", _STOPPED),
+        (1, "d694743e9d080711c49e276cabec079337e4ac65db3926d7c599efb933d16cdd", _STOPPED),
     (_MORE_WALKS[10], "table"):
-        (1, "ea9ca525f9186ebceb3cd677d56e88db30b2041acbb8a7413e8904bf4bee0bd2", _STOPPED),
+        (1, "8caf3b930ac60e9e15aa64a5f9b2b776b92a9ed1e18f2781f014f16b2b335092", _STOPPED),
 }
 
 
@@ -932,6 +967,63 @@ def test_continue_output_is_frozen(capsys, walk, fmt):
     captured = capsys.readouterr()
     assert captured.err == want_err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == want_out
+
+
+def _equivalence_walks():
+    """(name, walk) of the frozen N=3 walks and of polygons N = 2..12 at
+    three weights, the last of which, mu = 2, crosses the bifurcation
+    mu*eps = 4/(N-1)^2 of N = 11 at eps = 0.02."""
+    walks = [((mu,), lambda mu=mu, angles=angles: continue_family(
+                 [float(a) for a in angles.split(",")], [float(m) for m in mu.split(",")],
+                 0.024, step=0.0004))
+             for mu, angles in _N3_STARTS + _MORE_N3_STARTS]
+    walks += [((n, mu), lambda n=n, mu=mu: continue_polygon(n, mu, 0.024, step=0.0008))
+              for n in range(2, 13) for mu in (1.37, -0.7, 2.0)]
+    return walks
+
+
+def _angle_gap(a, b):
+    return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def test_the_bordered_newton_walks_where_the_least_squares_one_walked(monkeypatch):
+    # the square bordered step lands within rounding of the least-squares
+    # step, and the probe sends lstsq only the iterate at the bifurcation
+    lstsq, sent = np.linalg.lstsq, []
+    current = [None]
+
+    def counting(*args, **kwargs):
+        sent.append(current[0])
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    ours = []
+    for name, walk in _equivalence_walks():
+        current[0] = name
+        ours.append(walk())
+    assert sent == [(11, 2.0)]
+    monkeypatch.setattr(dynamics, "_newton", reference_lstsq_newton)
+    for (name, walk), trace in zip(_equivalence_walks(), ours):
+        reference = walk()
+        assert trace.failure == reference.failure, name
+        assert len(trace.records) == len(reference.records), name
+        for rec, ref in zip(trace.records, reference.records):
+            assert (rec.epsilon, rec.verdict) == (ref.epsilon, ref.verdict), name
+            assert _angle_gap(rec.config.angles, ref.config.angles).max() < 1e-9, name
+            assert np.abs(rec.config.radii - ref.config.radii).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_a_polygon_walk_through_its_bifurcation_stays_on_the_polygon(n):
+    # at mu*eps = 4/(N-1)^2 the Jacobian gains a second null direction; the
+    # schedule lands on it at eps = 25 * 0.0008 = 0.02
+    mu = 200.0 / (n - 1) ** 2
+    trace = continue_polygon(n, mu, 0.024, step=0.0008)
+    assert trace.failure is None and len(trace.records) == 30
+    assert trace.records[24].epsilon * mu == pytest.approx(4.0 / (n - 1) ** 2, rel=1e-15)
+    for record in trace.records:
+        radius = math.sqrt(1.0 + mu * record.epsilon * (n - 1) / 2.0)
+        assert np.abs(record.config.radii - radius).max() < 1e-9, record.epsilon
 
 
 def test_a_polygon_walk_stops_where_the_family_ends(capsys, monkeypatch):
@@ -973,6 +1065,14 @@ def test_a_walk_stops_where_the_total_circulation_is_zero(capsys, monkeypatch):
     rows = captured.out.splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [f"{0.01 * k:.10g}" for k in range(1, 25)]
     assert solved == pytest.approx([0.01 * k for k in range(1, 25)])
+
+
+def test_newton_solves_at_zero_total_circulation():
+    # Newton needs no center of vorticity: its unfolding column is then
+    # centered at the strong vortex
+    config = polygon_family(8, -0.5, 0.25)
+    out = newton_solve(HelioConfig(config.Z * 1.01, config.epsilon, config.mu))
+    assert np.abs(out.radii - config.radii).max() < 1e-12
 
 
 def test_full_system_stability_refuses_zero_total_circulation():
