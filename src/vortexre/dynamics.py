@@ -9,10 +9,15 @@ regular-polygon family, and a full-system spectral stability check that is
 independent of the reduced-potential classification.
 
 A continuation walk makes one set of Newton buffers and one stability
-batch.  Each iterate writes its pair table, residual and Jacobian into the
-buffers, the Jacobian into the top left of a square bordered matrix that
-one solve takes, and the converged iterate's Jacobian is copied out for
-the batch, one stacked reduction that checks every step.
+batch.  Each step's Newton solve starts from the quadratic extrapolation
+through the last three solutions, a predictor-corrector walk (Allgower &
+Georg, Introduction to Numerical Continuation Methods, ch. 2), and falls
+back to a solve from the previous solution where that one fails or meets
+a nearly singular matrix.  Each iterate writes its pair table, residual
+and Jacobian into the buffers, the Jacobian into the top left of a square
+bordered matrix that one solve takes, and the converged iterate's
+Jacobian is copied out for the batch, one stacked reduction that checks
+every step.
 The buffered iterate runs the helpers that vortex_field, re_residual and
 re_jacobian run (_pairs, _field, _field_jacobian, _re_residual and
 _re_jacobian, each with optional buffers), so there is one copy of each
@@ -22,6 +27,7 @@ formula.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -271,6 +277,19 @@ class HelioConfig:
         object.__setattr__(self, "Z", z)
         _pairs(_full_system(z, self.epsilon, self.mu)[0])  # vortex 0 is the strong one
 
+    @classmethod
+    def _unchecked(cls, z, epsilon, mu):
+        """The configuration of a copy of z, a float array of shape (N, 2),
+        for mu, a CirculationWeights, without the collision check: for
+        positions whose pair table has just been checked."""
+        config = object.__new__(cls)
+        Z = z.copy()
+        Z.flags.writeable = False
+        object.__setattr__(config, "Z", Z)
+        object.__setattr__(config, "epsilon", epsilon)
+        object.__setattr__(config, "mu", mu)
+        return config
+
     @property
     def radii(self):
         return _radii(self.Z)
@@ -415,6 +434,11 @@ def re_jacobian(config):
 # Above this infinity-norm of M^-1 applied to the probe, _newton calls the
 # bordered matrix M singular and takes the least-squares step instead.
 _SINGULAR = 1e6
+# Above this one a wary _newton gives up.  Solves from an extrapolated guess
+# read at most 5e3 on pool and polygon walks, but 3e5 to 2e6 on a step that
+# lands on a polygon bifurcation, where going on leaves the polygon by up to
+# 2e-11 and a solve from the step before stays within 1e-12.
+_NEARLY_SINGULAR = _SINGULAR / 10
 
 
 def _newton_buffers(N):
@@ -446,11 +470,13 @@ def _into_gauge(Z, out):
     out[0] = math.copysign(r, x), 0.0
 
 
-def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
+def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None, wary=False):
     """newton_solve on bare positions, written into buffers from
     _newton_buffers.  Each iterate writes its pair table, residual and
     Jacobian into them.  Returns the solution's Z, its residual and its
-    Jacobian, views into the buffers that the next call overwrites."""
+    Jacobian, views into the buffers that the next call overwrites.  A wary
+    solve raises ConvergenceError at an iterate whose probe reads above
+    _NEARLY_SINGULAR, before it takes any step there."""
     q, pairs, jacobian_buffers, M, sides = buffers
     _, g = _full_system(Z, epsilon, mu)
     z, rhs = q[1:], sides[0]
@@ -475,10 +501,12 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None):
         np.negative(rhs, out=rhs)
         try:
             solved = np.linalg.solve(M, sides.T)
-            singular = not np.abs(solved[:, 1]).max() <= _SINGULAR  # NaN is singular
+            probe = np.abs(solved[:, 1]).max()
         except np.linalg.LinAlgError:
-            singular = True
-        if singular:  # least squares, whose rank rule drops a second null direction
+            probe = math.inf
+        if wary and not probe <= _NEARLY_SINGULAR:  # NaN too
+            raise ConvergenceError(f"bordered Newton matrix nearly singular (probe {probe:.3g})")
+        if not probe <= _SINGULAR:  # least squares, whose rank rule drops a second null direction
             step, *_ = np.linalg.lstsq(M[:, :-1], rhs, rcond=1e-10)
         else:  # drop the multiplier: sum_i Gamma_i <r_i, z_i - c> = 0 makes it O(|r|^2)
             step = solved[:-1, 0]
@@ -714,10 +742,14 @@ def _epsilon_schedule(eps_max, step):
 def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):
     """Continue a nondegenerate critical point of V to positive coupling.
 
-    Walks eps from `step` to `eps_max`, seeding each Newton solve with the
-    previous solution and recording the full-system stability verdict;
-    eps_max = 0 checks the start and returns an empty trace.  A failed
-    solve ends the walk and returns the partial trace with a failure
+    Walks eps from `step` to `eps_max`, recording the full-system stability
+    verdict; eps_max = 0 checks the start and returns an empty trace.  Each
+    Newton solve starts from the quadratic through the last three
+    solutions at their eps (the start at eps = 0 counting as one, so the
+    first step starts from it and the second from a line).  Where that
+    solve fails, or meets a nearly singular bordered matrix, as at a
+    bifurcation, the step is solved again from the previous solution.  A
+    failed solve ends the walk and returns the partial trace with a failure
     marker instead of raising, as does zero total circulation, before its
     solve.  One set of Newton buffers and one stability batch per walk:
     each solve's converged residual and Jacobian are kept for the batch.
@@ -750,21 +782,54 @@ def continue_polygon(N, mu_scalar, eps_max, step=0.005, tol=1e-12):
     return trace
 
 
+def _extrapolate(passed, epsilon):
+    """Z at epsilon on the Lagrange polynomial through the (eps, Z) pairs
+    passed, whose eps need not be evenly spaced."""
+    guess = np.zeros_like(passed[-1][1])
+    for k, (eps_k, z_k) in enumerate(passed):
+        weight = 1.0
+        for j, (eps_j, _) in enumerate(passed):
+            if j != k:
+                weight *= (epsilon - eps_j) / (eps_k - eps_j)
+        guess += weight * z_k
+    return guess
+
+
+def _corrected(passed, epsilon, mu, buffers, tol):
+    """_newton at epsilon from the extrapolation through the solutions
+    passed, or, where that fails or meets a nearly singular bordered matrix,
+    from the last of them, so a walk fails and bifurcates where steps from
+    the solution before would."""
+    if len(passed) > 1:
+        try:
+            return _newton(_extrapolate(passed, epsilon), epsilon, mu, buffers, tol, wary=True)
+        except (ConvergenceError, CollisionError):
+            pass
+    return _newton(passed[-1][1], epsilon, mu, buffers, tol)
+
+
 def _walk(current, schedule, tol):
     """The continuation trace from the eps = 0 configuration `current`
-    through the couplings of `schedule`."""
+    through the couplings of `schedule`.  Each step's Newton solve starts
+    from the quadratic through the last three solutions, the start in the
+    gauge counting as the one at eps = 0 (see _corrected)."""
     weights, mu = current.mu, current.mu.array
     buffers = _newton_buffers(len(mu))
+    start = np.empty_like(current.Z)
+    _into_gauge(current.Z, start)  # so the first line does not turn
+    passed = deque([(0.0, start)], maxlen=3)
     solved, residuals, jacobians = [], [], []
     failure = None
     for eps in schedule:
         try:
             _total_circulation(eps * mu)  # the stability batch divides by it
-            z, res, jacobian = _newton(current.Z, eps, weights, buffers, tol)
+            z, res, jacobian = _corrected(passed, eps, weights, buffers, tol)
         except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
-        current = HelioConfig(z, eps, weights)
+        # the converged iterate's pair table has checked z for collisions
+        current = HelioConfig._unchecked(z, eps, weights)
+        passed.append((eps, current.Z))
         solved.append(current)
         residuals.append(float(np.abs(res).max()))
         jacobians.append(jacobian.copy())

@@ -749,6 +749,40 @@ def reference_lstsq_newton(Z, epsilon, mu, buffers=None, tol=1e-12, max_iter=50,
     raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
 
 
+# -- the walk from the solution before, the oracle of the extrapolated one --
+
+def reference_previous_guess_walk(current, schedule, tol):
+    """vortexre.dynamics._walk as it was before each step started from an
+    extrapolation: each Newton solve starts from the solution before it,
+    the first from the eps = 0 start.  It takes _walk's arguments, so a
+    continuation can run on it in _walk's place, and looks up
+    dynamics._newton at each step, so a test may replace that too."""
+    from vortexre import dynamics
+    from vortexre.dynamics import ContinuationRecord, ContinuationTrace, HelioConfig
+    from vortexre.errors import CirculationError, CollisionError, ConvergenceError
+
+    weights, mu = current.mu, current.mu.array
+    buffers = dynamics._newton_buffers(len(mu))
+    solved, residuals, jacobians = [], [], []
+    failure = None
+    for eps in schedule:
+        try:
+            dynamics._total_circulation(eps * mu)
+            z, res, jacobian = dynamics._newton(current.Z, eps, weights, buffers, tol)
+        except (CirculationError, ConvergenceError, CollisionError) as exc:
+            failure = f"eps={eps:.6g}: {exc}"
+            break
+        current = HelioConfig(z, eps, weights)
+        solved.append(current)
+        residuals.append(float(np.abs(res).max()))
+        jacobians.append(np.array(jacobian))
+    reports = dynamics._stability(solved, jacobians) if solved else []
+    records = tuple(ContinuationRecord(epsilon=config.epsilon, config=config,
+                                       residual=residual, verdict=report.verdict)
+                    for config, residual, report in zip(solved, residuals, reports))
+    return ContinuationTrace(records=records, mu=weights, failure=failure)
+
+
 # Saddles of two weight vectors that sum to zero, as `find` reports them.
 ZERO_SUM_SADDLES = [
     ((-4, 11, -7), (0.0, 0.8405045016914133, 4.273118733325888)),

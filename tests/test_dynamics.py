@@ -15,6 +15,7 @@ from helpers import (
     reference_integrate,
     reference_lstsq_newton,
     reference_null_space,
+    reference_previous_guess_walk,
     reference_re_jacobian,
     reference_re_residual,
     reference_trace_dict,
@@ -619,14 +620,136 @@ def test_every_walk_verdict_matches_the_single_config_reference(pool_walks):
     assert verdicts == {"stable", "unstable"}
 
 
-def test_each_walk_step_is_a_fresh_newton_solve_from_the_step_before(pool_walks):
-    # the walk's buffers carry nothing from one solve to the next
-    for previous, trace in pool_walks:
+def test_each_walk_step_is_a_fresh_newton_solve_from_its_predicted_guess(pool_walks):
+    # the walk's buffers carry nothing from one solve to the next, and each
+    # solve starts from the quadratic through the last three solutions at
+    # their own eps, the eps = 0 start counting as the first
+    for start, trace in pool_walks:
+        assert start.Z[0, 1] == 0.0  # in the gauge already
+        passed = [(0.0, start.Z)]
         for record in trace.records:
-            guess = HelioConfig(previous.Z, record.epsilon, previous.mu)
-            solved = newton_solve(guess)
+            guess = dynamics._extrapolate(passed[-3:], record.epsilon) if len(passed) > 1 \
+                else start.Z
+            solved = newton_solve(HelioConfig(guess, record.epsilon, start.mu))
             assert solved.Z.tobytes() == record.config.Z.tobytes()
-            previous = record.config
+            passed.append((record.epsilon, record.config.Z))
+
+
+def test_the_predictor_is_the_lagrange_polynomial_through_its_points():
+    # exact on a quadratic in eps, with unequal spacing, to rounding
+    rng = np.random.default_rng(3)
+    a, b, c = rng.normal(size=(3, 4, 2))
+
+    def Z(eps):
+        return a + b * eps + c * eps ** 2
+
+    points = [(eps, Z(eps)) for eps in (0.0, 0.0008, 0.0013)]
+    for eps in (0.002, 0.0031):
+        assert np.abs(dynamics._extrapolate(points, eps) - Z(eps)).max() < 1e-14
+    # two points give their line
+    line = dynamics._extrapolate([(1.0, a), (3.0, b)], 4.0)
+    assert np.abs(line - (1.5 * b - 0.5 * a)).max() < 1e-15
+
+
+def test_a_walk_record_is_the_checked_configuration_of_its_solution(pool_walks):
+    # a record skips HelioConfig's collision check, which the solve's own
+    # pair table has made, and keeps the bytes that check would have kept
+    for _, trace in pool_walks:
+        for record in trace.records:
+            config = record.config
+            checked = HelioConfig(config.Z, config.epsilon, config.mu)
+            assert config.Z.tobytes() == checked.Z.tobytes()
+            assert config.Z.dtype == checked.Z.dtype and not config.Z.flags.writeable
+            assert config.epsilon == record.epsilon and type(config.epsilon) is float
+            assert config.mu is trace.mu
+            assert config.to_dict() == checked.to_dict()
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, CollisionError])
+def test_a_failed_predicted_solve_is_solved_again_from_the_step_before(
+        monkeypatch, stable_saddle, error):
+    # the third step's solve from its extrapolated guess fails; the walk
+    # solves that step again from the second record and walks on
+    calls = []
+    newton = dynamics._newton
+
+    def failing_once(Z, eps, *args, wary=False, **kwargs):
+        calls.append((eps, wary, Z.copy()))
+        if wary and len(calls) == 3:
+            raise error("made to fail")
+        return newton(Z, eps, *args, wary=wary, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_newton", failing_once)
+    trace = continue_family(stable_saddle, mixed_mu(), 0.02, step=0.005)
+    assert trace.failure is None and len(trace.records) == 4
+    eps = [record.epsilon for record in trace.records]
+    assert [(e, wary) for e, wary, _ in calls] == [
+        (eps[0], False), (eps[1], True), (eps[2], True), (eps[2], False), (eps[3], True)]
+    first, second, third, _ = (record.config for record in trace.records)
+    assert calls[3][2].tobytes() == second.Z.tobytes()
+    again = newton_solve(HelioConfig(second.Z, eps[2], second.mu))
+    assert third.Z.tobytes() == again.Z.tobytes()
+    # the step after extrapolates through the solution found again
+    points = [(eps[k], config.Z) for k, config in enumerate((first, second, third))]
+    assert calls[4][2].tobytes() == dynamics._extrapolate(points, eps[3]).tobytes()
+
+
+def test_a_wary_newton_gives_up_before_it_takes_a_least_squares_step(monkeypatch):
+    # at the 11-gon's bifurcation mu*eps = 4/(N-1)^2 the bordered matrix is
+    # singular: a plain solve takes the least-squares step there, a wary one
+    # raises before taking any.  From the polygon of the step before, the
+    # probe reads 52, 3.1e4 and 1.1e10 on the plain solve's three steps
+    config = polygon_family(11, 2.0, 0.02)
+    guess = polygon_family(11, 2.0, 0.0192).Z
+    lstsq, sent = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        sent.append(True)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    buffers = dynamics._newton_buffers(11)
+    with pytest.raises(ConvergenceError, match="nearly singular"):
+        dynamics._newton(guess, 0.02, config.mu, buffers, 1e-12, wary=True)
+    assert sent == []
+    z, _, _ = dynamics._newton(guess, 0.02, config.mu, buffers, 1e-12)
+    assert sent and np.abs(dynamics._radii(z) - config.radii).max() < 1e-12
+
+
+def _residuals_per_step(monkeypatch, walks):
+    """Residual evaluations per record over the walks, and the traces."""
+    calls = [0]
+    residual = dynamics._re_residual
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_re_residual", counting)
+    traces = [walk() for walk in walks]
+    monkeypatch.setattr(dynamics, "_re_residual", residual)
+    assert all(trace.failure is None for trace in traces)
+    return calls[0] / sum(len(trace.records) for trace in traces)
+
+
+def test_the_extrapolated_guess_saves_newton_iterates(monkeypatch):
+    # per step, from the solution before: 4.07 on the pool and 3.48 on the
+    # polygons; from the line through the last two: 3.11 and 2.69; from the
+    # quadratic: 2.82 and 2.07
+    entries = json.loads(POOLS.read_text())["continue_n3"]
+    pool = [lambda e=e: continue_family(e["angles"], e["mu"], 0.024, step=0.0008)
+            for e in entries]
+    polygons = [lambda n=n, mu=mu: continue_polygon(n, mu, 0.024, step=0.0008)
+                for n in range(2, 13) for mu in (1.37, -0.7, 2.0)]
+    assert _residuals_per_step(monkeypatch, pool) < 3.0
+    assert _residuals_per_step(monkeypatch, polygons) < 2.3
+    # the start is turned into the gauge first, so the first line does not
+    # turn: a start off the gauge takes the iterates of the one in it
+    turned = [lambda e=e, turn=turn: continue_family(np.add(e["angles"], turn), e["mu"],
+                                                     0.024, step=0.0008)
+              for e in entries[:10] for turn in (0.0, 2.0)]
+    assert (_residuals_per_step(monkeypatch, turned[::2])
+            == _residuals_per_step(monkeypatch, turned[1::2]))
 
 
 def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
@@ -798,23 +921,28 @@ _N3_STARTS = (
 # configuration became a pair of arrays; every entry that runs a Newton
 # solve (each continue, and simulate --polish) was recorded again when each
 # Newton step became one square bordered solve, after
-# test_the_bordered_newton_walks_where_the_least_squares_one_walked held
+# test_the_bordered_newton_walks_where_the_least_squares_one_walked held.
+# Every continue entry was recorded again when each step's solve began
+# from the quadratic through the last three solutions, which moves the
+# converged points in their last bits (in these walks and those of
+# CONTINUE_DIGESTS, angles by at most 8.5e-12 and radii by 8.7e-13), after
+# test_the_extrapolated_walk_lands_where_the_previous_guess_walk_landed held
 DYNAMICS_DIGESTS = {
     ("continue", "--polygon", "4", "--mu", "1", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("cf097d76c64a4a22a0c48c6c8cc5ab1529ad7d4faabd1b0bd7d371ee939ff87b", None),
+        ("ad004de1efa2f2e44b27d257dc8006c9ea3f1fc7f9d4381b574650aa094f1add", None),
     ("continue", "--polygon", "8", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("5372e18f9742c8f2ad57aadd1d0cea74fc8b09124fa5bbadf9f5a94ec8b37ca5", None),
+        ("9cab091ee9ecdb7672505f2d6d84afd8b3dbe80b86c56f8113236ae4ccfea579", None),
     ("continue", "--polygon", "12", "--mu", "1.37", "--eps", "0.024", "--step", "0.0008",
      "--format", "json"):
-        ("fcbf4cd89efa5896a420f4cd95210f1e52ebd5762322e59ac841bbd7797a63eb", None),
+        ("3303cd3a13bc695515015f22550c5d68fcc6392d86bb4702787ba96e0ccc0f9f", None),
     ("continue", "--mu=" + _N3_STARTS[0][0], "--start-angles=" + _N3_STARTS[0][1],
      "--eps", "0.024", "--step", "0.0004", "--format", "json"):
-        ("7ae2998def12896f9fee00f742105bfd2d99afde738bc4bed03ca137e4506521", None),
+        ("08829402b76a11e79cdb392db962f401390ec2ab03b80f15ebdb48183873571f", None),
     ("continue", "--mu=" + _N3_STARTS[1][0], "--start-angles=" + _N3_STARTS[1][1],
      "--eps", "0.024", "--step", "0.0004", "--format", "json"):
-        ("fdcdcb92a6629ef9bec9a3c03a63f349051df3f1222c6b18149e707ca76c5e14", None),
+        ("f7ca7ec38aa6454c3c085d8734714dfce60755ec5795b048fa1af8be87ded124", None),
     ("simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05"):
         ("739baaa1e79a70759f47c33d3e0730d8c43aed2998eb6f14cdfd29167916f168",
          "43d50d4a1f2c7c8a2523d32d333750db21e74bbf9a9c6e42cfc00586a9f16127"),
@@ -824,13 +952,13 @@ DYNAMICS_DIGESTS = {
     # recorded before the angles and positions became plain arrays
     ("continue", "--mu=2,-1,3", "--select", "stable saddle", "--eps", "0.02",
      "--step", "0.005"):
-        ("63e91878041eabda25a5b207c008c8564f472af2cf44791b1cfd992df1d662ef", None),
+        ("99526a82d0948e5bc88166f75c292948aacc19934a637c105c8d76d4381798bc", None),
     ("continue", "--mu=2,-1,3", "--point-index", "3", "--eps", "0.02", "--step", "0.005",
      "--format", "table"):
-        ("c36db531e6579a8983625725e930bd8bcd08abf4697a269d6a03b63e381bc061", None),
+        ("02f52aa4e9092db97c145d1eb7873bbcd7b6203f5406e304fb4acaed8444f526", None),
     ("continue", "--mu=1,1,1", "--normalize", "--eps", "0.02", "--step", "0.005",
      "--format", "json"):
-        ("31b8363f16287b1cf16cc5044778fd151fba442b5ce118212bb3f3c5f7af4340", None),
+        ("2a6a810ead024f8254b7c3450efcb2a27323e7f0f82207536c50c730a446ac90", None),
     ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01", "--polish"):
         ("004733ec2e12f6a055f8093637c641602559d49a216b181eaee94fceaa07fbfb", None),
     ("simulate", "--mu=2,-1,3", "--start-angles=0,1.9,4.1", "--eps", "0.01",
@@ -889,74 +1017,77 @@ _MORE_WALKS = tuple(
 # walk has no polygon equilibrium past eps = 1/30 and stops early, and its
 # json digest was recorded again when that stop began to name the cause.
 # Every entry but the csv and table of the N = 2, mu = 1.37 walk was recorded
-# again when each Newton step became one square bordered solve
+# again when each Newton step became one square bordered solve, and every
+# entry when each step's solve began from the quadratic through the last
+# three solutions, after
+# test_the_extrapolated_walk_lands_where_the_previous_guess_walk_landed held
 CONTINUE_DIGESTS = {
     (_MORE_WALKS[0], "json"):
-        (0, "fe6845398e0b20f218a7dbf555284110540b1fd79a896a408d560feb49efaf57", ""),
+        (0, "08e23ad0a4f8a1c789a0aa6a1d6f36e90ce14234d0d358944fc7911650738b7f", ""),
     (_MORE_WALKS[0], "csv"):
-        (0, "75bc8cd23eaf49194121d73fc962fd226650b66b4cd69de0f6cbc307959b848c", ""),
+        (0, "c609a86a0abbbe13f167a99169a57f9244af74be5280cb8378c05eab321aef67", ""),
     (_MORE_WALKS[0], "table"):
-        (0, "02f57887f620e8f1fc78213ac89365f768a5a923d403c2464221b6737fab243e", ""),
+        (0, "8b21b35bbf6dfa5e96b07eb6bfd32bc557645fca2163b7326208cb431630f29a", ""),
     (_MORE_WALKS[1], "json"):
-        (0, "88e70786a1d90c90a75f8d50265b520748854219c69aea3387d2da3f0874240d", ""),
+        (0, "ee7df0902892d01ffd3d934c631b6c2aac0e006911f28f871092e75d9200a536", ""),
     (_MORE_WALKS[1], "csv"):
-        (0, "080d9dd691c094dc961a331b39b2fd89edaa5e7e88b37229e8fe4587756bc2e8", ""),
+        (0, "fc0f165f56593a025b96776ea64ca4c468af669fc2b10aa7fa5b445e48043531", ""),
     (_MORE_WALKS[1], "table"):
-        (0, "1ee09913204da5dd3cf4277af1e1286095c3512ccd785d53c5ed9f946329917c", ""),
+        (0, "35875b9c9ebad938188106508ce6296802409257ec2d951ec8bed12ea0b20405", ""),
     (_MORE_WALKS[2], "json"):
-        (0, "10a803063c89b1109edbf69e50f90178224d02257b9aac8eb1463f837806720c", ""),
+        (0, "a0f2a7966d4243e0a14fcf73e20559340aed7f63ec9d2be11bd7373ddb0c0aac", ""),
     (_MORE_WALKS[2], "csv"):
-        (0, "fdf0c1e54a3b24f173b212a74f9222068bff919e2b2bb4fccf9ab2db4a583dd1", ""),
+        (0, "612676856d0a83f21760b98461a65b74b141039e01fe6a12491c60747fba34bc", ""),
     (_MORE_WALKS[2], "table"):
-        (0, "53f9832a94fb0911b6be6ecc26f77264336205982636a63a53eb0ed4fec102e2", ""),
+        (0, "68c37d921207fb0773fff8781f6077f1c3c719643ce9e46cc1c8a7b19e7bff1f", ""),
     (_MORE_WALKS[3], "json"):
-        (0, "9560415ce20e5bc1dea316e1c88bcb93d0edbc676d65dcd144604d5716957198", ""),
+        (0, "b62c6893104e5cbde5ee9af6eb2727306b85664a312357fafe7edb250501a817", ""),
     (_MORE_WALKS[3], "csv"):
-        (0, "14a1ca317e62cbe43aed2c382167cf185d6eed4618aad37fdc37d2376b67f610", ""),
+        (0, "4e9fda1b1438d2bcb3f16086f6258816942f6f17561eedd07bdb54b7c31eb1a4", ""),
     (_MORE_WALKS[3], "table"):
-        (0, "abf7cc05a99a8807d1cd87139c52044feb3f7aea44455b20b5cb37eb52b0439a", ""),
+        (0, "3ec8c5282583bba762476196f7aa345a47ed3870081cd011957cd1355427337a", ""),
     (_MORE_WALKS[4], "json"):
-        (0, "583d6ae20a9e78fe566fc688024c56da959924f4790cd5b263c547cb87374bd3", ""),
+        (0, "2f95a0c20144e44cba5c648eef91ec1f76404fedb9f677dfaf4ee2f38760334c", ""),
     (_MORE_WALKS[4], "csv"):
-        (0, "537caa6ce9f8840c805b642234a4ecb436309ec540d0001705a4d72d12cc9335", ""),
+        (0, "b4433c36e664d1f68d1dbddc821f116a6b870257afc105e03fc0f10965791f7c", ""),
     (_MORE_WALKS[4], "table"):
-        (0, "88b90512b182367af236dc7881872f9de92bf33dd3aef499ede2a79f1c1bc4f7", ""),
+        (0, "5d1ba3bb4b4afd632877c05ad92c61fa86ac1326abca1b27ee27b77761ac700f", ""),
     (_MORE_WALKS[5], "json"):
-        (0, "b5e7b425d5914f430389bc6620bc1ddc0bebd1f64aa2d4f1d25114e328f6d888", ""),
+        (0, "2ed9e45396dfb3ab76c964c74d41d3caa180d32c77b77abf25477f2a1e8afeed", ""),
     (_MORE_WALKS[5], "csv"):
-        (0, "560c3a588135689ac7ef07acb4b65b7d5b0f388e5e0b1e12915f07e4de58477e", ""),
+        (0, "b27b8d7e3f1fb7c63e7270a507edc7dc080827de017f98c3b48daf009ae179f3", ""),
     (_MORE_WALKS[5], "table"):
-        (0, "77101d574e30dcbc40eb3d5151f55b4786a91298e842e63eb9b9cd9cec5dee69", ""),
+        (0, "2fdee4ea617d8a2fde6139e88b6f94f453437973e85e9ded321563f45776a217", ""),
     (_MORE_WALKS[6], "json"):
-        (0, "92b5de0f8299bd55b1eecb9584dc59ae6babd672a9c3b9d9e9d501afc40ec2ec", ""),
+        (0, "dc5ca642839fa920db65101b7babb11a0c3907f06a2be481452bca73528f8f95", ""),
     (_MORE_WALKS[6], "csv"):
-        (0, "1a6ba7cd299cf77607217021a4b3a3474311bd80d48ab31de1d4be002ef163ab", ""),
+        (0, "4ca43a338cf3706d1dba051922d6100f72e9653632f317692e201c487ffc3f11", ""),
     (_MORE_WALKS[6], "table"):
-        (0, "d74abbe501c9ad6806812e5d18a435edfda2253125535768890c2f29eabb5328", ""),
+        (0, "8ce1cd9e0e8ba22a3f439376765f687ae98c2e6a1be8983afbbaf57894da6565", ""),
     (_MORE_WALKS[7], "json"):
-        (0, "652f12f2a19093e3e424ef9c44be920d7897d3e760af68a8fdaa53eac85bfbed", ""),
+        (0, "d956509c16f0c5d96a2ee7078ff05ca0af11365ef6a0e02c23c6a9ebe14986ff", ""),
     (_MORE_WALKS[7], "csv"):
-        (0, "7c57463eaf1da5db9cd66b80f7b150ba6c94608532caf99ad4cbba69f7293deb", ""),
+        (0, "d838db19f7b814b3942ef86e179c2b683e7797d906574dba095cbb858bc6b0bc", ""),
     (_MORE_WALKS[7], "table"):
-        (0, "68a9024372daafb827fe4ab73949373a0f39126924a8f4d4d9f26bf4b529ffd2", ""),
+        (0, "6491aa29d041eb9c72f5d9b3a6aa06790f3b021434685dd4367a931e93c2c438", ""),
     (_MORE_WALKS[8], "json"):
-        (0, "eb033ccbff70c8f2299b4c9c7484e29eadcbc521c55cf014ba0af13e7b18bcec", ""),
+        (0, "af990bbee327796770b92966a117d471703f5f179f7411f5ee9668fcb73cf7c0", ""),
     (_MORE_WALKS[8], "csv"):
-        (0, "7c2d1ca07ecb3908f8f748e58817b33131e92fe54a992e7217626b44f41eba8a", ""),
+        (0, "689877233815083e4d110bd085b6b69685f8dd58e5bfb0a33b609a891d6cc86d", ""),
     (_MORE_WALKS[8], "table"):
-        (0, "f9f02f2b514702dd08980750fddd317d5917e2fa5dcaf8ab4df2a8abc5a8fddb", ""),
+        (0, "77f7d84bc83fc6c6248327bc675242184df4d4c8672ce8c2a66b55dfd6b5cdd5", ""),
     (_MORE_WALKS[9], "json"):
-        (0, "42ea728113564a6d7870b5b0466d0a2f5667c9be509cc20393a23e8c338a1a5c", ""),
+        (0, "5b3d3a191b2db57b194b20206e4161bde5ece335ff9f205f603309370b2864cf", ""),
     (_MORE_WALKS[9], "csv"):
-        (0, "b4b260138c72d2b711db5d4dfc20011a3a84062fc116baf1a1abe6c784378e44", ""),
+        (0, "7d936ee30292f42e5595147d991bd25ac2dcce435e1aefae484197aa80c72505", ""),
     (_MORE_WALKS[9], "table"):
-        (0, "33c64cf0cf9e2624f952637d92cf92d311be694cf7db9acc10d51219b16c6bfa", ""),
+        (0, "1d21f71533de9a5dfd1fb58716f3ff9015e33b38f7ca4727eedba68ade5c525b", ""),
     (_MORE_WALKS[10], "json"):
-        (1, "8748046c4b0badad8168ba8c8554ad9d038060b0add9b1f638d77f15ff6a5e90", _STOPPED),
+        (1, "ceda844409bf65873627b3c80e77ffaaab42f2e9a2f2201b68713a545049edb3", _STOPPED),
     (_MORE_WALKS[10], "csv"):
-        (1, "d694743e9d080711c49e276cabec079337e4ac65db3926d7c599efb933d16cdd", _STOPPED),
+        (1, "4d5ac9ccc44619b0c3c6715d2cc50010e83c232d4d4477e5da1cb40ef072a455", _STOPPED),
     (_MORE_WALKS[10], "table"):
-        (1, "8caf3b930ac60e9e15aa64a5f9b2b776b92a9ed1e18f2781f014f16b2b335092", _STOPPED),
+        (1, "498f2ebac5874279152067270b388036b911b63aa26a2e0dbd289085ac5a516c", _STOPPED),
 }
 
 
@@ -986,9 +1117,42 @@ def _angle_gap(a, b):
     return np.abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+def _exact_hit_walks():
+    """(name, walk) of the polygons N = 8..12 whose schedule lands on the
+    bifurcation mu*eps = 4/(N-1)^2, at eps = 25 * 0.0008 = 0.02."""
+    return [((n, 200.0 / (n - 1) ** 2),
+             lambda n=n: continue_polygon(n, 200.0 / (n - 1) ** 2, 0.024, step=0.0008))
+            for n in range(8, 13)]
+
+
+def test_the_extrapolated_walk_lands_where_the_previous_guess_walk_landed(monkeypatch):
+    # same eps, verdicts and failures; N = 3 radii within rounding of the
+    # walk from the solution before (largest 8.7e-13), and every polygon
+    # within rounding of its closed form (largest 6.3e-13, at the 8-gon's
+    # bifurcation, where a guess solved without falling back lands 1e-11 off)
+    walks = _equivalence_walks() + _exact_hit_walks()
+    ours = [walk() for _, walk in walks]
+    monkeypatch.setattr(dynamics, "_walk", reference_previous_guess_walk)
+    for (name, walk), trace in zip(walks, ours):
+        reference = walk()
+        assert trace.failure == reference.failure, name
+        assert len(trace.records) == len(reference.records), name
+        for rec, ref in zip(trace.records, reference.records):
+            assert (rec.epsilon, rec.verdict) == (ref.epsilon, ref.verdict), name
+            assert _angle_gap(rec.config.angles, ref.config.angles).max() < 1e-9, name
+            if len(name) == 1:
+                assert np.abs(rec.config.radii - ref.config.radii).max() < 1e-12, name
+            else:
+                n, mu = name
+                radius = math.sqrt(1.0 + mu * rec.epsilon * (n - 1) / 2.0)
+                assert np.abs(rec.config.radii - radius).max() < 1e-12, (name, rec.epsilon)
+
+
 def test_the_bordered_newton_walks_where_the_least_squares_one_walked(monkeypatch):
-    # the square bordered step lands within rounding of the least-squares
-    # step, and the probe sends lstsq only the iterate at the bifurcation
+    # the square bordered step from the extrapolated guess lands within
+    # rounding of the least-squares step from the solution before, and only
+    # the iterate at the bifurcation reaches lstsq: its wary solve gives up,
+    # and the solve again from the step before takes the least-squares step
     lstsq, sent = np.linalg.lstsq, []
     current = [None]
 
@@ -1002,6 +1166,7 @@ def test_the_bordered_newton_walks_where_the_least_squares_one_walked(monkeypatc
         current[0] = name
         ours.append(walk())
     assert sent == [(11, 2.0)]
+    monkeypatch.setattr(dynamics, "_walk", reference_previous_guess_walk)
     monkeypatch.setattr(dynamics, "_newton", reference_lstsq_newton)
     for (name, walk), trace in zip(_equivalence_walks(), ours):
         reference = walk()
@@ -1032,9 +1197,9 @@ def test_a_polygon_walk_stops_where_the_family_ends(capsys, monkeypatch):
     solved = []
     newton = dynamics._newton
 
-    def recording(z, eps, *args):
+    def recording(z, eps, *args, **kwargs):
         solved.append(eps)
-        return newton(z, eps, *args)
+        return newton(z, eps, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_newton", recording)
     assert main(["continue", *_MORE_WALKS[10], "--format", "json"]) == 1
@@ -1052,9 +1217,9 @@ def test_a_walk_stops_where_the_total_circulation_is_zero(capsys, monkeypatch):
     solved = []
     newton = dynamics._newton
 
-    def recording(z, eps, *args):
+    def recording(z, eps, *args, **kwargs):
         solved.append(eps)
-        return newton(z, eps, *args)
+        return newton(z, eps, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_newton", recording)
     argv = ["continue", "--polygon", "8", "--mu", "-0.5", "--eps", "0.3", "--step", "0.01"]
