@@ -340,26 +340,23 @@ def cmd_certify(args):
 
 # -- continue ----------------------------------------------------------------
 
-def _start_config(make, *args):
-    """The start configuration make(*args), refusing one in which two
+def _start_config(make, *args, **kwargs):
+    """make(*args, **kwargs) of a start, refusing a start in which two
     vortices, the strong one included, coincide."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except CollisionError as exc:
         raise UsageError(f"the start is a collision: {exc}") from None
 
 
 def _select_start(args, mu):
-    from vortexre.dynamics import HelioConfig
     from vortexre.search import find_all_critical_points
 
     if args.start_angles:
         _start_mode(args, "--start-angles", _SEARCH_FLAGS)
         if len(args.start_angles) != len(mu):
             raise UsageError("need one start angle per weight")
-        angles = [float(a) for a in args.start_angles]
-        _start_config(HelioConfig.from_angles, angles, mu, 0.0)
-        return angles
+        return [float(a) for a in args.start_angles]
     _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -436,8 +433,9 @@ def cmd_continue(args):
             scale = 1.0 / float(np.linalg.norm(mu.array))
             mu = CirculationWeights(tuple(m * scale for m in mu))
         start = _select_start(args, mu)
-        trace = continue_family(start, mu, eps_max=args.eps_max, step=args.step,
-                                tol=args.tol_newton)
+        # a walk reports its own collisions as its failure, so one raised is the start's
+        trace = _start_config(continue_family, start, mu, eps_max=args.eps_max,
+                              step=args.step, tol=args.tol_newton)
     if args.format == "json":
         text = json.dumps(trace.to_dict(), indent=2) + "\n"
     elif args.format == "table":

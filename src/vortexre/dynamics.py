@@ -172,15 +172,13 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(field, y, f, span, direction, rtol, atol):
+def _initial_step(field, y, f, span, rtol, atol):
     """First step size of Hairer, Norsett & Wanner, Solving ODEs I, II.4,
     for a method whose error estimate is of order 4."""
-    if span == 0.0:
-        return 0.0
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((field(y + h0 * direction * f, np.empty_like(y)) - f) / scale) / h0
+    d2 = _rms((field(y + h0 * f, np.empty_like(y)) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -189,7 +187,7 @@ def _initial_step(field, y, f, span, direction, rtol, atol):
 
 
 def integrate_vortices(q, g, t_final, tol):
-    """Integrate the full system from time 0 to t_final.
+    """Integrate the full system forward from time 0 to t_final > 0.
 
     The integrator is the Dormand-Prince 5(4) pair with the standard step
     control (Hairer, Norsett & Wanner, Solving ODEs I, II.4): local
@@ -198,8 +196,7 @@ def integrate_vortices(q, g, t_final, tol):
     absolute tolerance and, raised to 100 machine epsilons, the relative one.
     One field kernel serves the run, and each stage writes its field into
     its row of the stage table.  Returns the accepted times and the
-    positions at each, shape (len(times), n, 2); an empty span returns its
-    start twice, as RK45 does.
+    positions at each, shape (len(times), n, 2).
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -208,37 +205,31 @@ def integrate_vortices(q, g, t_final, tol):
     y = np.asarray(q, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("integration needs a finite initial state")
-    if not math.isfinite(t_final):
-        raise ValueError(f"integration needs a finite end time, got {t_final}")
+    if not 0.0 < t_final < math.inf:  # NaN fails too
+        raise ValueError(f"integration needs a positive finite end time, got {t_final}")
     if not tol >= 0.0:
         raise ValueError(f"integration needs a tolerance of at least 0, got {tol}")
 
     field = _field_kernel(g)
     rtol, atol = max(tol, 100 * np.finfo(float).eps), tol
-    direction = -1.0 if t_final < 0.0 else 1.0
     K = np.empty((7, y.size))  # the stages; row 0 is the field at y
     field(y, K[0])
-    h_abs = _initial_step(field, y, K[0], abs(t_final), direction, rtol, atol)
+    h_abs = _initial_step(field, y, K[0], t_final, rtol, atol)
     # each stage's row, the rows before it and their weights
     stages = [(K[s], K[:s].T, a) for s, a in enumerate(_DP_A, start=1)]
     steps, errors = K[:-1].T, K.T  # the rows the step and the error estimate take
     abs_y = np.abs(y)
     t, times, states = 0.0, [0.0], [y]
-    if t_final == 0.0:
-        times, states = [0.0, 0.0], [y, y]
-    while direction * (t - t_final) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+    while t < t_final:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 raise ConvergenceError("integration failed: Required step size "
                                        "is less than spacing between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_final) > 0:
-                t_new = t_final
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_final)
+            h_abs = h = t_new - t
             for row, previous, a in stages:
                 field(y + np.dot(previous, a) * h, row)
             y_new = y + h * np.dot(steps, _DP_B)
@@ -439,6 +430,7 @@ _SINGULAR = 1e6
 # lands on a polygon bifurcation, where going on leaves the polygon by up to
 # 2e-11 and a solve from the step before stays within 1e-12.
 _NEARLY_SINGULAR = _SINGULAR / 10
+_MAX_ITER = 50  # the most Newton steps a solve takes
 
 
 def _newton_buffers(N):
@@ -470,7 +462,7 @@ def _into_gauge(Z, out):
     out[0] = math.copysign(r, x), 0.0
 
 
-def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None, wary=False):
+def _newton(Z, epsilon, mu, buffers, tol, wary=False):
     """newton_solve on bare positions, written into buffers from
     _newton_buffers.  Each iterate writes its pair table, residual and
     Jacobian into them.  Returns the solution's Z, its residual and its
@@ -487,15 +479,12 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None, wary=False)
     total = 1.0 + g[1:].sum()
     center = g[1:] @ z / total if total else 0.0
     np.multiply(mu.array[:, None], z - center, out=M[:-1, -1].reshape(z.shape))
-    for _ in range(max_iter + 1):
+    for _ in range(_MAX_ITER + 1):
         table = _pairs(q, pairs)
         _re_residual(table, g, z, out=res)
         jacobian = _re_jacobian(table, g, jacobian_buffers)
         gauge = z[0, 1]
-        norm = max(np.abs(res).max(), abs(gauge))
-        if history is not None:
-            history.append(norm)
-        if norm < tol:
+        if max(np.abs(res).max(), abs(gauge)) < tol:
             return z, res, jacobian
         rhs[-1] = gauge
         np.negative(rhs, out=rhs)
@@ -514,10 +503,10 @@ def _newton(Z, epsilon, mu, buffers, tol, max_iter=50, history=None, wary=False)
             raise ConvergenceError("Newton step is not finite")
         z += step.reshape(-1, 2)
     _pairs(q, pairs)  # a last iterate on a collision reports the collision
-    raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
+    raise ConvergenceError(f"no convergence to {tol} within {_MAX_ITER} iterations")
 
 
-def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
+def newton_solve(initial, tol=1e-12):
     """Polish a relative-equilibrium guess to residual infinity-norm < tol.
 
     The guess is first rotated about the strong vortex so that weak vortex 1
@@ -529,11 +518,16 @@ def newton_solve(initial, tol=1e-12, max_iter=50, history=None):
     squares one of the Jacobian and the gauge row, at rcond 1e-10.
     """
     buffers = _newton_buffers(len(initial.mu))
-    z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, buffers, tol, max_iter, history)
+    z, _, _ = _newton(initial.Z, initial.epsilon, initial.mu, buffers, tol)
     return HelioConfig(z, initial.epsilon, initial.mu)
 
 
 # -- full-system linear stability --------------------------------------------
+
+# Eigenvalues within this times the spectrum's scale, at least 1, of one
+# another form a cluster, and a real part within it counts as 0.
+_CLUSTER = 1e-6
+
 
 @dataclass(frozen=True)
 class FullStabilityReport:
@@ -591,7 +585,7 @@ def _semisimple(reduced, eigvals, cut):
     return True
 
 
-def _stability(configs, jacobians, tol=1e-6):
+def _stability(configs, jacobians):
     """full_system_stability of configurations sharing their weights, given
     their Jacobians: one null-space SVD, reduction and eigvals call per
     constraint rank, and the cluster check per configuration."""
@@ -604,7 +598,7 @@ def _stability(configs, jacobians, tol=1e-6):
         for k, A, eigvals in zip(records, reduced, np.linalg.eigvals(reduced)):
             if not eigvals.imag.any():  # eigvals of A alone would be real
                 eigvals = eigvals.real
-            cut = tol * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
+            cut = _CLUSTER * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
             max_real = float(np.abs(eigvals.real).max(initial=0.0))
             stable = max_real <= cut and _semisimple(A, eigvals, cut)
             order = np.lexsort((eigvals.real, eigvals.imag))
@@ -614,20 +608,21 @@ def _stability(configs, jacobians, tol=1e-6):
     return reports
 
 
-def full_system_stability(config, tol=1e-6):
+def full_system_stability(config):
     """Spectral stability of the rotating-frame linearization.
 
     The rotation and scaling directions span an invariant subspace carrying
     a forced nilpotent block; the spectrum is taken on its skew-orthogonal
     complement and the verdict is stable exactly when that spectrum is
-    purely imaginary and semisimple.  Eigenvalues within tol*scale of one
-    another form a cluster; a cluster of k is semisimple when reduced - lam*I
-    has k singular values within tol*scale, and a lone eigenvalue always is.
+    purely imaginary and semisimple.  Eigenvalues within _CLUSTER*scale of
+    one another form a cluster; a cluster of k is semisimple when
+    reduced - lam*I has k singular values within _CLUSTER*scale, and a lone
+    eigenvalue always is.
     Zero total circulation raises CirculationError, a ValueError.
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
-    return _stability([config], [re_jacobian(config)], tol)[0]
+    return _stability([config], [re_jacobian(config)])[0]
 
 
 # -- known families and continuation -----------------------------------------
@@ -669,15 +664,6 @@ class ContinuationTrace:
     records: tuple
     mu: CirculationWeights
     failure: str | None = None
-
-    @property
-    def final(self):
-        return self.records[-1]
-
-    def max_radial_drift(self):
-        """max over the trace of max_i |r_i - 1| / eps."""
-        return max(np.abs(rec.config.radii - 1.0).max() / rec.epsilon
-                   for rec in self.records)
 
     def _positions(self):
         """The records' positions stacked, shape (len(records), N, 2)."""

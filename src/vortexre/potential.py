@@ -22,8 +22,6 @@ import numpy as np
 
 from vortexre.errors import CollisionError, NotACriticalPointError
 
-_COLLISION_CHORD = 1e-9  # minimum chord distance |2 sin(d/2)| between vortices
-
 
 @dataclass(frozen=True)
 class CirculationWeights:
@@ -128,10 +126,12 @@ def _pair_table(theta, single=False):
     The layout is pair-major with the batch on the last axis: `theta` is
     (N, S), one row per vortex and one column per configuration, and the
     table is one (3, N(N-1)/2, S) array, so a reduction over the pairs of
-    each configuration runs elementwise across the batch.  u is NaN on
-    the columns in which two vortices coincide, so everything computed
-    from those columns is NaN.  With `single`, such a column raises
-    CollisionError naming its closest pair instead.
+    each configuration runs elementwise across the batch.  Two vortices
+    coincide where cos d rounds to 1, |d| below about 1.05e-8, which makes
+    u exactly 0: otherwise u, taken exactly from 2 cos d (Sterbenz), is at
+    least 2**-52.  u is NaN on the columns in which two vortices coincide,
+    so everything computed from those columns is NaN.  With `single`, such
+    a column raises CollisionError naming its closest pair instead.
     """
     i, j, _, _ = _pairs(len(theta))
     table = np.empty((3, len(i)) + theta.shape[1:])
@@ -140,12 +140,9 @@ def _pair_table(theta, single=False):
     np.cos(d, out=cos)
     np.sin(d, out=sin)
     np.subtract(2.0, np.multiply(2.0, cos, out=u), out=u)
-    # the chord sqrt(max(u, 0)) is monotone in u: its least value over the
-    # pairs is that of the least u
-    chord = np.sqrt(np.maximum(u.min(axis=0), 0.0))
-    collided = chord < _COLLISION_CHORD
+    collided = u.min(axis=0) == 0.0
     if single and collided[0]:
-        k = int(np.sqrt(np.maximum(u[:, 0], 0.0)).argmin())
+        k = int(u[:, 0].argmin())
         raise CollisionError(f"vortices {i[k] + 1} and {j[k] + 1} coincide")
     u[:, collided] = np.nan
     return table

@@ -135,9 +135,10 @@ def _newton_steps(H, rhs):
 
 # the backtracking scales 2**-1 .. 2**-11, in blocks of four, four and three
 _HALVING_BLOCKS = np.split(np.ldexp(1.0, -np.arange(1, 12)), (4, 8))
+_MAX_ITER = 50  # the most Newton steps a seed takes
 
 
-def _polish(seeds, w, tol_grad, max_iter=50):
+def _polish(seeds, w, tol_grad):
     """Newton on the reduced gradient (theta_1 fixed) for all seed rows at once.
 
     Returns the polished rows and a mask of those that converged.  Each
@@ -145,7 +146,7 @@ def _polish(seeds, w, tol_grad, max_iter=50):
     done: a collision at the seed fails it; a zero gradient, a non-finite
     step, or a step that neither the full Newton step nor 11 halvings of
     it make strictly lower the gradient infinity-norm ends it; otherwise
-    it stops after max_iter steps.  A seed converged once its gradient
+    it stops after _MAX_ITER steps.  A seed converged once its gradient
     norm fell below tol_grad times the product of the two largest |mu|,
     the scale of the gradient.  Seeds keep stepping past that while steps
     still help, so accepted points sit at the numerical floor rather than
@@ -185,7 +186,7 @@ def _polish(seeds, w, tol_grad, max_iter=50):
     x = out.T.copy()
     table, g, gnorm = evaluate(x)
     collided = np.isnan(g[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not len(rows):
             break
         converged[rows[gnorm < tol]] = True

@@ -719,26 +719,23 @@ def reference_re_jacobian(z, mu, eps):
 
 # -- the least-squares Newton iteration, the oracle of the bordered one ------
 
-def reference_lstsq_newton(Z, epsilon, mu, buffers=None, tol=1e-12, max_iter=50,
-                           history=None):
+def reference_lstsq_newton(Z, epsilon, mu, buffers=None, tol=1e-12, wary=False):
     """vortexre.dynamics._newton as it was before each step solved a square
     bordered system: from the guess as given, each step solves the 2N
     residual rows and the gauge row y_1 = 0 by lstsq at rcond 1e-10.  It
-    takes _newton's arguments and ignores its buffers, so a walk can run on
-    it in _newton's place, and returns new arrays Z, residual and Jacobian."""
+    takes _newton's arguments and ignores its buffers and wary, since it
+    has no probe to give up on, so a walk can run on it in _newton's place,
+    and returns new arrays Z, residual and Jacobian."""
     from vortexre.dynamics import HelioConfig, re_jacobian, re_residual
     from vortexre.errors import ConvergenceError
 
     z = np.array(Z, dtype=float)
     gauge_row = np.zeros((1, z.size))
     gauge_row[0, 1] = 1.0
-    for _ in range(max_iter + 1):
+    for _ in range(51):
         config = HelioConfig(z, epsilon, mu)  # raises CollisionError
         res, jacobian = re_residual(config), re_jacobian(config)
-        norm = max(np.abs(res).max(), abs(z[0, 1]))
-        if history is not None:
-            history.append(norm)
-        if norm < tol:
+        if max(np.abs(res).max(), abs(z[0, 1])) < tol:
             return z, res, jacobian
         aug, rhs = np.vstack([jacobian, gauge_row]), -np.append(res, z[0, 1])
         step = np.linalg.lstsq(aug, rhs, rcond=1e-10)[0]
@@ -746,7 +743,7 @@ def reference_lstsq_newton(Z, epsilon, mu, buffers=None, tol=1e-12, max_iter=50,
             raise ConvergenceError("Newton step is not finite")
         z = z + step.reshape(-1, 2)
     HelioConfig(z, epsilon, mu)
-    raise ConvergenceError(f"no convergence to {tol} within {max_iter} iterations")
+    raise ConvergenceError(f"no convergence to {tol} within 50 iterations")
 
 
 # -- the walk from the solution before, the oracle of the extrapolated one --

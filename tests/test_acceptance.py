@@ -227,8 +227,10 @@ def test_criterion_6_continuation_of_stable_saddle(capsys, found):
         angles = rec.config.angles
         if reference_symmetry_axes(angles - angles[0], mu):
             failures.append(f"eps={eps}: configuration is symmetric")
-    drift = trace.max_radial_drift()
-    halved = continue_family(start, mu, eps_max=0.1, step=0.0025).max_radial_drift()
+    halved = continue_family(start, mu, eps_max=0.1, step=0.0025)
+    # max over each trace of max_i |r_i - 1| / eps
+    drift, halved = (max(np.abs(rec.config.radii - 1.0).max() / rec.epsilon
+                         for rec in walk.records) for walk in (trace, halved))
     if not (math.isfinite(drift) and drift > 0):
         failures.append(f"radial drift constant {drift}")
     elif abs(drift - halved) / drift >= 1e-6:

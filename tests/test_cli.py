@@ -385,6 +385,16 @@ def test_continue_checks_its_start_at_every_eps(capsys, eps):
     assert "failure: gradient infinity-norm 5.145e-01 exceeds tolerance" in err
 
 
+def test_continue_from_a_start_the_potential_separates_is_a_failure(capsys):
+    # angles 2e-8 apart are two vortices to the reduced potential, but no
+    # critical point
+    code, out, err = run(capsys, "continue", "--mu=1,1,1", "--eps", "0.01",
+                         "--start-angles=0,1,1.00000002")
+    assert code == 1
+    assert out == ""
+    assert "failure: gradient infinity-norm" in err and "exceeds tolerance" in err
+
+
 @pytest.mark.parametrize("eps", ["0", "0.01"])
 def test_continue_from_a_colliding_start_writes_nothing(capsys, tmp_path, eps):
     target = tmp_path / "z.csv"
@@ -989,6 +999,9 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     (["simulate", "--mu=1,1,1", "--eps", "0.01", "--periods", "0.01",
       "--start-angles=0,1,2", "--radii=0,1,1"],
      "the start is a collision: vortices 0 and 1 coincide"),
+    # angles 1e-10 apart, which the reduced potential cannot separate
+    (["continue", "--mu=1,1,1", "--eps", "0.01", "--start-angles=0,1,1.0000000001"],
+     "the start is a collision: vortices 2 and 3 coincide"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
