@@ -17,6 +17,7 @@ import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii_string
 
 from vortexre.errors import CirculationError, CollisionError, ConvergenceError
 
@@ -175,6 +176,68 @@ def _csv_text(rows):
     return buf.getvalue()
 
 
+def _json_text(value):
+    """json.dumps(value, indent=2) + "\n", byte for byte, for a value made
+    of dicts with str keys, lists, tuples, str, int, float, bool and None;
+    anything else raises TypeError, as json.dumps does.
+
+    json.dumps with an indent runs its pure-Python encoder; this writer
+    returns each container as one joined string.  Strings go through
+    json's own ASCII encoder, and floats through float.__repr__, with
+    NaN, Infinity and -Infinity as json writes them.  A catalogue repeats
+    its floats (the weights in every record, a pair of equal eigenvalues),
+    so each call keeps a memo of the text of every nonzero finite float:
+    zeros bypass it because -0.0 == 0.0, and non-finite values because
+    NaN equals nothing.
+    """
+    memo = {}
+
+    def number(x):
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        out = float.__repr__(x)
+        if x:
+            memo[x] = out
+        return out
+
+    def text(x, pad):
+        # pad is the newline and indent that x's closing bracket sits at.
+        # json tries str, None, bool, int and float before the containers,
+        # but no list, tuple or dict can also be one of those types.
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            inner = pad + "  "
+            return "[" + inner + ("," + inner).join(
+                [(memo.get(v) or number(v)) if type(v) is float else text(v, inner)
+                 for v in x]) + pad + "]"
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            inner = pad + "  "
+            return "{" + inner + ("," + inner).join(
+                [_ascii_string(k) + ": " + ((memo.get(v) or number(v)) if type(v) is float
+                                            else text(v, inner))
+                 for k, v in x.items()]) + pad + "}"
+        if isinstance(x, str):
+            return _ascii_string(x)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float):
+            return memo.get(x) or number(x)
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return text(value, "\n") + "\n"
+
+
 # -- find --------------------------------------------------------------------
 
 def _find_table(report, mu):
@@ -236,7 +299,7 @@ def cmd_find(args):
     families = group_into_families(points)
     report = export_critical_points(points, families)
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report)
     elif args.format == "csv":
         text = _find_csv(report, points.mu.mu)
     else:
@@ -286,11 +349,11 @@ def cmd_certify(args):
         _start_mode(args, "--symmetry-case", ("--show-basis", "--show-matrix"))
         system, generators = _symmetry_case_report(args.symmetry_case)
         if args.format == "json":
-            text = json.dumps({
+            text = _json_text({
                 "symmetry_case": args.symmetry_case,
                 "system": [str(p) for p in system],
                 "elimination_ideal": [str(g) for g in generators],
-            }, indent=2) + "\n"
+            })
         else:
             lines = [f"symmetry case {args.symmetry_case}"]
             lines += [f"  equation {i+1}: {p}" for i, p in enumerate(system)]
@@ -318,7 +381,7 @@ def cmd_certify(args):
             payload["groebner_basis"] = [str(p) for p in gb]
         if args.show_matrix:
             payload["hermite_matrix"] = [[str(c) for c in row] for row in H]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         lines = [
             f"weights: ({', '.join(str(m) for m in mu)})",
@@ -437,7 +500,7 @@ def cmd_continue(args):
         trace = _start_config(continue_family, start, mu, eps_max=args.eps_max,
                               step=args.step, tol=args.tol_newton)
     if args.format == "json":
-        text = json.dumps(trace.to_dict(), indent=2) + "\n"
+        text = _json_text(trace.to_dict())
     elif args.format == "table":
         rows = trace.csv_rows()
         widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
@@ -537,7 +600,7 @@ def cmd_build_system(args):
         mu, system = _weight_system(args.mu)
         title = f"critical-point system for mu = ({', '.join(map(str, mu))})"
     if args.format == "json":
-        text = json.dumps(_system_payload(system), indent=2) + "\n"
+        text = _json_text(_system_payload(system))
     else:
         lines = [title,
                  f"variables: {', '.join(system.ring.variables)}"]
@@ -648,7 +711,10 @@ def cmd_simulate(args):
 _FLAGS = {
     "--tol-grad": dict(type=_relative_tol, default=1e-10,
                        help="gradient tolerance for critical points, relative "
-                            "to the product of the two largest |mu|"),
+                            "to the product of the two largest |mu|; large "
+                            "values list points that are not critical "
+                            "(find --mu=1,2,3 lists 14 points at 0.3, where "
+                            "certify counts 10)"),
     "--tol-newton": dict(type=_positive_float, default=1e-12,
                          help="residual tolerance for the full-system solver"),
     "--tol-zero-eig": dict(type=_relative_tol, default=1e-8,

@@ -328,25 +328,29 @@ def _classify(table, w, tol_grad, tol_zero):
     positive = (restricted > 0).all(axis=1)
     negative = (restricted < 0).all(axis=1)
 
-    for k, row in enumerate(critical.tolist()):
-        if zero_count[k] != 1:
+    # each array goes to Python once
+    for row, norm, eigs, weighted_row, zeros, is_stable, is_flat, is_min, is_max in zip(
+            critical.tolist(), gnorm[critical].tolist(), hessian_eigs.tolist(),
+            weighted.tolist(), zero_count.tolist(), stable.tolist(), flat.tolist(),
+            positive.tolist(), negative.tolist()):
+        if zeros != 1:
             verdict = "degenerate"
         else:
-            verdict = "stable" if stable[k] else "unstable"
-        if flat[k]:
+            verdict = "stable" if is_stable else "unstable"
+        if is_flat:
             extremal = "degenerate"
-        elif positive[k]:
+        elif is_min:
             extremal = "minimum"
-        elif negative[k]:
+        elif is_max:
             extremal = "maximum"
         else:
             extremal = "saddle"
         reports[row] = StabilityReport(
-            hessian_eigs=tuple(hessian_eigs[k].tolist()),
-            weighted_eigs=tuple(map(complex, weighted[k].tolist())),
-            zero_count=int(zero_count[k]),
+            hessian_eigs=tuple(eigs),
+            weighted_eigs=tuple(weighted_row),
+            zero_count=zeros,
             verdict=verdict,
             extremal_type=extremal,
-            gradient_norm=float(gnorm[row]),
+            gradient_norm=norm,
         )
     return reports

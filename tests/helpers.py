@@ -10,6 +10,8 @@ trace-matrix shortcuts.  The one exception is the reference Buchberger:
 it shares the library's integer division and auto-reduction, but skips
 no S-pair.  scipy, a test-only dependency, supplies the oracles of the
 stability reduction (its null space) and of the integrator (its RK45).
+The search's former hashed dedup and per-row family keys are kept here
+verbatim, as the oracles of the batched code that replaced them.
 """
 
 from __future__ import annotations
@@ -635,6 +637,120 @@ def reference_group_into_families(point_set, family_tol=1e-6):
                 members.append(j)
         families.append(tuple(members))
     return families
+
+
+# -- the hashed dedup and the per-row family keys, as the search had them ----
+#
+# The search's catalogue stages before they took clusters and keys from
+# whole-batch passes, kept verbatim: the scan meets every distinct row, and
+# each row's keys are built from Python lists.  The search must give what
+# these give, bit for bit.
+
+def reference_aligned_within(a, b, tol):
+    """True when, for some rotation c = b_i - a_i, which aligns vortex i,
+    every difference a_j - b_j + c wrapped into [-pi, pi) is within tol.
+    Trying only the aligning rotations tests an upper bound of the
+    rotation distance d, at most 2d, as the best rotation is within d of
+    each aligning one: points with d < tol/2 always pass, but (0, 1, 2)
+    and (0, 1, 2.5), with d = 0.25, fail at tol 0.4999.  The angles are
+    finite Python floats; the scan stops at the first such c."""
+    return any(all(abs((aj - bj + c + math.pi) % _TWO_PI - math.pi) < tol
+                   for aj, bj in zip(a, b))
+               for c in (bi - ai for ai, bi in zip(a, b)))
+
+
+def reference_cell_dedup(points, tol):
+    """Merge points that `reference_aligned_within` finds within tol of
+    each other up to rotation; the kept points as lists of Python floats.
+
+    Equal rows are collapsed to their first occurrence first: a stable
+    lexsort on the angle columns makes equal rows neighbours, and a row
+    that differs from the one before it in some angle starts a new group
+    (float equality, as np.unique(axis=0) has it: -0.0 equals 0.0 and a
+    row holding NaN is never equal).  The first rows of the groups are
+    taken in their original order.  Each one merges into the first kept
+    point within tol, which is replaced when the newcomer is
+    lexicographically smaller; otherwise it is kept.  Kept points sit in
+    a hash of cells on the gauge-fixed torus, and a lookup probes every
+    cell within 2.5 tol of the point on each angle, wrapping modulo 2*pi,
+    so it finds every point `reference_aligned_within` would merge: with
+    theta_1 = 0 for both, the aligning rotation c that passes has |c| < tol
+    (vortex 1's difference), so every angle differs by less than
+    |c| + tol < 2 tol, and the other tol/2 is a margin for rounding.  The
+    cells are computed for the whole batch; the scan runs on Python
+    floats (see `reference_aligned_within`).
+    """
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    points = points[np.sort(order[first])]
+    cells = max(1, int(_TWO_PI / (16.0 * tol)))  # per angle
+    width = _TWO_PI / cells
+    reach = 2.5 * tol
+    full, keys = [], []  # kept points with theta_1 = 0 prepended, their cells
+    bucket = {}
+    for x, cell, lo, hi in zip(points.tolist(),
+                               (np.floor(points / width) % cells).astype(np.int64).tolist(),
+                               np.floor((points - reach) / width).astype(np.int64).tolist(),
+                               np.floor((points + reach) / width).astype(np.int64).tolist()):
+        cell = tuple(cell)
+        near = sorted({k for probe in itertools.product(*map(range, lo, [h + 1 for h in hi]))
+                       for k in bucket.get(tuple(c % cells for c in probe), ())})
+        fx = [0.0] + x
+        k = next((k for k in near if reference_aligned_within(fx, full[k], tol)), None)
+        if k is not None:
+            if fx >= full[k]:
+                continue
+            bucket[keys[k]].remove(k)
+            full[k], keys[k] = fx, cell
+        else:
+            k = len(full)
+            full.append(fx)
+            keys.append(cell)
+        bucket.setdefault(cell, []).append(k)
+    return [fx[1:] for fx in full]
+
+
+def reference_family_keys(theta, mu, tol):
+    """Canonical keys of weighted configurations on the circle, one set
+    per row of the (K, N) angle array theta.
+
+    The key is the cyclic sequence of (weight, gap) in circle order, with
+    gaps in whole units of tol, least over the N rotations of the
+    sequence and of its reflection (the least circular shift, Booth
+    1980).  It is the same for every image under relabeling of equal
+    weights, reflection and rotation.  A gap near a rounding boundary is
+    rounded both ways, so each row gets a set of keys: configurations
+    whose sets meet are images of each other.  The circle order, the gaps
+    and their rounding are computed for the whole batch; each row's keys
+    are built from Python lists.
+    """
+    from vortexre.search import _ROUNDING_MARGIN as rounding_margin
+
+    theta = np.asarray(theta, dtype=float) % _TWO_PI
+    order = np.argsort(theta, axis=1, kind="stable")
+    ranked = np.take_along_axis(theta, order, axis=1)
+    q = np.diff(ranked, axis=1, append=ranked[:, :1] + _TWO_PI) / tol
+    nearest = np.rint(q)
+    off = q - nearest
+    twice = np.abs(off) > 0.5 - rounding_margin
+    n = theta.shape[1]
+    out = []
+    for row, near, other, both in zip(order.tolist(),
+                                      nearest.astype(np.int64).tolist(),
+                                      (nearest + np.sign(off)).astype(np.int64).tolist(),
+                                      twice.tolist()):
+        weights = [mu[i] for i in row]
+        choices = [(r, o) if b else (r,) for r, o, b in zip(near, other, both)]
+        keys = set()
+        for gaps in itertools.product(*choices):
+            seq = list(zip(weights, gaps))
+            # reflected, circle order reverses and each vortex takes the gap before it
+            mirror = [(weights[n - 1 - k], gaps[(n - 2 - k) % n]) for k in range(n)]
+            keys.add(min(tuple(s[k:] + s[:k]) for s in (seq, mirror) for k in range(n)))
+        out.append(keys)
+    return out
 
 
 def reference_symmetry_axes(theta, mu=None, tol=1e-8):

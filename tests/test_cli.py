@@ -12,9 +12,10 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes, reference_weights_parse
+from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes, reference_weights_parse, seeded
 from vortexre import cli
 from vortexre.cli import build_parser, main
 from vortexre.groebner import GroebnerBasis
@@ -1273,3 +1274,52 @@ def test_dynamics_and_find_run_without_scipy(tmp_path):
                  ["simulate", "--polygon", "5", "--mu", "1.2", "--eps", "0.05",
                   "--periods", "1", "--out", str(tmp_path / "trajectory.csv")]):
         assert _heavy_modules_after(_main_code(*argv), names) == {"numpy"}, argv
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+# strings that json escapes: non-ASCII (one and two UTF-16 units), quotes,
+# backslashes and control characters
+_STRINGS = ["", "plain", "caf\u00e9", "\u03b8\u2081", "\U0001d70b", 'say "hi"', "back\\slash",
+            "tab\there", "line\nbreak", "\x00\x1f\x7f", "/"]
+# zeros of both signs, with 0.0 first so -0.0 meets a seen zero; the
+# smallest subnormal, a large float, non-finite values and a numpy float
+_FLOATS = [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308,
+           0.1, 1 / 3, -2.5, np.float64(0.1), np.float64(-0.0), np.float64(math.nan)]
+
+
+def _random_json_value(rng, depth):
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return rng.choice(_STRINGS)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2 ** 70, True, False, None])
+    if kind in (2, 3, 4):  # floats, often repeated within one value
+        return rng.choice(_FLOATS + [rng.uniform(-10.0, 10.0)])
+    items = [_random_json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {rng.choice(_STRINGS) + str(k): item for k, item in enumerate(items)}
+
+
+def test_json_writer_gives_the_bytes_of_json_dumps():
+    rng = seeded(39)
+    for _ in range(2000):
+        value = _random_json_value(rng, 4)
+        assert cli._json_text(value) == json.dumps(value, indent=2) + "\n", value
+    # one memo serves the whole value: a zero after its opposite, a float
+    # after a numpy float of the same value, and the repeats
+    value = {"z": [0.0, -0.0, [-0.0, 0.0]], "f": [np.float64(0.25), 0.25, 0.25],
+             "n": [math.nan, math.nan, -math.inf, math.inf]}
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [0.5, np.int64(1)],
+                                   {"a": {"b": frozenset()}}, object()])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(value)

@@ -15,8 +15,10 @@ import pytest
 from helpers import (
     ZERO_SUM_SADDLES,
     reference_batched_polish,
+    reference_cell_dedup,
     reference_classify,
     reference_dedup,
+    reference_family_keys,
     reference_find_all_critical_points,
     reference_group_into_families,
     reference_lattice_seeds,
@@ -38,10 +40,14 @@ from vortexre.potential import (
     potential_hessian,
 )
 from vortexre.search import (
+    _DEDUP_TOL,
     _FAMILY_TOL,
+    _ROUNDING_MARGIN,
     TWO_PI,
     CriticalPointSet,
+    _cell_count,
     _dedup,
+    _family_keys,
     _gauged,
     _lattice_seeds,
     _min_gaps,
@@ -557,6 +563,97 @@ def test_find_csv_and_table_output_is_frozen(mu, fmt):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(["find", "--mu=" + mu, "--format", fmt]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIND_FORMAT_DIGESTS[mu, fmt]
+
+
+# -- the clustered dedup and the batched family keys against the per-row code --
+
+@pytest.mark.parametrize("mu,seeds", FIND_DIGESTS)
+def test_dedup_and_family_keys_equal_the_per_row_code_on_the_digest_catalogues(mu, seeds):
+    w = np.array([float(m) for m in mu.split(",")])
+    polished, ok = _polish(_search_seeds(len(w) - 1, seeds), w, 1e-10)
+    points = polished[ok]
+    kept = _dedup(points, _DEDUP_TOL)
+    assert kept == reference_cell_dedup(points, _DEDUP_TOL)
+    theta = _gauged(np.array(sorted(kept)))
+    assert _family_keys(theta, tuple(w), _FAMILY_TOL) == \
+        reference_family_keys(theta, tuple(w), _FAMILY_TOL)
+
+
+def _near_edges(rng, n, tol):
+    """A gauge-fixed point (n - 1 angles) with two or more angles within
+    4 tol of a dedup cell edge, the edge at 0 = 2*pi among them half the
+    time; the rest anywhere."""
+    cells = _cell_count(tol)
+    x = [rng.uniform(0.0, TWO_PI) for _ in range(n - 1)]
+    for j in rng.sample(range(n - 1), rng.randint(2, n - 1)):
+        edge = 0.0 if rng.random() < 0.5 else rng.randrange(1, cells) * TWO_PI / cells
+        x[j] = (edge + rng.uniform(-4.0, 4.0) * tol) % TWO_PI
+    return x
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dedup_equals_the_per_row_scan_at_cell_edges_and_the_wrap(n):
+    # Blobs of rows around points near cell edges, so some rows reach the
+    # next cell and some do not.  Tight blobs are one point polished from
+    # many seeds; blobs about tol wide merge rows in an order-dependent
+    # way and keep some cells from settling; exact repeats too; all in
+    # random order.
+    rng = seeded(60 + n)
+    tol = 1e-6
+    for _ in range(30):
+        rows = []
+        for _ in range(8):
+            centre = _near_edges(rng, n, tol)
+            spread = rng.choice((1e-13, 0.2, 0.7, 1.5, 2.5)) * tol
+            for _ in range(rng.randint(1, 10)):
+                rows.append([(a + rng.uniform(-spread, spread)) % TWO_PI for a in centre])
+        rows += rng.sample(rows, len(rows) // 4)
+        rng.shuffle(rows)
+        points = np.array(rows)
+        assert _dedup(points, tol) == reference_cell_dedup(points, tol)
+
+
+def test_dedup_scans_a_cell_whose_rows_reach_the_next_cell():
+    # g and least, close together, lie just past a cell edge, and s just
+    # before it.  s is kept, g merges into it and replaces it, and least
+    # merges into g and replaces it.  least is more than tol from s on
+    # the second angle, so taking the pair by its least row alone would
+    # keep s as well.
+    tol = 1e-6
+    width = TWO_PI / _cell_count(tol)
+    a, edge, far = 1000.5 * width, 2000 * width, 3000.5 * width
+    s = [a, edge - 0.3 * tol, far]
+    g = [a - 0.2 * tol, edge + 0.3 * tol, far]
+    least = [a - 0.4 * tol, edge + 0.75 * tol, far]
+    points = np.array([s, g, least])
+    assert _dedup(points, tol) == reference_cell_dedup(points, tol) == [least]
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (1, 2, 1, 2, 1), (2, 1, 1, 3, 1, 1),
+                                (1, 1, 1, 1, 1, 1)])
+def test_family_keys_equal_the_per_row_keys_near_rounding_boundaries(mu):
+    # gaps half a unit off a whole number of units, give or take a little
+    # more than the rounding margin, so some rows get two, four or more
+    # keys; the angles in random order around the circle
+    rng = seeded(len(mu) + sum(mu))
+    n, tol = len(mu), _FAMILY_TOL
+    rows = []
+    for _ in range(300):
+        units = [rng.randrange(1, int(TWO_PI / (n * tol))) for _ in range(n - 1)]
+        gaps = [(u + rng.choice((0.0, 0.5)) + rng.uniform(-1.2, 1.2) * _ROUNDING_MARGIN) * tol
+                for u in units]
+        angles = [rng.uniform(0.0, TWO_PI)]
+        for gap in gaps:
+            angles.append(angles[-1] + gap)
+        rng.shuffle(angles)
+        rows.append([a % TWO_PI for a in angles])
+        if rng.random() < 0.2:  # a mirror image, rotated
+            c = rng.uniform(0.0, TWO_PI)
+            rows.append([(c - a) % TWO_PI for a in rows[-1]])
+    theta = np.array(rows)
+    got = _family_keys(theta, mu, tol)
+    assert got == reference_family_keys(theta, mu, tol)
+    assert max(len(keys) for keys in got) >= 4
 
 
 def _point_set(thetas, mu):
