@@ -108,8 +108,9 @@ _nonnegative_float = _bounded(float, 0.0)
 # are not critical, or calls every eigenvalue zero
 _relative_tol = _bounded(float, 0.0, strict=True, below=1)
 _finite_float = _bounded(float, -math.inf, strict=True)
-# the integrator's relative tolerance is at least 100 machine epsilons
-_rtol = _bounded(float, 100 * sys.float_info.epsilon)
+# the integrator's relative tolerance is at least 100 machine epsilons; at
+# 1 or more its error control accepts any step
+_rtol = _bounded(float, 100 * sys.float_info.epsilon, below=1)
 # simulate integrates to 2*pi*periods, which must be finite
 _periods = _bounded(float, 0.0, strict=True, below=sys.float_info.max / (2.0 * math.pi))
 
@@ -856,7 +857,7 @@ def build_parser():
     p.add_argument("--periods", type=_periods, default=1.0)
     p.add_argument("--rtol", type=_rtol, default=1e-10,
                    help="relative and absolute tolerance of the integrator, "
-                        "at least 100 machine epsilons")
+                        "at least 100 machine epsilons and below 1")
     _flags(p, "--tol-newton", "--out", unset=("--tol-newton",))
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -17,11 +17,12 @@ a nearly singular matrix.  Each iterate writes its pair table, residual
 and Jacobian into the buffers, the Jacobian into the top left of a square
 bordered matrix that one solve takes, and the converged iterate's
 Jacobian is copied out for the batch, one stacked reduction that checks
-every step.
-The buffered iterate runs the helpers that vortex_field, re_residual and
-re_jacobian run (_pairs, _field, _field_jacobian, _re_residual and
-_re_jacobian, each with optional buffers), so there is one copy of each
-formula.
+every step.  An integration binds every array a Dormand-Prince step
+touches once per run (_dormand_prince), so no numpy call in a step
+allocates.  The buffered code runs the helpers that vortex_field,
+re_residual and re_jacobian run (_pairs, _field, _field_jacobian,
+_re_residual and _re_jacobian, each with optional buffers), so there is
+one copy of each formula.
 """
 
 from __future__ import annotations
@@ -46,11 +47,15 @@ def _perp(v):
     return np.asarray(v, dtype=float) @ _J2.T
 
 
-def _pair_buffers(n):
-    """The arrays _pairs fills for n positions: diff, dist2, the squares of
-    diff, their two components and dist2's diagonal, views made once."""
+def _pair_buffers(q):
+    """The arrays _pairs fills for the positions q, shape (n, 2): q as a
+    column and as a row (views, which follow q when it is contiguous),
+    diff, dist2, the squares of diff, their two components and dist2's
+    diagonal, views made once."""
+    n = len(q)
     diff, dist2, squares = np.empty((n, n, 2)), np.empty((n, n)), np.empty((n, n, 2))
-    return diff, dist2, squares, squares[..., 0], squares[..., 1], dist2.reshape(-1)[::n + 1]
+    return (q.reshape(n, 1, 2), q.reshape(1, n, 2), diff, dist2, squares, squares[..., 0],
+            squares[..., 1], dist2.reshape(-1)[::n + 1])
 
 
 def _pairs(q, buffers=None):
@@ -58,12 +63,12 @@ def _pairs(q, buffers=None):
 
     Returns diff[i, j] = q_i - q_j and dist2[i, j] = |q_i - q_j|^2 with
     the diagonal set to 1, so quotients by it stay finite.  Raises
-    CollisionError naming the first pair closer than _MIN_SEP.  The table
-    is written into buffers from _pair_buffers when they are given.
+    CollisionError naming the first pair closer than _MIN_SEP.  Given
+    buffers from _pair_buffers(q), the table is written into them and q is
+    read through their views, so it may change between calls.
     """
-    n = len(q)
-    diff, dist2, squares, x2, y2, diagonal = buffers or _pair_buffers(n)
-    np.subtract(q.reshape(n, 1, 2), q.reshape(1, n, 2), out=diff)
+    column, row, diff, dist2, squares, x2, y2, diagonal = buffers or _pair_buffers(q)
+    np.subtract(column, row, out=diff)
     np.multiply(diff, diff, out=squares)
     np.add(x2, y2, out=dist2)
     diagonal.fill(1.0)
@@ -76,33 +81,30 @@ def _pairs(q, buffers=None):
     return diff, dist2
 
 
-def _field(diff, dist2, g, out=None):
+def _field_buffers(n):
+    """The arrays _field fills for n positions: the velocities, shape (n, 2),
+    and their columns, then scratch that buffers of other velocities may
+    share: the weights g_j / dist2[i, j] and their view over a third axis,
+    the weighted differences, and their row sums with its columns."""
+    out, weights, total = np.empty((n, 2)), np.empty((n, n)), np.empty((n, 2))
+    return (out, out[:, 0], out[:, 1], weights, weights[:, :, None], np.empty((n, n, 2)),
+            total, total[:, 0], total[:, 1])
+
+
+def _field(diff, dist2, g, buffers=None):
     """Velocities from a pair table and circulations g (see vortex_field),
-    written into out, shape (n, 2), when it is given."""
+    or g repeated in n rows, whose quotient by dist2 takes no broadcast,
+    written into buffers from _field_buffers when they are given."""
+    out, x, y, weights, weighted, products, total, total_x, total_y = (
+        buffers or _field_buffers(len(g)))
     # The weights g_j / dist2[i, j] are g_i on the diagonal, not 0, but diff
     # is 0 there.
-    total = np.add.reduce((g / dist2)[:, :, None] * diff, axis=1)
-    if out is None:
-        out = np.empty_like(total)
+    np.divide(g, dist2, out=weights)
+    np.add.reduce(np.multiply(weighted, diff, out=products), axis=1, out=total)
     # (x, y) -> (-y, x), a zero component +0 whatever its sign, as _perp gives it
-    np.subtract(0.0, total[:, 1], out=out[:, 0])
-    np.add(total[:, 0], 0.0, out=out[:, 1])
+    np.subtract(0.0, total_y, out=x)
+    np.add(total_x, 0.0, out=y)
     return out
-
-
-def _field_kernel(g):
-    """vortex_field of the circulations g, shape (n,), as a function of the
-    flat positions y, shape (2n,), that writes the velocities into out,
-    shape (2n,), and returns out.  The pair table's buffers are kept
-    between calls."""
-    n = len(g)
-    buffers = _pair_buffers(n)
-
-    def field(y, out):
-        _field(*_pairs(y.reshape(n, 2), buffers), g, out.reshape(n, 2))
-        return out
-
-    return field
 
 
 def _field_jacobian_buffers(n):
@@ -172,18 +174,40 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(field, y, f, span, rtol, atol):
-    """First step size of Hairer, Norsett & Wanner, Solving ODEs I, II.4,
-    for a method whose error estimate is of order 4."""
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((field(y + h0 * f, np.empty_like(y)) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, span)
+def _dormand_prince(g, rtol, atol):
+    """Every array a step of integrate_vortices for the circulations g
+    touches, bound once: the stage input Y, shape (2n,), the stages K,
+    shape (7, 2n), and the views and buffers of the pair table, the field
+    and the step.  Returns Y, K, field(s), which writes the field at Y into
+    K[s], and attempt(y, abs_y, abs_new, h), which from y, its field in K[0]
+    and |y| in abs_y writes the step of size h into K, its end into Y and
+    |Y| into abs_new, and returns the error norm."""
+    n = len(g)
+    K, Y = np.empty((7, 2 * n)), np.empty(2 * n)
+    positions, g_rows, scratch = Y.reshape(n, 2), np.tile(g, (n, 1)), _field_buffers(n)[3:]
+    pairs = _pair_buffers(positions)
+    fields = [(row, row[:, 0], row[:, 1]) + scratch for row in K.reshape(7, n, 2)]
+    # each stage's row number, the rows before it and their weights
+    stages = [(s, K[:s].T, a) for s, a in enumerate(_DP_A, start=1)]
+    steps, errors = K[:-1].T, K.T  # the rows the step and the error estimate take
+    increment, scale, error = np.empty((3, 2 * n))
+
+    def field(s):
+        _field(*_pairs(positions, pairs), g_rows, fields[s])
+
+    def attempt(y, abs_y, abs_new, h):
+        for s, previous, a in stages:
+            np.add(y, np.multiply(np.dot(previous, a, out=increment), h, out=increment), out=Y)
+            field(s)
+        np.add(y, np.multiply(h, np.dot(steps, _DP_B, out=increment), out=increment), out=Y)
+        field(6)
+        np.abs(Y, out=abs_new)
+        np.add(atol, np.multiply(np.maximum(abs_y, abs_new, out=scale), rtol, out=scale),
+               out=scale)
+        return _rms(np.divide(np.multiply(np.dot(errors, _DP_E, out=error), h, out=error),
+                              scale, out=error))
+
+    return Y, K, field, attempt
 
 
 def integrate_vortices(q, g, t_final, tol):
@@ -194,9 +218,10 @@ def integrate_vortices(q, g, t_final, tol):
     extrapolation, an RMS error norm, safety factor 0.9 and step changes
     within 0.2 to 10, the operations and steps of scipy's RK45.  tol is the
     absolute tolerance and, raised to 100 machine epsilons, the relative one.
-    One field kernel serves the run, and each stage writes its field into
-    its row of the stage table.  Returns the accepted times and the
-    positions at each, shape (len(times), n, 2).
+    Each stage and step is written into buffers bound once per run
+    (_dormand_prince), and each accepted state is copied once; q is never
+    written.  Returns the accepted times and the positions at each, shape
+    (len(times), n, 2).
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -210,15 +235,23 @@ def integrate_vortices(q, g, t_final, tol):
     if not tol >= 0.0:
         raise ValueError(f"integration needs a tolerance of at least 0, got {tol}")
 
-    field = _field_kernel(g)
     rtol, atol = max(tol, 100 * np.finfo(float).eps), tol
-    K = np.empty((7, y.size))  # the stages; row 0 is the field at y
-    field(y, K[0])
-    h_abs = _initial_step(field, y, K[0], t_final, rtol, atol)
-    # each stage's row, the rows before it and their weights
-    stages = [(K[s], K[:s].T, a) for s, a in enumerate(_DP_A, start=1)]
-    steps, errors = K[:-1].T, K.T  # the rows the step and the error estimate take
-    abs_y = np.abs(y)
+    Y, K, field, attempt = _dormand_prince(g, rtol, atol)
+    Y[:] = y
+    field(0)
+    # the first step for an error estimate of order 4 (Hairer et al., II.4)
+    f, scale = K[0], atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    np.add(y, h0 * f, out=Y)
+    field(1)
+    d2 = _rms((K[1] - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_final)
+    abs_y, abs_new = np.abs(y), np.empty_like(y)
     t, times, states = 0.0, [0.0], [y]
     while t < t_final:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -230,20 +263,14 @@ def integrate_vortices(q, g, t_final, tol):
                                        "is less than spacing between numbers.")
             t_new = min(t + h_abs, t_final)
             h_abs = h = t_new - t
-            for row, previous, a in stages:
-                field(y + np.dot(previous, a) * h, row)
-            y_new = y + h * np.dot(steps, _DP_B)
-            field(y_new, K[-1])
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            error = _rms(np.dot(errors, _DP_E) * h / scale)
+            error = attempt(y, abs_y, abs_new, h)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.2)
             rejected = True
-        t, y, abs_y = t_new, y_new, abs_new
+        t, y, abs_y, abs_new = t_new, Y.copy(), abs_new, abs_y
         K[0] = K[-1]
         times.append(t)
         states.append(y)
@@ -445,8 +472,8 @@ def _newton_buffers(N):
     M[-1, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
     sides = np.empty((2, 2 * N + 1))
     sides[1] = np.sqrt(np.arange(2.0, 2 * N + 3)) % 1.0 - 0.5
-    return (np.zeros((N + 1, 2)), _pair_buffers(N + 1), _jacobian_buffers(N, M[:-1, :-1]),
-            M, sides)
+    q = np.zeros((N + 1, 2))
+    return q, _pair_buffers(q), _jacobian_buffers(N, M[:-1, :-1]), M, sides
 
 
 def _into_gauge(Z, out):

@@ -667,6 +667,19 @@ def test_simulate_names_the_rtol_floor(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("rtol, shown", [("1", "1.0"), ("1e300", "1e+300")])
+def test_simulate_names_the_rtol_ceiling(capsys, rtol, shown):
+    # at 1e300 the error control accepted every step, and a polygon that
+    # should stay put reported a co-rotating frame drift of 2.5
+    code, out, err = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
+                         "--periods", "0.01", "--rtol", rtol)
+    assert (code, out) == (2, "")
+    assert f"argument --rtol: must be below 1, got {shown}" in err
+    code, _, _ = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
+                     "--periods", "0.01", "--rtol", "0.999")
+    assert code == 0
+
+
 _OVERFLOW = ("error: the start overflows: its circulations eps*mu or "
              "squared pair distances are not finite\n")
 

@@ -140,21 +140,25 @@ def _field_starts():
 
 def test_the_field_kernel_keeps_the_bits_of_the_reference_field():
     # one kernel per circulation vector, reused across positions, as a run
-    # reuses it across stages
+    # reuses it across stages; each position's field is written into every
+    # row of the stage table, through that row's own views
     kernels = {}
     for q, g in _field_starts():
         want = reference_vortex_field(q, g)
         assert _same_bits(vortex_field(q, g), want)
-        field = kernels.setdefault(tuple(g), dynamics._field_kernel(g))
-        out = np.full(q.size, np.nan)
-        assert field(q.ravel(), out) is out
-        assert _same_bits(out.reshape(q.shape), want)
+        Y, K, field, _ = kernels.setdefault(tuple(g), dynamics._dormand_prince(g, 1e-10, 1e-10))
+        Y[:] = q.ravel()
+        K.fill(np.nan)
+        for s in range(len(K)):
+            field(s)
+            assert _same_bits(K[s].reshape(q.shape), want)
 
 
 def test_the_field_kernel_names_a_colliding_pair():
-    field = dynamics._field_kernel(np.ones(3))
+    Y, _, field, _ = dynamics._dormand_prince(np.ones(3), 1e-10, 1e-10)
+    Y[:] = 0.0, 0.0, 1.0, 0.5, 1.0, 0.5 + 1e-13
     with pytest.raises(CollisionError, match="vortices 1 and 2"):
-        field(np.array([0.0, 0.0, 1.0, 0.5, 1.0, 0.5 + 1e-13]), np.empty(6))
+        field(0)
 
 
 def test_integration_conserves_invariants():
@@ -188,6 +192,25 @@ def test_integration_takes_the_steps_of_scipys_rk45(tol):
     q = np.array(((1.0, 0.2), (-0.8, 0.1), (0.1, -1.1)))
     g = np.array((1.0, 2.0, -0.5))
     assert_integrates_as_scipy(q, g, 2.0, tol)
+    # one vortex: no field, so the error estimate is 0 and each step is ten
+    # times the last
+    q, g = np.array([[0.3, -1.2]]), np.array([1.7])
+    times, states = integrate_vortices(q, g, 2.0, tol)
+    steps = np.diff(times)
+    assert steps[0] == 1e-6 and np.allclose(steps[1:-1] / steps[:-2], 10.0)
+    assert (states == q).all()
+    assert_integrates_as_scipy(q, g, 2.0, tol)
+
+
+def test_integration_leaves_the_start_alone():
+    # the run reads q through a view of it; cmd_simulate reuses q for the
+    # starting energy and the frame drift
+    q, g = polygon_family(5, 1.3, 0.05).to_planar()
+    start = q.copy()
+    _, states = integrate_vortices(q, g, 1.0, 1e-9)
+    assert _same_bits(q, start)
+    assert _same_bits(states[0], start)
+    assert not np.shares_memory(states, q)
 
 
 def test_integration_refuses_a_negative_tolerance_or_a_non_finite_start():
