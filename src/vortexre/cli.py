@@ -457,18 +457,32 @@ def _snapshot_schedule(args, base, walk):
     return out
 
 
-def _snapshot_records(trace, snapshots, start, mu):
-    """(SVG path, configuration dict) for each snapshot the walk reached."""
+def _snapshot_records(payload, snapshots, start, mu):
+    """(SVG path, configuration record) for each snapshot the walk reached:
+    the start's, or the payload's record at that eps."""
     from vortexre.dynamics import HelioConfig
 
-    reached = {rec.epsilon: rec.config for rec in trace.records}
+    reached = {record["epsilon"]: record for record in payload["records"]}
     out = []
     for path, on_schedule in snapshots:
         if on_schedule == 0.0:
             out.append((path, HelioConfig.from_angles(start, mu, 0.0).to_dict()))
         elif on_schedule in reached:
-            out.append((path, reached[on_schedule].to_dict()))
+            out.append((path, reached[on_schedule]))
     return out
+
+
+def _continue_rows(payload):
+    """The CSV and table rows of a trace's JSON payload: a header, then eps,
+    the radii, the angles, the residual and the verdict of each record."""
+    n = len(payload["mu"])
+    rows = [["eps"] + [f"r{i+1}" for i in range(n)]
+            + [f"theta{i+1}" for i in range(n)] + ["residual", "verdict"]]
+    for rec in payload["records"]:
+        rows.append([f"{rec['epsilon']:.10g}"] + [f"{r:.12f}" for r in rec["radii"]]
+                    + [f"{a:.12f}" for a in rec["angles"]]
+                    + [f"{rec['residual']:.3e}", rec["verdict"]])
+    return rows
 
 
 def cmd_continue(args):
@@ -482,7 +496,7 @@ def cmd_continue(args):
         walk = _epsilon_schedule(args.eps_max, args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    base = args.out.rsplit(".", 1)[0] if args.out else "trace"
+    base = os.path.splitext(args.out)[0] if args.out else "trace"
     snapshots = _snapshot_schedule(args, base, walk) if args.snapshots else []
     _check_writable(args.out, *(path for path, _ in snapshots))
     if args.polygon is not None:
@@ -500,18 +514,18 @@ def cmd_continue(args):
         # a walk reports its own collisions as its failure, so one raised is the start's
         trace = _start_config(continue_family, start, mu, eps_max=args.eps_max,
                               step=args.step, tol=args.tol_newton)
+    payload = trace.to_dict()
     if args.format == "json":
-        text = _json_text(trace.to_dict())
+        text = _json_text(payload)
     elif args.format == "table":
-        rows = trace.csv_rows()
-        widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
+        rows = _continue_rows(payload)
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         text = "\n".join(
-            "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
-            for row in rows) + "\n"
+            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows) + "\n"
     else:
-        text = _csv_text(trace.csv_rows())
+        text = _csv_text(_continue_rows(payload))
     _write_output(text, args.out)
-    for path, record in _snapshot_records(trace, snapshots, start, mu):
+    for path, record in _snapshot_records(payload, snapshots, start, mu):
         _write_file(path, render_configuration_svg(record))
     if trace.failure:
         print(f"continuation stopped early: {trace.failure}", file=sys.stderr)
@@ -563,7 +577,7 @@ def cmd_plot(args):
         svg = render_configuration_svg(record)
     except CirculationError as exc:
         raise UsageError(str(exc)) from None
-    _write_file(args.out or (args.config.rsplit(".", 1)[0] + ".svg"), svg)
+    _write_file(args.out or os.path.splitext(args.config)[0] + ".svg", svg)
     return 0
 
 

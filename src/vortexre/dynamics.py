@@ -210,6 +210,11 @@ def _dormand_prince(g, rtol, atol):
     return Y, K, field, attempt
 
 
+# The most steps an integration accepts, _MAX_SCHEDULE's figure: from two
+# vortices 1e-10 apart, or to t = 1e307, steps never reach t_final.
+_MAX_STEPS = 100_000
+
+
 def integrate_vortices(q, g, t_final, tol):
     """Integrate the full system forward from time 0 to t_final > 0.
 
@@ -221,7 +226,8 @@ def integrate_vortices(q, g, t_final, tol):
     Each stage and step is written into buffers bound once per run
     (_dormand_prince), and each accepted state is copied once; q is never
     written.  Returns the accepted times and the positions at each, shape
-    (len(times), n, 2).
+    (len(times), n, 2).  A run that has accepted _MAX_STEPS steps short of
+    t_final raises ConvergenceError naming the time it reached.
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -254,6 +260,9 @@ def integrate_vortices(q, g, t_final, tol):
     abs_y, abs_new = np.abs(y), np.empty_like(y)
     t, times, states = 0.0, [0.0], [y]
     while t < t_final:
+        if len(times) > _MAX_STEPS:
+            raise ConvergenceError(f"integration stopped at t = {t:g} of {t_final:g} "
+                                   f"after {_MAX_STEPS} steps")
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -294,19 +303,6 @@ class HelioConfig:
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
         _pairs(_full_system(z, self.epsilon, self.mu)[0])  # vortex 0 is the strong one
-
-    @classmethod
-    def _unchecked(cls, z, epsilon, mu):
-        """The configuration of a copy of z, a float array of shape (N, 2),
-        for mu, a CirculationWeights, without the collision check: for
-        positions whose pair table has just been checked."""
-        config = object.__new__(cls)
-        Z = z.copy()
-        Z.flags.writeable = False
-        object.__setattr__(config, "Z", Z)
-        object.__setattr__(config, "epsilon", epsilon)
-        object.__setattr__(config, "mu", mu)
-        return config
 
     @property
     def radii(self):
@@ -612,16 +608,16 @@ def _semisimple(reduced, eigvals, cut):
     return True
 
 
-def _stability(configs, jacobians):
-    """full_system_stability of configurations sharing their weights, given
-    their Jacobians: one null-space SVD, reduction and eigvals call per
-    constraint rank, and the cluster check per configuration."""
-    Z = np.stack([config.Z for config in configs])
-    B = _symplectic_form(np.array([config.epsilon for config in configs]), configs[0].mu)
+def _stability(Z, epsilon, mu, jacobians):
+    """full_system_stability of the configurations Z, shape (K, N, 2), at
+    the couplings epsilon, shape (K,), given their Jacobians, shape (K, 2N,
+    2N): one null-space SVD, reduction and eigvals call per constraint rank,
+    and the cluster check per configuration."""
+    B = _symplectic_form(epsilon, mu)
     rows = [v.reshape(len(Z), 1, -1) @ B for v in (_perp(Z), Z)]
     reports = [None] * len(Z)
     for records, Q in _null_space(np.concatenate(rows, axis=1)):
-        reduced = Q.transpose(0, 2, 1) @ np.stack(jacobians)[records] @ Q
+        reduced = Q.transpose(0, 2, 1) @ jacobians[records] @ Q
         for k, A, eigvals in zip(records, reduced, np.linalg.eigvals(reduced)):
             if not eigvals.imag.any():  # eigvals of A alone would be real
                 eigvals = eigvals.real
@@ -649,7 +645,8 @@ def full_system_stability(config):
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
-    return _stability([config], [re_jacobian(config)])[0]
+    return _stability(config.Z[None], np.array([config.epsilon]), config.mu,
+                      re_jacobian(config)[None])[0]
 
 
 # -- known families and continuation -----------------------------------------
@@ -678,55 +675,40 @@ def polygon_family(N, mu_scalar, epsilon):
     return HelioConfig(z, epsilon, (mu_scalar,) * N)
 
 
-@dataclass(frozen=True)
-class ContinuationRecord:
-    epsilon: float
-    config: HelioConfig
-    residual: float
-    verdict: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuationTrace:
-    records: tuple
+    """A continuation walk as columns, one row per coupling reached: epsilon,
+    shape (K,), the read-only positions Z, shape (K, N, 2), the residual
+    infinity-norms, shape (K,), and the full-system verdicts, a tuple of K.
+    failure names what ended the walk early, or is None."""
     mu: CirculationWeights
+    epsilon: np.ndarray
+    Z: np.ndarray
+    residual: np.ndarray
+    verdict: tuple
     failure: str | None = None
 
-    def _positions(self):
-        """The records' positions stacked, shape (len(records), N, 2)."""
-        return np.array([rec.config.Z for rec in self.records]).reshape(-1, len(self.mu), 2)
-
-    def csv_rows(self):
-        n = len(self.mu)
-        header = (["eps"] + [f"r{i+1}" for i in range(n)]
-                  + [f"theta{i+1}" for i in range(n)] + ["residual", "verdict"])
-        rows = [header]
-        Z = self._positions()
-        for rec, radii, angles in zip(self.records, _radii(Z).tolist(), _angles(Z).tolist()):
-            rows.append([f"{rec.epsilon:.10g}"]
-                        + [f"{r:.12f}" for r in radii]
-                        + [f"{t:.12f}" for t in angles]
-                        + [f"{rec.residual:.3e}", rec.verdict])
-        return rows
+    def __len__(self):
+        return len(self.epsilon)
 
     def to_dict(self):
-        Z = self._positions()
-        epsilon = np.array([rec.config.epsilon for rec in self.records])
-        columns = (_angles(Z).tolist(), _radii(Z).tolist(),
-                   _strong_vortex_offset(Z, epsilon, self.mu).tolist())
+        """The JSON payload, the angles, radii and z0 of all rows computed at once."""
+        columns = (self.epsilon.tolist(), self.residual.tolist(), self.verdict,
+                   _angles(self.Z).tolist(), _radii(self.Z).tolist(),
+                   _strong_vortex_offset(self.Z, self.epsilon, self.mu).tolist())
         return {
             "mu": list(self.mu.mu),
             "failure": self.failure,
             "records": [
-                {"epsilon": rec.epsilon, "residual": rec.residual, "verdict": rec.verdict,
-                 **_configuration_dict(angles, radii, self.mu, rec.config.epsilon, z0)}
-                for rec, angles, radii, z0 in zip(self.records, *columns)
+                {"epsilon": eps, "residual": residual, "verdict": verdict,
+                 **_configuration_dict(angles, radii, self.mu, eps, z0)}
+                for eps, residual, verdict, angles, radii, z0 in zip(*columns)
             ],
         }
 
 
 # The longest walk a schedule may ask for.  At N = 12 each kept step costs
-# about 5 KB (its record and its Jacobian), so this cap is about 0.5 GB.
+# about 5 KB (its positions and its Jacobian), so this cap is about 0.5 GB.
 _MAX_SCHEDULE = 100_000
 
 
@@ -821,16 +803,18 @@ def _corrected(passed, epsilon, mu, buffers, tol):
     return _newton(passed[-1][1], epsilon, mu, buffers, tol)
 
 
-def _walk(current, schedule, tol):
-    """The continuation trace from the eps = 0 configuration `current`
+def _walk(start, schedule, tol):
+    """The continuation trace from the eps = 0 configuration `start`
     through the couplings of `schedule`.  Each step's Newton solve starts
     from the quadratic through the last three solutions, the start in the
-    gauge counting as the one at eps = 0 (see _corrected)."""
-    weights, mu = current.mu, current.mu.array
+    gauge counting as the one at eps = 0 (see _corrected).  Each solution,
+    which its solve's pair table has checked, is kept as one copy that the
+    predictor reads and Z is stacked from."""
+    weights, mu = start.mu, start.mu.array
     buffers = _newton_buffers(len(mu))
-    start = np.empty_like(current.Z)
-    _into_gauge(current.Z, start)  # so the first line does not turn
-    passed = deque([(0.0, start)], maxlen=3)
+    z0 = np.empty_like(start.Z)
+    _into_gauge(start.Z, z0)  # so the first line does not turn
+    passed = deque([(0.0, z0)], maxlen=3)
     solved, residuals, jacobians = [], [], []
     failure = None
     for eps in schedule:
@@ -840,17 +824,16 @@ def _walk(current, schedule, tol):
         except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"
             break
-        # the converged iterate's pair table has checked z for collisions
-        current = HelioConfig._unchecked(z, eps, weights)
-        passed.append((eps, current.Z))
-        solved.append(current)
-        residuals.append(float(np.abs(res).max()))
+        solved.append(z.copy())
+        passed.append((eps, solved[-1]))
+        residuals.append(np.abs(res).max())
         jacobians.append(jacobian.copy())
-    reports = _stability(solved, jacobians) if solved else []
-    records = tuple(ContinuationRecord(epsilon=config.epsilon, config=config,
-                                       residual=residual, verdict=report.verdict)
-                    for config, residual, report in zip(solved, residuals, reports))
-    return ContinuationTrace(records=records, mu=weights, failure=failure)
+    epsilon = np.array(schedule[:len(solved)], dtype=float)
+    Z = np.array(solved).reshape(len(solved), len(mu), 2)
+    Z.flags.writeable = False
+    reports = _stability(Z, epsilon, weights, np.array(jacobians)) if solved else []
+    return ContinuationTrace(weights, epsilon, Z, np.array(residuals, dtype=float),
+                             tuple(report.verdict for report in reports), failure)
 
 
 def corotating_drift(initial, final, t_final):

@@ -871,7 +871,7 @@ def reference_previous_guess_walk(current, schedule, tol):
     continuation can run on it in _walk's place, and looks up
     dynamics._newton at each step, so a test may replace that too."""
     from vortexre import dynamics
-    from vortexre.dynamics import ContinuationRecord, ContinuationTrace, HelioConfig
+    from vortexre.dynamics import ContinuationTrace, HelioConfig
     from vortexre.errors import CirculationError, CollisionError, ConvergenceError
 
     weights, mu = current.mu, current.mu.array
@@ -889,11 +889,25 @@ def reference_previous_guess_walk(current, schedule, tol):
         solved.append(current)
         residuals.append(float(np.abs(res).max()))
         jacobians.append(np.array(jacobian))
-    reports = dynamics._stability(solved, jacobians) if solved else []
-    records = tuple(ContinuationRecord(epsilon=config.epsilon, config=config,
-                                       residual=residual, verdict=report.verdict)
-                    for config, residual, report in zip(solved, residuals, reports))
-    return ContinuationTrace(records=records, mu=weights, failure=failure)
+    epsilon = np.array([config.epsilon for config in solved], dtype=float)
+    Z = np.array([config.Z for config in solved]).reshape(len(solved), len(mu), 2)
+    Z.flags.writeable = False
+    reports = (dynamics._stability(Z, epsilon, weights, np.array(jacobians))
+               if solved else [])
+    return ContinuationTrace(weights, epsilon, Z, np.array(residuals, dtype=float),
+                             tuple(report.verdict for report in reports), failure)
+
+
+def row_config(trace, k):
+    """The checked configuration of row k of a continuation trace."""
+    from vortexre.dynamics import HelioConfig
+
+    return HelioConfig(trace.Z[k], float(trace.epsilon[k]), trace.mu)
+
+
+def row_configs(trace):
+    """row_config of every row of a continuation trace."""
+    return [row_config(trace, k) for k in range(len(trace))]
 
 
 # Saddles of two weight vectors that sum to zero, as `find` reports them.
@@ -954,7 +968,7 @@ def reference_full_system_stability(config, tol=1e-6):
 
 def _reference_configuration_dict(config):
     """HelioConfig.to_dict as the library wrote it before a trace exported
-    the angles, radii and z0 of all its records at once."""
+    the angles, radii and z0 of all its rows at once."""
     Z, gamma = config.Z, config.epsilon * config.mu.array
     angles = np.arctan2(Z[:, 1], Z[:, 0]) % (2.0 * math.pi)
     angles[angles > 2.0 * math.pi - 1e-12] = 0.0
@@ -970,29 +984,30 @@ def _reference_configuration_dict(config):
 
 
 def reference_trace_dict(trace):
-    """ContinuationTrace.to_dict, one record's configuration at a time."""
+    """ContinuationTrace.to_dict, one row's checked configuration at a time."""
     return {
         "mu": list(trace.mu.mu),
         "failure": trace.failure,
         "records": [
-            {"epsilon": rec.epsilon, "residual": rec.residual,
-             "verdict": rec.verdict, **_reference_configuration_dict(rec.config)}
-            for rec in trace.records
+            {"epsilon": config.epsilon, "residual": float(trace.residual[k]),
+             "verdict": trace.verdict[k], **_reference_configuration_dict(config)}
+            for k, config in enumerate(row_configs(trace))
         ],
     }
 
 
 def reference_csv_rows(trace):
-    """ContinuationTrace.csv_rows, one record's configuration at a time."""
+    """The rows cli._continue_rows makes of a trace's payload, one row's
+    checked configuration at a time."""
     n = len(trace.mu)
     rows = [["eps"] + [f"r{i+1}" for i in range(n)]
             + [f"theta{i+1}" for i in range(n)] + ["residual", "verdict"]]
-    for rec in trace.records:
-        record = _reference_configuration_dict(rec.config)
-        rows.append([f"{rec.epsilon:.10g}"]
+    for k, config in enumerate(row_configs(trace)):
+        record = _reference_configuration_dict(config)
+        rows.append([f"{config.epsilon:.10g}"]
                     + [f"{r:.12f}" for r in record["radii"]]
                     + [f"{t:.12f}" for t in record["angles"]]
-                    + [f"{rec.residual:.3e}", rec.verdict])
+                    + [f"{trace.residual[k]:.3e}", trace.verdict[k]])
     return rows
 
 # -- the field formula, and scipy's RK45, the oracles of the integrator -----

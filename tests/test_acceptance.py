@@ -14,6 +14,7 @@ from helpers import (
     random_multipoly,
     reference_primitive_part,
     reference_symmetry_axes,
+    row_configs,
     seeded,
     squarefree_distinct_complex_roots,
     sturm_distinct_real_roots,
@@ -213,24 +214,24 @@ def test_criterion_6_continuation_of_stable_saddle(capsys, found):
     if trace.failure:
         failures.append(f"continuation stopped: {trace.failure}")
     for eps in (0.05, 0.1):
-        hits = [r for r in trace.records if abs(r.epsilon - eps) < 1e-12]
+        hits = [c for c in row_configs(trace) if abs(c.epsilon - eps) < 1e-12]
         if not hits:
             failures.append(f"no record at eps={eps}")
             continue
-        rec = hits[0]
-        residual = float(np.abs(re_residual(rec.config)).max())
+        config = hits[0]
+        residual = float(np.abs(re_residual(config)).max())
         if residual >= 1e-10:
             failures.append(f"eps={eps}: residual {residual:.2e}")
-        report = full_system_stability(rec.config)
+        report = full_system_stability(config)
         if report.verdict != "stable":
             failures.append(f"eps={eps}: spectrum verdict {report.verdict}")
-        angles = rec.config.angles
+        angles = config.angles
         if reference_symmetry_axes(angles - angles[0], mu):
             failures.append(f"eps={eps}: configuration is symmetric")
     halved = continue_family(start, mu, eps_max=0.1, step=0.0025)
     # max over each trace of max_i |r_i - 1| / eps
-    drift, halved = (max(np.abs(rec.config.radii - 1.0).max() / rec.epsilon
-                         for rec in walk.records) for walk in (trace, halved))
+    drift, halved = (max(np.abs(config.radii - 1.0).max() / config.epsilon
+                         for config in row_configs(walk)) for walk in (trace, halved))
     if not (math.isfinite(drift) and drift > 0):
         failures.append(f"radial drift constant {drift}")
     elif abs(drift - halved) / drift >= 1e-6:

@@ -283,6 +283,58 @@ def test_continue_select_and_snapshots(capsys, tmp_path):
     assert svg_end.read_text().startswith("<svg")
 
 
+def test_continue_csv_and_table_print_the_json_records(capsys):
+    # one payload: every CSV and table field is its JSON record's value at
+    # the precision printed
+    argv = ("continue", "--mu=-3,8,-9", "--start-angles=0.0,0.7289956572902648,"
+            "4.163205363055863", "--eps", "0.012", "--step", "0.002", "--format")
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 6
+    want = [[f"{rec['epsilon']:.10g}"] + [f"{r:.12f}" for r in rec["radii"]]
+            + [f"{a:.12f}" for a in rec["angles"]] + [f"{rec['residual']:.3e}", rec["verdict"]]
+            for rec in records]
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    assert [row.split(",") for row in out.splitlines()[1:]] == want
+    code, out, _ = run(capsys, *argv, "table")
+    assert code == 0
+    assert [row.split() for row in out.splitlines()[1:]] == want
+
+
+def test_every_snapshot_is_the_json_record_at_its_eps(capsys, tmp_path):
+    from vortexre.plotting import render_configuration_svg
+
+    target = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "continue", "--polygon", "5", "--mu", "1.37", "--eps", "0.02",
+                     "--step", "0.004", "--format", "json", "--out", str(target),
+                     "--snapshots", "0.004,0.012,0.02")
+    assert code == 0
+    records = json.loads(target.read_text())["records"]
+    for eps in ("0.004", "0.012", "0.02"):
+        [record] = [rec for rec in records if abs(rec["epsilon"] - float(eps)) < 1e-9]
+        svg = (tmp_path / f"trace_eps{eps}.svg").read_text()
+        assert svg == render_configuration_svg(record)
+
+
+def test_snapshots_go_beside_an_out_path_in_a_dotted_directory(capsys, tmp_path,
+                                                              monkeypatch):
+    # the base is --out without its extension, not --out cut at the
+    # directory's dot; an --out with an extension keeps its former name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    for out in ("runs.v2/trace", "runs.v2/trace.csv"):
+        code, _, _ = run(capsys, "continue", "--polygon", "3", "--mu", "1", "--eps", "0.01",
+                         "--step", "0.005", "--snapshots", "0.01", "--out", out)
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.v2"]
+        assert sorted(p.name for p in (tmp_path / "runs.v2").iterdir()) == sorted(
+            [out.split("/")[1], "trace_eps0.01.svg"])
+        for path in (tmp_path / "runs.v2").iterdir():
+            path.unlink()
+
+
 def test_continue_rejects_off_schedule_snapshot(capsys):
     code, _, err = run(
         capsys,
@@ -363,12 +415,10 @@ def test_continue_eps_zero_gives_header_only(capsys):
 
 
 def test_continue_json_builds_no_rows(capsys, monkeypatch):
-    from vortexre.dynamics import ContinuationTrace
-
     calls = []
-    monkeypatch.setattr(ContinuationTrace, "csv_rows",
-                        lambda self, rows=ContinuationTrace.csv_rows: calls.append(1)
-                        or rows(self))
+    monkeypatch.setattr(cli, "_continue_rows",
+                        lambda payload, rows=cli._continue_rows: calls.append(1)
+                        or rows(payload))
     argv = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01", "--format")
     assert run(capsys, *argv, "json")[0] == 0
     assert calls == []
@@ -468,6 +518,20 @@ def test_plot_is_deterministic(capsys, tmp_path):
     assert run(capsys, "plot", str(points), "--index", "3", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg xmlns=")
+
+
+def test_plot_writes_beside_its_input_in_a_dotted_directory(capsys, tmp_path, monkeypatch):
+    # the default output is the input without its extension, not the input
+    # cut at the directory's dot, plus .svg
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    for config in ("runs.v2/walk", "runs.v2/walk.json"):
+        (tmp_path / config).write_text(json.dumps({"angles": [0.0, 2.0, 4.0]}))
+        assert run(capsys, "plot", config)[0] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.v2"]
+        assert (tmp_path / "runs.v2" / "walk.svg").read_text().startswith("<svg")
+        for path in (tmp_path / "runs.v2").iterdir():
+            path.unlink()
 
 
 def test_plot_missing_and_malformed_files(capsys, tmp_path):
@@ -678,6 +742,19 @@ def test_simulate_names_the_rtol_ceiling(capsys, rtol, shown):
     code, _, _ = run(capsys, "simulate", "--polygon", "3", "--mu", "1", "--eps", "0.05",
                      "--periods", "0.01", "--rtol", "0.999")
     assert code == 0
+
+
+def test_simulate_stops_at_the_step_cap(capsys, monkeypatch):
+    # two vortices 1e-10 apart orbit each other in steps too small to reach
+    # t = 2*pi*0.01: without the cap the run never ended
+    from vortexre import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
+    code, out, err = run(capsys, "simulate", "--mu=1,1,1", "--eps", "0.01", "--periods",
+                         "0.01", "--start-angles=0,1,1.0000000001")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"failure: integration stopped at t = \S+ of 0\.0628319 "
+                        r"after 1000 steps\n", err)
 
 
 _OVERFLOW = ("error: the start overflows: its circulations eps*mu or "

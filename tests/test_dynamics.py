@@ -20,9 +20,11 @@ from helpers import (
     reference_re_residual,
     reference_trace_dict,
     reference_vortex_field,
+    row_config,
+    row_configs,
 )
 from vortexre import dynamics
-from vortexre.cli import main
+from vortexre.cli import _continue_rows, main
 from vortexre.dynamics import (
     ContinuationTrace,
     HelioConfig,
@@ -250,6 +252,23 @@ def test_integration_ends_mid_step_on_the_span():
     assert_integrates_as_scipy(q, g, 1.37, 1e-9)
 
 
+def test_integration_stops_at_the_step_cap(monkeypatch):
+    # a run that has accepted _MAX_STEPS steps short of its end raises,
+    # naming the time it reached; a run that ends on its last step does not
+    assert dynamics._MAX_STEPS == dynamics._MAX_SCHEDULE == 100_000
+    q, g = polygon_family(5, 1.2, 0.05).to_planar()
+    t_final = 2.0 * math.pi
+    times, states = integrate_vortices(q, g, t_final, 1e-10)
+    steps = len(times) - 1
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps)
+    again, again_states = integrate_vortices(q, g, t_final, 1e-10)
+    assert np.array_equal(again, times) and np.array_equal(again_states, states)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", steps - 1)
+    message = f"integration stopped at t = {times[-2]:g} of {t_final:g} after {steps - 1} steps"
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        integrate_vortices(q, g, t_final, 1e-10)
+
+
 @pytest.mark.parametrize("scale, t_final, tol, error", [
     (1e-6, 1e-11, 1e-13, CollisionError),
     (1.0, 3.0, 1e-9, ConvergenceError),
@@ -364,7 +383,7 @@ def test_linearization_is_infinitesimally_symplectic():
 
 def test_equilibrium_has_rotation_and_scaling_structure(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.02)
-    cfg = trace.records[-1].config
+    cfg = row_config(trace, -1)
     A = re_jacobian(cfg)
     z = cfg.Z.ravel()
     Jz = np.empty_like(z)
@@ -521,7 +540,7 @@ def test_newton_iterate_on_a_collision_raises_collision_error(
         assert str(info.value) == message
     _steps_into_a_collision(monkeypatch, guess, harmless, target)
     trace = continue_family(stable_saddle, (2, -1, 3), 0.02, step=0.005)
-    assert trace.records == () and trace.failure == f"eps=0.005: {message}"
+    assert len(trace) == 0 and trace.failure == f"eps=0.005: {message}"
 
 
 # -- spectral stability of the full linearization -----------------------------
@@ -534,7 +553,7 @@ def test_stability_requires_interacting_weak_vortices():
 
 def test_stable_point_has_imaginary_spectrum():
     trace = continue_family((0.0, math.pi / 3), CirculationWeights((1.0, 1.0)), 0.05, step=0.01)
-    report = full_system_stability(trace.records[-1].config)
+    report = full_system_stability(row_config(trace, -1))
     assert report.verdict == "stable"
     assert report.max_real_part < 1e-8
     assert all(abs(ev.real) < 1e-8 for ev in report.eigenvalues)
@@ -557,7 +576,7 @@ def test_linear_verdict_matches_potential_classification():
         trace = continue_family(
             found.theta[fam[0]], CirculationWeights((1.0, 1.0, 1.0)), 0.02, step=0.01
         )
-        report = full_system_stability(trace.records[-1].config)
+        report = full_system_stability(row_config(trace, -1))
         assert report.verdict == found.reports[fam[0]].verdict
 
 
@@ -568,11 +587,11 @@ def test_close_imaginary_pairs_stay_stable_until_the_krein_collision(step):
     # and the spectrum is semisimple, whatever the continuation step.
     theta = (0.0, 1.9776959562222671, 5.480254754348461)
     trace = continue_family(theta, (-4, -7, 9), 10 * step, step=step)
-    assert trace.failure is None and len(trace.records) == 10
-    for record in trace.records:
+    assert trace.failure is None and len(trace) == 10
+    for eps, verdict in zip(trace.epsilon, trace.verdict):
         # every step size lands on eps <= 5e-4 or eps >= 6e-4
-        expected = "stable" if record.epsilon <= 5e-4 + 1e-12 else "unstable"
-        assert record.verdict == expected, record.epsilon
+        expected = "stable" if eps <= 5e-4 + 1e-12 else "unstable"
+        assert verdict == expected, eps
 
 
 def stability_configs():
@@ -651,10 +670,10 @@ def pool_walks():
 def test_every_walk_verdict_matches_the_single_config_reference(pool_walks):
     verdicts = set()
     for _, trace in pool_walks:
-        assert trace.failure is None and len(trace.records) == 30
-        for record in trace.records:
-            verdict, _ = reference_full_system_stability(record.config)
-            assert record.verdict == verdict
+        assert trace.failure is None and len(trace) == 30
+        for config, walked in zip(row_configs(trace), trace.verdict):
+            verdict, _ = reference_full_system_stability(config)
+            assert walked == verdict
             verdicts.add(verdict)
     assert verdicts == {"stable", "unstable"}
 
@@ -666,12 +685,11 @@ def test_each_walk_step_is_a_fresh_newton_solve_from_its_predicted_guess(pool_wa
     for start, trace in pool_walks:
         assert start.Z[0, 1] == 0.0  # in the gauge already
         passed = [(0.0, start.Z)]
-        for record in trace.records:
-            guess = dynamics._extrapolate(passed[-3:], record.epsilon) if len(passed) > 1 \
-                else start.Z
-            solved = newton_solve(HelioConfig(guess, record.epsilon, start.mu))
-            assert solved.Z.tobytes() == record.config.Z.tobytes()
-            passed.append((record.epsilon, record.config.Z))
+        for eps, z in zip(trace.epsilon.tolist(), trace.Z):
+            guess = dynamics._extrapolate(passed[-3:], eps) if len(passed) > 1 else start.Z
+            solved = newton_solve(HelioConfig(guess, eps, start.mu))
+            assert solved.Z.tobytes() == z.tobytes()
+            passed.append((eps, z))
 
 
 def test_the_predictor_is_the_lagrange_polynomial_through_its_points():
@@ -691,17 +709,17 @@ def test_the_predictor_is_the_lagrange_polynomial_through_its_points():
 
 
 def test_a_walk_record_is_the_checked_configuration_of_its_solution(pool_walks):
-    # a record skips HelioConfig's collision check, which the solve's own
-    # pair table has made, and keeps the bytes that check would have kept
+    # a row skips HelioConfig's collision check, which the solve's own pair
+    # table has made: each is a configuration that check accepts, and the
+    # columns are float arrays of one length, Z read-only
     for _, trace in pool_walks:
-        for record in trace.records:
-            config = record.config
-            checked = HelioConfig(config.Z, config.epsilon, config.mu)
-            assert config.Z.tobytes() == checked.Z.tobytes()
-            assert config.Z.dtype == checked.Z.dtype and not config.Z.flags.writeable
-            assert config.epsilon == record.epsilon and type(config.epsilon) is float
+        assert trace.Z.dtype == trace.epsilon.dtype == trace.residual.dtype == float
+        assert not trace.Z.flags.writeable
+        assert trace.Z.shape == (len(trace), len(trace.mu), 2)
+        assert len(trace.epsilon) == len(trace.residual) == len(trace.verdict) == len(trace)
+        for z, config in zip(trace.Z, row_configs(trace)):
+            assert config.Z.tobytes() == z.tobytes()
             assert config.mu is trace.mu
-            assert config.to_dict() == checked.to_dict()
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, CollisionError])
@@ -720,11 +738,11 @@ def test_a_failed_predicted_solve_is_solved_again_from_the_step_before(
 
     monkeypatch.setattr(dynamics, "_newton", failing_once)
     trace = continue_family(stable_saddle, mixed_mu(), 0.02, step=0.005)
-    assert trace.failure is None and len(trace.records) == 4
-    eps = [record.epsilon for record in trace.records]
+    assert trace.failure is None and len(trace) == 4
+    eps = trace.epsilon.tolist()
     assert [(e, wary) for e, wary, _ in calls] == [
         (eps[0], False), (eps[1], True), (eps[2], True), (eps[2], False), (eps[3], True)]
-    first, second, third, _ = (record.config for record in trace.records)
+    first, second, third, _ = row_configs(trace)
     assert calls[3][2].tobytes() == second.Z.tobytes()
     again = newton_solve(HelioConfig(second.Z, eps[2], second.mu))
     assert third.Z.tobytes() == again.Z.tobytes()
@@ -768,7 +786,7 @@ def _residuals_per_step(monkeypatch, walks):
     traces = [walk() for walk in walks]
     monkeypatch.setattr(dynamics, "_re_residual", residual)
     assert all(trace.failure is None for trace in traces)
-    return calls[0] / sum(len(trace.records) for trace in traces)
+    return calls[0] / sum(len(trace) for trace in traces)
 
 
 def test_the_extrapolated_guess_saves_newton_iterates(monkeypatch):
@@ -792,8 +810,9 @@ def test_the_extrapolated_guess_saves_newton_iterates(monkeypatch):
 
 
 def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
-    # every record's Z and kept Jacobian is a copy: none shares memory with
-    # another's or with the buffers the next solve overwrites
+    # the trace's Z and the kept Jacobians are copies: they share no memory
+    # with each other or with the buffers the next solve overwrites, and Z
+    # is read-only
     made, kept = [], []
     newton_buffers, stability = dynamics._newton_buffers, dynamics._stability
 
@@ -801,15 +820,16 @@ def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
         made.append(newton_buffers(N))
         return made[-1]
 
-    def recording_stability(configs, jacobians):
-        kept.append(jacobians)
-        return stability(configs, jacobians)
+    def recording_stability(Z, epsilon, mu, jacobians):
+        kept.append((Z, jacobians))
+        return stability(Z, epsilon, mu, jacobians)
 
     monkeypatch.setattr(dynamics, "_newton_buffers", recording_buffers)
     monkeypatch.setattr(dynamics, "_stability", recording_stability)
     trace = continue_family(stable_saddle, (2, -1, 3), 0.02, step=0.005)
-    (buffers,), (jacobians,) = made, kept
-    assert trace.failure is None and len(trace.records) == len(jacobians) == 4
+    (buffers,), ((Z, jacobians),) = made, kept
+    assert trace.failure is None and len(trace) == len(jacobians) == 4
+    assert Z is trace.Z and not trace.Z.flags.writeable
 
     def arrays(item):
         if isinstance(item, np.ndarray):
@@ -817,22 +837,22 @@ def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
         return [a for part in item for a in arrays(part)]
 
     buffers = arrays(buffers)
-    owned = [record.config.Z for record in trace.records] + list(jacobians)
-    for i, a in enumerate(owned):
-        assert not any(np.shares_memory(a, b) for b in owned[i + 1:] + buffers)
-    for record, jacobian in zip(trace.records, jacobians):
+    assert not any(np.shares_memory(a, b) for a in (trace.Z, jacobians)
+                   for b in buffers + [trace.epsilon, trace.residual])
+    assert not np.shares_memory(trace.Z, jacobians)
+    for config, jacobian in zip(row_configs(trace), jacobians):
         # the Jacobian kept is the one at the converged iterate
-        assert jacobian.tobytes() == re_jacobian(record.config).tobytes()
+        assert jacobian.tobytes() == re_jacobian(config).tobytes()
 
 
 def test_the_trace_export_is_the_per_record_export(pool_walks):
     for _, trace in pool_walks:
         assert json.dumps(trace.to_dict()) == json.dumps(reference_trace_dict(trace))
-        assert trace.csv_rows() == reference_csv_rows(trace)
+        assert _continue_rows(trace.to_dict()) == reference_csv_rows(trace)
     empty = continue_polygon(3, 1.0, 0.0)
     assert empty.to_dict() == reference_trace_dict(empty) == {
         "mu": [1.0, 1.0, 1.0], "failure": None, "records": []}
-    assert empty.csv_rows() == reference_csv_rows(empty)
+    assert _continue_rows(empty.to_dict()) == reference_csv_rows(empty)
 
 
 # -- continuation in epsilon --------------------------------------------------
@@ -841,13 +861,12 @@ def test_the_trace_export_is_the_per_record_export(pool_walks):
 def test_continuation_records_schedule_and_residuals(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.05, step=0.005)
     assert trace.failure is None
-    assert len(trace.records) == 10
-    assert trace.records[-1].epsilon == pytest.approx(0.05)
-    eps = [r.epsilon for r in trace.records]
+    assert len(trace) == 10
+    assert trace.epsilon[-1] == pytest.approx(0.05)
+    eps = trace.epsilon.tolist()
     assert eps == sorted(eps)
-    for record in trace.records:
-        assert record.residual < 1e-10
-        assert record.verdict == "stable"
+    assert (trace.residual < 1e-10).all()
+    assert trace.verdict == ("stable",) * 10
 
 
 def test_a_schedule_over_the_cap_is_refused_before_it_is_built():
@@ -876,10 +895,10 @@ def test_continuation_requires_a_critical_start():
 def test_continuation_is_step_size_robust(stable_saddle):
     coarse = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.01)
     fine = continue_family(stable_saddle, mixed_mu(), 0.04, step=0.005)
-    assert np.abs(coarse.records[-1].config.Z - fine.records[-1].config.Z).max() < 1e-8
+    assert np.abs(coarse.Z[-1] - fine.Z[-1]).max() < 1e-8
     # max over the trace of max_i |r_i - 1| / eps
-    drift = [max(np.abs(rec.config.radii - 1.0).max() / rec.epsilon for rec in trace.records)
-             for trace in (coarse, fine)]
+    drift = [max(np.abs(config.radii - 1.0).max() / config.epsilon
+                 for config in row_configs(trace)) for trace in (coarse, fine)]
     assert drift[0] == pytest.approx(drift[1], rel=1e-6)
 
 
@@ -891,7 +910,7 @@ def test_continuation_reports_failure_without_raising(stable_saddle):
 
 def test_trace_csv_layout(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.01, step=0.005)
-    rows = trace.csv_rows()
+    rows = _continue_rows(trace.to_dict())
     assert rows[0] == [
         "eps",
         "r1",
@@ -903,7 +922,7 @@ def test_trace_csv_layout(stable_saddle):
         "residual",
         "verdict",
     ]
-    assert len(rows) == 1 + len(trace.records)
+    assert len(rows) == 1 + len(trace)
     assert float(rows[1][0]) == pytest.approx(0.005)
 
 
@@ -911,15 +930,15 @@ def test_strong_vortex_offset_scales_with_epsilon():
     mu = CirculationWeights((1.0, 1.0, 1.0))
     small = continue_family((0.0, math.pi / 4, 7 * math.pi / 4), mu, 0.01, step=0.005)
     large = continue_family((0.0, math.pi / 4, 7 * math.pi / 4), mu, 0.04, step=0.005)
-    off_small = np.linalg.norm(small.records[-1].config.strong_vortex_offset())
-    off_large = np.linalg.norm(large.records[-1].config.strong_vortex_offset())
+    off_small = np.linalg.norm(row_config(small, -1).strong_vortex_offset())
+    off_large = np.linalg.norm(row_config(large, -1).strong_vortex_offset())
     assert off_large > off_small
     assert off_large < 0.2  # stays a perturbation
 
 
 def test_continued_equilibrium_corotates(stable_saddle):
     trace = continue_family(stable_saddle, mixed_mu(), 0.05, step=0.01)
-    config = trace.records[-1].config
+    config = row_config(trace, -1)
     q, g = config.to_planar()
     _, states = integrate_vortices(q, g, math.pi, 1e-10)
     assert corotating_drift(q, states[-1], math.pi) < 1e-6
@@ -1178,16 +1197,16 @@ def test_the_extrapolated_walk_lands_where_the_previous_guess_walk_landed(monkey
     for (name, walk), trace in zip(walks, ours):
         reference = walk()
         assert trace.failure == reference.failure, name
-        assert len(trace.records) == len(reference.records), name
-        for rec, ref in zip(trace.records, reference.records):
-            assert (rec.epsilon, rec.verdict) == (ref.epsilon, ref.verdict), name
-            assert _angle_gap(rec.config.angles, ref.config.angles).max() < 1e-9, name
+        assert trace.epsilon.tolist() == reference.epsilon.tolist(), name
+        assert trace.verdict == reference.verdict, name
+        for rec, ref in zip(row_configs(trace), row_configs(reference)):
+            assert _angle_gap(rec.angles, ref.angles).max() < 1e-9, name
             if len(name) == 1:
-                assert np.abs(rec.config.radii - ref.config.radii).max() < 1e-12, name
+                assert np.abs(rec.radii - ref.radii).max() < 1e-12, name
             else:
                 n, mu = name
                 radius = math.sqrt(1.0 + mu * rec.epsilon * (n - 1) / 2.0)
-                assert np.abs(rec.config.radii - radius).max() < 1e-12, (name, rec.epsilon)
+                assert np.abs(rec.radii - radius).max() < 1e-12, (name, rec.epsilon)
 
 
 def test_the_bordered_newton_walks_where_the_least_squares_one_walked(monkeypatch):
@@ -1213,11 +1232,11 @@ def test_the_bordered_newton_walks_where_the_least_squares_one_walked(monkeypatc
     for (name, walk), trace in zip(_equivalence_walks(), ours):
         reference = walk()
         assert trace.failure == reference.failure, name
-        assert len(trace.records) == len(reference.records), name
-        for rec, ref in zip(trace.records, reference.records):
-            assert (rec.epsilon, rec.verdict) == (ref.epsilon, ref.verdict), name
-            assert _angle_gap(rec.config.angles, ref.config.angles).max() < 1e-9, name
-            assert np.abs(rec.config.radii - ref.config.radii).max() < 1e-12, name
+        assert trace.epsilon.tolist() == reference.epsilon.tolist(), name
+        assert trace.verdict == reference.verdict, name
+        for rec, ref in zip(row_configs(trace), row_configs(reference)):
+            assert _angle_gap(rec.angles, ref.angles).max() < 1e-9, name
+            assert np.abs(rec.radii - ref.radii).max() < 1e-12, name
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -1226,11 +1245,11 @@ def test_a_polygon_walk_through_its_bifurcation_stays_on_the_polygon(n):
     # schedule lands on it at eps = 25 * 0.0008 = 0.02
     mu = 200.0 / (n - 1) ** 2
     trace = continue_polygon(n, mu, 0.024, step=0.0008)
-    assert trace.failure is None and len(trace.records) == 30
-    assert trace.records[24].epsilon * mu == pytest.approx(4.0 / (n - 1) ** 2, rel=1e-15)
-    for record in trace.records:
-        radius = math.sqrt(1.0 + mu * record.epsilon * (n - 1) / 2.0)
-        assert np.abs(record.config.radii - radius).max() < 1e-9, record.epsilon
+    assert trace.failure is None and len(trace) == 30
+    assert trace.epsilon[24] * mu == pytest.approx(4.0 / (n - 1) ** 2, rel=1e-15)
+    for config in row_configs(trace):
+        radius = math.sqrt(1.0 + mu * config.epsilon * (n - 1) / 2.0)
+        assert np.abs(config.radii - radius).max() < 1e-9, config.epsilon
 
 
 def test_a_polygon_walk_stops_where_the_family_ends(capsys, monkeypatch):
