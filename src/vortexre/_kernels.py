@@ -104,6 +104,11 @@ def leading_monomial(terms, order):
     return max(terms, key=_keys(order).__getitem__)
 
 
+def descending_monomials(terms, order):
+    """Monomials of a term map, order-maximal first."""
+    return sorted(terms, key=_keys(order).__getitem__, reverse=True)
+
+
 # -- term-map arithmetic -----------------------------------------------------
 
 def terms_add(t1, t2):

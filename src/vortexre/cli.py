@@ -577,7 +577,10 @@ def cmd_plot(args):
         svg = render_configuration_svg(record)
     except CirculationError as exc:
         raise UsageError(str(exc)) from None
-    _write_file(args.out or os.path.splitext(args.config)[0] + ".svg", svg)
+    out = args.out or os.path.splitext(args.config)[0] + ".svg"
+    if os.path.realpath(out) == os.path.realpath(args.config):
+        raise UsageError(f"output {out} is the input configuration; choose another --out")
+    _write_file(out, svg)
     return 0
 
 

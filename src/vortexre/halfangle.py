@@ -98,7 +98,10 @@ def _numerators(points, mu):
     (1, 0), so n_1 = 1 and g_1i = q_i.  For each later vortex i, returns
     the numerator N_i and the denominator factors F_i (n_k for every
     k >= 2, then g_ij for each j != i), all integer term maps, with
-    dV/dtheta_i = N_i / (2 prod F_i).
+    dV/dtheta_i = N_i / (2 prod F_i).  With h_j = n_j g_ij and
+    a_j = +-mu_j c_ij (n_i n_j - 4 g_ij^2), N_i = -mu_i sum_j a_j
+    prod_{k != j} h_k, folded over j with running products in O(N)
+    products: num <- num h_j + a_j prod, then prod <- prod h_j.
     """
     mul, add = _kernels.terms_mul, _kernels.terms_add
     neg, scale = _kernels.terms_neg, _kernels.terms_scale
@@ -107,23 +110,20 @@ def _numerators(points, mu):
     for i in range(1, len(points)):
         pi, qi = points[i]
         others = [j for j in range(len(points)) if j != i]
-        g = {}
+        num, prod, g = {}, norms[0], []  # n_1 = 1 starts the running product
         for j in others:
             (pa, qa), (pb, qb) = points[min(i, j)], points[max(i, j)]
-            g[j] = add(mul(pa, qb), neg(mul(pb, qa)))
-        h = {j: mul(norms[j], g[j]) for j in others}
-        num = {}
-        for j in others:
+            g.append(add(mul(pa, qb), neg(mul(pb, qa))))
             pj, qj = points[j]
             cos = add(mul(pi, pj), mul(qi, qj))
-            ratio = add(mul(norms[i], norms[j]), scale(mul(g[j], g[j]), -4))
-            term = mul(mul(mu[j], cos), ratio)
-            for k in others:
-                if k != j:
-                    term = mul(term, h[k])
+            ratio = add(mul(norms[i], norms[j]), scale(mul(g[-1], g[-1]), -4))
+            a = mul(mul(mu[j], cos), ratio)
+            h = mul(norms[j], g[-1])
             # g_ij = e_ij when j < i and -e_ij when j > i
-            num = add(num, term if j < i else neg(term))
-        out.append((mul(neg(mu[i]), num), norms[1:] + [g[j] for j in others]))
+            num = add(mul(num, h), mul(a if j < i else neg(a), prod))
+            if j != others[-1]:  # the product of every h_j is never read
+                prod = mul(prod, h)
+        out.append((mul(neg(mu[i]), num), norms[1:] + g))
     return out
 
 

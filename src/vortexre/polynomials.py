@@ -12,7 +12,9 @@ prints and reads back; all arithmetic runs on the term maps of
 reads back exactly that form: "0", or terms joined by " + " and " - "
 with an optional "-" before the first, where a term is a magnitude
 ("3", "3/2"), or factors "x" and "x^e" joined by "*" with an optional
-magnitude and "*" in front.  Any other text is a ``ValueError``.
+magnitude and "*" in front.  Any other text is a ``ValueError``.  Each
+ring keeps one table from monomial to its factor text ("r2^3*r4"), so
+the polynomials of one ring build each monomial's text once.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block")):
 class PolynomialRing:
     """Rational polynomial ring with named variables and a monomial order."""
 
-    __slots__ = ("variables", "order", "_index")
+    __slots__ = ("variables", "order", "_index", "_text")
 
     def __init__(self, variables, order=None):
         self.variables = tuple(variables)
@@ -80,6 +82,7 @@ class PolynomialRing:
             raise ValueError(f"elimination block {self.order.block} leaves none of the "
                              f"{len(self.variables)} variables")
         self._index = {name: i for i, name in enumerate(self.variables)}
+        self._text = {}  # monomial -> factor text, filled by MultiPoly.__str__
 
     @property
     def nvars(self):
@@ -165,8 +168,7 @@ class MultiPoly:
 
     def monomials(self):
         """Exponent tuples in descending ring order."""
-        key = self.ring.order.key
-        return sorted(self.terms, key=key, reverse=True)
+        return _kernels.descending_monomials(self.terms, self.ring.order)
 
     def leading_monomial(self):
         if not self.terms:
@@ -191,20 +193,22 @@ class MultiPoly:
         """
         if not self.terms:
             return "0"
-        names = self.ring.variables
+        names, text = self.ring.variables, self.ring._text
         parts = []
         for m in self.monomials():
             c = self.terms[m]
             num, den = c.numerator, c.denominator
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(names, m) if e]
+            factors = text.get(m)
+            if factors is None:
+                factors = text[m] = "*".join(name if e == 1 else f"{name}^{e}"
+                                             for name, e in zip(names, m) if e)
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
                 body = mag
             elif den == 1 and num in (1, -1):
-                body = "*".join(factors)
+                body = factors
             else:
-                body = mag + "*" + "*".join(factors)
+                body = mag + "*" + factors
             if not parts:
                 parts.append(body if num > 0 else "-" + body)
             else:

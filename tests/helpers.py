@@ -11,7 +11,9 @@ it shares the library's integer division and auto-reduction, but skips
 no S-pair.  scipy, a test-only dependency, supplies the oracles of the
 stability reduction (its null space) and of the integrator (its RK45).
 The search's former hashed dedup and per-row family keys are kept here
-verbatim, as the oracles of the batched code that replaced them.
+verbatim, as the oracles of the batched code that replaced them, and so
+is the half-angle builder's former numerator loop, which rebuilt each
+leave-one-out product on the library's term-map kernels.
 """
 
 from __future__ import annotations
@@ -221,6 +223,38 @@ def reference_poly_str(p):
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
+
+
+# -- half-angle numerators ------------------------------------------------------
+
+def reference_numerators(points, mu):
+    """`halfangle._numerators` as it was when each component summed its
+    terms a_j * prod_{k != j} h_k, each product rebuilt from scratch."""
+    mul, add = _kernels.terms_mul, _kernels.terms_add
+    neg, scale = _kernels.terms_neg, _kernels.terms_scale
+    norms = [add(mul(p, p), mul(q, q)) for p, q in points]
+    out = []
+    for i in range(1, len(points)):
+        pi, qi = points[i]
+        others = [j for j in range(len(points)) if j != i]
+        g = {}
+        for j in others:
+            (pa, qa), (pb, qb) = points[min(i, j)], points[max(i, j)]
+            g[j] = add(mul(pa, qb), neg(mul(pb, qa)))
+        h = {j: mul(norms[j], g[j]) for j in others}
+        num = {}
+        for j in others:
+            pj, qj = points[j]
+            cos = add(mul(pi, pj), mul(qi, qj))
+            ratio = add(mul(norms[i], norms[j]), scale(mul(g[j], g[j]), -4))
+            term = mul(mul(mu[j], cos), ratio)
+            for k in others:
+                if k != j:
+                    term = mul(term, h[k])
+            # g_ij = e_ij when j < i and -e_ij when j > i
+            num = add(num, term if j < i else neg(term))
+        out.append((mul(neg(mu[i]), num), norms[1:] + [g[j] for j in others]))
+    return out
 
 
 # -- sympy bridge (for cross-checking against an independent CAS) -------------

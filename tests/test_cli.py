@@ -588,6 +588,22 @@ def test_plot_refuses_a_zero_total_circulation(capsys, tmp_path, mu, eps):
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize("name,out", [
+    ("in.svg", None),           # the default output, the input's stem + ".svg"
+    ("in.json", "in.json"),     # --out names the input itself
+    ("in.json", "./in.json"),   # another spelling of the same path
+])
+def test_plot_refuses_to_overwrite_its_input(capsys, tmp_path, monkeypatch, name, out):
+    monkeypatch.chdir(tmp_path)
+    record = b'{"angles": [0.0, 2.0, 4.0]}'
+    (tmp_path / name).write_bytes(record)
+    code, stdout, err = run(capsys, "plot", name, *(["--out", out] if out else []))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and "input" in err
+    assert (tmp_path / name).read_bytes() == record
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_plot_index_out_of_range(capsys, tmp_path):
     points = tmp_path / "points.json"
     run(
@@ -638,6 +654,9 @@ BUILD_SYSTEM_DIGESTS = {
     ("12,-10,-7,5", "table"): "2f0753b445a04942efd7eff4a46a0594cd6f14076bf77775a7a299bcbc54a2ab",
     ("1,2,3,4,5,6", "json"): "5da597733ceb94110133b5a4a6f223426d97089d45a6495d23bff3b11dfde402",
     ("1,2,3,4,5,6", "table"): "08e74354167f7e75e6474830a9207c24fe89c4d44e553b8f5cce0142402cb8c7",
+    # recorded while each component still rebuilt every leave-one-out product
+    ("1,2,-3,4,5,-6", "json"): "98e049390c9fcd21e4c0e9db819c5721b8699cab71f684e01af7e75daf4a0173",
+    ("1,2,-3,4,5,-6", "table"): "fbef3b61a72ca125008464208b50da6c43033ffc28457966af76d8192c62a4ab",
 }
 
 

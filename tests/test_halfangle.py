@@ -13,10 +13,11 @@ from helpers import (
     reference_evaluate_float,
     reference_identify,
     reference_half_angle_coordinates,
+    reference_numerators,
     reference_primitive_part,
     seeded,
 )
-from vortexre import _kernels
+from vortexre import _kernels, halfangle
 from vortexre.errors import CollisionError
 from vortexre.halfangle import (
     back_transform,
@@ -109,6 +110,35 @@ def test_records_list_every_norm_and_the_pairs_of_the_component():
 def test_polynomial_text_is_frozen(mu):
     text = "\n".join(str(p) for p in build_equal_weight_system(mu).polys)
     assert hashlib.sha256(text.encode()).hexdigest() == POLY_DIGESTS[mu]
+
+
+@pytest.mark.parametrize("mu", [
+    (3, -2), (2, -1, 3), (1, -3, -3, 7), (3, 7, -8, -9, 1), (1, 2, -3, 4, 5, -6),
+    (1, 2, 3, -4, 5, 6, -7),
+])
+def test_numerators_match_the_pairwise_sum(mu):
+    # the running products give the term maps that rebuilding every
+    # leave-one-out product gives, numerator and factors alike
+    # (vortex 1 at (1, 0) and vortex k at (r_k, 1), as in the builder)
+    unit = (0,) * (len(mu) - 1)
+    one = {unit: 1}
+    points = [(one, {})] + [({unit[:k] + (1,) + unit[k + 1:]: 1}, one)
+                            for k in range(len(unit))]
+    weights = [{unit: m} for m in mu]
+    assert halfangle._numerators(points, weights) == reference_numerators(points, weights)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_symmetry_case_numerators_match_the_pairwise_sum(case):
+    # the point sets of `build_symmetry_case_system` in (r, mu1, mu2, mu3),
+    # with the weights as ring variables
+    unit, lin, sq = (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)
+    one, r = {unit: 1}, {lin: 1}
+    half, double = (r, one), ({sq: 1, unit: -1}, {lin: 2})
+    points = [(one, {})] + {1: [half, ({lin: -1}, one)], 2: [half, double],
+                            3: [double, half]}[case]
+    mu = [{(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1}]
+    assert halfangle._numerators(points, mu) == reference_numerators(points, mu)
 
 
 def _record_value(rec, values):

@@ -60,6 +60,24 @@ def test_text_form_matches_the_fraction_reference():
         assert str(p) == reference_poly_str(p)
 
 
+def test_system_text_through_one_ring_matches_the_reference():
+    # every polynomial and factor of an N=6 system shares one ring, whose
+    # monomial-text table the second pass reads; unit coefficients and
+    # constant terms take their own text paths, so the set includes them
+    system = build_equal_weight_system((1, 2, -3, 4, 5, -6))
+    ring, unit = system.ring, (0,) * 5
+    polys = list(system.polys) + [
+        f for rec in system.stripped_factors for f, _ in rec.denominator_factors]
+    polys += [ring.monomial(unit, 1), ring.monomial(unit, -1),
+              ring.parse("-r2*r6^3 + r5 - 1"), ring.parse("3/2*r2^2 - 7")]
+    assert all(p.ring is ring for p in polys)
+    assert {1, -1} <= {c for p in polys for c in p.terms.values()}
+    assert sum(unit in p.terms for p in polys) > 5
+    expected = [reference_poly_str(p) for p in polys]
+    assert [str(p) for p in polys] == expected
+    assert [str(p) for p in polys] == expected
+
+
 def test_parse_handles_rationals_and_powers(ring):
     p = ring.parse("3/2*x^2*y - y + 7")
     assert p.terms == {(2, 1): Fraction(3, 2), (0, 1): Fraction(-1), (0, 0): Fraction(7)}
