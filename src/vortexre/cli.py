@@ -421,6 +421,8 @@ def _select_start(args, mu):
         if len(args.start_angles) != len(mu):
             raise UsageError("need one start angle per weight")
         return [float(a) for a in args.start_angles]
+    if args.select is not None and not args.select.split():
+        raise UsageError(f"--select {args.select!r} has no words; every point would match")
     _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -536,8 +538,8 @@ def cmd_continue(args):
 # -- plot --------------------------------------------------------------------
 
 def _finite_numbers(value):
-    """True when value is a JSON list of finite numbers."""
-    return isinstance(value, list) and all(
+    """True when value is a nonempty JSON list of finite numbers."""
+    return isinstance(value, list) and value != [] and all(
         type(v) in (int, float) and math.isfinite(v) for v in value)
 
 
@@ -558,7 +560,7 @@ def _load_plot_record(path, index):
             raise UsageError(f"--index out of range 0..{len(data)-1}")
         data = data[index]
     if not isinstance(data, dict) or not _finite_numbers(data.get("angles")):
-        raise UsageError("configuration record must contain an 'angles' list "
+        raise UsageError("configuration record must contain a nonempty 'angles' list "
                          "of finite numbers")
     n = len(data["angles"])
     for key, size in (("radii", n), ("mu", n), ("z0", 2)):

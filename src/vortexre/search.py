@@ -25,14 +25,15 @@ each takes an array to Python once, with one `tolist`:
 - the family keys come from whole-array passes, the least of each
   point's 2N candidate sequences found one entry at a time, and only the
   key tuples are built in Python;
-- the symmetry axes come from one pass per axis over (K, N, N) arrays,
-  and the export builds each record from Python lists.
+- the symmetric flags read the circle order and arcs of the family keys
+  (`_circle`) in one pass over (K, N, N - 1) arrays, and the export
+  builds each record from Python lists.
 At five equal weights and 4096 seeds (264 points from 3316 converged
 seeds), interleaved medians on 2 cores give dedup 1.7 ms, classification
-3.4 ms, families 1.3 ms and export 1.7 ms, beside about 65 ms of seeding
-and polish; the per-row code these replaced took 8.4, 3.7, 2.7 and 1.7
-ms.  The CLI's JSON writer takes 5.1 ms for that catalogue, where
-json.dumps with an indent took 10.5.
+3.4 ms and families 1.3 ms, beside about 65 ms of seeding and polish;
+the per-row code these replaced took 8.4, 3.7 and 2.7 ms.  The CLI's
+JSON writer takes 5.1 ms for that catalogue, where json.dumps with an
+indent took 10.5.
 
 Nothing proves a catalogue complete: seeds can miss critical points,
 and `find` is not checked against the exact count of `certify`.  What is
@@ -407,6 +408,17 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
 _ROUNDING_MARGIN = 0.01
 
 
+def _circle(theta):
+    """Circle order of the rows of the (K, N) angle array theta: the
+    vortex indices sorted by angle mod 2 pi, and the (K, N) arcs, column k
+    running from the k-th of them to the next and the last closing the
+    circle."""
+    theta = np.asarray(theta, dtype=float) % TWO_PI
+    order = np.argsort(theta, axis=1, kind="stable")
+    ranked = np.take_along_axis(theta, order, axis=1)
+    return order, np.diff(ranked, axis=1, append=ranked[:, :1] + TWO_PI)
+
+
 def _family_keys(theta, mu, tol):
     """Canonical keys of weighted configurations on the circle, one set
     per row of the (K, N) angle array theta.
@@ -424,11 +436,9 @@ def _family_keys(theta, mu, tol):
     them found one entry at a time.  Only the key tuples are built in
     Python, two lists per variant.
     """
-    theta = np.asarray(theta, dtype=float) % TWO_PI
-    count, n = theta.shape
-    order = np.argsort(theta, axis=1, kind="stable")
-    ranked = np.take_along_axis(theta, order, axis=1)
-    q = np.diff(ranked, axis=1, append=ranked[:, :1] + TWO_PI) / tol
+    order, arcs = _circle(theta)
+    count, n = arcs.shape
+    q = arcs / tol
     gaps = np.rint(q)
     off = q - gaps
     other = gaps + np.sign(off)
@@ -481,43 +491,25 @@ def group_into_families(point_set):
     return [tuple(members) for members in families]
 
 
-def _symmetry_mask(theta, tol):
-    """(K, N) mask of the symmetry axes of the rows of the (K, N) angle
-    array theta: entry (r, i) is set when the axis through the center and
-    vortex i reflects configuration r onto itself, weights ignored.
+def _symmetric(theta, tol):
+    """(K,) mask of the rows of the (K, N) angle array theta that an axis
+    through the center and one of their vortices reflects onto themselves
+    within tol, weights ignored.
 
-    Axis i maps vortex j to 2 theta_i - theta_j.  One pass per axis marks
-    the candidates of each j: every k whose angle is within tol of the
-    image of j.  A row where each j has exactly one candidate is
-    symmetric when the candidates are distinct.  A row where some j has
-    two or more gives each j in turn its first unused candidate, and is
-    symmetric when every j gets one.  The temporaries are (K, N, N).
+    The reflection in the axis through a vortex reverses the circle order
+    about it: the vortex m + 1 steps ahead of it maps onto the one m + 1
+    steps behind, so for every m < N - 1 the arcs summed over the m + 1
+    steps ahead and over the m + 1 steps behind differ by less than tol.
+    The temporaries are (K, N, N - 1).
     """
-    theta = np.asarray(theta, dtype=float)
-    count, n = theta.shape
-    mask = np.zeros((count, n), dtype=bool)
-    for i in range(n):
-        reflected = (2.0 * theta[:, i:i + 1] - theta) % TWO_PI
-        d = reflected[:, :, None] - theta[:, None, :]  # image of j minus vortex k
-        d += np.pi
-        d %= TWO_PI
-        d -= np.pi
-        np.abs(d, out=d)
-        cand = d < tol
-        del d
-        per_image = cand.sum(axis=2)
-        single = (per_image == 1).all(axis=1)
-        mask[single, i] = (cand[single].sum(axis=1) == 1).all(axis=1)
-        for r in np.flatnonzero(~single & (per_image > 0).all(axis=1)).tolist():
-            used = set()
-            for row in cand[r].tolist():
-                k = next((k for k, c in enumerate(row) if c and k not in used), None)
-                if k is None:
-                    break
-                used.add(k)
-            else:
-                mask[r, i] = True
-    return mask
+    _, arcs = _circle(theta)
+    n = arcs.shape[1]
+    a, m = np.arange(n)[:, None], np.arange(n - 1)
+    # entry (r, a, m): the arcs over m + 1 steps ahead less those behind
+    skew = arcs[:, (a + m) % n]
+    skew -= arcs[:, (a - 1 - m) % n]
+    np.cumsum(skew, axis=2, out=skew)
+    return (np.abs(skew, out=skew) < tol).all(axis=2).any(axis=1)
 
 
 def export_critical_points(point_set, families):
@@ -525,12 +517,14 @@ def export_critical_points(point_set, families):
 
     A point is "symmetric" when an axis through the center and one of its
     vortices reflects its angles onto themselves within 1e-6 radians,
-    weights ignored."""
+    weights ignored: the vortices m + 1 steps ahead of that vortex in
+    circle order and m + 1 steps behind it lie at mirror angles, for
+    every m (`_symmetric`)."""
     family = [None] * len(point_set)
     for fid, members in enumerate(families):
         for m in members:
             family[m] = fid
-    symmetric = _symmetry_mask(point_set.theta, 1e-6).any(axis=1).tolist()
+    symmetric = _symmetric(point_set.theta, 1e-6).tolist()
     mu = point_set.mu.mu
     records = [{"angles": theta, "mu": list(mu), "family": fid, "symmetric": sym,
                 **report.to_dict()}

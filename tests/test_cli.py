@@ -561,6 +561,7 @@ def test_plot_missing_and_malformed_files(capsys, tmp_path):
     ('{"angles": [0.0, 1.0], "epsilon": -Infinity}', "epsilon"),
     ('{"angles": [0.0, 1.0], "z0": [0.1]}', "z0"),
     ('{"angles": [0.0, 1.0], "z0": [0.1, null]}', "z0"),
+    ('{"angles": [], "mu": []}', "angles"),
 ])
 def test_plot_rejects_a_malformed_record(capsys, tmp_path, record, key):
     bad = tmp_path / "bad.json"
@@ -1112,6 +1113,11 @@ def test_out_of_range_dynamics_flags_exit_2(capsys, argv):
     # angles 1e-10 apart, which the reduced potential cannot separate
     (["continue", "--mu=1,1,1", "--eps", "0.01", "--start-angles=0,1,1.0000000001"],
      "the start is a collision: vortices 2 and 3 coincide"),
+    # a selector with no words would match every point
+    (["continue", "--mu=1,1,1", "--select", "", "--eps", "0.005"],
+     "--select '' has no words"),
+    (["continue", "--mu=1,1,1", "--select", "  ", "--eps", "0.005"],
+     "--select '  ' has no words"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -53,7 +53,7 @@ from vortexre.search import (
     _min_gaps,
     _newton_steps,
     _polish,
-    _symmetry_mask,
+    _symmetric,
     _within,
     export_critical_points,
     find_all_critical_points,
@@ -164,15 +164,15 @@ def test_rotation_distance_behaviour():
 
 
 def test_symmetry_detection():
-    mask = _symmetry_mask([EQUILATERAL, (0.0, 1.0, 2 * math.pi - 1.0), (0.0, 1.0, 2.5)], 1e-8)
-    assert mask.tolist() == [[True, True, True], [True, False, False], [False, False, False]]
+    mask = _symmetric([EQUILATERAL, (0.0, 1.0, 2 * math.pi - 1.0), (0.0, 1.0, 2.5)], 1e-8)
+    assert mask.tolist() == [True, True, False]
 
 
 def test_symmetry_respects_weights():
     iso = (0.0, 1.0, 2 * math.pi - 1.0)
     # geometrically symmetric, but a weighted reflection must also preserve
     # the weights; the acceptance checks ask the reference that question
-    assert _symmetry_mask([iso], 1e-8).any()
+    assert _symmetric([iso], 1e-8).all()
     assert reference_symmetry_axes(iso, (5, 1, 1)) == (0,)
     assert reference_symmetry_axes(iso, (5, 1, 2)) == ()
 
@@ -209,6 +209,12 @@ def test_scalar_rotation_distance_equals_the_array_reference(n):
     assert 0 < hits < 400
 
 
+def _least_gap(row):
+    """Least distance on the circle between two vortices of row."""
+    ranked = sorted(a % TWO_PI for a in row)
+    return min(b - a for a, b in zip(ranked, ranked[1:] + [ranked[0] + TWO_PI]))
+
+
 @pytest.mark.parametrize("mu,seeds", [((1, 1, 1), 256), ((2, -1, 3), 256),
                                       ((1, 2, 3, 4), 256), ((1,) * 5, 256),
                                       ((1,) * 6, 256)])
@@ -216,12 +222,11 @@ def test_symmetry_mask_equals_the_per_point_reference_on_catalogues(mu, seeds):
     found = find_all_critical_points(mu, seeds=seeds)
     symmetric = 0
     for tol in (1e-8, 1e-6):
-        mask = _symmetry_mask(found.theta, tol)
-        assert mask.shape == found.theta.shape
-        for row, theta in zip(mask.tolist(), found.theta):
-            axes = reference_symmetry_axes(theta, None, tol)
-            assert tuple(i for i, axis in enumerate(row) if axis) == axes
-            symmetric += bool(axes)
+        mask = _symmetric(found.theta, tol)
+        assert mask.shape == (len(found),)
+        for got, theta in zip(mask.tolist(), found.theta):
+            assert got == bool(reference_symmetry_axes(theta, None, tol))
+            symmetric += got
     assert symmetric or len(set(mu)) == len(mu)  # equal weights give symmetric points
 
 
@@ -230,7 +235,7 @@ def test_symmetry_mask_equals_the_per_point_reference_on_built_cases():
     t = 2 * math.pi
     rows = [
         # vortices 1 and 2 closer than 2 tol: some images have two
-        # candidates, and the first unused one is taken
+        # candidates within tol
         (0.0, 1.0, 1.0 + 0.6 * tol, t - 1.0 - 0.3 * tol, t - 1.0 + 0.6 * tol),
         (0.0, 1.0, 1.0 + 0.5 * tol, t - 1.0, t - 1.0 - 0.5 * tol),
         (0.0, 2.0, 2.0 + 1.5 * tol, 4.0, 4.0 - 0.2 * tol),
@@ -252,27 +257,54 @@ def test_symmetry_mask_equals_the_per_point_reference_on_built_cases():
         angles += [angles[1] + rng.uniform(-2 * tol, 2 * tol)]
         rows.append(tuple((a + rng.uniform(-tol, tol)) % t for a in angles[:5])
                     + (angles[5],))
-    lengths = {len(row) for row in rows}
-    for n in lengths:
+    differ = []
+    for n in sorted({len(row) for row in rows}):
         theta = np.array([row for row in rows if len(row) == n])
-        mask = _symmetry_mask(theta, tol)
-        for got, row in zip(mask.tolist(), theta):
-            assert tuple(i for i, axis in enumerate(got) if axis) == \
-                reference_symmetry_axes(row, None, tol)
-    # the greedy rule is what it was: taking vortex 3 first for vortex 1
-    # leaves vortex 2 no partner, though 4 would have served vortex 1
-    assert _symmetry_mask([rows[0]], tol).tolist() == [[False] * 5]
-    assert _symmetry_mask([rows[1]], tol).tolist() == [[True] + [False] * 4]
-    assert _symmetry_mask([rows[3]], tol).tolist() == [[False] * 4]
+        for got, row in zip(_symmetric(theta, tol).tolist(), theta.tolist()):
+            if got != bool(reference_symmetry_axes(row, None, tol)):
+                differ.append(tuple(row))
+    # the two rules can differ only where two vortices lie within 2 tol of
+    # each other; here they differ on row 0 alone
+    assert differ == [rows[0]] and _least_gap(rows[0]) <= 2 * tol
+    # the circle order matches 1 with 4 and 2 with 3 about vortex 0; the
+    # greedy reference takes vortex 3 first for vortex 1 and leaves vortex 2
+    # no partner, so it calls this row asymmetric
+    assert _symmetric([rows[0]], tol).tolist() == [True]
+    assert reference_symmetry_axes(rows[0], None, tol) == ()
+    assert _symmetric([rows[1]], tol).tolist() == [True]
+    assert _symmetric([rows[3]], tol).tolist() == [False]
     iso = np.array([(0.0, 1.0, t - 1.0), (1.0, 0.0, 2.0)])
-    assert _symmetry_mask(iso, tol).tolist() == [[True, False, False],
-                                                 [True, False, False]]
-    assert _symmetry_mask([(t - 1e-9, 1.0, t - 1.0 - 2e-9)], 1e-8).tolist() == \
-        [[True, False, False]]
+    assert _symmetric(iso, tol).tolist() == [True, True]
+    assert _symmetric([(t - 1e-9, 1.0, t - 1.0 - 2e-9)], 1e-8).tolist() == [True]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_symmetry_mask_equals_the_per_point_reference_on_mirror_rows(n):
+    # configurations with an axis through vortex 0 (and through vortex 1
+    # when n is even), shifted by whole turns, each angle then moved by up
+    # to tol / 4, which keeps the symmetry, or by up to 1.5 tol, which
+    # mostly breaks it
+    rng = seeded(60 + n)
+    flags = []
+    for _ in range(2000):
+        tol = 10.0 ** rng.uniform(-9, -5)
+        axis = rng.uniform(0.0, TWO_PI)
+        half = [rng.uniform(0.05, math.pi - 0.05) for _ in range((n - 1) // 2)]
+        angles = [axis] + [axis + math.pi] * (n % 2 == 0)
+        angles += [axis + s * h for h in half for s in (1, -1)]
+        shift = rng.choice((-TWO_PI, 0.0, TWO_PI, 2 * TWO_PI))
+        jitter = rng.choice((0.25, 1.5)) * tol
+        row = [a + shift + rng.uniform(-jitter, jitter) for a in angles]
+        if _least_gap(row) <= 2 * tol:
+            continue
+        got = _symmetric([row], tol).tolist()
+        assert got == [bool(reference_symmetry_axes(row, None, tol))]
+        flags += got
+    assert len(flags) > 1900 and 0.4 < sum(flags) / len(flags) < 0.8
 
 
 def test_symmetry_mask_and_export_of_an_empty_catalogue():
-    assert _symmetry_mask(np.zeros((0, 5)), 1e-6).shape == (0, 5)
+    assert _symmetric(np.zeros((0, 5)), 1e-6).shape == (0,)
     empty = CriticalPointSet(theta=np.zeros((0, 4)), reports=(),
                              mu=CirculationWeights((1, 1, 1, 1)))
     out = export_critical_points(empty, group_into_families(empty))
@@ -280,13 +312,13 @@ def test_symmetry_mask_and_export_of_an_empty_catalogue():
 
 
 def test_equal_weight_points_all_symmetric(equal_weights):
-    assert _symmetry_mask(equal_weights.theta, 1e-6).any(axis=1).all()
+    assert _symmetric(equal_weights.theta, 1e-6).all()
 
 
 def test_unequal_weight_points_all_asymmetric():
     found = find_all_critical_points((2, 1, 9), seeds=1024)
     assert len(found) == 10
-    assert not _symmetry_mask(found.theta, 1e-6).any()
+    assert not _symmetric(found.theta, 1e-6).any()
 
 
 def test_export_schema(equal_weights):
@@ -693,7 +725,7 @@ def test_families_at_eight_equal_weights_are_fast():
 
 
 def test_export_of_a_large_catalogue_builds_no_cubic_temporary():
-    # the symmetry flags hold (K, N, N) arrays; one (K, N, N, N) float
+    # the symmetry flags hold (K, N, N - 1) arrays; one (K, N, N, N) float
     # array alone would take 82 MB here
     count, n = 20_000, 8
     theta = np.random.default_rng(3).uniform(0.0, TWO_PI, (count, n))
