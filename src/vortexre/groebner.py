@@ -2,10 +2,11 @@
 
 All arithmetic is exact.  Polynomials come in with ``Fraction``
 coefficients, but Buchberger runs on primitive integer term maps
-(``_kernels.reduce_integer`` is the one reduction routine of Buchberger
-and the trace form), and the basis it returns keeps them: each element
-is a (leading monomial, primitive integer term map) pair, and the monic
-``Fraction`` polynomials are built only when asked for.  A polynomial's
+(``_kernels.reduce_integer`` is its one reduction routine; the trace form
+reads its normal forms off the reduced basis and divides nothing), and
+the basis it returns keeps them: each element is a (leading monomial,
+primitive integer term map) pair, and the monic ``Fraction``
+polynomials are built only when asked for.  A polynomial's
 ring holds its monomial order, and every function here works under that
 order: polynomials passed to one call must share one ring.
 ``buchberger`` returns the unique reduced Groebner basis for the ring's

@@ -3,9 +3,9 @@
 The trace form on the quotient ring Q[x]/I is a symmetric rational
 matrix whose rank is the number of distinct complex roots and whose
 signature is the number of distinct real roots.  Everything here is
-exact: the counts are certificates, not estimates.  Normal forms and
-traces are computed on integer term maps over explicit denominators;
-the matrix is returned with ``Fraction`` entries.
+exact: the counts are certificates, not estimates.  Normal forms are
+integer vectors over the quotient basis, read off the reduced basis with
+no division; the matrix is returned with ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -69,76 +69,75 @@ def quotient_basis(gb):
 class _Traces:
     """Normal forms of monomials and multiplication-map traces.
 
-    A normal form is held as (integer term map, positive denominator) in
-    lowest terms.  Only border monomials x_k*b (b in the basis, x_k*b
-    outside it) are divided, fraction-free, by the basis's primitive
-    integer elements.  Any other monomial m = x_k*m' follows linearly:
-    NF(m) = sum_b c_b NF(x_k*b), where NF(m') = sum_b c_b b, summed over
-    a common denominator.  Traces are linear too: Tr(M_m) =
-    sum_b NF(m)[b] Tr(M_b), with Tr(M_b) = sum_c NF(b*c)[c] kept over one
-    denominator for all b, so a Fraction is built only for each trace
-    asked for.
+    A normal form is ({basis index: integer}, positive denominator), with
+    no zero coordinate stored.  The basis is reduced, so a leading
+    monomial's normal form is minus its element's tail over the leading
+    coefficient.  Any other monomial m outside the basis has a variable
+    x_k with m/x_k outside it too: NF(m) = sum_b c_b NF(x_k*b) over
+    NF(m/x_k) = sum_b c_b b, each x_k*b in the basis or below m.  Traces
+    are linear: Tr(M_m) = sum_c NF(m)[c] tau_c, tau_c = sum_b NF(c*b)[b]
+    over one denominator.  The products b_i*b_j are keyed by integer codes
+    that add as the monomials multiply, each distinct one reduced once.
     """
 
     def __init__(self, gb, basis):
-        self._order = gb.ring.order
-        self._divisors = gb.elements
-        self._in_basis = set(basis)
-        self._nf = {b: ({b: 1}, 1) for b in basis}
-        self._traces = {}
-        diagonal = {b: [(c, self.monomial_nf(_kernels.monomial_mul(b, c))) for c in basis]
-                    for b in basis}
-        self._den = math.lcm(*(den for row in diagonal.values() for _, (_, den) in row))
-        self._basis_traces = {
-            b: sum(t.get(c, 0) * (self._den // den) for c, (t, den) in row)
-            for b, row in diagonal.items()
-        }
+        index = self._index = {b: i for i, b in enumerate(basis)}
+        self._shifted = [[b[:k] + (b[k] + 1,) + b[k + 1:] for b in basis]
+                         for k in range(gb.ring.nvars)]
+        self._inside = [[index.get(m) for m in row] for row in self._shifted]
+        self._nf = {b: ({i: 1}, 1) for b, i in index.items()}
+        self._nf.update((lm, ({index[m]: -c for m, c in t.items() if m != lm}, t[lm]))
+                        for lm, t in gb.elements)
+        width = 2 * max(map(max, basis), default=0) + 1
+        self.codes = codes = [sum(e * width ** k for k, e in enumerate(b)) for b in basis]
+        pairs = {a + c: (i, j) for i, a in enumerate(codes) for j, c in enumerate(codes[i:], i)}
+        self.products = {p: self.monomial_nf(_kernels.monomial_mul(basis[i], basis[j]))
+                         for p, (i, j) in pairs.items()}
+        den = self._den = math.lcm(*(d for _, d in self.products.values()))
+        scaled = {p: (t, den // d) for p, (t, d) in self.products.items()}
+        self._tau = [sum(scaled[a + c][0].get(j, 0) * scaled[a + c][1]
+                         for j, c in enumerate(codes)) for a in codes]
 
     def monomial_nf(self, m):
-        """Normal form of a monomial as ({basis monomial: integer}, denominator)."""
+        """Normal form of a monomial as ({basis index: integer}, denominator)."""
         nf = self._nf.get(m)
         if nf is None:
-            lower = [(k, m[:k] + (e - 1,) + m[k + 1:]) for k, e in enumerate(m) if e]
-            if not lower or any(p in self._in_basis for _, p in lower):
-                nf = _lowest(*_kernels.reduce_integer({m: 1}, self._divisors, self._order))
-            else:
-                k, p = lower[0]
-                terms, den = self.monomial_nf(p)
-                parts = [(c, self.monomial_nf(b[:k] + (b[k] + 1,) + b[k + 1:]))
-                         for b, c in terms.items()]
-                common = math.lcm(*(d for _, (_, d) in parts))
-                acc = {}
-                for c, (t, d) in parts:
-                    _kernels.terms_iadd_scaled(acc, t, c * (common // d), None)
-                nf = _lowest(acc, den * common)
-            self._nf[m] = nf
+            for k, e in enumerate(m):
+                if e:
+                    p = m[:k] + (e - 1,) + m[k + 1:]
+                    if p not in self._index:
+                        break
+            terms, den = self.monomial_nf(p)
+            shifted, inside = self._shifted[k], self._inside[k]
+            border = [(c, self.monomial_nf(shifted[i]))
+                      for i, c in terms.items() if inside[i] is None]
+            common = math.lcm(*(d for _, (_, d) in border))
+            acc = [0] * len(inside)   # x_k*b in the basis only moves c_b to its index
+            for i, c in terms.items():
+                if inside[i] is not None:
+                    acc[inside[i]] = c * common
+            for c, (t, d) in border:
+                c *= common // d
+                for j, x in t.items():
+                    acc[j] += c * x
+            nf = self._nf[m] = ({j: x for j, x in enumerate(acc) if x}, den * common)
         return nf
+
+    def trace(self, nf):
+        """Trace of multiplication by the normal form `nf`, as a Fraction."""
+        return Fraction(sum(c * self._tau[j] for j, c in nf[0].items()), nf[1] * self._den)
 
     def trace_monomial(self, m):
         """Trace of the map g -> m*g on the quotient ring."""
-        tr = self._traces.get(m)
-        if tr is None:
-            t = self._basis_traces
-            terms, den = self.monomial_nf(m)
-            tr = self._traces[m] = Fraction(
-                sum(c * t[b] for b, c in terms.items()), den * self._den)
-        return tr
-
-
-def _lowest(terms, den):
-    """(terms, den) with their common factor divided out."""
-    g = math.gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {m: c // g for m, c in terms.items()}, den // g
+        return self.trace(self.monomial_nf(m))
 
 
 def hermite_matrix(gb, basis):
     """Rows of H[i][j] = trace of multiplication by b_i * b_j, as tuples;
     symmetric by construction."""
     traces = _Traces(gb, basis)
-    return tuple(tuple(traces.trace_monomial(_kernels.monomial_mul(a, b))
-                       for b in basis) for a in basis)
+    entries = {p: traces.trace(nf) for p, nf in traces.products.items()}
+    return tuple(tuple(entries[a + c] for c in traces.codes) for a in traces.codes)
 
 
 # -- fraction-free symmetric elimination -------------------------------------

@@ -214,6 +214,38 @@ def test_symmetry_case_output_is_frozen(capsys, command, case, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRY_CASE_DIGESTS[command, case, fmt]
 
 
+# sha256 of `certify --mu=<mu>` stdout, json with --show-basis --show-matrix
+# and table with --show-matrix, recorded while the trace form still divided
+# each border monomial by the basis.  The vectors cover every staircase the
+# N=3 pool meets (quotient dimension 24, 22 and 20) and one variable (3).
+CERTIFY_DIGESTS = {
+    ("1,1,1", "json"): "61505924f5b4372bee43ddf76bfbcf3e5b2504e3eb1f1b5c4a60b924356e438c",
+    ("1,1,1", "table"): "502616f84a2795aa104235360de88d0f138b9f03f32677ee6420f29bf73347b7",
+    ("2,1,9", "json"): "a8cf70e27753cfa89f4dbbfb35e300d957c7eff4d6b7403bc43c845579e5ce21",
+    ("2,1,9", "table"): "3f3db807198b5e3ed80dec6673befb6c382acc8ee67ff77e27732bd124e411e5",
+    ("2,-1,3", "json"): "f51e16a2e65c6e7d1c6e7d99247694ac968db9c639b82e9ad3cbfc4718fd85a9",
+    ("2,-1,3", "table"): "9f501d97d280aa12d1cfbb2d80969be6c67021d390b9cf566a45049cebf3d4b8",
+    ("-4,-7,9", "json"): "bfcd5029ff45584fa887d8ed6e00d1f19f038f2b7803aa610dccd86dfa41dc84",
+    ("-4,-7,9", "table"): "7e2c4c9b3126dd6222f45f316054976bc970fc532c31915c4485be5fc960de19",
+    ("-1,1,1", "json"): "429532153106ff5294f835c5bcf245b975dccb96c08461fdd246b6a64fa69107",
+    ("-1,1,1", "table"): "4602dd118673f5ce11e828deef8d90bdb0c25e5f4bb33fb204085244283f3cd7",
+    ("2,2,-1", "json"): "98352dceddfb69fb0830d0152a2b87a69809947fc5dc47c2d6a8a478d5794b3f",
+    ("2,2,-1", "table"): "2fd54bedb09923204745f5f15a94dcb6abb7e6c21d6b5334e747b000c6cd2acb",
+    ("-1,1,2", "json"): "0a21290043672a6d910fc4d11eb6e4d5c80a805fb49abc480e53d77fc54b24e8",
+    ("-1,1,2", "table"): "910db10eac7c379e578a8b36f7f088312ad129c75cf4b3147542687e3baaf6cd",
+    ("1,-2", "json"): "c337cdb39fb5a55b6405f85586229ac413c0fe32fce53b143e868ec7680fbc0e",
+    ("1,-2", "table"): "b8340e51283ae39577c4d5c2354f94f08ce7edd9bee23118f50508ebb6ca825f",
+}
+
+
+@pytest.mark.parametrize("mu,fmt", CERTIFY_DIGESTS)
+def test_certify_output_is_frozen(capsys, mu, fmt):
+    extra = ["--show-basis", "--show-matrix"] if fmt == "json" else ["--show-matrix"]
+    code, out, err = run(capsys, "certify", f"--mu={mu}", "--format", fmt, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[mu, fmt]
+
+
 def test_certify_json_format(capsys):
     code, out, _ = run(capsys, "certify", "--mu", "1,1", "--format", "json")
     assert code == 0

@@ -69,6 +69,9 @@ def test_multiplication_traces_on_sqrt_two():
     assert traces.trace_monomial((0,)) == 2  # identity trace = dimension
     assert traces.trace_monomial((1,)) == 0  # roots +-sqrt(2) sum to zero
     assert traces.trace_monomial((2,)) == 4  # squares sum to 4
+    # beyond the products b_i*b_j: odd powers cancel, and x^6 gives 8 + 8
+    assert traces.trace_monomial((5,)) == 0
+    assert traces.trace_monomial((6,)) == 16
 
 
 def test_hermite_matrix_of_sqrt_two():
@@ -281,7 +284,11 @@ def _small_ideals():
 
 
 @pytest.mark.parametrize("mu", [(10, -3, 2), (-4, -5, -3), (-11, 8, 6),
-                                (-9, 7, 9), (-9, -5, 11), (-4, -6, -5)])
+                                (-9, 7, 9), (-9, -5, 11), (-4, -6, -5),
+                                # every staircase the N=3 pool meets: quotient
+                                # dimension 24, 20 and 22; then one variable
+                                (1, 1, 1), (2, 1, 9), (2, -1, 3), (-4, -7, 9),
+                                (-1, 1, 1), (2, 2, -1), (-1, 1, 2), (1, -2)])
 def test_hermite_matrix_matches_reference_on_vortex_systems(mu):
     gb = buchberger(list(build_equal_weight_system(mu)))
     basis = quotient_basis(gb)
@@ -302,6 +309,40 @@ def test_hermite_matrix_and_traces_match_reference_on_small_ideals():
             assert traces.trace_monomial(m) == reference_trace_monomial(m, gb, basis, {})
         checked += 1
     assert checked >= 16
+
+
+@pytest.mark.parametrize("generators,dimension,inner_border", [
+    (("x^2 + y + z - 3", "y^2 + x*z - 1", "z^2 - x - y + 2"), 8, 9),
+    (("x^3 - y*z - 1", "y^2 - x + z", "z^2 + x*y - 2"), 12, 10),
+])
+def test_traces_match_reference_through_border_monomials_without_parity(
+        generators, dimension, inner_border):
+    xyz = PolynomialRing(("x", "y", "z"))
+    gb = buchberger([xyz.parse(g) for g in generators])
+    basis = quotient_basis(gb)
+    # x_k*b outside the basis and not a leading monomial: its normal form
+    # is combined from lower ones, not read off a basis tail
+    border = {b[:k] + (b[k] + 1,) + b[k + 1:] for b in basis for k in range(3)}
+    assert len(basis) == dimension
+    assert len(border - set(basis) - set(gb.leading_monomials())) == inner_border
+    assert hermite_matrix(gb, basis) == tuple(
+        map(tuple, reference_hermite_matrix(gb, basis)))
+    traces, cache = hermite._Traces(gb, basis), {}
+    for m in sorted(border):
+        assert traces.trace_monomial(m) == reference_trace_monomial(m, gb, basis, cache)
+
+
+def test_hermite_matrix_divides_no_polynomial(monkeypatch):
+    gb = buchberger(list(build_equal_weight_system((2, -1, 3))))
+    basis = quotient_basis(gb)
+    want = hermite_matrix(gb, basis)
+
+    def refuse(*args):
+        raise AssertionError("reduce_integer was called")
+
+    monkeypatch.setattr(_kernels, "reduce_integer", refuse)
+    assert hermite_matrix(gb, basis) == want
+    assert signature_and_rank(want) == hermite.RootCount(10, 16)
 
 
 def _random_symmetric(rng, n):
