@@ -1,112 +1,115 @@
-"""Polynomial kernels: monomials, monomial orders and term maps.
+"""Polynomial kernels: packed monomials and term maps.
 
-A monomial is a tuple of non-negative integer exponents, one per ring
-variable.  A term map is a plain dict from monomial to nonzero
-coefficient: ``Fraction`` at the polynomial API, ``int`` inside the
-exact engine, which divides integer term maps fraction-free.  An order
-is a tuple ``(kind, block)``, in practice a ``polynomials.MonomialOrder``,
-with ``kind`` in {"lex", "degrevlex", "elim"} and ``block`` the size of
-the leading (eliminated) variable block for "elim", 0 otherwise.
-Variables are compared in ring order, first variable most significant.
+A monomial is one int, the weighted sum of its exponents, with weights
+(``Packing``) chosen so that integer order is the ring's order: a product
+is a sum, a leading monomial ``max(terms)``.  A term map is a dict from
+monomial to nonzero coefficient: ``Fraction`` at the polynomial API,
+``int`` inside the exact engine, which divides fraction-free.  A kernel
+that multiplies monomials checks each product (``Packing.check``) before
+it returns it or multiplies it again.
 
-A monomial's order key never changes, so keys are computed once per
-(order, monomial) and kept for the life of the process.  Kernels call each
-other through private helpers, with one exception: ``reduce_integer``
-calls ``terms_iadd_scaled``.  Wrapping this module's public names
-therefore sees the calls made from outside it plus the reduction's own.
+Kernels call each other through private helpers, with one exception:
+``reduce_integer`` calls ``terms_iadd_scaled``.  Wrapping this module's
+public names therefore sees the calls made from outside it plus the
+reduction's own.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge, sub
+from operator import index, mul
 
-# -- monomials ---------------------------------------------------------------
-
-def monomial_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def monomial_divides(a, b):
-    """True when a | b, i.e. every exponent of a is <= that of b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+FIELD = 16                # bits per field, the top one a guard: one struct "H" word
+LIMIT = 1 << (FIELD - 1)  # what each block's degree must stay below
+_MASK = (1 << FIELD) - 1
 
 
-def monomial_div(b, a):
-    """b / a as a monomial, or None when a does not divide b."""
-    out = []
-    for y, x in zip(b, a):
-        d = y - x
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
+class Packing:
+    """The weights that pack the monomials of one ring into ints.
 
+    An order compares blocks of variables in turn, each by its degree and
+    then by the smaller exponent of its last variable: lex has one block
+    per variable, degrevlex one, elim(b) two.  With B = FIELD, a block of n
+    variables packs to deg*2^(nB) - L, L holding exponent i in field i, so
+    w_i = 2^(nB) - 2^(iB), above the whole range of the blocks after it.
+    A monomial fits when each block degree stays below LIMIT; the sum of
+    two that fit carries between no fields, and fits exactly when m + bias
+    clears every bit of ``guards``.  b | a exactly when fields(a) +
+    field_guards - fields(b) keeps every guard.
+    """
 
-def monomial_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    __slots__ = ("variables", "weights", "guards", "bias", "field_guards", "check_all",
+                 "_degrees", "_blocks", "_words", "_order")
 
+    def __init__(self, variables, order):
+        self.variables = tuple(variables)
+        v, (kind, block) = len(self.variables), order
+        starts = {"lex": list(range(v)), "degrevlex": [0], "elim": [0, block]}[kind]
+        sizes = [stop - start for start, stop in zip(starts, starts[1:] + [v])]
+        offsets = [sum((n + 1) * FIELD for n in sizes[j + 1:]) for j in range(len(sizes))]
+        ones = [((1 << n * FIELD) - 1) // _MASK for n in sizes]   # 1 in each field
+        self._blocks = list(zip(starts, sizes, offsets, ones))   # (first variable, size, ...)
+        self.weights = [((1 << n * FIELD) - (1 << i * FIELD)) << off
+                        for _, n, off, _ in self._blocks for i in range(n)]
+        self.guards = sum(1 << (off + (n + 1) * FIELD - 1) for _, n, off, _ in self._blocks)
+        self.bias = sum(((1 << n * FIELD) - 1) << off for _, n, off, _ in self._blocks)
+        self._degrees = sum(_MASK << (off + n * FIELD) for _, n, off, _ in self._blocks)
+        self.field_guards = sum(o << off for _, _, off, o in self._blocks) << (FIELD - 1)
+        # the fields in little-endian words hold the blocks last first; _order reorders them
+        self._words = struct.Struct("<" + "".join(f"{n}H2x" for _, n, _, _ in self._blocks[::-1]))
+        words = [k for start, n, _, _ in self._blocks[::-1] for k in range(start, start + n)]
+        self._order = None if kind == "degrevlex" else [words.index(k) for k in range(v)]
+        bias, guards, one_block = self.bias, self.guards, len(sizes) == 1
 
-# -- monomial orders ---------------------------------------------------------
+        def check_all(monomials):
+            """monomials, a collection of products, or ValueError as ``check``."""
+            # in one block the largest monomial has the largest degree
+            for m in [max(monomials)] if one_block and monomials else monomials:
+                if (m + bias) & guards:
+                    self.check(m)
+            return monomials
+        self.check_all = check_all
 
-def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    def fields(self, m):
+        """Each block's L in place: m + bias holds each degree whole."""
+        return ((m + self.bias) & self._degrees) - m
 
+    def pack(self, exponents):
+        """The int of an exponent vector, or ValueError when it does not fit."""
+        e = tuple(map(index, exponents))
+        if len(e) != len(self.variables) or min(e, default=0) < 0:
+            raise ValueError(f"{e} is not {len(self.variables)} exponents, none negative")
+        for start, n, _, _ in self._blocks:
+            names, degree = self.variables[start:start + n], sum(e[start:start + n])
+            if degree >= LIMIT:
+                raise ValueError(f"degree {degree} in {', '.join(names)} is not below {LIMIT}")
+        return sum(map(mul, e, self.weights))
 
-def _fresh_key(order, e):
-    kind, block = order
-    if kind == "degrevlex":
-        return _grevlex_key(e)
-    if kind == "lex":
-        return e
-    if kind == "elim":
-        return (_grevlex_key(e[:block]), _grevlex_key(e[block:]))
-    raise ValueError(f"unknown order kind {kind!r}")
+    def exponents(self, m):
+        """The exponent tuple of a monomial (or of a product of two)."""
+        e = self._words.unpack(self.fields(m).to_bytes(self._words.size, "little"))
+        return e if self._order is None else tuple(map(e.__getitem__, self._order))
 
+    def check(self, m):
+        """m, or pack's ValueError when the product m does not fit."""
+        if (m + self.bias) & self.guards:
+            self.pack(self.exponents(m))
+        return m
 
-class _KeyTable(dict):
-    """{monomial: order key} under one order, filled on first lookup."""
+    def divides(self, a, b):
+        """True when a | b."""
+        g = self.field_guards
+        return (self.fields(b) + g - self.fields(a)) & g == g
 
-    __slots__ = ("order",)
-
-    def __init__(self, order):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, e):
-        key = self[e] = _fresh_key(self.order, e)
-        return key
-
-
-_TABLES = {}   # order -> _KeyTable
-
-
-def _keys(order):
-    table = _TABLES.get(order)
-    if table is None:
-        table = _TABLES[order] = _KeyTable(order)
-    return table
-
-
-def order_key(order, e):
-    """Sort key for a monomial; key comparison realizes the order."""
-    return _keys(order)[e]
-
-
-def leading_monomial(terms, order):
-    """Order-maximal monomial of a term map, or None when empty."""
-    if not terms:
-        return None
-    return max(terms, key=_keys(order).__getitem__)
-
-
-def descending_monomials(terms, order):
-    """Monomials of a term map, order-maximal first."""
-    return sorted(terms, key=_keys(order).__getitem__, reverse=True)
+    def lcm(self, a, b):
+        fa, fb, g = self.fields(a), self.fields(b), self.field_guards
+        take = (((fb + g - fa) & g) >> (FIELD - 1)) * _MASK   # the fields where b's is larger
+        f = (fb & take) | (fa & ~take)
+        # each block degree is its field sum, read off f*ones at its last field
+        return self.check(sum(((f >> off) * o >> (n - 1) * FIELD & _MASK) << (off + n * FIELD)
+                              for _, n, off, o in self._blocks) - f)
 
 
 # -- term-map arithmetic -----------------------------------------------------
@@ -136,13 +139,14 @@ def terms_scale(t, coeff):
     return {m: coeff * c for m, c in t.items()}
 
 
-def terms_mul(t1, t2):
+def terms_mul(t1, t2, packing):
+    """The product of two term maps of the ring that `packing` packs."""
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     acc = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            key = tuple(map(add, m1, m2))
+            key = m1 + m2
             cur = acc.get(key)
             if cur is None:
                 acc[key] = c1 * c2
@@ -152,13 +156,13 @@ def terms_mul(t1, t2):
                     acc[key] = cur
                 else:
                     del acc[key]
-    return acc
+    return packing.check_all(acc)
 
 
 def terms_iadd_scaled(acc, src, coeff, shift):
-    """acc += coeff * x^shift * src, in place.  shift may be None."""
+    """acc += coeff * x^shift * src, in place; the caller checks the new monomials."""
     for m, c in src.items():
-        key = m if shift is None else tuple(map(add, m, shift))
+        key = m + shift
         cur = acc.get(key)
         if cur is None:
             acc[key] = coeff * c
@@ -172,14 +176,13 @@ def terms_iadd_scaled(acc, src, coeff, shift):
 
 # -- fraction-free division --------------------------------------------------
 
-def primitive(terms, order):
+def primitive(terms):
     """(lm, t, unit) for a nonzero term map of ints or Fractions.
 
     t is the primitive integer term map with terms == unit * t and a
     positive coefficient at the leading monomial lm; unit is rational.
     """
-    keys = _keys(order)
-    lm = max(terms, key=keys.__getitem__)
+    lm = max(terms)
     values = terms.values()
     den = lcm(*(c.denominator for c in values))
     num = gcd(*(c.numerator for c in values))
@@ -189,7 +192,7 @@ def primitive(terms, order):
     return lm, t, Fraction(num, den)
 
 
-def reduce_integer(terms, divisors, order):
+def reduce_integer(terms, divisors, packing):
     """Divide an integer term map by integer divisors without fractions.
 
     `divisors` lists (leading monomial, term map) pairs whose leading
@@ -199,26 +202,30 @@ def reduce_integer(terms, divisors, order):
     to k times the remainder over Q.  Each step scales the work by
     lc/gcd(c, lc) and subtracts (c/gcd)*x^shift*divisor, so it never
     leaves the integers; a remainder term is scaled once at the end by
-    the factors that came after it.
+    the factors that came after it.  Every monomial of the work is
+    checked when it leads.
     """
-    keys = _keys(order).__getitem__
-    divs = [(lm, d[lm], d) for lm, d in divisors]
+    fields, g = packing.fields, packing.field_guards
+    guards, bias = packing.guards, packing.bias
+    divs = [(g - fields(lm), lm, d[lm], d) for lm, d in divisors]
     work = dict(terms)
     k = 1
     kept = []   # (monomial, coefficient, k when it was kept)
     while work:
-        m = max(work, key=keys)
+        m = max(work)
+        if (m + bias) & guards:
+            packing.check(m)
         c = work[m]
-        for lm, lc, d in divs:
-            if all(map(ge, m, lm)):
-                shift = tuple(map(sub, m, lm))
-                g = gcd(c, lc)
-                a, b = lc // g, c // g
+        f = fields(m)
+        for gap, lm, lc, d in divs:
+            if (f + gap) & g == g:
+                h = gcd(c, lc)
+                a, b = lc // h, c // h
                 if a != 1:
                     k *= a
                     for t in work:
                         work[t] *= a
-                terms_iadd_scaled(work, d, -b, shift)
+                terms_iadd_scaled(work, d, -b, m - lm)
                 break
         else:
             kept.append((m, c, k))

@@ -5,8 +5,8 @@ coefficients, but Buchberger runs on primitive integer term maps
 (``_kernels.reduce_integer`` is its one reduction routine; the trace form
 reads its normal forms off the reduced basis and divides nothing), and
 the basis it returns keeps them: each element is a (leading monomial,
-primitive integer term map) pair, and the monic ``Fraction``
-polynomials are built only when asked for.  A polynomial's
+primitive integer term map) pair over packed monomials, and the monic
+``Fraction`` polynomials are built only when asked for.  A polynomial's
 ring holds its monomial order, and every function here works under that
 order: polynomials passed to one call must share one ring.
 ``buchberger`` returns the unique reduced Groebner basis for the ring's
@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 
 from vortexre import _kernels
 from vortexre.polynomials import MonomialOrder, MultiPoly
@@ -55,27 +56,26 @@ class GroebnerBasis:
         return self.polys[i]
 
     def leading_monomials(self):
-        return [lm for lm, _ in self.elements]
+        return [self.ring.packing.exponents(lm) for lm, _ in self.elements]
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} polys, {self.order!r})"
 
 
-def _divisors(polys, order):
+def _divisors(polys):
     """(leading monomial, primitive integer term map) of each polynomial."""
-    return [_kernels.primitive(p.terms, order)[:2] for p in polys]
+    return [_kernels.primitive(p.terms)[:2] for p in polys]
 
 
-def _s_terms(f, g):
-    """The S-polynomial of two integer divisors, scaled by the lcm of
-    their leading coefficients so that it stays integral."""
+def _s_terms(f, g, lcm_fg):
+    """The S-polynomial of integer divisors f and g (lcm_fg = lcm(lm_f, lm_g)),
+    scaled by the lcm of their leading coefficients so that it stays integral."""
     (lm_f, tf), (lm_g, tg) = f, g
     lc_f, lc_g = tf[lm_f], tg[lm_g]
     h = gcd(lc_f, lc_g)
-    lcm_fg = _kernels.monomial_lcm(lm_f, lm_g)
     s = {}
-    _kernels.terms_iadd_scaled(s, tf, lc_g // h, _kernels.monomial_div(lcm_fg, lm_f))
-    _kernels.terms_iadd_scaled(s, tg, -(lc_f // h), _kernels.monomial_div(lcm_fg, lm_g))
+    _kernels.terms_iadd_scaled(s, tf, lc_g // h, lcm_fg - lm_f)
+    _kernels.terms_iadd_scaled(s, tg, -(lc_f // h), lcm_fg - lm_g)
     return s
 
 
@@ -83,59 +83,59 @@ def buchberger(generators):
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     Classic Buchberger with normal pair selection (smallest lcm in the
-    monomial order first) and Buchberger's two criteria, followed by
-    auto-reduction to the unique reduced basis: minimalization, then one
-    tail-reduction pass.  A pair (i, j) is skipped without reduction when
-    its leading monomials are coprime, or by the chain criterion: some
-    other element k has lm_k dividing lcm(lm_i, lm_j), and neither (i, k)
-    nor (j, k) is still pending (Cox, Little and O'Shea, ch. 2 section
-    10).  The basis is held as primitive integer term maps with positive
-    leading coefficients; each is a positive multiple of the monic
-    element that division over Q would give.
+    monomial order first, then the smallest pair) and Buchberger's two
+    criteria, followed by auto-reduction to the unique reduced basis:
+    minimalization, then one tail-reduction pass.  A pair (i, j) is
+    skipped without reduction when its leading monomials are coprime, or
+    by the chain criterion: some other element k has lm_k dividing
+    lcm(lm_i, lm_j), and neither (i, k) nor (j, k) is still pending (Cox,
+    Little and O'Shea, ch. 2 section 10).  The basis is held as primitive
+    integer term maps with positive leading coefficients; each is a
+    positive multiple of the monic element that division over Q would give.
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
         raise ValueError("no nonzero generators")
     ring = generators[0].ring
     ring.check(generators)
-    order = ring.order
-    basis = _divisors(generators, order)
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    packing = ring.packing
+    fields, g = packing.fields, packing.field_guards
+    basis = _divisors(generators)
+    gaps = [g - fields(lm) for lm, _ in basis]   # lm_k | m iff fields(m) + gaps[k] keeps g
+    pairs = {(i, j): packing.lcm(basis[i][0], basis[j][0])   # pending pair -> lcm of its lms
+             for j in range(len(basis)) for i in range(j)}
     while pairs:
-        i, j = min(pairs, key=lambda p: (_kernels.order_key(
-            order, _kernels.monomial_lcm(basis[p[0]][0], basis[p[1]][0])), p))
-        pairs.discard((i, j))
-        mi, mj = basis[i][0], basis[j][0]
-        lcm_ij = _kernels.monomial_lcm(mi, mj)
-        if lcm_ij == _kernels.monomial_mul(mi, mj):
+        (i, j), lcm_ij = min(pairs.items(), key=itemgetter(1, 0))
+        del pairs[(i, j)]
+        if lcm_ij == basis[i][0] + basis[j][0]:
             continue  # coprime leading monomials: S-poly reduces to zero
-        if any(k != i and k != j and _kernels.monomial_divides(lm_k, lcm_ij)
+        f = fields(lcm_ij)
+        if any(k != i and k != j and (f + gap) & g == g
                and (min(i, k), max(i, k)) not in pairs
                and (min(j, k), max(j, k)) not in pairs
-               for k, (lm_k, _) in enumerate(basis)):
+               for k, gap in enumerate(gaps)):
             continue  # chain criterion: S(i, j) follows from S(i, k) and S(j, k)
-        r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j]), basis, order)
+        r, _ = _kernels.reduce_integer(_s_terms(basis[i], basis[j], lcm_ij), basis, packing)
         if r:
-            basis.append(_kernels.primitive(r, order)[:2])
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            lm, t = _kernels.primitive(r)[:2]
+            pairs.update(((i, len(basis)), packing.lcm(b, lm)) for i, (b, _) in enumerate(basis))
+            basis.append((lm, t))
+            gaps.append(g - fields(lm))
     return _reduced_basis(basis, ring)
 
 
 def _reduced_basis(basis, ring):
-    order = ring.order
+    packing = ring.packing
     # Minimalize: drop any element whose leading monomial another divides.
-    by_lm = sorted(basis, key=lambda g: _kernels.order_key(order, g[0]))
     minimal = []
-    for g in by_lm:
-        if not any(_kernels.monomial_divides(h[0], g[0]) for h in minimal):
-            minimal.append(g)
+    for h in sorted(basis, key=lambda e: e[0]):
+        if not any(packing.divides(m[0], h[0]) for m in minimal):
+            minimal.append(h)
     # Tail-reduce each element once by the others: the leading monomials stay
     # (and ascending), so every remainder stays reduced (CLO ch. 2 section 7).
-    for idx, g in enumerate(minimal):
-        remainder, _ = _kernels.reduce_integer(g[1], minimal[:idx] + minimal[idx + 1:], order)
-        minimal[idx] = _kernels.primitive(remainder, order)[:2]
+    for idx, h in enumerate(minimal):
+        remainder, _ = _kernels.reduce_integer(h[1], minimal[:idx] + minimal[idx + 1:], packing)
+        minimal[idx] = _kernels.primitive(remainder)[:2]
     return GroebnerBasis(minimal, ring)
 
 
@@ -166,8 +166,9 @@ def elimination_ideal(generators, eliminate):
         raise ValueError(f"cannot eliminate {eliminate}: only the leading variables "
                          f"{ring.variables[:block]} of {ring.variables} can be eliminated")
     elim_ring = ring.with_order(MonomialOrder.elimination(block))
-    gb = buchberger([MultiPoly(elim_ring, g.terms) for g in generators])
-    # Under the elimination order an element is free of the eliminated
-    # variables exactly when its leading monomial is.
-    return GroebnerBasis([(lm, t) for lm, t in gb.elements if not any(lm[:block])],
-                         elim_ring)
+    exponents, pack = ring.packing.exponents, elim_ring.packing.pack
+    gb = buchberger([MultiPoly(elim_ring, {pack(exponents(m)): c for m, c in g.terms.items()})
+                     for g in generators])
+    # an element is free of the eliminated variables when its lm is below each of them
+    below = min(elim_ring.packing.weights[:block])
+    return GroebnerBasis([(lm, t) for lm, t in gb.elements if lm < below], elim_ring)

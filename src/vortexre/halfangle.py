@@ -22,8 +22,8 @@ numerators are integer polynomial systems for exact root counting.
 
 For integer weights every coefficient on the way is an integer, and so it
 is for the symmetry cases, whose weights are ring variables.  The
-numerators are therefore multiplied as integer term maps (monomial ->
-int, see `vortexre._kernels`), and the symmetry cases strip their monic
+numerators are therefore multiplied as integer term maps (packed monomial
+-> int, see `vortexre._kernels`), and the symmetry cases strip their monic
 denominator factors r and r^2 + 1 from those maps as well; ``Fraction``
 appears only in the polynomials, factors and contents the builders return.
 
@@ -91,20 +91,22 @@ class HalfAngleSystem:
         return len(self.polys)
 
 
-def _numerators(points, mu):
+def _numerators(points, mu, packing):
     """Gradient numerators over cotangent points (p_k, q_k).
 
-    Points and weights are integer term maps.  `points[0]` is vortex 1,
-    (1, 0), so n_1 = 1 and g_1i = q_i.  For each later vortex i, returns
-    the numerator N_i and the denominator factors F_i (n_k for every
-    k >= 2, then g_ij for each j != i), all integer term maps, with
-    dV/dtheta_i = N_i / (2 prod F_i).  With h_j = n_j g_ij and
-    a_j = +-mu_j c_ij (n_i n_j - 4 g_ij^2), N_i = -mu_i sum_j a_j
+    Points and weights are integer term maps packed by `packing`.
+    `points[0]` is vortex 1, (1, 0), so n_1 = 1 and g_1i = q_i.  For each
+    later vortex i, returns the numerator N_i and the denominator factors
+    F_i (n_k for every k >= 2, then g_ij for each j != i), all integer
+    term maps, with dV/dtheta_i = N_i / (2 prod F_i).  With h_j = n_j g_ij
+    and a_j = +-mu_j c_ij (n_i n_j - 4 g_ij^2), N_i = -mu_i sum_j a_j
     prod_{k != j} h_k, folded over j with running products in O(N)
     products: num <- num h_j + a_j prod, then prod <- prod h_j.
     """
-    mul, add = _kernels.terms_mul, _kernels.terms_add
-    neg, scale = _kernels.terms_neg, _kernels.terms_scale
+    add, neg, scale = _kernels.terms_add, _kernels.terms_neg, _kernels.terms_scale
+
+    def mul(a, b):
+        return _kernels.terms_mul(a, b, packing)
     norms = [add(mul(p, p), mul(q, q)) for p, q in points]
     out = []
     for i in range(1, len(points)):
@@ -127,19 +129,18 @@ def _numerators(points, mu):
     return out
 
 
-def _divide_out(p, f, order, limit=None):
+def _divide_out(p, f, packing, limit=None):
     """(p / f^k, k) for the largest k (at most `limit`) with f^k dividing the
     integer term map p; f is monic, so every quotient is integral."""
-    lm, power = _kernels.leading_monomial(f, order), 0
+    lm, power = max(f), 0
     while power != limit:
         work, quotient = dict(p), {}
         while work:
-            m = _kernels.leading_monomial(work, order)
-            shift = _kernels.monomial_div(m, lm)
-            if shift is None:
+            m = packing.check(max(work))
+            if not packing.divides(lm, m):
                 return p, power
-            quotient[shift] = c = work[m]
-            _kernels.terms_iadd_scaled(work, f, -c, shift)
+            quotient[m - lm] = c = work[m]
+            _kernels.terms_iadd_scaled(work, f, -c, m - lm)
         p, power = quotient, power + 1
     return p, power
 
@@ -160,23 +161,25 @@ def build_symmetry_case_system(case):
     recorded.  The sign comes from the constant left of the denominator.
     """
     ring = PolynomialRing(["r", "mu1", "mu2", "mu3"])
-    unit, lin, sq = (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)  # the monomials 1, r, r^2
+    packing = ring.packing
+    unit, lin, sq = 0, packing.pack((1, 0, 0, 0)), packing.pack((2, 0, 0, 0))  # 1, r, r^2
     one, r = {unit: 1}, {lin: 1}
     half, double = (r, one), ({sq: 1, unit: -1}, {lin: 2})  # cot(phi/2), cot(phi)
     cases = {1: [half, ({lin: -1}, one)], 2: [half, double], 3: [double, half]}
     if case not in cases:
         raise ValueError("case must be 1, 2, or 3")
-    mu = [{(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1}]
+    mu = [{w: 1} for w in packing.weights[1:]]
+    mul = functools.partial(_kernels.terms_mul, packing=packing)
     polys, records = [], []
-    for i, (num, factors) in enumerate(_numerators([(one, {})] + cases[case], mu), start=2):
-        den = functools.reduce(_kernels.terms_mul, factors, {unit: 2})
+    for i, (num, factors) in enumerate(_numerators([(one, {})] + cases[case], mu, packing), 2):
+        den = functools.reduce(mul, factors, {unit: 2})
         kept = []
         for f in (r, {sq: 1, unit: 1}):
-            den, power = _divide_out(den, f, ring.order)
-            num, cancelled = _divide_out(num, f, ring.order, power)
+            den, power = _divide_out(den, f, packing)
+            num, cancelled = _divide_out(num, f, packing, power)
             if power > cancelled:
                 kept.append((from_integer_terms(ring, f), power - cancelled))
-        num, collisions = _divide_out(num, r, ring.order)
+        num, collisions = _divide_out(num, r, packing)
         (scale,) = den.values()  # what is left of the denominator is a constant
         content = math.gcd(*num.values())
         sign = content if scale > 0 else -content
@@ -209,13 +212,11 @@ def build_equal_weight_system(mu):
             "exact certification requires integer weights; the counts depend only "
             "on the weight ratio, so rescale, e.g. " + ",".join(str(m * scale) for m in mu))
     ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])
-    unit = (0,) * ring.nvars
-    one = {unit: 1}
-    points = [(one, {})] + [({unit[:k] + (1,) + unit[k + 1:]: 1}, one)
-                            for k in range(ring.nvars)]
-    weights = [{unit: int(m)} for m in mu]
+    one = {0: 1}  # the monomial 1 packs to 0, and r_k to the ring's k-th weight
+    points = [(one, {})] + [({w: 1}, one) for w in ring.packing.weights]
+    weights = [{0: int(m)} for m in mu]
     polys, records = [], []
-    for i, (num, factors) in enumerate(_numerators(points, weights), start=2):
+    for i, (num, factors) in enumerate(_numerators(points, weights, ring.packing), start=2):
         content = math.gcd(*num.values())
         polys.append(from_integer_terms(ring, {m: c // content for m, c in num.items()}))
         factors = (from_integer_terms(ring, f) for f in factors)

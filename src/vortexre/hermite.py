@@ -2,20 +2,18 @@
 
 The trace form on the quotient ring Q[x]/I is a symmetric rational
 matrix whose rank is the number of distinct complex roots and whose
-signature is the number of distinct real roots.  Everything here is
-exact: the counts are certificates, not estimates.  Normal forms are
-integer vectors over the quotient basis, read off the reduced basis with
-no division; the matrix is returned with ``Fraction`` entries.
+signature is the number of distinct real ones, both exact certificates.
+Monomials are the ring's packed ints, so b_i*b_j is b_i + b_j.  Normal
+forms are integer vectors over the quotient basis, read off the reduced
+basis with no division; the matrix is returned with ``Fraction`` entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from vortexre import _kernels
 from vortexre.groebner import buchberger
 
 
@@ -32,38 +30,31 @@ class RootCount(namedtuple("RootCount", "real_distinct complex_distinct")):
 def quotient_basis(gb):
     """Monomial basis of the quotient ring, or raise when it is infinite.
 
-    The basis is the tuple of monomials outside the leading-term
+    The basis is the tuple of packed monomials outside the leading-term
     staircase, ascending in the ring's order.  Zero-dimensionality is
     certified by the staircase: every variable must show a pure power
     among the leading monomials, which bounds the complement to a finite
-    box.
+    box.  The basis is closed under division, so it is walked up from 1.
     """
-    lms = gb.leading_monomials()
-    ring = gb.ring
-    nvars = ring.nvars
-    unit = (0,) * nvars
-    if unit in lms:
+    ring, packing = gb.ring, gb.ring.packing
+    lms = [lm for lm, _ in gb.elements]
+    if 0 in lms:
         return ()
-    bounds = []
-    for i in range(nvars):
-        pure = [
-            m[i]
-            for m in lms
-            if m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i)
-        ]
-        if not pure:
-            raise InfiniteVarietyError(
-                f"no pure power of {ring.variables[i]} among leading terms: "
-                "infinite variety, root counting inapplicable"
-            )
-        bounds.append(min(pure))
-    basis = [
-        m
-        for m in itertools.product(*(range(b) for b in bounds))
-        if not any(_kernels.monomial_divides(lm, m) for lm in lms)
-    ]
-    basis.sort(key=ring.order.key)
-    return tuple(basis)
+    for i, name in enumerate(ring.variables):
+        if not any(e[i] == sum(e) for e in map(packing.exponents, lms)):
+            raise InfiniteVarietyError(f"no pure power of {name} among leading terms: "
+                                       "infinite variety, root counting inapplicable")
+    fields, g = packing.fields, packing.field_guards
+    gaps = [g - fields(lm) for lm in lms]   # lm | m when fields(m) + gap keeps every guard
+    basis, todo = {0}, [0]
+    while todo:
+        b = todo.pop()
+        for m in packing.check_all([b + w for w in packing.weights]):
+            f = fields(m)
+            if m not in basis and not any((f + gap) & g == g for gap in gaps):
+                basis.add(m)
+                todo.append(m)
+    return tuple(sorted(basis))
 
 
 class _Traces:
@@ -74,43 +65,47 @@ class _Traces:
     monomial's normal form is minus its element's tail over the leading
     coefficient.  Any other monomial m outside the basis has a variable
     x_k with m/x_k outside it too: NF(m) = sum_b c_b NF(x_k*b) over
-    NF(m/x_k) = sum_b c_b b, each x_k*b in the basis or below m.  Traces
-    are linear: Tr(M_m) = sum_c NF(m)[c] tau_c, tau_c = sum_b NF(c*b)[b]
-    over one denominator.  The products b_i*b_j are keyed by integer codes
-    that add as the monomials multiply, each distinct one reduced once.
+    NF(m/x_k) = sum_b c_b b, each x_k*b in the basis or below m.  So the
+    x_k*b outside the basis are reduced first, in ascending order, and any
+    other m walks down its chain of m/x_k and back up, however long.
+    Traces are linear: Tr(M_m) = sum_c NF(m)[c] tau_c, tau_c = sum_b
+    NF(c*b)[b] over one denominator.  The distinct products b_i*b_j are
+    numbered in `grid`, each reduced once.
     """
 
     def __init__(self, gb, basis):
+        packing = self._packing = gb.ring.packing
         index = self._index = {b: i for i, b in enumerate(basis)}
-        self._shifted = [[b[:k] + (b[k] + 1,) + b[k + 1:] for b in basis]
-                         for k in range(gb.ring.nvars)]
+        self._shifted = [packing.check_all([b + w for b in basis]) for w in packing.weights]
         self._inside = [[index.get(m) for m in row] for row in self._shifted]
         self._nf = {b: ({i: 1}, 1) for b, i in index.items()}
         self._nf.update((lm, ({index[m]: -c for m, c in t.items() if m != lm}, t[lm]))
                         for lm, t in gb.elements)
-        width = 2 * max(map(max, basis), default=0) + 1
-        self.codes = codes = [sum(e * width ** k for k, e in enumerate(b)) for b in basis]
-        pairs = {a + c: (i, j) for i, a in enumerate(codes) for j, c in enumerate(codes[i:], i)}
-        self.products = {p: self.monomial_nf(_kernels.monomial_mul(basis[i], basis[j]))
-                         for p, (i, j) in pairs.items()}
-        den = self._den = math.lcm(*(d for _, d in self.products.values()))
-        scaled = {p: (t, den // d) for p, (t, d) in self.products.items()}
-        self._tau = [sum(scaled[a + c][0].get(j, 0) * scaled[a + c][1]
-                         for j, c in enumerate(codes)) for a in codes]
+        for m in sorted(set().union(*self._shifted) - index.keys()):
+            self.monomial_nf(m)
+        ids = {}   # product b_i*b_j -> its index among the distinct products
+        self.grid = [[ids.setdefault(a + c, len(ids)) for c in basis] for a in basis]
+        self.products = [self.monomial_nf(p) for p in packing.check_all(list(ids))]
+        den = self._den = math.lcm(*(d for _, d in self.products))
+        scaled = [(t, den // d) for t, d in self.products]
+        self._tau = [sum(t.get(j, 0) * s for j, (t, s) in enumerate(map(scaled.__getitem__, row)))
+                     for row in self.grid]
 
     def monomial_nf(self, m):
         """Normal form of a monomial as ({basis index: integer}, denominator)."""
-        nf = self._nf.get(m)
-        if nf is None:
-            for k, e in enumerate(m):
-                if e:
-                    p = m[:k] + (e - 1,) + m[k + 1:]
-                    if p not in self._index:
-                        break
-            terms, den = self.monomial_nf(p)
+        nf, index, chain = self._nf, self._index, []
+        while m not in nf:   # down to a known normal form, by the first x_k
+            for k, (e, w) in enumerate(zip(self._packing.exponents(m), self._packing.weights)):
+                if e and m - w not in index:   # whose m/x_k is outside the basis
+                    break
+            else:
+                raise AssertionError(f"{m} is minimal outside the basis but not leading")
+            chain.append((m, k))
+            m -= w
+        for top, k in reversed(chain):   # and back up: NF(x_k*m) from NF(m)
+            terms, den = nf[m]
             shifted, inside = self._shifted[k], self._inside[k]
-            border = [(c, self.monomial_nf(shifted[i]))
-                      for i, c in terms.items() if inside[i] is None]
+            border = [(c, nf[shifted[i]]) for i, c in terms.items() if inside[i] is None]
             common = math.lcm(*(d for _, (_, d) in border))
             acc = [0] * len(inside)   # x_k*b in the basis only moves c_b to its index
             for i, c in terms.items():
@@ -120,8 +115,9 @@ class _Traces:
                 c *= common // d
                 for j, x in t.items():
                     acc[j] += c * x
-            nf = self._nf[m] = ({j: x for j, x in enumerate(acc) if x}, den * common)
-        return nf
+            m = top
+            nf[m] = ({j: x for j, x in enumerate(acc) if x}, den * common)
+        return nf[m]
 
     def trace(self, nf):
         """Trace of multiplication by the normal form `nf`, as a Fraction."""
@@ -136,8 +132,8 @@ def hermite_matrix(gb, basis):
     """Rows of H[i][j] = trace of multiplication by b_i * b_j, as tuples;
     symmetric by construction."""
     traces = _Traces(gb, basis)
-    entries = {p: traces.trace(nf) for p, nf in traces.products.items()}
-    return tuple(tuple(entries[a + c] for c in traces.codes) for a in traces.codes)
+    entries = list(map(traces.trace, traces.products))
+    return tuple(tuple(map(entries.__getitem__, row)) for row in traces.grid)
 
 
 # -- fraction-free symmetric elimination -------------------------------------

@@ -1,12 +1,13 @@
 """Sparse multivariate polynomials over the rationals.
 
-Polynomials are dicts mapping exponent tuples to nonzero ``Fraction``
-coefficients, attached to a ``PolynomialRing`` that fixes the variable
-names and the monomial order.  The ring is the only holder of the order,
-and ``PolynomialRing.check`` is the rule that polynomials passed to one
-call share one ring.  A ``MultiPoly`` is the value the API returns,
-prints and reads back; all arithmetic runs on the term maps of
-``vortexre._kernels``.
+Polynomials are dicts mapping packed monomials (ints whose order is the
+ring's) to nonzero ``Fraction`` coefficients, attached to a
+``PolynomialRing`` that fixes the variable names, the monomial order and
+its ``_kernels.Packing``.  The ring is the only holder of the order, and
+``PolynomialRing.check`` is the rule that polynomials passed to one call
+share one ring.  A ``MultiPoly`` is the value the API returns, prints and
+reads back; all arithmetic runs on the term maps of ``vortexre._kernels``.
+Exponent tuples appear only where a caller gives or reads exponents.
 
 ``MultiPoly.__str__`` writes one text form and ``PolynomialRing.parse``
 reads back exactly that form: "0", or terms joined by " + " and " - "
@@ -32,7 +33,7 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block")):
     The elimination order compares the leading block of variables by
     degrevlex first and breaks ties by degrevlex on the remaining
     block, so the first `block` variables are eliminated.  The tuple
-    itself is the order spec that ``vortexre._kernels`` keys on.
+    itself is the order spec that ``vortexre._kernels.Packing`` reads.
     """
 
     __slots__ = ()
@@ -59,9 +60,6 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block")):
         """Order that eliminates the first `block` variables."""
         return cls("elim", block)
 
-    def key(self, monomial):
-        return _kernels.order_key(self, monomial)
-
     def __repr__(self):
         if self.kind == "elim":
             return f"MonomialOrder.elimination({self.block})"
@@ -71,7 +69,7 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block")):
 class PolynomialRing:
     """Rational polynomial ring with named variables and a monomial order."""
 
-    __slots__ = ("variables", "order", "_index", "_text")
+    __slots__ = ("variables", "order", "packing", "_index", "_text")
 
     def __init__(self, variables, order=None):
         self.variables = tuple(variables)
@@ -81,6 +79,7 @@ class PolynomialRing:
         if self.order.kind == "elim" and self.order.block >= len(self.variables):
             raise ValueError(f"elimination block {self.order.block} leaves none of the "
                              f"{len(self.variables)} variables")
+        self.packing = _kernels.Packing(self.variables, self.order)
         self._index = {name: i for i, name in enumerate(self.variables)}
         self._text = {}  # monomial -> factor text, filled by MultiPoly.__str__
 
@@ -99,11 +98,9 @@ class PolynomialRing:
                 raise ValueError(f"polynomials from different rings: {self!r} and {p.ring!r}")
 
     def monomial(self, exponents, coeff=1):
-        exponents = tuple(exponents)
-        if len(exponents) != self.nvars:
-            raise ValueError("exponent tuple has wrong length")
+        m = self.packing.pack(exponents)
         c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        return MultiPoly(self, {exponents: c} if c else {})
+        return MultiPoly(self, {m: c} if c else {})
 
     def parse(self, text):
         """Read back the text form that ``MultiPoly.__str__`` writes.
@@ -112,7 +109,8 @@ class PolynomialRing:
         optional "-" before the first.  A term is a magnitude ("3",
         "3/2"), or factors "x" and "x^e" joined by "*" with an optional
         magnitude and "*" in front.  Equal monomials add up.  Any other
-        text, an unknown variable included, raises ValueError.
+        text, an unknown variable or a degree the ring cannot pack included,
+        raises ValueError.
         """
         if text == "0":
             return MultiPoly(self, {})
@@ -132,7 +130,7 @@ class PolynomialRing:
                     coeff = Fraction(int(m[1]), int(m[2] or 1))
                 else:
                     e[self._index[m[3]]] += int(m[4] or 1)
-            key = tuple(e)
+            key = self.packing.pack(e)
             terms[key] = terms.get(key, 0) + (coeff if sign == "+" else -coeff)
         return MultiPoly(self, {m: c for m, c in terms.items() if c})
 
@@ -161,24 +159,21 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self):
-        if not self.terms:
-            return True
-        zero = (0,) * self.ring.nvars
-        return len(self.terms) == 1 and zero in self.terms
+        return not self.terms or len(self.terms) == 1 and 0 in self.terms
 
     def monomials(self):
         """Exponent tuples in descending ring order."""
-        return _kernels.descending_monomials(self.terms, self.ring.order)
+        return [self.ring.packing.exponents(m) for m in sorted(self.terms, reverse=True)]
 
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return _kernels.leading_monomial(self.terms, self.ring.order)
+        return self.ring.packing.exponents(max(self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring.variables == other.ring.variables and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     # -- text form -----------------------------------------------------
 
@@ -193,15 +188,15 @@ class MultiPoly:
         """
         if not self.terms:
             return "0"
-        names, text = self.ring.variables, self.ring._text
+        names, text, exponents = self.ring.variables, self.ring._text, self.ring.packing.exponents
         parts = []
-        for m in self.monomials():
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             num, den = c.numerator, c.denominator
             factors = text.get(m)
             if factors is None:
-                factors = text[m] = "*".join(name if e == 1 else f"{name}^{e}"
-                                             for name, e in zip(names, m) if e)
+                factors = text[m] = "*".join([name if e == 1 else f"{name}^{e}"
+                                              for name, e in zip(names, exponents(m)) if e])
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
                 body = mag

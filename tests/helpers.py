@@ -13,7 +13,10 @@ stability reduction (its null space) and of the integrator (its RK45).
 The search's former hashed dedup and per-row family keys are kept here
 verbatim, as the oracles of the batched code that replaced them, and so
 is the half-angle builder's former numerator loop, which rebuilt each
-leave-one-out product on the library's term-map kernels.
+leave-one-out product on the library's term-map kernels.  The polynomial
+oracles read and write exponent tuples (`exponent_terms` and
+`from_exponent_terms`) and keep the monomial arithmetic and orders in
+their tuple definitions, never the library's packed ints.
 """
 
 from __future__ import annotations
@@ -22,12 +25,42 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
 from vortexre import _kernels, groebner
 from vortexre.polynomials import MultiPoly
+
+
+# -- polynomials as exponent maps, and monomials as exponent tuples ---------
+
+def exponent_terms(p):
+    """p's terms keyed by exponent tuples instead of packed monomials."""
+    exponents = p.ring.packing.exponents
+    return {exponents(m): c for m, c in p.terms.items()}
+
+
+def from_exponent_terms(ring, terms):
+    """The polynomial of `ring` with {exponent tuple: coefficient} terms."""
+    pack = ring.packing.pack
+    return MultiPoly(ring, {pack(e): Fraction(c) for e, c in terms.items() if c})
+
+
+def reference_product(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_quotient(b, a):
+    """b / a, or None when a does not divide b."""
+    return tuple(y - x for x, y in zip(a, b)) if reference_divides(a, b) else None
+
+
+def reference_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # -- univariate Sturm-chain real-root counting --------------------------------
@@ -189,10 +222,11 @@ def random_line_arrangement(rng, lines_f, lines_g):
 
 def lines_to_multipoly(ring, lines):
     """The product of the linear forms a*x + b*y + c, as a polynomial in ring."""
-    p = {(0, 0): Fraction(1)}
+    pack = ring.packing.pack
+    p = {0: Fraction(1)}
     for a, b, c in lines:
-        form = {m: Fraction(v) for m, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
-        p = _kernels.terms_mul(p, form)
+        form = {pack(m): Fraction(v) for m, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}
+        p = _kernels.terms_mul(p, form, ring.packing)
     return MultiPoly(ring, p)
 
 
@@ -202,9 +236,9 @@ def reference_poly_str(p):
     """`MultiPoly.__str__` as it was when it compared and printed Fractions."""
     if not p.terms:
         return "0"
-    parts = []
+    parts, terms = [], exponent_terms(p)
     for m in p.monomials():
-        c = p.terms[m]
+        c = terms[m]
         factors = []
         for i, e in enumerate(m):
             if e == 1:
@@ -227,11 +261,14 @@ def reference_poly_str(p):
 
 # -- half-angle numerators ------------------------------------------------------
 
-def reference_numerators(points, mu):
+def reference_numerators(points, mu, packing):
     """`halfangle._numerators` as it was when each component summed its
     terms a_j * prod_{k != j} h_k, each product rebuilt from scratch."""
-    mul, add = _kernels.terms_mul, _kernels.terms_add
-    neg, scale = _kernels.terms_neg, _kernels.terms_scale
+    add, neg, scale = _kernels.terms_add, _kernels.terms_neg, _kernels.terms_scale
+
+    def mul(a, b):
+        return _kernels.terms_mul(a, b, packing)
+
     norms = [add(mul(p, p), mul(q, q)) for p, q in points]
     out = []
     for i in range(1, len(points)):
@@ -261,25 +298,25 @@ def reference_numerators(points, mu):
 
 def reference_variables_used(p):
     """Names of the variables that appear in p with a positive exponent."""
-    return {p.ring.variables[i] for m in p.terms for i, e in enumerate(m) if e}
+    return {p.ring.variables[i] for m in exponent_terms(p) for i, e in enumerate(m) if e}
 
 
 def reference_identify(p, source, target):
     """p with the variable named `source` replaced by the one named `target`."""
     i, j = p.ring.variables.index(source), p.ring.variables.index(target)
     out = {}
-    for m, c in p.terms.items():
+    for m, c in exponent_terms(p).items():
         e = list(m)
         e[j], e[i] = e[j] + e[i], 0
-        out = _kernels.terms_add(out, {tuple(e): Fraction(c)})
-    return MultiPoly(p.ring, out)
+        out[tuple(e)] = out.get(tuple(e), 0) + c
+    return from_exponent_terms(p.ring, out)
 
 
 def reference_evaluate_float(p, values):
     """p at float values, given by name for every variable that p uses."""
     names = p.ring.variables
     acc = 0.0
-    for m, c in p.terms.items():
+    for m, c in exponent_terms(p).items():
         term = float(c)
         for name, e in zip(names, m):
             if e:
@@ -292,10 +329,10 @@ def reference_derivative(p, name):
     """The partial derivative of p by the variable called name."""
     i = p.ring.variables.index(name)
     out = {}
-    for m, c in p.terms.items():
+    for m, c in exponent_terms(p).items():
         if m[i]:
-            out = _kernels.terms_add(out, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]})
-    return MultiPoly(p.ring, out)
+            out[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+    return from_exponent_terms(p.ring, out)
 
 
 def reference_primitive_part(p):
@@ -306,7 +343,7 @@ def reference_primitive_part(p):
     coeffs = [Fraction(c) for c in p.terms.values()]
     unit = Fraction(math.gcd(*(c.numerator for c in coeffs)),
                     math.lcm(*(c.denominator for c in coeffs)))
-    if p.terms[p.leading_monomial()] < 0:
+    if exponent_terms(p)[p.leading_monomial()] < 0:
         unit = -unit
     return MultiPoly(p.ring, {m: Fraction(c) / unit for m, c in p.terms.items()}), unit
 
@@ -315,7 +352,7 @@ def to_sympy(p, symbols):
     import sympy
 
     expr = sympy.Integer(0)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in exponent_terms(p).items():
         term = sympy.Rational(int(coeff.numerator), int(coeff.denominator))
         for s, e in zip(symbols, mono):
             if e:
@@ -1112,15 +1149,15 @@ def reference_normal_form(p, divisors):
     the leading term of what is left is cancelled by the first divisor
     whose leading monomial divides it, or else moved to the remainder."""
     order = p.ring.order
-    leads = [(reference_leading_monomial(d.terms, order), d.terms) for d in divisors]
-    work, remainder = dict(p.terms), {}
+    leads = [(reference_leading_monomial(d, order), d) for d in map(exponent_terms, divisors)]
+    work, remainder = exponent_terms(p), {}
     while work:
         m = reference_leading_monomial(work, order)
         for lm, d in leads:
-            if all(a >= b for a, b in zip(m, lm)):
+            if reference_divides(lm, m):
                 q = work[m] / d[lm]
                 for dm, c in d.items():
-                    key = tuple(a + b - x for a, b, x in zip(dm, m, lm))
+                    key = reference_product(dm, reference_quotient(m, lm))
                     value = work.get(key, 0) - q * c
                     if value:
                         work[key] = value
@@ -1129,18 +1166,22 @@ def reference_normal_form(p, divisors):
                 break
         else:
             remainder[m] = work.pop(m)
-    return MultiPoly(p.ring, remainder)
+    return from_exponent_terms(p.ring, remainder)
 
 
 def reference_s_polynomial(f, g):
     """lcm/LT(f) * f - lcm/LT(g) * g, the leading terms cancelled over Q."""
-    ring = f.ring
-    lf = reference_leading_monomial(f.terms, ring.order)
-    lg = reference_leading_monomial(g.terms, ring.order)
-    lcm = tuple(map(max, lf, lg))
-    left = _kernels.terms_mul({_kernels.monomial_div(lcm, lf): 1 / f.terms[lf]}, f.terms)
-    right = _kernels.terms_mul({_kernels.monomial_div(lcm, lg): 1 / g.terms[lg]}, g.terms)
-    return MultiPoly(ring, _kernels.terms_add(left, _kernels.terms_neg(right)))
+    ring, out = f.ring, {}
+    ft, gt = exponent_terms(f), exponent_terms(g)
+    lf = reference_leading_monomial(ft, ring.order)
+    lg = reference_leading_monomial(gt, ring.order)
+    lcm = reference_lcm(lf, lg)
+    for t, lm, sign in ((ft, lf, 1), (gt, lg, -1)):
+        shift = reference_quotient(lcm, lm)
+        for m, c in t.items():
+            key = reference_product(m, shift)
+            out[key] = out.get(key, 0) + sign * c / t[lm]
+    return from_exponent_terms(ring, out)
 
 
 def is_groebner_basis(polys):
@@ -1156,16 +1197,20 @@ def reference_buchberger(generators):
     criterion: every S-pair is reduced, in normal selection order."""
     generators = [g for g in generators if not g.is_zero()]
     ring = generators[0].ring
-    order = ring.order
-    basis = groebner._divisors(generators, order)
+    exponents, pack = ring.packing.exponents, ring.packing.pack
+    basis = groebner._divisors(generators)
+
+    def lcm(ij):
+        return reference_lcm(exponents(basis[ij[0]][0]), exponents(basis[ij[1]][0]))
+
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
-        i, j = min(pairs, key=lambda ij: (_kernels.order_key(
-            order, _kernels.monomial_lcm(basis[ij[0]][0], basis[ij[1]][0])), ij))
+        i, j = min(pairs, key=lambda ij: (reference_key(ring.order, lcm(ij)), ij))
         pairs.discard((i, j))
-        r, _ = _kernels.reduce_integer(groebner._s_terms(basis[i], basis[j]), basis, order)
+        s = groebner._s_terms(basis[i], basis[j], pack(lcm((i, j))))
+        r, _ = _kernels.reduce_integer(s, basis, ring.packing)
         if r:
-            basis.append(_kernels.primitive(r, order)[:2])
+            basis.append(_kernels.primitive(r)[:2])
             pairs.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
     return groebner._reduced_basis(basis, ring)
 
@@ -1176,22 +1221,24 @@ def reference_buchberger(generators):
 # column operations.  Slow, but with no shortcut to get wrong.
 
 def reference_trace_monomial(m, gb, basis, cache):
-    """Tr(M_m): the normal form of m*b, reduced anew, for every basis monomial b."""
+    """Tr(M_m) for an exponent tuple m: the normal form of m*b, reduced
+    anew, for every monomial b of the (packed) quotient basis."""
     total = Fraction(0)
-    for b in basis:
-        mb = tuple(map(add, m, b))
+    for b in map(gb.ring.packing.exponents, basis):
+        mb = reference_product(m, b)
         nf = cache.get(mb)
         if nf is None:
-            nf = cache[mb] = reference_normal_form(gb.ring.monomial(mb), gb.polys).terms
+            nf = reference_normal_form(gb.ring.monomial(mb), gb.polys)
+            nf = cache[mb] = exponent_terms(nf)
         total += nf.get(b, 0)
     return total
 
 
 def reference_hermite_matrix(gb, basis):
     """H[i][j] = Tr(M_{b_i b_j}) as rows of Fractions."""
-    cache = {}
-    return [[reference_trace_monomial(tuple(map(add, a, b)), gb, basis, cache)
-             for b in basis] for a in basis]
+    cache, exponents = {}, [gb.ring.packing.exponents(b) for b in basis]
+    return [[reference_trace_monomial(reference_product(a, b), gb, basis, cache)
+             for b in exponents] for a in exponents]
 
 
 def _swap_cr(B, i, j):
@@ -1266,7 +1313,7 @@ def random_multipoly(ring, rng, max_terms=6, max_deg=4, coeff_span=9):
         e = tuple(rng.randint(0, max_deg) for _ in range(n))
         c = rng.randint(-coeff_span, coeff_span)
         if c:
-            p = _kernels.terms_add(p, {e: Fraction(c)})
+            p = _kernels.terms_add(p, {ring.packing.pack(e): Fraction(c)})
     return MultiPoly(ring, p)
 
 

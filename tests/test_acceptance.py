@@ -2,7 +2,6 @@
 
 import math
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 
 from helpers import (
     central_difference,
+    from_exponent_terms,
     is_groebner_basis,
     random_multipoly,
     reference_primitive_part,
@@ -34,7 +34,7 @@ from vortexre.hermite import (
     quotient_basis,
     signature_and_rank,
 )
-from vortexre.polynomials import MultiPoly, PolynomialRing
+from vortexre.polynomials import PolynomialRing
 from vortexre.potential import (
     CirculationWeights,
     potential_gradient,
@@ -262,11 +262,7 @@ def _random_config(rng, n, min_gap=0.15):
 
 
 def _univariate(coeffs, ring):
-    p = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            p = _kernels.terms_add(p, {(k,): Fraction(c)})
-    return MultiPoly(ring, p)
+    return from_exponent_terms(ring, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def test_criterion_8_property_suites(capsys, certified):

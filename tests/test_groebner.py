@@ -7,12 +7,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    exponent_terms,
+    from_exponent_terms,
     is_groebner_basis,
     lines_to_multipoly,
     random_line_arrangement,
     random_multipoly,
     reference_buchberger,
     reference_evaluate_float,
+    reference_lcm,
+    reference_key,
     reference_normal_form,
     reference_s_polynomial,
     reference_variables_used,
@@ -33,15 +37,16 @@ def lex_ring():
 def _reduce(p, divisors):
     """p's remainder over Q from `_kernels.reduce_integer`: the integer
     remainder of p's primitive part, over its scale k, times p's content."""
-    order = p.ring.order
-    _, t, unit = _kernels.primitive(p.terms, order)
-    r, k = _kernels.reduce_integer(t, groebner._divisors(divisors, order), order)
+    _, t, unit = _kernels.primitive(p.terms)
+    r, k = _kernels.reduce_integer(t, groebner._divisors(divisors), p.ring.packing)
     return MultiPoly(p.ring, {m: unit * c / k for m, c in r.items()})
 
 
 def test_division_single_divisor(lex_ring):
-    assert _kernels.reduce_integer({(2, 1): 1}, [((1, 0), {(1, 0): 1, (0, 1): -1})],
-                                   lex_ring.order) == ({(0, 3): 1}, 1)
+    pack = lex_ring.packing.pack
+    assert _kernels.reduce_integer({pack((2, 1)): 1},
+                                   [(pack((1, 0)), {pack((1, 0)): 1, pack((0, 1)): -1})],
+                                   lex_ring.packing) == ({pack((0, 3)): 1}, 1)
     assert reference_normal_form(lex_ring.parse("x^2*y"), [lex_ring.parse("x - y")]) == \
         lex_ring.parse("y^3")
 
@@ -56,7 +61,7 @@ def test_remainder_has_no_reducible_term(lex_ring):
         remainder = _reduce(p, divisors)
         assert remainder == reference_normal_form(p, divisors)
         lead = divisors[0].leading_monomial()
-        for mono in remainder.terms:
+        for mono in exponent_terms(remainder):
             assert any(m < lm for m, lm in zip(lead, mono)) or not all(
                 e >= le for e, le in zip(mono, lead)
             )
@@ -76,21 +81,22 @@ def test_s_polynomial_cancels_leading_terms(lex_ring):
     # Buchberger's integer S-polynomial is the one over Q times the lcm
     # of the two leading coefficients, and it cancels the leading terms
     rng = seeded(14)
-    order = lex_ring.order
+    order, pack = lex_ring.order, lex_ring.packing.pack
     for _ in range(20):
         f = random_multipoly(lex_ring, rng)
         g = random_multipoly(lex_ring, rng)
         if f.is_zero() or g.is_zero():
             continue
-        (mf, tf), (mg, tg) = groebner._divisors((f, g), order)
-        s = groebner._s_terms((mf, tf), (mg, tg))
+        (mf, tf), (mg, tg) = groebner._divisors((f, g))
+        lcm = reference_lcm(f.leading_monomial(), g.leading_monomial())
+        s = groebner._s_terms((mf, tf), (mg, tg), pack(lcm))
         scale = math.lcm(tf[mf], tg[mg])
         assert MultiPoly(lex_ring, {m: Fraction(c, scale) for m, c in s.items()}) == \
             reference_s_polynomial(f, g)
         if not s:
             continue
-        lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-        assert order.key(_kernels.leading_monomial(s, order)) < order.key(lcm)
+        lead = lex_ring.packing.exponents(max(s))
+        assert reference_key(order, lead) < reference_key(order, lcm)
 
 
 def test_circle_meets_line(lex_ring):
@@ -148,9 +154,10 @@ def test_reduced_basis_is_canonical():
 def test_membership(lex_ring):
     circle, line = lex_ring.parse("x^2 + y^2 - 1"), lex_ring.parse("x - y")
     gb = buchberger([circle, line])
+    packing = lex_ring.packing
     member = MultiPoly(lex_ring, _kernels.terms_add(
-        _kernels.terms_mul(circle.terms, lex_ring.parse("x + y").terms),
-        _kernels.terms_mul(line.terms, lex_ring.parse("y^5").terms)))
+        _kernels.terms_mul(circle.terms, lex_ring.parse("x + y").terms, packing),
+        _kernels.terms_mul(line.terms, lex_ring.parse("y^5").terms, packing)))
     for p, zero in ((member, True), (lex_ring.parse("1"), False),
                     (lex_ring.parse("x + 17"), False)):
         assert reference_normal_form(p, gb.polys).is_zero() == zero
@@ -234,8 +241,8 @@ def _random_fraction_poly(ring, rng, max_terms=5, max_deg=3):
         e = tuple(rng.randint(0, max_deg) for _ in ring.variables)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         if c:
-            p = _kernels.terms_add(p, {e: c})
-    return MultiPoly(ring, p)
+            p[e] = p.get(e, 0) + c
+    return from_exponent_terms(ring, p)
 
 
 def test_normal_form_with_fraction_divisors_matches_cas():
@@ -252,7 +259,8 @@ def test_normal_form_with_fraction_divisors_matches_cas():
             divisors = [d for d in divisors if not d.is_zero()]
             if p.is_zero() or not divisors:
                 continue
-            non_monic += any(d.terms[d.leading_monomial()] not in (1, -1) for d in divisors)
+            non_monic += any(exponent_terms(d)[d.leading_monomial()] not in (1, -1)
+                             for d in divisors)
             _, theirs = sympy.reduced(to_sympy(p, xs), [to_sympy(d, xs) for d in divisors],
                                       *xs, order=order_name, domain="QQ")
             for ours in (_reduce(p, divisors), reference_normal_form(p, divisors)):
@@ -470,7 +478,8 @@ def test_basis_elements_are_primitive_and_polys_are_them_made_monic(order, varia
         for (lm, t), p in zip(gb.elements, gb.polys):
             assert all(type(c) is int for c in t.values())
             assert math.gcd(*t.values()) == 1 and t[lm] > 0
-            assert p.leading_monomial() == lm and p.terms[lm] == 1
+            assert p.terms[lm] == 1 and max(p.terms) == lm
+            assert p.leading_monomial() == ring.packing.exponents(lm)
             assert p.terms == {m: Fraction(c, t[lm]) for m, c in t.items()}
         assert gb.leading_monomials() == [p.leading_monomial() for p in gb.polys]
         checked += len(gb)
@@ -534,6 +543,6 @@ def test_elimination_takes_its_leading_block_in_any_order():
     assert got.ring == want.ring
     assert got.ring.order == MonomialOrder.elimination(2)
     assert [g.terms for g in got] == [g.terms for g in want]
-    assert want.polys and all(not any(m[:2]) for g in want for m in g.terms)
+    assert want.polys and all(not any(m[:2]) for g in want for m in exponent_terms(g))
     with pytest.raises(ValueError, match="only the leading variables"):
         elimination_ideal(gens, ["x", "z"])

@@ -24,6 +24,7 @@ from vortexre.halfangle import (
     build_equal_weight_system,
     build_symmetry_case_system,
 )
+from vortexre.polynomials import PolynomialRing
 from vortexre.potential import potential_gradient
 from vortexre.search import find_all_critical_points
 
@@ -120,25 +121,29 @@ def test_numerators_match_the_pairwise_sum(mu):
     # the running products give the term maps that rebuilding every
     # leave-one-out product gives, numerator and factors alike
     # (vortex 1 at (1, 0) and vortex k at (r_k, 1), as in the builder)
-    unit = (0,) * (len(mu) - 1)
-    one = {unit: 1}
-    points = [(one, {})] + [({unit[:k] + (1,) + unit[k + 1:]: 1}, one)
-                            for k in range(len(unit))]
-    weights = [{unit: m} for m in mu]
-    assert halfangle._numerators(points, weights) == reference_numerators(points, weights)
+    ring = PolynomialRing([f"r{k}" for k in range(2, len(mu) + 1)])
+    unit = (0,) * ring.nvars
+    one = {ring.packing.pack(unit): 1}
+    points = [(one, {})] + [({ring.packing.pack(unit[:k] + (1,) + unit[k + 1:]): 1}, one)
+                            for k in range(ring.nvars)]
+    weights = [{ring.packing.pack(unit): m} for m in mu]
+    assert halfangle._numerators(points, weights, ring.packing) == \
+        reference_numerators(points, weights, ring.packing)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_symmetry_case_numerators_match_the_pairwise_sum(case):
     # the point sets of `build_symmetry_case_system` in (r, mu1, mu2, mu3),
     # with the weights as ring variables
-    unit, lin, sq = (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)
+    packing = PolynomialRing(["r", "mu1", "mu2", "mu3"]).packing
+    unit, lin, sq = (packing.pack(e) for e in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)))
     one, r = {unit: 1}, {lin: 1}
     half, double = (r, one), ({sq: 1, unit: -1}, {lin: 2})
     points = [(one, {})] + {1: [half, ({lin: -1}, one)], 2: [half, double],
                             3: [double, half]}[case]
-    mu = [{(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1}]
-    assert halfangle._numerators(points, mu) == reference_numerators(points, mu)
+    mu = [{packing.pack(e): 1} for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    assert halfangle._numerators(points, mu, packing) == \
+        reference_numerators(points, mu, packing)
 
 
 def _record_value(rec, values):

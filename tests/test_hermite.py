@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    exponent_terms,
+    from_exponent_terms,
     lines_to_multipoly,
     random_line_arrangement,
     random_multipoly,
@@ -28,16 +30,12 @@ from vortexre.hermite import (
     quotient_basis,
     signature_and_rank,
 )
-from vortexre.polynomials import MultiPoly, PolynomialRing
+from vortexre.polynomials import PolynomialRing
 
 
 def univariate(coeffs, ring):
     """The polynomial sum_k coeffs[k] * x^k in a one-variable ring."""
-    p = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            p = _kernels.terms_add(p, {(k,): Fraction(c)})
-    return MultiPoly(ring, p)
+    return from_exponent_terms(ring, {(k,): c for k, c in enumerate(coeffs)})
 
 
 @pytest.fixture
@@ -46,10 +44,17 @@ def xy_ring():
 
 
 def test_quotient_basis_staircases(xy_ring):
-    assert quotient_basis(buchberger([xy_ring.parse("x"), xy_ring.parse("y")])) == ((0, 0),)
-    assert quotient_basis(buchberger([xy_ring.parse("1")])) == ()
+    def staircase(gens):
+        gb = buchberger(gens)
+        return tuple(map(gb.ring.packing.exponents, quotient_basis(gb)))
+
+    assert staircase([xy_ring.parse("x"), xy_ring.parse("y")]) == ((0, 0),)
+    assert staircase([xy_ring.parse("1")]) == ()
     R1 = PolynomialRing(("x",))
-    assert quotient_basis(buchberger([R1.parse("x^2 - 2")])) == ((0,), (1,))
+    assert staircase([R1.parse("x^2 - 2")]) == ((0,), (1,))
+    # ascending under degrevlex: the degree first, then y before x
+    gb = buchberger([xy_ring.parse(g) for g in ("x^2 - y", "y^3 - 1")])
+    assert staircase(gb.polys) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2))
 
 
 def test_quotient_basis_matches_bezout_bound(xy_ring):
@@ -65,13 +70,23 @@ def test_positive_dimensional_ideal_rejected(xy_ring):
 def test_multiplication_traces_on_sqrt_two():
     R = PolynomialRing(("x",))
     gb = buchberger([R.parse("x^2 - 2")])
-    traces = hermite._Traces(gb, quotient_basis(gb))
-    assert traces.trace_monomial((0,)) == 2  # identity trace = dimension
-    assert traces.trace_monomial((1,)) == 0  # roots +-sqrt(2) sum to zero
-    assert traces.trace_monomial((2,)) == 4  # squares sum to 4
+    traces, x = hermite._Traces(gb, quotient_basis(gb)), R.packing.pack((1,))
+    assert traces.trace_monomial(0) == 2  # identity trace = dimension
+    assert traces.trace_monomial(x) == 0  # roots +-sqrt(2) sum to zero
+    assert traces.trace_monomial(2 * x) == 4  # squares sum to 4
     # beyond the products b_i*b_j: odd powers cancel, and x^6 gives 8 + 8
-    assert traces.trace_monomial((5,)) == 0
-    assert traces.trace_monomial((6,)) == 16
+    assert traces.trace_monomial(5 * x) == 0
+    assert traces.trace_monomial(6 * x) == 16
+
+
+def test_traces_of_high_powers_walk_the_parent_chain():
+    # x^k reaches its normal form through x^(k-1), ..., x^2: a walk of k
+    # steps, longer than the interpreter's recursion limit
+    R = PolynomialRing(("x",))
+    traces = hermite._Traces(buchberger([R.parse("x^2 - 2")]), (0, R.packing.pack((1,))))
+    assert traces.trace_monomial(R.packing.pack((1100,))) == 2**551
+    assert traces.trace_monomial(R.packing.pack((3000,))) == 2**1501
+    assert traces.trace_monomial(R.packing.pack((3001,))) == 0
 
 
 def test_hermite_matrix_of_sqrt_two():
@@ -305,8 +320,9 @@ def test_hermite_matrix_and_traces_match_reference_on_small_ideals():
         H = hermite_matrix(gb, basis)
         assert H == tuple(map(tuple, reference_hermite_matrix(gb, basis)))
         traces = hermite._Traces(gb, basis)
-        for m in random_multipoly(gb.ring, rng, max_terms=4, max_deg=5).terms:
-            assert traces.trace_monomial(m) == reference_trace_monomial(m, gb, basis, {})
+        for m in exponent_terms(random_multipoly(gb.ring, rng, max_terms=4, max_deg=5)):
+            assert traces.trace_monomial(gb.ring.packing.pack(m)) == \
+                reference_trace_monomial(m, gb, basis, {})
         checked += 1
     assert checked >= 16
 
@@ -320,16 +336,18 @@ def test_traces_match_reference_through_border_monomials_without_parity(
     xyz = PolynomialRing(("x", "y", "z"))
     gb = buchberger([xyz.parse(g) for g in generators])
     basis = quotient_basis(gb)
+    exponents = [xyz.packing.exponents(b) for b in basis]
     # x_k*b outside the basis and not a leading monomial: its normal form
     # is combined from lower ones, not read off a basis tail
-    border = {b[:k] + (b[k] + 1,) + b[k + 1:] for b in basis for k in range(3)}
+    border = {b[:k] + (b[k] + 1,) + b[k + 1:] for b in exponents for k in range(3)}
     assert len(basis) == dimension
-    assert len(border - set(basis) - set(gb.leading_monomials())) == inner_border
+    assert len(border - set(exponents) - set(gb.leading_monomials())) == inner_border
     assert hermite_matrix(gb, basis) == tuple(
         map(tuple, reference_hermite_matrix(gb, basis)))
     traces, cache = hermite._Traces(gb, basis), {}
     for m in sorted(border):
-        assert traces.trace_monomial(m) == reference_trace_monomial(m, gb, basis, cache)
+        assert traces.trace_monomial(xyz.packing.pack(m)) == \
+            reference_trace_monomial(m, gb, basis, cache)
 
 
 def test_hermite_matrix_divides_no_polynomial(monkeypatch):
@@ -442,7 +460,8 @@ def test_equal_weight_trace_form_splits_into_two_parity_blocks():
     components = list(hermite._components(H))
     assert sorted(map(len, components)) == [12, 12]
     # the blocks are the even and the odd basis monomials
-    assert sorted({sum(basis[i]) % 2 for i in c} for c in components) == [{0}, {1}]
+    exponents = gb.ring.packing.exponents
+    assert sorted({sum(exponents(basis[i])) % 2 for i in c} for c in components) == [{0}, {1}]
     counts = [signature_and_rank([[H[i][j] for j in c] for i in c]) for c in components]
     assert sum(c.real_distinct for c in counts) == 14
     assert sum(c.complex_distinct for c in counts) == 16
