@@ -330,75 +330,72 @@ def _weight_system(mu):
     return [int(m) for m in mu], system
 
 
-def _symmetry_case_report(case):
-    """The case's system, and its elimination ideal as primitive polynomials."""
-    from vortexre.groebner import elimination_ideal
+def _certify_payload(args):
+    """certify's answer: the dict that --format json writes."""
+    from vortexre.groebner import buchberger, elimination_ideal
     from vortexre.halfangle import build_symmetry_case_system
+    from vortexre.hermite import hermite_matrix, quotient_basis, signature_and_rank
     from vortexre.polynomials import from_integer_terms
 
-    system = build_symmetry_case_system(case)
-    eliminated = elimination_ideal(list(system), [system.ring.variables[0]])
-    return system, [from_integer_terms(eliminated.ring, t) for _, t in eliminated.elements]
-
-
-def cmd_certify(args):
-    from vortexre.groebner import buchberger
-    from vortexre.hermite import hermite_matrix, quotient_basis, signature_and_rank
-
-    _check_writable(args.out)
     if args.symmetry_case is not None:
         _start_mode(args, "--symmetry-case", ("--show-basis", "--show-matrix"))
-        system, generators = _symmetry_case_report(args.symmetry_case)
-        if args.format == "json":
-            text = _json_text({
-                "symmetry_case": args.symmetry_case,
-                "system": [str(p) for p in system],
-                "elimination_ideal": [str(g) for g in generators],
-            })
-        else:
-            lines = [f"symmetry case {args.symmetry_case}"]
-            lines += [f"  equation {i+1}: {p}" for i, p in enumerate(system)]
-            lines.append("weight condition after eliminating r:")
-            lines += [f"  {g}" for g in generators]
-            text = "\n".join(lines) + "\n"
-        _write_output(text, args.out)
-        return 0
+        system = build_symmetry_case_system(args.symmetry_case)
+        ideal = elimination_ideal(system.polys, 1)  # eliminate r
+        return {
+            "symmetry_case": args.symmetry_case,
+            "system": [str(p) for p in system.polys],
+            "elimination_ideal": [str(from_integer_terms(ideal.ring, t))
+                                  for _, t in ideal.elements],
+        }
     mu, system = _weight_system(args.mu)
-    gb = buchberger(list(system))
+    gb = buchberger(system.polys)
     basis = quotient_basis(gb)
     H = hermite_matrix(gb, basis)
     count = signature_and_rank(H)
-    leading = [str(gb.ring.monomial(lm)) for lm in gb.leading_monomials()]
-    if args.format == "json":
-        payload = {
-            "mu": mu,
-            "real_distinct": count.real_distinct,
-            "complex_distinct": count.complex_distinct,
-            "quotient_dimension": len(basis),
-            "groebner_size": len(gb),
-            "leading_terms": leading,
-        }
-        if args.show_basis:
-            payload["groebner_basis"] = [str(p) for p in gb]
-        if args.show_matrix:
-            payload["hermite_matrix"] = [[str(c) for c in row] for row in H]
-        text = _json_text(payload)
-    else:
-        lines = [
-            f"weights: ({', '.join(str(m) for m in mu)})",
-            f"real distinct roots: {count.real_distinct}",
-            f"distinct roots over C: {count.complex_distinct}",
-            f"quotient dimension: {len(basis)}",
-        ]
-        if args.show_basis:
-            lines.append(f"reduced groebner basis ({len(gb)} elements):")
-            lines += [f"  {i+1}: {p}" for i, p in enumerate(gb)]
-            lines.append("leading terms: " + ", ".join(leading))
-        if args.show_matrix:
-            lines.append(f"trace-form matrix ({len(H)}x{len(H)}):")
-            lines += ["  " + " ".join(map(str, row)) for row in H]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    payload = {
+        "mu": mu,
+        "real_distinct": count.real_distinct,
+        "complex_distinct": count.complex_distinct,
+        "quotient_dimension": len(basis),
+        "groebner_size": len(gb),
+        "leading_terms": [str(from_integer_terms(gb.ring, {lm: 1})) for lm, _ in gb.elements],
+    }
+    if args.show_basis:
+        payload["groebner_basis"] = [str(p) for p in gb.polys]
+    if args.show_matrix:
+        payload["hermite_matrix"] = [[str(c) for c in row] for row in H]
+    return payload
+
+
+def _certify_table(payload):
+    if "symmetry_case" in payload:
+        lines = [f"symmetry case {payload['symmetry_case']}"]
+        lines += [f"  equation {i}: {p}" for i, p in enumerate(payload["system"], 1)]
+        lines.append("weight condition after eliminating r:")
+        lines += [f"  {g}" for g in payload["elimination_ideal"]]
+        return "\n".join(lines) + "\n"
+    lines = [
+        f"weights: ({', '.join(map(str, payload['mu']))})",
+        f"real distinct roots: {payload['real_distinct']}",
+        f"distinct roots over C: {payload['complex_distinct']}",
+        f"quotient dimension: {payload['quotient_dimension']}",
+    ]
+    if "groebner_basis" in payload:
+        lines.append(f"reduced groebner basis ({payload['groebner_size']} elements):")
+        lines += [f"  {i}: {p}" for i, p in enumerate(payload["groebner_basis"], 1)]
+        lines.append("leading terms: " + ", ".join(payload["leading_terms"]))
+    if "hermite_matrix" in payload:
+        H = payload["hermite_matrix"]
+        lines.append(f"trace-form matrix ({len(H)}x{len(H)}):")
+        lines += ["  " + " ".join(row) for row in H]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_certify(args):
+    _check_writable(args.out)
+    payload = _certify_payload(args)
+    _write_output(_json_text(payload) if args.format == "json" else _certify_table(payload),
+                  args.out)
     return 0
 
 
@@ -594,9 +591,10 @@ def _factor_text(factors):
 
 
 def _system_payload(system):
+    """build-system's answer: the dict that --format json writes."""
     return {
-        "variables": [v for v in system.ring.variables],
-        "polynomials": [str(p) for p in system],
+        "variables": list(system.ring.variables),
+        "polynomials": [str(p) for p in system.polys],
         "stripped_factors": [
             {
                 "component": rec.component,
@@ -609,6 +607,19 @@ def _system_payload(system):
     }
 
 
+def _system_table(title, payload):
+    lines = [title, f"variables: {', '.join(payload['variables'])}"]
+    lines += [f"  equation {i}: {p} = 0" for i, p in enumerate(payload["polynomials"], 1)]
+    for rec in payload["stripped_factors"]:
+        bits = [f"{label} " + ", ".join(f"({f})^{k}" for f, k in rec[key])
+                for key, label in (("denominator_factors", "denominators"),
+                                   ("collision_factors", "collision factors"))
+                if rec[key]]
+        bits.append(f"content {rec['content']}")
+        lines.append(f"  removed from {rec['component']}: " + "; ".join(bits))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_build_system(args):
     from vortexre.halfangle import build_symmetry_case_system
 
@@ -619,25 +630,9 @@ def cmd_build_system(args):
     else:
         mu, system = _weight_system(args.mu)
         title = f"critical-point system for mu = ({', '.join(map(str, mu))})"
-    if args.format == "json":
-        text = _json_text(_system_payload(system))
-    else:
-        lines = [title,
-                 f"variables: {', '.join(system.ring.variables)}"]
-        for i, p in enumerate(system):
-            lines.append(f"  equation {i+1}: {p} = 0")
-        for rec in system.stripped_factors:
-            bits = []
-            if rec.denominator_factors:
-                bits.append("denominators " + ", ".join(
-                    f"({f})^{k}" for f, k in _factor_text(rec.denominator_factors)))
-            if rec.collision_factors:
-                bits.append("collision factors " + ", ".join(
-                    f"({f})^{k}" for f, k in _factor_text(rec.collision_factors)))
-            bits.append(f"content {rec.content}")
-            lines.append(f"  removed from {rec.component}: " + "; ".join(bits))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    payload = _system_payload(system)
+    _write_output(_json_text(payload) if args.format == "json" else _system_table(title, payload),
+                  args.out)
     return 0
 
 

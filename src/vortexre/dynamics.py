@@ -300,6 +300,10 @@ class HelioConfig:
         z = np.array(self.Z, dtype=float)
         if z.shape != (len(self.mu), 2):
             raise ValueError("need one (x, y) position per weight")
+        if not np.isfinite(z).all():
+            raise ValueError("positions must be finite")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"coupling epsilon must be finite, not {self.epsilon}")
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
         _pairs(_full_system(z, self.epsilon, self.mu)[0])  # vortex 0 is the strong one

@@ -10,7 +10,9 @@ primitive integer term map) pair over packed monomials, and the monic
 ring holds its monomial order, and every function here works under that
 order: polynomials passed to one call must share one ring.
 ``buchberger`` returns the unique reduced Groebner basis for the ring's
-order, so golden tests can compare bases verbatim.
+order, so golden tests can compare bases verbatim.  ``elimination_ideal``
+is the one call that moves generators into another order: the one that
+eliminates the ring's first `block` variables.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class GroebnerBasis:
 
     def __getitem__(self, i):
         return self.polys[i]
-
-    def leading_monomials(self):
-        return [self.ring.packing.exponents(lm) for lm, _ in self.elements]
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} polys, {self.order!r})"
@@ -139,32 +138,20 @@ def _reduced_basis(basis, ring):
     return GroebnerBasis(minimal, ring)
 
 
-def elimination_ideal(generators, eliminate):
+def elimination_ideal(generators, block):
     """Groebner basis of the ideal's intersection with k[kept variables].
 
-    `eliminate` names a leading block of the ring's variables, in any
-    order.  Moves the generators into the ring's variables under the
-    block elimination order for it, computes a basis there, and keeps
-    the elements free of eliminated variables.  The result lies in that
-    elimination ring, even when it is empty.
+    Eliminates the ring's first `block` variables: moves the generators
+    into the ring's variables under the block elimination order, computes
+    a basis there, and keeps the elements free of eliminated variables.
+    The result lies in that elimination ring, even when it is empty.  A
+    block that eliminates no variable or every variable is a ValueError.
     """
-    generators, eliminate = list(generators), list(eliminate)
+    generators = list(generators)
     if not generators:
         raise ValueError("no generators to eliminate from")
     ring = generators[0].ring
     ring.check(generators)
-    for name in eliminate:
-        if name not in ring._index:
-            raise ValueError(f"cannot eliminate {name!r}: not a variable of {ring.variables}")
-    if len(set(eliminate)) < len(eliminate):
-        raise ValueError(f"a variable is named twice in {eliminate}")
-    block = len(eliminate)
-    if not 0 < block < ring.nvars:
-        raise ValueError(f"cannot eliminate {block} of {ring.nvars} variables: "
-                         "eliminate at least one and keep at least one")
-    if set(eliminate) != set(ring.variables[:block]):
-        raise ValueError(f"cannot eliminate {eliminate}: only the leading variables "
-                         f"{ring.variables[:block]} of {ring.variables} can be eliminated")
     elim_ring = ring.with_order(MonomialOrder.elimination(block))
     exponents, pack = ring.packing.exponents, elim_ring.packing.pack
     gb = buchberger([MultiPoly(elim_ring, {pack(exponents(m)): c for m, c in g.terms.items()})

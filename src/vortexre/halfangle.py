@@ -26,6 +26,8 @@ numerators are therefore multiplied as integer term maps (packed monomial
 -> int, see `vortexre._kernels`), and the symmetry cases strip their monic
 denominator factors r and r^2 + 1 from those maps as well; ``Fraction``
 appears only in the polynomials, factors and contents the builders return.
+A builder returns a ``HalfAngleSystem``, the record (polys,
+stripped_factors) with one ``NormalizationRecord`` per polynomial.
 
 Since theta = pi - 2*atan(r), the collision with vortex 1 sits at
 r = infinity and weak-weak collisions are the factors r_i - r_j.
@@ -56,39 +58,14 @@ class NormalizationRecord(namedtuple(
     __slots__ = ()
 
 
-class HalfAngleSystem:
-    """Primitive integer polynomial system with its normalization records.
+class HalfAngleSystem(namedtuple("HalfAngleSystem", "polys stripped_factors")):
+    """Primitive integer polynomial system and its normalization records."""
 
-    Immutable; iterating it gives the polynomials.
-    """
-
-    __slots__ = ("polys", "stripped_factors")
-
-    def __init__(self, polys, stripped_factors):
-        object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "stripped_factors", stripped_factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not HalfAngleSystem:
-            return NotImplemented
-        return (self.polys, self.stripped_factors) == (other.polys, other.stripped_factors)
-
-    def __repr__(self):
-        return (f"HalfAngleSystem(polys={self.polys!r}, "
-                f"stripped_factors={self.stripped_factors!r})")
+    __slots__ = ()
 
     @property
     def ring(self):
         return self.polys[0].ring
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.polys)
 
 
 def _numerators(points, mu, packing):

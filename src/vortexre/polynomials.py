@@ -161,15 +161,6 @@ class MultiPoly:
     def is_constant(self):
         return not self.terms or len(self.terms) == 1 and 0 in self.terms
 
-    def monomials(self):
-        """Exponent tuples in descending ring order."""
-        return [self.ring.packing.exponents(m) for m in sorted(self.terms, reverse=True)]
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.ring.packing.exponents(max(self.terms))
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented

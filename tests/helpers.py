@@ -40,6 +40,11 @@ def exponent_terms(p):
     return {exponents(m): c for m, c in p.terms.items()}
 
 
+def leading_exponents(p):
+    """The exponent tuple of p's leading monomial in its ring's order."""
+    return p.ring.packing.exponents(max(p.terms))
+
+
 def from_exponent_terms(ring, terms):
     """The polynomial of `ring` with {exponent tuple: coefficient} terms."""
     pack = ring.packing.pack
@@ -237,7 +242,7 @@ def reference_poly_str(p):
     if not p.terms:
         return "0"
     parts, terms = [], exponent_terms(p)
-    for m in p.monomials():
+    for m in sorted(terms, key=lambda e: reference_key(p.ring.order, e), reverse=True):
         c = terms[m]
         factors = []
         for i, e in enumerate(m):
@@ -343,7 +348,8 @@ def reference_primitive_part(p):
     coeffs = [Fraction(c) for c in p.terms.values()]
     unit = Fraction(math.gcd(*(c.numerator for c in coeffs)),
                     math.lcm(*(c.denominator for c in coeffs)))
-    if exponent_terms(p)[p.leading_monomial()] < 0:
+    terms = exponent_terms(p)
+    if terms[reference_leading_monomial(terms, p.ring.order)] < 0:
         unit = -unit
     return MultiPoly(p.ring, {m: Fraction(c) / unit for m, c in p.terms.items()}), unit
 

@@ -189,6 +189,42 @@ def test_certify_reads_the_basis_as_integer_elements(capsys, monkeypatch):
         run(capsys, "certify", "--mu", "2,-1,3", "--show-basis")
 
 
+def _certify_table(data):
+    """The lines of certify's table, written from its JSON fields."""
+    if "symmetry_case" in data:
+        return ([f"symmetry case {data['symmetry_case']}"]
+                + [f"  equation {i}: {p}" for i, p in enumerate(data["system"], 1)]
+                + ["weight condition after eliminating r:"]
+                + [f"  {g}" for g in data["elimination_ideal"]])
+    H = data["hermite_matrix"]
+    return ([f"weights: ({', '.join(map(str, data['mu']))})",
+             f"real distinct roots: {data['real_distinct']}",
+             f"distinct roots over C: {data['complex_distinct']}",
+             f"quotient dimension: {data['quotient_dimension']}",
+             f"reduced groebner basis ({data['groebner_size']} elements):"]
+            + [f"  {i}: {p}" for i, p in enumerate(data["groebner_basis"], 1)]
+            + ["leading terms: " + ", ".join(data["leading_terms"]),
+               f"trace-form matrix ({len(H)}x{len(H)}):"]
+            + ["  " + " ".join(row) for row in H])
+
+
+def _build_system_table(data, title):
+    """The lines of build-system's table, written from its JSON fields."""
+    lines = [title, "variables: " + ", ".join(data["variables"])]
+    lines += [f"  equation {i}: {p} = 0" for i, p in enumerate(data["polynomials"], 1)]
+    for rec in data["stripped_factors"]:
+        bits = []
+        if rec["denominator_factors"]:
+            bits.append("denominators " + ", ".join(
+                f"({f})^{k}" for f, k in rec["denominator_factors"]))
+        if rec["collision_factors"]:
+            bits.append("collision factors " + ", ".join(
+                f"({f})^{k}" for f, k in rec["collision_factors"]))
+        lines.append(f"  removed from {rec['component']}: "
+                     + "; ".join(bits + [f"content {rec['content']}"]))
+    return lines
+
+
 # sha256 of stdout, recorded before the monomial order moved into the ring;
 # certify runs the elimination ideal, printed in its elimination ring
 SYMMETRY_CASE_DIGESTS = {
@@ -212,6 +248,11 @@ def test_symmetry_case_output_is_frozen(capsys, command, case, fmt):
     code, out, err = run(capsys, command, "--symmetry-case", case, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRY_CASE_DIGESTS[command, case, fmt]
+    if fmt == "json":  # every value the table prints is its JSON field
+        table = run(capsys, command, "--symmetry-case", case)[1].splitlines()
+        data = json.loads(out)
+        assert table == (_certify_table(data) if command == "certify"
+                         else _build_system_table(data, f"symmetry case {case} system"))
 
 
 # sha256 of `certify --mu=<mu>` stdout, json with --show-basis --show-matrix
@@ -244,6 +285,9 @@ def test_certify_output_is_frozen(capsys, mu, fmt):
     code, out, err = run(capsys, "certify", f"--mu={mu}", "--format", fmt, *extra)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[mu, fmt]
+    if fmt == "json":  # every value the table prints is its JSON field
+        table = run(capsys, "certify", f"--mu={mu}", *extra)[1].splitlines()
+        assert table == _certify_table(json.loads(out))
 
 
 def test_certify_json_format(capsys):
@@ -698,6 +742,10 @@ def test_build_system_output_is_frozen(capsys, mu, fmt):
     code, out, err = run(capsys, "build-system", "--mu", mu, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == BUILD_SYSTEM_DIGESTS[mu, fmt]
+    if fmt == "json":  # every value the table prints is its JSON field
+        table = run(capsys, "build-system", "--mu", mu)[1].splitlines()
+        title = f"critical-point system for mu = ({mu.replace(',', ', ')})"
+        assert table == _build_system_table(json.loads(out), title)
 
 
 # -- simulate -----------------------------------------------------------------

@@ -965,6 +965,19 @@ def test_helio_validation():
         )
 
 
+@pytest.mark.parametrize("Z,eps,message", [
+    (((math.nan, 0.0), (0.0, 1.0)), 0.01, "positions must be finite"),
+    (((1.0, 0.0), (0.0, 1.0)), math.inf, "epsilon must be finite, not inf"),
+    (((1.0, 0.0), (0.0, 1.0)), math.nan, "epsilon must be finite, not nan"),
+])
+def test_helio_refuses_what_is_not_finite(Z, eps, message):
+    # a NaN position went on to an SVD that did not converge in Newton, an
+    # infinite coupling read as a zero total circulation, and a NaN coupling
+    # reached the stability analysis as a LinAlgError
+    with pytest.raises(ValueError, match=message):
+        HelioConfig(Z, eps, (1, 1))
+
+
 def test_helio_rejects_a_weak_vortex_at_the_strong_one():
     # vortex 0 is the strong vortex, weak vortex k is vortex k
     with pytest.raises(CollisionError, match="vortices 0 and 2"):
