@@ -19,7 +19,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii_string
 
-from vortexre.errors import CirculationError, CollisionError, ConvergenceError
+from vortexre.errors import CirculationError, CollisionError, ConvergenceError, NonFiniteError
 
 # Each handler imports the layers it runs when it runs: numpy through
 # vortexre.potential, search and dynamics, and the exact stack (groebner,
@@ -401,13 +401,19 @@ def cmd_certify(args):
 
 # -- continue ----------------------------------------------------------------
 
+_OVERFLOW = ("the start overflows: its circulations eps*mu or squared pair "
+             "distances are not finite")
+
+
 def _start_config(make, *args, **kwargs):
     """make(*args, **kwargs) of a start, refusing a start in which two
-    vortices, the strong one included, coincide."""
+    vortices, the strong one included, coincide, or that overflows."""
     try:
         return make(*args, **kwargs)
     except CollisionError as exc:
         raise UsageError(f"the start is a collision: {exc}") from None
+    except NonFiniteError:
+        raise UsageError(_OVERFLOW) from None
 
 
 def _select_start(args, mu):
@@ -639,22 +645,18 @@ def cmd_build_system(args):
 # -- simulate ----------------------------------------------------------------
 
 def _planar_start(config):
-    """config.to_planar(), refusing a start that overflows: one whose
-    circulations eps*mu or squared pair distances are not finite."""
+    """config.to_planar(), refusing a start that overflows there: one whose
+    strong vortex's offset eps*mu*Z is not finite."""
     import numpy as np
 
     from vortexre.dynamics import _pairs
 
-    overflow = UsageError("the start overflows: its circulations eps*mu or "
-                          "squared pair distances are not finite")
-    if not np.isfinite(config.epsilon * config.mu.array).all():
-        raise overflow
     try:
         q, g = config.to_planar()
     except CirculationError as exc:
         raise UsageError(str(exc)) from None
     if not np.isfinite(_pairs(q)[1]).all():
-        raise overflow
+        raise UsageError(_OVERFLOW)
     return q, g
 
 
@@ -672,12 +674,14 @@ def cmd_simulate(args):
     )
 
     _check_writable(args.out)
-    # an overflow while building the start is refused by _planar_start
+    # an overflow while building the start is refused by _start_config or
+    # _planar_start
     with np.errstate(over="ignore", invalid="ignore"):
         if args.polygon is not None:
             _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
             try:
-                config = polygon_family(args.polygon, _polygon_weights(args)[0], args.eps)
+                config = _start_config(polygon_family, args.polygon,
+                                       _polygon_weights(args)[0], args.eps)
             except ValueError as exc:  # no polygon at these weights and coupling
                 raise UsageError(str(exc)) from None
         else:

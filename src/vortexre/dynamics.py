@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from vortexre.errors import (CIRCULATION_NOISE, CirculationError, CollisionError,
-                             ConvergenceError, NotACriticalPointError)
+                             ConvergenceError, NonFiniteError, NotACriticalPointError)
 from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
@@ -306,7 +306,15 @@ class HelioConfig:
             raise ValueError(f"coupling epsilon must be finite, not {self.epsilon}")
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
-        _pairs(_full_system(z, self.epsilon, self.mu)[0])  # vortex 0 is the strong one
+        # finite inputs whose products overflow: refused here, before a solve
+        # meets them as a LinAlgError
+        with np.errstate(over="ignore"):
+            q, g = _full_system(z, self.epsilon, self.mu)
+            if not np.isfinite(g).all():
+                raise NonFiniteError("circulations eps*mu must be finite")
+            dist2 = _pairs(q)[1]  # vortex 0 is the strong one
+        if not np.isfinite(dist2).all():
+            raise NonFiniteError("squared pair distances must be finite")
 
     @property
     def radii(self):

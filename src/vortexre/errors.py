@@ -23,3 +23,8 @@ class ConvergenceError(RuntimeError):
 
 class CirculationError(ValueError):
     """The total circulation is zero, so there is no center of vorticity."""
+
+
+class NonFiniteError(ValueError):
+    """A configuration's circulations eps*mu or squared pair distances
+    overflow to values that are not finite."""

@@ -1,12 +1,12 @@
 """Numerical search for all critical points of the reduced potential.
 
 Multi-start Newton on the gauge-fixed torus (theta_1 = 0): polish a
-deterministic low-discrepancy lattice of seeds as one batch, deduplicate
-modulo rotation through a hash of the converged points, classify the
-survivors as one batch, and group them into families related by
-weight-preserving relabelings, reflection, and rotation through a
-canonical key.  Tolerances are relative to the weight scale, so weights
-mu and s*mu give the same catalogue.
+deterministic low-discrepancy lattice of seeds as one batch, merge the
+seeds that polished to one point by rounding their angles to cells about
+the dedup tolerance wide, classify the survivors as one batch, and group
+them into families related by weight-preserving relabelings, reflection,
+and rotation through a canonical key.  Tolerances are relative to the
+weight scale, so weights mu and s*mu give the same catalogue.
 
 The batch runs pair-major, as `vortexre.potential`'s pair tables do: the
 seed filter, the polish and the classification hold one row per vortex
@@ -16,11 +16,9 @@ batch.  The polish backtracks through its step halvings four at a time.
 
 The catalogue stages after the polish make no numpy call per point, and
 each takes an array to Python once, with one `tolist`:
-- dedup takes its hash cells from one array pass, and settles every cell
-  that holds one point polished from many seeds with a few passes over
-  the batch (`_settled`), so its scan on Python floats, which tests with
-  `_within` an upper bound of the rotation distance, at most twice it,
-  meets one row per settled cell and the rows near cell edges;
+- dedup clusters the rows by cell with one lexsort, and builds only the
+  cell keys of each cluster in Python, which it groups as the families
+  group theirs (`_grouped`);
 - classification reads every report field from one array per field;
 - the family keys come from whole-array passes, the least of each
   point's 2N candidate sequences found one entry at a time, and only the
@@ -29,7 +27,7 @@ each takes an array to Python once, with one `tolist`:
   (`_circle`) in one pass over (K, N, N - 1) arrays, and the export
   builds each record from Python lists.
 At five equal weights and 4096 seeds (264 points from 3316 converged
-seeds), interleaved medians on 2 cores give dedup 1.7 ms, classification
+seeds), interleaved medians on 2 cores give dedup 1.8 ms, classification
 3.4 ms and families 1.3 ms, beside about 65 ms of seeding and polish;
 the per-row code these replaced took 8.4, 3.7 and 2.7 ms.  The CLI's
 JSON writer takes 5.1 ms for that catalogue, where json.dumps with an
@@ -44,7 +42,6 @@ on stderr when they differ.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,10 +57,9 @@ from vortexre.potential import (
     _scales,
 )
 
-_PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-_DEDUP_TOL = 1e-6   # the tol of `_within` below which two points are one
+_DEDUP_TOL = 1e-6   # rows within tol/2 on every angle are one point (see `_dedup`)
 _SEED_GAP = 0.05    # seeds closer than this (radians) to a collision are dropped
 _FAMILY_TOL = 1e-6  # gap unit of the family keys
 _DEDUP_RULE = (
@@ -84,24 +80,6 @@ class CriticalPointSet:
 
     def __len__(self):
         return len(self.reports)
-
-
-def _within(a, b, tol):
-    """True when, for some rotation c = b_i - a_i, which aligns vortex i,
-    every difference a_j - b_j + c wrapped into [-pi, pi) is within tol.
-    Trying only the aligning rotations tests an upper bound of the
-    rotation distance d, at most 2d, as the best rotation is within d of
-    each aligning one: points with d < tol/2 always pass, but (0, 1, 2)
-    and (0, 1, 2.5), with d = 0.25, fail at tol 0.4999.  The angles are
-    finite Python floats; the scan stops at the first such c."""
-    for ai, bi in zip(a, b):
-        c = bi - ai
-        for aj, bj in zip(a, b):
-            if not abs((aj - bj + c + _PI) % TWO_PI - _PI) < tol:
-                break
-        else:
-            return True
-    return False
 
 
 def _primes(count):
@@ -271,113 +249,66 @@ def _moves(x, raw, wrapped):
     return ((raw.view(np.int64) != bits) | (wrapped.view(np.int64) != bits)).any(axis=-2)
 
 
-def _cell_count(tol):
-    """Hash cells per angle for dedup at tol: about 2*pi / (1024 tol), and
-    prime, so that no angle a rational multiple of 2*pi with a small
-    denominator, as symmetric configurations have, lies near a cell edge."""
-    cells = max(2, int(TWO_PI / (1024.0 * tol)))
-    while any(cells % p == 0 for p in range(2, math.isqrt(cells) + 1)):
-        cells -= 1
-    return cells
-
-
-def _settled(points, tol, home, alone, cells):
-    """Row indices of points for `_dedup`'s scan, in scan order: each
-    settled cluster by its lexicographically least row, at the place of
-    its first row, and every other row as it stands.
-
-    A cluster is the rows of one hash cell (grouped through a float key of
-    the cell; a key two cells share only merges clusters).  It is settled
-    when every row is `alone`, reaching no other cell, and its rows lie
-    within tol/2 of each other on each angle.  Then `_within` at the
-    rotation c = 0 merges each of its rows into its first.  A row that
-    `_within` finds within tol of one of them lies within 2.5 tol of it
-    on each angle (see `_dedup`), so in its cell, which it reaches alone:
-    no row outside the cluster merges with one inside.  The scan keeps
-    the cluster's least row, where the first stood, and nothing else of
-    it."""
-    key = home @ float(cells) ** np.arange(points.shape[1])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sizes = np.diff(np.append(starts, len(order)))
-    x = points[order]
-    settled = np.logical_and.reduceat(alone[order], starts) & (
-        np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts) <= 0.5 * tol
-    ).all(axis=1)
-    # the first of each cluster's least rows, one angle at a time
-    least = np.ones(len(x), dtype=bool)
-    for col in x.T:
-        least &= col == np.repeat(
-            np.minimum.reduceat(np.where(least, col, np.inf), starts), sizes)
-    first_least = np.minimum.reduceat(np.where(least, np.arange(len(x)), len(x)), starts)
-    loose = ~np.repeat(settled, sizes)
-    place = np.concatenate((order[starts[settled]], order[loose]))
-    rows = np.concatenate((order[first_least[settled]], order[loose]))
-    return rows[np.argsort(place)]
-
-
 def _dedup(points, tol):
-    """Merge points that `_within` finds within tol of each other up to
-    rotation; the kept points as lists of Python floats.
+    """Merge the rows of points that lie close together on the gauge-fixed
+    torus, keeping the lexicographically least row of each merged group;
+    the kept rows as lists of Python floats, in no particular order.
 
-    The rows are scanned in order, after equal rows are collapsed to
-    their first occurrence (float equality, as np.unique(axis=0) has it:
-    -0.0 equals 0.0 and a row holding NaN is never equal).  Each one
-    merges into the first kept point within tol, which is replaced when
-    the newcomer is lexicographically smaller; otherwise it is kept.
+    Each angle is rounded down to one of `cells` equal cells of the
+    circle, at most 2 tol wide, and the rows that share a cell on every
+    angle form a cluster: one lexsort by cell, then by angle, puts each
+    cluster together behind its least row.  A cluster reaches the next
+    cell on an angle when one of its rows lies within 0.3 tol of that
+    cell's edge, so it reaches at most one cell on either side of its own.
+    Its keys are the tuples of one reached cell per angle, at most
+    3**(N-1) of them.  Clusters whose keys meet merge as families do
+    (`_grouped`): in lexsort order, each joins the earliest group that
+    holds one of its keys.
 
-    Kept points sit in a hash of cells on the gauge-fixed torus (see
-    `_cell_count`), and a row looks in every cell within 2.5 tol of it on
-    each angle, wrapping modulo 2*pi.  That finds every point `_within`
-    would merge: with theta_1 = 0 for both, the aligning rotation c that
-    passes has |c| < tol (vortex 1's difference), so every angle differs
-    by less than |c| + tol < 2 tol, and the other tol/2 is a margin for
-    rounding.  Most rows reach only their own cell, and the rows of a
-    cell are mostly one point polished from many seeds: `_settled` takes
-    such a cluster's result from whole-batch passes, so the scan, on
-    Python floats, meets one row of it.
+    So two rows whose angles each differ by at most tol/2, modulo 2*pi,
+    always share a key: on each angle they share a cell, or one of them
+    lies within tol/4 of the edge between their cells.  Two rows that
+    share a key differ by less than a cell and two reaches, 2.6 tol, on
+    every angle.  Taken alone, two such rows merge, and two rows further
+    apart on some angle do not; among more rows, a group can chain
+    clusters, and a cluster whose keys meet two groups joins only the
+    earlier.  On the catalogues whose `find` output the tests freeze
+    (N = 3 to 8), the seeds polished to one point lie within 5.3e-8 radians of each other on
+    every angle, and two distinct points 0.26 radians or more apart on
+    some angle, so at the default tol of 1e-6 no point is split or merged
+    with another.  With theta_1 = 0 for both rows, the largest difference
+    bounds their rotation distance.
     """
     if not len(points):
         return []
-    cells = _cell_count(tol)
-    width = TWO_PI / cells
-    reach = 2.5 * tol
-    lo = np.floor((points - reach) / width).astype(np.int64)
-    hi = np.floor((points + reach) / width).astype(np.int64) + 1
-    home = np.floor(points / width).astype(np.int64) % cells
-    alone = (hi - lo == 1).all(axis=1)
-    rows = _settled(points, tol, home, alone, cells)
-    # a stable lexsort makes equal rows neighbours, the first in scan order first
-    order = np.lexsort(points[rows].T[::-1])
-    ranked = points[rows[order]]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    rows = rows[np.sort(order[first])]
-    kept, cells_of = [], []  # kept points with theta_1 = 0 prepended, their cells
-    bucket = {}
-    for fx, cell, one, low, high in zip(_gauged(points[rows]).tolist(),
-                                        map(tuple, home[rows].tolist()),
-                                        alone[rows].tolist(),
-                                        lo[rows].tolist(), hi[rows].tolist()):
-        if one:
-            near = bucket.get(cell, ())
-        else:
-            near = [k for probe in itertools.product(*map(range, low, high))
-                    for k in bucket.get(tuple(c % cells for c in probe), ())]
-        hits = [k for k in near if _within(fx, kept[k], tol)]
-        if hits:
-            k = min(hits)
-            if fx >= kept[k]:
-                continue
-            bucket[cells_of[k]].remove(k)
-            kept[k], cells_of[k] = fx, cell
-        else:
-            k = len(kept)
-            kept.append(fx)
-            cells_of.append(cell)
-        bucket.setdefault(cell, []).append(k)
-    return [fx[1:] for fx in kept]
+    cells = math.ceil(TWO_PI / (2.0 * tol))
+    q = points * (cells / TWO_PI)  # in cells
+    reach = 0.3 * tol * (cells / TWO_PI)
+    cell = np.floor(q)
+    # whether a row reaches the cell below or above its own
+    below = q - cell < reach
+    above = q - cell > 1.0 - reach
+    # an angle of 2*pi may round to the cell at 2*pi, which the keys wrap
+    # to cell 0 with the cells it reaches
+    cell = cell.astype(np.int64)
+    order = np.lexsort((*points.T[::-1], *cell.T[::-1]))
+    ranked = cell[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    below = np.logical_or.reduceat(below[order], starts)
+    above = np.logical_or.reduceat(above[order], starts)
+    # one key row per cell a cluster reaches, angle by angle
+    row, keys = np.arange(len(starts)), ranked[starts]
+    for j in range(points.shape[1]):
+        down, up = np.flatnonzero(below[row, j]), np.flatnonzero(above[row, j])
+        shifted = keys[np.concatenate((down, up))]
+        shifted[:, j] += np.repeat((-1, 1), (len(down), len(up)))
+        row = np.concatenate((row, row[down], row[up]))
+        keys = np.concatenate((keys, shifted))
+    key_sets = [[] for _ in starts]
+    for r, key in zip(row.tolist(), (keys % cells).tolist()):
+        key_sets[r].append(tuple(key))
+    least = points[order[starts]].tolist()
+    return [min(least[k] for k in group) for group in _grouped(key_sets)]
 
 
 def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
@@ -468,6 +399,26 @@ def _family_keys(theta, mu, tol):
     return out
 
 
+def _grouped(key_sets):
+    """Groups of the items whose key sets meet, in order of their first
+    member, each a list of item indices in order.  Items are taken in
+    order: each joins the earliest group that holds one of its keys, or
+    founds a group, and its keys not yet held join that group."""
+    group_of = {}
+    groups = []
+    for i, keys in enumerate(key_sets):
+        hits = [group_of[k] for k in keys if k in group_of]
+        if hits:
+            g = min(hits)
+        else:
+            g = len(groups)
+            groups.append([])
+        groups[g].append(i)
+        for k in keys:
+            group_of.setdefault(k, g)
+    return groups
+
+
 def group_into_families(point_set):
     """Partition critical points into symmetry families.
 
@@ -476,19 +427,8 @@ def group_into_families(point_set):
     the other up to rotation.  Families come in order of their first
     member, each as a sorted tuple of point indices.
     """
-    family_of = {}
-    families = []
-    for i, keys in enumerate(_family_keys(point_set.theta, point_set.mu.mu, _FAMILY_TOL)):
-        hits = [family_of[k] for k in keys if k in family_of]
-        if hits:
-            fid = min(hits)
-        else:
-            fid = len(families)
-            families.append([])
-        families[fid].append(i)
-        for k in keys:
-            family_of.setdefault(k, fid)
-    return [tuple(members) for members in families]
+    keys = _family_keys(point_set.theta, point_set.mu.mu, _FAMILY_TOL)
+    return [tuple(members) for members in _grouped(keys)]
 
 
 def _symmetric(theta, tol):

@@ -40,7 +40,7 @@ from vortexre.dynamics import (
     re_residual,
     vortex_field,
 )
-from vortexre.errors import CollisionError, ConvergenceError
+from vortexre.errors import CollisionError, ConvergenceError, NonFiniteError
 from vortexre.potential import CirculationWeights
 
 POOLS = Path(__file__).resolve().parents[1] / "vortexbench" / "pools.json"
@@ -976,6 +976,19 @@ def test_helio_refuses_what_is_not_finite(Z, eps, message):
     # reached the stability analysis as a LinAlgError
     with pytest.raises(ValueError, match=message):
         HelioConfig(Z, eps, (1, 1))
+
+
+@pytest.mark.parametrize("Z,eps,mu,message", [
+    (((1.0, 0.0), (0.0, 1.0)), 1e300, (1e10, 1), "circulations eps\\*mu must be finite"),
+    (((1e200, 0.0), (0.0, 1.0)), 0.01, (1, 1), "squared pair distances must be finite"),
+    # each weak vortex is 1e154 from the strong one, but 2e154 from the other
+    (((1e154, 0.0), (-1e154, 0.0)), 0.01, (1, 1), "squared pair distances must be finite"),
+])
+def test_helio_refuses_finite_inputs_whose_products_overflow(Z, eps, mu, message):
+    # these constructed, and newton_solve then raised numpy's LinAlgError;
+    # the overflow itself warns nothing, which tier-1 would turn into an error
+    with pytest.raises(NonFiniteError, match=message):
+        HelioConfig(Z, eps, mu)
 
 
 def test_helio_rejects_a_weak_vortex_at_the_strong_one():

@@ -45,7 +45,6 @@ from vortexre.search import (
     _ROUNDING_MARGIN,
     TWO_PI,
     CriticalPointSet,
-    _cell_count,
     _dedup,
     _family_keys,
     _gauged,
@@ -54,7 +53,6 @@ from vortexre.search import (
     _newton_steps,
     _polish,
     _symmetric,
-    _within,
     export_critical_points,
     find_all_critical_points,
     group_into_families,
@@ -143,26 +141,6 @@ def test_mixed_sign_weights_find_stable_saddle():
     assert ("stable", "saddle") in kinds
 
 
-def test_rotation_distance_behaviour():
-    base = [0.0, 1.0, 2.0]
-    shifted = [(t + 1.234) % (2 * math.pi) for t in base]
-    assert _within(base, shifted, 1e-12)
-    assert _within(base, base, 2.0 ** -1074)
-    # the rotation that aligns vortex 1 or 2 leaves vortex 3 0.5 apart
-    assert _within(base, [0.0, 1.0, 2.5], 0.5 + 1e-9)
-    assert not _within(base, [0.0, 1.0, 2.5], 0.5 - 1e-9)
-    # symmetric in its arguments
-    other = [0.1, 1.4, 3.0]
-    for tol in (0.5, 0.6, 0.7, 0.8):
-        assert _within(base, other, tol) == _within(other, base, tol)
-    # a power of two keeps every step exact: a distance of exactly tol is
-    # not within tol
-    tol = 2.0 ** -20
-    assert reference_rotation_distances([0.0, 0.0], [0.0, tol])[0] == tol
-    assert not _within([0.0, 0.0], [0.0, tol], tol)
-    assert _within([0.0, 0.0], [0.0, tol], 2 * tol)
-
-
 def test_symmetry_detection():
     mask = _symmetric([EQUILATERAL, (0.0, 1.0, 2 * math.pi - 1.0), (0.0, 1.0, 2.5)], 1e-8)
     assert mask.tolist() == [True, True, False]
@@ -175,38 +153,6 @@ def test_symmetry_respects_weights():
     assert _symmetric([iso], 1e-8).all()
     assert reference_symmetry_axes(iso, (5, 1, 1)) == (0,)
     assert reference_symmetry_axes(iso, (5, 1, 2)) == ()
-
-
-def _rotated_pair(rng, n, distance):
-    """Angles a and an image b of a under a random rotation, with one
-    vortex of b moved by `distance`; about half of them straddle 0."""
-    if rng.random() < 0.5:
-        a = [rng.uniform(0.0, 2 * math.pi) for _ in range(n)]
-    else:
-        a = [rng.choice((1, -1)) * rng.uniform(0.0, 3e-6) % (2 * math.pi)
-             for _ in range(n)]
-    c = rng.choice((rng.uniform(0.0, 2 * math.pi), 2 * math.pi - 1e-7, 1e-7))
-    b = [(t + c) % (2 * math.pi) for t in a]
-    k = rng.randrange(n)
-    b[k] = (b[k] + rng.choice((1, -1)) * distance) % (2 * math.pi)
-    return a, b
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_scalar_rotation_distance_equals_the_array_reference(n):
-    # pairs on either side of tol by 1e-12 of it, so the comparison turns
-    # on the last bits of the wrapped differences, and pairs that cross
-    # the wrap at 0 = 2*pi
-    rng = seeded(40 + n)
-    tol = 1e-6
-    hits = 0
-    for _ in range(400):
-        distance = tol * (1.0 + rng.choice((1, -1)) * 1e-12 * rng.random())
-        a, b = _rotated_pair(rng, n, distance)
-        want = reference_rotation_distances(a, b)[0]
-        assert _within(a, b, tol) == (want < tol)
-        hits += want < tol
-    assert 0 < hits < 400
 
 
 def _least_gap(row):
@@ -389,18 +335,47 @@ def test_dedup_merges_across_the_wrap():
     assert tuple(kept[0]) == (1e-9, 1.0)
 
 
-def test_dedup_matches_linear_scan_near_cell_edges():
-    rng = seeded(7)
-    centres = [[rng.choice((0.0, 2 * math.pi, rng.uniform(0, 2 * math.pi)))
-                for _ in range(3)] for _ in range(12)]
-    points = []
-    for _ in range(400):
-        c = rng.choice(centres)
-        points.append([(a + rng.uniform(-1.5e-6, 1.5e-6)) % (2 * math.pi) for a in c])
-    points = np.array(points)
-    got = _dedup(points, 1e-6)
-    want = reference_dedup(points, 1e-6)
-    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dedup_merges_rows_within_half_tol_and_no_rows_beyond_its_bound(n):
+    # `_dedup`'s guarantee for two rows: angles that each differ by at most
+    # tol/2, modulo 2*pi, merge into the lesser row, and a difference of
+    # more than 2.6 tol on one angle keeps both.  Half the angles lie within
+    # tol of 0 = 2*pi, so many pairs straddle the wrap.
+    rng = seeded(80 + n)
+    for tol in (1e-6, 1e-3):
+        for _ in range(300):
+            a = [rng.uniform(0.0, TWO_PI) if rng.random() < 0.5
+                 else rng.uniform(-tol, tol) % TWO_PI for _ in range(n - 1)]
+            near = [(x + rng.choice((-0.5, 0.5, rng.uniform(-0.5, 0.5))) * tol) % TWO_PI
+                    for x in a]
+            assert _dedup(np.array([a, near]), tol) == [min(a, near)]
+            far = list(near)
+            j = rng.randrange(n - 1)
+            far[j] = (a[j] + rng.choice((1, -1)) * rng.uniform(2.6 + 1e-6, 3.0) * tol) % TWO_PI
+            assert sorted(_dedup(np.array([a, far]), tol)) == sorted([a, far])
+
+
+def test_dedup_keys_at_eight_vortices_stay_within_a_cell_of_each_cluster(monkeypatch):
+    # Rows filling one cell on each of 7 angles, and every seventh with an
+    # angle of 2*pi: the cluster of the cell reaches the cells on either
+    # side of it on every angle, 3**7 keys, and none further, though the
+    # angle of 2*pi rounds to the cell at 2*pi and wraps to cell 0
+    n, tol = 8, 1e-6
+    points = np.random.default_rng(5).uniform(0.0, 2 * tol, (2000, n - 1))
+    points[::7, 3] = TWO_PI
+    sizes = []
+    grouped = search._grouped
+
+    def counted(key_sets):
+        sizes.extend(len(set(keys)) for keys in key_sets)
+        return grouped(key_sets)
+
+    monkeypatch.setattr(search, "_grouped", counted)
+    start = time.perf_counter()
+    kept = _dedup(points, tol)
+    assert time.perf_counter() - start < 1.0
+    assert max(sizes) == 3 ** (n - 1)
+    assert kept == [min(points.tolist())]
 
 
 def _search_seeds(dim, count):
@@ -505,7 +480,7 @@ def test_dedup_equals_the_linear_scan_on_converged_catalogues(mu, seeds):
     assert len(np.unique(points, axis=0)) < len(points)  # exact duplicates occur
     got = _dedup(points, 1e-6)
     want = reference_dedup(points, 1e-6)
-    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
 
 def test_dedup_drops_exact_duplicates_interleaved_out_of_order():
@@ -519,7 +494,7 @@ def test_dedup_drops_exact_duplicates_interleaved_out_of_order():
     points = np.array(points)
     got = _dedup(points, 1e-6)
     want = reference_dedup(points, 1e-6)
-    assert [tuple(x) for x in got] == [tuple(x) for x in want]
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
 
 
 @pytest.mark.parametrize("mu", [(1, 1, 1), (2, 1, 9), (2, -1, 3), (-1, -3, 10),
@@ -553,6 +528,10 @@ FIND_DIGESTS = {
     # first add pairwise
     ("1,2,3,4,5,6,7,8", 256):
         "387546fc9f741c69c290a8c6753c1043fe2e20a098153c36e6771c171f713d87",
+    # recorded before the clustered dedup: the seeds polished to the six
+    # degenerate points of 3,3,3,1 spread over 5.3e-8 rad, the widest
+    # clusters of these catalogues
+    ("3,3,3,1", 4096): "5c4394c3a66512c6e2ee3c8d730593e120a92ace8b5ae4eaa99ceca0477825a2",
 }
 
 
@@ -605,60 +584,10 @@ def test_dedup_and_family_keys_equal_the_per_row_code_on_the_digest_catalogues(m
     polished, ok = _polish(_search_seeds(len(w) - 1, seeds), w, 1e-10)
     points = polished[ok]
     kept = _dedup(points, _DEDUP_TOL)
-    assert kept == reference_cell_dedup(points, _DEDUP_TOL)
+    assert sorted(kept) == sorted(reference_cell_dedup(points, _DEDUP_TOL))
     theta = _gauged(np.array(sorted(kept)))
     assert _family_keys(theta, tuple(w), _FAMILY_TOL) == \
         reference_family_keys(theta, tuple(w), _FAMILY_TOL)
-
-
-def _near_edges(rng, n, tol):
-    """A gauge-fixed point (n - 1 angles) with two or more angles within
-    4 tol of a dedup cell edge, the edge at 0 = 2*pi among them half the
-    time; the rest anywhere."""
-    cells = _cell_count(tol)
-    x = [rng.uniform(0.0, TWO_PI) for _ in range(n - 1)]
-    for j in rng.sample(range(n - 1), rng.randint(2, n - 1)):
-        edge = 0.0 if rng.random() < 0.5 else rng.randrange(1, cells) * TWO_PI / cells
-        x[j] = (edge + rng.uniform(-4.0, 4.0) * tol) % TWO_PI
-    return x
-
-
-@pytest.mark.parametrize("n", [5, 6])
-def test_dedup_equals_the_per_row_scan_at_cell_edges_and_the_wrap(n):
-    # Blobs of rows around points near cell edges, so some rows reach the
-    # next cell and some do not.  Tight blobs are one point polished from
-    # many seeds; blobs about tol wide merge rows in an order-dependent
-    # way and keep some cells from settling; exact repeats too; all in
-    # random order.
-    rng = seeded(60 + n)
-    tol = 1e-6
-    for _ in range(30):
-        rows = []
-        for _ in range(8):
-            centre = _near_edges(rng, n, tol)
-            spread = rng.choice((1e-13, 0.2, 0.7, 1.5, 2.5)) * tol
-            for _ in range(rng.randint(1, 10)):
-                rows.append([(a + rng.uniform(-spread, spread)) % TWO_PI for a in centre])
-        rows += rng.sample(rows, len(rows) // 4)
-        rng.shuffle(rows)
-        points = np.array(rows)
-        assert _dedup(points, tol) == reference_cell_dedup(points, tol)
-
-
-def test_dedup_scans_a_cell_whose_rows_reach_the_next_cell():
-    # g and least, close together, lie just past a cell edge, and s just
-    # before it.  s is kept, g merges into it and replaces it, and least
-    # merges into g and replaces it.  least is more than tol from s on
-    # the second angle, so taking the pair by its least row alone would
-    # keep s as well.
-    tol = 1e-6
-    width = TWO_PI / _cell_count(tol)
-    a, edge, far = 1000.5 * width, 2000 * width, 3000.5 * width
-    s = [a, edge - 0.3 * tol, far]
-    g = [a - 0.2 * tol, edge + 0.3 * tol, far]
-    least = [a - 0.4 * tol, edge + 0.75 * tol, far]
-    points = np.array([s, g, least])
-    assert _dedup(points, tol) == reference_cell_dedup(points, tol) == [least]
 
 
 @pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (1, 2, 1, 2, 1), (2, 1, 1, 3, 1, 1),
