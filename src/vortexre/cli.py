@@ -407,13 +407,16 @@ _OVERFLOW = ("the start overflows: its circulations eps*mu or squared pair "
 
 def _start_config(make, *args, **kwargs):
     """make(*args, **kwargs) of a start, refusing a start in which two
-    vortices, the strong one included, coincide, or that overflows."""
+    vortices, the strong one included, coincide, that overflows, or whose
+    total circulation is zero."""
     try:
         return make(*args, **kwargs)
     except CollisionError as exc:
         raise UsageError(f"the start is a collision: {exc}") from None
     except NonFiniteError:
         raise UsageError(_OVERFLOW) from None
+    except CirculationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _select_start(args, mu):
@@ -644,22 +647,6 @@ def cmd_build_system(args):
 
 # -- simulate ----------------------------------------------------------------
 
-def _planar_start(config):
-    """config.to_planar(), refusing a start that overflows there: one whose
-    strong vortex's offset eps*mu*Z is not finite."""
-    import numpy as np
-
-    from vortexre.dynamics import _pairs
-
-    try:
-        q, g = config.to_planar()
-    except CirculationError as exc:
-        raise UsageError(str(exc)) from None
-    if not np.isfinite(_pairs(q)[1]).all():
-        raise UsageError(_OVERFLOW)
-    return q, g
-
-
 def cmd_simulate(args):
     import numpy as np
 
@@ -674,31 +661,28 @@ def cmd_simulate(args):
     )
 
     _check_writable(args.out)
-    # an overflow while building the start is refused by _start_config or
-    # _planar_start
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.polygon is not None:
-            _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
-            try:
-                config = _start_config(polygon_family, args.polygon,
-                                       _polygon_weights(args)[0], args.eps)
-            except ValueError as exc:  # no polygon at these weights and coupling
-                raise UsageError(str(exc)) from None
-        else:
-            mu = _weights(args.mu)
-            if not args.start_angles:
-                raise UsageError("need --start-angles or --polygon")
-            _start_mode(args, "--start-angles without --polish",
-                        () if args.polish else ("--tol-newton",))
-            if len(args.start_angles) != len(mu):
-                raise UsageError("need one start angle per weight")
-            radii = args.radii or [1] * len(mu)
-            if len(radii) != len(mu):
-                raise UsageError("need one radius per weight")
-            z = [(r * math.cos(a), r * math.sin(a))
-                 for a, r in zip(map(float, args.start_angles), map(float, radii))]
-            config = _start_config(HelioConfig, tuple(z), args.eps, mu)
-        q, g = _planar_start(config)
+    if args.polygon is not None:
+        _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
+        try:
+            config = _start_config(polygon_family, args.polygon,
+                                   _polygon_weights(args)[0], args.eps)
+        except ValueError as exc:  # no polygon at these weights and coupling
+            raise UsageError(str(exc)) from None
+    else:
+        mu = _weights(args.mu)
+        if not args.start_angles:
+            raise UsageError("need --start-angles or --polygon")
+        _start_mode(args, "--start-angles without --polish",
+                    () if args.polish else ("--tol-newton",))
+        if len(args.start_angles) != len(mu):
+            raise UsageError("need one start angle per weight")
+        radii = args.radii or [1] * len(mu)
+        if len(radii) != len(mu):
+            raise UsageError("need one radius per weight")
+        z = [(r * math.cos(a), r * math.sin(a))
+             for a, r in zip(map(float, args.start_angles), map(float, radii))]
+        config = _start_config(HelioConfig, tuple(z), args.eps, mu)
+    q, g = _start_config(config.to_planar)
     if args.polish:  # --polygon refuses --polish
         config = newton_solve(config, tol=args.tol_newton)
         q, g = config.to_planar()

@@ -340,10 +340,16 @@ class HelioConfig:
 
     def to_planar(self):
         """Positions q and circulations g of all vortices, the strong one
-        first, with the center of vorticity at the origin."""
-        q0 = self.strong_vortex_offset()
+        first, with the center of vorticity at the origin.  Raises
+        NonFiniteError where the strong vortex's offset eps*mu*Z or a
+        squared pair distance of q overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            q0 = self.strong_vortex_offset()
+            q = np.vstack([q0, self.Z + q0])
+            if not np.isfinite(_pairs(q)[1]).all():
+                raise NonFiniteError("squared pair distances must be finite")
         _, g = _full_system(self.Z, self.epsilon, self.mu)
-        return np.vstack([q0, self.Z + q0]), g
+        return q, g
 
     def to_dict(self):
         return _configuration_dict(self.angles.tolist(), self.radii.tolist(), self.mu,

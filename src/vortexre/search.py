@@ -9,29 +9,28 @@ and rotation through a canonical key.  Tolerances are relative to the
 weight scale, so weights mu and s*mu give the same catalogue.
 
 The batch runs pair-major, as `vortexre.potential`'s pair tables do: the
-seed filter, the polish and the classification hold one row per vortex
-or pair and one column per seed, so each seed's minimum, norm or test
-over its N angles or N(N-1)/2 pairs is an elementwise pass across the
-batch.  The polish backtracks through its step halvings four at a time.
+polish and the classification hold one row per vortex or pair and one
+column per seed, so each seed's norm or test over its N angles or
+N(N-1)/2 pairs is an elementwise pass across the batch.  The polish
+backtracks through its step halvings four at a time.
 
 The catalogue stages after the polish make no numpy call per point, and
 each takes an array to Python once, with one `tolist`:
 - dedup clusters the rows by cell with one lexsort, and builds only the
-  cell keys of each cluster in Python, which it groups as the families
-  group theirs (`_grouped`);
+  cell keys of each cluster in Python;
 - classification reads every report field from one array per field;
 - the family keys come from whole-array passes, the least of each
   point's 2N candidate sequences found one entry at a time, and only the
   key tuples are built in Python;
-- the symmetric flags read the circle order and arcs of the family keys
-  (`_circle`) in one pass over (K, N, N - 1) arrays, and the export
-  builds each record from Python lists.
-At five equal weights and 4096 seeds (264 points from 3316 converged
-seeds), interleaved medians on 2 cores give dedup 1.8 ms, classification
-3.4 ms and families 1.3 ms, beside about 65 ms of seeding and polish;
-the per-row code these replaced took 8.4, 3.7 and 2.7 ms.  The CLI's
-JSON writer takes 5.1 ms for that catalogue, where json.dumps with an
-indent took 10.5.
+- the symmetric flags read the circle order and arcs in one pass over
+  (K, N, N - 1) arrays, and the export builds each record from Python lists.
+The seed filter, family keys and symmetric flags share one circle order
+(`_circle`); dedup and the family keys share one neighbour-cell expansion
+(`_reach_keys`) and one transitive grouping (`_grouped`), which does not
+depend on the order of the rows.  At five equal weights and 4096 seeds
+(264 points from 3316 converged seeds), interleaved medians on 2 cores
+give dedup 1.8 ms, classification 3.4 ms, families 1.3 ms and the CLI's
+JSON writer 5.1 ms, beside about 65 ms of seeding and polish.
 
 Nothing proves a catalogue complete: seeds can miss critical points,
 and `find` is not checked against the exact count of `certify`.  What is
@@ -53,7 +52,6 @@ from vortexre.potential import (
     _gradient,
     _hessian,
     _pair_table,
-    _pairs,
     _scales,
 )
 
@@ -103,16 +101,6 @@ def _lattice_seeds(dim, count):
 def _gauged(x):
     """Prepend the gauge-fixed theta_1 = 0 column to reduced angles."""
     return np.concatenate((np.zeros((len(x), 1)), x), axis=1)
-
-
-def _min_gaps(full):
-    """Smallest angular separation within each row of an (S, N) batch."""
-    i, j, _, _ = _pairs(full.shape[1])
-    d = full.T[i] - full.T[j]
-    # theta_j - theta_i is exactly -d, but the two can wrap to gaps that
-    # differ in the last bit, so both count
-    gap = np.abs((np.concatenate((d, -d)) + np.pi) % TWO_PI - np.pi)
-    return gap.min(axis=0)
 
 
 def _newton_steps(H, rhs):
@@ -261,23 +249,21 @@ def _dedup(points, tol):
     cell on an angle when one of its rows lies within 0.3 tol of that
     cell's edge, so it reaches at most one cell on either side of its own.
     Its keys are the tuples of one reached cell per angle, at most
-    3**(N-1) of them.  Clusters whose keys meet merge as families do
-    (`_grouped`): in lexsort order, each joins the earliest group that
-    holds one of its keys.
+    3**(N-1) of them (`_reach_keys`).  Clusters whose keys meet merge,
+    directly or through a chain of clusters, as families do (`_grouped`).
 
     So two rows whose angles each differ by at most tol/2, modulo 2*pi,
     always share a key: on each angle they share a cell, or one of them
     lies within tol/4 of the edge between their cells.  Two rows that
     share a key differ by less than a cell and two reaches, 2.6 tol, on
-    every angle.  Taken alone, two such rows merge, and two rows further
-    apart on some angle do not; among more rows, a group can chain
-    clusters, and a cluster whose keys meet two groups joins only the
-    earlier.  On the catalogues whose `find` output the tests freeze
-    (N = 3 to 8), the seeds polished to one point lie within 5.3e-8 radians of each other on
-    every angle, and two distinct points 0.26 radians or more apart on
-    some angle, so at the default tol of 1e-6 no point is split or merged
-    with another.  With theta_1 = 0 for both rows, the largest difference
-    bounds their rotation distance.
+    every angle.  So two rows within tol/2 merge, and two rows further
+    apart on some angle merge only through a chain of rows between them.
+    On the catalogues whose `find` output the tests freeze (N = 3 to 8),
+    the seeds polished to one point lie within 5.3e-8 radians of each
+    other on every angle, and two distinct points 0.26 radians or more
+    apart on some angle, so at the default tol of 1e-6 no point is split
+    or merged with another.  With theta_1 = 0 for both rows, the largest
+    difference bounds their rotation distance.
     """
     if not len(points):
         return []
@@ -285,25 +271,15 @@ def _dedup(points, tol):
     q = points * (cells / TWO_PI)  # in cells
     reach = 0.3 * tol * (cells / TWO_PI)
     cell = np.floor(q)
-    # whether a row reaches the cell below or above its own
-    below = q - cell < reach
-    above = q - cell > 1.0 - reach
     # an angle of 2*pi may round to the cell at 2*pi, which the keys wrap
     # to cell 0 with the cells it reaches
-    cell = cell.astype(np.int64)
     order = np.lexsort((*points.T[::-1], *cell.T[::-1]))
-    ranked = cell[order]
+    ranked = cell[order].astype(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
-    below = np.logical_or.reduceat(below[order], starts)
-    above = np.logical_or.reduceat(above[order], starts)
-    # one key row per cell a cluster reaches, angle by angle
-    row, keys = np.arange(len(starts)), ranked[starts]
-    for j in range(points.shape[1]):
-        down, up = np.flatnonzero(below[row, j]), np.flatnonzero(above[row, j])
-        shifted = keys[np.concatenate((down, up))]
-        shifted[:, j] += np.repeat((-1, 1), (len(down), len(up)))
-        row = np.concatenate((row, row[down], row[up]))
-        keys = np.concatenate((keys, shifted))
+    # whether a cluster reaches the cell below or above its own
+    off = (q - cell)[order]
+    row, keys = _reach_keys(ranked[starts], np.logical_or.reduceat(off < reach, starts),
+                            np.logical_or.reduceat(off > 1.0 - reach, starts))
     key_sets = [[] for _ in starts]
     for r, key in zip(row.tolist(), (keys % cells).tolist()):
         key_sets[r].append(tuple(key))
@@ -321,7 +297,7 @@ def find_all_critical_points(mu, seeds=4096, tol_grad=1e-10, tol_zero=1e-8):
     """
     w = CirculationWeights(tuple(mu)) if not isinstance(mu, CirculationWeights) else mu
     start = _lattice_seeds(len(w) - 1, seeds)
-    start = start[_min_gaps(_gauged(start)) >= _SEED_GAP]
+    start = start[_circle(_gauged(start))[1].min(axis=1) >= _SEED_GAP]
     polished, ok = _polish(start, w.array, tol_grad)
     found = sorted(_dedup(polished[ok], _DEDUP_TOL))
     theta = _gauged(np.reshape(found, (len(found), len(w) - 1)))
@@ -350,6 +326,21 @@ def _circle(theta):
     return order, np.diff(ranked, axis=1, append=ranked[:, :1] + TWO_PI)
 
 
+def _reach_keys(cells, below, above):
+    """Keys of the rows of the (K, M) integer array cells: each row, and
+    a copy for every combination of the neighbour cells it reaches, cell
+    - 1 where the (K, M) mask below holds and cell + 1 where above does.
+    Returns the (R,) index of the row each key came from and the keys."""
+    row, keys = np.arange(len(cells)), cells
+    for j in np.flatnonzero((below | above).any(axis=0)).tolist():
+        down, up = np.flatnonzero(below[row, j]), np.flatnonzero(above[row, j])
+        shifted = keys[np.concatenate((down, up))]
+        shifted[:, j] += np.repeat((-1, 1), (len(down), len(up)))
+        row = np.concatenate((row, row[down], row[up]))
+        keys = np.concatenate((keys, shifted))
+    return row, keys
+
+
 def _family_keys(theta, mu, tol):
     """Canonical keys of weighted configurations on the circle, one set
     per row of the (K, N) angle array theta.
@@ -370,16 +361,10 @@ def _family_keys(theta, mu, tol):
     order, arcs = _circle(theta)
     count, n = arcs.shape
     q = arcs / tol
-    gaps = np.rint(q)
-    off = q - gaps
-    other = gaps + np.sign(off)
-    twice = np.abs(off) > 0.5 - _ROUNDING_MARGIN
-    row = np.arange(count)
-    for j in np.flatnonzero(twice.any(axis=0)).tolist():
-        dup = np.flatnonzero(twice[row, j])
-        extra = gaps[dup]
-        extra[:, j] = other[row[dup], j]
-        row, gaps = np.concatenate((row, row[dup])), np.concatenate((gaps, extra))
+    nearest = np.rint(q)
+    off = q - nearest
+    row, gaps = _reach_keys(nearest.astype(np.int64), off < _ROUNDING_MARGIN - 0.5,
+                            off > 0.5 - _ROUNDING_MARGIN)
     weights = np.asarray(mu, dtype=float)[order[row]]
     # the N rotations of the sequence and of its reflection, in which circle
     # order reverses and each vortex takes the gap before it: (V, 2N, N, 2)
@@ -400,23 +385,30 @@ def _family_keys(theta, mu, tol):
 
 
 def _grouped(key_sets):
-    """Groups of the items whose key sets meet, in order of their first
-    member, each a list of item indices in order.  Items are taken in
-    order: each joins the earliest group that holds one of its keys, or
-    founds a group, and its keys not yet held join that group."""
-    group_of = {}
-    groups = []
+    """The connected components of the items under "their key sets meet",
+    in order of their first member, each a list of item indices in
+    order.  A union-find over the items: each key links the items that
+    hold it to its first holder, and each root is its component's least
+    item, so the components do not depend on the order of the items."""
+    root = list(range(len(key_sets)))
+
+    def least(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    holder = {}
     for i, keys in enumerate(key_sets):
-        hits = [group_of[k] for k in keys if k in group_of]
-        if hits:
-            g = min(hits)
-        else:
-            g = len(groups)
-            groups.append([])
-        groups[g].append(i)
         for k in keys:
-            group_of.setdefault(k, g)
-    return groups
+            j = holder.setdefault(k, i)
+            if j != i:
+                a, b = least(j), least(i)
+                root[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(key_sets)):
+        groups.setdefault(least(i), []).append(i)
+    return list(groups.values())
 
 
 def group_into_families(point_set):

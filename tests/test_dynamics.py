@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -989,6 +990,16 @@ def test_helio_refuses_finite_inputs_whose_products_overflow(Z, eps, mu, message
     # the overflow itself warns nothing, which tier-1 would turn into an error
     with pytest.raises(NonFiniteError, match=message):
         HelioConfig(Z, eps, mu)
+
+
+def test_to_planar_refuses_a_strong_vortex_offset_that_overflows():
+    # the 3-gon's radius is 1e150, so eps*mu*Z is 1e450 in the offset of
+    # the strong vortex; the check runs under np.errstate, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = polygon_family(3, 1, 1e300)
+        with pytest.raises(NonFiniteError, match="squared pair distances must be finite"):
+            config.to_planar()
 
 
 def test_helio_rejects_a_weak_vortex_at_the_strong_one():

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
@@ -45,11 +46,11 @@ from vortexre.search import (
     _ROUNDING_MARGIN,
     TWO_PI,
     CriticalPointSet,
+    _circle,
     _dedup,
     _family_keys,
     _gauged,
     _lattice_seeds,
-    _min_gaps,
     _newton_steps,
     _polish,
     _symmetric,
@@ -378,10 +379,56 @@ def test_dedup_keys_at_eight_vortices_stay_within_a_cell_of_each_cluster(monkeyp
     assert kept == [min(points.tolist())]
 
 
+def test_dedup_merges_a_chain_of_clusters_in_every_row_order():
+    # B and C lie 0.40 and 0.47 tol apart, so they merge; A meets B's keys
+    # and not C's, and leads the lexsort: a grouping that let C join only
+    # a group holding one of its own keys kept A with B, and C alone
+    tol = 1e-6
+    w = TWO_PI / math.ceil(math.pi / tol)
+    a = [1000.5 * w, 5003.95 * w]
+    b = [1001 * w + 0.2e-6, 5005 * w - 0.15e-6]
+    c = [1001 * w - 0.2e-6, 5005 * w + 0.32e-6]
+    assert _dedup(np.array([b, c]), tol) == [min(b, c)]
+    for rows in itertools.permutations([a, b, c]):
+        assert _dedup(np.array(rows), tol) == [min(a, b, c)]
+
+
+def test_grouping_joins_chains_and_orders_groups_by_first_member():
+    assert search._grouped([{1}, {2}, {1, 2}]) == [[0, 1, 2]]
+    assert search._grouped([{5}, {1}, {2}, {1, 2}, {5, 6}, {7}, {6}]) == \
+        [[0, 4, 6], [1, 2, 3], [5]]
+    assert search._grouped([]) == []
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_seed_filter_equals_the_wrapped_pairwise_gap(dim):
+    # the least arc in circle order is the least gap over all pairs,
+    # wrapped into [0, pi], each pair taken both ways
+    for count in (64, 1024, 16384):
+        full = _gauged(_lattice_seeds(dim, count))
+        gaps = np.abs((full[:, :, None] - full[:, None, :] + np.pi) % TWO_PI - np.pi)
+        gaps[:, np.arange(dim + 1), np.arange(dim + 1)] = np.inf
+        want, got = gaps.min(axis=(1, 2)), _circle(full)[1].min(axis=1)
+        assert np.abs(got - want).max() < 1e-14
+        assert np.array_equal(got >= 0.05, want >= 0.05)
+
+
+def test_find_polishes_the_seeds_clear_of_every_collision(monkeypatch):
+    polished = []
+
+    def recorded(seeds, w, tol_grad):
+        polished.append(seeds)
+        return _polish(seeds, w, tol_grad)
+
+    monkeypatch.setattr(search, "_polish", recorded)
+    find_all_critical_points((2, -1, 3, 5), seeds=1024)
+    assert np.array_equal(polished[0], _search_seeds(3, 1024))
+
+
 def _search_seeds(dim, count):
     """The lattice seeds `find` polishes: those clear of every collision."""
     start = _lattice_seeds(dim, count)
-    return start[_min_gaps(_gauged(start)) >= 0.05]
+    return start[_circle(_gauged(start))[1].min(axis=1) >= 0.05]
 
 
 @pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (2, -1, 3), (-4, 11, -7), (1, 2, 3, 4),
@@ -404,7 +451,7 @@ def test_polish_equals_the_reference_when_steps_cross_the_wrap():
     mu = (2.0, -1.0, 3.0)
     seeds = _lattice_seeds(2, 2048)
     seeds[:, 0] = (seeds[:, 0] * (0.8 / TWO_PI) - 0.4) % TWO_PI
-    seeds = seeds[_min_gaps(_gauged(seeds)) >= 0.05]
+    seeds = seeds[_circle(_gauged(seeds))[1].min(axis=1) >= 0.05]
     full = _gauged(seeds)
     step = _newton_steps(potential_hessian(full, mu)[:, 1:, 1:],
                          -potential_gradient(full, mu)[:, 1:])
@@ -585,9 +632,18 @@ def test_dedup_and_family_keys_equal_the_per_row_code_on_the_digest_catalogues(m
     points = polished[ok]
     kept = _dedup(points, _DEDUP_TOL)
     assert sorted(kept) == sorted(reference_cell_dedup(points, _DEDUP_TOL))
+    # nor do the merged rows depend on the order of the rows
+    rng = np.random.default_rng(len(points))
+    for _ in range(3):
+        assert sorted(_dedup(rng.permutation(points), _DEDUP_TOL)) == sorted(kept)
     theta = _gauged(np.array(sorted(kept)))
     assert _family_keys(theta, tuple(w), _FAMILY_TOL) == \
         reference_family_keys(theta, tuple(w), _FAMILY_TOL)
+    # the families of the catalogue in another order are the same points
+    families = group_into_families(_point_set(theta, tuple(w)))
+    perm = rng.permutation(len(theta))
+    shuffled = group_into_families(_point_set(theta[perm], tuple(w)))
+    assert sorted(tuple(sorted(perm[list(f)].tolist())) for f in shuffled) == families
 
 
 @pytest.mark.parametrize("mu", [(1, 1, 1, 1, 1), (1, 2, 1, 2, 1), (2, 1, 1, 3, 1, 1),
