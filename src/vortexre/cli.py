@@ -688,7 +688,8 @@ def cmd_simulate(args):
         q, g = config.to_planar()
     residual = float(np.abs(re_residual(config)).max())
     t_final = 2.0 * math.pi * args.periods
-    times, states = integrate_vortices(q, g, t_final, args.rtol)
+    # the summary reads the last state alone; the trajectory file every one
+    times, states = integrate_vortices(q, g, t_final, args.rtol, every_step=bool(args.out))
     h0 = hamiltonian(q, g)
     h1 = hamiltonian(states[-1], g)
     imp0 = (g[:, None] * q).sum(axis=0)

@@ -8,21 +8,24 @@ analytic Jacobian, gauge-fixed Newton polishing, continuation in eps, the
 regular-polygon family, and a full-system spectral stability check that is
 independent of the reduced-potential classification.
 
-A continuation walk makes one set of Newton buffers and one stability
-batch.  Each step's Newton solve starts from the quadratic extrapolation
-through the last three solutions, a predictor-corrector walk (Allgower &
-Georg, Introduction to Numerical Continuation Methods, ch. 2), and falls
-back to a solve from the previous solution where that one fails or meets
-a nearly singular matrix.  Each iterate writes its pair table, residual
-and Jacobian into the buffers, the Jacobian into the top left of a square
-bordered matrix that one solve takes, and the converged iterate's
-Jacobian is copied out for the batch, one stacked reduction that checks
-every step.  An integration binds every array a Dormand-Prince step
-touches once per run (_dormand_prince), so no numpy call in a step
-allocates.  The buffered code runs the helpers that vortex_field,
-re_residual and re_jacobian run (_pairs, _field, _field_jacobian,
-_re_residual and _re_jacobian, each with optional buffers), so there is
-one copy of each formula.
+A continuation walk binds one set of Newton buffers, checks its schedule
+for a zero total circulation in one pass and makes one stability batch.
+Each step's Newton solve starts from the quadratic extrapolation through
+the last three solutions, a predictor-corrector walk (Allgower & Georg,
+Introduction to Numerical Continuation Methods, ch. 2), and falls back to
+a solve from the previous solution where that one fails or meets a nearly
+singular matrix.  Each iterate writes its pair table, field, residual and
+Jacobian into the buffers, the Jacobian into the top left of a square
+bordered matrix that one solve takes, and the converged Jacobian is copied
+out for the batch.  The batch takes each constraint rank's eigenvalues in
+one call and every verdict's inputs (the cut, the largest |Re lambda|, the
+all-real flag, the order) in whole-stack passes; _semisimple runs only for
+a stable candidate with two eigenvalues within its cut.  An integration
+binds every array a Dormand-Prince step touches once per run
+(_dormand_prince), so no numpy call in a step allocates.  The buffered
+code runs the helpers that vortex_field, re_residual and re_jacobian run
+(_pairs, _field, _field_jacobian, _re_residual and _re_jacobian, each with
+optional buffers), so there is one copy of each formula.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from vortexre.potential import CirculationWeights, classify
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _I2 = np.eye(2)
 _MIN_SEP = 1e-12
+_NO_CENTER = "total circulation 1 + eps*sum(mu) is 0: there is no center of vorticity"
 
 
 def _perp(v):
@@ -215,7 +219,7 @@ def _dormand_prince(g, rtol, atol):
 _MAX_STEPS = 100_000
 
 
-def integrate_vortices(q, g, t_final, tol):
+def integrate_vortices(q, g, t_final, tol, every_step=True):
     """Integrate the full system forward from time 0 to t_final > 0.
 
     The integrator is the Dormand-Prince 5(4) pair with the standard step
@@ -226,8 +230,10 @@ def integrate_vortices(q, g, t_final, tol):
     Each stage and step is written into buffers bound once per run
     (_dormand_prince), and each accepted state is copied once; q is never
     written.  Returns the accepted times and the positions at each, shape
-    (len(times), n, 2).  A run that has accepted _MAX_STEPS steps short of
-    t_final raises ConvergenceError naming the time it reached.
+    (len(times), n, 2), or, when every_step is False, the last time and
+    state alone, so the run's memory does not grow with its steps.  A run
+    that has accepted _MAX_STEPS steps short of t_final raises
+    ConvergenceError naming the time it reached.
     """
     g = np.asarray(g, dtype=float)
     n = len(g)
@@ -258,9 +264,9 @@ def integrate_vortices(q, g, t_final, tol):
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, t_final)
     abs_y, abs_new = np.abs(y), np.empty_like(y)
-    t, times, states = 0.0, [0.0], [y]
+    t, steps, times, states = 0.0, 0, [0.0], [y]
     while t < t_final:
-        if len(times) > _MAX_STEPS:
+        if steps >= _MAX_STEPS:
             raise ConvergenceError(f"integration stopped at t = {t:g} of {t_final:g} "
                                    f"after {_MAX_STEPS} steps")
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -281,8 +287,11 @@ def integrate_vortices(q, g, t_final, tol):
             rejected = True
         t, y, abs_y, abs_new = t_new, Y.copy(), abs_new, abs_y
         K[0] = K[-1]
+        steps += 1
         times.append(t)
         states.append(y)
+        if not every_step:
+            del times[0], states[0]
     return np.array(times), np.vstack(states).reshape(len(times), n, 2)
 
 
@@ -387,14 +396,18 @@ def _configuration_dict(angles, radii, mu, epsilon, z0):
     }
 
 
-def _total_circulation(gamma):
-    """1 + sum(gamma) over the last axis of the weak circulations gamma,
-    which the center of vorticity and the reduced symplectic form divide by.
-    A total that is 0 up to rounding raises CirculationError."""
+def _zero_circulation(gamma):
+    """1 + sum(gamma) over the last axis of the weak circulations gamma, and where it is 0."""
     total = 1.0 + gamma.sum(axis=-1)
-    if (np.abs(total) <= CIRCULATION_NOISE * (1.0 + np.abs(gamma).sum(axis=-1))).any():
-        raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
-                               "there is no center of vorticity")
+    return total, np.abs(total) <= CIRCULATION_NOISE * (1.0 + np.abs(gamma).sum(axis=-1))
+
+
+def _total_circulation(gamma):
+    """The total of _zero_circulation, which the center of vorticity and the reduced
+    symplectic form divide by; one that is 0 up to rounding raises CirculationError."""
+    total, zero = _zero_circulation(gamma)
+    if zero.any():
+        raise CirculationError(_NO_CENTER)
     return total
 
 
@@ -405,15 +418,15 @@ def _full_system(Z, epsilon, mu):
     return q, g
 
 
-def _re_residual(table, g, z, out=None):
+def _re_residual(table, g, z, buffers=None):
     """re_residual from a pair table of the full system, flattened, shape
-    (2N,), and written into out when it is given."""
-    v = _field(*table, g)
-    if out is None:
-        out = np.empty(z.size)
+    (2N,), written into buffers when they are given: the residual, the
+    field's _field_buffers(N + 1) and the rotated positions, shape (N, 2)."""
+    out, field, perp = buffers or (np.empty(z.size), None, None)
+    v = _field(*table, g, field)
     rows = out.reshape(z.shape)
     np.subtract(v[1:], v[0], out=rows)
-    np.subtract(rows, _perp(z), out=rows)
+    np.subtract(rows, np.matmul(z, _J2.T, out=perp), out=rows)  # _perp(z)
     return out
 
 
@@ -475,19 +488,21 @@ _MAX_ITER = 50  # the most Newton steps a solve takes
 
 
 def _newton_buffers(N):
-    """The arrays _newton fills for N weak vortices: the positions q of the
-    full system, whose row 0, the strong vortex, stays 0; the buffers of its
-    pair table and field Jacobian, which write the Jacobian into the top left
-    of the bordered matrix M of a step; M, whose gauge row is set here and
-    whose unfolding column each solve sets; and the two right sides of a
-    step, one row each: the step's, and a fixed probe with no structure,
-    sqrt(k) mod 1 - 1/2, whose solution's size tells a singular M."""
+    """The arrays _newton fills for N weak vortices: the positions q and
+    circulations g of the full system, whose row 0 and g[0], the strong
+    vortex's, stay 0 and 1; the buffers of its pair table, residual (into
+    the step's right side) and Jacobian (into the top left of the bordered
+    matrix M); M, whose gauge row is set here and whose unfolding column
+    each solve sets; and the two right sides of a step: the step's, and a
+    probe with no structure, sqrt(k) mod 1 - 1/2, whose solution's size
+    tells a singular M."""
     M = np.zeros((2 * N + 1, 2 * N + 1))
     M[-1, 1] = 1.0  # d(gauge)/dZ: the y-component of vortex 1
     sides = np.empty((2, 2 * N + 1))
     sides[1] = np.sqrt(np.arange(2.0, 2 * N + 3)) % 1.0 - 0.5
-    q = np.zeros((N + 1, 2))
-    return q, _pair_buffers(q), _jacobian_buffers(N, M[:-1, :-1]), M, sides
+    q, g = np.zeros((N + 1, 2)), np.ones(N + 1)
+    residual = sides[0, :-1], _field_buffers(N + 1), np.empty((N, 2))
+    return q, g, _pair_buffers(q), residual, _jacobian_buffers(N, M[:-1, :-1]), M, sides
 
 
 def _into_gauge(Z, out):
@@ -510,10 +525,9 @@ def _newton(Z, epsilon, mu, buffers, tol, wary=False):
     Jacobian, views into the buffers that the next call overwrites.  A wary
     solve raises ConvergenceError at an iterate whose probe reads above
     _NEARLY_SINGULAR, before it takes any step there."""
-    q, pairs, jacobian_buffers, M, sides = buffers
-    _, g = _full_system(Z, epsilon, mu)
-    z, rhs = q[1:], sides[0]
-    res = rhs[:-1]
+    q, g, pairs, residual, jacobian_buffers, M, sides = buffers
+    np.multiply(epsilon, mu.array, out=g[1:])  # the circulations of _full_system
+    z, rhs, res = q[1:], sides[0], residual[0]
     _into_gauge(Z, z)
     # the unfolding column w_i = mu_i (z_i - c), c the center of vorticity,
     # or the strong vortex at a total circulation of 0, which has none
@@ -522,7 +536,7 @@ def _newton(Z, epsilon, mu, buffers, tol, wary=False):
     np.multiply(mu.array[:, None], z - center, out=M[:-1, -1].reshape(z.shape))
     for _ in range(_MAX_ITER + 1):
         table = _pairs(q, pairs)
-        _re_residual(table, g, z, out=res)
+        _re_residual(table, g, z, buffers=residual)
         jacobian = _re_jacobian(table, g, jacobian_buffers)
         gauge = z[0, 1]
         if max(np.abs(res).max(), abs(gauge)) < tol:
@@ -630,22 +644,26 @@ def _stability(Z, epsilon, mu, jacobians):
     """full_system_stability of the configurations Z, shape (K, N, 2), at
     the couplings epsilon, shape (K,), given their Jacobians, shape (K, 2N,
     2N): one null-space SVD, reduction and eigvals call per constraint rank,
-    and the cluster check per configuration."""
+    whole-stack passes for the verdicts' inputs, and the cluster check only
+    for a stable candidate with two eigenvalues within its cut."""
     B = _symplectic_form(epsilon, mu)
     rows = [v.reshape(len(Z), 1, -1) @ B for v in (_perp(Z), Z)]
     reports = [None] * len(Z)
     for records, Q in _null_space(np.concatenate(rows, axis=1)):
         reduced = Q.transpose(0, 2, 1) @ jacobians[records] @ Q
-        for k, A, eigvals in zip(records, reduced, np.linalg.eigvals(reduced)):
-            if not eigvals.imag.any():  # eigvals of A alone would be real
-                eigvals = eigvals.real
-            cut = _CLUSTER * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
-            max_real = float(np.abs(eigvals.real).max(initial=0.0))
-            stable = max_real <= cut and _semisimple(A, eigvals, cut)
-            order = np.lexsort((eigvals.real, eigvals.imag))
-            reports[k] = FullStabilityReport(
-                eigenvalues=tuple(complex(v) for v in eigvals[order]),
-                verdict="stable" if stable else "unstable", max_real_part=max_real)
+        eigvals = np.linalg.eigvals(reduced).astype(complex, copy=False)
+        real = ~eigvals.imag.any(axis=-1)  # spectra that eigvals of A alone give as real
+        eigvals.imag[real] = 0.0
+        cut = _CLUSTER * np.fmax(1.0, np.abs(eigvals).max(axis=-1, initial=0.0))
+        max_real = np.abs(eigvals.real).max(axis=-1, initial=0.0)
+        stable = max_real <= cut
+        close = np.abs(eigvals[:, :, None] - eigvals[:, None, :]) <= cut[:, None, None]
+        for i in np.flatnonzero(stable & (close.sum(axis=(1, 2)) > eigvals.shape[1])):
+            stable[i] = _semisimple(reduced[i], eigvals[i].real if real[i] else eigvals[i], cut[i])
+        order = np.lexsort((eigvals.real, eigvals.imag), axis=-1)
+        spectra = np.take_along_axis(eigvals, order, axis=-1).tolist()
+        for k, spectrum, top, ok in zip(records.tolist(), spectra, max_real.tolist(), stable):
+            reports[k] = FullStabilityReport(tuple(spectrum), "stable" if ok else "unstable", top)
     return reports
 
 
@@ -835,9 +853,11 @@ def _walk(start, schedule, tol):
     passed = deque([(0.0, z0)], maxlen=3)
     solved, residuals, jacobians = [], [], []
     failure = None
-    for eps in schedule:
+    zero = _zero_circulation(np.multiply.outer(schedule, mu))[1].tolist()
+    for eps, no_center in zip(schedule, zero):
         try:
-            _total_circulation(eps * mu)  # the stability batch divides by it
+            if no_center:  # the stability batch divides by the total circulation
+                raise CirculationError(_NO_CENTER)
             z, res, jacobian = _corrected(passed, eps, weights, buffers, tol)
         except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"

@@ -45,7 +45,7 @@ def _strong_offset(record, positions):
     mu = [float(m) for m in record.get("mu", [1.0] * len(positions))]
     gamma = [eps * m for m in mu]
     total = 1.0 + sum(gamma)
-    # the zero rule of vortexre.dynamics._total_circulation, without numpy
+    # the zero rule of vortexre.dynamics._zero_circulation, without numpy
     if abs(total) <= CIRCULATION_NOISE * (1.0 + sum(map(abs, gamma))):
         raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
                                "there is no center of vorticity")

@@ -1040,6 +1040,31 @@ def reference_full_system_stability(config, tol=1e-6):
     return verdict, tuple(complex(v) for v in eigvals[order])
 
 
+def reference_stability_reports(Z, epsilon, mu, jacobians):
+    """vortexre.dynamics._stability as it was before it took the verdicts'
+    inputs in whole-stack passes: the same reduction and eigvals call per
+    constraint rank, then each record's cut, largest |Re lambda|, cluster
+    check and order one record at a time."""
+    from vortexre import dynamics
+
+    B = dynamics._symplectic_form(epsilon, mu)
+    rows = [v.reshape(len(Z), 1, -1) @ B for v in (dynamics._perp(Z), Z)]
+    reports = [None] * len(Z)
+    for records, Q in dynamics._null_space(np.concatenate(rows, axis=1)):
+        reduced = Q.transpose(0, 2, 1) @ jacobians[records] @ Q
+        for k, A, eigvals in zip(records, reduced, np.linalg.eigvals(reduced)):
+            if not eigvals.imag.any():  # eigvals of A alone would be real
+                eigvals = eigvals.real
+            cut = dynamics._CLUSTER * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
+            max_real = float(np.abs(eigvals.real).max(initial=0.0))
+            stable = max_real <= cut and dynamics._semisimple(A, eigvals, cut)
+            order = np.lexsort((eigvals.real, eigvals.imag))
+            reports[k] = dynamics.FullStabilityReport(
+                eigenvalues=tuple(complex(v) for v in eigvals[order]),
+                verdict="stable" if stable else "unstable", max_real_part=max_real)
+    return reports
+
+
 
 # -- the per-record trace export, the oracle of the batched one -------------
 

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from helpers import (
     reference_previous_guess_walk,
     reference_re_jacobian,
     reference_re_residual,
+    reference_stability_reports,
     reference_trace_dict,
     reference_vortex_field,
     row_config,
@@ -268,6 +271,33 @@ def test_integration_stops_at_the_step_cap(monkeypatch):
     message = f"integration stopped at t = {times[-2]:g} of {t_final:g} after {steps - 1} steps"
     with pytest.raises(ConvergenceError, match=re.escape(message)):
         integrate_vortices(q, g, t_final, 1e-10)
+
+
+def test_simulate_without_a_trajectory_file_keeps_only_the_last_state(capsys):
+    # two weak vortices 1e-3 apart turn about each other some 2e4 radians
+    # per unit time, so a run takes thousands of steps; without --out the
+    # summary reads the last state alone, and the run's tracemalloc peak
+    # does not grow with its steps (it grew by about 400 bytes a step when
+    # every state was kept)
+    argv = ["simulate", "--mu=1,1", "--start-angles=0,0.001", "--eps", "0.01", "--periods"]
+    q, g = HelioConfig.from_angles((0.0, 0.001), (1.0, 1.0), 0.01).to_planar()
+    assert main([*argv, "0.0001"]) == 0  # lazy imports and caches filled
+    steps, peaks = [], []
+    for periods in (0.0005, 0.002):
+        t_final = 2.0 * math.pi * periods
+        times, states = integrate_vortices(q, g, t_final, 1e-10)
+        last_time, last_state = integrate_vortices(q, g, t_final, 1e-10, every_step=False)
+        assert _same_bits(last_time, times[-1:]) and _same_bits(last_state, states[-1:])
+        steps.append(len(times) - 1)
+        tracemalloc.start()
+        try:
+            assert main([*argv, str(periods)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert steps[0] > 300 and steps[1] > 3 * steps[0]
+    assert peaks[1] <= peaks[0] + 2048, (steps, peaks)
 
 
 @pytest.mark.parametrize("scale, t_final, tol, error", [
@@ -655,6 +685,56 @@ def test_full_system_stability_matches_the_scipy_reduction():
     assert verdicts == {"stable", "unstable"}
 
 
+def _report_bits(report):
+    """A stability report's fields, the numbers by their bits."""
+    assert all(type(v) is complex for v in report.eigenvalues)
+    return (np.array(report.eigenvalues, dtype=complex).tobytes(), report.verdict,
+            float.hex(report.max_real_part))
+
+
+def _rotation(omega):
+    return np.array([[0.0, -omega], [omega, 0.0]])
+
+
+def test_the_cluster_rule_gives_each_reduced_matrix_of_a_stack_its_verdict(monkeypatch):
+    # hand-built 4x4 reduced matrices, taken as they are (each record's null
+    # space made the identity): a defective cluster reads unstable and a
+    # semisimple one stable, each record of a mixed stack keeps its own
+    # verdict, and only the stable candidates with a cluster reach
+    # _semisimple
+    C, I2, O = _rotation(1.3), np.eye(2), np.zeros((2, 2))
+    cases = [
+        ("2x2 Jordan block at 0", np.block([[np.diag([1.0], 1), O], [O, C]]), "unstable"),
+        ("real 4x4 Jordan form at +-i omega", np.block([[C, I2], [O, C]]), "unstable"),
+        ("doubled semisimple pair", np.block([[C, O], [O, C]]), "stable"),
+        ("two distinct pairs", np.block([[C, O], [O, _rotation(0.4)]]), "stable"),
+        ("a saddle and a pair", np.block([[np.diag([0.5, -0.5]), O], [O, C]]), "unstable"),
+    ]
+    clustered = {"2x2 Jordan block at 0", "real 4x4 Jordan form at +-i omega",
+                 "doubled semisimple pair"}
+    semisimple, checked = dynamics._semisimple, []
+
+    def recording(A, eigvals, cut):
+        checked.append(A.tobytes())
+        return semisimple(A, eigvals, cut)
+
+    monkeypatch.setattr(dynamics, "_semisimple", recording)
+    monkeypatch.setattr(dynamics, "_null_space", lambda M: [
+        (np.arange(len(M)), np.broadcast_to(np.eye(4), (len(M), 4, 4)))])
+    config = polygon_family(2, 1.0, 0.01)
+    for order in ([0], [1], [2], [3], [4], [0, 1, 2, 3, 4], [4, 2, 0, 3, 1, 2]):
+        names, matrices, verdicts = zip(*(cases[k] for k in order))
+        Z = np.repeat(config.Z[None], len(order), axis=0)
+        epsilon = np.full(len(order), config.epsilon)
+        args = Z, epsilon, config.mu, np.array(matrices)
+        checked.clear()
+        reports = dynamics._stability(*args)
+        assert tuple(report.verdict for report in reports) == verdicts, names
+        assert checked == [m.tobytes() for name, m in zip(names, matrices) if name in clustered]
+        assert list(map(_report_bits, reports)) == list(
+            map(_report_bits, reference_stability_reports(*args)))
+
+
 @pytest.fixture(scope="module")
 def pool_walks():
     """(eps = 0 start, trace) of a 30-step walk from every continue_n3 pool
@@ -677,6 +757,22 @@ def test_every_walk_verdict_matches_the_single_config_reference(pool_walks):
             assert walked == verdict
             verdicts.add(verdict)
     assert verdicts == {"stable", "unstable"}
+
+
+def test_each_walk_report_is_the_single_config_report(pool_walks):
+    # record by record, the walk's stability batch (on the Jacobians a walk
+    # keeps, re_jacobian of each record) against full_system_stability of
+    # the record and the per-record loop the batch replaced: the eigenvalue
+    # tuple bit for bit and in order, max_real_part and the verdict
+    for _, trace in pool_walks:
+        configs = row_configs(trace)
+        jacobians = np.array([re_jacobian(config) for config in configs])
+        batch = dynamics._stability(trace.Z, trace.epsilon, trace.mu, jacobians)
+        loop = reference_stability_reports(trace.Z, trace.epsilon, trace.mu, jacobians)
+        assert tuple(report.verdict for report in batch) == trace.verdict
+        for report, looped, config in zip(batch, loop, configs):
+            single = full_system_stability(config)
+            assert _report_bits(report) == _report_bits(single) == _report_bits(looped)
 
 
 def test_each_walk_step_is_a_fresh_newton_solve_from_its_predicted_guess(pool_walks):
@@ -844,6 +940,25 @@ def test_a_walk_keeps_arrays_of_its_own(monkeypatch, stable_saddle):
     for config, jacobian in zip(row_configs(trace), jacobians):
         # the Jacobian kept is the one at the converged iterate
         assert jacobian.tobytes() == re_jacobian(config).tobytes()
+
+
+def test_a_walk_binds_its_buffers_once(monkeypatch, stable_saddle):
+    # the pair-table, field and Jacobian buffers are made a fixed number of
+    # times a walk, whatever its length, not once per iterate: the pair
+    # table's for the start's collision check and the Newton buffers, the
+    # other two for the Newton buffers alone
+    made = Counter()
+    for name in ("_pair_buffers", "_field_buffers", "_jacobian_buffers"):
+        def recording(*args, name=name, make=getattr(dynamics, name)):
+            made[name] += 1
+            return make(*args)
+
+        monkeypatch.setattr(dynamics, name, recording)
+    for steps in (6, 60):
+        made.clear()
+        trace = continue_family(stable_saddle, (2, -1, 3), steps * 0.0004, step=0.0004)
+        assert trace.failure is None and len(trace) == steps
+        assert made == {"_pair_buffers": 2, "_field_buffers": 1, "_jacobian_buffers": 1}
 
 
 def test_the_trace_export_is_the_per_record_export(pool_walks):
