@@ -1,7 +1,12 @@
 """Command-line interface.
 
 Subcommands: find, certify, continue, plot, build-system, simulate.
-Exit codes: 0 success, 1 computational failure, 2 usage error.
+
+Exit codes go by the type of what ends a run: 0 is success; 2 is a usage
+error, that is an argument the parser refuses or an errors.InputError, which
+the CLI's own checks and the library raise alike for a problem that, as
+given, has no answer; 1 is a failure, any other ValueError or a
+ConvergenceError, such as a Newton solve that does not converge.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii_string
 
-from vortexre.errors import CirculationError, CollisionError, ConvergenceError, NonFiniteError
+from vortexre.errors import CollisionError, ConvergenceError, InputError, NonFiniteError
 
 # Each handler imports the layers it runs when it runs: numpy through
 # vortexre.potential, search and dynamics, and the exact stack (groebner,
@@ -27,10 +32,6 @@ from vortexre.errors import CirculationError, CollisionError, ConvergenceError, 
 # so every subcommand starts with only what the parser needs.  numpy is the
 # only runtime dependency: simulate's integrator is the library's own
 # Dormand-Prince loop.
-
-
-class UsageError(ValueError):
-    """Bad arguments detected after parsing; maps to exit code 2."""
 
 
 # one entry of a number list: a decimal, or a ratio of two integers, in
@@ -115,21 +116,13 @@ _rtol = _bounded(float, 100 * sys.float_info.epsilon, below=1)
 _periods = _bounded(float, 0.0, strict=True, below=sys.float_info.max / (2.0 * math.pi))
 
 
-def _weights(numbers):
-    """The --mu numbers as weights; their refusal is a usage error."""
+def _polygon_weights(args):
+    """The --polygon count of copies of the one scalar --mu, as weights."""
     from vortexre.potential import CirculationWeights
 
-    try:
-        return CirculationWeights(tuple(numbers))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _polygon_weights(args):
-    """The --polygon count of copies of the one scalar --mu."""
     if len(args.mu) != 1:
-        raise UsageError("--polygon takes a single scalar --mu")
-    return _weights(args.mu * args.polygon)
+        raise InputError("--polygon takes a single scalar --mu")
+    return CirculationWeights(tuple(args.mu * args.polygon))
 
 
 def _write_file(path, text):
@@ -138,7 +131,7 @@ def _write_file(path, text):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _check_writable(*paths):
@@ -160,7 +153,7 @@ def _check_writable(*paths):
             else:
                 os.unlink(path)
         except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_output(text, out):
@@ -286,13 +279,14 @@ def _morse_sum(points, mu):
 
 
 def cmd_find(args):
+    from vortexre.potential import CirculationWeights
     from vortexre.search import (
         export_critical_points,
         find_all_critical_points,
         group_into_families,
     )
 
-    mu = _weights(args.mu)
+    mu = CirculationWeights(tuple(args.mu))
     _check_writable(args.out)
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
@@ -317,17 +311,12 @@ def cmd_find(args):
 # -- certify -----------------------------------------------------------------
 
 def _weight_system(mu):
-    """The --mu weights and their system; the builder's refusal of the
-    weights is a usage error."""
+    """The --mu weights as integers, and their system."""
     from vortexre.halfangle import build_equal_weight_system
 
     if mu is None:
-        raise UsageError("need --mu or --symmetry-case")
-    try:
-        system = build_equal_weight_system(mu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return [int(m) for m in mu], system
+        raise InputError("need --mu or --symmetry-case")
+    return [int(m) for m in mu], build_equal_weight_system(mu)
 
 
 def _certify_payload(args):
@@ -407,16 +396,13 @@ _OVERFLOW = ("the start overflows: its circulations eps*mu or squared pair "
 
 def _start_config(make, *args, **kwargs):
     """make(*args, **kwargs) of a start, refusing a start in which two
-    vortices, the strong one included, coincide, that overflows, or whose
-    total circulation is zero."""
+    vortices, the strong one included, coincide, or that overflows."""
     try:
         return make(*args, **kwargs)
     except CollisionError as exc:
-        raise UsageError(f"the start is a collision: {exc}") from None
+        raise InputError(f"the start is a collision: {exc}") from None
     except NonFiniteError:
-        raise UsageError(_OVERFLOW) from None
-    except CirculationError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(_OVERFLOW) from None
 
 
 def _select_start(args, mu):
@@ -425,26 +411,26 @@ def _select_start(args, mu):
     if args.start_angles:
         _start_mode(args, "--start-angles", _SEARCH_FLAGS)
         if len(args.start_angles) != len(mu):
-            raise UsageError("need one start angle per weight")
+            raise InputError("need one start angle per weight")
         return [float(a) for a in args.start_angles]
     if args.select is not None and not args.select.split():
-        raise UsageError(f"--select {args.select!r} has no words; every point would match")
+        raise InputError(f"--select {args.select!r} has no words; every point would match")
     _start_mode(args, "find", ())
     points = find_all_critical_points(mu, seeds=args.seeds,
                                       tol_grad=args.tol_grad,
                                       tol_zero=args.tol_zero_eig)
     if not len(points):
-        raise UsageError("no critical points found for these weights")
+        raise InputError("no critical points found for these weights")
     if args.point_index is not None:
         if not 0 <= args.point_index < len(points):
-            raise UsageError(f"--point-index out of range 0..{len(points)-1}")
+            raise InputError(f"--point-index out of range 0..{len(points)-1}")
         return points.theta[args.point_index]
     if args.select:
         wanted = args.select.split()
         for theta, report in zip(points.theta, points.reports):
             if all(w in {report.verdict, report.extremal_type} for w in wanted):
                 return theta
-        raise UsageError(f"no critical point matches selector {args.select!r}")
+        raise InputError(f"no critical point matches selector {args.select!r}")
     return points.theta[0]
 
 
@@ -459,7 +445,7 @@ def _snapshot_schedule(args, base, walk):
     for eps in map(float, args.snapshots):
         hit = [s for s in schedule if abs(s - eps) < 1e-9]
         if not hit:
-            raise UsageError(
+            raise InputError(
                 f"snapshot eps={eps:g} is not on the continuation schedule")
         out.append((f"{base}_eps{eps if hit[0] else 0.0:g}.svg", hit[0]))
     return out
@@ -500,10 +486,7 @@ def cmd_continue(args):
     from vortexre.plotting import render_configuration_svg
     from vortexre.potential import CirculationWeights
 
-    try:  # a walk too long to keep is refused before anything is built
-        walk = _epsilon_schedule(args.eps_max, args.step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    walk = _epsilon_schedule(args.eps_max, args.step)  # refuses a walk too long to keep
     base = os.path.splitext(args.out)[0] if args.out else "trace"
     snapshots = _snapshot_schedule(args, base, walk) if args.snapshots else []
     _check_writable(args.out, *(path for path, _ in snapshots))
@@ -514,7 +497,7 @@ def cmd_continue(args):
         trace = continue_polygon(args.polygon, mu[0], eps_max=args.eps_max,
                                  step=args.step, tol=args.tol_newton)
     else:
-        mu = _weights(args.mu)
+        mu = CirculationWeights(tuple(args.mu))
         if args.normalize:
             scale = 1.0 / float(np.linalg.norm(mu.array))
             mu = CirculationWeights(tuple(m * scale for m in mu))
@@ -554,26 +537,26 @@ def _load_plot_record(path, index):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read configuration JSON: {exc}") from None
+        raise InputError(f"cannot read configuration JSON: {exc}") from None
     if isinstance(data, dict) and "points" in data:
         data = data["points"]
     elif isinstance(data, dict) and "records" in data:
         data = data["records"]
     if isinstance(data, list):
         if not data:
-            raise UsageError("no configurations in input")
+            raise InputError("no configurations in input")
         if not 0 <= index < len(data):
-            raise UsageError(f"--index out of range 0..{len(data)-1}")
+            raise InputError(f"--index out of range 0..{len(data)-1}")
         data = data[index]
     if not isinstance(data, dict) or not _finite_numbers(data.get("angles")):
-        raise UsageError("configuration record must contain a nonempty 'angles' list "
+        raise InputError("configuration record must contain a nonempty 'angles' list "
                          "of finite numbers")
     n = len(data["angles"])
     for key, size in (("radii", n), ("mu", n), ("z0", 2)):
         if key in data and not (_finite_numbers(data[key]) and len(data[key]) == size):
-            raise UsageError(f"'{key}' must list {size} finite numbers")
+            raise InputError(f"'{key}' must list {size} finite numbers")
     if "epsilon" in data and not _finite_numbers([data["epsilon"]]):
-        raise UsageError("'epsilon' must be a finite number")
+        raise InputError("'epsilon' must be a finite number")
     return data
 
 
@@ -581,13 +564,10 @@ def cmd_plot(args):
     from vortexre.plotting import render_configuration_svg
 
     record = _load_plot_record(args.config, args.index)
-    try:
-        svg = render_configuration_svg(record)
-    except CirculationError as exc:
-        raise UsageError(str(exc)) from None
+    svg = render_configuration_svg(record)
     out = args.out or os.path.splitext(args.config)[0] + ".svg"
     if os.path.realpath(out) == os.path.realpath(args.config):
-        raise UsageError(f"output {out} is the input configuration; choose another --out")
+        raise InputError(f"output {out} is the input configuration; choose another --out")
     _write_file(out, svg)
     return 0
 
@@ -659,26 +639,24 @@ def cmd_simulate(args):
         polygon_family,
         re_residual,
     )
+    from vortexre.potential import CirculationWeights
 
     _check_writable(args.out)
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
-        try:
-            config = _start_config(polygon_family, args.polygon,
-                                   _polygon_weights(args)[0], args.eps)
-        except ValueError as exc:  # no polygon at these weights and coupling
-            raise UsageError(str(exc)) from None
+        config = _start_config(polygon_family, args.polygon,
+                               _polygon_weights(args)[0], args.eps)
     else:
-        mu = _weights(args.mu)
+        mu = CirculationWeights(tuple(args.mu))
         if not args.start_angles:
-            raise UsageError("need --start-angles or --polygon")
+            raise InputError("need --start-angles or --polygon")
         _start_mode(args, "--start-angles without --polish",
                     () if args.polish else ("--tol-newton",))
         if len(args.start_angles) != len(mu):
-            raise UsageError("need one start angle per weight")
+            raise InputError("need one start angle per weight")
         radii = args.radii or [1] * len(mu)
         if len(radii) != len(mu):
-            raise UsageError("need one radius per weight")
+            raise InputError("need one radius per weight")
         z = [(r * math.cos(a), r * math.sin(a))
              for a, r in zip(map(float, args.start_angles), map(float, radii))]
         config = _start_config(HelioConfig, tuple(z), args.eps, mu)
@@ -754,7 +732,7 @@ def _start_mode(args, mode, unread):
     `_flags`) that was not given takes its default."""
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
-            raise UsageError(f"{mode} does not read {flag}")
+            raise InputError(f"{mode} does not read {flag}")
     for flag, spec in _FLAGS.items():
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest, spec["default"]) is None:
@@ -899,11 +877,11 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # every other library error (collision, not a critical point, an ideal
-    # that is not zero-dimensional) is a ValueError
+    # every other library error (a collision after the start, not a critical
+    # point, an ideal that is not zero-dimensional) is a ValueError
     except (ConvergenceError, ValueError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1

@@ -36,14 +36,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexre.errors import (CIRCULATION_NOISE, CirculationError, CollisionError,
-                             ConvergenceError, NonFiniteError, NotACriticalPointError)
+from vortexre.errors import (CIRCULATION_NOISE, NO_CENTER, CirculationError, CollisionError,
+                             ConvergenceError, InputError, NonFiniteError, NotACriticalPointError)
 from vortexre.potential import CirculationWeights, classify
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _I2 = np.eye(2)
 _MIN_SEP = 1e-12
-_NO_CENTER = "total circulation 1 + eps*sum(mu) is 0: there is no center of vorticity"
 
 
 def _perp(v):
@@ -407,7 +406,7 @@ def _total_circulation(gamma):
     symplectic form divide by; one that is 0 up to rounding raises CirculationError."""
     total, zero = _zero_circulation(gamma)
     if zero.any():
-        raise CirculationError(_NO_CENTER)
+        raise CirculationError(NO_CENTER)
     return total
 
 
@@ -677,7 +676,7 @@ def full_system_stability(config):
     one another form a cluster; a cluster of k is semisimple when
     reduced - lam*I has k singular values within _CLUSTER*scale, and a lone
     eigenvalue always is.
-    Zero total circulation raises CirculationError, a ValueError.
+    Zero total circulation raises CirculationError, an InputError.
     """
     if config.epsilon == 0.0:
         raise ValueError("full-system stability needs epsilon > 0")
@@ -699,13 +698,16 @@ def polygon_family(N, mu_scalar, epsilon):
 
     The radius solves R^2 = 1 + mu*eps*(N-1)/2 at unit rotation rate; the
     residual then vanishes identically, not just to leading order.  There
-    is no such polygon when the right-hand side is not positive.
+    is no such polygon when the right-hand side is not positive, and one
+    whose R^2 overflows raises NonFiniteError.
     """
     if N < 2:
-        raise ValueError("polygon needs at least two weak vortices")
+        raise InputError("polygon needs at least two weak vortices")
     R2, missing = _polygon_radius2(N, mu_scalar, epsilon)
     if not R2 > 0.0:
-        raise ValueError(missing)
+        raise InputError(missing)
+    if R2 == math.inf:  # so do its squared pair distances
+        raise NonFiniteError("squared pair distances must be finite")
     angles = 2.0 * math.pi * np.arange(N) / N
     z = math.sqrt(R2) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return HelioConfig(z, epsilon, (mu_scalar,) * N)
@@ -750,14 +752,14 @@ _MAX_SCHEDULE = 100_000
 
 def _epsilon_schedule(eps_max, step):
     """The couplings step, 2*step, ... below eps_max, then eps_max itself.
-    A schedule of more than about _MAX_SCHEDULE couplings raises ValueError
+    A schedule of more than about _MAX_SCHEDULE couplings raises InputError
     before any of it is built."""
     if not (eps_max >= 0.0 and step > 0.0):  # NaN fails too
-        raise ValueError("eps_max must be non-negative and step positive")
+        raise InputError("eps_max must be non-negative and step positive")
     estimate = (eps_max - 1e-12) / step
     if estimate > _MAX_SCHEDULE:
         count = math.ceil(estimate) if math.isfinite(estimate) else estimate
-        raise ValueError(f"continuing to eps={eps_max:g} in steps of {step:g} takes "
+        raise InputError(f"continuing to eps={eps_max:g} in steps of {step:g} takes "
                          f"{count:.6g} steps, more than {_MAX_SCHEDULE}")
     if eps_max == 0.0:
         return []
@@ -857,7 +859,7 @@ def _walk(start, schedule, tol):
     for eps, no_center in zip(schedule, zero):
         try:
             if no_center:  # the stability batch divides by the total circulation
-                raise CirculationError(_NO_CENTER)
+                raise CirculationError(NO_CENTER)
             z, res, jacobian = _corrected(passed, eps, weights, buffers, tol)
         except (CirculationError, ConvergenceError, CollisionError) as exc:
             failure = f"eps={eps:.6g}: {exc}"

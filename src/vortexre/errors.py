@@ -7,6 +7,12 @@ import sys
 # equal weights of up to 39 entries and random mixed ones); up to 4 u it is 0
 # and raises CirculationError.
 CIRCULATION_NOISE = 4.0 * sys.float_info.epsilon / 2.0
+# the message of every CirculationError, from dynamics and plotting alike
+NO_CENTER = "total circulation 1 + eps*sum(mu) is 0: there is no center of vorticity"
+
+
+class InputError(ValueError):
+    """The problem as given has no answer: the caller's input is refused."""
 
 
 class CollisionError(ValueError):
@@ -21,7 +27,7 @@ class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its tolerance."""
 
 
-class CirculationError(ValueError):
+class CirculationError(InputError):
     """The total circulation is zero, so there is no center of vorticity."""
 
 

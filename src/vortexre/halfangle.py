@@ -41,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from vortexre import _kernels
-from vortexre.errors import CollisionError
+from vortexre.errors import CollisionError, InputError
 from vortexre.polynomials import PolynomialRing, from_integer_terms
 
 
@@ -144,7 +144,7 @@ def build_symmetry_case_system(case):
     half, double = (r, one), ({sq: 1, unit: -1}, {lin: 2})  # cot(phi/2), cot(phi)
     cases = {1: [half, ({lin: -1}, one)], 2: [half, double], 3: [double, half]}
     if case not in cases:
-        raise ValueError("case must be 1, 2, or 3")
+        raise InputError("case must be 1, 2, or 3")
     mu = [{w: 1} for w in packing.weights[1:]]
     mul = functools.partial(_kernels.terms_mul, packing=packing)
     polys, records = [], []
@@ -180,12 +180,12 @@ def build_equal_weight_system(mu):
     """
     mu = [Fraction(m) for m in mu]
     if len(mu) < 2:
-        raise ValueError("need at least two weights")
+        raise InputError("need at least two weights")
     if not all(mu):
-        raise ValueError("weights must be nonzero")
+        raise InputError("weights must be nonzero")
     if any(m.denominator != 1 for m in mu):
         scale = math.lcm(*(m.denominator for m in mu))
-        raise ValueError(
+        raise InputError(
             "exact certification requires integer weights; the counts depend only "
             "on the weight ratio, so rescale, e.g. " + ",".join(str(m * scale) for m in mu))
     ring = PolynomialRing([f"r{i}" for i in range(2, len(mu) + 1)])

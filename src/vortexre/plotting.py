@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from vortexre.errors import CIRCULATION_NOISE, CirculationError
+from vortexre.errors import CIRCULATION_NOISE, NO_CENTER, CirculationError
 
 CANVAS = 420
 CENTER = CANVAS / 2.0
@@ -47,8 +47,7 @@ def _strong_offset(record, positions):
     total = 1.0 + sum(gamma)
     # the zero rule of vortexre.dynamics._zero_circulation, without numpy
     if abs(total) <= CIRCULATION_NOISE * (1.0 + sum(map(abs, gamma))):
-        raise CirculationError("total circulation 1 + eps*sum(mu) is 0: "
-                               "there is no center of vorticity")
+        raise CirculationError(NO_CENTER)
     x0 = -sum(g * p[0] for g, p in zip(gamma, positions)) / total
     y0 = -sum(g * p[1] for g, p in zip(gamma, positions)) / total
     return x0, y0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vortexre.errors import CollisionError, NotACriticalPointError
+from vortexre.errors import CollisionError, InputError, NotACriticalPointError
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,16 @@ class CirculationWeights:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         if len(self.mu) < 2:
-            raise ValueError("need at least two weights")
+            raise InputError("need at least two weights")
         if any(m == 0.0 for m in self.mu):
-            raise ValueError("weights must be nonzero")
+            raise InputError("weights must be nonzero")
         if not all(map(math.isfinite, self.mu)):
-            raise ValueError("weights must be finite")
+            raise InputError("weights must be finite")
         size = sorted(map(abs, self.mu))
         if not math.isfinite(size[-2] * size[-1]):
-            raise ValueError("products of weights must be finite")
+            raise InputError("products of weights must be finite")
         if size[0] * size[1] < sys.float_info.min:
-            raise ValueError("products of weights must not underflow")
+            raise InputError("products of weights must not underflow")
 
     def __len__(self):
         return len(self.mu)

@@ -18,7 +18,12 @@ import pytest
 from helpers import ZERO_SUM_SADDLES, reference_symmetry_axes, reference_weights_parse, seeded
 from vortexre import cli
 from vortexre.cli import build_parser, main
+from vortexre.dynamics import _epsilon_schedule, polygon_family
+from vortexre.errors import (CirculationError, CollisionError, ConvergenceError, InputError,
+                             NotACriticalPointError)
 from vortexre.groebner import GroebnerBasis
+from vortexre.halfangle import build_equal_weight_system, build_symmetry_case_system
+from vortexre.potential import CirculationWeights
 from vortexre.polynomials import MonomialOrder, PolynomialRing
 
 
@@ -905,6 +910,86 @@ def test_a_total_circulation_of_zero_up_to_rounding_is_refused(capsys, n, mu):
     code, _, err = run(capsys, "continue", "--polygon", str(n), "--mu", repr(mu),
                        "--eps", eps, "--step", eps)
     assert (code, err) == (1, f"continuation stopped early: eps={float(eps):.6g}: {_NO_CENTER}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["continue", "--mu=1,1,1", "--eps", "0.01", "--start-angles", "0,2"],
+     "need one start angle per weight"),
+    (["continue", "--mu=1,1,1", "--eps", "0.01", "--select", "stable maximum"],
+     "no critical point matches selector 'stable maximum'"),
+    (["simulate", "--mu=1,1,1", "--eps", "0.01"], "need --start-angles or --polygon"),
+    (["simulate", "--mu=1,1,1", "--eps", "0.01", "--start-angles", "0,2"],
+     "need one start angle per weight"),
+    (["simulate", "--mu=1,1,1", "--eps", "0.01", "--start-angles", "0,2,4", "--radii", "1,1"],
+     "need one radius per weight"),
+])
+def test_a_start_that_cannot_be_made_is_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_plot_refuses_an_index_past_a_trace_and_an_empty_list(capsys, tmp_path):
+    code, trace, _ = run(capsys, *_CONTINUE_POLYGON, "--format", "json")
+    assert code == 0
+    config = tmp_path / "trace.json"
+    config.write_text(trace)  # its two configurations are under "records"
+    assert run(capsys, "plot", str(config), "--index", "2") == (
+        2, "", "error: --index out of range 0..1\n")
+    config.write_text("[]")
+    assert run(capsys, "plot", str(config)) == (2, "", "error: no configurations in input\n")
+
+
+def test_normalized_weights_that_underflow_are_refused(capsys):
+    # a refusal of the weights, like that of the weights as given, exits 2;
+    # it exited 1 as a failure while the CLI mapped each refusal by hand
+    code, out, err = run(capsys, "continue", "--mu=3e-154,3e-154,1e10", "--normalize",
+                         "--eps", "0.01", "--start-angles", "0,2,4")
+    assert (code, out, err) == (2, "", "error: products of weights must not underflow\n")
+
+
+@pytest.mark.parametrize("mu,eps", [("1", "1e308"), ("1e150", "1e158")])
+def test_simulate_refuses_a_polygon_whose_radius_overflows(capsys, mu, eps):
+    # R^2 = 1 + mu*eps is inf; numpy warned while the positions were made
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, "simulate", "--polygon", "3", "--mu", mu, "--eps", eps)
+    assert result == (2, "", _OVERFLOW)
+
+
+@pytest.mark.parametrize("refuse,args", [
+    (CirculationWeights, ((1.0,),)),
+    (CirculationWeights, ((1.0, 0.0),)),
+    (CirculationWeights, ((1.0, math.nan),)),
+    (CirculationWeights, ((1e200, 1e200),)),
+    (CirculationWeights, ((1e-170, 1e-170),)),
+    (build_equal_weight_system, ((1,),)),
+    (build_equal_weight_system, ((1, 0),)),
+    (build_equal_weight_system, ((Fraction(1, 2), 1),)),
+    (build_symmetry_case_system, (4,)),
+    (polygon_family, (1, 1.0, 0.0)),
+    (polygon_family, (3, -1.0, 2.0)),
+    (_epsilon_schedule, (-1.0, 0.1)),
+    (_epsilon_schedule, (1.0, 1e-9)),
+])
+def test_the_library_refuses_its_input_with_an_input_error(refuse, args):
+    with pytest.raises(InputError):
+        refuse(*args)
+
+
+@pytest.mark.parametrize("error,code,label", [
+    (InputError, 2, "error"),
+    (CirculationError, 2, "error"),
+    (CollisionError, 1, "failure"),
+    (NotACriticalPointError, 1, "failure"),
+    (ValueError, 1, "failure"),
+    (ConvergenceError, 1, "failure"),
+])
+def test_the_exit_code_goes_by_the_type_of_the_error(capsys, monkeypatch, tmp_path,
+                                                      error, code, label):
+    def refuse(path, index):
+        raise error("no answer")
+
+    monkeypatch.setattr(cli, "_load_plot_record", refuse)
+    assert run(capsys, "plot", str(tmp_path / "any.json")) == (code, "", f"{label}: no answer\n")
 
 
 _CONTINUE_POLYGON = ("continue", "--polygon", "3", "--mu", "1", "--eps", "0.01")
