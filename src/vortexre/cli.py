@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: find, certify, continue, plot, build-system, simulate.
+Subcommands: find, certify, continue, plot, build-system, simulate.  find's
+Morse check is search.CriticalPointSet.morse_check, and certify's stages
+run in hermite.trace_form.
 
 Exit codes go by the type of what ends a run: 0 is success; 2 is a usage
 error, that is an argument the parser refuses or an errors.InputError, which
@@ -116,13 +118,11 @@ _rtol = _bounded(float, 100 * sys.float_info.epsilon, below=1)
 _periods = _bounded(float, 0.0, strict=True, below=sys.float_info.max / (2.0 * math.pi))
 
 
-def _polygon_weights(args):
-    """The --polygon count of copies of the one scalar --mu, as weights."""
-    from vortexre.potential import CirculationWeights
-
+def _polygon_weight(args):
+    """The one scalar --mu that --polygon reads."""
     if len(args.mu) != 1:
         raise InputError("--polygon takes a single scalar --mu")
-    return CirculationWeights(tuple(args.mu * args.polygon))
+    return float(args.mu[0])
 
 
 def _write_file(path, text):
@@ -259,32 +259,10 @@ def _find_csv(report, mu):
     return _csv_text(rows)
 
 
-def _morse_sum(points, mu):
-    """Sum of (-1)^index over the points, or None where no identity applies.
-
-    With every weight of one sign, V -> +inf at each collision, so V is
-    proper on each of the (N-1)! cyclic-ordering cells, and a complete
-    catalogue of nondegenerate points has sum (N-1)!.  The index counts
-    the negative Hessian eigenvalues beyond the rotational zero.
-    """
-    if not (mu.all_positive() or all(m < 0 for m in mu)):
-        return None
-    total = 0
-    for report in points.reports:
-        if report.zero_count != 1:
-            return None
-        eigs = sorted(report.hessian_eigs, key=abs)[1:]
-        total += (-1) ** sum(e < 0 for e in eigs)
-    return total
-
-
 def cmd_find(args):
     from vortexre.potential import CirculationWeights
-    from vortexre.search import (
-        export_critical_points,
-        find_all_critical_points,
-        group_into_families,
-    )
+    from vortexre.search import (export_critical_points, find_all_critical_points,
+                                 group_into_families)
 
     mu = CirculationWeights(tuple(args.mu))
     _check_writable(args.out)
@@ -300,10 +278,10 @@ def cmd_find(args):
     else:
         text = _find_table(report, points.mu.mu)
     _write_output(text, args.out)
-    total, want = _morse_sum(points, mu), math.factorial(len(mu) - 1)
-    if total is not None and total != want:
-        print(f"warning: incomplete catalogue: Morse sum {total} over "
-              f"{len(points)} points, but same-sign weights give (N-1)! = {want}; "
+    failed = points.morse_check()
+    if failed:
+        print(f"warning: incomplete catalogue: Morse sum {failed[0]} over "
+              f"{len(points)} points, but same-sign weights give (N-1)! = {failed[1]}; "
               "raise --seeds", file=sys.stderr)
     return 0
 
@@ -321,9 +299,9 @@ def _weight_system(mu):
 
 def _certify_payload(args):
     """certify's answer: the dict that --format json writes."""
-    from vortexre.groebner import buchberger, elimination_ideal
+    from vortexre.groebner import elimination_ideal
     from vortexre.halfangle import build_symmetry_case_system
-    from vortexre.hermite import hermite_matrix, quotient_basis, signature_and_rank
+    from vortexre.hermite import trace_form
     from vortexre.polynomials import from_integer_terms
 
     if args.symmetry_case is not None:
@@ -337,10 +315,7 @@ def _certify_payload(args):
                                   for _, t in ideal.elements],
         }
     mu, system = _weight_system(args.mu)
-    gb = buchberger(system.polys)
-    basis = quotient_basis(gb)
-    H = hermite_matrix(gb, basis)
-    count = signature_and_rank(H)
+    gb, basis, H, count = trace_form(system.polys)
     payload = {
         "mu": mu,
         "real_distinct": count.real_distinct,
@@ -435,7 +410,7 @@ def _select_start(args, mu):
 
 
 def _snapshot_schedule(args, base, walk):
-    """[(SVG path, schedule eps)] for each --snapshots value.
+    """[(SVG path, schedule position)] for each --snapshots value.
 
     The schedule is eps = 0 (the start) and the couplings of the walk.  The
     path is base_eps<eps as given>.svg, and base_eps0.svg for the start.
@@ -443,26 +418,11 @@ def _snapshot_schedule(args, base, walk):
     schedule = [0.0] + walk
     out = []
     for eps in map(float, args.snapshots):
-        hit = [s for s in schedule if abs(s - eps) < 1e-9]
-        if not hit:
+        hit = next((k for k, s in enumerate(schedule) if abs(s - eps) < 1e-9), None)
+        if hit is None:
             raise InputError(
                 f"snapshot eps={eps:g} is not on the continuation schedule")
-        out.append((f"{base}_eps{eps if hit[0] else 0.0:g}.svg", hit[0]))
-    return out
-
-
-def _snapshot_records(payload, snapshots, start, mu):
-    """(SVG path, configuration record) for each snapshot the walk reached:
-    the start's, or the payload's record at that eps."""
-    from vortexre.dynamics import HelioConfig
-
-    reached = {record["epsilon"]: record for record in payload["records"]}
-    out = []
-    for path, on_schedule in snapshots:
-        if on_schedule == 0.0:
-            out.append((path, HelioConfig.from_angles(start, mu, 0.0).to_dict()))
-        elif on_schedule in reached:
-            out.append((path, reached[on_schedule]))
+        out.append((f"{base}_eps{eps if hit else 0.0:g}.svg", hit))
     return out
 
 
@@ -482,7 +442,8 @@ def _continue_rows(payload):
 def cmd_continue(args):
     import numpy as np
 
-    from vortexre.dynamics import _epsilon_schedule, continue_family, continue_polygon
+    from vortexre.dynamics import (HelioConfig, _epsilon_schedule, continue_family,
+                                   continue_polygon, polygon_family)
     from vortexre.plotting import render_configuration_svg
     from vortexre.potential import CirculationWeights
 
@@ -492,18 +453,21 @@ def cmd_continue(args):
     _check_writable(args.out, *(path for path, _ in snapshots))
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--normalize",) + _SEARCH_FLAGS)
-        mu = _polygon_weights(args)
-        start = [2.0 * math.pi * k / args.polygon for k in range(args.polygon)]
-        trace = continue_polygon(args.polygon, mu[0], eps_max=args.eps_max,
+        mu = _polygon_weight(args)
+        start = functools.partial(polygon_family, args.polygon, mu, 0.0)
+        trace = continue_polygon(args.polygon, mu, eps_max=args.eps_max,
                                  step=args.step, tol=args.tol_newton)
     else:
         mu = CirculationWeights(tuple(args.mu))
         if args.normalize:
-            scale = 1.0 / float(np.linalg.norm(mu.array))
+            with np.errstate(over="ignore"):  # numpy's norm, unless its squares overflow
+                norm = float(np.linalg.norm(mu.array))
+            scale = 1.0 / (norm if 0.0 < norm < math.inf else math.hypot(*mu))
             mu = CirculationWeights(tuple(m * scale for m in mu))
-        start = _select_start(args, mu)
+        theta = _select_start(args, mu)
+        start = functools.partial(HelioConfig.from_angles, theta, mu, 0.0)
         # a walk reports its own collisions as its failure, so one raised is the start's
-        trace = _start_config(continue_family, start, mu, eps_max=args.eps_max,
+        trace = _start_config(continue_family, theta, mu, eps_max=args.eps_max,
                               step=args.step, tol=args.tol_newton)
     payload = trace.to_dict()
     if args.format == "json":
@@ -516,8 +480,11 @@ def cmd_continue(args):
     else:
         text = _csv_text(_continue_rows(payload))
     _write_output(text, args.out)
-    for path, record in _snapshot_records(payload, snapshots, start, mu):
-        _write_file(path, render_configuration_svg(record))
+    records = payload["records"]
+    for path, hit in snapshots:  # a walk's records are its schedule's first
+        if hit <= len(records):
+            record = records[hit - 1] if hit else start().to_dict()
+            _write_file(path, render_configuration_svg(record))
     if trace.failure:
         print(f"continuation stopped early: {trace.failure}", file=sys.stderr)
         return 1
@@ -630,22 +597,15 @@ def cmd_build_system(args):
 def cmd_simulate(args):
     import numpy as np
 
-    from vortexre.dynamics import (
-        HelioConfig,
-        corotating_drift,
-        hamiltonian,
-        integrate_vortices,
-        newton_solve,
-        polygon_family,
-        re_residual,
-    )
+    from vortexre.dynamics import (HelioConfig, corotating_drift, hamiltonian,
+                                   integrate_vortices, newton_solve, polygon_family,
+                                   re_residual)
     from vortexre.potential import CirculationWeights
 
     _check_writable(args.out)
     if args.polygon is not None:
         _start_mode(args, "--polygon", ("--radii", "--polish", "--tol-newton"))
-        config = _start_config(polygon_family, args.polygon,
-                               _polygon_weights(args)[0], args.eps)
+        config = _start_config(polygon_family, args.polygon, _polygon_weight(args), args.eps)
     else:
         mu = CirculationWeights(tuple(args.mu))
         if not args.start_angles:

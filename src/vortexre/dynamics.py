@@ -8,8 +8,8 @@ analytic Jacobian, gauge-fixed Newton polishing, continuation in eps, the
 regular-polygon family, and a full-system spectral stability check that is
 independent of the reduced-potential classification.
 
-A continuation walk binds one set of Newton buffers, checks its schedule
-for a zero total circulation in one pass and makes one stability batch.
+A continuation walk binds one set of Newton buffers, checks its whole
+schedule for overflow and zero circulation, and makes one stability batch.
 Each step's Newton solve starts from the quadratic extrapolation through
 the last three solutions, a predictor-corrector walk (Allgower & Georg,
 Introduction to Numerical Continuation Methods, ch. 2), and falls back to
@@ -703,6 +703,7 @@ def polygon_family(N, mu_scalar, epsilon):
     """
     if N < 2:
         raise InputError("polygon needs at least two weak vortices")
+    weights = CirculationWeights((mu_scalar,) * N)
     R2, missing = _polygon_radius2(N, mu_scalar, epsilon)
     if not R2 > 0.0:
         raise InputError(missing)
@@ -710,7 +711,7 @@ def polygon_family(N, mu_scalar, epsilon):
         raise NonFiniteError("squared pair distances must be finite")
     angles = 2.0 * math.pi * np.arange(N) / N
     z = math.sqrt(R2) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return HelioConfig(z, epsilon, (mu_scalar,) * N)
+    return HelioConfig(z, epsilon, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -744,6 +745,10 @@ class ContinuationTrace:
             ],
         }
 
+
+# A walk that overflows somewhere on its schedule is refused before it starts.
+_OVERFLOW = ("the walk overflows at eps={:.6g}: its circulations eps*mu, their total "
+             "or squared pair distances are not finite")
 
 # The longest walk a schedule may ask for.  At N = 12 each kept step costs
 # about 5 KB (its positions and its Jacobian), so this cap is about 0.5 GB.
@@ -784,8 +789,10 @@ def continue_family(theta_star, mu, eps_max, step=0.005, tol=1e-12):
     bifurcation, the step is solved again from the previous solution.  A
     failed solve ends the walk and returns the partial trace with a failure
     marker instead of raising, as does zero total circulation, before its
-    solve.  One set of Newton buffers and one stability batch per walk:
-    each solve's converged residual and Jacobian are kept for the batch.
+    solve.  A schedule on which the circulations eps*mu or their total
+    overflow raises InputError before any solve.  One set of Newton
+    buffers and one stability batch per walk: each solve's converged
+    residual and Jacobian are kept for the batch.
     """
     weights = mu if isinstance(mu, CirculationWeights) else CirculationWeights(tuple(mu))
     if classify(theta_star, weights).extremal_type == "degenerate":
@@ -802,12 +809,21 @@ def continue_polygon(N, mu_scalar, eps_max, step=0.005, tol=1e-12):
     The walk ends at the first scheduled eps where the polygon family
     ends, 1 + mu*eps*(N-1)/2 < 0: it runs no solve there, and its failure
     is `polygon_family`'s message.  Where that value is 0 the vortices
-    meet at the strong one, and the solve reports the collision.
+    meet at the strong one, and the solve reports the collision.  A walk
+    whose polygon's squared pair distances overflow is refused too.
     """
     schedule = _epsilon_schedule(eps_max, step)
+    R2 = [_polygon_radius2(N, mu_scalar, eps)[0] for eps in schedule]
     # R^2 is linear in eps, so the steps it allows are a prefix
-    reached = [eps for eps in schedule if _polygon_radius2(N, mu_scalar, eps)[0] >= 0.0]
-    trace = _walk(polygon_family(N, mu_scalar, 0.0), reached, tol)
+    reached = [eps for eps, r2 in zip(schedule, R2) if r2 >= 0.0]
+    start = polygon_family(N, mu_scalar, 0.0)
+    # the walk keeps to the polygon, whose largest squared pair distance, its
+    # longest chord's, overflows no later than its total circulation does
+    chord2 = 4.0 * math.sin(math.pi * (N // 2) / N) ** 2
+    over = [eps for eps, r2 in zip(reached, R2) if not chord2 * r2 < math.inf]
+    if over:
+        raise InputError(_OVERFLOW.format(over[0]))
+    trace = _walk(start, reached, tol)
     if len(reached) < len(schedule) and trace.failure is None:
         eps = schedule[len(reached)]
         missing = _polygon_radius2(N, mu_scalar, eps)[1]
@@ -855,7 +871,12 @@ def _walk(start, schedule, tol):
     passed = deque([(0.0, z0)], maxlen=3)
     solved, residuals, jacobians = [], [], []
     failure = None
-    zero = _zero_circulation(np.multiply.outer(schedule, mu))[1].tolist()
+    with np.errstate(over="ignore"):  # 1 + sum|gamma| bounds gamma and their total
+        gamma = np.multiply.outer(schedule, mu)
+        finite = np.isfinite(1.0 + np.abs(gamma).sum(axis=-1))
+    if not finite.all():  # refused before any solve meets it
+        raise InputError(_OVERFLOW.format(schedule[finite.argmin()]))
+    zero = _zero_circulation(gamma)[1].tolist()
     for eps, no_center in zip(schedule, zero):
         try:
             if no_center:  # the stability batch divides by the total circulation

@@ -229,8 +229,18 @@ def _bareiss(A):
     return signs
 
 
-def count_real_roots(system):
-    """Distinct real/complex root counts of a zero-dimensional system,
-    computed under the order of the system's ring."""
+TraceForm = namedtuple("TraceForm", "groebner_basis quotient_basis matrix count")
+
+
+def trace_form(system):
+    """Every stage of `count_real_roots` under the order of the system's ring:
+    the reduced basis, quotient basis, trace-form matrix and RootCount."""
     gb = buchberger(system)
-    return signature_and_rank(hermite_matrix(gb, quotient_basis(gb)))
+    basis = quotient_basis(gb)
+    matrix = hermite_matrix(gb, basis)
+    return TraceForm(gb, basis, matrix, signature_and_rank(matrix))
+
+
+def count_real_roots(system):
+    """Distinct real/complex root counts of a zero-dimensional system."""
+    return trace_form(system).count

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from vortexre.errors import CIRCULATION_NOISE, NO_CENTER, CirculationError
+from vortexre.errors import CIRCULATION_NOISE, NO_CENTER, CirculationError, InputError
 
 CANVAS = 420
 CENTER = CANVAS / 2.0
@@ -44,9 +44,12 @@ def _strong_offset(record, positions):
     eps = float(record.get("epsilon", 0.0))
     mu = [float(m) for m in record.get("mu", [1.0] * len(positions))]
     gamma = [eps * m for m in mu]
-    total = 1.0 + sum(gamma)
+    total, bound = 1.0 + sum(gamma), 1.0 + sum(map(abs, gamma))
+    if not math.isfinite(bound):  # it bounds each |eps*mu| and |total|
+        raise InputError("the record overflows: its circulations eps*mu or their total "
+                         "are not finite")
     # the zero rule of vortexre.dynamics._zero_circulation, without numpy
-    if abs(total) <= CIRCULATION_NOISE * (1.0 + sum(map(abs, gamma))):
+    if abs(total) <= CIRCULATION_NOISE * bound:
         raise CirculationError(NO_CENTER)
     x0 = -sum(g * p[0] for g, p in zip(gamma, positions)) / total
     y0 = -sum(g * p[1] for g, p in zip(gamma, positions)) / total

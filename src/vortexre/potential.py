@@ -250,6 +250,7 @@ class StabilityReport:
     hessian_eigs: tuple
     weighted_eigs: tuple
     zero_count: int
+    index: int          # Morse index: negative Hessian eigenvalues transverse to rotation
     verdict: str        # stable | unstable | degenerate
     extremal_type: str  # minimum | maximum | saddle | degenerate
     gradient_norm: float
@@ -325,30 +326,21 @@ def _classify(table, w, tol_grad, tol_zero):
     restricted = np.take_along_axis(hessian_eigs, by_size[:, 1:], axis=1)
     h_tol = tol_zero * np.maximum(sigma, np.abs(hessian_eigs).max(axis=1))[:, None]
     flat = (np.abs(restricted) < h_tol).any(axis=1)
-    positive = (restricted > 0).all(axis=1)
-    negative = (restricted < 0).all(axis=1)
+    morse_index = (restricted < 0).sum(axis=1)
 
+    extremal_types = {0: "minimum", len(w) - 1: "maximum"}  # by index; else a saddle
     # each array goes to Python once
-    for row, norm, eigs, weighted_row, zeros, is_stable, is_flat, is_min, is_max in zip(
+    for row, norm, eigs, weighted_row, zeros, is_stable, is_flat, index in zip(
             critical.tolist(), gnorm[critical].tolist(), hessian_eigs.tolist(),
             weighted.tolist(), zero_count.tolist(), stable.tolist(), flat.tolist(),
-            positive.tolist(), negative.tolist()):
-        if zeros != 1:
-            verdict = "degenerate"
-        else:
-            verdict = "stable" if is_stable else "unstable"
-        if is_flat:
-            extremal = "degenerate"
-        elif is_min:
-            extremal = "minimum"
-        elif is_max:
-            extremal = "maximum"
-        else:
-            extremal = "saddle"
+            morse_index.tolist()):
+        verdict = "degenerate" if zeros != 1 else "stable" if is_stable else "unstable"
+        extremal = "degenerate" if is_flat else extremal_types.get(index, "saddle")
         reports[row] = StabilityReport(
             hessian_eigs=tuple(eigs),
             weighted_eigs=tuple(weighted_row),
             zero_count=zeros,
+            index=index,
             verdict=verdict,
             extremal_type=extremal,
             gradient_norm=norm,

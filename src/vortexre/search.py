@@ -34,9 +34,9 @@ JSON writer 5.1 ms, beside about 65 ms of seeding and polish.
 
 Nothing proves a catalogue complete: seeds can miss critical points,
 and `find` is not checked against the exact count of `certify`.  What is
-checked is the Morse identity: with weights of one sign, `find` sums
-(-1)^index over the catalogue, compares the sum with (N-1)!, and warns
-on stderr when they differ.
+checked is the Morse identity: with weights of one sign,
+`CriticalPointSet.morse_check` sums (-1)^index over the catalogue and
+compares the sum with (N-1)!; `find` warns on stderr when they differ.
 """
 
 from __future__ import annotations
@@ -78,6 +78,19 @@ class CriticalPointSet:
 
     def __len__(self):
         return len(self.reports)
+
+    def morse_check(self):
+        """(sum of (-1)^index over the points, (N-1)!) where they differ and
+        the Morse identity applies, else None: with weights of one sign, V
+        -> +inf at each collision, so V is proper on each of the (N-1)!
+        cyclic-ordering cells, and a complete catalogue of nondegenerate
+        points has sum (N-1)!."""
+        mu, reports = self.mu, self.reports
+        if not (mu.all_positive() or all(m < 0 for m in mu)) or any(
+                report.zero_count != 1 for report in reports):
+            return None
+        total, want = sum((-1) ** report.index for report in reports), math.factorial(len(mu) - 1)
+        return None if total == want else (total, want)
 
 
 def _primes(count):

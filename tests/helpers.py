@@ -476,6 +476,7 @@ def reference_classify(theta, mu, tol_grad=1e-10, tol_zero=1e-8):
         hessian_eigs=tuple(float(x) for x in hessian_eigs),
         weighted_eigs=tuple(complex(z) for z in weighted),
         zero_count=zero_count, verdict=verdict, extremal_type=extremal,
+        index=sum(e < 0 for e in sorted(hessian_eigs.tolist(), key=abs)[1:]),
         gradient_norm=gnorm)
 
 

@@ -1603,3 +1603,88 @@ def test_json_writer_refuses_what_json_dumps_refuses(value):
         json.dumps(value, indent=2)
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+# -- answers the library computes, and the overflows refused ---------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("mu", ["1.3", "-0.5", "1/3"])
+def test_polygon_snapshots_keep_the_start_the_cli_built_from_its_angles(capsys, tmp_path,
+                                                                        n, mu):
+    from vortexre.dynamics import HelioConfig
+    from vortexre.plotting import render_configuration_svg
+
+    # the eps = 0 snapshot is polygon_family's; the CLI built it from the
+    # angles 2*pi*k/N and N copies of the weight, which give the same bits
+    target = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "continue", "--polygon", str(n), f"--mu={mu}", "--eps", "0.02",
+                     "--step", "0.01", "--snapshots", "0,0.01,0.02", "--format", "json",
+                     "--out", str(target))
+    assert code == 0
+    weight = float(Fraction(mu))
+    angles = [2.0 * math.pi * k / n for k in range(n)]
+    start = HelioConfig.from_angles(angles, CirculationWeights((weight,) * n), 0.0)
+    assert (tmp_path / "trace_eps0.svg").read_text() == \
+        render_configuration_svg(start.to_dict())
+    records = json.loads(target.read_text())["records"]
+    for eps, record in zip(("0.01", "0.02"), records):
+        assert (tmp_path / f"trace_eps{eps}.svg").read_text() == \
+            render_configuration_svg(record)
+
+
+def test_normalize_takes_an_overflow_safe_norm_where_numpy_overflows(capsys):
+    # numpy's norm of (1e300, 1) overflowed, so the weights scaled to 0
+    argv = ["continue", "--mu=1e300,1", "--normalize", "--eps", "0.01",
+            "--start-angles", "0,3.141592653589793", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    trace = json.loads(out)
+    assert trace["mu"] == [1.0, 1e-300]
+    assert trace["failure"] is None and len(trace["records"]) == 2
+
+
+def test_normalize_keeps_numpys_norm_where_it_is_finite(capsys):
+    code, out, _ = run(capsys, "continue", "--mu=3,-4,12", "--normalize", "--eps", "0",
+                       "--point-index", "0", "--format", "json")
+    assert code == 0
+    scale = 1.0 / float(np.linalg.norm(np.array([3.0, -4.0, 12.0])))
+    assert json.loads(out)["mu"] == [3.0 * scale, -4.0 * scale, 12.0 * scale]
+
+
+_WALK_OVERFLOW = ("error: the walk overflows at eps={}: its circulations eps*mu, their "
+                  "total or squared pair distances are not finite\n")
+
+
+@pytest.mark.parametrize("argv,eps", [
+    # the total circulation 1 + 3e308 overflowed in the walk's check of its
+    # schedule, and the solve at eps = 5e157 did not converge
+    (["--polygon", "3", "--mu", "1e150", "--eps", "1e158", "--step", "5e157"], "1e+158"),
+    # the 12-gon's squared diameter, 2.2e308, overflows; its total 1.2e308 does not
+    (["--polygon", "12", "--mu", "1e150", "--eps", "1e157", "--step", "1e157"], "1e+157"),
+    # the circulations of a walk from given angles: the first eps named
+    (["--mu=1e150,1e150", "--start-angles", "0,3.141592653589793", "--eps", "3e158",
+      "--step", "1e158"], "1e+158"),
+])
+def test_continue_refuses_a_schedule_that_overflows(capsys, tmp_path, argv, eps):
+    target = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        result = run(capsys, "continue", *argv, "--snapshots", "0", "--out", str(target))
+    assert result == (2, "", _WALK_OVERFLOW.format(eps))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("record", [
+    # eps*mu is +-inf, and their total NaN: the SVG read "M nan nan"
+    {"angles": [0, 2], "mu": [1e300, -1e300], "epsilon": 1e10},
+    # eps*mu is inf, and the zero rule read the infinite total as 0
+    {"angles": [0, 2], "mu": [1e200, 1e200], "epsilon": 1e200},
+])
+def test_plot_refuses_a_record_whose_circulations_overflow(capsys, tmp_path, record):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    code, out, err = run(capsys, "plot", str(bad), "--out", str(tmp_path / "bad.svg"))
+    assert (code, out) == (2, "")
+    assert err == ("error: the record overflows: its circulations eps*mu or their "
+                   "total are not finite\n")
+    assert not (tmp_path / "bad.svg").exists()

@@ -1467,3 +1467,31 @@ def test_a_total_circulation_of_zero_up_to_rounding_is_zero():
         full_system_stability(config)
     with pytest.raises(ValueError, match=r"total circulation 1 \+ eps\*sum\(mu\) is 0"):
         config.to_planar()
+
+
+@pytest.mark.parametrize("walk,eps", [
+    # the total 1 + 3*eps*mu overflows at 1e158, where eps*mu is still finite
+    (lambda: continue_polygon(3, 1e150, 1e158, step=5e157), "1e+158"),
+    # the 12-gon's squared diameter overflows at 1e157, its total does not
+    (lambda: continue_polygon(12, 1e150, 3e157, step=1e157), "1e+157"),
+    (lambda: continue_family([0.0, math.pi], (1e150, 1e150), 3e158, step=1e158), "1e+158"),
+])
+def test_a_schedule_that_overflows_is_refused_before_any_solve(monkeypatch, walk, eps):
+    from vortexre.errors import InputError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(dynamics, "_newton", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"the walk overflows at eps={re.escape(eps)}:"):
+            walk()
+
+
+def test_polygon_family_refuses_its_weights_before_its_radius():
+    # as the CLI's N copies of --mu were refused before the polygon was made
+    from vortexre.errors import InputError
+
+    with pytest.raises(InputError, match="products of weights must be finite"):
+        polygon_family(3, 1e200, -1.0)

@@ -467,3 +467,24 @@ def test_equal_weight_trace_form_splits_into_two_parity_blocks():
     assert sum(c.real_distinct for c in counts) == 14
     assert sum(c.complex_distinct for c in counts) == 16
     assert signature_and_rank(H) == hermite.RootCount(14, 16)
+
+
+@pytest.mark.parametrize("mu", [(1, 1), (2, -1, 3), (-1, 1, 1), (2, 2, -1)])
+def test_trace_form_runs_each_stage_once_and_returns_them_all(mu, monkeypatch):
+    from vortexre.hermite import trace_form
+
+    polys = build_equal_weight_system(mu).polys
+    gb = buchberger(polys)
+    basis = quotient_basis(gb)
+    H = hermite_matrix(gb, basis)
+    calls = []
+    for name in ("buchberger", "quotient_basis", "hermite_matrix", "signature_and_rank"):
+        stage = getattr(hermite, name)
+        monkeypatch.setattr(hermite, name,
+                            lambda *a, stage=stage, name=name: calls.append(name) or stage(*a))
+    form = trace_form(polys)
+    assert calls == ["buchberger", "quotient_basis", "hermite_matrix", "signature_and_rank"]
+    assert form.groebner_basis.polys == gb.polys
+    assert (form.quotient_basis, form.matrix) == (basis, H)
+    assert form.count == signature_and_rank(H) == count_real_roots(polys)
+    assert tuple(form) == (form.groebner_basis, basis, H, form.count)

@@ -726,3 +726,62 @@ def test_export_of_a_large_catalogue_builds_no_cubic_temporary():
         tracemalloc.stop()
     assert out["count"] == count
     assert peak < count * n ** 3 * 8 / 2
+
+
+# -- the Morse check ------------------------------------------------------------
+
+def _reference_morse_check(points):
+    """The Morse check as the CLI made it before the catalogue did: each
+    index counted again from the report's Hessian eigenvalues sorted by
+    size, the one nearest zero dropped."""
+    mu = points.mu.mu
+    if not (all(m > 0 for m in mu) or all(m < 0 for m in mu)):
+        return None
+    total = 0
+    for report in points.reports:
+        if report.zero_count != 1:
+            return None
+        total += (-1) ** sum(e < 0 for e in sorted(report.hessian_eigs, key=abs)[1:])
+    want = math.factorial(len(mu) - 1)
+    return None if total == want else (total, want)
+
+
+def _census():
+    """Every primitive integer N=3 weight vector with |mu_i| <= 5, up to
+    permutation and global sign."""
+    vectors = set()
+    for mu in itertools.product(range(-5, 6), repeat=3):
+        if 0 not in mu and math.gcd(*mu) == 1:
+            vectors.add(min(tuple(sorted(mu)), tuple(sorted(-m for m in mu))))
+    return sorted(vectors)
+
+
+@pytest.mark.parametrize("seeds", [16, 4096])
+def test_the_morse_index_and_check_keep_the_cli_sums_on_the_census(seeds):
+    vectors = _census()
+    assert len(vectors) == 96
+    failed = 0
+    for mu in vectors:
+        points = find_all_critical_points(mu, seeds=seeds)
+        for report in points.reports:
+            assert report.index == sum(e < 0 for e in sorted(report.hessian_eigs, key=abs)[1:])
+            assert (report.extremal_type in ("minimum", "maximum")) == (
+                report.index in (0, len(mu) - 1) and report.extremal_type != "degenerate")
+        assert points.morse_check() == _reference_morse_check(points)
+        failed += points.morse_check() is not None
+    # few seeds miss points on some same-sign vectors; the default seeds none
+    assert (failed > 0) == (seeds == 16)
+
+
+@pytest.mark.parametrize("mu,seeds", list(FIND_DIGESTS) + [
+    ("1,1,1,1,1,1", 256), ("1,1,1,1", 16), ("-1,-2,-3,-4", 32), ("3,3,3,1", 64)])
+def test_find_warns_where_the_cli_sum_warned(mu, seeds):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["find", "--mu=" + mu, "--seeds", str(seeds)]) == 0
+    points = find_all_critical_points([float(m) for m in mu.split(",")], seeds=seeds)
+    failed = _reference_morse_check(points)
+    assert err.getvalue() == ("" if failed is None else
+                              f"warning: incomplete catalogue: Morse sum {failed[0]} over "
+                              f"{len(points)} points, but same-sign weights give (N-1)! = "
+                              f"{failed[1]}; raise --seeds\n")
